@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 from .cyclotomic import (
     Cyclo,
@@ -32,6 +33,7 @@ from .cyclotomic import (
     q_binomial_poly,
     q_factorial_poly,
     q_int_poly,
+    sparse_sum,
     sqrt2,
     sqrt_half_pp,
 )
@@ -185,39 +187,22 @@ class Params:
         # ef[x] = e * f^x
         ef = [{(0, 1, 0): one}]
         for x in range(1, p):
-            prev = ef[x - 1]
-            cur = {}
-            for (xx, yy, zz), c in prev.items():
-                key = (xx + 1, yy, zz)
-                cur[key] = cur.get(key, c * 0) + c if key in cur else c
-            # + f^{x-1} (Q^{-2(x-1)} Ksec - Q^{2(x-1)} Ksec^-1) / (Q - Q^-1)
+            # e f^x = f (e f^{x-1})
+            #   + f^{x-1} (Q^{-2(x-1)} Ksec - Q^{2(x-1)} Ksec^-1) / (Q - Q^-1)
             c_hi = (Q ** (-2 * (x - 1))) * dq_inv
             c_lo = -(Q ** (2 * (x - 1))) * dq_inv
-            for z, c in ((1, c_hi), (-1, c_lo)):
-                key = (x - 1, 0, z)
-                cur[key] = cur.get(key, c * 0) + c if key in cur else c
-            ef.append({k: v for k, v in cur.items() if not v.is_zero()})
+            ef.append(sparse_sum(chain(
+                (((xx + 1, yy, zz), c) for (xx, yy, zz), c in ef[x - 1].items()),
+                (((x - 1, 0, 1), c_hi), ((x - 1, 0, -1), c_lo)))))
         table = [[{(a, 0, 0): one} for a in range(p)]]
         for b in range(1, p):
-            row = []
-            for a in range(p):
-                acc = {}
-                for (x, y, z), c in table[b - 1][a].items():
-                    # multiply e from the left: e f^x e^y K^z
-                    for (x2, y2, z2), c2 in ef[x].items():
-                        # f^{x2} e^{y2} K^{z2} e^y K^z
-                        #   K^{z2} e^y = Q^{2 z2 y} e^y K^{z2}
-                        yy = y2 + y
-                        if yy >= p:
-                            continue
-                        coeff = c * c2 * Q ** (2 * z2 * y)
-                        key = (x2, yy, z2 + z)
-                        if key in acc:
-                            acc[key] = acc[key] + coeff
-                        else:
-                            acc[key] = coeff
-                row.append({k: v for k, v in acc.items() if not v.is_zero()})
-            table.append(row)
+            # multiply e from the left: e f^x e^y K^z = f^{x2} e^{y2} K^{z2} e^y K^z
+            # summed over ef[x], with K^{z2} e^y = Q^{2 z2 y} e^y K^{z2}
+            table.append([sparse_sum(
+                ((x2, y2 + y, z2 + z), c * c2 * Q ** (2 * z2 * y))
+                for (x, y, z), c in table[b - 1][a].items()
+                for (x2, y2, z2), c2 in ef[x].items()
+                if y2 + y < p) for a in range(p)])
         return table
 
     # -- monomial product ------------------------------------------------------
@@ -233,26 +218,22 @@ class Params:
         p, q = self.p_plus, self.p_minus
         # K^{j1} through the second monomial's sector part
         base = 24 * j1 * (q * (b2 - a2) + p * (d2 - c2))
-        out = {}
-        zeta = self.ctx.root_of_unity
-        for (xp, yp, zp), cp in self._sp[b1][a2].items():
-            if a1 + xp >= p or yp + b2 >= p:
-                continue
-            coefp = cp if b2 == 0 or zp == 0 else cp * self.Q_plus ** (2 * zp * b2)
-            for (xm, ym, zm), cm in self._sm[d1][c2].items():
-                if c1 + xm >= q or ym + d2 >= q:
+
+        def terms():
+            for (xp, yp, zp), cp in self._sp[b1][a2].items():
+                if a1 + xp >= p or yp + b2 >= p:
                     continue
-                coefm = cm if d2 == 0 or zm == 0 else cm * self.Q_minus ** (2 * zm * d2)
-                j = (j1 + j2 + q * zp + p * zm) % self.korder
-                mono = (a1 + xp, yp + b2, c1 + xm, ym + d2, j)
-                coeff = coefp * coefm
-                if base:
-                    coeff = coeff.shift(base)
-                if mono in out:
-                    out[mono] = out[mono] + coeff
-                else:
-                    out[mono] = coeff
-        out = {m: c for m, c in out.items() if not c.is_zero()}
+                coefp = cp if b2 == 0 or zp == 0 else cp * self.Q_plus ** (2 * zp * b2)
+                for (xm, ym, zm), cm in self._sm[d1][c2].items():
+                    if c1 + xm >= q or ym + d2 >= q:
+                        continue
+                    coefm = cm if d2 == 0 or zm == 0 else cm * self.Q_minus ** (2 * zm * d2)
+                    j = (j1 + j2 + q * zp + p * zm) % self.korder
+                    coeff = coefp * coefm
+                    yield ((a1 + xp, yp + b2, c1 + xm, ym + d2, j),
+                           coeff.shift(base) if base else coeff)
+
+        out = sparse_sum(terms())
         self._mono_mul_cache[key] = out
         return out
 
@@ -372,17 +353,8 @@ class AlgebraElement:
             other = self.params.scalar(other)
         if self.params is not other.params:
             raise ValueError("parameter context mismatch")
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            if m in out:
-                v = out[m] + c
-                if v.is_zero():
-                    del out[m]
-                else:
-                    out[m] = v
-            else:
-                out[m] = c
-        return AlgebraElement(self.params, out)
+        return AlgebraElement(self.params, sparse_sum(
+            chain(self.coeffs.items(), other.coeffs.items())))
 
     __radd__ = __add__
 
@@ -399,27 +371,20 @@ class AlgebraElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):
-            if isinstance(other, Cyclo) and other.is_zero():
+            if not other:
                 return self.params.zero
-            out = {m: c * other for m, c in self.coeffs.items()}
-            return AlgebraElement(self.params, {m: c for m, c in out.items() if not c.is_zero()})
+            return AlgebraElement(self.params, {m: c * other for m, c in self.coeffs.items()})
         if isinstance(other, TensorElement):
             return NotImplemented
         if self.params is not other.params:
             raise ValueError("parameter context mismatch")
         mono_mul = self.params.mono_mul
-        acc = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                c12 = c1 * c2
-                if c12.is_zero():
-                    continue
-                for m, c in mono_mul(m1, m2).items():
-                    if m in acc:
-                        acc[m] = acc[m] + c12 * c
-                    else:
-                        acc[m] = c12 * c
-        return AlgebraElement(self.params, {m: c for m, c in acc.items() if not c.is_zero()})
+        return AlgebraElement(self.params, sparse_sum(
+            (m, c12 * c)
+            for m1, c1 in self.coeffs.items()
+            for m2, c2 in other.coeffs.items()
+            for c12 in (c1 * c2,)
+            for m, c in mono_mul(m1, m2).items()))
 
     __rmul__ = __mul__
 
@@ -452,14 +417,11 @@ class AlgebraElement:
     # -- Hopf operations ------------------------------------------------------
 
     def coproduct(self) -> "TensorElement":
-        acc = {}
-        for m, c in self.coeffs.items():
-            for mm, cc in self.params.coproduct_mono(m).coeffs.items():
-                if mm in acc:
-                    acc[mm] = acc[mm] + c * cc
-                else:
-                    acc[mm] = c * cc
-        return TensorElement(self.params, {m: c for m, c in acc.items() if not c.is_zero()})
+        coproduct_mono = self.params.coproduct_mono
+        return TensorElement(self.params, sparse_sum(
+            (mm, c * cc)
+            for m, c in self.coeffs.items()
+            for mm, cc in coproduct_mono(m).coeffs.items()))
 
     def antipode(self) -> "AlgebraElement":
         out = self.params.zero
@@ -521,48 +483,33 @@ class TensorElement:
         self.coeffs = coeffs
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            if m in out:
-                v = out[m] + c
-                if v.is_zero():
-                    del out[m]
-                else:
-                    out[m] = v
-            else:
-                out[m] = c
-        return TensorElement(self.params, out)
+        return TensorElement(self.params, sparse_sum(
+            chain(self.coeffs.items(), other.coeffs.items())))
 
     def __sub__(self, other):
         return self + TensorElement(self.params, {m: -c for m, c in other.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):
-            out = {m: c * other for m, c in self.coeffs.items()}
-            return TensorElement(self.params, {m: c for m, c in out.items() if not c.is_zero()})
+            if not other:
+                return TensorElement(self.params, {})
+            return TensorElement(self.params, {m: c * other for m, c in self.coeffs.items()})
         mono_mul = self.params.mono_mul
-        acc = {}
-        for (a1, a2), c1 in self.coeffs.items():
-            for (b1, b2), c2 in other.coeffs.items():
-                c12 = c1 * c2
-                if c12.is_zero():
-                    continue
-                left = mono_mul(a1, b1)
-                if not left:
-                    continue
-                right = mono_mul(a2, b2)
-                if not right:
-                    continue
-                for mL, cL in left.items():
-                    cl = c12 * cL
-                    for mR, cR in right.items():
-                        key = (mL, mR)
-                        v = cl * cR
-                        if key in acc:
-                            acc[key] = acc[key] + v
-                        else:
-                            acc[key] = v
-        return TensorElement(self.params, {m: c for m, c in acc.items() if not c.is_zero()})
+
+        def terms():
+            for (a1, a2), c1 in self.coeffs.items():
+                for (b1, b2), c2 in other.coeffs.items():
+                    left = mono_mul(a1, b1)
+                    right = left and mono_mul(a2, b2)
+                    if not right:
+                        continue
+                    c12 = c1 * c2
+                    for mL, cL in left.items():
+                        cl = c12 * cL
+                        for mR, cR in right.items():
+                            yield (mL, mR), cl * cR
+
+        return TensorElement(self.params, sparse_sum(terms()))
 
     __rmul__ = __mul__
 
@@ -574,48 +521,32 @@ class TensorElement:
 
     def multiply_legs(self) -> AlgebraElement:
         """Apply the multiplication map m: A (x) A -> A."""
-        params = self.params
-        acc = {}
-        for (m1, m2), c in self.coeffs.items():
-            for m, cc in params.mono_mul(m1, m2).items():
-                if m in acc:
-                    acc[m] = acc[m] + c * cc
-                else:
-                    acc[m] = c * cc
-        return AlgebraElement(params, {m: c for m, c in acc.items() if not c.is_zero()})
+        mono_mul = self.params.mono_mul
+        return AlgebraElement(self.params, sparse_sum(
+            (m, c * cc)
+            for (m1, m2), c in self.coeffs.items()
+            for m, cc in mono_mul(m1, m2).items()))
 
     def apply_left(self, func) -> AlgebraElement:
         """Contract the first leg with a linear functional mono -> Cyclo."""
-        params = self.params
-        acc = {}
-        for (m1, m2), c in self.coeffs.items():
-            v = func(m1)
-            if v is None or v.is_zero():
-                continue
-            if m2 in acc:
-                acc[m2] = acc[m2] + c * v
-            else:
-                acc[m2] = c * v
-        return AlgebraElement(params, {m: c for m, c in acc.items() if not c.is_zero()})
+        return AlgebraElement(self.params, sparse_sum(
+            (m2, c * v)
+            for (m1, m2), c in self.coeffs.items()
+            for v in (func(m1),) if v))
 
     def apply_maps(self, left_map, right_map) -> "TensorElement":
         """Apply algebra maps (given on monomials, returning AlgebraElement)
         to both legs; used for (S (x) id) and friends."""
-        params = self.params
-        acc = {}
-        for (m1, m2), c in self.coeffs.items():
-            lhs = left_map(m1)
-            rhs = right_map(m2)
-            for mL, cL in lhs.coeffs.items():
-                cl = c * cL
-                for mR, cR in rhs.coeffs.items():
-                    key = (mL, mR)
-                    v = cl * cR
-                    if key in acc:
-                        acc[key] = acc[key] + v
-                    else:
-                        acc[key] = v
-        return TensorElement(params, {m: c for m, c in acc.items() if not c.is_zero()})
+        def terms():
+            for (m1, m2), c in self.coeffs.items():
+                lhs = left_map(m1).coeffs
+                rhs = right_map(m2).coeffs
+                for mL, cL in lhs.items():
+                    cl = c * cL
+                    for mR, cR in rhs.items():
+                        yield (mL, mR), cl * cR
+
+        return TensorElement(self.params, sparse_sum(terms()))
 
     def swap(self) -> "TensorElement":
         return TensorElement(self.params, {(m2, m1): c for (m1, m2), c in self.coeffs.items()})

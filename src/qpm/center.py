@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, Params
-from .cyclotomic import Cyclo
+from .cyclotomic import Cyclo, sparse_sum
 from .linalg import nullspace
 from .reps import cached_irreducible, cached_projective
 
@@ -225,7 +225,6 @@ def _unit_entry(params, module, src, tgt, element):
 
 def canonical_basis(params: Params) -> CanonicalCenterBasis:
     P = params
-    ctx = P.ctx
     cplus, cminus = P.casimirs()
     deg_p, deg_m = 2 * P.p_plus, 2 * P.p_minus
     pow_p = [P.one]
@@ -340,23 +339,16 @@ def center_brute_force(params: Params):
         gen_monos += [(0, 1, 0, 0, 0), (1, 0, 0, 0, 0)]
     if P.p_minus > 1:
         gen_monos += [(0, 0, 0, 1, 0), (0, 0, 1, 0, 0)]
-    rows_by_target = {}
+    # one row per (generator, target monomial) of [m, gm] = m gm - gm m
+    terms_by_target = {}
     for gm in gen_monos:
         for m in unknowns:
             i = index[m]
             for mm, c in P.mono_mul(m, gm).items():
-                key = (gm, mm)
-                rows_by_target.setdefault(key, {})
-                rows_by_target[key][i] = rows_by_target[key].get(i, P.ctx.zero) + c
+                terms_by_target.setdefault((gm, mm), []).append((i, c))
             for mm, c in P.mono_mul(gm, m).items():
-                key = (gm, mm)
-                rows_by_target.setdefault(key, {})
-                rows_by_target[key][i] = rows_by_target[key].get(i, P.ctx.zero) - c
-    rows = []
-    for row in rows_by_target.values():
-        row = {i: v for i, v in row.items() if not v.is_zero()}
-        if row:
-            rows.append(row)
+                terms_by_target.setdefault((gm, mm), []).append((i, -c))
+    rows = [row for row in map(sparse_sum, terms_by_target.values()) if row]
     basis = nullspace(rows, len(unknowns), P.ctx)
     out = []
     for vec in basis:

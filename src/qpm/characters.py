@@ -28,8 +28,10 @@ central decompositions of the resulting Radford images).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+
 from .algebra import AlgebraElement, Params
-from .cyclotomic import Cyclo
+from .cyclotomic import Cyclo, sparse_sum
 from .linalg import SparseMat, SpanSolver, nullspace
 from .reps import ModuleRep, direct_sum, irreducible, projective
 
@@ -92,11 +94,8 @@ class Functional:
         return out
 
     def __add__(self, other):
-        out = dict(self.values)
-        for m, v in other.values.items():
-            w = out.get(m)
-            out[m] = v if w is None else w + v
-        return Functional(self.params, out)
+        return Functional(self.params, sparse_sum(
+            chain(self.values.items(), other.values.items())))
 
     def __sub__(self, other):
         return self + other * (-1)
@@ -129,9 +128,6 @@ class Functional:
             if not acc.is_zero():
                 out[mono] = acc
         return Functional(P, out)
-
-    def to_vector(self):
-        return dict(self.values)
 
     def to_json(self):
         return [{"mono": list(m), "value": v.to_json()}
@@ -275,16 +271,10 @@ def qcharacter_space(params: Params):
         for mono in P.monomials():
             if (P.weight(mono) + gw) % P.korder:
                 continue
-            row = {}
-            for m, c in P.mono_mul(mono, gm).items():
-                i = index.get(m)
-                if i is not None:
-                    row[i] = row.get(i, P.ctx.zero) + c
-            for m, c in P.mono_mul(gm, mono).items():
-                i = index.get(m)
-                if i is not None:
-                    row[i] = row.get(i, P.ctx.zero) - s * c
-            row = {i: v for i, v in row.items() if not v.is_zero()}
+            row = sparse_sum(chain(
+                ((index[m], c) for m, c in P.mono_mul(mono, gm).items() if m in index),
+                ((index[m], -(s * c)) for m, c in P.mono_mul(gm, mono).items()
+                 if m in index)))
             if row:
                 rows.append(row)
     basis = nullspace(rows, len(unknowns), P.ctx)
@@ -382,29 +372,28 @@ def sigma_endomorphism(params: Params, spec: PseudotraceSpec,
     if block is None:
         block = block_module(P, r, s)
     module, ranges = block
-    data = {}
-    for bullet, (lo, _hi, comp) in ranges.items():
-        targets = {
-            ("alpha", "up"): ("b", "u"),
-            ("alpha", "down"): ("b", "d"),
-            ("beta", "up"): ("t", "u"),
-            ("beta", "down"): ("t", "d"),
-        }
-        for (letter, arrow), (deck, inner) in targets.items():
-            c = spec.get(letter, arrow, bullet, ctx)
-            if c.is_zero():
-                continue
-            for lab, i in comp.index.items():
-                if lab[0] == "b" and lab[1] == "d":
-                    tgt = (deck, inner) + lab[2:]
-                    j = comp.index.get(tgt)
-                    if j is None:
-                        raise RuntimeError(f"missing sigma target {tgt}")
-                    key = (lo + j, lo + i)
-                    data[key] = data.get(key, ctx.zero) + c
-    sigma = SparseMat(module.dim, module.dim,
-                      {k: v for k, v in data.items() if not v.is_zero()})
-    return module, sigma
+    targets = {
+        ("alpha", "up"): ("b", "u"),
+        ("alpha", "down"): ("b", "d"),
+        ("beta", "up"): ("t", "u"),
+        ("beta", "down"): ("t", "d"),
+    }
+
+    def terms():
+        for bullet, (lo, _hi, comp) in ranges.items():
+            for (letter, arrow), (deck, inner) in targets.items():
+                c = spec.get(letter, arrow, bullet, ctx)
+                if c.is_zero():
+                    continue
+                for lab, i in comp.index.items():
+                    if lab[0] == "b" and lab[1] == "d":
+                        tgt = (deck, inner) + lab[2:]
+                        j = comp.index.get(tgt)
+                        if j is None:
+                            raise RuntimeError(f"missing sigma target {tgt}")
+                        yield (lo + j, lo + i), c
+
+    return module, SparseMat(module.dim, module.dim, sparse_sum(terms()))
 
 
 def boundary_sigma(params: Params, r: int, s: int, coeff: Cyclo,

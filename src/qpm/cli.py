@@ -23,7 +23,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 from .algebra import Params
@@ -35,19 +34,16 @@ from .modular import ModularAction
 from .reps import irreducible_labels
 from .verify import available_suites, run_suites
 
-CACHE_ENV = "QPM_CACHE_DIR"
-
 
 def _context(args) -> Params:
     if args.p_plus < 1 or args.p_minus < 1:
+        print(f"error: p_plus={args.p_plus} and p_minus={args.p_minus} "
+              "must be positive", file=sys.stderr)
         raise SystemExit(2)
     if math.gcd(args.p_plus, args.p_minus) != 1:
         print(f"error: p_plus={args.p_plus} and p_minus={args.p_minus} "
               "must be coprime", file=sys.stderr)
         raise SystemExit(2)
-    cache_dir = os.environ.get(CACHE_ENV)
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
     return Params(args.p_plus, args.p_minus)
 
 
@@ -238,8 +234,13 @@ def _emit(args, doc, rows):
         writer.writerows(rows)
         text = buf.getvalue()
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror}",
+                  file=sys.stderr)
+            raise SystemExit(2)
     else:
         print(text)
 

@@ -27,6 +27,7 @@ import mpmath
 __all__ = [
     "CycloContext",
     "Cyclo",
+    "sparse_sum",
     "LaurentZ",
     "euler_phi",
     "cyclotomic_polynomial",
@@ -114,13 +115,11 @@ def cyclotomic_polynomial(n: int):
 
 
 class CycloContext:
-    """Fixed-order cyclotomic field with cached reduction data.
+    """Fixed-order cyclotomic field with precomputed reduction data.
 
     The reduction table maps zeta^k for phi(N) <= k < N + phi(N) to its
     canonical sparse form; once built it is read-only, so a context can be
-    shared freely across threads.  If the environment variable
-    QPM_CACHE_DIR names a directory, the table is persisted there and
-    reloaded on subsequent runs.
+    shared freely across threads.
     """
 
     def __init__(self, order: int):
@@ -131,70 +130,27 @@ class CycloContext:
         poly = cyclotomic_polynomial(order)
         assert len(poly) == self.phi + 1 and poly[-1] == 1
         self._phi_poly = poly
-        rows = self._load_cached_rows()
-        if rows is None:
-            # rows[k - phi] = canonical sparse dict of zeta^k, for k in
-            # [phi, order + phi): enough headroom for products of canonical
-            # elements shifted by any zeta-power.
-            rows = []
-            cur = {i: -c for i, c in enumerate(poly[:-1]) if c}  # zeta^phi
+        # rows[k - phi] = canonical sparse dict of zeta^k, for k in
+        # [phi, order + phi): enough headroom for products of canonical
+        # elements shifted by any zeta-power.
+        rows = []
+        cur = {i: -c for i, c in enumerate(poly[:-1]) if c}  # zeta^phi
+        rows.append(dict(cur))
+        for _ in range(self.order - 1):
+            nxt = {}
+            for e, c in cur.items():
+                e1 = e + 1
+                if e1 < self.phi:
+                    nxt[e1] = nxt.get(e1, 0) + c
+                else:
+                    for e2, c2 in rows[e1 - self.phi].items():
+                        nxt[e2] = nxt.get(e2, 0) + c * c2
+            cur = {e: c for e, c in nxt.items() if c}
             rows.append(dict(cur))
-            for _ in range(self.order - 1):
-                nxt = {}
-                for e, c in cur.items():
-                    e1 = e + 1
-                    if e1 < self.phi:
-                        nxt[e1] = nxt.get(e1, 0) + c
-                    else:
-                        for e2, c2 in rows[e1 - self.phi].items():
-                            nxt[e2] = nxt.get(e2, 0) + c * c2
-                cur = {e: c for e, c in nxt.items() if c}
-                rows.append(dict(cur))
-            self._store_cached_rows(rows)
         self._rows = rows
         self.zero = Cyclo(self, {}, 1)
         self.one = Cyclo(self, {0: 1}, 1)
         self._root_cache = {}
-
-    def _cache_path(self):
-        import os
-        cache_dir = os.environ.get("QPM_CACHE_DIR")
-        if not cache_dir:
-            return None
-        return os.path.join(cache_dir, f"cyclo_reduction_{self.order}.json")
-
-    def _load_cached_rows(self):
-        path = self._cache_path()
-        if not path:
-            return None
-        import json
-        import os
-        if not os.path.exists(path):
-            return None
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-            if doc.get("order") != self.order or len(doc["rows"]) != self.order:
-                return None
-            return [{int(e): int(c) for e, c in row.items()}
-                    for row in doc["rows"]]
-        except (OSError, ValueError, KeyError):
-            return None
-
-    def _store_cached_rows(self, rows):
-        path = self._cache_path()
-        if not path:
-            return
-        import json
-        import os
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            with open(path, "w") as fh:
-                json.dump({"order": self.order,
-                           "rows": [{str(e): c for e, c in row.items()}
-                                    for row in rows]}, fh)
-        except OSError:
-            pass
 
     def reduce(self, raw: dict, den: int) -> "Cyclo":
         """Canonicalize a sparse {exponent: integer} map (exponents may be
@@ -506,6 +462,20 @@ class Cyclo:
         if doc["order"] != ctx.order:
             raise ValueError("field order mismatch")
         return ctx.from_pairs([tuple(p) for p in doc["coeffs"]])
+
+
+def sparse_sum(terms) -> dict:
+    """Sum an iterable of (key, Cyclo) pairs into a sparse {key: Cyclo} map.
+
+    Keys keep their first-seen order and zero sums are dropped, so every
+    coefficient map built here stores only nonzero values.
+    """
+    acc = {}
+    get = acc.get
+    for key, c in terms:
+        prev = get(key)
+        acc[key] = c if prev is None else prev + c
+    return {k: v for k, v in acc.items() if v}
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement, Params, TensorElement
 from .characters import CharacterSpace, Functional
-from .cyclotomic import Cyclo
+from .cyclotomic import Cyclo, sparse_sum
 from .linalg import SparseMat, SpanSolver
 from .reps import ModuleRep, irreducible_labels
 
@@ -71,7 +71,6 @@ class IntegralData:
 
 def build_integral_data(params: Params, verify: bool = True) -> IntegralData:
     P = params
-    ctx = P.ctx
     fact = (P.qfact_p(P.p_plus - 1) * P.qfact_m(P.p_minus - 1)) ** 2
     zeta_norm = P.sqrt_half_pp() * fact.inv()
     top = (P.p_plus - 1, P.p_plus - 1, P.p_minus - 1, P.p_minus - 1)
@@ -124,7 +123,6 @@ def verify_integral_data(data: IntegralData):
         if not (g * Lam - Lam * eps).is_zero() or not (Lam * g - Lam * eps).is_zero():
             errs.append(f"cointegral invariance fails for {name}")
     # (lambda (x) id) Delta(x) = lambda(x) 1 and (id (x) lambda) = lambda(x) a
-    ko = P.korder
     for mono in P.monomials():
         t = P.coproduct_mono(mono)
         left = t.apply_left(lambda m: lam.values.get(m, P.ctx.zero))
@@ -165,25 +163,26 @@ def delta_cointegral_closed_form(data: IntegralData) -> TensorElement:
     ctx = P.ctx
     zeta = ctx.root_of_unity
     ko = P.korder
-    acc = {}
     p, q = P.p_plus, P.p_minus
-    for r in range(p):
-        for m in range(p):
-            for n in range(q):
-                for s in range(q):
-                    coeff = (zeta(-12 * q * q * (m + r + 1) * (m + r + 2))
-                             * zeta(-12 * p * p * (n + s + 1) * (n + s + 2))
-                             * data.zeta_norm)
-                    if (r + m + n + s) % 2:
-                        coeff = -coeff
-                    for ell in range(ko):
-                        m1 = (p - r - 1, m, n, q - 1 - s,
-                              (ell - q * (m + 1) + p * (n + 1)) % ko)
-                        m2 = (r, p - 1 - m, q - 1 - n, s,
-                              (ell + q * (r + 1) - p * (s + 1)) % ko)
-                        key = (m1, m2)
-                        acc[key] = acc.get(key, ctx.zero) + coeff
-    return TensorElement(P, {k: v for k, v in acc.items() if not v.is_zero()})
+
+    def terms():
+        for r in range(p):
+            for m in range(p):
+                for n in range(q):
+                    for s in range(q):
+                        coeff = (zeta(-12 * q * q * (m + r + 1) * (m + r + 2))
+                                 * zeta(-12 * p * p * (n + s + 1) * (n + s + 2))
+                                 * data.zeta_norm)
+                        if (r + m + n + s) % 2:
+                            coeff = -coeff
+                        for ell in range(ko):
+                            m1 = (p - r - 1, m, n, q - 1 - s,
+                                  (ell - q * (m + 1) + p * (n + 1)) % ko)
+                            m2 = (r, p - 1 - m, q - 1 - n, s,
+                                  (ell + q * (r + 1) - p * (s + 1)) % ko)
+                            yield (m1, m2), coeff
+
+    return TensorElement(P, sparse_sum(terms()))
 
 
 def radford(data: IntegralData, beta: Functional) -> AlgebraElement:
@@ -222,7 +221,6 @@ class MMatrix:
 
     def __init__(self, params: Params):
         P = self.params = params
-        ctx = P.ctx
         ko = P.korder
         dQp = -(P.Q_plus - P.Q_plus.inv())   # q_+^{-p_-} - q_+^{p_-}
         dQm = -(P.Q_minus - P.Q_minus.inv())
@@ -238,22 +236,14 @@ class MMatrix:
                               + 6 * P.p_plus * P.p_plus * (mp * (mp + 1) - np * (np - 1)))
                         c = c.shift(e0)
                         # first leg: fp^n ep^m em^np fm^mp
-                        leg1 = P.mono_mul((n, m, 0, 0, 0), (0, 0, 0, np, 0))
-                        leg1_full = {}
-                        for mono, cc in leg1.items():
-                            for mono2, cc2 in P.mono_mul(mono, (0, 0, mp, 0, 0)).items():
-                                leg1_full[mono2] = leg1_full.get(mono2, ctx.zero) + cc * cc2
+                        leg1 = (P.gen("fp", n) * P.gen("ep", m) * P.gen("em", np)
+                                * P.gen("fm", mp))
                         # second leg: ep^n fp^m fm^np em^mp
-                        leg2 = P.mono_mul((0, n, 0, 0, 0), (m, 0, 0, 0, 0))
-                        leg2_full = {}
-                        for mono, cc in leg2.items():
-                            for mono2, cc2 in P.mono_mul(mono, (0, 0, np, mp, 0)).items():
-                                leg2_full[mono2] = leg2_full.get(mono2, ctx.zero) + cc * cc2
+                        leg2 = (P.gen("ep", n) * P.gen("fp", m)
+                                * (P.gen("fm", np) * P.gen("em", mp)))
                         alpha = P.p_minus * m - P.p_plus * mp  # phase slope
-                        t1 = [(mo[:4], mo[4], v) for mo, v in leg1_full.items()
-                              if not v.is_zero()]
-                        t2 = [(mo[:4], mo[4], v) for mo, v in leg2_full.items()
-                              if not v.is_zero()]
+                        t1 = [(mo[:4], mo[4], v) for mo, v in leg1.coeffs.items()]
+                        t2 = [(mo[:4], mo[4], v) for mo, v in leg2.coeffs.items()]
                         if t1 and t2:
                             combos.append((c, alpha % ko, t1, t2))
         self.combos = combos
@@ -267,32 +257,29 @@ class MMatrix:
         ko = P.korder
         zeta = ctx.root_of_unity
         inv_ko = Fraction(1, ko)
-        acc = {}
-        for c, alpha, t1, t2 in self.combos:
-            for mono1, d1, c1 in t1:
-                vals = [beta.values.get(mono1 + ((j + d1) % ko,)) for j in range(ko)]
-                if not any(vals):
-                    continue
-                # Fourier modes of j -> beta(leg1 K^j)
-                for w in range(ko):
-                    dw = ctx.zero
-                    for j, v in enumerate(vals):
-                        if v is not None:
-                            dw = dw + v * zeta(-12 * w * j)
-                    if dw.is_zero():
+
+        def terms():
+            for c, alpha, t1, t2 in self.combos:
+                for mono1, d1, c1 in t1:
+                    vals = [beta.values.get(mono1 + ((j + d1) % ko,)) for j in range(ko)]
+                    if not any(vals):
                         continue
-                    dw = dw * inv_ko
-                    jp = (-alpha - w) % ko
-                    phase = zeta((-12 * alpha * jp) % P.N)
-                    base = c * c1 * dw * phase
-                    for mono2, d2, c2 in t2:
-                        key = mono2 + ((jp + d2) % ko,)
-                        v = base * c2
-                        if key in acc:
-                            acc[key] = acc[key] + v
-                        else:
-                            acc[key] = v
-        return AlgebraElement(P, {m: v for m, v in acc.items() if not v.is_zero()})
+                    # Fourier modes of j -> beta(leg1 K^j)
+                    for w in range(ko):
+                        dw = ctx.zero
+                        for j, v in enumerate(vals):
+                            if v is not None:
+                                dw = dw + v * zeta(-12 * w * j)
+                        if dw.is_zero():
+                            continue
+                        dw = dw * inv_ko
+                        jp = (-alpha - w) % ko
+                        phase = zeta((-12 * alpha * jp) % P.N)
+                        base = c * c1 * dw * phase
+                        for mono2, d2, c2 in t2:
+                            yield mono2 + ((jp + d2) % ko,), base * c2
+
+        return AlgebraElement(P, sparse_sum(terms()))
 
     def act_pair(self, m1: ModuleRep, m2: ModuleRep) -> SparseMat:
         """Action on the tensor product module (left leg on m1)."""
@@ -301,34 +288,31 @@ class MMatrix:
         ko = P.korder
         zeta = ctx.root_of_unity
         d2 = m2.dim
-        out = {}
         w1 = m1.kweights
         w2 = m2.kweights
-        for c, alpha, t1, t2 in self.combos:
-            for mono1, dd1, c1 in t1:
-                A = m1.act_mono(mono1 + (0,))
-                if not A.data:
-                    continue
-                for mono2, dd2, c2 in t2:
-                    B = m2.act_mono(mono2 + (0,))
-                    if not B.data:
+
+        def terms():
+            for c, alpha, t1, t2 in self.combos:
+                for mono1, dd1, c1 in t1:
+                    A = m1.act_mono(mono1 + (0,))
+                    if not A.data:
                         continue
-                    cc = c * c1 * c2
-                    for (i, k), av in A.data.items():
-                        wk = w1[k]
-                        jp = (-alpha - wk) % ko
-                        coeff_col = cc * av * zeta((12 * wk * dd1) % P.N)
-                        for (l, mm), bv in B.data.items():
-                            wm = w2[mm]
-                            phase = zeta((12 * (wm - alpha) * jp + 12 * wm * dd2) % P.N)
-                            key = (i * d2 + l, k * d2 + mm)
-                            v = coeff_col * bv * phase
-                            if key in out:
-                                out[key] = out[key] + v
-                            else:
-                                out[key] = v
+                    for mono2, dd2, c2 in t2:
+                        B = m2.act_mono(mono2 + (0,))
+                        if not B.data:
+                            continue
+                        cc = c * c1 * c2
+                        for (i, k), av in A.data.items():
+                            wk = w1[k]
+                            jp = (-alpha - wk) % ko
+                            coeff_col = cc * av * zeta((12 * wk * dd1) % P.N)
+                            for (l, mm), bv in B.data.items():
+                                wm = w2[mm]
+                                phase = zeta((12 * (wm - alpha) * jp + 12 * wm * dd2) % P.N)
+                                yield (i * d2 + l, k * d2 + mm), coeff_col * bv * phase
+
         dim = m1.dim * d2
-        return SparseMat(dim, dim, {k: v for k, v in out.items() if not v.is_zero()})
+        return SparseMat(dim, dim, sparse_sum(terms()))
 
     def as_tensor_element(self) -> TensorElement:
         """Fully expanded tensor element; quadratic in the K-order, meant
@@ -338,23 +322,20 @@ class MMatrix:
         ko = P.korder
         zeta = ctx.root_of_unity
         inv_ko = Fraction(1, ko)
-        acc = {}
-        for c, alpha, t1, t2 in self.combos:
-            for j in range(ko):
-                for jp in range(ko):
-                    phase = zeta((12 * (alpha * j - alpha * jp + j * jp)) % P.N)
-                    base = c * phase * inv_ko
-                    for mono1, d1, c1 in t1:
-                        key1 = mono1 + ((j + d1) % ko,)
-                        b1 = base * c1
-                        for mono2, d2, c2 in t2:
-                            key = (key1, mono2 + ((jp + d2) % ko,))
-                            v = b1 * c2
-                            if key in acc:
-                                acc[key] = acc[key] + v
-                            else:
-                                acc[key] = v
-        return TensorElement(P, {k: v for k, v in acc.items() if not v.is_zero()})
+
+        def terms():
+            for c, alpha, t1, t2 in self.combos:
+                for j in range(ko):
+                    for jp in range(ko):
+                        phase = zeta((12 * (alpha * j - alpha * jp + j * jp)) % P.N)
+                        base = c * phase * inv_ko
+                        for mono1, d1, c1 in t1:
+                            key1 = mono1 + ((j + d1) % ko,)
+                            b1 = base * c1
+                            for mono2, d2, c2 in t2:
+                                yield (key1, mono2 + ((jp + d2) % ko,)), b1 * c2
+
+        return TensorElement(P, sparse_sum(terms()))
 
     def raw_term_count(self) -> int:
         ko = self.params.korder
@@ -379,7 +360,6 @@ class MMatrix:
         is nonzero for some generator x; empty means the intertwining
         relation holds in the tensor square."""
         P = self.params
-        ctx = P.ctx
         failures = []
         gens = [P.gen(n) for n in ("ep", "fp", "em", "fm", "K")]
         monos = list(P.monomials())
@@ -429,17 +409,14 @@ class MMatrix:
         rhs_parts = {}
         for n1, pairs in by_first.items():
             for m, cm in vproducts[n1].coeffs.items():
-                acc = rhs_parts.setdefault(m, {})
-                for (n2, c) in pairs:
-                    w = acc.get(n2)
-                    val = cm * c
-                    acc[n2] = val if w is None else w + val
+                rhs_parts.setdefault(m, []).append((cm, pairs))
         failures = []
         for m in P.monomials():
             lhs = self.contract_functional(Functional(P, {m: ctx.one}))
-            part = rhs_parts.get(m)
-            rhs = (AlgebraElement(P, {k: val for k, val in part.items()
-                                      if not val.is_zero()}) * v) if part else P.zero
+            rhs = AlgebraElement(P, sparse_sum(
+                (n2, cm * c)
+                for cm, pairs in rhs_parts.get(m, ())
+                for n2, c in pairs)) * v
             if not (lhs - rhs).is_zero():
                 failures.append(m)
         return failures
@@ -474,7 +451,6 @@ def cc_poly_coeffs(params: Params, sector: str, r: int, a: int, m: int):
 def chi_sector(params: Params, sector: str, r: int) -> AlgebraElement:
     """One-sector Drinfeld image of the irreducible trace."""
     P = params
-    ctx = P.ctx
     if sector == "+":
         Q, qbin, psec = P.Q_plus, P.qbin_p, P.p_minus
         e_name, f_name = "ep", "fp"
@@ -498,7 +474,6 @@ def chi_sector(params: Params, sector: str, r: int) -> AlgebraElement:
 def theta_sector(params: Params, sector: str, r: int) -> AlgebraElement:
     """One-sector nilpotent part entering the pseudotrace Drinfeld images."""
     P = params
-    ctx = P.ctx
     if sector == "+":
         Q, qint, qfact, p_this, psec = P.Q_plus, P.qint_p, P.qfact_p, P.p_plus, P.p_minus
         e_name, f_name = "ep", "fp"

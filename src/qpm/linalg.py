@@ -8,7 +8,9 @@ hundred rows -- so no fraction-free bookkeeping is needed.
 
 from __future__ import annotations
 
-from .cyclotomic import Cyclo, CycloContext
+from itertools import chain
+
+from .cyclotomic import Cyclo, CycloContext, sparse_sum
 
 __all__ = ["SparseMat", "nullspace", "solve_in_span", "rank", "invert_dense", "mat_mul_dense"]
 
@@ -23,27 +25,8 @@ class SparseMat:
         self.ncols = ncols
         self.data = data or {}
 
-    def set(self, i, j, v: Cyclo):
-        if v.is_zero():
-            self.data.pop((i, j), None)
-        else:
-            self.data[(i, j)] = v
-
     def get(self, i, j, zero):
         return self.data.get((i, j), zero)
-
-    def add_to(self, i, j, v: Cyclo):
-        key = (i, j)
-        cur = self.data.get(key)
-        if cur is None:
-            if not v.is_zero():
-                self.data[key] = v
-        else:
-            s = cur + v
-            if s.is_zero():
-                del self.data[key]
-            else:
-                self.data[key] = s
 
     def __mul__(self, other: "SparseMat") -> "SparseMat":
         if self.ncols != other.nrows:
@@ -51,48 +34,23 @@ class SparseMat:
         rows_b = {}
         for (k, j), v in other.data.items():
             rows_b.setdefault(k, []).append((j, v))
-        out = {}
-        for (i, k), v in self.data.items():
-            br = rows_b.get(k)
-            if not br:
-                continue
-            for j, w in br:
-                key = (i, j)
-                prod = v * w
-                if key in out:
-                    out[key] = out[key] + prod
-                else:
-                    out[key] = prod
-        return SparseMat(self.nrows, other.ncols,
-                         {k: v for k, v in out.items() if not v.is_zero()})
+        return SparseMat(self.nrows, other.ncols, sparse_sum(
+            ((i, j), v * w)
+            for (i, k), v in self.data.items()
+            for j, w in rows_b.get(k, ())))
 
     def __add__(self, other: "SparseMat") -> "SparseMat":
-        out = dict(self.data)
-        for k, v in other.data.items():
-            if k in out:
-                s = out[k] + v
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-            else:
-                out[k] = v
-        return SparseMat(self.nrows, self.ncols, out)
+        return SparseMat(self.nrows, self.ncols, sparse_sum(
+            chain(self.data.items(), other.data.items())))
 
     def __sub__(self, other: "SparseMat") -> "SparseMat":
         return self + other.scale(-1)
 
     def scale(self, s) -> "SparseMat":
-        if isinstance(s, int):
-            if s == 0:
-                return SparseMat(self.nrows, self.ncols, {})
-            return SparseMat(self.nrows, self.ncols,
-                             {k: v * s for k, v in self.data.items()})
-        if s.is_zero():
+        if not s:
             return SparseMat(self.nrows, self.ncols, {})
-        out = {k: v * s for k, v in self.data.items()}
         return SparseMat(self.nrows, self.ncols,
-                         {k: v for k, v in out.items() if not v.is_zero()})
+                         {k: v * s for k, v in self.data.items()})
 
     def is_zero(self) -> bool:
         return not self.data
@@ -118,17 +76,10 @@ class SparseMat:
 
     def apply(self, vec: dict) -> dict:
         """Matrix times sparse column vector {index: Cyclo}."""
-        out = {}
         cols = {}
         for (i, j), v in self.data.items():
             cols.setdefault(j, []).append((i, v))
-        for j, x in vec.items():
-            for i, v in cols.get(j, ()):
-                if i in out:
-                    out[i] = out[i] + v * x
-                else:
-                    out[i] = v * x
-        return {i: v for i, v in out.items() if not v.is_zero()}
+        return sparse_sum((i, v * x) for j, x in vec.items() for i, v in cols.get(j, ()))
 
     @staticmethod
     def identity(n: int, ctx: CycloContext) -> "SparseMat":

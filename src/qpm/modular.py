@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, Params
-from .cyclotomic import Cyclo
+from .cyclotomic import Cyclo, sparse_sum
 from .duality import Theory, conformal_weight_exponent
 from .linalg import SpanSolver, invert_dense, mat_mul_dense
 
@@ -80,7 +80,6 @@ class ModularAction:
     def _mult_matrix(self, z: AlgebraElement):
         """Matrix of multiplication by a central element in the Radford
         basis."""
-        P = self.params
         solver = self.theory.radford_solver
         n = self.dim
         cols = []
@@ -127,11 +126,6 @@ class ModularAction:
 
     # -- matrix helpers ---------------------------------------------------------
 
-    def _eye(self):
-        ctx = self.params.ctx
-        return [[ctx.one if i == j else ctx.zero for j in range(self.dim)]
-                for i in range(self.dim)]
-
     def _is_identity(self, mat) -> bool:
         ctx = self.params.ctx
         for i, row in enumerate(mat):
@@ -145,7 +139,6 @@ class ModularAction:
 
     def _scalar_of(self, mat):
         """If mat is a scalar multiple of the identity, return the scalar."""
-        ctx = self.params.ctx
         s = mat[0][0]
         for i, row in enumerate(mat):
             for j, v in enumerate(row):
@@ -465,17 +458,11 @@ class ModularAction:
         vproducts = {n1: vstar * AlgebraElement(P, {n1: ctx.one}) for n1 in by_first}
         cols = []
         for _, _, f in self.theory.characters.entries:
-            acc = {}
-            for n1, pairs in by_first.items():
-                val = f(vproducts[n1])
-                if val.is_zero():
-                    continue
-                for (n2, c) in pairs:
-                    w = acc.get(n2)
-                    v = val * c
-                    acc[n2] = v if w is None else w + v
-            img = AlgebraElement(P, {m: v for m, v in acc.items() if not v.is_zero()})
-            img = img * vstar
+            img = AlgebraElement(P, sparse_sum(
+                (n2, val * c)
+                for n1, pairs in by_first.items()
+                for val in (f(vproducts[n1]),) if val
+                for n2, c in pairs)) * vstar
             co = self.theory.radford_solver.coordinates(img.coeffs)
             if co is None:
                 raise ArithmeticError("xi image left the center span")

@@ -16,6 +16,7 @@ downstream computations (characters, M-matrix contractions) exploit it.
 from __future__ import annotations
 
 from .algebra import AlgebraElement, Params
+from .cyclotomic import sparse_sum
 from .linalg import SparseMat, SpanSolver
 
 __all__ = [
@@ -216,7 +217,7 @@ def irreducible(params: Params, alpha: int, r: int, s: int) -> ModuleRep:
     off = P.pp if alpha < 0 else 0
     for (n, np) in basis:
         kweights.append((P.p_minus * (r - 1 - 2 * n) + P.p_plus * (s - 1 - 2 * np) + off) % P.korder)
-    mats = {name: SparseMat(dim, dim, {k: v for k, v in data.items() if not v.is_zero()})
+    mats = {name: SparseMat(dim, dim, sparse_sum(data.items()))
             for name, data in (("ep", ep), ("fp", fp), ("em", em), ("fm", fm))}
     sign = "+" if alpha > 0 else "-"
     return ModuleRep(P, f"Irr({sign},{r},{s})", basis, mats, kweights)
@@ -241,20 +242,13 @@ def verma(params: Params, alpha: int, r: int, s: int) -> ModuleRep:
     mats = {}
     for name in ("ep", "fp", "em", "fm"):
         g = P.gen(name)
-        data = {}
-        for (n, np) in basis:
-            i = idx[(n, np)]
-            word = P.gen("fp", n) * P.gen("fm", np) if (n or np) else P.one
-            prod = g * word
-            for (a, b, c, d, j), coeff in prod.coeffs.items():
-                # e_pm through f-powers annihilate the highest-weight vector
-                if b or d:
-                    continue
-                vec = zeta(12 * hw * j) * coeff
-                t = idx[(a, c)]
-                key = (t, i)
-                data[key] = data.get(key, P.ctx.zero) + vec
-        mats[name] = SparseMat(dim, dim, {k: v for k, v in data.items() if not v.is_zero()})
+        images = [g * (P.gen("fp", n) * P.gen("fm", np)) for (n, np) in basis]
+        # e_pm through f-powers annihilate the highest-weight vector
+        mats[name] = SparseMat(dim, dim, sparse_sum(
+            ((idx[(a, c)], i), zeta(12 * hw * j) * coeff)
+            for i, prod in enumerate(images)
+            for (a, b, c, d, j), coeff in prod.coeffs.items()
+            if not (b or d)))
     kweights = [(hw - 2 * P.p_minus * n - 2 * P.p_plus * np) % P.korder for (n, np) in basis]
     sign = "+" if alpha > 0 else "-"
     return ModuleRep(P, f"Verma({sign},{r},{s})", basis, mats, kweights)
@@ -418,15 +412,10 @@ def _module_from_transitions(P, label, labels, trans, kweight):
     dim = len(labels)
     mats = {}
     for name in ("ep", "fp", "em", "fm"):
-        data = {}
-        for lab in labels:
-            i = idx[lab]
-            for tgt, coeff in trans[name](lab):
-                if coeff.is_zero():
-                    continue
-                key = (idx[tgt], i)
-                data[key] = data.get(key, P.ctx.zero) + coeff
-        mats[name] = SparseMat(dim, dim, {k: v for k, v in data.items() if not v.is_zero()})
+        mats[name] = SparseMat(dim, dim, sparse_sum(
+            ((idx[tgt], idx[lab]), coeff)
+            for lab in labels
+            for tgt, coeff in trans[name](lab) if coeff))
     return ModuleRep(P, label, labels, mats, [kweight(b) for b in labels])
 
 

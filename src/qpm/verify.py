@@ -15,7 +15,7 @@ from .algebra import AlgebraElement, Params
 from .center import (center_brute_force, center_dimension,
                      decompose_central, is_central, weight_projectors)
 from .characters import counit_functional, is_qcharacter, qcharacter_space
-from .cyclotomic import Cyclo
+from .cyclotomic import Cyclo, sparse_sum
 from .duality import (Theory, conformal_weight_exponent,
                       delta_cointegral_closed_form,
                       drinfeld_irreducible_closed_form,
@@ -25,7 +25,7 @@ from .grothendieck import (gr_class, gr_multiply, verify_casimir_identities,
 from .linalg import SpanSolver, SparseMat
 from .modular import ModularAction
 from .reps import (GrothendieckIndex, cached_irreducible, cached_projective,
-                   irreducible_labels, k_character, tensor_product, verma)
+                   irreducible_labels, tensor_product, verma)
 
 __all__ = ["run_suites", "SUITE_ORDER", "available_suites"]
 
@@ -78,18 +78,12 @@ def suite_hopf(theory: Theory):
     # coassociativity on the generators
     coassoc_ok = True
     for name, g in live.items():
-        d = g.coproduct()
-        left = {}
-        right = {}
-        for (m1, m2), c in d.coeffs.items():
-            for (a, b), cc in P.coproduct_mono(m1).coeffs.items():
-                key = (a, b, m2)
-                left[key] = left.get(key, P.ctx.zero) + c * cc
-            for (a, b), cc in P.coproduct_mono(m2).coeffs.items():
-                key = (m1, a, b)
-                right[key] = right.get(key, P.ctx.zero) + c * cc
-        left = {k: v for k, v in left.items() if not v.is_zero()}
-        right = {k: v for k, v in right.items() if not v.is_zero()}
+        d = g.coproduct().coeffs.items()
+        # (Delta (x) id) Delta(g) against (id (x) Delta) Delta(g)
+        left = sparse_sum(((a, b, m2), c * cc) for (m1, m2), c in d
+                          for (a, b), cc in P.coproduct_mono(m1).coeffs.items())
+        right = sparse_sum(((m1, a, b), c * cc) for (m1, m2), c in d
+                           for (a, b), cc in P.coproduct_mono(m2).coeffs.items())
         if left != right:
             coassoc_ok = False
     checks.append(("coassociativity on generators", coassoc_ok, ""))
@@ -244,7 +238,6 @@ def _check_filtration(P, gi, module, alpha, r, s):
     """Socle-style five-layer filtration of an interior projective cover:
     span(depth >= k) must be a submodule and the layer classes must follow
     the 1 / 2+2 / 4+2 / 2+2 / 1 pattern."""
-    ctx = P.ctx
     by_depth = {}
     for lab, i in module.index.items():
         deck, inner = lab[0], lab[1]
@@ -521,7 +514,6 @@ def suite_radford_images(theory: Theory):
     P = theory.params
     th = theory
     cb = th.center
-    ctx = P.ctx
     checks = []
     sqrt2pp = P.sqrt2() * P.sqrt_pp()
     inv_sqrt2pp = sqrt2pp.inv()

@@ -196,3 +196,29 @@ def test_element_serialization(P23):
          + AlgebraElement(P, {rng.choice(monos): P.ctx.integer(3)}))
     recs = x.to_records()
     assert AlgebraElement.from_records(P, recs) == x
+
+
+def _stores_no_zero(coeffs):
+    return all(not c.is_zero() for c in coeffs.values())
+
+
+def test_exact_cancellation_stores_no_zero(P23, gens):
+    P = P23
+    x = gens["ep"] * gens["fp"] + gens["K"] * P.q + gens["fm"]
+    y = gens["em"] * gens["fm"] - gens["K"] * P.q_plus + P.one
+    xy = x * y
+    assert (x - x).coeffs == {}
+    assert (xy - x * y).coeffs == {}
+    # partial cancellation keeps only the surviving monomials
+    rest = (xy + x) - xy
+    assert rest == x and _stores_no_zero(rest.coeffs)
+    assert _stores_no_zero(xy.coeffs)
+    dx, dy = x.coproduct(), y.coproduct()
+    dxy = dx * dy
+    assert (dx - dx).coeffs == {}
+    assert (dxy - dx * dy).coeffs == {}
+    assert dxy == xy.coproduct()
+    for t in (dx, dxy, (dxy + dx) - dxy, dxy.swap()):
+        assert _stores_no_zero(t.coeffs)
+    assert _stores_no_zero(dxy.multiply_legs().coeffs)
+    assert (x * 0).coeffs == {} and (dx * 0).coeffs == {}

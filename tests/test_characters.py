@@ -125,3 +125,15 @@ def test_boundary_block_resolution(P12, cs12):
     assert kinds.count("nwse") == 1
     assert kinds.count("nesw") == 0
     assert kinds.count("upup") == 0
+
+
+def test_functional_cancellation_stores_no_zero(P12, cs12):
+    f = cs12.entries[1][2]
+    g = cs12.entries[2][2]
+    fg = f.convolve(g)
+    assert (f - f).values == {}
+    assert (fg - f.convolve(g)).values == {}
+    rest = (fg + f) - fg
+    assert rest == f
+    assert all(not v.is_zero() for v in rest.values.values())
+    assert all(not v.is_zero() for v in fg.values.values())

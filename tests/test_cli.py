@@ -114,3 +114,28 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["algebra_dimension"] == 16
+
+
+def test_nonpositive_p_rejected(capsys):
+    for flags in (["--p-plus", "0", "--p-minus", "2"],
+                  ["--p-plus", "1", "--p-minus", "0"]):
+        code = main(flags + ["info"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "must be positive" in err
+
+
+def test_output_into_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "info.json"
+    code = main(["--p-plus", "1", "--p-minus", "2", "--output", str(target), "info"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "cannot write" in err and str(target) in err
+    assert not target.exists()
+
+
+def test_output_to_file(tmp_path, capsys):
+    target = tmp_path / "info.json"
+    code = main(["--p-plus", "1", "--p-minus", "2", "--output", str(target), "info"])
+    assert code == 0
+    assert json.loads(target.read_text())["algebra_dimension"] == 16

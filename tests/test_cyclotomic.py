@@ -1,5 +1,6 @@
 """Field arithmetic, q-integers, Gauss-sum square roots, serialization."""
 
+import json
 import math
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from qpm.cyclotomic import (Cyclo, CycloContext, LaurentZ, cyclotomic_polynomial,
                             euler_phi, gauss_sqrt, q_binomial, q_binomial_poly,
-                            q_factorial_poly, q_int, q_int_poly, sqrt2,
-                            sqrt_half_pp)
+                            q_factorial_poly, q_int, q_int_poly, sparse_sum,
+                            sqrt2, sqrt_half_pp)
 
 CTX = CycloContext(144)
 
@@ -174,3 +175,27 @@ def test_serialization_round_trip():
         assert len(doc["coeffs"]) == 48
         for num, den in doc["coeffs"]:
             assert den > 0 and math.gcd(num, den) == 1
+
+
+def test_sparse_sum_drops_cancelled_keys():
+    x, y, z = rand_elements(CTX, 11, 3)
+    terms = [("a", x), ("b", y), ("c", z), ("a", -x), ("c", z), ("b", -y)]
+    assert sparse_sum(terms) == {"c": z + z}
+    assert sparse_sum([("a", x), ("a", -x)]) == {}
+    assert sparse_sum([("a", CTX.zero)]) == {}
+    # first-seen key order, whatever order later terms arrive in
+    assert list(sparse_sum([("b", y), ("a", x), ("b", y)])) == ["b", "a"]
+
+
+def test_reduction_table_ignores_outside_files(tmp_path, monkeypatch):
+    # A well-formed reduction-table file with one wrong row (zeta^16 -> 1)
+    # must not change the field: the table is always rebuilt in-process.
+    monkeypatch.delenv("QPM_CACHE_DIR", raising=False)
+    rows = [{str(e): c for e, c in row.items()} for row in CycloContext(48)._rows]
+    rows[0] = {"0": 1}
+    (tmp_path / "cyclo_reduction_48.json").write_text(
+        json.dumps({"order": 48, "rows": rows}))
+    monkeypatch.setenv("QPM_CACHE_DIR", str(tmp_path))
+    ctx = CycloContext(48)
+    assert ctx.root_of_unity(16) != ctx.one
+    assert ctx.root_of_unity(24) == ctx.integer(-1)

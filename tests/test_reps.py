@@ -155,3 +155,17 @@ def test_degenerate_products(P12):
     p = projective(P, 1, 1, 1)
     assert p.dim == 4 and not p.check_relations()
     assert gi.decompose_dict(p) == {(1, 1, 1): 2, (-1, 1, 1): 2}
+
+
+def test_sparse_matrix_cancellation_stores_no_zero(P23, gi23):
+    a = gi23.irreducibles[(1, 2, 3)].mats["fm"]
+    b = gi23.irreducibles[(1, 2, 3)].mats["em"]
+    ab = a * b
+    assert (a - a).data == {}
+    assert (ab - a * b).data == {}
+    rest = (ab + a) - ab
+    assert rest == a
+    for m in (ab, rest, ab + b):
+        assert all(not v.is_zero() for v in m.data.values())
+    vec = {i: P23.ctx.one for i in range(ab.ncols)}
+    assert all(not v.is_zero() for v in ab.apply(vec).values())

@@ -73,16 +73,19 @@ class Params:
         self.q_plus = self.ctx.root_of_unity(self.zqp)
         self.q_minus = self.ctx.root_of_unity(self.zqm)
 
-        # specializations Q_pm = q_pm^{p_mp} used by all q-integer brackets
-        self.Q_plus = self.ctx.root_of_unity(12 * p_minus * p_minus)
-        self.Q_minus = self.ctx.root_of_unity(12 * p_plus * p_plus)
+        # specializations Q_pm = q_pm^{p_mp} = zeta^zQp/zQm used by all
+        # q-integer brackets
+        self.zQp = 12 * p_minus * p_minus
+        self.zQm = 12 * p_plus * p_plus
+        self.Q_plus = self.ctx.root_of_unity(self.zQp)
+        self.Q_minus = self.ctx.root_of_unity(self.zQm)
 
         self._qint_p = {}
         self._qint_m = {}
         self._qbin_p = {}
         self._qbin_m = {}
-        self._sp = self._sector_table(p_plus, self.Q_plus)
-        self._sm = self._sector_table(p_minus, self.Q_minus)
+        self._sp = self._sector_table(p_plus, self.zQp)
+        self._sm = self._sector_table(p_minus, self.zQm)
 
         self._coproduct_cache = {}
         self._antipode_cache = {}
@@ -176,21 +179,22 @@ class Params:
 
     # -- single-sector straightening -----------------------------------------
 
-    def _sector_table(self, p: int, Q: Cyclo):
+    def _sector_table(self, p: int, zQ: int):
         """table[b][a] expands e^b f^a as {(x, y, z): coeff} meaning
-        f^x e^y Ksec^z, where Ksec is K^{p_mp} for that sector."""
+        f^x e^y Ksec^z, where Ksec is K^{p_mp} for that sector and
+        Q = zeta^zQ its bracket parameter.  Powers of Q are zeta-shifts."""
         ctx = self.ctx
         one = ctx.one
         if p == 1:
             return [[{(0, 0, 0): one}]]
-        dq_inv = (Q - Q.inv()).inv()
+        dq_inv = (ctx.root_of_unity(zQ) - ctx.root_of_unity(-zQ)).inv()
         # ef[x] = e * f^x
         ef = [{(0, 1, 0): one}]
         for x in range(1, p):
             # e f^x = f (e f^{x-1})
             #   + f^{x-1} (Q^{-2(x-1)} Ksec - Q^{2(x-1)} Ksec^-1) / (Q - Q^-1)
-            c_hi = (Q ** (-2 * (x - 1))) * dq_inv
-            c_lo = -(Q ** (2 * (x - 1))) * dq_inv
+            c_hi = dq_inv.shift(-2 * (x - 1) * zQ)
+            c_lo = -dq_inv.shift(2 * (x - 1) * zQ)
             ef.append(sparse_sum(chain(
                 (((xx + 1, yy, zz), c) for (xx, yy, zz), c in ef[x - 1].items()),
                 (((x - 1, 0, 1), c_hi), ((x - 1, 0, -1), c_lo)))))
@@ -199,7 +203,7 @@ class Params:
             # multiply e from the left: e f^x e^y K^z = f^{x2} e^{y2} K^{z2} e^y K^z
             # summed over ef[x], with K^{z2} e^y = Q^{2 z2 y} e^y K^{z2}
             table.append([sparse_sum(
-                ((x2, y2 + y, z2 + z), c * c2 * Q ** (2 * z2 * y))
+                ((x2, y2 + y, z2 + z), (c * c2).shift(2 * zQ * z2 * y))
                 for (x, y, z), c in table[b - 1][a].items()
                 for (x2, y2, z2), c2 in ef[x].items()
                 if y2 + y < p) for a in range(p)])
@@ -215,23 +219,26 @@ class Params:
             return hit
         a1, b1, c1, d1, j1 = m1
         a2, b2, c2, d2, j2 = m2
-        p, q = self.p_plus, self.p_minus
+        p, q, N = self.p_plus, self.p_minus, self.N
         # K^{j1} through the second monomial's sector part
         base = 24 * j1 * (q * (b2 - a2) + p * (d2 - c2))
+        # Ksec^z e^y = Q^{2 z y} e^y Ksec^z in each sector, as zeta-exponents
+        slope_p = 2 * self.zQp * b2
+        slope_m = 2 * self.zQm * d2
 
         def terms():
             for (xp, yp, zp), cp in self._sp[b1][a2].items():
                 if a1 + xp >= p or yp + b2 >= p:
                     continue
-                coefp = cp if b2 == 0 or zp == 0 else cp * self.Q_plus ** (2 * zp * b2)
+                ep = base + slope_p * zp
                 for (xm, ym, zm), cm in self._sm[d1][c2].items():
                     if c1 + xm >= q or ym + d2 >= q:
                         continue
-                    coefm = cm if d2 == 0 or zm == 0 else cm * self.Q_minus ** (2 * zm * d2)
                     j = (j1 + j2 + q * zp + p * zm) % self.korder
-                    coeff = coefp * coefm
+                    e = (ep + slope_m * zm) % N
+                    coeff = cp * cm
                     yield ((a1 + xp, yp + b2, c1 + xm, ym + d2, j),
-                           coeff.shift(base) if base else coeff)
+                           coeff.shift(e) if e else coeff)
 
         out = sparse_sum(terms())
         self._mono_mul_cache[key] = out
@@ -313,11 +320,11 @@ class Params:
 
     def casimir_eigenvalue_plus(self, alpha: int, r: int, s: int) -> Cyclo:
         sign = _intsign(alpha, self.p_minus) * (-1) ** s
-        return (self.Q_plus ** r + self.Q_plus ** (-r)) * sign
+        return (self.zeta(r * self.zQp) + self.zeta(-r * self.zQp)) * sign
 
     def casimir_eigenvalue_minus(self, alpha: int, r: int, s: int) -> Cyclo:
         sign = _intsign(alpha, self.p_plus) * (-1) ** r
-        return (self.Q_minus ** s + self.Q_minus ** (-s)) * sign
+        return (self.zeta(s * self.zQm) + self.zeta(-s * self.zQm)) * sign
 
     def antipode_mono(self, mono) -> "AlgebraElement":
         hit = self._antipode_cache.get(mono)

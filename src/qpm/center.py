@@ -97,11 +97,11 @@ def _psi_poly(params: Params, sector: str):
     """psi_pm as a dense coefficient list over Cyclo (ascending)."""
     P = params
     ctx = P.ctx
-    Q = P.Q_plus if sector == "+" else P.Q_minus
+    zQ = P.zQp if sector == "+" else P.zQm
     p = P.p_plus if sector == "+" else P.p_minus
     poly = [ctx.one]
     for r in range(p):
-        beta = Q ** r + Q ** (-r)
+        beta = P.zeta(r * zQ) + P.zeta(-r * zQ)
         for root in (beta, -beta):
             # multiply by (x - root)
             new = [ctx.zero] * (len(poly) + 1)
@@ -145,11 +145,11 @@ def _poly_at_element(poly, powers, params):
 
 
 def _beta_plus(params: Params, r: int, s: int) -> Cyclo:
-    return (params.Q_plus ** r + params.Q_plus ** (-r)) * ((-1) ** s)
+    return (params.zeta(r * params.zQp) + params.zeta(-r * params.zQp)) * ((-1) ** s)
 
 
 def _beta_minus(params: Params, r: int, s: int) -> Cyclo:
-    return (params.Q_minus ** s + params.Q_minus ** (-s)) * ((-1) ** r)
+    return (params.zeta(s * params.zQm) + params.zeta(-s * params.zQm)) * ((-1) ** r)
 
 
 def _sector_projection(params: Params, sector: str, beta: Cyclo, powers):

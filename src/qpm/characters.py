@@ -202,11 +202,12 @@ def _square_antipode_scalars(params: Params):
     """S^2(gen) = scalar * gen for each generator (conjugation by the
     balancing element)."""
     d = params.p_plus - params.p_minus
+    zeta = params.zeta
     return {
-        "ep": params.q_plus ** (2 * d),
-        "fp": params.q_plus ** (-2 * d),
-        "em": params.q_minus ** (2 * d),
-        "fm": params.q_minus ** (-2 * d),
+        "ep": zeta(2 * d * params.zqp),
+        "fp": zeta(-2 * d * params.zqp),
+        "em": zeta(2 * d * params.zqm),
+        "fm": zeta(-2 * d * params.zqm),
         "K": params.ctx.one,
     }
 

@@ -120,25 +120,25 @@ class ModuleRep:
         req("em^p-", self.gen_power("em", P.p_minus), SparseMat(self.dim, self.dim, {}))
         req("fm^p-", self.gen_power("fm", P.p_minus), SparseMat(self.dim, self.dim, {}))
         req("K order", self.kmat(P.korder), I)
-        req("K ep", K * E_p, (E_p * K).scale(P.q_plus ** 2))
-        req("K fp", K * F_p, (F_p * K).scale(P.q_plus ** (-2)))
-        req("K em", K * E_m, (E_m * K).scale(P.q_minus ** 2))
-        req("K fm", K * F_m, (F_m * K).scale(P.q_minus ** (-2)))
+        req("K ep", K * E_p, (E_p * K).scale(P.zeta(2 * P.zqp)))
+        req("K fp", K * F_p, (F_p * K).scale(P.zeta(-2 * P.zqp)))
+        req("K em", K * E_m, (E_m * K).scale(P.zeta(2 * P.zqm)))
+        req("K fm", K * F_m, (F_m * K).scale(P.zeta(-2 * P.zqm)))
         for n1, m1 in (("ep", E_p), ("fp", F_p)):
             for n2, m2 in (("em", E_m), ("fm", F_m)):
                 req(f"[{n1},{n2}]", m1 * m2, m2 * m1)
         # for p_pm = 1 the sector is trivial (e = f = 0) and the commutator
         # relation degenerates to 0 = 0 since K^{p_mp} = K^{-p_mp}
         if P.p_plus > 1:
-            Qp = P.q_plus ** P.p_minus
+            dQp = P.zeta(P.zQp) - P.zeta(-P.zQp)
             req("[ep,fp]", E_p * F_p - F_p * E_p,
-                (self.kmat(P.p_minus) - self.kmat(-P.p_minus)).scale((Qp - Qp.inv()).inv()))
+                (self.kmat(P.p_minus) - self.kmat(-P.p_minus)).scale(dQp.inv()))
         else:
             req("[ep,fp]", E_p * F_p, F_p * E_p)
         if P.p_minus > 1:
-            Qm = P.q_minus ** P.p_plus
+            dQm = P.zeta(P.zQm) - P.zeta(-P.zQm)
             req("[em,fm]", E_m * F_m - F_m * E_m,
-                (self.kmat(P.p_plus) - self.kmat(-P.p_plus)).scale((Qm - Qm.inv()).inv()))
+                (self.kmat(P.p_plus) - self.kmat(-P.p_plus)).scale(dQm.inv()))
         else:
             req("[em,fm]", E_m * F_m, F_m * E_m)
         # K matrix consistency with the stored weights

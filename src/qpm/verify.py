@@ -982,9 +982,9 @@ def run_suites(p_plus: int, p_minus: int, selection=None, report=print):
     for name, fn in SUITE_ORDER:
         if selection and name not in selection:
             continue
-        t0 = time.time()
+        t0 = time.perf_counter()
         checks = fn(theory)
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         for check, passed, detail in checks:
             results.append((name, check, passed, detail, dt))
             all_ok = all_ok and passed

@@ -137,3 +137,19 @@ def test_criterion_11_runtime():
     print(f"criterion 11 timing: (1,2) {dt12:.1f}s (<30s), "
           f"(2,3) {dt23:.1f}s (<900s)")
     _report(11, "full verification within the stated budgets", ok)
+
+
+@pytest.mark.parametrize("pair", [(2, 1), (3, 1), (1, 4), (4, 1), (3, 2)],
+                         ids=lambda pair: "%d-%d" % pair)
+def test_ledger_beyond_pinned_pairs(pair):
+    ok, results = run_suites(*pair, report=None)
+    assert len(results) == 84
+    assert ok, [(suite, check) for suite, check, passed, *_ in results if not passed]
+
+
+def test_suite_times_ignore_wall_clock_jumps(monkeypatch):
+    # a wall clock stepped backwards mid-suite must not yield negative times
+    ticks = iter(range(10 ** 6, 0, -1))
+    monkeypatch.setattr(time, "time", lambda: float(next(ticks)))
+    _, results = run_suites(1, 2, selection={"hopf-axioms"}, report=None)
+    assert results and all(seconds >= 0 for *_, seconds in results)

@@ -222,3 +222,27 @@ def test_exact_cancellation_stores_no_zero(P23, gens):
         assert _stores_no_zero(t.coeffs)
     assert _stores_no_zero(dxy.multiply_legs().coeffs)
     assert (x * 0).coeffs == {} and (dx * 0).coeffs == {}
+
+
+@pytest.mark.parametrize("pair, n_pairs", [((1, 2), None), ((2, 3), 300), ((3, 2), 300)],
+                         ids=["1-2", "2-3", "3-2"])
+def test_mono_mul_against_projective_modules(pair, n_pairs):
+    # The module matrices are built from generator matrices alone, without
+    # mono_mul, so act(m1 m2) = act(m1) act(m2) on every projective module
+    # is an independent oracle for PBW straightening.
+    from qpm.reps import projective
+
+    P = Params(*pair)
+    monos = list(P.monomials())
+    if n_pairs is None:
+        pairs = [(m1, m2) for m1 in monos for m2 in monos]
+    else:
+        rng = random.Random(20060506)
+        pairs = [(rng.choice(monos), rng.choice(monos)) for _ in range(n_pairs)]
+    modules = [projective(P, alpha, r, s) for alpha in (1, -1)
+               for r in range(1, P.p_plus + 1) for s in range(1, P.p_minus + 1)]
+    for module in modules:
+        for m1, m2 in pairs:
+            lhs = module.act(AlgebraElement(P, P.mono_mul(m1, m2)))
+            rhs = module.act_mono(m1) * module.act_mono(m2)
+            assert (lhs - rhs).is_zero(), (module.label, m1, m2)

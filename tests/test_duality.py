@@ -1,7 +1,9 @@
 """Integral data, Radford map, M-matrix, Drinfeld images, ribbon element."""
 
+import pytest
+
 from qpm.center import is_central
-from qpm.duality import (canonical_element,
+from qpm.duality import (MMatrix, canonical_element,
                          cc_poly_coeffs, chi_sector,
                          conformal_weight_exponent,
                          delta_cointegral_closed_form,
@@ -203,3 +205,28 @@ def test_canonical_element_belongs_to_algebra(T12):
     P = th.params
     u = canonical_element(P)
     assert (u * P.gen("K", P.p_minus - P.p_plus) - th.ribbon.v).is_zero()
+
+
+@pytest.mark.parametrize("theory", ["T12", "T23"])
+def test_m_matrix_slices_group_the_expanded_element(request, theory):
+    th = request.getfixturevalue(theory)
+    P = th.params
+    by_first = {}
+    for (m1, m2), c in th.m_matrix.as_tensor_element().coeffs.items():
+        by_first.setdefault(m1, {})[m2] = c
+    for m in P.monomials():
+        assert th.m_matrix.slice(m).coeffs == by_first.get(m, {}), m
+
+
+@pytest.mark.parametrize("theory", ["T12", "T23"])
+def test_tensor_square_checks_can_fail(request, theory):
+    th = request.getfixturevalue(theory)
+    P = th.params
+    rib = th.ribbon
+    vinv = th.central_inverse(rib.v)
+    assert th.m_matrix.ribbon_identity_failures(rib.v * 2, vinv)
+    # a fresh matrix, so its slice cache is built from the altered combo
+    broken = MMatrix(P)
+    c, alpha, t1, t2 = broken.combos[-1]
+    broken.combos[-1] = (c * 2, alpha, t1, t2)
+    assert broken.intertwining_failures()

@@ -80,10 +80,7 @@ class Params:
         self.Q_plus = self.ctx.root_of_unity(self.zQp)
         self.Q_minus = self.ctx.root_of_unity(self.zQm)
 
-        self._qint_p = {}
-        self._qint_m = {}
-        self._qbin_p = {}
-        self._qbin_m = {}
+        self._brackets = {}
         self._sp = self._sector_table(p_plus, self.zQp)
         self._sm = self._sector_table(p_minus, self.zQm)
 
@@ -98,33 +95,32 @@ class Params:
 
     # -- q-integers at the two specializations ---------------------------
 
+    def _bracket(self, poly, sector: str, *args) -> Cyclo:
+        """poly(*args) at Q_plus (sector "+") or Q_minus, evaluated once."""
+        key = (poly, sector, args)
+        hit = self._brackets.get(key)
+        if hit is None:
+            Q = self.Q_plus if sector == "+" else self.Q_minus
+            hit = self._brackets[key] = poly(*args).eval_cyclo(Q)
+        return hit
+
     def qint_p(self, n: int) -> Cyclo:
-        if n not in self._qint_p:
-            self._qint_p[n] = q_int_poly(n).eval_cyclo(self.Q_plus)
-        return self._qint_p[n]
+        return self._bracket(q_int_poly, "+", n)
 
     def qint_m(self, n: int) -> Cyclo:
-        if n not in self._qint_m:
-            self._qint_m[n] = q_int_poly(n).eval_cyclo(self.Q_minus)
-        return self._qint_m[n]
+        return self._bracket(q_int_poly, "-", n)
 
     def qfact_p(self, n: int) -> Cyclo:
-        return q_factorial_poly(n).eval_cyclo(self.Q_plus)
+        return self._bracket(q_factorial_poly, "+", n)
 
     def qfact_m(self, n: int) -> Cyclo:
-        return q_factorial_poly(n).eval_cyclo(self.Q_minus)
+        return self._bracket(q_factorial_poly, "-", n)
 
     def qbin_p(self, m: int, n: int) -> Cyclo:
-        key = (m, n)
-        if key not in self._qbin_p:
-            self._qbin_p[key] = q_binomial_poly(m, n).eval_cyclo(self.Q_plus)
-        return self._qbin_p[key]
+        return self._bracket(q_binomial_poly, "+", m, n)
 
     def qbin_m(self, m: int, n: int) -> Cyclo:
-        key = (m, n)
-        if key not in self._qbin_m:
-            self._qbin_m[key] = q_binomial_poly(m, n).eval_cyclo(self.Q_minus)
-        return self._qbin_m[key]
+        return self._bracket(q_binomial_poly, "-", m, n)
 
     # -- distinguished constants ------------------------------------------
 
@@ -308,14 +304,14 @@ class Params:
 
     def casimirs(self):
         """The two central Casimir elements, one per sector."""
-        Qp = self.Q_plus
-        Qm = self.Q_minus
+        Qp, Qp_inv = self.Q_plus, self.zeta(-self.zQp)
+        Qm, Qm_inv = self.Q_minus, self.zeta(-self.zQm)
         cp = (self.gen("K", -self.p_minus) * (-Qp)
-              + self.gen("K", self.p_minus) * (-Qp.inv())
-              + self.gen("ep") * self.gen("fp") * (-((Qp - Qp.inv()) ** 2)))
+              + self.gen("K", self.p_minus) * (-Qp_inv)
+              + self.gen("ep") * self.gen("fp") * (-((Qp - Qp_inv) ** 2)))
         cm = (self.gen("K", -self.p_plus) * (-Qm)
-              + self.gen("K", self.p_plus) * (-Qm.inv())
-              + self.gen("em") * self.gen("fm") * (-((Qm - Qm.inv()) ** 2)))
+              + self.gen("K", self.p_plus) * (-Qm_inv)
+              + self.gen("em") * self.gen("fm") * (-((Qm - Qm_inv) ** 2)))
         return cp, cm
 
     def casimir_eigenvalue_plus(self, alpha: int, r: int, s: int) -> Cyclo:
@@ -431,10 +427,11 @@ class AlgebraElement:
             for mm, cc in coproduct_mono(m).coeffs.items()))
 
     def antipode(self) -> "AlgebraElement":
-        out = self.params.zero
-        for m, c in self.coeffs.items():
-            out = out + self.params.antipode_mono(m) * c
-        return out
+        antipode_mono = self.params.antipode_mono
+        return AlgebraElement(self.params, sparse_sum(
+            (mm, cc * c)
+            for m, c in self.coeffs.items()
+            for mm, cc in antipode_mono(m).coeffs.items()))
 
     def counit(self) -> Cyclo:
         out = self.params.ctx.zero
@@ -445,11 +442,11 @@ class AlgebraElement:
 
     def adjoint(self, x: "AlgebraElement") -> "AlgebraElement":
         """Ad_self(x) = sum self' x S(self'')."""
-        out = self.params.zero
-        for (m1, m2), c in self.coproduct().coeffs.items():
-            left = AlgebraElement(self.params, {m1: c})
-            out = out + left * x * self.params.antipode_mono(m2)
-        return out
+        P = self.params
+        return AlgebraElement(P, sparse_sum(
+            kv
+            for (m1, m2), c in self.coproduct().coeffs.items()
+            for kv in (AlgebraElement(P, {m1: c}) * x * P.antipode_mono(m2)).coeffs.items()))
 
     # -- serialization ---------------------------------------------------------
 

@@ -430,8 +430,8 @@ class CharacterSpace:
         self._bblocks = {}
         self._qtrace = {}
 
-        dQp = (P.Q_plus - P.Q_plus.inv()) if P.p_plus > 1 else None
-        dQm = (P.Q_minus - P.Q_minus.inv()) if P.p_minus > 1 else None
+        dQp = (P.zeta(P.zQp) - P.zeta(-P.zQp)) if P.p_plus > 1 else None
+        dQm = (P.zeta(P.zQm) - P.zeta(-P.zQm)) if P.p_minus > 1 else None
 
         entries = []  # (kind, label, functional)
 

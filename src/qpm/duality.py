@@ -11,20 +11,15 @@ center.  The Radford map phi(beta) = sum beta(Lambda') Lambda'' and its
 inverse phi^-1(x) = lambda(S(x) . ) exchange q-characters and central
 elements.
 
-The M-matrix is a six-fold indexed sum; its two K-power indices enter all
-contractions only through root-of-unity phases with a bilinear cross term.
-Contractions therefore collapse: expanding any functional or matrix entry
-in K-weight Fourier modes reduces the double K-sum to a delta, so Drinfeld
-images and module-pair actions cost a few thousand field operations
-instead of hundreds of thousands of raw terms.  The raw tensor expansion
-remains available for small parameter pairs.
-
-The Drinfeld map is (beta (x) id)(M).  Its values on the coordinate
-functionals delta_m are the first-leg slices of M; each slice is
-contracted once, on first use, and kept, so the two tensor-square
-identities -- M Delta(x) = Delta(x) M and M Delta(v) = v (x) v -- are
-checked exactly, one first-leg monomial at a time, as sparse linear
-combinations of cached slices.
+The M-matrix is the paper's six-fold indexed sum, expanded once into its
+first-leg slices (delta_m (x) id)(M).  Its two K-power indices enter only
+through a root-of-unity phase with a bilinear cross term, which takes ko
+values (ko = 2 p_+ p_-), so each pair of K-free leg terms costs one
+product, ko root-of-unity shifts and ko^2 additions.  The Drinfeld map
+(beta (x) id)(M) is the linear combination of slices weighted by beta.
+Both tensor-square identities are checked exactly in the tensor square
+itself: M Delta(x) = Delta(x) M as a product of tensor elements for every
+generator x, and M Delta(v) = v (x) v one first-leg slice at a time.
 
 The canonical element u (whence the ribbon element v = u g^-1) is taken in
 closed form; its defining properties -- centrality, S(v) = v,
@@ -36,12 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .algebra import AlgebraElement, Params, TensorElement
 from .characters import CharacterSpace, Functional
 from .cyclotomic import Cyclo, sparse_sum
-from .linalg import SparseMat, SpanSolver
-from .reps import ModuleRep, irreducible_labels
+from .linalg import SpanSolver
+from .reps import irreducible_labels
 
 __all__ = [
     "IntegralData",
@@ -200,19 +196,15 @@ def radford(data: IntegralData, beta: Functional) -> AlgebraElement:
 def radford_inverse(data: IntegralData, x: AlgebraElement) -> Functional:
     """phi^-1(x) = lambda(S(x) . )."""
     P = data.params
-    sx = x.antipode()
-    lam = data.integral
-    values = {}
-    for mono in P.monomials():
-        acc = P.ctx.zero
-        for m1, c1 in sx.coeffs.items():
-            for m, c in P.mono_mul(m1, mono).items():
-                v = lam.values.get(m)
-                if v is not None:
-                    acc = acc + c1 * c * v
-        if not acc.is_zero():
-            values[mono] = acc
-    return Functional(P, values)
+    sx = x.antipode().coeffs
+    lam = data.integral.values
+    mono_mul = P.mono_mul
+    return Functional(P, sparse_sum(
+        (mono, c1 * c * v)
+        for mono in P.monomials()
+        for m1, c1 in sx.items()
+        for m, c in mono_mul(m1, mono).items()
+        for v in (lam.get(m),) if v is not None))
 
 
 # ----------------------------------------------------------------------
@@ -220,156 +212,66 @@ def radford_inverse(data: IntegralData, x: AlgebraElement) -> Functional:
 # ----------------------------------------------------------------------
 
 class MMatrix:
-    """The distinguished element of the tensor square intertwining the
-    coproduct.  Stored in factored form: per multi-index combo a scalar, a
-    K-linear phase slope, and the straightened K-free parts of both legs;
-    all K-power sums are performed with the Fourier-delta collapse.
+    """The M-matrix, the element of the tensor square that commutes with
+    the coproduct, kept as its first-leg slices:
 
-    The first-leg slices slice(m) = (delta_m (x) id)(M) are cached on first
-    use; the identity checks contract every functional they need as a
-    linear combination of them, so each slice is built once per matrix.
-    Altering `combos` after a slice was built leaves the cache stale."""
+        slices[m1] = {m2: c, ...}  with  M = sum c m1 (x) m2,
+
+    so slices[m1] is (delta_m1 (x) id)(M).  Contractions, the expanded
+    tensor element and both tensor-square checks all read this one form."""
 
     def __init__(self, params: Params):
         P = self.params = params
         ko = P.korder
-        dQp = -(P.Q_plus - P.Q_plus.inv())   # q_+^{-p_-} - q_+^{p_-}
-        dQm = -(P.Q_minus - P.Q_minus.inv())
-        combos = []
-        for m in range(P.p_plus):
-            for n in range(P.p_plus):
-                for mp in range(P.p_minus):
-                    for np in range(P.p_minus):
-                        c = (dQp ** (m + n) * dQm ** (mp + np)
-                             * (P.qfact_p(m) * P.qfact_m(mp)
-                                * P.qfact_p(n) * P.qfact_m(np)).inv())
-                        e0 = (6 * P.p_minus * P.p_minus * (m * (m + 1) - n * (n - 1))
-                              + 6 * P.p_plus * P.p_plus * (mp * (mp + 1) - np * (np - 1)))
-                        c = c.shift(e0)
-                        # first leg: fp^n ep^m em^np fm^mp
-                        leg1 = (P.gen("fp", n) * P.gen("ep", m) * P.gen("em", np)
-                                * P.gen("fm", mp))
-                        # second leg: ep^n fp^m fm^np em^mp
-                        leg2 = (P.gen("ep", n) * P.gen("fp", m)
-                                * (P.gen("fm", np) * P.gen("em", mp)))
-                        alpha = P.p_minus * m - P.p_plus * mp  # phase slope
-                        t1 = [(mo[:4], mo[4], v) for mo, v in leg1.coeffs.items()]
-                        t2 = [(mo[:4], mo[4], v) for mo, v in leg2.coeffs.items()]
-                        if t1 and t2:
-                            combos.append((c, alpha % ko, t1, t2))
-        self.combos = combos
-        self._slices = {}
+        dQp = P.zeta(-P.zQp) - P.zeta(P.zQp)   # q_+^{-p_-} - q_+^{p_-}
+        dQm = P.zeta(-P.zQm) - P.zeta(P.zQm)
+        inv_ko = Fraction(1, ko)
+
+        def terms():
+            for m, n, mp, np in product(range(P.p_plus), range(P.p_plus),
+                                        range(P.p_minus), range(P.p_minus)):
+                c = (dQp ** (m + n) * dQm ** (mp + np)
+                     * (P.qfact_p(m) * P.qfact_m(mp) * P.qfact_p(n) * P.qfact_m(np)).inv())
+                e0 = (6 * P.p_minus * P.p_minus * (m * (m + 1) - n * (n - 1))
+                      + 6 * P.p_plus * P.p_plus * (mp * (mp + 1) - np * (np - 1)))
+                c = c.shift(e0) * inv_ko
+                # first leg: fp^n ep^m em^np fm^mp
+                leg1 = P.gen("fp", n) * P.gen("ep", m) * P.gen("em", np) * P.gen("fm", mp)
+                # second leg: ep^n fp^m fm^np em^mp
+                leg2 = P.gen("ep", n) * P.gen("fp", m) * (P.gen("fm", np) * P.gen("em", mp))
+                alpha = P.p_minus * m - P.p_plus * mp  # phase slope
+                for (mono1, c1), (mono2, c2) in product(leg1.coeffs.items(),
+                                                        leg2.coeffs.items()):
+                    # K^j (x) K^jp carries the phase zeta^(12 t) with
+                    # t = alpha (j - jp) + j jp, which matters only mod ko
+                    # because 12 ko = N
+                    base = c * c1 * c2
+                    phased = [base.shift(12 * t) for t in range(ko)]
+                    for j, jp in product(range(ko), repeat=2):
+                        yield ((mono1[:4] + ((j + mono1[4]) % ko,),
+                                mono2[:4] + ((jp + mono2[4]) % ko,)),
+                               phased[(alpha * (j - jp) + j * jp) % ko])
+
+        slices = {}
+        for (m1, m2), c in sparse_sum(terms()).items():
+            slices.setdefault(m1, {})[m2] = c
+        self.slices = slices
 
     # -- contractions ------------------------------------------------------
 
     def contract_functional(self, beta: Functional) -> AlgebraElement:
-        """(beta (x) id) applied to the matrix: the Drinfeld image."""
-        P = self.params
-        ctx = P.ctx
-        ko = P.korder
-        zeta = ctx.root_of_unity
-        inv_ko = Fraction(1, ko)
-
-        def terms():
-            for c, alpha, t1, t2 in self.combos:
-                for mono1, d1, c1 in t1:
-                    vals = [beta.values.get(mono1 + ((j + d1) % ko,)) for j in range(ko)]
-                    if not any(vals):
-                        continue
-                    # Fourier modes of j -> beta(leg1 K^j)
-                    for w in range(ko):
-                        dw = ctx.zero
-                        for j, v in enumerate(vals):
-                            if v is not None:
-                                dw = dw + v * zeta(-12 * w * j)
-                        if dw.is_zero():
-                            continue
-                        dw = dw * inv_ko
-                        jp = (-alpha - w) % ko
-                        phase = zeta((-12 * alpha * jp) % P.N)
-                        base = c * c1 * dw * phase
-                        for mono2, d2, c2 in t2:
-                            yield mono2 + ((jp + d2) % ko,), base * c2
-
-        return AlgebraElement(P, sparse_sum(terms()))
-
-    def act_pair(self, m1: ModuleRep, m2: ModuleRep) -> SparseMat:
-        """Action on the tensor product module (left leg on m1)."""
-        P = self.params
-        ctx = P.ctx
-        ko = P.korder
-        zeta = ctx.root_of_unity
-        d2 = m2.dim
-        w1 = m1.kweights
-        w2 = m2.kweights
-
-        def terms():
-            for c, alpha, t1, t2 in self.combos:
-                for mono1, dd1, c1 in t1:
-                    A = m1.act_mono(mono1 + (0,))
-                    if not A.data:
-                        continue
-                    for mono2, dd2, c2 in t2:
-                        B = m2.act_mono(mono2 + (0,))
-                        if not B.data:
-                            continue
-                        cc = c * c1 * c2
-                        for (i, k), av in A.data.items():
-                            wk = w1[k]
-                            jp = (-alpha - wk) % ko
-                            coeff_col = cc * av * zeta((12 * wk * dd1) % P.N)
-                            for (l, mm), bv in B.data.items():
-                                wm = w2[mm]
-                                phase = zeta((12 * (wm - alpha) * jp + 12 * wm * dd2) % P.N)
-                                yield (i * d2 + l, k * d2 + mm), coeff_col * bv * phase
-
-        dim = m1.dim * d2
-        return SparseMat(dim, dim, sparse_sum(terms()))
+        """(beta (x) id)(M), a linear combination of slices: the Drinfeld
+        image of beta."""
+        slices = self.slices
+        return AlgebraElement(self.params, sparse_sum(
+            (m2, v * c)
+            for m, v in beta.values.items()
+            for m2, c in slices.get(m, {}).items()))
 
     def as_tensor_element(self) -> TensorElement:
-        """Fully expanded tensor element; quadratic in the K-order, meant
-        for small parameter pairs and structural counting."""
-        P = self.params
-        ctx = P.ctx
-        ko = P.korder
-        zeta = ctx.root_of_unity
-        inv_ko = Fraction(1, ko)
-
-        def terms():
-            for c, alpha, t1, t2 in self.combos:
-                for j in range(ko):
-                    for jp in range(ko):
-                        phase = zeta((12 * (alpha * j - alpha * jp + j * jp)) % P.N)
-                        base = c * phase * inv_ko
-                        for mono1, d1, c1 in t1:
-                            key1 = mono1 + ((j + d1) % ko,)
-                            b1 = base * c1
-                            for mono2, d2, c2 in t2:
-                                yield (key1, mono2 + ((jp + d2) % ko,)), b1 * c2
-
-        return TensorElement(P, sparse_sum(terms()))
-
-    def raw_term_count(self) -> int:
-        ko = self.params.korder
-        P = self.params
-        return (ko * ko) * (P.p_plus ** 2) * (P.p_minus ** 2)
-
-    def slice(self, m) -> AlgebraElement:
-        """(delta_m (x) id) of the matrix: the second leg paired with the
-        first-leg monomial m.  Built on first use and kept."""
-        hit = self._slices.get(m)
-        if hit is None:
-            hit = self._slices[m] = self.contract_functional(
-                Functional(self.params, {m: self.params.ctx.one}))
-        return hit
-
-    def contract_slices(self, values: dict) -> AlgebraElement:
-        """(beta (x) id) of the matrix for a sparse functional given as
-        {monomial: value}, summed from the cached slices."""
-        return AlgebraElement(self.params, sparse_sum(
-            (k, c * cv)
-            for m, c in values.items()
-            for k, cv in self.slice(m).coeffs.items()))
+        """M as one element of the tensor square."""
+        return TensorElement(self.params, {
+            (m1, m2): c for m1, row in self.slices.items() for m2, c in row.items()})
 
     def counit_left(self) -> AlgebraElement:
         """(epsilon (x) id) of the matrix."""
@@ -378,46 +280,20 @@ class MMatrix:
         return self.contract_functional(eps)
 
     # -- exact tensor-square identity checks --------------------------------
-    #
-    # An element of the tensor square vanishes iff all its contractions
-    # against the coordinate functionals of the first leg vanish, so both
-    # identities below are verified abstractly (not merely on modules), one
-    # coordinate functional at a time.
 
     def intertwining_failures(self):
-        """Monomials m where (delta_m (x) id) of [M Delta(x) - Delta(x) M]
-        is nonzero for some generator x; empty means the intertwining
-        relation holds in the tensor square."""
+        """First-leg monomials of M Delta(x) - Delta(x) M, over the
+        generators x; empty means M commutes with the coproduct in the
+        tensor square."""
         P = self.params
+        M = self.as_tensor_element()
         failures = []
-        gens = [P.gen(n) for n in ("ep", "fp", "em", "fm", "K")]
-        monos = list(P.monomials())
-        for g in gens:
+        for name in ("ep", "fp", "em", "fm", "K"):
+            g = P.gen(name)
             if g.is_zero():
                 continue
             dg = g.coproduct()
-            # right/left multiplication tables by each tensor-leg monomial
-            legs = sorted({m1 for (m1, _m2) in dg.coeffs})
-            rmul = {n1: {} for n1 in legs}   # m -> functional y |-> [y n1 : m]
-            lmul = {n1: {} for n1 in legs}
-            for n1 in legs:
-                for y in monos:
-                    for m, c in P.mono_mul(y, n1).items():
-                        rmul[n1].setdefault(m, {})[y] = c
-                    for m, c in P.mono_mul(n1, y).items():
-                        lmul[n1].setdefault(m, {})[y] = c
-            for m in monos:
-                lhs = P.zero   # (delta_m (x) id)(M Delta(g))
-                rhs = P.zero   # (delta_m (x) id)(Delta(g) M)
-                for (n1, n2), c in dg.coeffs.items():
-                    f = rmul[n1].get(m)
-                    if f:
-                        lhs = lhs + self.contract_slices(f) * AlgebraElement(P, {n2: c})
-                    f = lmul[n1].get(m)
-                    if f:
-                        rhs = rhs + AlgebraElement(P, {n2: c}) * self.contract_slices(f)
-                if not (lhs - rhs).is_zero():
-                    failures.append((m,))
+            failures.extend(dict.fromkeys(m1 for m1, _m2 in (M * dg - dg * M).coeffs))
         return failures
 
     def ribbon_identity_failures(self, v: AlgebraElement, v_inv: AlgebraElement):
@@ -454,7 +330,7 @@ class MMatrix:
                 (k, c * cv)
                 for n2, c in second.items()
                 for k, cv in times_v(n2).items())
-            if rhs != self.slice(m).coeffs:
+            if rhs != self.slices.get(m, {}):
                 failures.append(m)
         return failures
 
@@ -489,16 +365,16 @@ def chi_sector(params: Params, sector: str, r: int) -> AlgebraElement:
     """One-sector Drinfeld image of the irreducible trace."""
     P = params
     if sector == "+":
-        Q, qbin, psec = P.Q_plus, P.qbin_p, P.p_minus
+        zQ, qbin, psec = P.zQp, P.qbin_p, P.p_minus
         e_name, f_name = "ep", "fp"
     else:
-        Q, qbin, psec = P.Q_minus, P.qbin_m, P.p_plus
+        zQ, qbin, psec = P.zQm, P.qbin_m, P.p_plus
         e_name, f_name = "em", "fm"
-    dQ2 = (Q - Q.inv()) ** 2
+    dQ2 = (P.zeta(zQ) - P.zeta(-zQ)) ** 2
     out = P.zero
     for a in range(r):
         for m in range(a + 1):
-            c = (dQ2 ** m) * Q ** (m * (m + r - 2 * a) + (r - 1 - 2 * a))
+            c = (dQ2 ** m).shift(zQ * (m * (m + r - 2 * a) + (r - 1 - 2 * a)))
             c = c * qbin(r - a + m - 1, m) * qbin(a, m)
             word = (P.gen(e_name, m) * P.gen(f_name, m)
                     * P.gen("K", -psec * (m + r - 1 - 2 * a)))
@@ -512,12 +388,12 @@ def theta_sector(params: Params, sector: str, r: int) -> AlgebraElement:
     """One-sector nilpotent part entering the pseudotrace Drinfeld images."""
     P = params
     if sector == "+":
-        Q, qint, qfact, p_this, psec = P.Q_plus, P.qint_p, P.qfact_p, P.p_plus, P.p_minus
+        zQ, qint, qfact, p_this, psec = P.zQp, P.qint_p, P.qfact_p, P.p_plus, P.p_minus
         e_name, f_name = "ep", "fp"
     else:
-        Q, qint, qfact, p_this, psec = P.Q_minus, P.qint_m, P.qfact_m, P.p_minus, P.p_plus
+        zQ, qint, qfact, p_this, psec = P.zQm, P.qint_m, P.qfact_m, P.p_minus, P.p_plus
         e_name, f_name = "em", "fm"
-    dQ = Q - Q.inv()
+    dQ = P.zeta(zQ) - P.zeta(-zQ)
     out = P.zero
     for a in range(r):
         for m in range(p_this):
@@ -525,7 +401,7 @@ def theta_sector(params: Params, sector: str, r: int) -> AlgebraElement:
             if x1.is_zero():
                 continue
             c = (dQ ** (2 * m - 1)) * (qfact(m) ** 2).inv()
-            c = c * Q ** (m * (m + r - 2 * a) + (r - 1 - 2 * a)) * x1
+            c = c.shift(zQ * (m * (m + r - 2 * a) + (r - 1 - 2 * a))) * x1
             word = (P.gen(e_name, m) * P.gen(f_name, m)
                     * P.gen("K", -psec * (m + r - 1 - 2 * a)))
             out = out + word * c
@@ -563,8 +439,8 @@ def canonical_element(params: Params) -> AlgebraElement:
     zeta = ctx.root_of_unity
     i_unit = zeta(P.N // 4)
     pref = (ctx.one + i_unit) * (P.sqrt_pp() * 2).inv()
-    dQp = P.Q_plus - P.Q_plus.inv()
-    dQm = P.Q_minus - P.Q_minus.inv()
+    dQp = P.zeta(P.zQp) - P.zeta(-P.zQp)
+    dQm = P.zeta(P.zQm) - P.zeta(-P.zQm)
     minus_i_pp = zeta((18 * P.pp * P.pp) % P.N)  # (-i)^{p_+ p_-}
     out = P.zero
     for m in range(P.p_plus):
@@ -597,19 +473,19 @@ def ribbon_factor_closed_form(params: Params, sector: str) -> AlgebraElement:
     """The unipotent ribbon factor of one sector as an explicit double sum."""
     P = params
     if sector == "+":
-        Q, qint, qbin, p_this, p_other = (P.Q_plus, P.qint_p, P.qbin_p,
-                                          P.p_plus, P.p_minus)
+        zQ, qint, qbin, p_this, p_other = (P.zQp, P.qint_p, P.qbin_p,
+                                           P.p_plus, P.p_minus)
         e_name, f_name = "ep", "fp"
     else:
-        Q, qint, qbin, p_this, p_other = (P.Q_minus, P.qint_m, P.qbin_m,
-                                          P.p_minus, P.p_plus)
+        zQ, qint, qbin, p_this, p_other = (P.zQm, P.qint_m, P.qbin_m,
+                                           P.p_minus, P.p_plus)
         e_name, f_name = "em", "fm"
     out = P.one
-    dQ = Q - Q.inv()
+    dQ = P.zeta(zQ) - P.zeta(-zQ)
     for m in range(1, p_this):
         for a in range(m - 1, p_this):
             c = (dQ ** (2 * m - 1)) * (qint(m) * p_this).inv()
-            c = c * Q ** (m * (m - 1 - 2 * a) - 2 - 2 * a)
+            c = c.shift(zQ * (m * (m - 1 - 2 * a) - 2 - 2 * a))
             c = c * qbin(a, m - 1) ** 2
             if m % 2 == 0:
                 c = -c  # overall sign -(-1)^m

@@ -34,6 +34,16 @@ def _sqrt2pp32(P: Params) -> Cyclo:
     return P.sqrt2() * P.sqrt_pp() ** 3
 
 
+def _qdiff(P: Params, zQ: int, k: int) -> Cyclo:
+    """Q^k - Q^-k for Q = zeta^zQ, as two roots of unity."""
+    return P.zeta(k * zQ) - P.zeta(-k * zQ)
+
+
+def _qsum(P: Params, zQ: int, k: int) -> Cyclo:
+    """Q^k + Q^-k for Q = zeta^zQ."""
+    return P.zeta(k * zQ) + P.zeta(-k * zQ)
+
+
 def suite_hopf(theory: Theory):
     P = theory.params
     rng = random.Random(20060506)
@@ -45,15 +55,13 @@ def suite_hopf(theory: Theory):
           if "ep" in live else True)
     ok = ok and (P.gen("K", P.korder) == P.one)
     if P.p_plus > 1:
-        Qp = P.Q_plus
         lhs = gens["ep"] * gens["fp"] - gens["fp"] * gens["ep"]
-        rhs = (P.gen("K", P.p_minus) - P.gen("K", -P.p_minus)) * (Qp - Qp.inv()).inv()
+        rhs = (P.gen("K", P.p_minus) - P.gen("K", -P.p_minus)) * _qdiff(P, P.zQp, 1).inv()
         ok = ok and lhs == rhs
         ok = ok and (gens["ep"] ** P.p_plus).is_zero()
     if P.p_minus > 1:
-        Qm = P.Q_minus
         lhs = gens["em"] * gens["fm"] - gens["fm"] * gens["em"]
-        rhs = (P.gen("K", P.p_plus) - P.gen("K", -P.p_plus)) * (Qm - Qm.inv()).inv()
+        rhs = (P.gen("K", P.p_plus) - P.gen("K", -P.p_plus)) * _qdiff(P, P.zQm, 1).inv()
         ok = ok and lhs == rhs
         ok = ok and (gens["fm"] ** P.p_minus).is_zero()
     cross_ok = all((live[a] * live[b] - live[b] * live[a]).is_zero()
@@ -519,7 +527,7 @@ def suite_radford_images(theory: Theory):
     inv_sqrt2pp = sqrt2pp.inv()
     shpp = P.sqrt_half_pp()
     pref = _sqrt2pp32(P)
-    Qp, Qm = P.Q_plus, P.Q_minus
+    zp, zm = P.zQp, P.zQm
 
     ok = True
     for (r, s) in P.set_I1():
@@ -550,8 +558,8 @@ def suite_radford_images(theory: Theory):
     for r in range(1, P.p_plus):
         for s in range(1, P.p_minus + 1):
             lhs = th.radford_image("nesw", (r, s))
-            plus = Qp ** r + Qp ** (-r)
-            minus = (Qp ** r - Qp ** (-r)).inv()
+            plus = _qsum(P, zp, r)
+            minus = _qdiff(P, zp, r).inv()
             if s == P.p_minus:
                 rhs = (cb.idempotents[(r, s)] * (pref * minus * ((-1) ** (r + P.p_plus + 1)))
                        + th.kappa_hat(r, s) * (plus * minus * ((-1) ** P.p_minus)))
@@ -570,8 +578,8 @@ def suite_radford_images(theory: Theory):
     for s in range(1, P.p_minus):
         for r in range(1, P.p_plus + 1):
             lhs = th.radford_image("nwse", (r, s))
-            plus = Qm ** s + Qm ** (-s)
-            minus = (Qm ** s - Qm ** (-s)).inv()
+            plus = _qsum(P, zm, s)
+            minus = _qdiff(P, zm, s).inv()
             if r == P.p_plus:
                 rhs = (cb.idempotents[(r, s)] * (pref * minus * ((-1) ** (s + P.p_minus + 1)))
                        + th.kappa_hat(r, s) * (plus * minus * ((-1) ** P.p_plus)))
@@ -589,10 +597,10 @@ def suite_radford_images(theory: Theory):
     ok = True
     for (r, s) in P.set_I1():
         lhs = th.radford_image("upup", (r, s))
-        dp = (Qp ** r - Qp ** (-r)).inv()
-        dm = (Qm ** s - Qm ** (-s)).inv()
-        sp = Qp ** r + Qp ** (-r)
-        sm = Qm ** s + Qm ** (-s)
+        dp = _qdiff(P, zp, r).inv()
+        dm = _qdiff(P, zm, s).inv()
+        sp = _qsum(P, zp, r)
+        sm = _qsum(P, zm, s)
         rhs = cb.idempotents[(r, s)] * (pref * dp * dm)
         rhs = rhs + (th.radford_image("nwse", (r, s))
                      - th.radford_image("nwse", (P.p_plus - r, P.p_minus - s))
@@ -685,7 +693,7 @@ def _msign(n: int) -> int:
 
 def _check_chi_decompose(th: Theory) -> bool:
     P = th.params
-    Qp, Qm = P.Q_plus, P.Q_minus
+    zp, zm = P.zQp, P.zQm
     pref = _sqrt2pp32(P).inv()
     I1 = P.set_I1()
     for beta in (0, 1):
@@ -698,22 +706,22 @@ def _check_chi_decompose(th: Theory) -> bool:
                 for s in range(1, P.p_plus):
                     sgn = _msign((r - 1) * P.p_minus + (beta * P.p_minus + sP) * (s + P.p_plus))
                     rhs = rhs - th.radford_image("nesw", (s, P.p_minus)) * (
-                        pref * sP * sgn * (Qp ** (r * s) - Qp ** (-r * s)))
+                        pref * sP * sgn * _qdiff(P, zp, r * s))
                     sgn = _msign(r * P.p_minus + (beta * P.p_minus - sP) * (P.p_plus - s))
                     rhs = rhs + th.kappa_hat(s, P.p_minus) * (
-                        pref * r * sP * sgn * (Qp ** (r * s) + Qp ** (-r * s)))
+                        pref * r * sP * sgn * _qsum(P, zp, r * s))
                 for sp in range(1, P.p_minus):
                     sgn = _msign((beta * P.p_plus + r) * (sp + P.p_minus) + (sP - 1) * P.p_plus)
                     rhs = rhs - th.radford_image("nwse", (P.p_plus, sp)) * (
-                        pref * r * sgn * (Qm ** (sP * sp) - Qm ** (-sP * sp)))
+                        pref * r * sgn * _qdiff(P, zm, sP * sp))
                     sgn = _msign(sP * P.p_plus + (beta * P.p_plus - r) * (P.p_minus - sp))
                     rhs = rhs + th.kappa_hat(P.p_plus, sp) * (
-                        pref * r * sP * sgn * (Qm ** (sP * sp) + Qm ** (-sP * sp)))
+                        pref * r * sP * sgn * _qsum(P, zm, sP * sp))
                 for (s, sp) in I1:
-                    dQp_rs = Qp ** (r * s) - Qp ** (-r * s)
-                    sQp_rs = Qp ** (r * s) + Qp ** (-r * s)
-                    dQm = Qm ** (sP * sp) - Qm ** (-sP * sp)
-                    sQm = Qm ** (sP * sp) + Qm ** (-sP * sp)
+                    dQp_rs = _qdiff(P, zp, r * s)
+                    sQp_rs = _qsum(P, zp, r * s)
+                    dQm = _qdiff(P, zm, sP * sp)
+                    sQm = _qsum(P, zm, sP * sp)
                     sgn = _msign((beta * P.p_plus + r - 1) * sp + (beta * P.p_minus + sP - 1) * s)
                     rhs = rhs + th.radford_image("upup", (s, sp)) * (pref * sgn * dQp_rs * dQm)
                     sgn = _msign((beta * P.p_plus - r) * sp + (beta * P.p_minus - sP) * s)
@@ -727,7 +735,7 @@ def _check_chi_decompose(th: Theory) -> bool:
 
 def _check_pseudo_decompose(th: Theory) -> bool:
     P = th.params
-    Qp, Qm = P.Q_plus, P.Q_minus
+    zp, zm = P.zQp, P.zQm
     sq = (P.sqrt2() * P.sqrt_pp()).inv()
     I1 = P.set_I1()
     # column family
@@ -739,16 +747,16 @@ def _check_pseudo_decompose(th: Theory) -> bool:
                 sgn = _msign(sP * (s + P.p_plus) + P.p_minus * r)
                 rhs = rhs + th.rho_slash(s, P.p_minus) * (
                     sq * Fraction(sP, P.p_minus) * sgn
-                    * (Qp ** (r * s) - Qp ** (-r * s)))
+                    * _qdiff(P, zp, r * s))
             for (s, sp) in I1:
                 sgn = _msign(r * sp + sP * s)
-                dQp_rs = Qp ** (r * s) - Qp ** (-r * s)
+                dQp_rs = _qdiff(P, zp, r * s)
                 rhs = rhs + th.rho_slash(s, sp) * (
                     sq * Fraction(sP, P.p_minus) * sgn * dQp_rs
-                    * (Qm ** (sP * sp) + Qm ** (-sP * sp)))
+                    * _qsum(P, zm, sP * sp))
                 rhs = rhs - th.varphi_nwse(s, sp) * (
                     sq * Fraction(1, P.p_minus) * sgn * dQp_rs
-                    * (Qm ** (sP * sp) - Qm ** (-sP * sp)))
+                    * _qdiff(P, zm, sP * sp))
             if not (lhs - rhs).is_zero():
                 return False
     for r in range(1, P.p_plus):
@@ -760,7 +768,7 @@ def _check_pseudo_decompose(th: Theory) -> bool:
         for (s, sp) in I1:
             sgn = _msign((r + P.p_plus) * sp + P.p_minus * s)
             rhs = rhs + th.rho_slash(s, sp) * (sq * sgn * 2 * P.qint_p(r * s))
-        rhs = rhs * (Qp - Qp.inv())
+        rhs = rhs * _qdiff(P, zp, 1)
         if not (lhs - rhs).is_zero():
             return False
     # row family
@@ -772,16 +780,16 @@ def _check_pseudo_decompose(th: Theory) -> bool:
                 sgn = _msign(r * (sp + P.p_minus) + P.p_plus * sP)
                 rhs = rhs + th.rho_bslash(P.p_plus, sp) * (
                     sq * Fraction(r, P.p_plus) * sgn
-                    * (Qm ** (sP * sp) - Qm ** (-sP * sp)))
+                    * _qdiff(P, zm, sP * sp))
             for (s, sp) in I1:
                 sgn = _msign(sP * s + r * sp)
-                dQm_ssp = Qm ** (sP * sp) - Qm ** (-sP * sp)
+                dQm_ssp = _qdiff(P, zm, sP * sp)
                 rhs = rhs + th.rho_bslash(s, sp) * (
                     sq * Fraction(r, P.p_plus) * sgn * dQm_ssp
-                    * (Qp ** (r * s) + Qp ** (-r * s)))
+                    * _qsum(P, zp, r * s))
                 rhs = rhs - th.varphi_nesw(s, sp) * (
                     sq * Fraction(1, P.p_plus) * sgn * dQm_ssp
-                    * (Qp ** (r * s) - Qp ** (-r * s)))
+                    * _qdiff(P, zp, r * s))
             if not (lhs - rhs).is_zero():
                 return False
     for sP in range(1, P.p_minus):
@@ -793,7 +801,7 @@ def _check_pseudo_decompose(th: Theory) -> bool:
         for (s, sp) in I1:
             sgn = _msign((sP + P.p_minus) * s + P.p_plus * sp)
             rhs = rhs + th.rho_bslash(s, sp) * (sq * sgn * 2 * P.qint_m(sP * sp))
-        rhs = rhs * (Qm - Qm.inv())
+        rhs = rhs * _qdiff(P, zm, 1)
         if not (lhs - rhs).is_zero():
             return False
     # double family
@@ -803,8 +811,8 @@ def _check_pseudo_decompose(th: Theory) -> bool:
         for (s, sp) in I1:
             sgn = _msign(r * sp + sP * s)
             rhs = rhs + th.varphi_hat(s, sp) * (
-                sq * sgn * (Qp ** (r * s) - Qp ** (-r * s))
-                * (Qm ** (sP * sp) - Qm ** (-sP * sp)))
+                sq * sgn * _qdiff(P, zp, r * s)
+                * _qdiff(P, zm, sP * sp))
         if not (lhs - rhs).is_zero():
             return False
     return True
@@ -874,29 +882,29 @@ def _check_ribbon_decompose(th: Theory) -> bool:
     zeta = ctx.root_of_unity
     cb = th.center
     rib = th.ribbon
-    Qp, Qm = P.Q_plus, P.Q_minus
+    zp, zm = P.zQp, P.zQm
     pref = _sqrt2pp32(P).inv()
     rhs = P.zero
     for (r, s) in P.set_I():
         rhs = rhs + cb.idempotents[(r, s)] * zeta(conformal_weight_exponent(P, r, s))
     for (r, s) in P.set_I1():
         ph = zeta(conformal_weight_exponent(P, r, s))
-        c = ph * (Qm ** s - Qm ** (-s)) * Fraction(1, 4 * P.p_minus ** 2) * ((-1) ** r)
+        c = ph * _qdiff(P, zm, s) * Fraction(1, 4 * P.p_minus ** 2) * ((-1) ** r)
         rhs = rhs + (cb.v_interior[("sw", (r, s))] * s
                      - cb.v_interior[("ne", (r, s))] * (P.p_minus - s)) * c
-        c = ph * (Qp ** r - Qp ** (-r)) * Fraction(1, 4 * P.p_plus ** 2) * ((-1) ** s)
+        c = ph * _qdiff(P, zp, r) * Fraction(1, 4 * P.p_plus ** 2) * ((-1) ** s)
         rhs = rhs + (cb.v_interior[("se", (r, s))] * r
                      - cb.v_interior[("nw", (r, s))] * (P.p_plus - r)) * c
-        c = (ph * (Qp ** r - Qp ** (-r)) * (Qm ** s - Qm ** (-s))
+        c = (ph * _qdiff(P, zp, r) * _qdiff(P, zm, s)
              * pref * ((-1) ** (r + s)))
         rhs = rhs + th.varphi_hat(r, s) * c
     for s in range(1, P.p_minus):
         ph = zeta(conformal_weight_exponent(P, P.p_plus, s))
-        c = ph * (Qm ** s - Qm ** (-s)) * pref * ((-1) ** (P.p_plus + P.p_minus + s))
+        c = ph * _qdiff(P, zm, s) * pref * ((-1) ** (P.p_plus + P.p_minus + s))
         rhs = rhs - th.rho_bslash(P.p_plus, s) * c
     for r in range(1, P.p_plus):
         ph = zeta(conformal_weight_exponent(P, r, P.p_minus))
-        c = ph * (Qp ** r - Qp ** (-r)) * pref * ((-1) ** (P.p_plus + P.p_minus + r))
+        c = ph * _qdiff(P, zp, r) * pref * ((-1) ** (P.p_plus + P.p_minus + r))
         rhs = rhs - th.rho_slash(r, P.p_minus) * c
     if not (rib.v - rhs).is_zero():
         return False

@@ -10,11 +10,30 @@ the least uniform choice that contains
 * sqrt(p_plus*p_minus) through the quadratic Gauss sum in q,
 * the modular phase exp(-i*pi*c/12) for the central charge c.
 
-Elements are stored in canonical form: a sparse integer map over the power
-basis {zeta^k : 0 <= k < phi(N)} reduced modulo the N-th cyclotomic
-polynomial, together with a single positive denominator.  Two elements are
+Elements are stored in canonical form: a sparse integer map `num` over the
+power basis {zeta^k : 0 <= k < phi(N)} reduced modulo the N-th cyclotomic
+polynomial, with no zero coefficients, together with a single positive
+denominator `den` that shares no factor with all of them.  Two elements are
 equal iff their canonical data agree, so hashing and exact zero tests are
 cheap.
+
+Every operation ends in one pass, `CycloContext._canonical`, which folds
+exponents through the reduction rows, drops zeros and divides out the gcd
+(skipped when den == 1).  The keys of `num` keep the order in which that
+pass first touched them, walking the operands' terms in their own order;
+nothing sorts them.  `embed` sums in that order, so the floats printed by
+the CLI depend on it.  Two results have a fixed order instead: `inv`
+returns ascending exponents, and a one-term power has the order of the
+reduction row of its zeta-power.
+
+Fast paths, chosen from the operands' shape:
+
+* a zero operand of `+` returns the other operand, of `*` returns zero;
+* a factor +-1 returns the other factor or its negation;
+* a one-term factor c*zeta^k/d makes the product a scaled shift of the
+  other factor, with no raw product map;
+* `inv` and `**` of a one-term element are (c/d)^n * zeta^(nk) for either
+  sign of n, with no extended Euclid and no repeated squaring.
 """
 
 from __future__ import annotations
@@ -155,49 +174,65 @@ class CycloContext:
     def reduce(self, raw: dict, den: int) -> "Cyclo":
         """Canonicalize a sparse {exponent: integer} map (exponents may be
         any integers) with the given denominator."""
-        acc = {}
-        for e, c in raw.items():
+        return self._canonical(raw, den)
+
+    def _canonical(self, num: dict, den: int, k: int = 0, s: int = 1,
+                   acc: dict | None = None) -> "Cyclo":
+        """The one canonicalisation pass: (acc + s*zeta^k*num) / den.
+
+        `num` maps integer exponents (any integers) to integers, and `acc`,
+        if given, is a sparse map over [0, phi) that is updated in place.
+        Each exponent e + k is folded into [0, phi) through the reduction
+        rows and accumulated in first-touch order; zero sums are dropped,
+        the sign of `den` moved into the numerator and the gcd with `den`
+        divided out (not computed when den == 1).
+        """
+        phi = self.phi
+        rows = self._rows
+        if acc is None:
+            acc = {}
+        get = acc.get
+        for e, c in num.items():
             if not c:
                 continue
-            e %= self.order
-            if e < self.phi:
-                acc[e] = acc.get(e, 0) + c
-            else:
-                for e2, c2 in self._rows[e - self.phi].items():
-                    acc[e2] = acc.get(e2, 0) + c * c2
-        acc = {e: c for e, c in acc.items() if c}
-        return self._normalized(acc, den)
-
-    def _normalized(self, num: dict, den: int) -> "Cyclo":
-        if any(c == 0 for c in num.values()):
-            num = {e: c for e, c in num.items() if c}
-        if not num:
-            return Cyclo(self, {}, 1)
-        if den < 0:
-            den = -den
-            num = {e: -c for e, c in num.items()}
-        g = den
-        for c in num.values():
-            g = math.gcd(g, c)
-            if g == 1:
-                break
-        if g > 1:
-            den //= g
-            num = {e: c // g for e, c in num.items()}
-        return Cyclo(self, num, den)
+            e += k
+            c *= s
+            if e >= phi or e < 0:
+                e %= self.order
+                if e >= phi:
+                    for e2, c2 in rows[e - phi].items():
+                        acc[e2] = get(e2, 0) + c * c2
+                    continue
+            acc[e] = get(e, 0) + c
+        if 0 in acc.values():
+            acc = {e: c for e, c in acc.items() if c}
+        if not acc:
+            return self.zero
+        if den != 1:
+            if den < 0:
+                den = -den
+                acc = {e: -c for e, c in acc.items()}
+            g = den
+            for c in acc.values():
+                g = math.gcd(g, c)
+                if g == 1:
+                    break
+            else:  # no coefficient brought g down to 1
+                den //= g
+                acc = {e: c // g for e, c in acc.items()}
+        return Cyclo(self, acc, den)
 
     def root_of_unity(self, k: int) -> "Cyclo":
         """zeta_N^k in canonical form (k arbitrary, reduced mod N)."""
         k %= self.order
         hit = self._root_cache.get(k)
         if hit is None:
-            hit = self.reduce({k: 1}, 1)
-            self._root_cache[k] = hit
+            hit = self._root_cache[k] = self._canonical({k: 1}, 1)
         return hit
 
     def integer(self, n) -> "Cyclo":
         if isinstance(n, Fraction):
-            return self._normalized({0: n.numerator} if n else {}, n.denominator)
+            return self._canonical({0: n.numerator}, n.denominator)
         return Cyclo(self, {0: n} if n else {}, 1)
 
     def from_pairs(self, pairs) -> "Cyclo":
@@ -209,7 +244,7 @@ class CycloContext:
         for e, (n, d) in enumerate(pairs):
             if n:
                 num[e] = n * (den // d)
-        return self._normalized(num, den)
+        return self._canonical(num, den)
 
 
 class Cyclo:
@@ -228,27 +263,18 @@ class Cyclo:
     def __add__(self, other):
         if not isinstance(other, Cyclo):
             other = self.ctx.integer(other)
-        a, b = self, other
-        if a.den == b.den:
-            num = dict(a.num)
-            for e, c in b.num.items():
-                v = num.get(e, 0) + c
-                if v:
-                    num[e] = v
-                else:
-                    num.pop(e, None)
-            return self.ctx._normalized(num, a.den)
-        g = math.gcd(a.den, b.den)
-        la = b.den // g
-        lb = a.den // g
-        num = {e: c * la for e, c in a.num.items()}
-        for e, c in b.num.items():
-            v = num.get(e, 0) + c * lb
-            if v:
-                num[e] = v
-            else:
-                num.pop(e, None)
-        return self.ctx._normalized(num, a.den * la)
+        a, b = self.num, other.num
+        if not b:
+            return self
+        if not a:
+            return other
+        da, db = self.den, other.den
+        if da == db:
+            return self.ctx._canonical(b, da, acc=a.copy())
+        g = math.gcd(da, db)
+        la = db // g
+        return self.ctx._canonical(b, da * la, s=da // g,
+                                   acc={e: c * la for e, c in a.items()})
 
     __radd__ = __add__
 
@@ -264,27 +290,53 @@ class Cyclo:
         return self.ctx.integer(other) + (-self)
 
     def __mul__(self, other):
+        ctx = self.ctx
         if not isinstance(other, Cyclo):
             if isinstance(other, Fraction):
-                return self.ctx._normalized(
-                    {e: c * other.numerator for e, c in self.num.items()},
-                    self.den * other.denominator)
-            return self.ctx._normalized(
-                {e: c * other for e, c in self.num.items()}, self.den)
-        raw = {}
-        for e1, c1 in self.num.items():
-            for e2, c2 in other.num.items():
-                e = e1 + e2
-                raw[e] = raw.get(e, 0) + c1 * c2
-        return self.ctx.reduce(raw, self.den * other.den)
+                s, den = other.numerator, self.den * other.denominator
+            else:
+                s, den = other, self.den
+            return ctx._canonical(self.num, den, s=s)
+        a, b = self.num, other.num
+        if not a or not b:
+            return ctx.zero
+        # A one-term factor c*zeta^k/d makes the product a scaled shift of
+        # the other factor x; for +-1 it is x itself or -x.
+        if len(b) == 1:
+            x, y = self, other
+        elif len(a) == 1:
+            x, y = other, self
+        else:
+            raw = {}
+            get = raw.get
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = e1 + e2
+                    raw[e] = get(e, 0) + c1 * c2
+            return ctx._canonical(raw, self.den * other.den)
+        (k, s), = y.num.items()
+        if not k and y.den == 1:
+            if s == 1:
+                return x
+            if s == -1:
+                return -x
+        return ctx._canonical(x.num, self.den * other.den, k, s)
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "Cyclo":
         """Multiplication by zeta^k (fast path)."""
-        return self.ctx.reduce({e + k: c for e, c in self.num.items()}, self.den)
+        return self.ctx._canonical(self.num, self.den, k)
 
     def __pow__(self, n: int):
+        num = self.num
+        if len(num) == 1:
+            # (c/d * zeta^k)^n = c^n/d^n * zeta^(nk), for either sign of n
+            (k, c), = num.items()
+            d = self.den
+            if n < 0:
+                n, k, c, d = -n, -k, d, c
+            return self.ctx._canonical({n * k: c ** n}, d ** n)
         if n < 0:
             return self.inv() ** (-n)
         result = self.ctx.one
@@ -299,13 +351,19 @@ class Cyclo:
     # -- field structure -------------------------------------------------
 
     def inv(self) -> "Cyclo":
-        """Multiplicative inverse via the extended Euclidean algorithm in
-        Q[x] against Phi_N."""
+        """Multiplicative inverse: (d/c)*zeta^-k for a one-term element
+        (c/d)*zeta^k, else the extended Euclidean algorithm in Q[x] against
+        Phi_N.  Both return the exponents in ascending order."""
         if not self.num:
             raise ZeroDivisionError("inverse of zero in Q(zeta_N)")
-        phi = self.ctx.phi
+        ctx = self.ctx
+        if len(self.num) == 1:
+            (k, c), = self.num.items()
+            x = ctx._canonical({-k: self.den}, c)
+            return Cyclo(ctx, dict(sorted(x.num.items())), x.den)
+        phi = ctx.phi
         # dense Fraction polys:  r0 = Phi_N,  r1 = self
-        r0 = [Fraction(c) for c in self.ctx._phi_poly]
+        r0 = [Fraction(c) for c in ctx._phi_poly]
         r1 = [Fraction(0)] * phi
         for e, c in self.num.items():
             r1[e] = Fraction(c, self.den)
@@ -353,7 +411,7 @@ class Cyclo:
             w = v / c
             if w:
                 num[e] = w.numerator * (den // w.denominator)
-        return self.ctx._normalized(num, den)
+        return ctx._canonical(num, den)
 
     def __truediv__(self, other):
         if not isinstance(other, Cyclo):
@@ -366,7 +424,8 @@ class Cyclo:
 
     def conj(self) -> "Cyclo":
         """Complex conjugation, i.e. the Galois map zeta -> zeta^(N-1)."""
-        return self.ctx.reduce({-e: c for e, c in self.num.items()}, self.den)
+        return self.ctx._canonical({-e: c for e, c in self.num.items()},
+                                   self.den)
 
     def is_zero(self) -> bool:
         return not self.num

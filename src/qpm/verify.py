@@ -1002,4 +1002,9 @@ def run_suites(p_plus: int, p_minus: int, selection=None, report=print):
                 report(f"[{status}] {name}: {check}{extra}")
         if report:
             report(f"       ({name}: {dt:.1f}s)")
+    # P never leaves this call, and its graph is cyclic (P.one.params is P;
+    # the parts in P.cache point back to P).  Dropping its attributes lets
+    # reference counting free the caches now, not at the cyclic collector's
+    # next pass.
+    vars(P).clear()
     return all_ok, results

@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from qpm.algebra import Params
 from qpm.duality import Theory
+
+# CI passes --hypothesis-profile=ci, so every run there draws the same
+# examples; local runs keep hypothesis' random default.
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,10 @@ assertions are float embeddings of exact quantities.  Each criterion prints
 one pass/fail line (run pytest with -s to stream them).
 """
 
+import gc
 import time
+import tracemalloc
+
 import pytest
 
 from qpm.algebra import Params
@@ -153,3 +156,24 @@ def test_suite_times_ignore_wall_clock_jumps(monkeypatch):
     monkeypatch.setattr(time, "time", lambda: float(next(ticks)))
     _, results = run_suites(1, 2, selection={"hopf-axioms"}, report=None)
     assert results and all(seconds >= 0 for *_, seconds in results)
+
+
+def test_finished_ledger_frees_its_caches():
+    # With the cyclic collector off, a finished (1,3) ledger must leave
+    # almost nothing allocated: its Params caches (about 2.7 MB) are freed
+    # on return.
+    run_suites(1, 2, report=None)  # first-use imports and module state
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ok, _ = run_suites(1, 3, report=None)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert ok
+    assert retained < 1_000_000, retained

@@ -2,7 +2,9 @@
 
 import json
 import math
+from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,9 +22,89 @@ def rand_elements(ctx, seed, count):
     out = []
     for _ in range(count):
         num = {rng.randrange(ctx.phi): rng.randint(-9, 9) for _ in range(3)}
-        out.append(ctx._normalized({k: v for k, v in num.items() if v},
-                                   rng.randint(1, 7)))
+        out.append(ctx.reduce(num, rng.randint(1, 7)))
     return out
+
+
+# -- independent oracle: every Galois embedding at high precision -------------
+
+ORACLE_BITS = 100
+
+
+def _oracle(order):
+    """(ctx, roots, units): roots[j] = exp(2 pi i j/N) at ORACLE_BITS, and
+    the a with gcd(a, N) = 1 that index the embeddings zeta -> roots[a]."""
+    with mpmath.workprec(ORACLE_BITS):
+        roots = [mpmath.expjpi(mpmath.mpf(2 * j) / order) for j in range(order)]
+    units = [a for a in range(order) if math.gcd(a, order) == 1]
+    return CycloContext(order), roots, units
+
+
+ORACLES = {order: _oracle(order) for order in (48, 144, 120)}
+
+
+def _values(x, roots, units):
+    """x under every embedding, from its stored coordinates only."""
+    n = len(roots)
+    return [sum((c * roots[a * e % n] for e, c in x.num.items()), mpmath.mpc(0))
+            / x.den for a in units]
+
+
+def _assert_canonical(x, ctx):
+    assert x.den > 0 and all(0 <= e < ctx.phi and c for e, c in x.num.items())
+    assert math.gcd(x.den, *x.num.values()) == 1
+
+
+def _elements(ctx):
+    """Operands for every shape an operation treats apart: zero, +-1,
+    rationals, c*zeta^k/d (one term unless k folds) and sums of terms."""
+    coeff = st.integers(-9, 9).filter(bool)
+    den = st.integers(1, 12)
+    return st.one_of(
+        st.sampled_from([ctx.zero, ctx.one, ctx.integer(-1)]),
+        st.builds(lambda c, d: ctx.integer(Fraction(c, d)), coeff, den),
+        st.builds(lambda k, c, d: ctx.reduce({k: c}, d),
+                  st.integers(0, ctx.order - 1), coeff, den),
+        st.builds(ctx.reduce, st.dictionaries(st.integers(0, ctx.order - 1),
+                                              coeff, min_size=2, max_size=5),
+                  den))
+
+
+@pytest.mark.parametrize("order", sorted(ORACLES))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_arithmetic_against_galois_embeddings(order, data):
+    ctx, roots, units = ORACLES[order]
+    x = data.draw(_elements(ctx), label="x")
+    y = data.draw(_elements(ctx), label="y")
+    k = data.draw(st.integers(-2 * order, 2 * order), label="k")
+    n = data.draw(st.integers(-4, 5), label="n")
+    r = data.draw(st.one_of(st.integers(-4, 4),
+                            st.fractions(-4, 4, max_denominator=6)), label="r")
+    with mpmath.workprec(ORACLE_BITS):
+        vx, vy = _values(x, roots, units), _values(y, roots, units)
+        cases = [
+            (x * y, [u * v for u, v in zip(vx, vy)]),
+            (y * x, [u * v for u, v in zip(vx, vy)]),
+            (x + y, [u + v for u, v in zip(vx, vy)]),
+            (x - y, [u - v for u, v in zip(vx, vy)]),
+            (-x, [-u for u in vx]),
+            (x * r, [u * mpmath.mpf(r.numerator) / r.denominator
+                     if isinstance(r, Fraction) else u * r for u in vx]),
+            (x.shift(k), [u * roots[a * k % order] for u, a in zip(vx, units)]),
+            (x.conj(), [mpmath.conj(u) for u in vx]),
+        ]
+        if x:
+            cases.append((x.inv(), [1 / u for u in vx]))
+            cases.append((x ** n, [u ** n for u in vx]))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x.inv()
+            assert x ** abs(n) == (ctx.one if n == 0 else ctx.zero)
+        for got, want in cases:
+            _assert_canonical(got, ctx)
+            for u, v in zip(_values(got, roots, units), want):
+                assert abs(u - v) <= mpmath.mpf(2) ** -70 * (1 + abs(v))
 
 
 def test_phi_and_polynomial():

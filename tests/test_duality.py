@@ -57,10 +57,13 @@ def test_m_matrix_counit_and_unit(T12, T23):
         assert th.chi_hat(1, 1, 1) == th.params.one
 
 
-def test_m_matrix_term_count(T12):
-    mat = T12.m_matrix.as_tensor_element()
-    # expanded element lives in the tensor square with both legs present
-    assert len(mat.coeffs) > 0
+def test_m_matrix_term_count(T12, T23):
+    # the expanded M has a fixed size: (first-leg slices, coefficients)
+    for th, slices, coefficients in ((T12, 16, 72), (T23, 432, 7776)):
+        M = th.m_matrix
+        assert len(M.slices) == slices
+        assert sum(len(row) for row in M.slices.values()) == coefficients
+        assert len(M.as_tensor_element().coeffs) == coefficients
 
 
 def test_m_matrix_intertwining(T12):

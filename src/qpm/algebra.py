@@ -272,6 +272,12 @@ class Params:
         c = value if isinstance(value, Cyclo) else self.ctx.integer(value)
         return AlgebraElement(self, {(0, 0, 0, 0, 0): c} if not c.is_zero() else {})
 
+    def linear_combination(self, terms) -> "AlgebraElement":
+        """The sum of c * x over (x, c) pairs, as one sparse_sum; pairs with
+        a zero scalar are skipped."""
+        return AlgebraElement(self, sparse_sum(
+            (m, v * c) for x, c in terms if c for m, v in x.coeffs.items()))
+
     # -- Hopf structure caches -----------------------------------------------------
 
     def coproduct_mono(self, mono) -> "TensorElement":

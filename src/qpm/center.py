@@ -5,7 +5,7 @@ block plus nilpotent elements built from the Casimir projections and the
 K-weight projectors:
 
 * interior blocks (r,s) carry four 'v' elements (one-step shifts) with the
-  momentum-conserving products v_ne * v_nw = w_up etc., and four 'w'
+  momentum-conserving products v_ne * v_nw = 8 w_up etc., and four 'w'
   elements killing everything but the deepest subquotient;
 * boundary blocks carry two 'v' elements each;
 * Steinberg-type blocks are semisimple.
@@ -41,8 +41,10 @@ __all__ = [
     "center_dimension",
 ]
 
-_ARROWS_V = ("ne", "nw", "sw", "se")
-_ARROWS_W = ("up", "right", "left", "down")
+# w arrow -> the two v arrows of its block whose product is
+# RADICAL_PRODUCT_SCALE * w
+_W_FACTORS = {"up": ("ne", "nw"), "right": ("ne", "se"),
+              "left": ("nw", "sw"), "down": ("se", "sw")}
 
 
 def center_dimension(params: Params) -> int:
@@ -178,7 +180,25 @@ def _sector_projection(params: Params, sector: str, beta: Cyclo, powers):
 
 @dataclass
 class CanonicalCenterBasis:
-    """Idempotents and canonical nilpotents.
+    """Idempotents and canonical nilpotents, with their product table.
+
+    Every element belongs to one block (r,s) in I: e(r,s) to its own, each
+    nilpotent to the (r,s) in its key.  In this basis the product of the
+    center is the fixed table of product_table():
+
+    * the idempotents are orthogonal, e(a) e(b) = delta_ab e(a);
+    * e(blk) n = n for every nilpotent n of block blk;
+    * in each interior block v_ne v_nw = 8 w_up, v_ne v_se = 8 w_right,
+      v_nw v_sw = 8 w_left and v_se v_sw = 8 w_down;
+    * every other product is 0: v_ne v_sw, v_nw v_se, the squares of the
+      v, every product with a w or a boundary v and a second nilpotent,
+      and every product across blocks.
+
+    The ledger proves it in center-structure: the idempotents check proves
+    the first line, and the radical product table check
+    (verify.radical_table_holds) proves e(blk) n = n and every product of
+    two nilpotents of one block, squares included, with one algebra
+    product each.  Products across blocks vanish because n = e(blk) n.
 
     The nilpotents follow the explicit Casimir-projector construction; the
     'w' family carries an extra factor 1/8 relative to the raw products
@@ -186,8 +206,7 @@ class CanonicalCenterBasis:
     hold with their stated prefactors.  The raw product convention would
     instead make the radical multiplication table hold on the nose; the
     two normalizations genuinely differ by the constant 8 (independent of
-    the parameters and of the block), so the product table here reads
-    v_ne v_nw = 8 w_up and so on.
+    the parameters and of the block), hence RADICAL_PRODUCT_SCALE.
     """
 
     params: Params
@@ -214,6 +233,28 @@ class CanonicalCenterBasis:
 
     def elements(self):
         return [el for _, el in self.ordered()]
+
+    @staticmethod
+    def block(label):
+        """The block (r,s) in I of an ordered() label."""
+        family, key = label
+        return key if family == "e" else key[1]
+
+    def product_table(self):
+        """The nonzero products of basis elements as {(i, j): (k, c)}:
+        ordered()[i] * ordered()[j] = c * ordered()[k] with an integer c."""
+        labels = [lab for lab, _ in self.ordered()]
+        index = {lab: i for i, lab in enumerate(labels)}
+        table = {}
+        for i, lab in enumerate(labels):
+            e = index[("e", self.block(lab))]
+            table[(i, e)] = table[(e, i)] = (i, 1)
+        for arrow, blk in self.w_interior:
+            a, b = _W_FACTORS[arrow]
+            i, j = index[("v", (a, blk))], index[("v", (b, blk))]
+            table[(i, j)] = table[(j, i)] = (index[("w", (arrow, blk))],
+                                             self.RADICAL_PRODUCT_SCALE)
+        return table
 
 
 # normalization entries: (module label parameters, source basis label,
@@ -380,17 +421,13 @@ class CenterDecomposition:
     cb: dict       # boundary v coefficients
 
     def reconstruct(self, basis: CanonicalCenterBasis) -> AlgebraElement:
-        P = self.params
-        out = P.zero
-        for lab, c in self.a.items():
-            out = out + basis.idempotents[lab] * c
-        for key, c in self.cv.items():
-            out = out + basis.v_interior[key] * c
-        for key, c in self.cw.items():
-            out = out + basis.w_interior[key] * c
-        for key, c in self.cb.items():
-            out = out + basis.v_boundary[key] * c
-        return out
+        return self.params.linear_combination(
+            (family[key], c)
+            for family, coeffs in ((basis.idempotents, self.a),
+                                   (basis.v_interior, self.cv),
+                                   (basis.w_interior, self.cw),
+                                   (basis.v_boundary, self.cb))
+            for key, c in coeffs.items())
 
 
 def decompose_central(params: Params, z: AlgebraElement,

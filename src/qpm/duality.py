@@ -36,8 +36,8 @@ from itertools import product
 from .algebra import AlgebraElement, Params, TensorElement
 from .characters import CharacterSpace, Functional
 from .cyclotomic import Cyclo, sparse_sum
-from .linalg import SpanSolver
-from .reps import irreducible_labels
+from .linalg import SpanSolver, invert_dense, mat_mul_dense, mat_vec_dense
+from .reps import GrothendieckIndex, irreducible_labels
 
 __all__ = [
     "IntegralData",
@@ -513,8 +513,12 @@ class RibbonData:
 
 class Theory:
     """Lazy container wiring the character space, center, integral data,
-    M-matrix, the two distinguished central bases and the ribbon data for a
-    fixed parameter pair."""
+    M-matrix, the two distinguished central bases, the ribbon data and the
+    modular action for a fixed parameter pair.
+
+    Central products are taken in the canonical basis of the center, where
+    the product is CanonicalCenterBasis.product_table(); one cached d x d
+    change of basis carries coordinates between it and the Radford basis."""
 
     def __init__(self, params: Params):
         self.params = params
@@ -543,6 +547,12 @@ class Theory:
         if "m_matrix" not in self.params.cache:
             self.params.cache["m_matrix"] = MMatrix(self.params)
         return self.params.cache["m_matrix"]
+
+    @property
+    def gr_index(self) -> GrothendieckIndex:
+        if "gr_index" not in self.params.cache:
+            self.params.cache["gr_index"] = GrothendieckIndex(self.params)
+        return self.params.cache["gr_index"]
 
     # Radford and Drinfeld bases --------------------------------------------
 
@@ -673,23 +683,59 @@ class Theory:
     # central arithmetic -------------------------------------------------------
 
     def central_coordinates(self, z: AlgebraElement):
-        """Coordinates of a central element in the Radford basis."""
+        """Coordinates of a central element in the Radford basis, or None
+        if z lies outside the center span."""
         return self.radford_solver.coordinates(z.coeffs)
 
-    def central_inverse(self, z: AlgebraElement) -> AlgebraElement:
-        """Inverse of an invertible central element, solved inside the
-        center."""
-        P = self.params
-        basis = self.radford_basis
-        products = [z * b for b in basis]
-        solver = SpanSolver([p.coeffs for p in products], P.ctx)
-        coords = solver.coordinates(P.one.coeffs)
-        if coords is None:
-            raise ArithmeticError("central element is not invertible")
-        out = P.zero
-        for c, b in zip(coords, basis):
-            out = out + b * c
+    @property
+    def center_basis_change(self):
+        """(to_canonical, to_radford): the d x d matrices taking Radford
+        coordinates to coordinates over center.ordered() and back; column j
+        of to_radford holds the Radford coordinates of the j-th canonical
+        element."""
+        if "center_basis_change" not in self.params.cache:
+            cols = [self.central_coordinates(el) for el in self.center.elements()]
+            if any(co is None for co in cols):
+                raise ArithmeticError("canonical element outside the center span")
+            to_radford = [list(row) for row in zip(*cols)]
+            self.params.cache["center_basis_change"] = (
+                invert_dense(to_radford, self.params.ctx), to_radford)
+        return self.params.cache["center_basis_change"]
+
+    def _canonical_mult(self, z: AlgebraElement):
+        """Matrix of multiplication by the central element z over
+        center.ordered(), read off the product table."""
+        co = self.central_coordinates(z)
+        if co is None:
+            raise ArithmeticError("element outside the center span")
+        ctx = self.params.ctx
+        x = mat_vec_dense(self.center_basis_change[0], co, ctx)
+        out = [[ctx.zero] * len(x) for _ in x]
+        for (i, j), (k, c) in self.center.product_table().items():
+            out[k][j] = out[k][j] + x[i] * c
         return out
+
+    def central_mult_matrix(self, z: AlgebraElement):
+        """Matrix of multiplication by the central element z in the Radford
+        basis: the canonical one conjugated by the change of basis."""
+        to_canonical, to_radford = self.center_basis_change
+        ctx = self.params.ctx
+        return mat_mul_dense(
+            to_radford, mat_mul_dense(self._canonical_mult(z), to_canonical, ctx), ctx)
+
+    def central_inverse(self, z: AlgebraElement) -> AlgebraElement:
+        """Inverse of an invertible central element: the inverse of its
+        canonical multiplication matrix applied to the unit, the sum of the
+        idempotents.  Raises ArithmeticError when z is not invertible."""
+        cb = self.center
+        try:
+            inv = invert_dense(self._canonical_mult(z), self.params.ctx)
+        except ValueError:
+            raise ArithmeticError("central element is not invertible") from None
+        unit = [k for k, (lab, _) in enumerate(cb.ordered()) if lab[0] == "e"]
+        return self.params.linear_combination(
+            (el, sum((row[k] for k in unit), start=self.params.ctx.zero))
+            for el, row in zip(cb.elements(), inv))
 
     # ribbon -------------------------------------------------------------------
 
@@ -698,6 +744,13 @@ class Theory:
         if "ribbon" not in self.params.cache:
             self.params.cache["ribbon"] = self._build_ribbon()
         return self.params.cache["ribbon"]
+
+    @property
+    def modular_action(self):
+        from .modular import ModularAction
+        if "modular_action" not in self.params.cache:
+            self.params.cache["modular_action"] = ModularAction(self)
+        return self.params.cache["modular_action"]
 
     def _build_ribbon(self) -> RibbonData:
         P = self.params

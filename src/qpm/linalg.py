@@ -12,7 +12,8 @@ from itertools import chain
 
 from .cyclotomic import Cyclo, CycloContext, sparse_sum
 
-__all__ = ["SparseMat", "nullspace", "solve_in_span", "rank", "invert_dense", "mat_mul_dense"]
+__all__ = ["SparseMat", "nullspace", "solve_in_span", "rank", "invert_dense",
+           "mat_mul_dense", "mat_vec_dense"]
 
 
 class SparseMat:
@@ -287,3 +288,9 @@ def mat_mul_dense(a, b, ctx: CycloContext):
                 if not bt[j].is_zero():
                     oi[j] = oi[j] + c * bt[j]
     return out
+
+
+def mat_vec_dense(mat, vec, ctx: CycloContext):
+    """Dense matrix times dense column vector (lists of Cyclo)."""
+    live = [(j, x) for j, x in enumerate(vec) if x]
+    return [sum((row[j] * x for j, x in live), start=ctx.zero) for row in mat]

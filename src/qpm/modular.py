@@ -14,7 +14,15 @@ the projective-character block); the verification routines check the block
 closures, the stated T-transformation formulas on the distinguished
 elements, the factorization S = S* Sbar through the unipotent ribbon
 factor, and the further split into three pairwise-commuting
-representations."""
+representations.
+
+No matrix here multiplies two dense central elements.  A multiplication
+matrix (by v, its semisimple part or a unipotent factor) is
+Theory.central_mult_matrix: one Radford-coordinate solve for the element,
+the product table of the canonical basis, and the cached d x d change of
+basis between canonical and Radford coordinates.  The Xi matrices of the
+factorization are products of such matrices with the Radford coordinates of
+the contracted coproduct (see _xi_matrix)."""
 
 from __future__ import annotations
 
@@ -22,9 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, Params
-from .cyclotomic import Cyclo, sparse_sum
+from .cyclotomic import Cyclo
 from .duality import Theory, conformal_weight_exponent
-from .linalg import SpanSolver, invert_dense, mat_mul_dense
+from .linalg import SpanSolver, invert_dense, mat_mul_dense, mat_vec_dense
 
 __all__ = ["ModularData", "ModularAction"]
 
@@ -45,12 +53,23 @@ class ModularData:
         return ModularData(P, c, P.ctx.root_of_unity(phase_exp), deltas)
 
 
-def _delta_exp(params: Params, r: int, s: int) -> int:
-    return conformal_weight_exponent(params, r, s)
+def _sparse(co):
+    """A coordinate list as a sparse row {index: Cyclo}."""
+    return {i: c for i, c in enumerate(co) if c}
+
+
+def _columns(cols):
+    """The square matrix whose columns are the given coordinate lists."""
+    return [list(row) for row in zip(*cols)]
 
 
 class ModularAction:
-    """S and T as exact matrices in the Radford basis."""
+    """S and T as exact matrices in the Radford basis.
+
+    S is the inverse of C, whose columns are the Radford coordinates of the
+    Drinfeld images; T is S V S^-1 times the phase, where V, the matrix of
+    multiplication by the ribbon element, is built in canonical coordinates
+    (Theory.central_mult_matrix)."""
 
     def __init__(self, theory: Theory):
         self.theory = theory
@@ -65,30 +84,15 @@ class ModularAction:
             if co is None:
                 raise ArithmeticError("Drinfeld image outside the center span")
             cols.append(co)
-        n = self.dim
-        self.C = [[cols[i][j] for i in range(n)] for j in range(n)]  # row j, col i
+        self.C = _columns(cols)
         self.S = invert_dense(self.C, ctx)
-        rib = theory.ribbon
-        self.V = self._mult_matrix(rib.v)
+        self.V = theory.central_mult_matrix(theory.ribbon.v)
         SV = mat_mul_dense(self.S, self.V, ctx)
         T0 = mat_mul_dense(SV, self.C, ctx)  # S V S^-1, since S^-1 = C
         ph = self.data.t_phase
         self.T = [[v * ph for v in row] for row in T0]
 
     # -- plumbing ------------------------------------------------------------
-
-    def _mult_matrix(self, z: AlgebraElement):
-        """Matrix of multiplication by a central element in the Radford
-        basis."""
-        solver = self.theory.radford_solver
-        n = self.dim
-        cols = []
-        for b in self.theory.radford_basis:
-            co = solver.coordinates((z * b).coeffs)
-            if co is None:
-                raise ArithmeticError("product left the center span")
-            cols.append(co)
-        return [[cols[i][j] for i in range(n)] for j in range(n)]
 
     def coords(self, z: AlgebraElement):
         co = self.theory.radford_solver.coordinates(z.coeffs)
@@ -97,23 +101,10 @@ class ModularAction:
         return co
 
     def from_coords(self, co) -> AlgebraElement:
-        out = self.params.zero
-        for c, b in zip(co, self.theory.radford_basis):
-            out = out + b * c
-        return out
+        return self.params.linear_combination(zip(self.theory.radford_basis, co))
 
     def _apply(self, mat, z: AlgebraElement) -> AlgebraElement:
-        co = self.coords(z)
-        ctx = self.params.ctx
-        out = [ctx.zero] * self.dim
-        for i in range(self.dim):
-            row = mat[i]
-            acc = ctx.zero
-            for j, c in enumerate(co):
-                if not c.is_zero() and not row[j].is_zero():
-                    acc = acc + row[j] * c
-            out[i] = acc
-        return self.from_coords(out)
+        return self.from_coords(mat_vec_dense(mat, self.coords(z), self.params.ctx))
 
     def s_map(self, z: AlgebraElement) -> AlgebraElement:
         return self._apply(self.S, z)
@@ -208,20 +199,14 @@ class ModularAction:
         total = 0
         for name, elements, expected in self.blocks():
             coords = [self.coords(el) for el in elements]
-            solver = SpanSolver([{i: c for i, c in enumerate(co) if not c.is_zero()}
-                                 for co in coords], ctx)
+            solver = SpanSolver([_sparse(co) for co in coords], ctx)
             dim = solver.rank
             ok_dim = dim == expected
             closed_S = True
             closed_T = True
             for co in coords:
                 for mat, flag in ((self.S, "S"), (self.T, "T")):
-                    img = [sum((mat[i][j] * co[j] for j in range(self.dim)
-                                if not co[j].is_zero()), start=ctx.zero)
-                           for i in range(self.dim)]
-                    inside = solver.contains({i: c for i, c in enumerate(img)
-                                              if not c.is_zero()})
-                    if not inside:
+                    if not solver.contains(_sparse(mat_vec_dense(mat, co, ctx))):
                         if flag == "S":
                             closed_S = False
                         else:
@@ -232,8 +217,7 @@ class ModularAction:
                 report["failures"].append(name)
             all_coords.extend(coords)
             total += expected
-        joint = SpanSolver([{i: c for i, c in enumerate(co) if not c.is_zero()}
-                            for co in all_coords], ctx)
+        joint = SpanSolver([_sparse(co) for co in all_coords], ctx)
         report["direct_sum_rank"] = joint.rank
         report["exhausts_center"] = joint.rank == self.dim == total
         if not report["exhausts_center"]:
@@ -246,12 +230,12 @@ class ModularAction:
         for (r, s) in P.set_I():
             el = self.s_map(self.theory.kappa_hat(r, s))
             ok = (self.t_map(el)
-                  - el * (ph * zeta(_delta_exp(P, r, s)))).is_zero()
+                  - el * (ph * zeta(conformal_weight_exponent(P, r, s)))).is_zero()
             eigen_checks.append((("kappa", (r, s)), ok))
         for (r, s) in P.set_I1():
             el = self.s_map(self.theory.varphi_cross(r, s))
             ok = (self.t_map(el)
-                  - el * (ph * zeta(_delta_exp(P, r, s)))).is_zero()
+                  - el * (ph * zeta(conformal_weight_exponent(P, r, s)))).is_zero()
             eigen_checks.append((("cross", (r, s)), ok))
         report["t_eigenvectors_ok"] = all(ok for _, ok in eigen_checks)
         if not report["t_eigenvectors_ok"]:
@@ -279,7 +263,7 @@ class ModularAction:
         failures = []
 
         def tphase(r, s):
-            return ph * zeta(_delta_exp(P, r, s))
+            return ph * zeta(conformal_weight_exponent(P, r, s))
 
         for (r, s) in P.set_I1():
             # chi_{r,s} = S(varphi_cross): the minimal-model T-eigenvector,
@@ -325,7 +309,7 @@ class ModularAction:
                       - th.chi_hat(-1, r, P.p_minus) * (P.p_plus - r))
             if not (rho_sl - self.s_map(th.rho_slash(P.p_plus - r, P.p_minus))).is_zero():
                 failures.append(("rho_sl bdry = S rho_hat", (r, 0)))
-            tp = ph * zeta(_delta_exp(P, P.p_plus - r, P.p_minus))
+            tp = ph * zeta(conformal_weight_exponent(P, P.p_plus - r, P.p_minus))
             if not (self.t_map(phi_sl) - (phi_sl + rho_sl) * tp).is_zero():
                 failures.append(("T phi_slash bdry", (r, 0)))
             if not (self.t_map(rho_sl) - rho_sl * tp).is_zero():
@@ -352,7 +336,7 @@ class ModularAction:
                       - th.chi_hat(-1, P.p_plus, s) * (P.p_minus - s))
             if not (rho_bs - self.s_map(th.rho_bslash(P.p_plus, P.p_minus - s))).is_zero():
                 failures.append(("rho_bs bdry = S rho_hat", (0, s)))
-            tp = ph * zeta(_delta_exp(P, P.p_plus, P.p_minus - s))
+            tp = ph * zeta(conformal_weight_exponent(P, P.p_plus, P.p_minus - s))
             if not (self.t_map(phi_bs) - (phi_bs + rho_bs) * tp).is_zero():
                 failures.append(("T phi_bslash bdry", (0, s)))
             if not (self.t_map(rho_bs) - rho_bs * tp).is_zero():
@@ -377,21 +361,16 @@ class ModularAction:
         from .reps import irreducible_labels
         span_elems = [th.chi_hat(*lab) for lab in irreducible_labels(P)]
         chi_coords = [self.coords(el) for el in span_elems]
-        chi_solver = SpanSolver(
-            [{i: c for i, c in enumerate(co) if not c.is_zero()}
-             for co in chi_coords], ctx)
+        chi_solver = SpanSolver([_sparse(co) for co in chi_coords], ctx)
         named = ([th.radford_image("upup", lab) for lab in P.set_I1()]
                  + [th.kappa_hat(r, s) for (r, s) in P.set_I()]
                  + [th.varphi_slash(r, s) for (r, s) in P.set_I_slash()]
                  + [th.varphi_bslash(r, s) for (r, s) in P.set_I_bslash()])
         named_coords = [self.coords(el) for el in named]
-        named_solver = SpanSolver(
-            [{i: c for i, c in enumerate(co) if not c.is_zero()}
-             for co in named_coords], ctx)
+        named_solver = SpanSolver([_sparse(co) for co in named_coords], ctx)
         same_span = (chi_solver.rank == named_solver.rank == 2 * P.pp
-                     and all(chi_solver.contains(
-                         {i: c for i, c in enumerate(co) if not c.is_zero()})
-                         for co in named_coords))
+                     and all(chi_solver.contains(_sparse(co))
+                             for co in named_coords))
         # T acts diagonally on the chi images with the ribbon eigenvalues
         ph = self.data.t_phase
         t_diag = True
@@ -406,36 +385,28 @@ class ModularAction:
             else:
                 # X^-_{r,s} lies in the block of the reflected first index
                 key = (P.p_plus - r, s)
-            ev = ph * zeta(_delta_exp(P, *key))
+            ev = ph * zeta(conformal_weight_exponent(P, *key))
             if not (self.t_map(el) - el * ev).is_zero():
                 t_diag = False
         literal = True
         for el in span_elems:
             img = self._apply(self.S, el)
-            if not chi_solver.contains(
-                    {i: c for i, c in enumerate(self.coords(img))
-                     if not c.is_zero()}):
+            if not chi_solver.contains(_sparse(self.coords(img))):
                 literal = False
         # iterate to the S,T-generated closure of the image
         closure_vecs = list(chi_coords)
-        closure = SpanSolver(
-            [{i: c for i, c in enumerate(co) if not c.is_zero()}
-             for co in closure_vecs], ctx)
+        closure = SpanSolver([_sparse(co) for co in closure_vecs], ctx)
         frontier = list(chi_coords)
         while frontier:
             new = []
             for co in frontier:
                 for mat in (self.S, self.T):
-                    img = [sum((mat[i][j] * co[j] for j in range(self.dim)
-                                if not co[j].is_zero()), start=ctx.zero)
-                           for i in range(self.dim)]
-                    key = {i: c for i, c in enumerate(img) if not c.is_zero()}
-                    if not closure.contains(key):
+                    img = mat_vec_dense(mat, co, ctx)
+                    if not closure.contains(_sparse(img)):
                         new.append(img)
                         closure_vecs.append(img)
                         closure = SpanSolver(
-                            [{i: c for i, c in enumerate(v) if not c.is_zero()}
-                             for v in closure_vecs], ctx)
+                            [_sparse(v) for v in closure_vecs], ctx)
             frontier = new
         return {"ok": same_span and t_diag,
                 "same_span": same_span, "t_diagonal": t_diag,
@@ -447,28 +418,30 @@ class ModularAction:
 
     def _xi_matrix(self, vstar: AlgebraElement):
         """Matrix (in the Radford basis) of beta -> (beta (x) id) of
-        (vstar (x) vstar) Delta(S(vstar)), on the gamma basis."""
-        P = self.params
-        ctx = P.ctx
-        s_vstar = self.s_map(vstar)
-        dsv = s_vstar.coproduct()
-        by_first = {}
-        for (n1, n2), c in dsv.coeffs.items():
-            by_first.setdefault(n1, []).append((n2, c))
-        vproducts = {n1: vstar * AlgebraElement(P, {n1: ctx.one}) for n1 in by_first}
+        (vstar (x) vstar) Delta(S(vstar)), on the gamma basis, where S is
+        the modular map.
+
+        Neither factor vstar is multiplied out.  On the second leg it is
+        the multiplication matrix of vstar.  On the first it turns gamma
+        into the q-character gamma(vstar .), whose Radford image is
+        a(vstar) phi(gamma) for the antipode a: for the cointegral L,
+        sum z L' (x) L'' = sum L' (x) a^-1(z) L'', and a^-1(z) = a(z) for
+        central z since a^2 is conjugation by g.  So Xi = V X0 V', with V
+        and V' the multiplication matrices of vstar and a(vstar) and X0's
+        columns the Radford coordinates of (gamma (x) id) Delta(S(vstar))."""
+        th = self.theory
+        ctx = self.params.ctx
+        dsv = self.s_map(vstar).coproduct()
         cols = []
-        for _, _, f in self.theory.characters.entries:
-            img = AlgebraElement(P, sparse_sum(
-                (n2, val * c)
-                for n1, pairs in by_first.items()
-                for val in (f(vproducts[n1]),) if val
-                for n2, c in pairs)) * vstar
-            co = self.theory.radford_solver.coordinates(img.coeffs)
+        for _, _, f in th.characters.entries:
+            co = th.central_coordinates(
+                dsv.apply_left(lambda m: f.values.get(m, ctx.zero)))
             if co is None:
                 raise ArithmeticError("xi image left the center span")
             cols.append(co)
-        n = self.dim
-        return [[cols[i][j] for i in range(n)] for j in range(n)]
+        x0 = mat_mul_dense(_columns(cols),
+                           th.central_mult_matrix(vstar.antipode()), ctx)
+        return mat_mul_dense(th.central_mult_matrix(vstar), x0, ctx)
 
     def verify_factorization(self):
         """S = S* Sbar through the unipotent ribbon factor, the stated
@@ -522,9 +495,9 @@ class ModularAction:
         if not self._equal(mm(S_minus, mm(S_plus, S0)), self.S):
             report["failures"].append("three-factor product")
 
-        V_bar = self._mult_matrix(rib.v_semisimple)
-        V_plus = self._mult_matrix(rib.v_factor_plus)
-        V_minus = self._mult_matrix(rib.v_factor_minus)
+        V_bar = th.central_mult_matrix(rib.v_semisimple)
+        V_plus = th.central_mult_matrix(rib.v_factor_plus)
+        V_minus = th.central_mult_matrix(rib.v_factor_minus)
         ph = self.data.t_phase
         conj = lambda M: mm(self.S, mm(M, self.C))
         T0 = [[v * ph for v in row] for row in conj(V_bar)]

@@ -12,8 +12,9 @@ import time
 from fractions import Fraction
 
 from .algebra import AlgebraElement, Params
-from .center import (center_brute_force, center_dimension,
-                     decompose_central, is_central, weight_projectors)
+from .center import (CanonicalCenterBasis, center_brute_force,
+                     center_dimension, decompose_central, is_central,
+                     weight_projectors)
 from .characters import counit_functional, is_qcharacter, qcharacter_space
 from .cyclotomic import Cyclo, sparse_sum
 from .duality import (Theory, conformal_weight_exponent,
@@ -23,11 +24,10 @@ from .duality import (Theory, conformal_weight_exponent,
 from .grothendieck import (gr_class, gr_multiply, verify_casimir_identities,
                            verify_presentation)
 from .linalg import SpanSolver, SparseMat
-from .modular import ModularAction
-from .reps import (GrothendieckIndex, cached_irreducible, cached_projective,
+from .reps import (cached_irreducible, cached_projective,
                    irreducible_labels, tensor_product, verma)
 
-__all__ = ["run_suites", "SUITE_ORDER", "available_suites"]
+__all__ = ["run_suites", "SUITE_ORDER", "available_suites", "radical_table_holds"]
 
 
 def _sqrt2pp32(P: Params) -> Cyclo:
@@ -140,7 +140,7 @@ def suite_hopf(theory: Theory):
 def suite_modules(theory: Theory):
     P = theory.params
     checks = []
-    gi = theory.params.cache.setdefault("gr_index", GrothendieckIndex(P))
+    gi = theory.gr_index
     rel_ok = True
     dims_ok = True
     cas_ok = True
@@ -292,7 +292,7 @@ def _irr_weights(P, alpha, r, s):
 def suite_fusion(theory: Theory):
     P = theory.params
     checks = []
-    gi = theory.params.cache.setdefault("gr_index", GrothendieckIndex(P))
+    gi = theory.gr_index
     labels = irreducible_labels(P)
     formula_ok = True
     dim_ok = True
@@ -437,6 +437,25 @@ def suite_qcharacters(theory: Theory):
     return checks
 
 
+def radical_table_holds(cb: CanonicalCenterBasis) -> bool:
+    """Prove the entries of cb.product_table() that involve a nilpotent:
+    e(blk) n = n for every nilpotent n, and every product of two nilpotents
+    of one block, squares included, equals its table entry (0 where there
+    is none), one algebra product each.  With the orthogonal idempotents
+    this proves the whole table: a product across blocks is
+    n m = n e(a) e(b) m = 0."""
+    ordered = cb.ordered()
+    table = cb.product_table()
+    for i, (lab_i, x) in enumerate(ordered):
+        for j, (lab_j, y) in enumerate(ordered[i:], start=i):
+            if cb.block(lab_i) != cb.block(lab_j) or lab_i[0] == lab_j[0] == "e":
+                continue
+            hit = table.get((i, j))
+            if x * y != (ordered[hit[0]][1] * hit[1] if hit else cb.params.zero):
+                return False
+    return True
+
+
 def suite_center(theory: Theory):
     P = theory.params
     checks = []
@@ -457,21 +476,8 @@ def suite_center(theory: Theory):
                 idem_ok = False
     checks.append(("idempotents: orthogonal, complete (sum = 1)",
                    idem_ok and tot == P.one, ""))
-    S = cb.RADICAL_PRODUCT_SCALE
-    prod_ok = True
-    for (r, s) in P.set_I1():
-        vne = cb.v_interior[("ne", (r, s))]
-        vnw = cb.v_interior[("nw", (r, s))]
-        vsw = cb.v_interior[("sw", (r, s))]
-        vse = cb.v_interior[("se", (r, s))]
-        if (vne * vnw != cb.w_interior[("up", (r, s))] * S
-                or vne * vse != cb.w_interior[("right", (r, s))] * S
-                or vsw * vnw != cb.w_interior[("left", (r, s))] * S
-                or vsw * vse != cb.w_interior[("down", (r, s))] * S
-                or not (vne * vsw).is_zero() or not (vnw * vse).is_zero()):
-            prod_ok = False
-    checks.append((f"radical product table (with the documented scale {S})",
-                   prod_ok, ""))
+    checks.append((f"radical product table (with the documented scale"
+                   f" {cb.RADICAL_PRODUCT_SCALE})", radical_table_holds(cb), ""))
     rad = (list(cb.v_interior.values()) + list(cb.w_interior.values())
            + list(cb.v_boundary.values()))
     cube_ok = all((x * y * z).is_zero()
@@ -916,7 +922,7 @@ def _check_ribbon_decompose(th: Theory) -> bool:
 def suite_modular(theory: Theory):
     P = theory.params
     checks = []
-    ma = theory.params.cache.setdefault("modular_action", ModularAction(theory))
+    ma = theory.modular_action
     rel = ma.sl2z_relations()
     checks.append(("S^2 = id on the center", rel["S2_identity"], ""))
     checks.append(("S^4 = id", rel["S4_identity"], ""))

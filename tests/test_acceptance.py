@@ -16,7 +16,6 @@ from qpm.center import center_brute_force, center_dimension
 from qpm.duality import Theory
 from qpm.grothendieck import gr_class, gr_multiply
 from qpm.linalg import SpanSolver
-from qpm.modular import ModularAction
 from qpm.reps import irreducible_labels
 from qpm.verify import (run_suites, suite_drinfeld, suite_fusion,
                         suite_integral, suite_modular, suite_modules,
@@ -100,7 +99,7 @@ def test_criterion_8_ribbon(T12, T23):
 def test_criterion_9_modular(T23):
     checks = suite_modular(T23)
     ok = _suite_ok(checks)
-    ma = T23.params.cache["modular_action"]
+    ma = T23.modular_action
     rep = ma.verify_subrepresentations()
     dims = [b["dim"] for b in rep["blocks"].values()]
     ok = ok and dims == [1, 3, 4, 6, 6] and sum(dims) == 20
@@ -116,12 +115,12 @@ def test_criterion_9_modular(T23):
                    "unit; the verified facts are span equality, T-stability "
                    "and the iterated S,T-closure rank")
 def test_criterion_9_literal_gr_closure(T23):
-    ma = T23.params.cache.setdefault("modular_action", ModularAction(T23))
+    ma = T23.modular_action
     assert ma.verify_grothendieck_subrep()["literal_st_closed"]
 
 
 def test_criterion_10_transformations(T23):
-    ma = T23.params.cache.setdefault("modular_action", ModularAction(T23))
+    ma = T23.modular_action
     rep = ma.verify_transformations()
     ok = rep["ok"]
     ok = ok and ma.data.central_charge == 0

@@ -1,12 +1,16 @@
 """Center: Casimirs, weight projectors, canonical basis, commutant."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from qpm.algebra import Params
 from qpm.center import (center_brute_force, center_dimension,
                         decompose_central, is_central, weight_projectors)
+from qpm.duality import Theory
 from qpm.linalg import SpanSolver
+from qpm.verify import radical_table_holds
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +92,42 @@ def test_radical_products(P23, cb23):
     for (key, lab), v in cb23.v_boundary.items():
         assert cb23.idempotents[lab] * v == v
         assert (v * v).is_zero()
+
+
+def test_radical_table_check_can_fail(cb23):
+    assert radical_table_holds(cb23)
+    v, w, vb = cb23.v_interior, cb23.w_interior, cb23.v_boundary
+    ne, up, right = ("ne", (1, 1)), ("up", (1, 1)), ("right", (1, 1))
+    col, row = ("up", (1, 3)), ("up", (2, 1))   # boundary v of two blocks
+    broken = {
+        "interior v scaled by 2": replace(cb23, v_interior={**v, ne: v[ne] * 2}),
+        "two interior w swapped": replace(
+            cb23, w_interior={**w, up: w[right], right: w[up]}),
+        "boundary v of two blocks swapped": replace(
+            cb23, v_boundary={**vb, col: vb[row], row: vb[col]}),
+        "boundary v plus its idempotent": replace(
+            cb23, v_boundary={**vb, col: vb[col] + cb23.idempotents[(1, 3)]}),
+    }
+    for what, cb in broken.items():
+        assert not radical_table_holds(cb), what
+
+
+def test_rescaled_boundary_v_changes_no_table_entry():
+    # A boundary v has no nonzero product with a nilpotent, and e n = n is
+    # linear in n, so twice a boundary v satisfies the same table; the
+    # multiplication matrices built on the table do not change either.
+    th = Theory(Params(1, 2))
+    P = th.params
+    want = th.central_mult_matrix(th.ribbon.v)
+    to_radford = th.center_basis_change[1]
+    cb = th.center
+    key = next(iter(cb.v_boundary))
+    scaled = replace(cb, v_boundary={**cb.v_boundary, key: cb.v_boundary[key] * 2})
+    assert radical_table_holds(scaled)
+    P.cache["canonical_center"] = scaled
+    del P.cache["center_basis_change"]
+    assert th.center_basis_change[1] != to_radford   # the rescale took effect
+    assert th.central_mult_matrix(th.ribbon.v) == want
 
 
 def test_radical_cube(P23, cb23):

@@ -3,7 +3,7 @@
 from qpm.grothendieck import (chebyshev_U, gr_basis_labels, gr_class,
                               gr_multiply, verify_casimir_identities,
                               verify_presentation)
-from qpm.reps import GrothendieckIndex, tensor_product
+from qpm.reps import tensor_product
 
 
 def test_chebyshev_initial_and_recursion():
@@ -53,8 +53,8 @@ def test_specific_products(P23):
     assert prod.mult == {(1, 1, 1): 1, (1, 1, 3): 1}
 
 
-def test_full_agreement_with_tensor_oracle(P23):
-    gi = P23.cache.setdefault("gr_index", GrothendieckIndex(P23))
+def test_full_agreement_with_tensor_oracle(P23, T23):
+    gi = T23.gr_index
     labels = gr_basis_labels(P23)
     for la in labels:
         for lb in labels:

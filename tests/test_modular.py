@@ -1,21 +1,35 @@
 """Modular action: S/T matrices, subrepresentation blocks, factorization."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from qpm.duality import conformal_weight_exponent
-from qpm.modular import ModularAction, ModularData
+from qpm.algebra import AlgebraElement, Params
+from qpm.cyclotomic import sparse_sum
+from qpm.duality import Theory, conformal_weight_exponent
+from qpm.linalg import invert_dense, mat_vec_dense
+from qpm.modular import ModularData
 
 
 @pytest.fixture(scope="module")
 def ma12(T12):
-    return T12.params.cache.setdefault("modular_action", ModularAction(T12))
+    return T12.modular_action
 
 
 @pytest.fixture(scope="module")
 def ma23(T23):
-    return T23.params.cache.setdefault("modular_action", ModularAction(T23))
+    return T23.modular_action
+
+
+@pytest.fixture(scope="module")
+def T32():
+    return Theory(Params(3, 2))
+
+
+@pytest.fixture(scope="module")
+def T14():
+    return Theory(Params(1, 4))
 
 
 def test_modular_data(P23, P12):
@@ -118,3 +132,56 @@ def test_anomaly_scalar(ma12, ma23, T12, T23):
 def test_s_map_rejects_non_central(T23, ma23):
     with pytest.raises(ValueError):
         ma23.s_map(T23.params.gen("ep"))
+
+
+# -- the dense-product route, as an oracle for the canonical-coordinate one ----
+
+def _columns(cols):
+    assert all(co is not None for co in cols)
+    return [list(row) for row in zip(*cols)]
+
+
+def _dense_mult_matrix(th, z):
+    """Multiplication by z in the Radford basis from d dense products."""
+    return _columns([th.central_coordinates(z * b) for b in th.radford_basis])
+
+
+def _dense_xi_matrix(th, vstar):
+    """Xi with both factors vstar multiplied out as algebra elements."""
+    P = th.params
+    dsv = th.modular_action.s_map(vstar).coproduct()
+    first = {n1: vstar * AlgebraElement(P, {n1: P.ctx.one}) for n1, _ in dsv.coeffs}
+    return _columns([
+        th.central_coordinates(AlgebraElement(P, sparse_sum(
+            (n2, f(first[n1]) * c) for (n1, n2), c in dsv.coeffs.items())) * vstar)
+        for _, _, f in th.characters.entries])
+
+
+@pytest.mark.parametrize("theory", ["T12", "T23", "T32", "T14"])
+def test_central_arithmetic_against_dense_products(request, theory):
+    th = request.getfixturevalue(theory)
+    P = th.params
+    ctx = P.ctx
+    rib = th.ribbon
+    rng = random.Random(20060606)
+    z = P.linear_combination(
+        (el, rng.randint(1, 5) if lab[0] == "e" else rng.randint(-3, 3))
+        for lab, el in th.center.ordered())
+    dense = {}
+    for name, el in (("v", rib.v), ("vbar", rib.v_semisimple),
+                     ("v+", rib.v_factor_plus), ("v-", rib.v_factor_minus),
+                     ("random", z)):
+        dense[name] = _dense_mult_matrix(th, el)
+        assert th.central_mult_matrix(el) == dense[name], name
+    for vstar in (rib.v_unipotent, rib.v_factor_plus, rib.v_factor_minus):
+        assert th.modular_action._xi_matrix(vstar) == _dense_xi_matrix(th, vstar)
+    unit = th.central_coordinates(P.one)
+    for name, el in (("v", rib.v), ("random", z)):
+        inv = th.central_inverse(el)
+        assert inv * el == P.one
+        assert th.central_coordinates(inv) == mat_vec_dense(
+            invert_dense(dense[name], ctx), unit, ctx)
+    for lab, el in th.center.ordered():
+        if lab[0] != "e":
+            with pytest.raises(ArithmeticError):
+                th.central_inverse(el)

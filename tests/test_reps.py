@@ -6,14 +6,13 @@ import pytest
 
 from qpm.algebra import AlgebraElement
 from qpm.linalg import SparseMat
-from qpm.reps import (GrothendieckIndex, cached_projective, irreducible,
-                      irreducible_labels, k_character, projective,
-                      tensor_product, verma)
+from qpm.reps import (cached_projective, irreducible, irreducible_labels,
+                      k_character, projective, tensor_product, verma)
 
 
 @pytest.fixture(scope="module")
-def gi23(P23):
-    return P23.cache.setdefault("gr_index", GrothendieckIndex(P23))
+def gi23(T23):
+    return T23.gr_index
 
 
 def test_irreducible_dimensions_and_relations(P23, gi23):
@@ -147,9 +146,9 @@ def test_module_dump(P23, gi23):
     assert len(doc["basis"]) == 2
 
 
-def test_degenerate_products(P12):
-    P = P12
-    gi = P.cache.setdefault("gr_index", GrothendieckIndex(P))
+def test_degenerate_products(T12):
+    P = T12.params
+    gi = T12.gr_index
     for lab in irreducible_labels(P):
         assert not gi.irreducibles[lab].check_relations()
     p = projective(P, 1, 1, 1)

@@ -193,16 +193,29 @@ def radford(data: IntegralData, beta: Functional) -> AlgebraElement:
         lambda m: beta.values.get(m, data.params.ctx.zero))
 
 
+def _sector_weight(mono):
+    """The weight (ep - fp, em - fm) of a PBW monomial; straightening a
+    product keeps the sum of its factors' weights."""
+    a, b, c, d, _ = mono
+    return (b - a, d - c)
+
+
 def radford_inverse(data: IntegralData, x: AlgebraElement) -> Functional:
-    """phi^-1(x) = lambda(S(x) . )."""
+    """phi^-1(x) = lambda(S(x) . ).
+
+    A product m1 mono meets the support of lambda only when the weights of
+    m1 and mono add up to a weight of that support, so no other pair is
+    multiplied out."""
     P = data.params
-    sx = x.antipode().coeffs
+    sx = [(m1, c1, _sector_weight(m1)) for m1, c1 in x.antipode().coeffs.items()]
     lam = data.integral.values
+    lam_weights = {_sector_weight(m) for m in lam}
     mono_mul = P.mono_mul
     return Functional(P, sparse_sum(
         (mono, c1 * c * v)
         for mono in P.monomials()
-        for m1, c1 in sx.items()
+        for wa, wc in (_sector_weight(mono),)
+        for m1, c1, (w1a, w1c) in sx if (w1a + wa, w1c + wc) in lam_weights
         for m, c in mono_mul(m1, mono).items()
         for v in (lam.get(m),) if v is not None))
 

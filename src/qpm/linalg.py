@@ -12,8 +12,8 @@ from itertools import chain
 
 from .cyclotomic import Cyclo, CycloContext, sparse_sum
 
-__all__ = ["SparseMat", "nullspace", "solve_in_span", "rank", "invert_dense",
-           "mat_mul_dense", "mat_vec_dense"]
+__all__ = ["SparseMat", "nullspace", "solve_in_span", "rank", "closure_rank",
+           "invert_dense", "mat_mul_dense", "mat_vec_dense"]
 
 
 class SparseMat:
@@ -93,49 +93,72 @@ class SparseMat:
                                 if not v.is_zero()})
 
 
+def _sub_multiple(row, c, prow):
+    """row -= c * prow in place, dropping the entries that cancel."""
+    nc = -c
+    get = row.get
+    for j, v in prow.items():
+        w = get(j)
+        nv = w + nc * v if w is not None else nc * v
+        if nv:
+            row[j] = nv
+        else:
+            row.pop(j, None)
+
+
+def _reduce(row, echelon):
+    """Clear, in place, the pivot columns of `echelon` (unit pivots) from
+    `row`; returns `row`."""
+    for pc, prow in echelon:
+        c = row.get(pc)
+        if c is not None:
+            _sub_multiple(row, c, prow)
+    return row
+
+
+def _insert(echelon, row) -> bool:
+    """Reduce a copy of `row` against `echelon`; if anything is left,
+    normalize it to a unit pivot at its smallest column (a sparsity
+    heuristic), clear that column from the other rows and append it.
+    Returns whether the row was appended, i.e. the rank grew."""
+    row = {j: v for j, v in _reduce(dict(row), echelon).items() if v}
+    if not row:
+        return False
+    pc = min(row)
+    piv_inv = row[pc].inv()
+    row = {j: v * piv_inv for j, v in row.items()}
+    for idx, (pc2, prow2) in enumerate(echelon):
+        c = prow2.get(pc)
+        if c is not None:
+            new = dict(prow2)
+            _sub_multiple(new, c, row)
+            echelon[idx] = (pc2, new)
+    echelon.append((pc, row))
+    return True
+
+
 def _eliminate(rows, ncols):
     """Forward elimination on a list of sparse rows (dicts {col: Cyclo}).
-    Returns (pivots, echelon_rows) with echelon rows normalized to unit
-    pivots and fully reduced above and below."""
-    echelon = []   # list of (pivot_col, row_dict)
+    Returns the echelon rows as (pivot_col, row_dict), sorted by pivot,
+    normalized to unit pivots and fully reduced above and below."""
+    echelon = []
     for row in rows:
-        row = dict(row)
-        for pc, prow in echelon:
-            c = row.get(pc)
-            if c is None:
-                continue
-            # row -= c * prow  (prow has unit pivot)
-            for j, v in prow.items():
-                w = row.get(j)
-                nv = (w - c * v) if w is not None else -(c * v)
-                if nv.is_zero():
-                    row.pop(j, None)
-                else:
-                    row[j] = nv
-        row = {j: v for j, v in row.items() if not v.is_zero()}
-        if not row:
-            continue
-        # choose sparsest-support pivot heuristically: smallest column index
-        pc = min(row)
-        piv_inv = row[pc].inv()
-        row = {j: v * piv_inv for j, v in row.items()}
-        # back-substitute into existing rows
-        for idx, (pc2, prow2) in enumerate(echelon):
-            c = prow2.get(pc)
-            if c is None:
-                continue
-            new = dict(prow2)
-            for j, v in row.items():
-                w = new.get(j)
-                nv = (w - c * v) if w is not None else -(c * v)
-                if nv.is_zero():
-                    new.pop(j, None)
-                else:
-                    new[j] = nv
-            echelon[idx] = (pc2, new)
-        echelon.append((pc, row))
+        _insert(echelon, row)
     echelon.sort(key=lambda t: t[0])
     return echelon
+
+
+def closure_rank(seeds, maps) -> int:
+    """Dimension of the smallest subspace that contains the sparse vectors
+    `seeds` ({index: Cyclo}) and is mapped into itself by every linear map
+    in `maps` (functions on such vectors), found by growing one echelon
+    form a vector at a time."""
+    echelon = []
+    frontier = [v for v in seeds if _insert(echelon, v)]
+    while frontier:
+        frontier = [w for v in frontier for f in maps
+                    for w in (f(v),) if _insert(echelon, w)]
+    return len(echelon)
 
 
 def rank(rows, ncols: int) -> int:
@@ -184,31 +207,30 @@ class SpanSolver:
             row[n + i] = ctx.one
             rows.append(row)
         self._echelon = _eliminate(rows, n + len(vectors))
+        self._key_echelon = None
         self.rank = sum(1 for pc, _ in self._echelon if pc < n)
         self.independent = self.rank == len(vectors)
+
+    def _row(self, target: dict):
+        """target as a row over the key indices; None if it has a nonzero
+        coefficient at a key outside the span's support."""
+        row = {}
+        for k, c in target.items():
+            if not c:
+                continue
+            idx = self.key_index.get(k)
+            if idx is None:
+                return None
+            row[idx] = c
+        return row
 
     def coordinates(self, target: dict):
         """Coefficients expressing target in the span, or None if outside.
         Requires the spanning set to be linearly independent."""
-        row = {}
-        for k, c in target.items():
-            idx = self.key_index.get(k)
-            if idx is None:
-                if not c.is_zero():
-                    return None
-                continue
-            row[idx] = c
-        for pc, prow in self._echelon:
-            c = row.get(pc)
-            if c is None:
-                continue
-            for j, v in prow.items():
-                w = row.get(j)
-                nv = (w - c * v) if w is not None else -(c * v)
-                if nv.is_zero():
-                    row.pop(j, None)
-                else:
-                    row[j] = nv
+        row = self._row(target)
+        if row is None:
+            return None
+        _reduce(row, self._echelon)
         if any(j < self.n for j in row):
             return None  # residual in the coordinate block: not in span
         coeffs = [self.ctx.zero] * self.nvec
@@ -217,30 +239,15 @@ class SpanSolver:
         return coeffs
 
     def contains(self, target: dict) -> bool:
-        row = {}
-        for k, c in target.items():
-            idx = self.key_index.get(k)
-            if idx is None:
-                if not c.is_zero():
-                    return False
-                continue
-            row[idx] = c
-        for pc, prow in self._echelon:
-            if pc >= self.n:
-                continue
-            c = row.get(pc)
-            if c is None:
-                continue
-            for j, v in prow.items():
-                if j >= self.n:
-                    continue
-                w = row.get(j)
-                nv = (w - c * v) if w is not None else -(c * v)
-                if nv.is_zero():
-                    row.pop(j, None)
-                else:
-                    row[j] = nv
-        return not any(j < self.n and not v.is_zero() for j, v in row.items())
+        row = self._row(target)
+        if row is None:
+            return False
+        if self._key_echelon is None:
+            # the echelon rows restricted to the key block, built on first use
+            n = self.n
+            self._key_echelon = [(pc, {j: v for j, v in prow.items() if j < n})
+                                 for pc, prow in self._echelon if pc < n]
+        return not _reduce(row, self._key_echelon)
 
 
 def solve_in_span(vectors, target: dict, ctx: CycloContext):

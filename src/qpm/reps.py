@@ -15,9 +15,11 @@ downstream computations (characters, M-matrix contractions) exploit it.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .algebra import AlgebraElement, Params
 from .cyclotomic import sparse_sum
-from .linalg import SparseMat, SpanSolver
+from .linalg import SparseMat, SpanSolver, closure_rank
 
 __all__ = [
     "ModuleRep",
@@ -28,7 +30,6 @@ __all__ = [
     "tensor_product",
     "direct_sum",
     "act",
-    "k_character",
     "GrothendieckIndex",
     "irreducible_labels",
 ]
@@ -76,7 +77,10 @@ class ModuleRep:
     def gen_power(self, name: str, n: int) -> SparseMat:
         if name == "K":
             return self.kmat(n)
-        powers = self._gen_powers.setdefault(name, [SparseMat.identity(self.dim, self.params.ctx)])
+        powers = self._gen_powers.get(name)
+        if powers is None:
+            powers = self._gen_powers[name] = [
+                SparseMat.identity(self.dim, self.params.ctx), self.mats[name]]
         while len(powers) <= n:
             powers.append(powers[-1] * self.mats[name])
         return powers[n]
@@ -167,21 +171,7 @@ class ModuleRep:
     def submodule_generated(self, seed_vectors):
         """Dimension of the submodule generated by the given sparse vectors."""
         gens = [self.mats[n] for n in ("ep", "fp", "em", "fm")] + [self.kmat(1)]
-        ctx = self.params.ctx
-        current = list(seed_vectors)
-        solver = SpanSolver(current, ctx)
-        frontier = list(seed_vectors)
-        while frontier:
-            new = []
-            for v in frontier:
-                for g in gens:
-                    w = g.apply(v)
-                    if w and not solver.contains(w):
-                        new.append(w)
-                        current.append(w)
-                        solver = SpanSolver(current, ctx)
-            frontier = new
-        return solver.rank
+        return closure_rank(seed_vectors, [g.apply for g in gens])
 
 
 # ----------------------------------------------------------------------
@@ -569,6 +559,14 @@ def act(x: AlgebraElement, module: ModuleRep) -> SparseMat:
     return module.act(x)
 
 
+def _powers(mat: SparseMat, n: int, ctx) -> list:
+    """[mat^0, mat^1, ..., mat^n] for n >= 1."""
+    out = [SparseMat.identity(mat.nrows, ctx), mat]
+    for _ in range(n - 1):
+        out.append(out[-1] * mat)
+    return out
+
+
 def cached_irreducible(params: Params, alpha: int, r: int, s: int) -> ModuleRep:
     key = ("irr", alpha, r, s)
     if key not in params.cache:
@@ -583,29 +581,29 @@ def cached_projective(params: Params, alpha: int, r: int, s: int) -> ModuleRep:
     return params.cache[key]
 
 
-def k_character(module: ModuleRep):
-    """Trace of K^j for j = 0 .. 2 p_+ p_- - 1; a Grothendieck-class
-    fingerprint."""
-    P = module.params
-    zeta = P.ctx.root_of_unity
-    out = []
-    for j in range(P.korder):
-        s = P.ctx.zero
-        for w in module.kweights:
-            s = s + zeta(12 * w * j)
-        out.append(s)
-    return out
-
-
 class GrothendieckIndex:
     """Decomposition of modules into irreducible classes.
 
-    The class fingerprint is the family of traces Tr(C_+^u C_-^v K^j) for
-    0 <= u <= p_+, 0 <= v <= p_-, 0 <= j < 2 p_+ p_-.  Bare K-characters do
-    not always separate irreducibles (the two Steinberg-type modules share
-    a K-eigenvalue multiset at (1,2)); twisting by Casimir powers separates
-    the central blocks and the fingerprint matrix is verified to have full
-    rank on construction.
+    The class fingerprint of a module M is the family of weight-graded
+    Casimir traces
+
+        G(u, v, w) = Tr(C_+^u C_-^v restricted to the K-weight-w space)
+
+    for 0 <= u <= p_+, 0 <= v <= p_-, 0 <= w < 2 p_+ p_-: the diagonal of
+    C_+^u C_-^v summed by K-weight, one sparse sum per (u, v) and no root
+    of unity anywhere.  On an irreducible the Casimirs act by their
+    closed-form eigenvalues, so G is those eigenvalue powers times the
+    weight counts.  Both are additive on short exact sequences, so G is a
+    function of the Grothendieck class.
+
+    The traces Tr(C_+^u C_-^v K^j) = sum_w G(u, v, w) zeta^(12 w j) are
+    the discrete Fourier transform of G over Z/(2 p_+ p_-); zeta^12 is a
+    primitive root of that order, so the transform is invertible and both
+    fingerprints span the same relations: decompositions are the same
+    either way.  Weight counts alone (u = v = 0) do not separate
+    irreducibles (the two Steinberg-type modules share a weight multiset
+    at (1,2)); the Casimir twists separate the central blocks, and the
+    irreducible fingerprints are verified independent on construction.
     """
 
     def __init__(self, params: Params):
@@ -620,49 +618,27 @@ class GrothendieckIndex:
             raise RuntimeError("irreducible class fingerprints are linearly dependent")
 
     def _fingerprint_sparse(self, module: ModuleRep, label=None):
+        """{(u, v, w): G(u, v, w)}, nonzero entries only; `label` marks an
+        irreducible, whose Casimirs act by their closed-form eigenvalues."""
         P = self.params
-        ctx = P.ctx
-        zeta = ctx.root_of_unity
-        out = {}
+        ko = P.korder
+        weights = [w % ko for w in module.kweights]
         if label is not None:
-            # scalar Casimir action on an irreducible: closed-form eigenvalues
             cp = P.casimir_eigenvalue_plus(*label)
             cm = P.casimir_eigenvalue_minus(*label)
-            ch = k_character(module)
-            pos = 0
-            for u in range(P.p_plus + 1):
-                for v in range(P.p_minus + 1):
-                    c = cp ** u * cm ** v
-                    for j in range(P.korder):
-                        val = c * ch[j]
-                        if not val.is_zero():
-                            out[pos] = val
-                        pos += 1
-            return out
-        cp_mat = module.act(self._cas[0])
-        cm_mat = module.act(self._cas[1])
-        cp_pows = [SparseMat.identity(module.dim, ctx)]
-        for _ in range(P.p_plus):
-            cp_pows.append(cp_pows[-1] * cp_mat)
-        cm_pows = [SparseMat.identity(module.dim, ctx)]
-        for _ in range(P.p_minus):
-            cm_pows.append(cm_pows[-1] * cm_mat)
-        pos = 0
-        for u in range(P.p_plus + 1):
-            for v in range(P.p_minus + 1):
-                prod = cp_pows[u] * cm_pows[v]
-                diag = {}
-                for (i, jj), val in prod.data.items():
-                    if i == jj:
-                        diag[i] = val
-                for j in range(P.korder):
-                    s = ctx.zero
-                    for i, val in diag.items():
-                        s = s + val * zeta(12 * module.kweights[i] * j)
-                    if not s.is_zero():
-                        out[pos] = s
-                    pos += 1
-        return out
+            counts = Counter(weights)
+            return sparse_sum(((u, v, w), cp ** u * cm ** v * n)
+                              for u in range(P.p_plus + 1)
+                              for v in range(P.p_minus + 1)
+                              for w, n in counts.items())
+        cp_pows = _powers(module.act(self._cas[0]), P.p_plus, P.ctx)
+        cm_pows = _powers(module.act(self._cas[1]), P.p_minus, P.ctx)
+        # the diagonal of a b only: (a b)_ii = sum_k a_ik b_ki
+        return sparse_sum(((u, v, weights[i]), x * y)
+                          for u, a in enumerate(cp_pows)
+                          for v, b in enumerate(cm_pows)
+                          for (i, k), x in a.data.items()
+                          for y in (b.data.get((k, i)),) if y is not None)
 
     def decompose(self, module: ModuleRep):
         """Multiplicity vector over irreducible labels; raises if the class

@@ -1,10 +1,13 @@
 """Integral data, Radford map, M-matrix, Drinfeld images, ribbon element."""
 
+import random
+
 import pytest
 
+from qpm.algebra import AlgebraElement, Params
 from qpm.center import is_central
 from qpm.cyclotomic import sparse_sum
-from qpm.duality import (MMatrix, canonical_element,
+from qpm.duality import (MMatrix, Theory, canonical_element,
                          cc_poly_coeffs, chi_sector,
                          conformal_weight_exponent,
                          delta_cointegral_closed_form,
@@ -49,6 +52,35 @@ def test_radford_inverse_pair(T23):
     for kind, lab, f in T23.characters.entries[:6]:
         x = radford(data, f)
         assert radford_inverse(data, x) == f, (kind, lab)
+
+
+def _radford_inverse_unfiltered(data, x):
+    """lambda(S(x) m) for every monomial m, with no pair skipped."""
+    P = data.params
+    lam = data.integral.values
+    return sparse_sum(
+        (mono, c1 * c * v)
+        for mono in P.monomials()
+        for m1, c1 in x.antipode().coeffs.items()
+        for m, c in P.mono_mul(m1, mono).items()
+        for v in (lam.get(m),) if v is not None)
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (2, 3), (3, 2)])
+def test_radford_inverse_weight_filter_matches_full_sum(pair, request):
+    """The weight filter skips only pairs whose product misses the support
+    of lambda: values and key order equal the unfiltered sum's."""
+    th = (Theory(Params(*pair)) if pair == (3, 2)
+          else request.getfixturevalue("T%d%d" % pair))
+    P, data = th.params, th.integral
+    rng = random.Random(11)
+    monos = list(P.monomials())
+    mixed = AlgebraElement(P, {m: P.zeta(rng.randrange(P.N)) * rng.choice((-2, 1, 3))
+                               for m in rng.sample(monos, 12)})
+    for x in [radford(data, f) for _, _, f in th.characters.entries[:2]] + [mixed]:
+        got = radford_inverse(data, x).values
+        want = _radford_inverse_unfiltered(data, x)
+        assert got == want and list(got) == list(want)
 
 
 def test_m_matrix_counit_and_unit(T12, T23):

@@ -8,8 +8,9 @@ import pytest
 from qpm.algebra import AlgebraElement, Params
 from qpm.cyclotomic import sparse_sum
 from qpm.duality import Theory, conformal_weight_exponent
-from qpm.linalg import invert_dense, mat_vec_dense
+from qpm.linalg import _eliminate, invert_dense, mat_vec_dense
 from qpm.modular import ModularData
+from qpm.reps import irreducible_labels
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +101,37 @@ def test_grothendieck_image(ma23):
     assert rep["same_span"]
     assert rep["t_diagonal"]
     assert rep["rank"] == 12
+
+
+def test_grothendieck_closure_rank_against_rounds(ma23):
+    """closure_rank (one echelon form grown a vector at a time) against a
+    round-based closure that re-eliminates V + S V + T V from scratch until
+    the rank stops growing; the image plus its S-image is not yet closed."""
+    P, ctx = ma23.params, ma23.params.ctx
+    d = ma23.dim
+    th = ma23.theory
+    chi = [ma23.coords(th.chi_hat(*lab)) for lab in irreducible_labels(P)]
+
+    def sparse(co):
+        return {i: c for i, c in enumerate(co) if c}
+
+    def echelon(vectors):
+        return [[row.get(i, ctx.zero) for i in range(d)]
+                for _, row in _eliminate([sparse(co) for co in vectors], d)]
+
+    def images(vectors):
+        return [mat_vec_dense(m, co, ctx) for m in (ma23.S, ma23.T) for co in vectors]
+
+    basis = echelon(chi)
+    with_s = len(echelon(chi + [mat_vec_dense(ma23.S, co, ctx) for co in chi]))
+    while True:
+        grown = echelon(basis + images(basis))
+        if len(grown) == len(basis):
+            break
+        basis = grown
+    rep = ma23.verify_grothendieck_subrep()
+    assert rep["rank"] < with_s < len(basis) <= d
+    assert rep["closure_rank"] == len(basis)
 
 
 @pytest.mark.xfail(strict=True, reason="the Drinfeld image of the "

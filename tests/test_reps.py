@@ -1,13 +1,17 @@
 """Module constructions: irreducible, Verma, projective, tensor classes."""
 
 import random
+from collections import Counter
+from itertools import chain
 
 import pytest
 
-from qpm.algebra import AlgebraElement
+from qpm.algebra import AlgebraElement, Params
+from qpm.cyclotomic import sparse_sum
 from qpm.linalg import SparseMat
-from qpm.reps import (cached_projective, irreducible, irreducible_labels,
-                      k_character, projective, tensor_product, verma)
+from qpm.reps import (GrothendieckIndex, ModuleRep, cached_projective, direct_sum,
+                      irreducible, irreducible_labels, projective,
+                      tensor_product, verma)
 
 
 @pytest.fixture(scope="module")
@@ -111,26 +115,85 @@ def test_tensor_products(P23, gi23):
 
 
 def test_k_character_properties(P23, gi23):
+    """The weight-graded fingerprint is additive over direct sums, and on
+    irreducibles the closed-form path agrees with the matrix path."""
     P = P23
+    fp = gi23._fingerprint_sparse
     triv = gi23.irreducibles[(1, 1, 1)]
-    assert all(v == P.ctx.one for v in k_character(triv))
-    from qpm.reps import direct_sum
+    cp = P.casimir_eigenvalue_plus(1, 1, 1)
+    cm = P.casimir_eigenvalue_minus(1, 1, 1)
+    assert fp(triv) == sparse_sum(((u, v, 0), cp ** u * cm ** v)
+                                  for u in range(P.p_plus + 1)
+                                  for v in range(P.p_minus + 1))
     a = gi23.irreducibles[(1, 2, 1)]
     b = gi23.irreducibles[(-1, 1, 2)]
-    s = direct_sum(a, b)
-    ka, kb, ks = k_character(a), k_character(b), k_character(s)
-    assert all(x + y == z for x, y, z in zip(ka, kb, ks))
-    # bare K-characters are NOT independent in general: the two
-    # Steinberg-type modules coincide at (1,2); the Casimir-twisted
-    # fingerprint used for decompositions is verified independent
+    fa, fb = fp(a), fp(b)
+    assert fp(direct_sum(a, b)) == sparse_sum(chain(fa.items(), fb.items()))
+    for lab in irreducible_labels(P):
+        m = gi23.irreducibles[lab]
+        assert fp(m) == fp(m, lab)
     assert gi23.solver.independent
 
 
 def test_bare_k_characters_dependent_at_1_2(P12):
-    from qpm.reps import irreducible
-    a = k_character(irreducible(P12, 1, 1, 2))
-    b = k_character(irreducible(P12, -1, 1, 2))
-    assert a == b  # the documented degeneracy
+    """Weight multisets alone do not separate irreducibles: the two
+    Steinberg-type modules share one at (1,2); the Casimir twists do."""
+    a = irreducible(P12, 1, 1, 2)
+    b = irreducible(P12, -1, 1, 2)
+    assert Counter(a.kweights) == Counter(b.kweights)
+    gi = GrothendieckIndex(P12)
+    fa, fb = gi._fingerprint_sparse(a), gi._fingerprint_sparse(b)
+    assert {k: v for k, v in fa.items() if k[:2] == (0, 0)} == \
+        {k: v for k, v in fb.items() if k[:2] == (0, 0)}
+    assert fa != fb
+
+
+def _fourier_oracle_modules(P):
+    x = irreducible(P, 1, P.p_plus, P.p_minus)
+    y = irreducible(P, -1, 1, P.p_minus)
+    return [tensor_product(x, y), verma(P, 1, 1, 1), projective(P, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (2, 3), (3, 2), (1, 4)])
+def test_fingerprint_is_fourier_dual_of_k_twisted_traces(pair):
+    """Tr(C+^u C-^v K^j), from the full matrix products, equals
+    sum_w G(u, v, w) zeta^(12 w j) for the weight-graded fingerprint G."""
+    P = Params(*pair)
+    gi = GrothendieckIndex(P)
+    cas = P.casimirs()
+    zeta = P.ctx.root_of_unity
+    for m in _fourier_oracle_modules(P):
+        assert not m.check_relations()
+        g = gi._fingerprint_sparse(m)
+        cp, cm = m.act(cas[0]), m.act(cas[1])
+        ident = SparseMat.identity(m.dim, P.ctx)
+        cp_u = ident
+        for u in range(P.p_plus + 1):
+            cpm = cp_u
+            for v in range(P.p_minus + 1):
+                for j in range(P.korder):
+                    lhs = (cpm * m.act(P.gen("K", j))).trace(P.ctx)
+                    rhs = P.ctx.zero
+                    for (gu, gv, w), val in g.items():
+                        if (gu, gv) == (u, v):
+                            rhs = rhs + val * zeta(12 * w * j)
+                    assert lhs == rhs, (m.label, u, v, j)
+                cpm = cpm * cm
+            cp_u = cp_u * cp
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (2, 3)])
+def test_shifted_k_weight_leaves_the_irreducible_span(pair):
+    P = Params(*pair)
+    gi = GrothendieckIndex(P)
+    labels = irreducible_labels(P)
+    t = tensor_product(gi.irreducibles[labels[-1]], gi.irreducibles[labels[1]])
+    assert sum(gi.decompose(t)) > 0
+    for i in range(t.dim):
+        kw = list(t.kweights)
+        kw[i] = (kw[i] + 1) % P.korder
+        with pytest.raises(ValueError):
+            gi.decompose(ModuleRep(P, "shifted", t.basis, t.mats, kw))
 
 
 def test_irreducibility_witness(P23, gi23):

@@ -18,6 +18,22 @@ so the monomial basis has 2 p_+^3 p_-^3 elements.  Multiplication
 straightens one generator crossing at a time through precomputed
 single-sector tables; the choice of normal order is immaterial because the
 plus and minus sectors commute.
+
+K stands on the right of every monomial, so a K exponent never needs
+straightening.  Writing a monomial as B K^j with B its K-free part,
+
+    (B1 K^j1)(B2 K^j2) = zeta^(12 j1 weight(B2)) [B1 B2] K^(j1 + j2),
+
+where weight is the conjugation weight of Params.weight, and
+
+    Delta(B K^j) = Delta(B) (K^j (x) K^j),    S(B K^j) = K^-j S(B).
+
+Params.mono_mul therefore straightens and memoises only K-free pairs (at
+most (p_+ p_-)^4 of them) and derives every other product by a phase and
+a shift of the K exponents; coproduct_mono and antipode_mono do the same
+with K-free monomials.  The element products group both operands by
+K-free part: each pair of parts is straightened once, and its two
+K-exponent vectors meet in one twisted cyclic convolution.
 """
 
 from __future__ import annotations
@@ -46,6 +62,30 @@ Monomial = tuple
 
 def _intsign(alpha: int, n: int) -> int:
     return -1 if alpha < 0 and n % 2 else 1
+
+
+def _kfree_blocks(coeffs: dict) -> dict:
+    """Group a coefficient map by K-free part: {(a, b, c, d, 0): {j: c}}."""
+    blocks = {}
+    for m, c in coeffs.items():
+        u = blocks.get(m[:4] + (0,))
+        if u is None:
+            u = blocks[m[:4] + (0,)] = {}
+        u[m[4]] = c
+    return blocks
+
+
+def _kfree_pair_blocks(coeffs: dict) -> dict:
+    """Group a tensor coefficient map by the K-free parts of its two legs:
+    {((a, b, c, d, 0), (a', b', c', d', 0)): {(j, j'): c}}."""
+    blocks = {}
+    for (m1, m2), c in coeffs.items():
+        key = (m1[:4] + (0,), m2[:4] + (0,))
+        u = blocks.get(key)
+        if u is None:
+            u = blocks[key] = {}
+        u[m1[4], m2[4]] = c
+    return blocks
 
 
 class Params:
@@ -207,17 +247,35 @@ class Params:
 
     # -- monomial product ------------------------------------------------------
 
+    def kphase(self, mono, j: int) -> int:
+        """zeta-exponent of the phase K^j mono K^-j = zeta^e mono."""
+        return 12 * (j * self.weight(mono) % self.korder)
+
     def mono_mul(self, m1, m2):
-        """Product of two PBW monomials as a {monomial: Cyclo} dict."""
+        """Product of two PBW monomials as a {monomial: Cyclo} dict.
+
+        Only the product of the K-free parts is straightened and memoised;
+        K^j1 crosses the second K-free part as a phase and both K
+        exponents shift the result."""
+        j1, j2 = m1[4], m2[4]
+        if j1 or j2:
+            m1, m2 = m1[:4] + (0,), m2[:4] + (0,)
         key = (m1, m2)
-        hit = self._mono_mul_cache.get(key)
-        if hit is not None:
-            return hit
-        a1, b1, c1, d1, j1 = m1
-        a2, b2, c2, d2, j2 = m2
+        free = self._mono_mul_cache.get(key)
+        if free is None:
+            free = self._mono_mul_cache[key] = self._straighten(m1, m2)
+        if not (j1 or j2):
+            return free
+        e = self.kphase(m2, j1)
+        ko = self.korder
+        return {(a, b, c, d, (j + j1 + j2) % ko): v.shift(e) if e else v
+                for (a, b, c, d, j), v in free.items()}
+
+    def _straighten(self, m1, m2):
+        """PBW normal form of the product of two K-free monomials."""
+        a1, b1, c1, d1, _ = m1
+        a2, b2, c2, d2, _ = m2
         p, q, N = self.p_plus, self.p_minus, self.N
-        # K^{j1} through the second monomial's sector part
-        base = 24 * j1 * (q * (b2 - a2) + p * (d2 - c2))
         # Ksec^z e^y = Q^{2 z y} e^y Ksec^z in each sector, as zeta-exponents
         slope_p = 2 * self.zQp * b2
         slope_m = 2 * self.zQm * d2
@@ -226,19 +284,16 @@ class Params:
             for (xp, yp, zp), cp in self._sp[b1][a2].items():
                 if a1 + xp >= p or yp + b2 >= p:
                     continue
-                ep = base + slope_p * zp
                 for (xm, ym, zm), cm in self._sm[d1][c2].items():
                     if c1 + xm >= q or ym + d2 >= q:
                         continue
-                    j = (j1 + j2 + q * zp + p * zm) % self.korder
-                    e = (ep + slope_m * zm) % N
+                    j = (q * zp + p * zm) % self.korder
+                    e = (slope_p * zp + slope_m * zm) % N
                     coeff = cp * cm
                     yield ((a1 + xp, yp + b2, c1 + xm, ym + d2, j),
                            coeff.shift(e) if e else coeff)
 
-        out = sparse_sum(terms())
-        self._mono_mul_cache[key] = out
-        return out
+        return sparse_sum(terms())
 
     # -- generators ---------------------------------------------------------------
 
@@ -281,10 +336,22 @@ class Params:
     # -- Hopf structure caches -----------------------------------------------------
 
     def coproduct_mono(self, mono) -> "TensorElement":
-        hit = self._coproduct_cache.get(mono)
-        if hit is not None:
-            return hit
-        a, b, c, d, j = mono
+        """Delta(B K^j) = Delta(B) (K^j (x) K^j): Delta(B) is built and
+        memoised once per K-free part B, and K^j shifts both legs."""
+        j = mono[4]
+        free = mono[:4] + (0,)
+        t = self._coproduct_cache.get(free)
+        if t is None:
+            t = self._coproduct_cache[free] = self._coproduct_kfree(free)
+        if not j:
+            return t
+        ko = self.korder
+        return TensorElement(self, {
+            ((a, b, c, d, (i + j) % ko), (ar, br, cr, dr, (k + j) % ko)): v
+            for ((a, b, c, d, i), (ar, br, cr, dr, k)), v in t.coeffs.items()})
+
+    def _coproduct_kfree(self, mono) -> "TensorElement":
+        a, b, c, d, _ = mono
         p, q, ko = self.p_plus, self.p_minus, self.korder
         one = self.ctx.one
         t = TensorElement(self, {((0, 0, 0, 0, 0), (0, 0, 0, 0, 0)): one})
@@ -303,9 +370,6 @@ class Params:
         for factor, power in ((d_fp, a), (d_ep, b), (d_fm, c), (d_em, d)):
             for _ in range(power):
                 t = t * factor
-        if j:
-            t = t * TensorElement(self, {((0, 0, 0, 0, j), (0, 0, 0, 0, j)): one})
-        self._coproduct_cache[mono] = t
         return t
 
     def casimirs(self):
@@ -329,22 +393,34 @@ class Params:
         return (self.zeta(s * self.zQm) + self.zeta(-s * self.zQm)) * sign
 
     def antipode_mono(self, mono) -> "AlgebraElement":
-        hit = self._antipode_cache.get(mono)
-        if hit is not None:
-            return hit
-        a, b, c, d, j = mono
+        """S(B K^j) = K^-j S(B): S(B) is built and memoised once per K-free
+        part B, and K^-j crosses it as one phase, since every term of S(B)
+        has the weight of B, then shifts its K exponents."""
+        j = mono[4]
+        free = mono[:4] + (0,)
+        out = self._antipode_cache.get(free)
+        if out is None:
+            out = self._antipode_cache[free] = self._antipode_kfree(free)
+        if not j:
+            return out
+        e, ko = self.kphase(free, -j), self.korder
+        return AlgebraElement(self, {
+            (a, b, c, d, (i - j) % ko): v.shift(e) if e else v
+            for (a, b, c, d, i), v in out.coeffs.items()})
+
+    def _antipode_kfree(self, mono) -> "AlgebraElement":
+        a, b, c, d, _ = mono
         p, q, ko = self.p_plus, self.p_minus, self.korder
         one = self.ctx.one
-        # S reverses the order: S(K^j) S(em)^d S(fm)^c S(ep)^b S(fp)^a
+        # S reverses the order: S(em)^d S(fm)^c S(ep)^b S(fp)^a
         s_fp = AlgebraElement(self, {(1, 0, 0, 0, q % ko): -one})    # -fp K^{p_-}
         s_ep = self.gen("K", -q) * self.gen("ep") * (-1)             # -K^{-p_-} ep
         s_fm = self.gen("K", self.p_plus) * self.gen("fm") * (-1)    # -K^{p_+} fm
         s_em = AlgebraElement(self, {(0, 0, 0, 1, (-p) % ko): -one}) # -em K^{-p_+}
-        out = AlgebraElement(self, {(0, 0, 0, 0, (-j) % ko): one})
+        out = self.one
         for factor, power in ((s_em, d), (s_fm, c), (s_ep, b), (s_fp, a)):
             for _ in range(power):
                 out = out * factor
-        self._antipode_cache[mono] = out
         return out
 
 
@@ -387,13 +463,31 @@ class AlgebraElement:
             return NotImplemented
         if self.params is not other.params:
             raise ValueError("parameter context mismatch")
-        mono_mul = self.params.mono_mul
-        return AlgebraElement(self.params, sparse_sum(
-            (m, c12 * c)
-            for m1, c1 in self.coeffs.items()
-            for m2, c2 in other.coeffs.items()
-            for c12 in (c1 * c2,)
-            for m, c in mono_mul(m1, m2).items()))
+        P = self.params
+        mono_mul, kphase, ko = P.mono_mul, P.kphase, P.korder
+        right = _kfree_blocks(other.coeffs)
+
+        def terms():
+            for b1, u1 in _kfree_blocks(self.coeffs).items():
+                for b2, u2 in right.items():
+                    free = mono_mul(b1, b2)
+                    if not free:
+                        continue
+                    # (B1 u1)(B2 u2) = B1 B2 times the twisted cyclic
+                    # convolution of the K-exponent vectors u1 and u2;
+                    # its terms can only collide if both have two or more
+                    ks = [((j1 + j2) % ko, c1 * c2)
+                          for j1, c in u1.items()
+                          for e in (kphase(b2, j1),)
+                          for c1 in (c.shift(e) if e else c,)
+                          for j2, c2 in u2.items()]
+                    if len(u1) > 1 and len(u2) > 1:
+                        ks = sparse_sum(ks).items()
+                    for (a, b, c, d, j), s in free.items():
+                        for k, ck in ks:
+                            yield (a, b, c, d, (j + k) % ko), s * ck
+
+        return AlgebraElement(P, sparse_sum(terms()))
 
     __rmul__ = __mul__
 
@@ -504,22 +598,34 @@ class TensorElement:
             if not other:
                 return TensorElement(self.params, {})
             return TensorElement(self.params, {m: c * other for m, c in self.coeffs.items()})
-        mono_mul = self.params.mono_mul
+        P = self.params
+        mono_mul, kphase, ko, N = P.mono_mul, P.kphase, P.korder, P.N
+        right = _kfree_pair_blocks(other.coeffs)
 
         def terms():
-            for (a1, a2), c1 in self.coeffs.items():
-                for (b1, b2), c2 in other.coeffs.items():
-                    left = mono_mul(a1, b1)
-                    right = left and mono_mul(a2, b2)
-                    if not right:
+            for (b1, b1r), u1 in _kfree_pair_blocks(self.coeffs).items():
+                for (b2, b2r), u2 in right.items():
+                    first = mono_mul(b1, b2)
+                    second = first and mono_mul(b1r, b2r)
+                    if not second:
                         continue
-                    c12 = c1 * c2
-                    for mL, cL in left.items():
-                        cl = c12 * cL
-                        for mR, cR in right.items():
-                            yield (mL, mR), cl * cR
+                    # the two-leg twisted cyclic convolution of the
+                    # K-exponent pairs, as in AlgebraElement.__mul__
+                    ks = [(((i1 + i2) % ko, (j1 + j2) % ko), c1 * c2)
+                          for (i1, j1), c in u1.items()
+                          for e in ((kphase(b2, i1) + kphase(b2r, j1)) % N,)
+                          for c1 in (c.shift(e) if e else c,)
+                          for (i2, j2), c2 in u2.items()]
+                    if len(u1) > 1 and len(u2) > 1:
+                        ks = sparse_sum(ks).items()
+                    for (a, b, c, d, i), sl in first.items():
+                        for (ar, br, cr, dr, j), sr in second.items():
+                            s = sl * sr
+                            for (ki, kj), ck in ks:
+                                yield ((a, b, c, d, (i + ki) % ko),
+                                       (ar, br, cr, dr, (j + kj) % ko)), s * ck
 
-        return TensorElement(self.params, sparse_sum(terms()))
+        return TensorElement(P, sparse_sum(terms()))
 
     __rmul__ = __mul__
 

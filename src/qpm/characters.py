@@ -218,25 +218,32 @@ def is_qcharacter(beta: Functional, spot_checks: int = 0, rng=None) -> bool:
     this implies the full two-sided condition.  Optional random full-pair
     spot checks guard the reduction itself."""
     P = beta.params
+    ko, zero, values = P.korder, P.ctx.zero, beta.values
     scal = _square_antipode_scalars(P)
     gens = {n: P.gen(n) for n in ("ep", "fp", "em", "fm", "K")}
+
+    def at(terms, j):
+        """beta of the product `terms` with its K exponents shifted by j."""
+        return sum((c * v for (a, b, cc, d, i), c in terms
+                    for v in (values.get((a, b, cc, d, (i + j) % ko)),) if v is not None),
+                   start=zero)
+
     for name, g in gens.items():
         if g.is_zero():
             continue  # degenerate sector at p_pm = 1
         s = scal[name]
+        gm = next(iter(g.coeffs))
         for mono in P.monomials():
-            lhs = P.ctx.zero
-            for m, c in P.mono_mul(mono, next(iter(g.coeffs))).items():
-                v = beta.values.get(m)
-                if v is not None:
-                    lhs = lhs + c * v
-            rhs = P.ctx.zero
-            for m, c in P.mono_mul(next(iter(g.coeffs)), mono).items():
-                v = beta.values.get(m)
-                if v is not None:
-                    rhs = rhs + c * v
-            if lhs != rhs * s:
-                return False
+            if mono[4]:
+                continue
+            # (B K^j) g = zeta^e (B g) K^j and g (B K^j) = (g B) K^j
+            right = P.mono_mul(mono, gm).items()
+            left = P.mono_mul(gm, mono).items()
+            for j in range(ko):
+                e = P.kphase(gm, j)
+                lhs = at(right, j)
+                if (lhs.shift(e) if e else lhs) != at(left, j) * s:
+                    return False
     if spot_checks and rng is not None:
         monos = list(P.monomials())
         for _ in range(spot_checks):

@@ -18,8 +18,10 @@ values (ko = 2 p_+ p_-), so each pair of K-free leg terms costs one
 product, ko root-of-unity shifts and ko^2 additions.  The Drinfeld map
 (beta (x) id)(M) is the linear combination of slices weighted by beta.
 Both tensor-square identities are checked exactly in the tensor square
-itself: M Delta(x) = Delta(x) M as a product of tensor elements for every
-generator x, and M Delta(v) = v (x) v one first-leg slice at a time.
+itself: M Delta(x) = Delta(x) M as products of tensor elements for
+x = e_pm, f_pm and through the weights of M's keys for x = K, and
+M Delta(v) = v (x) v as (1 (x) v^-1) M = (v (x) 1) Delta(v^-1), one
+first-leg slice at a time.
 
 The canonical element u (whence the ribbon element v = u g^-1) is taken in
 closed form; its defining properties -- centrality, S(v) = v,
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 from .algebra import AlgebraElement, Params, TensorElement
 from .characters import CharacterSpace, Functional
@@ -203,21 +205,29 @@ def _sector_weight(mono):
 def radford_inverse(data: IntegralData, x: AlgebraElement) -> Functional:
     """phi^-1(x) = lambda(S(x) . ).
 
-    A product m1 mono meets the support of lambda only when the weights of
-    m1 and mono add up to a weight of that support, so no other pair is
-    multiplied out."""
+    lambda(S(x) B K^j) reads the product S(x) B with its K exponents
+    shifted by j, so S(x) is multiplied only by the K-free monomials B, and
+    only its terms whose weight plus that of B is a weight of the support
+    of lambda take part.  Values are listed in monomial order."""
     P = data.params
-    sx = [(m1, c1, _sector_weight(m1)) for m1, c1 in x.antipode().coeffs.items()]
-    lam = data.integral.values
+    ko, one = P.korder, P.ctx.one
+    by_weight = {}
+    for m, c in x.antipode().coeffs.items():
+        by_weight.setdefault(_sector_weight(m), {})[m] = c
+    lam = {}
+    for m, v in data.integral.values.items():
+        lam.setdefault(m[:4] + (0,), []).append((m[4], v))
     lam_weights = {_sector_weight(m) for m in lam}
-    mono_mul = P.mono_mul
-    return Functional(P, sparse_sum(
-        (mono, c1 * c * v)
-        for mono in P.monomials()
-        for wa, wc in (_sector_weight(mono),)
-        for m1, c1, (w1a, w1c) in sx if (w1a + wa, w1c + wc) in lam_weights
-        for m, c in mono_mul(m1, mono).items()
-        for v in (lam.get(m),) if v is not None))
+    values = sparse_sum(
+        (b[:4] + ((jl - i) % ko,), c * v)
+        for b in P.monomials() if not b[4]
+        for wa, wc in (_sector_weight(b),)
+        for la, lc in lam_weights
+        for part in (by_weight.get((la - wa, lc - wc)),) if part
+        for (ma, mb, mc, md, i), c in (AlgebraElement(P, part)
+                                       * AlgebraElement(P, {b: one})).coeffs.items()
+        for jl, v in lam.get((ma, mb, mc, md, 0), ()))
+    return Functional(P, dict(sorted(values.items())))
 
 
 # ----------------------------------------------------------------------
@@ -295,57 +305,84 @@ class MMatrix:
     # -- exact tensor-square identity checks --------------------------------
 
     def intertwining_failures(self):
-        """First-leg monomials of M Delta(x) - Delta(x) M, over the
-        generators x; empty means M commutes with the coproduct in the
-        tensor square."""
+        """First-leg monomials where M fails to commute with the coproduct;
+        empty means M Delta(x) = Delta(x) M in the tensor square for every
+        generator x.
+
+        Delta(K) = K (x) K conjugates a term m1 (x) m2 of M by the phase
+        zeta^(12 (weight(m1) + weight(m2))), so M commutes with it exactly
+        when the two weights of every key add up to 0 mod ko: such keys'
+        first legs are reported.  For e_pm and f_pm both products are
+        formed in the tensor square, block by block (TensorElement.__mul__),
+        and the first legs of their difference are reported."""
         P = self.params
+        ko = P.korder
+        failures = [m1 for m1, row in self.slices.items()
+                    if any((P.weight(m1) + P.weight(m2)) % ko for m2 in row)]
         M = self.as_tensor_element()
-        failures = []
-        for name in ("ep", "fp", "em", "fm", "K"):
+        for name in ("ep", "fp", "em", "fm"):
             g = P.gen(name)
             if g.is_zero():
                 continue
             dg = g.coproduct()
-            failures.extend(dict.fromkeys(m1 for m1, _m2 in (M * dg - dg * M).coeffs))
+            left, right = (M * dg).coeffs, (dg * M).coeffs
+            failures.extend(dict.fromkeys(
+                k[0] for k in chain(left, right) if left.get(k) != right.get(k)))
         return failures
 
     def ribbon_identity_failures(self, v: AlgebraElement, v_inv: AlgebraElement):
-        """Monomials where (delta_m (x) id) of [M - (v (x) v) Delta(v^-1)]
-        is nonzero; empty means M Delta(v) = v (x) v holds exactly.
+        """Failures of M Delta(v) = v (x) v: ["v v_inv != 1"] if v_inv is
+        not the inverse of v, else the monomials m where (delta_m (x) id)
+        of (1 (x) v^-1) M - (v (x) 1) Delta(v^-1) is nonzero; empty means
+        the identity holds exactly.
 
-        v is central (checked separately by the ledger), so v n = n v and
-        one product per monomial serves both legs."""
+        Given v v^-1 = 1 the identity is equivalent to
+        (1 (x) v^-1) M = (v (x) 1) Delta(v^-1), compared here one first-leg
+        slice at a time.  That form is homogeneous in v^-1, so v v^-1 = 1
+        is checked first.  Only K-free monomials B are multiplied by v and
+        v^-1: x (B K^j) is x B with every K exponent shifted by j."""
         P = self.params
-        one = P.ctx.one
-        nv = {}
+        if v * v_inv != P.one:
+            return ["v v_inv != 1"]
+        one, ko = P.ctx.one, P.korder
 
-        def times_v(n):
-            hit = nv.get(n)
-            if hit is None:
-                hit = nv[n] = (AlgebraElement(P, {n: one}) * v).coeffs
-            return hit
+        def products(x, monos):
+            """{B: [((a, b, c, d), i, y)]}: the terms y f_+^a e_+^b f_-^c
+            e_-^d K^i of x B, for the K-free part B of each of `monos`."""
+            return {b: [(k[:4], k[4], y)
+                        for k, y in (x * AlgebraElement(P, {b: one})).coeffs.items()]
+                    for b in {m[:4] + (0,) for m in monos}}
 
-        # rhs_parts[m] lists (delta_m(v n1), second legs of Delta(v^-1) at n1)
+        # (1 (x) v^-1) M at m sums c (v^-1 B) K^j over the slice's terms
+        # c B K^j
+        second_legs = {}
+        for row in self.slices.values():
+            second_legs.update(dict.fromkeys(row))
+        v_inv_b = products(v_inv, second_legs)
+
+        def lhs(m):
+            return sparse_sum(
+                (k + ((i + n[4]) % ko,), c * y)
+                for n, c in self.slices.get(m, {}).items()
+                for k, i, y in v_inv_b[n[:4] + (0,)])
+
+        # (v (x) 1) Delta(v^-1) at m = C K^l sums y c n2 over the terms
+        # c B K^j (x) n2 of Delta(v^-1) and y C K^i of v B with i + j = l
         by_first = {}
         for (n1, n2), c in v_inv.coproduct().coeffs.items():
             by_first.setdefault(n1, []).append((n2, c))
-        rhs_parts = {}
-        for n1, pairs in by_first.items():
-            for m, cm in times_v(n1).items():
-                rhs_parts.setdefault(m, []).append((cm, pairs))
-        failures = []
-        for m in P.monomials():
-            second = sparse_sum(
-                (n2, cm * c)
-                for cm, pairs in rhs_parts.get(m, ())
-                for n2, c in pairs)
-            rhs = sparse_sum(
-                (k, c * cv)
-                for n2, c in second.items()
-                for k, cv in times_v(n2).items())
-            if rhs != self.slices.get(m, {}):
-                failures.append(m)
-        return failures
+        v_b = {}
+        for b, terms in products(v, by_first).items():
+            for k, i, y in terms:
+                v_b.setdefault(k, []).append((b, i, y))
+
+        def rhs(m):
+            return sparse_sum(
+                (n2, y * c)
+                for b, i, y in v_b.get(m[:4], ())
+                for n2, c in by_first.get(b[:4] + ((m[4] - i) % ko,), ()))
+
+        return [m for m in P.monomials() if lhs(m) != rhs(m)]
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,6 @@ __all__ = [
     "gr_class",
     "gr_multiply",
     "chebyshev_U",
-    "chebyshev_eval",
     "verify_presentation",
     "verify_casimir_identities",
 ]
@@ -143,17 +142,6 @@ def chebyshev_U(s: int):
             nxt[i] -= c
         prev, cur = cur, nxt
     return cur
-
-
-def chebyshev_eval(coeffs, x, zero, one):
-    """Evaluate an integer-coefficient polynomial at x in any commutative
-    ring given its zero and one."""
-    acc = zero
-    for c in reversed(coeffs):
-        acc = acc * x if acc is not zero else zero
-        if c:
-            acc = acc + one.scale(c) if hasattr(one, "scale") else acc + one * c
-    return acc
 
 
 def _poly_eval_ring(coeffs, x, ring_zero, ring_one, mul, add, scale):

@@ -443,7 +443,13 @@ class ModularAction:
     def verify_factorization(self):
         """S = S* Sbar through the unipotent ribbon factor, the stated
         Radford combination for S(v*), S(v) = v^-1, and the three-factor
-        split into pairwise-commuting representations."""
+        split into pairwise-commuting representations.
+
+        S* = Xi^-1 and Sbar = Xi C with C = S^-1, so S* Sbar = C, and the
+        three-factor product telescopes to C the same way: given S^2 = id
+        (checked by sl2z_relations), the failures "S != S* Sbar" and
+        "three-factor product" cannot fire for any invertible Xi.  A wrong
+        Xi shows in the T-factor product and the pairwise commutators."""
         P = self.params
         th = self.theory
         ctx = P.ctx

@@ -265,6 +265,9 @@ def test_tensor_square_checks_can_fail(request, theory):
     rib = th.ribbon
     vinv = th.central_inverse(rib.v)
     assert th.m_matrix.ribbon_identity_failures(rib.v * 2, vinv)
+    # the compared form (1 (x) v^-1) M = (v (x) 1) Delta(v^-1) is
+    # homogeneous in v^-1, so this case fails only through v v^-1 = 1
+    assert th.m_matrix.ribbon_identity_failures(rib.v, vinv * 2)
     # a fresh matrix with its last coefficient doubled (the first one is
     # the central 1 (x) 1 term)
     broken = MMatrix(P)
@@ -272,3 +275,8 @@ def test_tensor_square_checks_can_fail(request, theory):
     m2 = next(reversed(row))
     row[m2] = row[m2] * 2
     assert broken.intertwining_failures()
+    # with v v^-1 = 1 the identity fails slice by slice
+    assert broken.ribbon_identity_failures(rib.v, vinv)[0] != "v v_inv != 1"
+    w = rib.v_unipotent
+    failures = th.m_matrix.ribbon_identity_failures(w, th.central_inverse(w))
+    assert failures and failures[0] != "v v_inv != 1"

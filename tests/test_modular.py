@@ -8,8 +8,8 @@ import pytest
 from qpm.algebra import AlgebraElement, Params
 from qpm.cyclotomic import sparse_sum
 from qpm.duality import Theory, conformal_weight_exponent
-from qpm.linalg import _eliminate, invert_dense, mat_vec_dense
-from qpm.modular import ModularData
+from qpm.linalg import _eliminate, invert_dense, mat_mul_dense, mat_vec_dense
+from qpm.modular import ModularAction, ModularData
 from qpm.reps import irreducible_labels
 
 
@@ -147,6 +147,25 @@ def test_factorization(ma12, ma23):
     for ma in (ma12, ma23):
         rep = ma.verify_factorization()
         assert rep["ok"], rep["failures"]
+
+
+def test_factorization_reports_a_wrong_xi(T23, ma23, monkeypatch):
+    """S* Sbar = S and the three-factor product hold for every invertible
+    Xi once S^2 = id; a Xi without its first-leg matrix must still be
+    reported, through the commutators."""
+    ctx = T23.params.ctx
+    xi_matrix = ModularAction._xi_matrix
+
+    def first_leg_dropped(self, vstar):
+        v = invert_dense(T23.central_mult_matrix(vstar), ctx)
+        return mat_mul_dense(v, xi_matrix(self, vstar), ctx)
+
+    monkeypatch.setattr(ModularAction, "_xi_matrix", first_leg_dropped)
+    failures = ma23.verify_factorization()["failures"]
+    assert failures
+    assert "S != S* Sbar" not in failures
+    assert "three-factor product" not in failures
+    assert any(f.startswith("[") for f in failures)
 
 
 def test_anomaly_scalar(ma12, ma23, T12, T23):

@@ -212,12 +212,13 @@ def cmd_verify(args):
         print(f"error: p_plus*p_minus = {P.pp} > 8 requires --deep",
               file=sys.stderr)
         return 2
-    selection = set(args.checks) if args.checks else None
-    if selection:
+    selection = None if args.checks is None else set(args.checks)
+    if selection is not None:
         bad = selection - set(available_suites())
-        if bad:
-            print(f"error: unknown checks {sorted(bad)}; available: "
-                  f"{available_suites()}", file=sys.stderr)
+        if bad or not selection:
+            what = f"unknown checks {sorted(bad)}" if bad else "--checks names no suite"
+            print(f"error: {what}; available: {available_suites()}",
+                  file=sys.stderr)
             return 2
     ok, results = run_suites(P.p_plus, P.p_minus, selection=selection)
     print(f"{'ALL CHECKS PASSED' if ok else 'FAILURES PRESENT'} "

@@ -34,6 +34,13 @@ Fast paths, chosen from the operands' shape:
   other factor, with no raw product map;
 * `inv` and `**` of a one-term element are (c/d)^n * zeta^(nk) for either
   sign of n, with no extended Euclid and no repeated squaring.
+
+`nonzero_sums` decides which keys of a family of sums of products
+sum_i a_i * b_i are nonzero, without building the products: each product
+goes into a raw integer map per key and denominator, and each key is
+brought to a common denominator and folded through the reduction rows
+once, at the end.  It gives decisions only, never values, so nothing it
+does reaches the canonical key order or the printed floats.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ __all__ = [
     "CycloContext",
     "Cyclo",
     "sparse_sum",
+    "nonzero_sums",
     "LaurentZ",
     "euler_phi",
     "cyclotomic_polynomial",
@@ -535,6 +543,56 @@ def sparse_sum(terms) -> dict:
         prev = get(key)
         acc[key] = c if prev is None else prev + c
     return {k: v for k, v in acc.items() if v}
+
+
+def nonzero_sums(triples) -> list:
+    """The keys whose sum of a*b over an iterable of (key, a, b) triples of
+    Cyclos is nonzero, in first-seen order: an exact zero test that builds
+    no Cyclo per product.
+
+    Each product is accumulated as raw integers, exponent e1 + e2 to
+    c1 * c2, in a map per key and denominator a.den * b.den.  At the end
+    the maps of each key are brought to the lcm of its denominators and
+    folded once through the reduction rows (so, as for _canonical, an
+    operand's exponents may be any integers); the key is reported when a
+    coefficient survives.  Only the decision is returned, not the sums."""
+    acc = {}
+    ctx = None
+    for key, a, b in triples:
+        groups = acc.get(key)
+        if groups is None:
+            groups = acc[key] = {}
+        x, y = a.num, b.num
+        if not x or not y:
+            continue
+        ctx = a.ctx
+        d = a.den * b.den
+        raw = groups.get(d)
+        if raw is None:
+            raw = groups[d] = {}
+        get = raw.get
+        if len(x) == 1:
+            x, y = y, x
+        if len(y) == 1:
+            (k, s), = y.items()
+            for e, c in x.items():
+                e += k
+                raw[e] = get(e, 0) + c * s
+        else:
+            for e1, c1 in x.items():
+                for e2, c2 in y.items():
+                    e = e1 + e2
+                    raw[e] = get(e, 0) + c1 * c2
+    out = []
+    for key, groups in acc.items():
+        lcm = math.lcm(*groups)
+        folded = {}
+        total = None
+        for d, raw in groups.items():
+            total = ctx._canonical(raw, 1, s=lcm // d, acc=folded)
+        if total:
+            out.append(key)
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -18,10 +18,11 @@ values (ko = 2 p_+ p_-), so each pair of K-free leg terms costs one
 product, ko root-of-unity shifts and ko^2 additions.  The Drinfeld map
 (beta (x) id)(M) is the linear combination of slices weighted by beta.
 Both tensor-square identities are checked exactly in the tensor square
-itself: M Delta(x) = Delta(x) M as products of tensor elements for
+itself: M Delta(x) = Delta(x) M from the terms of both products for
 x = e_pm, f_pm and through the weights of M's keys for x = K, and
 M Delta(v) = v (x) v as (1 (x) v^-1) M = (v (x) 1) Delta(v^-1), one
-first-leg slice at a time.
+first-leg slice at a time.  Each side's terms are scalar products whose
+difference nonzero_sums tests for zero, so neither side is summed.
 
 The canonical element u (whence the ribbon element v = u g^-1) is taken in
 closed form; its defining properties -- centrality, S(v) = v,
@@ -37,7 +38,7 @@ from itertools import chain, product
 
 from .algebra import AlgebraElement, Params, TensorElement
 from .characters import CharacterSpace, Functional
-from .cyclotomic import Cyclo, sparse_sum
+from .cyclotomic import Cyclo, nonzero_sums, sparse_sum
 from .linalg import SpanSolver, invert_dense, mat_mul_dense, mat_vec_dense
 from .reps import GrothendieckIndex, irreducible_labels
 
@@ -312,9 +313,10 @@ class MMatrix:
         Delta(K) = K (x) K conjugates a term m1 (x) m2 of M by the phase
         zeta^(12 (weight(m1) + weight(m2))), so M commutes with it exactly
         when the two weights of every key add up to 0 mod ko: such keys'
-        first legs are reported.  For e_pm and f_pm both products are
-        formed in the tensor square, block by block (TensorElement.__mul__),
-        and the first legs of their difference are reported."""
+        first legs are reported.  For e_pm and f_pm the terms of M Delta(g)
+        and of -Delta(g) M come block by block from
+        TensorElement.product_terms, and the first legs of the keys where
+        they do not cancel (nonzero_sums) are reported."""
         P = self.params
         ko = P.korder
         failures = [m1 for m1, row in self.slices.items()
@@ -325,9 +327,9 @@ class MMatrix:
             if g.is_zero():
                 continue
             dg = g.coproduct()
-            left, right = (M * dg).coeffs, (dg * M).coeffs
-            failures.extend(dict.fromkeys(
-                k[0] for k in chain(left, right) if left.get(k) != right.get(k)))
+            minus_dg = TensorElement(P, {k: -c for k, c in dg.coeffs.items()})
+            failures.extend(dict.fromkeys(k[0] for k in nonzero_sums(chain(
+                M.product_terms(dg), minus_dg.product_terms(M)))))
         return failures
 
     def ribbon_identity_failures(self, v: AlgebraElement, v_inv: AlgebraElement):
@@ -338,9 +340,11 @@ class MMatrix:
 
         Given v v^-1 = 1 the identity is equivalent to
         (1 (x) v^-1) M = (v (x) 1) Delta(v^-1), compared here one first-leg
-        slice at a time.  That form is homogeneous in v^-1, so v v^-1 = 1
-        is checked first.  Only K-free monomials B are multiplied by v and
-        v^-1: x (B K^j) is x B with every K exponent shifted by j."""
+        slice at a time: the terms of the left side and the negated terms
+        of the right side go to nonzero_sums together.  That form is
+        homogeneous in v^-1, so v v^-1 = 1 is checked first.  Only K-free
+        monomials B are multiplied by v and v^-1: x (B K^j) is x B with
+        every K exponent shifted by j."""
         P = self.params
         if v * v_inv != P.one:
             return ["v v_inv != 1"]
@@ -361,28 +365,27 @@ class MMatrix:
         v_inv_b = products(v_inv, second_legs)
 
         def lhs(m):
-            return sparse_sum(
-                (k + ((i + n[4]) % ko,), c * y)
-                for n, c in self.slices.get(m, {}).items()
-                for k, i, y in v_inv_b[n[:4] + (0,)])
+            return ((k + ((i + n[4]) % ko,), c, y)
+                    for n, c in self.slices.get(m, {}).items()
+                    for k, i, y in v_inv_b[n[:4] + (0,)])
 
-        # (v (x) 1) Delta(v^-1) at m = C K^l sums y c n2 over the terms
+        # -(v (x) 1) Delta(v^-1) at m = C K^l sums -y c n2 over the terms
         # c B K^j (x) n2 of Delta(v^-1) and y C K^i of v B with i + j = l
         by_first = {}
         for (n1, n2), c in v_inv.coproduct().coeffs.items():
             by_first.setdefault(n1, []).append((n2, c))
-        v_b = {}
+        minus_v_b = {}
         for b, terms in products(v, by_first).items():
             for k, i, y in terms:
-                v_b.setdefault(k, []).append((b, i, y))
+                minus_v_b.setdefault(k, []).append((b, i, -y))
 
-        def rhs(m):
-            return sparse_sum(
-                (n2, y * c)
-                for b, i, y in v_b.get(m[:4], ())
-                for n2, c in by_first.get(b[:4] + ((m[4] - i) % ko,), ()))
+        def minus_rhs(m):
+            return ((n2, y, c)
+                    for b, i, y in minus_v_b.get(m[:4], ())
+                    for n2, c in by_first.get(b[:4] + ((m[4] - i) % ko,), ()))
 
-        return [m for m in P.monomials() if lhs(m) != rhs(m)]
+        return [m for m in P.monomials()
+                if nonzero_sums(chain(lhs(m), minus_rhs(m)))]
 
 
 # ----------------------------------------------------------------------

@@ -313,9 +313,9 @@ def suite_fusion(theory: Theory):
     for la in labels:
         for lb in labels:
             prod = theory.chi_hat(*la) * theory.chi_hat(*lb)
-            expect = P.zero
-            for lc, mult in gr_multiply(gr_class(P, *la), gr_class(P, *lb)).mult.items():
-                expect = expect + theory.chi_hat(*lc) * mult
+            expect = P.linear_combination(
+                (theory.chi_hat(*lc), mult)
+                for lc, mult in gr_multiply(gr_class(P, *la), gr_class(P, *lb)).mult.items())
             if not (prod - expect).is_zero():
                 drinfeld_ok = False
     checks.append(("Drinfeld-image products follow the same formula (all pairs)",

@@ -32,3 +32,13 @@ def T12(P12):
 @pytest.fixture(scope="session")
 def T23(P23):
     return Theory(P23)
+
+
+@pytest.fixture(scope="session")
+def T32():
+    return Theory(Params(3, 2))
+
+
+@pytest.fixture(scope="session")
+def T14():
+    return Theory(Params(1, 4))

@@ -108,6 +108,14 @@ def test_verify_unknown_suite(capsys):
     assert code == 2
 
 
+def test_verify_checks_without_suite(capsys):
+    code = main(["--p-plus", "1", "--p-minus", "2", "verify", "--checks"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "no suite" in captured.err and "hopf-axioms" in captured.err
+    assert captured.out == ""
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "qpm.cli", "--p-plus", "1",
                            "--p-minus", "2", "info"],

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpm.cyclotomic import (Cyclo, CycloContext, LaurentZ, cyclotomic_polynomial,
-                            euler_phi, gauss_sqrt, q_binomial, q_binomial_poly,
-                            q_factorial_poly, q_int, q_int_poly, sparse_sum,
-                            sqrt2, sqrt_half_pp)
+                            euler_phi, gauss_sqrt, nonzero_sums, q_binomial,
+                            q_binomial_poly, q_factorial_poly, q_int,
+                            sparse_sum, sqrt2, sqrt_half_pp)
 
 CTX = CycloContext(144)
 
@@ -267,6 +267,92 @@ def test_sparse_sum_drops_cancelled_keys():
     assert sparse_sum([("a", CTX.zero)]) == {}
     # first-seen key order, whatever order later terms arrive in
     assert list(sparse_sum([("b", y), ("a", x), ("b", y)])) == ["b", "a"]
+
+
+# -- the exact zero test of sums of products ---------------------------------
+
+KERNEL_CONTEXTS = {order: CycloContext(order) for order in (48, 120, 144, 240)}
+
+
+def _sums_oracle(triples):
+    """The keys with a nonzero sum, from canonical products and sparse_sum;
+    raw operands are brought to canonical form first."""
+    def canonical(x):
+        return x.ctx.reduce(x.num, x.den)
+
+    return list(sparse_sum((key, canonical(a) * canonical(b))
+                           for key, a, b in triples))
+
+
+def _operand(ctx, rng):
+    """Zero, +-1, a rational, c*zeta^k/d, a sum of terms, or raw terms
+    (not canonical) with exponents anywhere in [-2N, 3N)."""
+    n, den = ctx.order, rng.randint(1, 12)
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.choice([ctx.zero, ctx.one, ctx.integer(-1)])
+    if kind == 1:
+        return ctx.integer(Fraction(rng.choice([-5, -3, -1, 1, 2, 7]), den))
+    if kind == 2:
+        return ctx.reduce({rng.randrange(n): rng.choice([-3, -1, 1, 2])}, den)
+    if kind == 3:
+        return ctx.reduce({rng.randrange(n): rng.randint(-9, 9)
+                           for _ in range(rng.randint(2, 5))}, den)
+    return Cyclo(ctx, {rng.randrange(-2 * n, 3 * n): rng.choice([-4, -1, 1, 3])
+                       for _ in range(rng.randint(1, 3))}, den)
+
+
+@pytest.mark.parametrize("order", sorted(KERNEL_CONTEXTS))
+def test_nonzero_sums_against_canonical_sums(order):
+    import random
+    ctx = KERNEL_CONTEXTS[order]
+    rng = random.Random(order)
+    seen = {"zero": 0, "nonzero": 0}
+    for _ in range(40):
+        triples = []
+        for _ in range(rng.randint(1, 24)):
+            key, a, b = rng.choice("abcdef"), _operand(ctx, rng), _operand(ctx, rng)
+            triples.append((key, a, b))
+            # cancel some products in another form: folded and with the
+            # denominator reduced, or with the factors swapped
+            r = rng.random()
+            if r < 0.3:
+                triples.append((key, a * b, ctx.integer(-1)))
+            elif r < 0.5:
+                triples.append((key, -b, a))
+        rng.shuffle(triples)
+        got = nonzero_sums(triples)
+        assert got == _sums_oracle(triples)
+        keys = {key for key, _, _ in triples}
+        seen["nonzero"] += len(got)
+        seen["zero"] += len(keys) - len(got)
+    assert seen["zero"] >= 10 and seen["nonzero"] >= 10, seen
+
+
+@pytest.mark.parametrize("order", sorted(KERNEL_CONTEXTS))
+def test_nonzero_sums_decides_after_fold_and_common_denominator(order):
+    ctx = KERNEL_CONTEXTS[order]
+    z, one, phi = ctx.root_of_unity, ctx.one, ctx.phi
+
+    def frac(n, d):
+        return ctx.integer(Fraction(n, d))
+
+    triples = [
+        # zeta^(phi-1) zeta = zeta^phi cancels its reduction row only
+        # once the raw exponent phi is folded
+        ("row", z(phi - 1), z(1)), ("row", -z(phi), one),
+        # 1/2 + 1/3 - 5/6, over three denominators
+        ("dens", frac(1, 2), one), ("dens", frac(1, 3), one),
+        ("dens", frac(-5, 6), one),
+        # raw exponents of N or more and below 0: 2 zeta^(3N) / 3 = 2/3
+        ("shift", Cyclo(ctx, {order + 3: 2}, 1), Cyclo(ctx, {2 * order - 3: 1}, 3)),
+        ("shift", Cyclo(ctx, {-order: -2}, 1), frac(1, 3)),
+        ("zero", ctx.zero, z(3)),
+        # zeta^phi - zeta^phi / 2 survives, but only through its denominators
+        ("half", z(phi - 1), z(1)), ("half", -z(phi), frac(1, 2)),
+    ]
+    assert nonzero_sums(triples) == _sums_oracle(triples) == ["half"]
+    assert nonzero_sums([]) == []
 
 
 def test_reduction_table_ignores_outside_files(tmp_path, monkeypatch):

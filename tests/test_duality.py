@@ -1,14 +1,15 @@
 """Integral data, Radford map, M-matrix, Drinfeld images, ribbon element."""
 
+import copy
 import random
+from fractions import Fraction
 
 import pytest
 
-from qpm.algebra import AlgebraElement, Params
+from qpm.algebra import AlgebraElement
 from qpm.center import is_central
 from qpm.cyclotomic import sparse_sum
-from qpm.duality import (MMatrix, Theory, canonical_element,
-                         cc_poly_coeffs, chi_sector,
+from qpm.duality import (canonical_element, cc_poly_coeffs, chi_sector,
                          conformal_weight_exponent,
                          delta_cointegral_closed_form,
                          drinfeld_irreducible_closed_form, radford,
@@ -70,8 +71,7 @@ def _radford_inverse_unfiltered(data, x):
 def test_radford_inverse_weight_filter_matches_full_sum(pair, request):
     """The weight filter skips only pairs whose product misses the support
     of lambda: values and key order equal the unfiltered sum's."""
-    th = (Theory(Params(*pair)) if pair == (3, 2)
-          else request.getfixturevalue("T%d%d" % pair))
+    th = request.getfixturevalue("T%d%d" % pair)
     P, data = th.params, th.integral
     rng = random.Random(11)
     monos = list(P.monomials())
@@ -258,25 +258,36 @@ def test_canonical_element_belongs_to_algebra(T12):
     assert (u * P.gen("K", P.p_minus - P.p_plus) - th.ribbon.v).is_zero()
 
 
-@pytest.mark.parametrize("theory", ["T12", "T23"])
+def _perturbed(mm, factor):
+    """A copy of the M-matrix with its last coefficient times factor (the
+    first one is the central 1 (x) 1 term)."""
+    broken = copy.copy(mm)
+    broken.slices = {m1: dict(row) for m1, row in mm.slices.items()}
+    row = broken.slices[next(reversed(broken.slices))]
+    m2 = next(reversed(row))
+    row[m2] = row[m2] * factor
+    return broken
+
+
+@pytest.mark.parametrize("theory", ["T12", "T23", "T32", "T14"])
 def test_tensor_square_checks_can_fail(request, theory):
     th = request.getfixturevalue(theory)
     P = th.params
+    mm = th.m_matrix
     rib = th.ribbon
     vinv = th.central_inverse(rib.v)
-    assert th.m_matrix.ribbon_identity_failures(rib.v * 2, vinv)
+    assert mm.ribbon_identity_failures(rib.v * 2, vinv)
     # the compared form (1 (x) v^-1) M = (v (x) 1) Delta(v^-1) is
     # homogeneous in v^-1, so this case fails only through v v^-1 = 1
-    assert th.m_matrix.ribbon_identity_failures(rib.v, vinv * 2)
-    # a fresh matrix with its last coefficient doubled (the first one is
-    # the central 1 (x) 1 term)
-    broken = MMatrix(P)
-    row = broken.slices[next(reversed(broken.slices))]
-    m2 = next(reversed(row))
-    row[m2] = row[m2] * 2
-    assert broken.intertwining_failures()
-    # with v v^-1 = 1 the identity fails slice by slice
-    assert broken.ribbon_identity_failures(rib.v, vinv)[0] != "v v_inv != 1"
+    assert mm.ribbon_identity_failures(rib.v, vinv * 2)
+    # one coefficient of M doubled, turned by zeta^12 (its phase alone) or
+    # halved (its denominator alone); with v v^-1 = 1 the ribbon identity
+    # fails slice by slice
+    for factor in (2, P.zeta(12), Fraction(1, 2)):
+        broken = _perturbed(mm, factor)
+        assert broken.intertwining_failures(), factor
+        failures = broken.ribbon_identity_failures(rib.v, vinv)
+        assert failures and failures[0] != "v v_inv != 1", factor
     w = rib.v_unipotent
-    failures = th.m_matrix.ribbon_identity_failures(w, th.central_inverse(w))
+    failures = mm.ribbon_identity_failures(w, th.central_inverse(w))
     assert failures and failures[0] != "v v_inv != 1"

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from qpm.algebra import AlgebraElement, Params
+from qpm.algebra import AlgebraElement
 from qpm.cyclotomic import sparse_sum
-from qpm.duality import Theory, conformal_weight_exponent
+from qpm.duality import conformal_weight_exponent
 from qpm.linalg import _eliminate, invert_dense, mat_mul_dense, mat_vec_dense
 from qpm.modular import ModularAction, ModularData
 from qpm.reps import irreducible_labels
@@ -21,16 +21,6 @@ def ma12(T12):
 @pytest.fixture(scope="module")
 def ma23(T23):
     return T23.modular_action
-
-
-@pytest.fixture(scope="module")
-def T32():
-    return Theory(Params(3, 2))
-
-
-@pytest.fixture(scope="module")
-def T14():
-    return Theory(Params(1, 4))
 
 
 def test_modular_data(P23, P12):

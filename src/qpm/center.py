@@ -257,11 +257,40 @@ class CanonicalCenterBasis:
         return table
 
 
-# normalization entries: (module label parameters, source basis label,
-# target basis label) for each canonical nilpotent
-def _unit_entry(params, module, src, tgt, element):
-    mat = module.act(element)
-    return mat.get(module.index[tgt], module.index[src], params.ctx.zero)
+def _read_probes(params: Params) -> dict:
+    """(family, key) -> (cover, source label, target label) for each
+    canonical nilpotent: the entry of the projective cover on which it acts
+    as the unit shift, and off which decompose_central reads the
+    nilpotent's coefficient.  Families: 'v' and 'w' interior, 'vb'
+    boundary."""
+    P = params
+    uu, ud, du, dd = ("u", "u", 0, 0), ("u", "d", 0, 0), ("d", "u", 0, 0), ("d", "d", 0, 0)
+    probes = {}
+    for (r, s) in P.set_I1():
+        p_up = cached_projective(P, 1, r, s)
+        p_rt = cached_projective(P, -1, P.p_plus - r, s)
+        p_lf = cached_projective(P, -1, r, P.p_minus - s)
+        p_dn = cached_projective(P, 1, P.p_plus - r, P.p_minus - s)
+        probes.update({
+            ("v", ("ne", (r, s))): (p_up, uu, du),
+            ("v", ("nw", (r, s))): (p_lf, uu, ud),
+            ("v", ("sw", (r, s))): (p_dn, uu, du),
+            ("v", ("se", (r, s))): (p_rt, uu, ud),
+            ("w", ("up", (r, s))): (p_up, uu, dd),
+            ("w", ("right", (r, s))): (p_rt, uu, dd),
+            ("w", ("left", (r, s))): (p_lf, uu, dd),
+            ("w", ("down", (r, s))): (p_dn, uu, dd),
+        })
+    u, d = ("u", 0, 0), ("d", 0, 0)
+    for r in range(1, P.p_plus):
+        s = P.p_minus
+        probes[("vb", ("up", (r, s)))] = (cached_projective(P, 1, r, s), u, d)
+        probes[("vb", ("right", (r, s)))] = (cached_projective(P, -1, P.p_plus - r, s), u, d)
+    for s in range(1, P.p_minus):
+        r = P.p_plus
+        probes[("vb", ("up", (r, s)))] = (cached_projective(P, 1, r, s), u, d)
+        probes[("vb", ("left", (r, s)))] = (cached_projective(P, -1, r, P.p_minus - s), u, d)
+    return probes
 
 
 def canonical_basis(params: Params) -> CanonicalCenterBasis:
@@ -292,7 +321,6 @@ def canonical_basis(params: Params) -> CanonicalCenterBasis:
 
     v_interior = {}
     w_interior = {}
-    read_entries = {}
     eighth = Fraction(1, CanonicalCenterBasis.RADICAL_PRODUCT_SCALE)
     for (r, s) in P.set_I1():
         proj = weight_projectors(P, r, s)
@@ -307,27 +335,6 @@ def canonical_basis(params: Params) -> CanonicalCenterBasis:
         w_interior[("right", (r, s))] = wpm * proj["right"] * eighth
         w_interior[("left", (r, s))] = wpm * proj["left"] * eighth
         w_interior[("down", (r, s))] = wpm * proj["down"] * eighth
-        p_up = cached_projective(P, 1, r, s)
-        p_rt = cached_projective(P, -1, P.p_plus - r, s)
-        p_lf = cached_projective(P, -1, r, P.p_minus - s)
-        p_dn = cached_projective(P, 1, P.p_plus - r, P.p_minus - s)
-        tu = ("t", "u", 0, 0)
-        probes = {
-            ("v", ("ne", (r, s))): (p_up, tu, ("b", "u", 0, 0)),
-            ("v", ("nw", (r, s))): (p_lf, tu, ("t", "d", 0, 0)),
-            ("v", ("sw", (r, s))): (p_dn, tu, ("b", "u", 0, 0)),
-            ("v", ("se", (r, s))): (p_rt, tu, ("t", "d", 0, 0)),
-            ("w", ("up", (r, s))): (p_up, tu, ("b", "d", 0, 0)),
-            ("w", ("right", (r, s))): (p_rt, tu, ("b", "d", 0, 0)),
-            ("w", ("left", (r, s))): (p_lf, tu, ("b", "d", 0, 0)),
-            ("w", ("down", (r, s))): (p_dn, tu, ("b", "d", 0, 0)),
-        }
-        for (fam, key), (module, src, tgt) in probes.items():
-            el = v_interior[key] if fam == "v" else w_interior[key]
-            lam = _unit_entry(P, module, src, tgt, el)
-            if lam.is_zero():
-                raise ArithmeticError(f"degenerate read entry for {fam}{key}")
-            read_entries[(fam, key)] = lam
 
     v_boundary = {}
     for r in range(1, P.p_plus):
@@ -337,14 +344,6 @@ def canonical_basis(params: Params) -> CanonicalCenterBasis:
         _, wp = sector("+", _beta_plus(P, r, s))
         v_boundary[("up", (r, s))] = wp * em * proj["up"]
         v_boundary[("right", (r, s))] = wp * em * proj["right"]
-        p_up = cached_projective(P, 1, r, s)
-        p_rt = cached_projective(P, -1, P.p_plus - r, s)
-        for key, module in (("up", p_up), ("right", p_rt)):
-            el = v_boundary[(key, (r, s))]
-            lam = _unit_entry(P, module, ("s", "u", 0, 0), ("s", "d", 0, 0), el)
-            if lam.is_zero():
-                raise ArithmeticError(f"degenerate read entry for v_{key}({r},{s})")
-            read_entries[("vb", (key, (r, s)))] = lam
     for s in range(1, P.p_minus):
         r = P.p_plus
         proj = weight_projectors(P, r, s)
@@ -352,15 +351,14 @@ def canonical_basis(params: Params) -> CanonicalCenterBasis:
         _, wm = sector("-", _beta_minus(P, r, s))
         v_boundary[("up", (r, s))] = ep * wm * proj["up"]
         v_boundary[("left", (r, s))] = ep * wm * proj["left"]
-        p_up = cached_projective(P, 1, r, s)
-        p_lf = cached_projective(P, -1, r, P.p_minus - s)
-        for key, module in (("up", p_up), ("left", p_lf)):
-            el = v_boundary[(key, (r, s))]
-            lam = _unit_entry(P, module, ("s", "u", 0, 0), ("s", "d", 0, 0), el)
-            if lam.is_zero():
-                raise ArithmeticError(f"degenerate read entry for v_{key}({r},{s})")
-            read_entries[("vb", (key, (r, s)))] = lam
 
+    families = {"v": v_interior, "w": w_interior, "vb": v_boundary}
+    read_entries = {}
+    for (fam, key), (module, src, tgt) in _read_probes(P).items():
+        lam = module.act(families[fam][key]).get(module.index[tgt], module.index[src], P.ctx.zero)
+        if lam.is_zero():
+            raise ArithmeticError(f"degenerate read entry for {fam}{key}")
+        read_entries[(fam, key)] = lam
     return CanonicalCenterBasis(P, idempotents, v_interior, w_interior,
                                 v_boundary, read_entries)
 
@@ -447,53 +445,14 @@ def decompose_central(params: Params, z: AlgebraElement,
             m = cached_irreducible(P, 1, r, s)
         mat = m.act(z)
         a[(r, s)] = mat.get(0, 0, ctx.zero)
-    cv = {}
-    cw = {}
-    for (r, s) in P.set_I1():
-        p_up = cached_projective(P, 1, r, s)
-        p_rt = cached_projective(P, -1, P.p_plus - r, s)
-        p_lf = cached_projective(P, -1, r, P.p_minus - s)
-        p_dn = cached_projective(P, 1, P.p_plus - r, P.p_minus - s)
-        m_up, m_rt = p_up.act(z), p_rt.act(z)
-        m_lf, m_dn = p_lf.act(z), p_dn.act(z)
-        tu = ("t", "u", 0, 0)
-        reads = {
-            ("v", ("ne", (r, s))): m_up.get(p_up.index[("b", "u", 0, 0)], p_up.index[tu], ctx.zero),
-            ("v", ("nw", (r, s))): m_lf.get(p_lf.index[("t", "d", 0, 0)], p_lf.index[tu], ctx.zero),
-            ("v", ("sw", (r, s))): m_dn.get(p_dn.index[("b", "u", 0, 0)], p_dn.index[tu], ctx.zero),
-            ("v", ("se", (r, s))): m_rt.get(p_rt.index[("t", "d", 0, 0)], p_rt.index[tu], ctx.zero),
-        }
-        bd = ("b", "d", 0, 0)
-        raw_w = {
-            ("w", ("up", (r, s))): m_up.get(p_up.index[bd], p_up.index[tu], ctx.zero),
-            ("w", ("right", (r, s))): m_rt.get(p_rt.index[bd], p_rt.index[tu], ctx.zero),
-            ("w", ("left", (r, s))): m_lf.get(p_lf.index[bd], p_lf.index[tu], ctx.zero),
-            ("w", ("down", (r, s))): m_dn.get(p_dn.index[bd], p_dn.index[tu], ctx.zero),
-        }
-        for (fam, key), val in reads.items():
-            cv[key] = val * basis.read_entries[(fam, key)].inv()
-        for (fam, key), val in raw_w.items():
-            cw[key] = val * basis.read_entries[(fam, key)].inv()
-    cb = {}
-    su, sd = ("s", "u", 0, 0), ("s", "d", 0, 0)
-    for r in range(1, P.p_plus):
-        s = P.p_minus
-        p_up = cached_projective(P, 1, r, s)
-        p_rt = cached_projective(P, -1, P.p_plus - r, s)
-        cb[("up", (r, s))] = (p_up.act(z).get(p_up.index[sd], p_up.index[su], ctx.zero)
-                              * basis.read_entries[("vb", ("up", (r, s)))].inv())
-        cb[("right", (r, s))] = (p_rt.act(z).get(p_rt.index[sd], p_rt.index[su], ctx.zero)
-                                 * basis.read_entries[("vb", ("right", (r, s)))].inv())
-    for s in range(1, P.p_minus):
-        r = P.p_plus
-        p_up = cached_projective(P, 1, r, s)
-        p_lf = cached_projective(P, -1, r, P.p_minus - s)
-        cb[("up", (r, s))] = (p_up.act(z).get(p_up.index[sd], p_up.index[su], ctx.zero)
-                              * basis.read_entries[("vb", ("up", (r, s)))].inv())
-        cb[("left", (r, s))] = (p_lf.act(z).get(p_lf.index[sd], p_lf.index[su], ctx.zero)
-                                * basis.read_entries[("vb", ("left", (r, s)))].inv())
-    dec = CenterDecomposition(P, a, {k: v for k, v in cv.items()},
-                              {k: v for k, v in cw.items()}, cb)
+    coeffs = {"v": {}, "w": {}, "vb": {}}
+    acts = {}
+    for (fam, key), (module, src, tgt) in _read_probes(P).items():
+        if module not in acts:
+            acts[module] = module.act(z)
+        val = acts[module].get(module.index[tgt], module.index[src], ctx.zero)
+        coeffs[fam][key] = val * basis.read_entries[(fam, key)].inv()
+    dec = CenterDecomposition(P, a, coeffs["v"], coeffs["w"], coeffs["vb"])
     if verify:
         if not (dec.reconstruct(basis) - z).is_zero():
             raise ArithmeticError("decomposition does not reconstruct the element")

@@ -13,7 +13,7 @@ Block layout for an interior Kac label (r, r'): the four projective covers
     'l' -> P^-_{r, p_- - r'}  'd' -> P^+_{p_+ - r, p_- - r'}
 
 are summed; sigma kills every basis vector except the deepest ones
-(deck 'b', inner 'd'), which it sends to a four-term combination with
+(outer suit 'd', inner suit 'd'), which it sends to a four-term combination with
 one free coefficient per (greek letter, arrow, component).  The constraint
 set that makes the trace a q-character couples the sixteen coefficients
 across components.
@@ -381,21 +381,21 @@ def sigma_endomorphism(params: Params, spec: PseudotraceSpec,
         block = block_module(P, r, s)
     module, ranges = block
     targets = {
-        ("alpha", "up"): ("b", "u"),
-        ("alpha", "down"): ("b", "d"),
-        ("beta", "up"): ("t", "u"),
-        ("beta", "down"): ("t", "d"),
+        ("alpha", "up"): ("d", "u"),
+        ("alpha", "down"): ("d", "d"),
+        ("beta", "up"): ("u", "u"),
+        ("beta", "down"): ("u", "d"),
     }
 
     def terms():
         for bullet, (lo, _hi, comp) in ranges.items():
-            for (letter, arrow), (deck, inner) in targets.items():
+            for (letter, arrow), (outer, inner) in targets.items():
                 c = spec.get(letter, arrow, bullet, ctx)
                 if c.is_zero():
                     continue
                 for lab, i in comp.index.items():
-                    if lab[0] == "b" and lab[1] == "d":
-                        tgt = (deck, inner) + lab[2:]
+                    if lab[:2] == ("d", "d"):
+                        tgt = (outer, inner) + lab[2:]
                         j = comp.index.get(tgt)
                         if j is None:
                             raise RuntimeError(f"missing sigma target {tgt}")
@@ -415,8 +415,8 @@ def boundary_sigma(params: Params, r: int, s: int, coeff: Cyclo,
     data = {}
     for bullet, (lo, _hi, comp) in ranges.items():
         for lab, i in comp.index.items():
-            if lab[1] == "d":  # single-deck module: ('s', pos, n, n')
-                j = comp.index[("s", "u") + lab[2:]]
+            if lab[0] == "d":  # single-deck module: (suit, n, n')
+                j = comp.index[("u",) + lab[1:]]
                 data[(lo + j, lo + i)] = coeff
     return module, SparseMat(module.dim, module.dim, data)
 

@@ -32,7 +32,7 @@ from .duality import Theory, conformal_weight_exponent
 from .grothendieck import gr_basis_labels, gr_class, gr_multiply
 from .modular import ModularAction
 from .reps import irreducible_labels
-from .verify import available_suites, run_suites
+from .verify import SuiteSelectionError, available_suites, run_suites
 
 
 def _context(args) -> Params:
@@ -212,15 +212,11 @@ def cmd_verify(args):
         print(f"error: p_plus*p_minus = {P.pp} > 8 requires --deep",
               file=sys.stderr)
         return 2
-    selection = None if args.checks is None else set(args.checks)
-    if selection is not None:
-        bad = selection - set(available_suites())
-        if bad or not selection:
-            what = f"unknown checks {sorted(bad)}" if bad else "--checks names no suite"
-            print(f"error: {what}; available: {available_suites()}",
-                  file=sys.stderr)
-            return 2
-    ok, results = run_suites(P.p_plus, P.p_minus, selection=selection)
+    try:
+        ok, results = run_suites(P.p_plus, P.p_minus, selection=args.checks)
+    except SuiteSelectionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{'ALL CHECKS PASSED' if ok else 'FAILURES PRESENT'} "
           f"({sum(1 for r in results if r[2])}/{len(results)})")
     return 0 if ok else 1

@@ -1,12 +1,28 @@
 """Finite-dimensional modules: irreducible, Verma, projective, tensor.
 
 Irreducible modules X^alpha_{r,r'} (1 <= r <= p_+, 1 <= r' <= p_-,
-alpha = +-1) carry the explicit weight-vector action; Verma modules are
-induced from the Borel-type subalgebra generated by e_+, e_-, K; projective
-covers are built from their explicit bases (single "deck" modules for
-boundary labels, a four-deck assembly for interior labels).  Every
-constructed module is validated against the full defining relation set as
-exact matrix identities.
+alpha = +-1) carry the explicit weight-vector action on the basis (n, n'),
+0 <= n < r, 0 <= n' < r': e_+ and f_+ step n down and up, e_- and f_- step
+n'.  Verma modules are induced from the Borel-type subalgebra generated by
+e_+, e_-, K.  Every constructed module is validated against the full
+defining relation set as exact matrix identities.
+
+Projective covers come from one gluing rule.  glue(sector, top, side) lays
+out four copies, the suits u, l, r, d: u and d are copies of `top`, l and r
+copies of `side`, and inside each copy the generators act by that module's
+own matrices.  The sector's e and f (e_+, f_+ for '+'; e_-, f_- for '-')
+add arrows between copies, all with coefficient 1, along the sector's
+string index (n for '+', n' for '-'):
+
+    f:  u -> r and l -> d, from the last index of the string to index 0;
+    e:  u -> d, from index i to i - 1;
+        u -> l and r -> d, from index 0 to the last index of the string.
+
+The boundary covers are decks, glue('+', X^alpha_{r,s}, X^-alpha_{p_+-r,s})
+and glue('-', X^alpha_{r,s}, X^-alpha_{r,p_--s}), with basis labels
+(suit, n, n'); the interior cover glues two plus decks in the minus sector,
+glue('-', deck+(alpha,r,s), deck+(-alpha,r,p_--s)), with labels
+(outer suit, inner suit, n, n').  Basis order is u, l, r, d at each level.
 
 All bases are K-diagonal; the integer K-weight w of a basis vector (with
 K-eigenvalue zeta^(12 w)) is stored alongside the matrices because several
@@ -27,12 +43,16 @@ __all__ = [
     "verma",
     "projective",
     "projective_deck",
+    "glue",
     "tensor_product",
     "direct_sum",
     "act",
     "GrothendieckIndex",
     "irreducible_labels",
 ]
+
+
+_SUITS = ("u", "l", "r", "d")
 
 
 def _sign_pow(alpha: int, n: int) -> int:
@@ -98,10 +118,10 @@ class ModuleRep:
         return out if out is not None else SparseMat.identity(self.dim, self.params.ctx)
 
     def act(self, x: AlgebraElement) -> SparseMat:
-        out = SparseMat(self.dim, self.dim, {})
-        for mono, coeff in x.coeffs.items():
-            out = out + self.act_mono(mono).scale(coeff)
-        return out
+        return SparseMat(self.dim, self.dim, sparse_sum(
+            (key, v * coeff)
+            for mono, coeff in x.coeffs.items()
+            for key, v in self.act_mono(mono).data.items()))
 
     # -- structure checks ------------------------------------------------------
 
@@ -248,275 +268,101 @@ def verma(params: Params, alpha: int, r: int, s: int) -> ModuleRep:
 # projective modules
 # ----------------------------------------------------------------------
 
-def _deck_plus_action(P: Params, alpha: int, r: int, s: int):
-    """Generator action inside one plus-type deck with parameters
-    (alpha, r, s): inner positions 'u','d' span the two X^alpha_{r,s}
-    copies, 'l','r' the two X^{-alpha}_{p_+ - r, s} copies.  Returns
-    (labels, transitions) where transitions map (gen, label) to a list of
-    (target_label, coeff); labels are (inner, n, n')."""
-    rr = P.p_plus - r
-    one = P.ctx.one
-    labels = ([("u", n, np) for n in range(r) for np in range(s)]
-              + [("l", k, kp) for k in range(rr) for kp in range(s)]
-              + [("r", k, kp) for k in range(rr) for kp in range(s)]
-              + [("d", n, np) for n in range(r) for np in range(s)])
-    sp_in = _sign_pow(alpha, P.p_minus) * (-1) ** (s - 1)           # on u, d
-    sp_out = _sign_pow(-alpha, P.p_minus) * (-1) ** (s - 1)         # on l, r
-    sm_in = _sign_pow(alpha, P.p_plus) * (-1) ** (r - 1)
-    sm_out = _sign_pow(-alpha, P.p_plus) * (-1) ** (rr - 1)
+def glue(sector: str, top: ModuleRep, side: ModuleRep, label: str) -> ModuleRep:
+    """The four-suit module of the sector '+' or '-' over `top` and `side`
+    (the gluing rule of the module docstring).  Basis labels are
+    (suit,) + the copy's own label."""
+    if sector not in ("+", "-"):
+        raise ValueError("sector must be '+' or '-'")
+    e, f = ("ep", "fp") if sector == "+" else ("em", "fm")
+    k = -2 if sector == "+" else -1  # the sector's string index in a label
 
-    def ep(lab):
-        pos, n, np = lab
-        out = []
-        if pos == "u":
-            if n >= 1:
-                out.append((("u", n - 1, np), P.qint_p(n) * P.qint_p(r - n) * sp_in))
-                out.append((("d", n - 1, np), one))
-            elif rr:
-                out.append((("l", rr - 1, np), one))
-        elif pos == "r":
-            if n >= 1:
-                out.append((("r", n - 1, np), P.qint_p(n) * P.qint_p(rr - n) * sp_out))
-            else:
-                out.append((("d", r - 1, np), one))
-        elif pos == "l":
-            if n >= 1:
-                out.append((("l", n - 1, np), P.qint_p(n) * P.qint_p(rr - n) * sp_out))
-        else:  # d
-            if n >= 1:
-                out.append((("d", n - 1, np), P.qint_p(n) * P.qint_p(r - n) * sp_in))
-        return out
+    def moved(lab, n):
+        lab = list(lab)
+        lab[k] = n
+        return tuple(lab)
 
-    def fp(lab):
-        pos, n, np = lab
-        if pos == "u":
-            return [(("u", n + 1, np), one)] if n + 1 < r else [(("r", 0, np), one)]
-        if pos == "l":
-            if n + 1 < rr:
-                return [(("l", n + 1, np), one)]
-            return [(("d", 0, np), one)]
-        if pos == "r":
-            return [(("r", n + 1, np), one)] if n + 1 < rr else []
-        return [(("d", n + 1, np), one)] if n + 1 < r else []
+    copies = {"u": top, "l": side, "r": side, "d": top}
+    offset = {}
+    dim = 0
+    for suit in _SUITS:
+        offset[suit] = dim
+        dim += copies[suit].dim
+    top_end = max(lab[k] for lab in top.basis)
+    side_end = max(lab[k] for lab in side.basis)
+    arrows = {e: [], f: []}  # generator -> [(source suit, label, target suit, label)]
+    for lab in top.basis:
+        n = lab[k]
+        arrows[e].append(("u", lab, "d", moved(lab, n - 1)) if n
+                         else ("u", lab, "l", moved(lab, side_end)))
+        if n == top_end:
+            arrows[f].append(("u", lab, "r", moved(lab, 0)))
+    for lab in side.basis:
+        if lab[k] == 0:
+            arrows[e].append(("r", lab, "d", moved(lab, top_end)))
+        if lab[k] == side_end:
+            arrows[f].append(("l", lab, "d", moved(lab, 0)))
 
-    def em(lab):
-        pos, n, np = lab
-        if np < 1:
-            return []
-        c = (P.qint_m(np) * P.qint_m(s - np)
-             * (sm_in if pos in ("u", "d") else sm_out))
-        return [((pos, n, np - 1), c)]
+    def entries(name):
+        for suit in _SUITS:
+            o = offset[suit]
+            for (i, j), v in copies[suit].mats[name].data.items():
+                yield (o + i, o + j), v
+        one = top.params.ctx.one
+        for src, slab, tgt, tlab in arrows.get(name, ()):
+            yield ((offset[tgt] + copies[tgt].index[tlab],
+                    offset[src] + copies[src].index[slab]), one)
 
-    def fm(lab):
-        pos, n, np = lab
-        return [((pos, n, np + 1), one)] if np + 1 < s else []
-
-    def kweight(lab):
-        pos, n, np = lab
-        if pos in ("u", "d"):
-            w = P.p_minus * (r - 1 - 2 * n) + P.p_plus * (s - 1 - 2 * np)
-            off = P.pp if alpha < 0 else 0
-        else:
-            w = P.p_minus * (rr - 1 - 2 * n) + P.p_plus * (s - 1 - 2 * np)
-            off = P.pp if -alpha < 0 else 0
-        return (w + off) % P.korder
-
-    return labels, {"ep": ep, "fp": fp, "em": em, "fm": fm}, kweight
-
-
-def _deck_minus_action(P: Params, alpha: int, r: int, s: int):
-    """Mirror deck with the minus sector providing the four-suit structure:
-    'u','d' span two X^alpha_{r,s}, 'l','r' two X^{-alpha}_{r, p_- - s}."""
-    ss = P.p_minus - s
-    one = P.ctx.one
-    labels = ([("u", n, np) for n in range(r) for np in range(s)]
-              + [("l", k, kp) for k in range(r) for kp in range(ss)]
-              + [("r", k, kp) for k in range(r) for kp in range(ss)]
-              + [("d", n, np) for n in range(r) for np in range(s)])
-    sm_in = _sign_pow(alpha, P.p_plus) * (-1) ** (r - 1)
-    sm_out = _sign_pow(-alpha, P.p_plus) * (-1) ** (r - 1)
-    sp_in = _sign_pow(alpha, P.p_minus) * (-1) ** (s - 1)
-    sp_out = _sign_pow(-alpha, P.p_minus) * (-1) ** (ss - 1)
-
-    def em(lab):
-        pos, n, np = lab
-        out = []
-        if pos == "u":
-            if np >= 1:
-                out.append((("u", n, np - 1), P.qint_m(np) * P.qint_m(s - np) * sm_in))
-                out.append((("d", n, np - 1), one))
-            elif ss:
-                out.append((("l", n, ss - 1), one))
-        elif pos == "r":
-            if np >= 1:
-                out.append((("r", n, np - 1), P.qint_m(np) * P.qint_m(ss - np) * sm_out))
-            else:
-                out.append((("d", n, s - 1), one))
-        elif pos == "l":
-            if np >= 1:
-                out.append((("l", n, np - 1), P.qint_m(np) * P.qint_m(ss - np) * sm_out))
-        else:
-            if np >= 1:
-                out.append((("d", n, np - 1), P.qint_m(np) * P.qint_m(s - np) * sm_in))
-        return out
-
-    def fm(lab):
-        pos, n, np = lab
-        if pos == "u":
-            return [(("u", n, np + 1), one)] if np + 1 < s else [(("r", n, 0), one)]
-        if pos == "l":
-            if np + 1 < ss:
-                return [(("l", n, np + 1), one)]
-            return [(("d", n, 0), one)]
-        if pos == "r":
-            return [(("r", n, np + 1), one)] if np + 1 < ss else []
-        return [(("d", n, np + 1), one)] if np + 1 < s else []
-
-    def ep(lab):
-        pos, n, np = lab
-        if n < 1:
-            return []
-        c = (P.qint_p(n) * P.qint_p(r - n)
-             * (sp_in if pos in ("u", "d") else sp_out))
-        return [((pos, n - 1, np), c)]
-
-    def fp(lab):
-        pos, n, np = lab
-        return [((pos, n + 1, np), one)] if n + 1 < r else []
-
-    def kweight(lab):
-        pos, n, np = lab
-        if pos in ("u", "d"):
-            w = P.p_minus * (r - 1 - 2 * n) + P.p_plus * (s - 1 - 2 * np)
-            off = P.pp if alpha < 0 else 0
-        else:
-            w = P.p_minus * (r - 1 - 2 * n) + P.p_plus * (ss - 1 - 2 * np)
-            off = P.pp if -alpha < 0 else 0
-        return (w + off) % P.korder
-
-    return labels, {"ep": ep, "fp": fp, "em": em, "fm": fm}, kweight
-
-
-def _module_from_transitions(P, label, labels, trans, kweight):
-    idx = {b: i for i, b in enumerate(labels)}
-    dim = len(labels)
-    mats = {}
-    for name in ("ep", "fp", "em", "fm"):
-        mats[name] = SparseMat(dim, dim, sparse_sum(
-            ((idx[tgt], idx[lab]), coeff)
-            for lab in labels
-            for tgt, coeff in trans[name](lab) if coeff))
-    return ModuleRep(P, label, labels, mats, [kweight(b) for b in labels])
+    mats = {name: SparseMat(dim, dim, dict(entries(name)))
+            for name in ("ep", "fp", "em", "fm")}
+    basis = [(suit,) + lab for suit in _SUITS for lab in copies[suit].basis]
+    kweights = [w for suit in _SUITS for w in copies[suit].kweights]
+    return ModuleRep(top.params, label, basis, mats, kweights)
 
 
 def projective_deck(params: Params, alpha: int, kind: str, r: int, s: int) -> ModuleRep:
-    """The indecomposable two-story module with a plus-type ('+') or
-    minus-type ('-') four-suit structure; these are the boundary projective
-    covers when s = p_- (plus type) or r = p_+ (minus type)."""
+    """The two-story four-suit module of the sector `kind` over
+    X^alpha_{r,s}: glued to X^-alpha_{p_+ - r, s} for '+', to
+    X^-alpha_{r, p_- - s} for '-'.  These are the boundary projective covers
+    when s = p_- (plus type) or r = p_+ (minus type)."""
     P = params
     sign = "+" if alpha > 0 else "-"
     if kind == "+":
         if not (1 <= r <= P.p_plus - 1 and 1 <= s <= P.p_minus):
             raise ValueError("plus-type deck needs 1 <= r < p_+")
-        labels, trans, kw = _deck_plus_action(P, alpha, r, s)
+        side = irreducible(P, -alpha, P.p_plus - r, s)
     elif kind == "-":
         if not (1 <= r <= P.p_plus and 1 <= s <= P.p_minus - 1):
             raise ValueError("minus-type deck needs 1 <= s < p_-")
-        labels, trans, kw = _deck_minus_action(P, alpha, r, s)
+        side = irreducible(P, -alpha, r, P.p_minus - s)
     else:
         raise ValueError("kind must be '+' or '-'")
-    labels = [("s", pos, n, np) for (pos, n, np) in labels]
-    trans4 = {name: (lambda lab, f=trans[name]: [(("s",) + t, c) for t, c in f(lab[1:])])
-              for name in trans}
-    return _module_from_transitions(P, f"Deck{kind}({sign},{r},{s})", labels, trans4,
-                                    lambda lab: kw(lab[1:]))
+    return glue(kind, irreducible(P, alpha, r, s), side, f"Deck{kind}({sign},{r},{s})")
 
 
 def projective(params: Params, alpha: int, r: int, s: int) -> ModuleRep:
-    """Projective cover of X^alpha_{r,s}."""
+    """Projective cover of X^alpha_{r,s}: the irreducible itself at
+    (p_+, p_-), a single deck on the boundary, and on the interior the
+    minus-sector gluing of the plus decks over (alpha, r, s) and
+    (-alpha, r, p_- - s)."""
     P = params
     if alpha not in (1, -1):
         raise ValueError("alpha must be +1 or -1")
     sign = "+" if alpha > 0 else "-"
     if not (1 <= r <= P.p_plus and 1 <= s <= P.p_minus):
         raise ValueError(f"projective label out of range: ({alpha}, {r}, {s})")
+    label = f"Proj({sign},{r},{s})"
     if r == P.p_plus and s == P.p_minus:
         m = irreducible(P, alpha, r, s)
-        m.label = f"Proj({sign},{r},{s})"
-        return m
-    if s == P.p_minus:
+    elif s == P.p_minus:
         m = projective_deck(P, alpha, "+", r, s)
-        m.label = f"Proj({sign},{r},{s})"
-        return m
-    if r == P.p_plus:
+    elif r == P.p_plus:
         m = projective_deck(P, alpha, "-", r, s)
-        m.label = f"Proj({sign},{r},{s})"
-        return m
-
-    # interior label: four decks tied together by the minus-sector structure
-    ss = P.p_minus - s
-    deck_in = _deck_plus_action(P, alpha, r, s)        # decks 't' and 'b'
-    deck_out = _deck_plus_action(P, -alpha, r, ss)     # decks 'L' and 'R'
-    labels = ([("t",) + lab for lab in deck_in[0]]
-              + [("L",) + lab for lab in deck_out[0]]
-              + [("R",) + lab for lab in deck_out[0]]
-              + [("b",) + lab for lab in deck_in[0]])
-    one = P.ctx.one
-    sm_in = _sign_pow(alpha, P.p_plus) * (-1) ** (r - 1)
-    sm_out = _sign_pow(-alpha, P.p_plus) * (-1) ** (P.p_plus - r - 1)
-
-    def inner(deck):
-        return deck_in if deck in ("t", "b") else deck_out
-
-    def ep(lab):
-        deck = lab[0]
-        return [((deck,) + t, c) for t, c in inner(deck)[1]["ep"](lab[1:])]
-
-    def fp(lab):
-        deck = lab[0]
-        return [((deck,) + t, c) for t, c in inner(deck)[1]["fp"](lab[1:])]
-
-    def em(lab):
-        deck, pos, n, np = lab
-        smc = sm_in if pos in ("u", "d") else sm_out
-        if deck == "t":
-            if np >= 1:
-                return [(("t", pos, n, np - 1), P.qint_m(np) * P.qint_m(s - np) * smc),
-                        (("b", pos, n, np - 1), one)]
-            return [(("L", pos, n, ss - 1), one)] if ss else []
-        if deck == "R":
-            if np >= 1:
-                return [(("R", pos, n, np - 1), P.qint_m(np) * P.qint_m(ss - np) * smc)]
-            return [(("b", pos, n, s - 1), one)]
-        if deck == "L":
-            if np >= 1:
-                return [(("L", pos, n, np - 1), P.qint_m(np) * P.qint_m(ss - np) * smc)]
-            return []
-        # deck 'b'
-        if np >= 1:
-            return [(("b", pos, n, np - 1), P.qint_m(np) * P.qint_m(s - np) * smc)]
-        return []
-
-    def fm(lab):
-        deck, pos, n, np = lab
-        if deck == "t":
-            if np + 1 < s:
-                return [(("t", pos, n, np + 1), one)]
-            return [(("R", pos, n, 0), one)]
-        if deck == "L":
-            if np + 1 < ss:
-                return [(("L", pos, n, np + 1), one)]
-            return [(("b", pos, n, 0), one)]
-        if deck == "R":
-            return [(("R", pos, n, np + 1), one)] if np + 1 < ss else []
-        return [(("b", pos, n, np + 1), one)] if np + 1 < s else []
-
-    def kweight(lab):
-        deck = lab[0]
-        return inner(deck)[2](lab[1:])
-
-    return _module_from_transitions(P, f"Proj({sign},{r},{s})", labels,
-                                    {"ep": ep, "fp": fp, "em": em, "fm": fm}, kweight)
+    else:
+        return glue("-", projective_deck(P, alpha, "+", r, s),
+                    projective_deck(P, -alpha, "+", r, P.p_minus - s), label)
+    m.label = label
+    return m
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,8 @@ from .linalg import SpanSolver, SparseMat
 from .reps import (cached_irreducible, cached_projective,
                    irreducible_labels, tensor_product, verma)
 
-__all__ = ["run_suites", "SUITE_ORDER", "available_suites", "radical_table_holds"]
+__all__ = ["run_suites", "SUITE_ORDER", "SuiteSelectionError", "available_suites",
+           "radical_table_holds"]
 
 
 def _sqrt2pp32(P: Params) -> Cyclo:
@@ -238,8 +239,7 @@ def suite_modules(theory: Theory):
     return checks
 
 
-_DEPTH_DECK = {"t": 0, "L": 1, "R": 1, "b": 2}
-_DEPTH_INNER = {"u": 0, "l": 1, "r": 1, "d": 2}
+_DEPTH = {"u": 0, "l": 1, "r": 1, "d": 2}
 
 
 def _check_filtration(P, gi, module, alpha, r, s):
@@ -248,8 +248,7 @@ def _check_filtration(P, gi, module, alpha, r, s):
     the 1 / 2+2 / 4+2 / 2+2 / 1 pattern."""
     by_depth = {}
     for lab, i in module.index.items():
-        deck, inner = lab[0], lab[1]
-        by_depth.setdefault(_DEPTH_DECK[deck] + _DEPTH_INNER[inner], []).append(i)
+        by_depth.setdefault(_DEPTH[lab[0]] + _DEPTH[lab[1]], []).append(i)
     gens = [module.mats[n] for n in ("ep", "fp", "em", "fm")]
     layer_class = {}
     for k in range(4, -1, -1):
@@ -321,10 +320,16 @@ def suite_fusion(theory: Theory):
     checks.append(("Drinfeld-image products follow the same formula (all pairs)",
                    drinfeld_ok, ""))
 
+    # X+_{2,1} squared: at p+ = 2 the plus string folds back into the
+    # projective class; from p+ = 3 on it is the Clebsch-Gordan 1 + 3
     if P.p_plus >= 2 and P.p_minus >= 3:
         spot = gr_multiply(gr_class(P, 1, 2, 1), gr_class(P, 1, 2, 1))
-        checks.append(("X+_{2,1} X+_{2,1} = 2X+_{1,1} + 2X-_{1,1}",
-                       spot.mult == {(1, 1, 1): 2, (-1, 1, 1): 2}, str(spot.mult)))
+        if P.p_plus == 2:
+            checks.append(("X+_{2,1} X+_{2,1} = 2X+_{1,1} + 2X-_{1,1}",
+                           spot.mult == {(1, 1, 1): 2, (-1, 1, 1): 2}, str(spot.mult)))
+        else:
+            checks.append(("X+_{2,1} X+_{2,1} = X+_{1,1} + X+_{3,1}",
+                           spot.mult == {(1, 1, 1): 1, (1, 3, 1): 1}, str(spot.mult)))
     return checks
 
 
@@ -983,18 +988,30 @@ def available_suites():
     return [name for name, _ in SUITE_ORDER]
 
 
+class SuiteSelectionError(ValueError):
+    """A suite selection that is empty or names an unknown suite."""
+
+
 def run_suites(p_plus: int, p_minus: int, selection=None, report=print):
     """Run the selected verification suites; returns (all_passed, results).
 
     results is a list of (suite, check, passed, detail, seconds), in
-    declaration order regardless of execution details.
+    declaration order regardless of execution details.  selection is None
+    for every suite, else a nonempty collection of suite names; anything
+    else raises SuiteSelectionError, a ValueError, before any work.
     """
+    if selection is not None:
+        selection = set(selection)
+        bad = selection - set(available_suites())
+        if bad or not selection:
+            what = f"unknown checks {sorted(bad)}" if bad else "the selection names no suite"
+            raise SuiteSelectionError(f"{what}; available: {available_suites()}")
     P = Params(p_plus, p_minus)
     theory = Theory(P)
     results = []
     all_ok = True
     for name, fn in SUITE_ORDER:
-        if selection and name not in selection:
+        if selection is not None and name not in selection:
             continue
         t0 = time.perf_counter()
         checks = fn(theory)

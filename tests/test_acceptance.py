@@ -149,6 +149,16 @@ def test_ledger_beyond_pinned_pairs(pair):
     assert ok, [(suite, check) for suite, check, passed, *_ in results if not passed]
 
 
+@pytest.mark.parametrize("selection", [set(), [], {"nope"}, {"hopf-axioms", "nope"}],
+                         ids=["empty-set", "empty-list", "unknown", "known-and-unknown"])
+def test_run_suites_rejects_bad_selections(selection):
+    # an empty selection once ran every suite; now it is refused before any work
+    lines = []
+    with pytest.raises(ValueError, match="available: .*hopf-axioms"):
+        run_suites(1, 2, selection=selection, report=lines.append)
+    assert lines == []
+
+
 def test_suite_times_ignore_wall_clock_jumps(monkeypatch):
     # a wall clock stepped backwards mid-suite must not yield negative times
     ticks = iter(range(10 ** 6, 0, -1))

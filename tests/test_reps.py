@@ -10,8 +10,8 @@ from qpm.algebra import AlgebraElement, Params
 from qpm.cyclotomic import sparse_sum
 from qpm.linalg import SparseMat
 from qpm.reps import (GrothendieckIndex, ModuleRep, cached_projective, direct_sum,
-                      irreducible, irreducible_labels, projective,
-                      tensor_product, verma)
+                      glue, irreducible, irreducible_labels, projective,
+                      projective_deck, tensor_product, verma)
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +72,89 @@ def test_projective_dims(P23):
     assert projective(P, 1, 1, P.p_minus).dim == 2 * P.pp
     assert projective(P, -1, P.p_plus, 1).dim == 2 * P.pp
     assert projective(P, 1, 1, 1).dim == 4 * P.pp
+
+
+def _expected_cover_class(P, alpha, r, s):
+    """Composition multiplicities of the projective cover of X^alpha_{r,s}:
+    the irreducible at (p+, p-), two of each of the two factors on the
+    boundary, four of each of the four factors on the interior."""
+    if (r, s) == (P.p_plus, P.p_minus):
+        return {(alpha, r, s): 1}
+    if s == P.p_minus:
+        return {(alpha, r, s): 2, (-alpha, P.p_plus - r, s): 2}
+    if r == P.p_plus:
+        return {(alpha, r, s): 2, (-alpha, r, P.p_minus - s): 2}
+    return {(alpha, r, s): 4, (-alpha, r, P.p_minus - s): 4,
+            (-alpha, P.p_plus - r, s): 4, (alpha, P.p_plus - r, P.p_minus - s): 4}
+
+
+@pytest.mark.parametrize("pair", [(3, 4), (5, 3)], ids=lambda pair: "%d-%d" % pair)
+def test_every_cover_is_a_module_with_its_composition_factors(pair):
+    # at odd p+ with p- >= 3 the interior covers once signed e- inside their
+    # side decks with the wrong alpha and broke [e-, f-]
+    P = Params(*pair)
+    gi = GrothendieckIndex(P)
+    for lab in irreducible_labels(P):
+        m = projective(P, *lab)
+        assert not m.check_relations(), (lab, m.check_relations())
+        assert gi.decompose_dict(m) == _expected_cover_class(P, *lab), lab
+
+
+_SECTOR_SWAP = {"ep": "em", "fp": "fm", "em": "ep", "fm": "fp"}
+
+
+def _swap_label(lab):
+    """A cover basis label with the sectors exchanged: the string indices
+    (n, n') swap, and so do the (outer, inner) suits of an interior label."""
+    return lab[:-2][::-1] + lab[-2:][::-1]
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (2, 3), (3, 4), (3, 5)],
+                         ids=lambda pair: "%d-%d" % pair)
+def test_covers_commute_with_the_sector_swap(pair):
+    """Exchanging the sectors maps the cover of X^alpha_{r,s} at (p, q)
+    exactly onto the cover of X^alpha_{s,r} at (q, p): e+ <-> e-,
+    f+ <-> f- and the label swap; `projective` glues the interior in the
+    minus sector only, so this is not the same code path twice."""
+    p, q = pair
+    P, Q = Params(p, q), Params(q, p)
+    for alpha, r, s in irreducible_labels(P):
+        a, b = projective(P, alpha, r, s), projective(Q, alpha, s, r)
+        assert a.dim == b.dim
+        perm = [b.index[_swap_label(lab)] for lab in a.basis]
+        assert sorted(perm) == list(range(b.dim))
+        assert [b.kweights[j] for j in perm] == a.kweights
+        for name, swapped in _SECTOR_SWAP.items():
+            moved = {(perm[i], perm[j]): v for (i, j), v in a.mats[name].data.items()}
+            assert moved == b.mats[swapped].data, (alpha, r, s, name)
+
+
+def test_glue_lays_out_four_suits_with_unit_arrows(P23):
+    """The plus deck over X^+_{1,3} at (2,3): copies u, l, r, d of X^+_{1,3},
+    X^-_{1,3}, X^-_{1,3}, X^+_{1,3}, each acted on by its own matrices, and
+    e+, f+ arrows of coefficient 1 between copies only."""
+    P = P23
+    top, side = irreducible(P, 1, 1, 3), irreducible(P, -1, 1, 3)
+    suits = (("u", top), ("l", side), ("r", side), ("d", top))
+    m = glue("+", top, side, "deck")
+    assert m.basis == [(suit,) + lab for suit, mod in suits for lab in mod.basis]
+    assert m.kweights == top.kweights + side.kweights * 2 + top.kweights
+
+    def arrows(name):
+        return {(m.basis[i], m.basis[j]): v for (i, j), v in m.mats[name].data.items()}
+
+    # one-vector plus strings: every vector is both index 0 and the top
+    one = P.ctx.one
+    assert arrows("fp") == {**{(("r", 0, n), ("u", 0, n)): one for n in range(3)},
+                            **{(("d", 0, n), ("l", 0, n)): one for n in range(3)}}
+    assert arrows("ep") == {**{(("l", 0, n), ("u", 0, n)): one for n in range(3)},
+                            **{(("d", 0, n), ("r", 0, n)): one for n in range(3)}}
+    for name in ("em", "fm"):
+        assert arrows(name) == {((suit,) + mod.basis[i], (suit,) + mod.basis[j]): v
+                                for suit, mod in suits
+                                for (i, j), v in mod.mats[name].data.items()}
+    assert not m.check_relations()
+    assert m.mats == projective_deck(P, 1, "+", 1, 3).mats
 
 
 def test_projective_filtration_class(P23, gi23):

@@ -534,19 +534,8 @@ class AlgebraElement:
             for mm, cc in antipode_mono(m).coeffs.items()))
 
     def counit(self) -> Cyclo:
-        out = self.params.ctx.zero
-        for (a, b, c, d, _j), coeff in self.coeffs.items():
-            if a == 0 and b == 0 and c == 0 and d == 0:
-                out = out + coeff
-        return out
-
-    def adjoint(self, x: "AlgebraElement") -> "AlgebraElement":
-        """Ad_self(x) = sum self' x S(self'')."""
-        P = self.params
-        return AlgebraElement(P, sparse_sum(
-            kv
-            for (m1, m2), c in self.coproduct().coeffs.items()
-            for kv in (AlgebraElement(P, {m1: c}) * x * P.antipode_mono(m2)).coeffs.items()))
+        return sum((c for m, c in self.coeffs.items() if not any(m[:4])),
+                   start=self.params.ctx.zero)
 
     # -- serialization ---------------------------------------------------------
 
@@ -555,13 +544,6 @@ class AlgebraElement:
         for m in sorted(self.coeffs):
             recs.append({"mono": list(m), "coeff": self.coeffs[m].to_json()})
         return recs
-
-    @staticmethod
-    def from_records(params: Params, recs) -> "AlgebraElement":
-        coeffs = {}
-        for rec in recs:
-            coeffs[tuple(rec["mono"])] = Cyclo.from_json(params.ctx, rec["coeff"])
-        return params.element(coeffs)
 
     def __repr__(self):
         if not self.coeffs:

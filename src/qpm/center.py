@@ -61,23 +61,16 @@ def weight_projectors(params: Params, r: int, s: int):
     K-weights of the four corners of the (r, s) cell; returns a dict with
     keys 'up', 'left', 'right', 'down'."""
     P = params
-    ctx = P.ctx
-    zeta = ctx.root_of_unity
+    zeta = P.ctx.root_of_unity
     scale = Fraction(1, P.korder)
 
     def build(arange, brange, alternating):
-        coeffs = {}
-        for j in range(P.korder):
-            acc = ctx.zero
-            for a in arange:
-                for b in brange:
-                    acc = acc + zeta(-12 * (P.p_minus * a + P.p_plus * b) * j)
-            if alternating and j % 2:
-                acc = -acc
-            acc = acc * scale
-            if not acc.is_zero():
-                coeffs[(0, 0, 0, 0, j)] = acc
-        return AlgebraElement(P, coeffs)
+        sums = sparse_sum(
+            (j, zeta(-12 * (P.p_minus * a + P.p_plus * b) * j))
+            for j in range(P.korder) for a in arange for b in brange)
+        return AlgebraElement(P, {
+            (0, 0, 0, 0, j): c * (-scale if alternating and j % 2 else scale)
+            for j, c in sums.items()})
 
     up_a = range(-r + 1, r, 2)
     up_b = range(-s + 1, s, 2)
@@ -138,22 +131,6 @@ def _poly_derivative(poly, ctx):
     return [c * i for i, c in enumerate(poly)][1:] or [ctx.zero]
 
 
-def _poly_at_element(poly, powers, params):
-    out = params.zero
-    for i, c in enumerate(poly):
-        if not c.is_zero():
-            out = out + powers[i] * c
-    return out
-
-
-def _beta_plus(params: Params, r: int, s: int) -> Cyclo:
-    return (params.zeta(r * params.zQp) + params.zeta(-r * params.zQp)) * ((-1) ** s)
-
-
-def _beta_minus(params: Params, r: int, s: int) -> Cyclo:
-    return (params.zeta(s * params.zQm) + params.zeta(-s * params.zQm)) * ((-1) ** r)
-
-
 def _sector_projection(params: Params, sector: str, beta: Cyclo, powers):
     """(e_sector, w_sector) for the Casimir root beta."""
     P = params
@@ -165,7 +142,7 @@ def _sector_projection(params: Params, sector: str, beta: Cyclo, powers):
     if not simple:
         red = _poly_div_linear(red, beta, ctx)
     val = _poly_eval(red, beta, ctx)
-    red_at_c = _poly_at_element(red, powers, P)
+    red_at_c = P.linear_combination(zip(powers, red))
     if simple:
         w = P.zero
         e = red_at_c * val.inv()
@@ -315,8 +292,8 @@ def canonical_basis(params: Params) -> CanonicalCenterBasis:
 
     idempotents = {}
     for (r, s) in P.set_I():
-        ep, _ = sector("+", _beta_plus(P, r, s))
-        em, _ = sector("-", _beta_minus(P, r, s))
+        ep, _ = sector("+", P.casimir_eigenvalue_plus(1, r, s))
+        em, _ = sector("-", P.casimir_eigenvalue_minus(1, r, s))
         idempotents[(r, s)] = ep * em
 
     v_interior = {}
@@ -324,8 +301,8 @@ def canonical_basis(params: Params) -> CanonicalCenterBasis:
     eighth = Fraction(1, CanonicalCenterBasis.RADICAL_PRODUCT_SCALE)
     for (r, s) in P.set_I1():
         proj = weight_projectors(P, r, s)
-        ep, wp = sector("+", _beta_plus(P, r, s))
-        em, wm = sector("-", _beta_minus(P, r, s))
+        ep, wp = sector("+", P.casimir_eigenvalue_plus(1, r, s))
+        em, wm = sector("-", P.casimir_eigenvalue_minus(1, r, s))
         v_interior[("ne", (r, s))] = ep * wm * (proj["up"] + proj["right"])
         v_interior[("sw", (r, s))] = ep * wm * (proj["left"] + proj["down"])
         v_interior[("nw", (r, s))] = wp * em * (proj["up"] + proj["left"])
@@ -340,15 +317,15 @@ def canonical_basis(params: Params) -> CanonicalCenterBasis:
     for r in range(1, P.p_plus):
         s = P.p_minus
         proj = weight_projectors(P, r, s)
-        em, _ = sector("-", _beta_minus(P, r, s))
-        _, wp = sector("+", _beta_plus(P, r, s))
+        em, _ = sector("-", P.casimir_eigenvalue_minus(1, r, s))
+        _, wp = sector("+", P.casimir_eigenvalue_plus(1, r, s))
         v_boundary[("up", (r, s))] = wp * em * proj["up"]
         v_boundary[("right", (r, s))] = wp * em * proj["right"]
     for s in range(1, P.p_minus):
         r = P.p_plus
         proj = weight_projectors(P, r, s)
-        ep, _ = sector("+", _beta_plus(P, r, s))
-        _, wm = sector("-", _beta_minus(P, r, s))
+        ep, _ = sector("+", P.casimir_eigenvalue_plus(1, r, s))
+        _, wm = sector("-", P.casimir_eigenvalue_minus(1, r, s))
         v_boundary[("up", (r, s))] = ep * wm * proj["up"]
         v_boundary[("left", (r, s))] = ep * wm * proj["left"]
 

@@ -84,14 +84,11 @@ class Functional:
         self.values = {m: v for m, v in values.items() if not v.is_zero()}
 
     def __call__(self, x):
+        zero, get = self.params.ctx.zero, self.values.get
         if isinstance(x, tuple):
-            return self.values.get(x, self.params.ctx.zero)
-        out = self.params.ctx.zero
-        for m, c in x.coeffs.items():
-            v = self.values.get(m)
-            if v is not None:
-                out = out + c * v
-        return out
+            return get(x, zero)
+        return sum((c * v for m, c in x.coeffs.items()
+                    for v in (get(m),) if v is not None), start=zero)
 
     def __add__(self, other):
         return Functional(self.params, sparse_sum(
@@ -114,31 +111,13 @@ class Functional:
     def convolve(self, other: "Functional") -> "Functional":
         """Product in the dual algebra: (b * b')(x) = sum b(x') b'(x'')."""
         P = self.params
-        out = {}
-        for mono in P.monomials():
-            acc = P.ctx.zero
-            for (m1, m2), c in P.coproduct_mono(mono).coeffs.items():
-                v1 = self.values.get(m1)
-                if v1 is None:
-                    continue
-                v2 = other.values.get(m2)
-                if v2 is None:
-                    continue
-                acc = acc + c * v1 * v2
-            if not acc.is_zero():
-                out[mono] = acc
-        return Functional(P, out)
-
-    def to_json(self):
-        return [{"mono": list(m), "value": v.to_json()}
-                for m, v in sorted(self.values.items())]
-
-    @staticmethod
-    def from_json(params: Params, doc) -> "Functional":
-        from .cyclotomic import Cyclo
-        return Functional(params, {tuple(rec["mono"]):
-                                   Cyclo.from_json(params.ctx, rec["value"])
-                                   for rec in doc})
+        get1, get2 = self.values.get, other.values.get
+        return Functional(P, sparse_sum(
+            (mono, c * v1 * v2)
+            for mono in P.monomials()
+            for (m1, m2), c in P.coproduct_mono(mono).coeffs.items()
+            for v1 in (get1(m1),) if v1 is not None
+            for v2 in (get2(m2),) if v2 is not None))
 
 
 def counit_functional(params: Params) -> Functional:
@@ -154,8 +133,7 @@ def trace_functional(module: ModuleRep, sigma: SparseMat | None = None) -> Funct
     sector word costs one sparse product plus a Fourier sum.
     """
     P = module.params
-    ctx = P.ctx
-    zeta = ctx.root_of_unity
+    zeta = P.ctx.root_of_unity
     gw = P.p_minus - P.p_plus  # g^-1 = K^{p_- - p_+}
     values = {}
     sigma_by_col = None
@@ -182,14 +160,9 @@ def trace_functional(module: ModuleRep, sigma: SparseMat | None = None) -> Funct
                                     pairs.append(
                                         (zeta(12 * module.kweights[i] * gw) * v * sv,
                                          module.kweights[k]))
-                    if not pairs:
-                        continue
-                    for j in range(P.korder):
-                        acc = ctx.zero
-                        for coeff, w in pairs:
-                            acc = acc + coeff * zeta(12 * w * j)
-                        if not acc.is_zero():
-                            values[(a, b, c, d, j)] = acc
+                    values.update(sparse_sum(
+                        ((a, b, c, d, j), coeff * zeta(12 * w * j))
+                        for j in range(P.korder) for coeff, w in pairs))
     return Functional(P, values)
 
 

@@ -61,9 +61,6 @@ __all__ = [
     "q_int_poly",
     "q_factorial_poly",
     "q_binomial_poly",
-    "q_int",
-    "q_factorial",
-    "q_binomial",
     "sqrt2",
     "gauss_sqrt",
     "sqrt_half_pp",
@@ -524,12 +521,6 @@ class Cyclo:
             doc["float"] = [float(re), float(im)]
         return doc
 
-    @staticmethod
-    def from_json(ctx: CycloContext, doc) -> "Cyclo":
-        if doc["order"] != ctx.order:
-            raise ValueError("field order mismatch")
-        return ctx.from_pairs([tuple(p) for p in doc["coeffs"]])
-
 
 def sparse_sum(terms) -> dict:
     """Sum an iterable of (key, Cyclo) pairs into a sparse {key: Cyclo} map.
@@ -623,14 +614,7 @@ class LaurentZ:
         return LaurentZ(c)
 
     def __sub__(self, other):
-        c = dict(self.c)
-        for e, v in other.c.items():
-            w = c.get(e, 0) - v
-            if w:
-                c[e] = w
-            else:
-                c.pop(e, None)
-        return LaurentZ(c)
+        return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -680,10 +664,7 @@ class LaurentZ:
     def eval_cyclo(self, q: Cyclo) -> Cyclo:
         """Specialize x -> q for an invertible q."""
         ctx = q.ctx
-        out = ctx.zero
-        if not self.c:
-            return out
-        qinv = q.inv() if min(self.c) < 0 else None
+        qinv = q.inv() if min(self.c, default=0) < 0 else None
         pow_cache = {0: ctx.one}
 
         def qpow(e):
@@ -693,9 +674,7 @@ class LaurentZ:
             pow_cache[e] = v
             return v
 
-        for e, v in self.c.items():
-            out = out + qpow(e) * v
-        return out
+        return sum((qpow(e) * v for e, v in self.c.items()), start=ctx.zero)
 
     def __eq__(self, other):
         return isinstance(other, LaurentZ) and self.c == other.c
@@ -728,18 +707,6 @@ def q_binomial_poly(m: int, n: int) -> LaurentZ:
     return num.divexact(den)
 
 
-def q_int(n: int, q: Cyclo) -> Cyclo:
-    return q_int_poly(n).eval_cyclo(q)
-
-
-def q_factorial(n: int, q: Cyclo) -> Cyclo:
-    return q_factorial_poly(n).eval_cyclo(q)
-
-
-def q_binomial(m: int, n: int, q: Cyclo) -> Cyclo:
-    return q_binomial_poly(m, n).eval_cyclo(q)
-
-
 # ----------------------------------------------------------------------
 # Square roots needed for the canonical normalizations.  The positive real
 # branch is pinned by explicit root-of-unity expressions, never by a
@@ -759,9 +726,7 @@ def gauss_sqrt(ctx: CycloContext, pp: int) -> Cyclo:
     Gauss sum  sum_{j=0}^{2*pp-1} q^(j^2) = (1+i) sqrt(pp),  q = zeta_N^6."""
     if ctx.order != 24 * pp:
         raise ValueError("field order must equal 24*pp")
-    s = ctx.zero
-    for j in range(2 * pp):
-        s = s + ctx.root_of_unity(6 * j * j)
+    s = sum((ctx.root_of_unity(6 * j * j) for j in range(2 * pp)), start=ctx.zero)
     i_unit = ctx.root_of_unity(ctx.order // 4)
     return s * (ctx.one + i_unit).inv()
 

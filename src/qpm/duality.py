@@ -32,6 +32,7 @@ table -- are verified exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
@@ -399,18 +400,9 @@ def cc_poly_coeffs(params: Params, sector: str, r: int, a: int, m: int):
     ctx = P.ctx
     qint = P.qint_p if sector == "+" else P.qint_m
     consts = [qint(t - a + r) * qint(a - t) for t in range(m)]
-    x0 = ctx.one
-    for c in consts:
-        x0 = x0 * c
-    x1 = ctx.zero
-    for t in range(m):
-        prod = ctx.one
-        for tt in range(m):
-            if tt != t:
-                prod = prod * consts[tt]
-        x1 = x1 + prod
-    if m == 0:
-        x1 = ctx.zero
+    x0 = math.prod(consts, start=ctx.one)
+    x1 = sum((math.prod(consts[:t] + consts[t + 1:], start=ctx.one) for t in range(m)),
+             start=ctx.zero)
     return x0, x1
 
 
@@ -424,14 +416,17 @@ def chi_sector(params: Params, sector: str, r: int) -> AlgebraElement:
         zQ, qbin, psec = P.zQm, P.qbin_m, P.p_plus
         e_name, f_name = "em", "fm"
     dQ2 = (P.zeta(zQ) - P.zeta(-zQ)) ** 2
-    out = P.zero
-    for a in range(r):
-        for m in range(a + 1):
-            c = (dQ2 ** m).shift(zQ * (m * (m + r - 2 * a) + (r - 1 - 2 * a)))
-            c = c * qbin(r - a + m - 1, m) * qbin(a, m)
-            word = (P.gen(e_name, m) * P.gen(f_name, m)
-                    * P.gen("K", -psec * (m + r - 1 - 2 * a)))
-            out = out + word * c
+
+    def terms():
+        for a in range(r):
+            for m in range(a + 1):
+                c = (dQ2 ** m).shift(zQ * (m * (m + r - 2 * a) + (r - 1 - 2 * a)))
+                c = c * qbin(r - a + m - 1, m) * qbin(a, m)
+                word = (P.gen(e_name, m) * P.gen(f_name, m)
+                        * P.gen("K", -psec * (m + r - 1 - 2 * a)))
+                yield word, c
+
+    out = P.linear_combination(terms())
     if (r - 1) % 2:
         out = -out
     return out
@@ -447,18 +442,20 @@ def theta_sector(params: Params, sector: str, r: int) -> AlgebraElement:
         zQ, qint, qfact, p_this, psec = P.zQm, P.qint_m, P.qfact_m, P.p_minus, P.p_plus
         e_name, f_name = "em", "fm"
     dQ = P.zeta(zQ) - P.zeta(-zQ)
-    out = P.zero
-    for a in range(r):
-        for m in range(p_this):
-            _, x1 = cc_poly_coeffs(P, sector, r, a, m)
-            if x1.is_zero():
-                continue
-            c = (dQ ** (2 * m - 1)) * (qfact(m) ** 2).inv()
-            c = c.shift(zQ * (m * (m + r - 2 * a) + (r - 1 - 2 * a))) * x1
-            word = (P.gen(e_name, m) * P.gen(f_name, m)
-                    * P.gen("K", -psec * (m + r - 1 - 2 * a)))
-            out = out + word * c
-    out = out * qint(r)
+
+    def terms():
+        for a in range(r):
+            for m in range(p_this):
+                _, x1 = cc_poly_coeffs(P, sector, r, a, m)
+                if x1.is_zero():
+                    continue
+                c = (dQ ** (2 * m - 1)) * (qfact(m) ** 2).inv()
+                c = c.shift(zQ * (m * (m + r - 2 * a) + (r - 1 - 2 * a))) * x1
+                word = (P.gen(e_name, m) * P.gen(f_name, m)
+                        * P.gen("K", -psec * (m + r - 1 - 2 * a)))
+                yield word, c
+
+    out = P.linear_combination(terms()) * qint(r)
     if r % 2:
         out = -out
     return out
@@ -495,24 +492,26 @@ def canonical_element(params: Params) -> AlgebraElement:
     dQp = P.zeta(P.zQp) - P.zeta(-P.zQp)
     dQm = P.zeta(P.zQm) - P.zeta(-P.zQm)
     minus_i_pp = zeta((18 * P.pp * P.pp) % P.N)  # (-i)^{p_+ p_-}
-    out = P.zero
-    for m in range(P.p_plus):
-        for r in range(P.p_plus):
-            for n in range(P.p_minus):
-                for s in range(P.p_minus):
-                    c = (dQp ** m) * (dQm ** n) * (P.qfact_p(m) * P.qfact_m(n)).inv()
-                    c = c.shift(6 * P.p_minus * P.p_minus * (m * (m + 3) - r * r)
-                                + 6 * P.p_plus * P.p_plus * (n * (n + 3) - s * s))
-                    if (r * s) % 2:
-                        c = -c
-                    left = (P.gen("fp", m) * P.gen("K", P.p_minus * (r - m))
-                            * P.gen("ep", m))
-                    mid = P.one + P.gen("K", P.pp) * (minus_i_pp
-                                                      * ((-1) ** (P.p_plus * s + P.p_minus * r)))
-                    right = (P.gen("em", n) * P.gen("K", P.p_plus * (s + n))
-                             * P.gen("fm", n))
-                    out = out + left * mid * right * (pref * c)
-    return out
+
+    def terms():
+        for m in range(P.p_plus):
+            for r in range(P.p_plus):
+                for n in range(P.p_minus):
+                    for s in range(P.p_minus):
+                        c = (dQp ** m) * (dQm ** n) * (P.qfact_p(m) * P.qfact_m(n)).inv()
+                        c = c.shift(6 * P.p_minus * P.p_minus * (m * (m + 3) - r * r)
+                                    + 6 * P.p_plus * P.p_plus * (n * (n + 3) - s * s))
+                        if (r * s) % 2:
+                            c = -c
+                        left = (P.gen("fp", m) * P.gen("K", P.p_minus * (r - m))
+                                * P.gen("ep", m))
+                        mid = P.one + P.gen("K", P.pp) * (
+                            minus_i_pp * ((-1) ** (P.p_plus * s + P.p_minus * r)))
+                        right = (P.gen("em", n) * P.gen("K", P.p_plus * (s + n))
+                                 * P.gen("fm", n))
+                        yield left * mid * right, pref * c
+
+    return P.linear_combination(terms())
 
 
 def conformal_weight_exponent(params: Params, r: int, s: int) -> int:
@@ -533,19 +532,22 @@ def ribbon_factor_closed_form(params: Params, sector: str) -> AlgebraElement:
         zQ, qint, qbin, p_this, p_other = (P.zQm, P.qint_m, P.qbin_m,
                                            P.p_minus, P.p_plus)
         e_name, f_name = "em", "fm"
-    out = P.one
     dQ = P.zeta(zQ) - P.zeta(-zQ)
-    for m in range(1, p_this):
-        for a in range(m - 1, p_this):
-            c = (dQ ** (2 * m - 1)) * (qint(m) * p_this).inv()
-            c = c.shift(zQ * (m * (m - 1 - 2 * a) - 2 - 2 * a))
-            c = c * qbin(a, m - 1) ** 2
-            if m % 2 == 0:
-                c = -c  # overall sign -(-1)^m
-            word = (P.gen(e_name, m) * P.gen(f_name, m)
-                    * P.gen("K", -p_other * (m - 2 - 2 * a)))
-            out = out + word * c
-    return out
+
+    def terms():
+        yield P.one, P.ctx.one
+        for m in range(1, p_this):
+            for a in range(m - 1, p_this):
+                c = (dQ ** (2 * m - 1)) * (qint(m) * p_this).inv()
+                c = c.shift(zQ * (m * (m - 1 - 2 * a) - 2 - 2 * a))
+                c = c * qbin(a, m - 1) ** 2
+                if m % 2 == 0:
+                    c = -c  # overall sign -(-1)^m
+                word = (P.gen(e_name, m) * P.gen(f_name, m)
+                        * P.gen("K", -p_other * (m - 2 - 2 * a)))
+                yield word, c
+
+    return P.linear_combination(terms())
 
 
 @dataclass
@@ -812,9 +814,9 @@ class Theory:
         u = canonical_element(P)
         v = u * P.gen("K", P.p_minus - P.p_plus)
         cb = self.center
-        vbar = P.zero
-        for (r, s) in P.set_I():
-            vbar = vbar + cb.idempotents[(r, s)] * zeta(conformal_weight_exponent(P, r, s))
+        vbar = P.linear_combination(
+            (cb.idempotents[(r, s)], zeta(conformal_weight_exponent(P, r, s)))
+            for (r, s) in P.set_I())
         # unipotent part from the Drinfeld pseudotrace images at (1,1)
         vplus = P.one
         if P.p_plus > 1:

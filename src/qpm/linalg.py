@@ -69,11 +69,7 @@ class SparseMat:
         return SparseMat(self.nrows * n2, self.ncols * m2, out)
 
     def trace(self, ctx: CycloContext) -> Cyclo:
-        out = ctx.zero
-        for (i, j), v in self.data.items():
-            if i == j:
-                out = out + v
-        return out
+        return sum((v for (i, j), v in self.data.items() if i == j), start=ctx.zero)
 
     def apply(self, vec: dict) -> dict:
         """Matrix times sparse column vector {index: Cyclo}."""

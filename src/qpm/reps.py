@@ -173,21 +173,6 @@ class ModuleRep:
                 break
         return fails
 
-    def dump(self):
-        """Serializable form: basis labels plus the five generator matrices
-        in the cyclotomic pair encoding."""
-        def mat_doc(m: SparseMat):
-            return [[i, j, v.to_json()] for (i, j), v in sorted(m.data.items())]
-        return {
-            "label": self.label,
-            "dim": self.dim,
-            "basis": [repr(b) for b in self.basis],
-            "kweights": list(self.kweights),
-            "matrices": {name: mat_doc(self.mats[name])
-                         for name in ("ep", "fp", "em", "fm")},
-            "K": mat_doc(self.kmat(1)),
-        }
-
     def submodule_generated(self, seed_vectors):
         """Dimension of the submodule generated by the given sparse vectors."""
         gens = [self.mats[n] for n in ("ep", "fp", "em", "fm")] + [self.kmat(1)]

@@ -11,16 +11,17 @@ import tracemalloc
 
 import pytest
 
+from qpm import verify
 from qpm.algebra import Params
 from qpm.center import center_brute_force, center_dimension
 from qpm.duality import Theory
 from qpm.grothendieck import gr_class, gr_multiply
 from qpm.linalg import SpanSolver
 from qpm.reps import irreducible_labels
-from qpm.verify import (run_suites, suite_drinfeld, suite_fusion,
-                        suite_integral, suite_modular, suite_modules,
-                        suite_presentation, suite_radford_images,
-                        suite_ribbon)
+from qpm.verify import (SuiteSelectionError, run_suites, suite_drinfeld,
+                        suite_fusion, suite_integral, suite_modular,
+                        suite_modules, suite_presentation,
+                        suite_radford_images, suite_ribbon)
 
 
 def _report(num, name, ok):
@@ -141,9 +142,11 @@ def test_criterion_11_runtime():
     _report(11, "full verification within the stated budgets", ok)
 
 
-@pytest.mark.parametrize("pair", [(2, 1), (3, 1), (1, 4), (4, 1), (3, 2)],
+@pytest.mark.parametrize("pair", [(1, 1), (2, 1), (3, 1), (1, 4), (4, 1), (3, 2)],
                          ids=lambda pair: "%d-%d" % pair)
 def test_ledger_beyond_pinned_pairs(pair):
+    # (1,1) has no nilpotent center and no pseudotraces, so many of its
+    # families are empty and their sums run over empty iterables
     ok, results = run_suites(*pair, report=None)
     assert len(results) == 84
     assert ok, [(suite, check) for suite, check, passed, *_ in results if not passed]
@@ -151,12 +154,32 @@ def test_ledger_beyond_pinned_pairs(pair):
 
 @pytest.mark.parametrize("selection", [set(), [], {"nope"}, {"hopf-axioms", "nope"}],
                          ids=["empty-set", "empty-list", "unknown", "known-and-unknown"])
-def test_run_suites_rejects_bad_selections(selection):
-    # an empty selection once ran every suite; now it is refused before any work
+def test_run_suites_rejects_bad_selections(selection, monkeypatch):
+    # an empty selection once ran every suite; now it is refused before any
+    # work: no Params is built and nothing is reported
+    def no_params(*args):
+        raise AssertionError("Params built for a bad selection")
+
+    monkeypatch.setattr(verify, "Params", no_params)
     lines = []
-    with pytest.raises(ValueError, match="available: .*hopf-axioms"):
+    with pytest.raises(SuiteSelectionError, match="available: .*hopf-axioms"):
         run_suites(1, 2, selection=selection, report=lines.append)
     assert lines == []
+    assert issubclass(SuiteSelectionError, ValueError)
+
+
+@pytest.mark.parametrize("pair", [(1, 1), (1, 2), (2, 3)], ids=lambda pair: "%d-%d" % pair)
+def test_pseudotrace_closed_forms_report_their_case_count(pair):
+    # one case per pseudotrace Drinfeld image: the nesw family
+    # (1 <= r < p+, 1 <= s <= p-), the nwse family (1 <= r <= p+,
+    # 1 <= s < p-) and the upup family over I1, half the interior cells
+    p, q = pair
+    expected = (p - 1) * q + p * (q - 1) + (p - 1) * (q - 1) // 2
+    assert expected == {(1, 1): 0, (1, 2): 1, (2, 3): 8}[pair]
+    _, results = run_suites(p, q, selection={"drinfeld-images"}, report=None)
+    [(passed, detail)] = [(passed, detail) for _, check, passed, detail, _ in results
+                          if check == "pseudotrace Drinfeld images match closed forms"]
+    assert passed and detail == f"cases={expected}"
 
 
 def test_suite_times_ignore_wall_clock_jumps(monkeypatch):

@@ -165,16 +165,23 @@ def test_tensor_multiply(P23, gens):
 
 def test_adjoint(P23, gens):
     P = P23
+
+    def Ad(a, x):
+        """Ad_a(x) = sum a' x S(a'')."""
+        return P.linear_combination(
+            (AlgebraElement(P, {m1: c}) * x * P.antipode_mono(m2), P.ctx.one)
+            for (m1, m2), c in a.coproduct().coeffs.items())
+
     rng = random.Random(3)
     monos = sorted(P.monomials())
     x = AlgebraElement(P, {rng.choice(monos): P.ctx.one})
     K = gens["K"]
-    assert K.adjoint(x) == K * x * P.gen("K", -1)
+    assert Ad(K, x) == K * x * P.gen("K", -1)
     a = gens["ep"] * gens["fm"] + K * P.q
-    assert a.adjoint(P.one) == P.scalar(a.counit())
+    assert Ad(a, P.one) == P.scalar(a.counit())
     # Ad_{e+}(f+) is consistent with the commutation relation:
     # e+ f+ 1 + K^{p-} f+ S(e+) with S(e+) = -K^{-p-} e+
-    lhs = gens["ep"].adjoint(gens["fp"])
+    lhs = Ad(gens["ep"], gens["fp"])
     expect = (gens["ep"] * gens["fp"]
               - P.gen("K", P.p_minus) * gens["fp"] * P.gen("K", -P.p_minus) * gens["ep"])
     assert lhs == expect
@@ -195,7 +202,8 @@ def test_element_serialization(P23):
     x = (AlgebraElement(P, {rng.choice(monos): P.q})
          + AlgebraElement(P, {rng.choice(monos): P.ctx.integer(3)}))
     recs = x.to_records()
-    assert AlgebraElement.from_records(P, recs) == x
+    assert P.element({tuple(rec["mono"]): P.ctx.from_pairs(rec["coeff"]["coeffs"])
+                      for rec in recs}) == x
 
 
 def _stores_no_zero(coeffs):

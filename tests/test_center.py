@@ -192,19 +192,18 @@ def test_decompose_central(P23, cb23):
 
 def test_psi_normalization_constants(P23):
     # displayed closed forms for the projected minimal polynomial values
-    from qpm.center import (_beta_plus, _poly_div_linear, _poly_eval,
-                            _psi_poly)
+    from qpm.center import _poly_div_linear, _poly_eval, _psi_poly
     P = P23
     ctx = P.ctx
     for (r, s) in P.set_I1():
         psi = _psi_poly(P, "+")
-        beta = _beta_plus(P, r, s)
+        beta = P.casimir_eigenvalue_plus(1, r, s)
         red = _poly_div_linear(_poly_div_linear(psi, beta, ctx), beta, ctx)
         val = _poly_eval(red, beta, ctx)
         assert val == ctx.integer(4 * P.p_plus ** 2) * (
             (P.Q_plus ** r - P.Q_plus ** (-r)) ** 2).inv()
     two = ctx.integer(2)
-    beta = _beta_plus(P, P.p_plus, P.p_minus)
+    beta = P.casimir_eigenvalue_plus(1, P.p_plus, P.p_minus)
     assert beta == two or beta == -two
     red = _poly_div_linear(_psi_poly(P, "+"), beta, ctx)
     sign = 1 if beta == two else -1

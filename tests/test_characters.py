@@ -113,12 +113,6 @@ def test_convolution_closure(P23, cs23):
     assert prod == f2.convolve(f1)
 
 
-def test_functional_serialization(P23, cs23):
-    f = cs23.entries[1][2]
-    doc = f.to_json()
-    assert Functional.from_json(P23, doc) == f
-
-
 def test_boundary_block_resolution(P12, cs12):
     # at (1,2) only the row-boundary pseudotrace family is present
     kinds = [k for k, _ in cs12.labels()]

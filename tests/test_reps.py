@@ -285,13 +285,6 @@ def test_irreducibility_witness(P23, gi23):
         assert m.submodule_generated([{i: P23.ctx.one}]) == m.dim
 
 
-def test_module_dump(P23, gi23):
-    doc = gi23.irreducibles[(1, 2, 1)].dump()
-    assert doc["dim"] == 2
-    assert set(doc["matrices"]) == {"ep", "fp", "em", "fm"}
-    assert len(doc["basis"]) == 2
-
-
 def test_degenerate_products(T12):
     P = T12.params
     gi = T12.gr_index

@@ -127,7 +127,8 @@ class Params:
         self._coproduct_cache = {}
         self._antipode_cache = {}
         self._mono_mul_cache = {}
-        # shared read-mostly cache for constructed modules and functionals
+        # every lazily built structure of the pair (modules, functionals,
+        # the center, the integral data, ...), reached through cached()
         self.cache = {}
 
         self.zero = AlgebraElement(self, {})
@@ -196,6 +197,29 @@ class Params:
                 + [(r, self.p_minus) for r in range(1, self.p_plus)]
                 + [(self.p_plus, s) for s in range(1, self.p_minus)]
                 + [(self.p_plus, self.p_minus), (0, self.p_minus)])
+
+    def block_of(self, alpha: int, r: int, s: int):
+        """The linkage block, a label in set_I, of the irreducible
+        X^alpha_{r,s}."""
+        p, q = self.p_plus, self.p_minus
+        if (r, s) == (p, q):
+            return (r, s) if alpha > 0 else (0, q)
+        if s == q:
+            return (r, s) if alpha > 0 else (p - r, s)
+        if r == p:
+            return (r, s) if alpha > 0 else (r, q - s)
+        if alpha < 0:
+            r = p - r  # X^-_{r,s} is linked to X^+_{p_+ - r, s}
+        return (r, s) if (r, s) in self.set_I1() else (p - r, q - s)
+
+    # -- lazily built structures --------------------------------------------
+
+    def cached(self, key, build):
+        """The structure stored under key in self.cache; build() makes it
+        the first time."""
+        if key not in self.cache:
+            self.cache[key] = build()
+        return self.cache[key]
 
     # -- monomials ----------------------------------------------------------
 

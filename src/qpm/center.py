@@ -31,7 +31,6 @@ from .linalg import nullspace
 from .reps import cached_irreducible, cached_projective
 
 __all__ = [
-    "casimirs",
     "weight_projectors",
     "canonical_basis",
     "CanonicalCenterBasis",
@@ -49,11 +48,6 @@ _W_FACTORS = {"up": ("ne", "nw"), "right": ("ne", "se"),
 
 def center_dimension(params: Params) -> int:
     return ((3 * params.p_plus - 1) * (3 * params.p_minus - 1)) // 2
-
-
-def casimirs(params: Params):
-    """The central elements generating (with K) the semisimple center."""
-    return params.casimirs()
 
 
 def weight_projectors(params: Params, r: int, s: int):
@@ -281,19 +275,19 @@ def canonical_basis(params: Params) -> CanonicalCenterBasis:
     for _ in range(deg_m):
         pow_m.append(pow_m[-1] * cminus)
 
-    sector_cache = {}
-
-    def sector(sec, beta):
-        key = (sec, beta)
-        if key not in sector_cache:
-            powers = pow_p if sec == "+" else pow_m
-            sector_cache[key] = _sector_projection(P, sec, beta, powers)
-        return sector_cache[key]
+    # (e, w) for each Casimir root: every block used below is in I, and
+    # blocks sharing a root share its projection
+    roots = dict.fromkeys(
+        root for (r, s) in P.set_I()
+        for root in (("+", P.casimir_eigenvalue_plus(1, r, s)),
+                     ("-", P.casimir_eigenvalue_minus(1, r, s))))
+    sector = {(sec, beta): _sector_projection(P, sec, beta, pow_p if sec == "+" else pow_m)
+              for sec, beta in roots}
 
     idempotents = {}
     for (r, s) in P.set_I():
-        ep, _ = sector("+", P.casimir_eigenvalue_plus(1, r, s))
-        em, _ = sector("-", P.casimir_eigenvalue_minus(1, r, s))
+        ep, _ = sector["+", P.casimir_eigenvalue_plus(1, r, s)]
+        em, _ = sector["-", P.casimir_eigenvalue_minus(1, r, s)]
         idempotents[(r, s)] = ep * em
 
     v_interior = {}
@@ -301,8 +295,8 @@ def canonical_basis(params: Params) -> CanonicalCenterBasis:
     eighth = Fraction(1, CanonicalCenterBasis.RADICAL_PRODUCT_SCALE)
     for (r, s) in P.set_I1():
         proj = weight_projectors(P, r, s)
-        ep, wp = sector("+", P.casimir_eigenvalue_plus(1, r, s))
-        em, wm = sector("-", P.casimir_eigenvalue_minus(1, r, s))
+        ep, wp = sector["+", P.casimir_eigenvalue_plus(1, r, s)]
+        em, wm = sector["-", P.casimir_eigenvalue_minus(1, r, s)]
         v_interior[("ne", (r, s))] = ep * wm * (proj["up"] + proj["right"])
         v_interior[("sw", (r, s))] = ep * wm * (proj["left"] + proj["down"])
         v_interior[("nw", (r, s))] = wp * em * (proj["up"] + proj["left"])
@@ -317,15 +311,15 @@ def canonical_basis(params: Params) -> CanonicalCenterBasis:
     for r in range(1, P.p_plus):
         s = P.p_minus
         proj = weight_projectors(P, r, s)
-        em, _ = sector("-", P.casimir_eigenvalue_minus(1, r, s))
-        _, wp = sector("+", P.casimir_eigenvalue_plus(1, r, s))
+        em, _ = sector["-", P.casimir_eigenvalue_minus(1, r, s)]
+        _, wp = sector["+", P.casimir_eigenvalue_plus(1, r, s)]
         v_boundary[("up", (r, s))] = wp * em * proj["up"]
         v_boundary[("right", (r, s))] = wp * em * proj["right"]
     for s in range(1, P.p_minus):
         r = P.p_plus
         proj = weight_projectors(P, r, s)
-        ep, _ = sector("+", P.casimir_eigenvalue_plus(1, r, s))
-        _, wm = sector("-", P.casimir_eigenvalue_minus(1, r, s))
+        ep, _ = sector["+", P.casimir_eigenvalue_plus(1, r, s)]
+        _, wm = sector["-", P.casimir_eigenvalue_minus(1, r, s)]
         v_boundary[("up", (r, s))] = ep * wm * proj["up"]
         v_boundary[("left", (r, s))] = ep * wm * proj["left"]
 
@@ -406,13 +400,10 @@ class CenterDecomposition:
 
 
 def decompose_central(params: Params, z: AlgebraElement,
-                      basis: CanonicalCenterBasis | None = None,
-                      verify: bool = True) -> CenterDecomposition:
+                      basis: CanonicalCenterBasis) -> CenterDecomposition:
     P = params
     ctx = P.ctx
-    if basis is None:
-        basis = cached_canonical_basis(P)
-    if verify and not is_central(P, z):
+    if not is_central(P, z):
         raise ValueError("element is not central")
     a = {}
     for (r, s) in P.set_I():
@@ -423,20 +414,12 @@ def decompose_central(params: Params, z: AlgebraElement,
         mat = m.act(z)
         a[(r, s)] = mat.get(0, 0, ctx.zero)
     coeffs = {"v": {}, "w": {}, "vb": {}}
-    acts = {}
-    for (fam, key), (module, src, tgt) in _read_probes(P).items():
-        if module not in acts:
-            acts[module] = module.act(z)
+    probes = _read_probes(P)
+    acts = {m: m.act(z) for m in dict.fromkeys(m for m, _, _ in probes.values())}
+    for (fam, key), (module, src, tgt) in probes.items():
         val = acts[module].get(module.index[tgt], module.index[src], ctx.zero)
         coeffs[fam][key] = val * basis.read_entries[(fam, key)].inv()
     dec = CenterDecomposition(P, a, coeffs["v"], coeffs["w"], coeffs["vb"])
-    if verify:
-        if not (dec.reconstruct(basis) - z).is_zero():
-            raise ArithmeticError("decomposition does not reconstruct the element")
+    if not (dec.reconstruct(basis) - z).is_zero():
+        raise ArithmeticError("decomposition does not reconstruct the element")
     return dec
-
-
-def cached_canonical_basis(params: Params) -> CanonicalCenterBasis:
-    if "canonical_center" not in params.cache:
-        params.cache["canonical_center"] = canonical_basis(params)
-    return params.cache["canonical_center"]

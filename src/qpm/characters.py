@@ -28,16 +28,16 @@ central decompositions of the resulting Radford images).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain
 
 from .algebra import AlgebraElement, Params
 from .cyclotomic import Cyclo, sparse_sum
 from .linalg import SparseMat, SpanSolver, nullspace
-from .reps import ModuleRep, direct_sum, irreducible, projective
+from .reps import ModuleRep, cached_irreducible, cached_projective, direct_sum
 
 __all__ = [
     "Functional",
-    "KacTableSets",
     "PseudotraceSpec",
     "CharacterSpace",
     "qtrace_char",
@@ -49,29 +49,6 @@ __all__ = [
 ]
 
 _BULLETS = ("u", "r", "l", "d")  # component arrows: up, right, left, down
-
-
-@dataclass(frozen=True)
-class KacTableSets:
-    """The four label sets attached to the extended Kac table."""
-
-    I1: tuple
-    I_slash: tuple
-    I_bslash: tuple
-    I: tuple
-
-    @staticmethod
-    def build(params: Params) -> "KacTableSets":
-        sets = KacTableSets(
-            I1=tuple(params.set_I1()),
-            I_slash=tuple(params.set_I_slash()),
-            I_bslash=tuple(params.set_I_bslash()),
-            I=tuple(params.set_I()),
-        )
-        p, q = params.p_plus, params.p_minus
-        assert 2 * len(sets.I1) == (p - 1) * (q - 1)
-        assert 2 * len(sets.I) == (p + 1) * (q + 1)
-        return sets
 
 
 class Functional:
@@ -295,26 +272,32 @@ class PseudotraceSpec:
                 == g("beta", "up", "r", ctx) == g("beta", "up", "d", ctx))
 
 
+def _block(params: Params, label: str, comps) -> tuple:
+    """The (module, ranges) pair of a block: the shared projective covers
+    named by comps, (bullet, (alpha, r, s)) pairs, summed in order; ranges
+    maps a bullet to (lo, hi, cover)."""
+    covers = [(bullet, cached_projective(params, *lab)) for bullet, lab in comps]
+    ranges = {}
+    offset = 0
+    for bullet, m in covers:
+        ranges[bullet] = (offset, offset + m.dim, m)
+        offset += m.dim
+    module = reduce(direct_sum, (m for _, m in covers))
+    module.label = label
+    return module, ranges
+
+
 def block_module(params: Params, r: int, s: int) -> tuple:
     """Direct sum of the projective covers in the linkage block of the
     interior label (r, s); returns (module, component ranges) where ranges
     maps a bullet to its basis-offset window."""
     P = params
-    comps = [
-        ("u", projective(P, 1, r, s)),
-        ("r", projective(P, -1, P.p_plus - r, s)),
-        ("l", projective(P, -1, r, P.p_minus - s)),
-        ("d", projective(P, 1, P.p_plus - r, P.p_minus - s)),
-    ]
-    module = None
-    ranges = {}
-    offset = 0
-    for bullet, m in comps:
-        module = m if module is None else direct_sum(module, m)
-        ranges[bullet] = (offset, offset + m.dim, m)
-        offset += m.dim
-    module.label = f"Block({r},{s})"
-    return module, ranges
+    return P.cached(("block", r, s), lambda: _block(P, f"Block({r},{s})", [
+        ("u", (1, r, s)),
+        ("r", (-1, P.p_plus - r, s)),
+        ("l", (-1, r, P.p_minus - s)),
+        ("d", (1, P.p_plus - r, P.p_minus - s)),
+    ]))
 
 
 def boundary_block_module(params: Params, r: int, s: int) -> tuple:
@@ -323,36 +306,23 @@ def boundary_block_module(params: Params, r: int, s: int) -> tuple:
     P^+_{p_+,s} with P^-_{p_+,p_--s}."""
     P = params
     if s == P.p_minus:
-        comps = [("u", projective(P, 1, r, s)),
-                 ("r", projective(P, -1, P.p_plus - r, s))]
+        other = ("r", (-1, P.p_plus - r, s))
     elif r == P.p_plus:
-        comps = [("u", projective(P, 1, r, s)),
-                 ("l", projective(P, -1, r, P.p_minus - s))]
+        other = ("l", (-1, r, P.p_minus - s))
     else:
         raise ValueError("not a boundary label")
-    module = None
-    ranges = {}
-    offset = 0
-    for bullet, m in comps:
-        module = m if module is None else direct_sum(module, m)
-        ranges[bullet] = (offset, offset + m.dim, m)
-        offset += m.dim
-    module.label = f"BlockBdry({r},{s})"
-    return module, ranges
+    return P.cached(("boundary_block", r, s), lambda: _block(
+        P, f"BlockBdry({r},{s})", [("u", (1, r, s)), other]))
 
 
-def sigma_endomorphism(params: Params, spec: PseudotraceSpec,
-                       block=None) -> tuple:
+def sigma_endomorphism(params: Params, spec: PseudotraceSpec) -> tuple:
     """The sigma map of the given spec as a sparse matrix on the block
     module.  Returns (module, sigma)."""
     P = params
     ctx = P.ctx
     if not spec.check_constraints(ctx):
         raise ValueError("pseudotrace coefficients violate the constraint relations")
-    r, s = spec.block
-    if block is None:
-        block = block_module(P, r, s)
-    module, ranges = block
+    module, ranges = block_module(P, *spec.block)
     targets = {
         ("alpha", "up"): ("d", "u"),
         ("alpha", "down"): ("d", "d"),
@@ -377,14 +347,10 @@ def sigma_endomorphism(params: Params, spec: PseudotraceSpec,
     return module, SparseMat(module.dim, module.dim, sparse_sum(terms()))
 
 
-def boundary_sigma(params: Params, r: int, s: int, coeff: Cyclo,
-                   block=None) -> tuple:
+def boundary_sigma(params: Params, r: int, s: int, coeff: Cyclo) -> tuple:
     """Bottom-to-top sigma on a boundary block, same coefficient on both
     components."""
-    P = params
-    if block is None:
-        block = boundary_block_module(P, r, s)
-    module, ranges = block
+    module, ranges = boundary_block_module(params, r, s)
     data = {}
     for bullet, (lo, _hi, comp) in ranges.items():
         for lab, i in comp.index.items():
@@ -401,86 +367,66 @@ def boundary_sigma(params: Params, r: int, s: int, coeff: Cyclo,
 class CharacterSpace:
     """Constructs and indexes the distinguished q-character basis."""
 
-    def __init__(self, params: Params, irreducibles=None):
+    def __init__(self, params: Params):
         P = self.params = params
-        self.sets = KacTableSets.build(P)
         ctx = P.ctx
-        self._irr = irreducibles or {}
-        self._blocks = {}
-        self._bblocks = {}
-        self._qtrace = {}
+        I1 = P.set_I1()
+        qtrace = self.qtrace
 
         dQp = (P.zeta(P.zQp) - P.zeta(-P.zQp)) if P.p_plus > 1 else None
         dQm = (P.zeta(P.zQm) - P.zeta(-P.zQm)) if P.p_minus > 1 else None
 
         entries = []  # (kind, label, functional)
 
-        def qtrace(alpha, r, s):
-            key = (alpha, r, s)
-            if key not in self._qtrace:
-                self._qtrace[key] = qtrace_char(self.irreducible(*key))
-            return self._qtrace[key]
-
-        def interior_block(r, s):
-            if (r, s) not in self._blocks:
-                self._blocks[(r, s)] = block_module(P, r, s)
-            return self._blocks[(r, s)]
-
-        def bdry_block(r, s):
-            if (r, s) not in self._bblocks:
-                self._bblocks[(r, s)] = boundary_block_module(P, r, s)
-            return self._bblocks[(r, s)]
-
         def gamma_nesw(r, s):
             # alpha-type pseudotrace, label set I_slash
             c = P.qint_p(r) * dQp.inv()
             if s == P.p_minus:
-                module, sigma = boundary_sigma(P, r, s, c, bdry_block(r, s))
-            elif (r, s) in self.sets.I1:
+                module, sigma = boundary_sigma(P, r, s, c)
+            elif (r, s) in I1:
                 spec = PseudotraceSpec((r, s), {
                     ("alpha", "up", "u"): c, ("alpha", "up", "r"): c})
-                module, sigma = sigma_endomorphism(P, spec, interior_block(r, s))
+                module, sigma = sigma_endomorphism(P, spec)
             else:
                 rr, ss = P.p_plus - r, P.p_minus - s
-                assert (rr, ss) in self.sets.I1
+                assert (rr, ss) in I1
                 spec = PseudotraceSpec((rr, ss), {
                     ("alpha", "up", "d"): c, ("alpha", "up", "l"): c})
-                module, sigma = sigma_endomorphism(P, spec, interior_block(rr, ss))
+                module, sigma = sigma_endomorphism(P, spec)
             return trace_functional(module, sigma)
 
         def gamma_nwse(r, s):
             # beta-down-type pseudotrace, label set I_bslash
             c = P.qint_m(s) * dQm.inv()
             if r == P.p_plus:
-                module, sigma = boundary_sigma(P, r, s, c, bdry_block(r, s))
-            elif (r, s) in self.sets.I1:
+                module, sigma = boundary_sigma(P, r, s, c)
+            elif (r, s) in I1:
                 spec = PseudotraceSpec((r, s), {
                     ("beta", "down", "u"): c, ("beta", "down", "l"): c})
-                module, sigma = sigma_endomorphism(P, spec, interior_block(r, s))
+                module, sigma = sigma_endomorphism(P, spec)
             else:
                 rr, ss = P.p_plus - r, P.p_minus - s
-                assert (rr, ss) in self.sets.I1
+                assert (rr, ss) in I1
                 spec = PseudotraceSpec((rr, ss), {
                     ("beta", "down", "d"): c, ("beta", "down", "r"): c})
-                module, sigma = sigma_endomorphism(P, spec, interior_block(rr, ss))
+                module, sigma = sigma_endomorphism(P, spec)
             return trace_functional(module, sigma)
 
         def gamma_upup(r, s):
             c = P.qint_p(r) * P.qint_m(s) * (dQp * dQm).inv()
             spec = PseudotraceSpec((r, s), {("beta", "up", b): c for b in _BULLETS})
-            module, sigma = sigma_endomorphism(P, spec, interior_block(r, s))
+            module, sigma = sigma_endomorphism(P, spec)
             return trace_functional(module, sigma)
 
         self.gamma_nesw = gamma_nesw
         self.gamma_nwse = gamma_nwse
         self.gamma_upup = gamma_upup
-        self.qtrace = qtrace
 
         # reading order of the distinguished basis
         entries.append(("qtr", (1, P.p_plus, P.p_minus), qtrace(1, P.p_plus, P.p_minus)))
         for r in range(1, P.p_plus):
             entries.append(("nesw", (r, P.p_minus), gamma_nesw(r, P.p_minus)))
-        for (r, s) in self.sets.I1:
+        for (r, s) in I1:
             entries.append(("upup", (r, s), gamma_upup(r, s)))
         for s in range(1, P.p_minus):
             entries.append(("nwse", (P.p_plus, s), gamma_nwse(P.p_plus, s)))
@@ -497,7 +443,7 @@ class CharacterSpace:
             entries.append(("qtr", (1, P.p_plus, s), qtrace(1, P.p_plus, s)))
             entries.append(("qtr", (-1, P.p_plus, P.p_minus - s),
                             qtrace(-1, P.p_plus, P.p_minus - s)))
-        for (r, s) in self.sets.I1:
+        for (r, s) in I1:
             entries.append(("qtr", (1, r, s), qtrace(1, r, s)))
             entries.append(("qtr", (-1, P.p_plus - r, s), qtrace(-1, P.p_plus - r, s)))
             entries.append(("qtr", (-1, r, P.p_minus - s), qtrace(-1, r, P.p_minus - s)))
@@ -511,11 +457,11 @@ class CharacterSpace:
         if not self.solver.independent:
             raise RuntimeError("gamma basis is linearly dependent")
 
-    def irreducible(self, alpha, r, s):
-        key = (alpha, r, s)
-        if key not in self._irr:
-            self._irr[key] = irreducible(self.params, alpha, r, s)
-        return self._irr[key]
+    def qtrace(self, alpha, r, s) -> Functional:
+        """The balanced trace of the irreducible X^alpha_{r,s}."""
+        P = self.params
+        return P.cached(("qtrace", alpha, r, s),
+                        lambda: qtrace_char(cached_irreducible(P, alpha, r, s)))
 
     @property
     def dimension(self):
@@ -526,6 +472,3 @@ class CharacterSpace:
 
     def labels(self):
         return [(kind, lab) for kind, lab, _ in self.entries]
-
-    def coordinates(self, beta: Functional):
-        return self.solver.coordinates(beta.values)

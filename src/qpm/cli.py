@@ -26,10 +26,9 @@ import math
 import sys
 
 from .algebra import Params
-from .center import cached_canonical_basis
 from .cyclotomic import Cyclo
 from .duality import Theory, conformal_weight_exponent
-from .grothendieck import gr_basis_labels, gr_class, gr_multiply
+from .grothendieck import gr_class, gr_multiply
 from .modular import ModularAction
 from .reps import irreducible_labels
 from .verify import SuiteSelectionError, available_suites, run_suites
@@ -77,7 +76,7 @@ def cmd_info(args):
 
 def cmd_fusion(args):
     P = _context(args)
-    labels = gr_basis_labels(P)
+    labels = irreducible_labels(P)
     table = []
     for la in labels:
         for lb in labels:
@@ -98,7 +97,7 @@ def cmd_fusion(args):
 
 def cmd_center(args):
     P = _context(args)
-    cb = cached_canonical_basis(P)
+    cb = Theory(P).center
     entries = []
     for (family, key), el in cb.ordered():
         entries.append({
@@ -173,18 +172,7 @@ def cmd_ribbon(args):
     zeta = P.ctx.root_of_unity
     table = []
     for lab in irreducible_labels(P):
-        alpha, r, s = lab
-        if alpha > 0:
-            key = (r, s)
-        elif (r, s) == (P.p_plus, P.p_minus):
-            key = (0, P.p_minus)
-        elif r == P.p_plus:
-            key = (P.p_plus, P.p_minus - s)
-        elif s == P.p_minus:
-            key = (P.p_plus - r, P.p_minus)
-        else:
-            key = (P.p_plus - r, s)
-        ev = zeta(conformal_weight_exponent(P, *key))
+        ev = zeta(conformal_weight_exponent(P, *P.block_of(*lab)))
         table.append({"module": _label(*lab),
                       "eigenvalue": _cyclo_doc(ev, args.precision)})
     data = th.integral

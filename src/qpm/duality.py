@@ -38,10 +38,11 @@ from fractions import Fraction
 from itertools import chain, product
 
 from .algebra import AlgebraElement, Params, TensorElement
+from .center import canonical_basis
 from .characters import CharacterSpace, Functional
 from .cyclotomic import Cyclo, nonzero_sums, sparse_sum
 from .linalg import SpanSolver, invert_dense, mat_mul_dense, mat_vec_dense
-from .reps import GrothendieckIndex, irreducible_labels
+from .reps import GrothendieckIndex
 
 __all__ = [
     "IntegralData",
@@ -75,7 +76,7 @@ class IntegralData:
     balancing: AlgebraElement   # g = K^{p_+ - p_-}
 
 
-def build_integral_data(params: Params, verify: bool = True) -> IntegralData:
+def build_integral_data(params: Params) -> IntegralData:
     P = params
     fact = (P.qfact_p(P.p_plus - 1) * P.qfact_m(P.p_minus - 1)) ** 2
     zeta_norm = P.sqrt_half_pp() * fact.inv()
@@ -108,10 +109,9 @@ def build_integral_data(params: Params, verify: bool = True) -> IntegralData:
         comodulus=P.gen("K", 2 * (P.p_plus - P.p_minus)),
         balancing=P.gen("K", P.p_plus - P.p_minus),
     )
-    if verify:
-        errs = verify_integral_data(data)
-        if errs:
-            raise ArithmeticError(f"integral data invariants failed: {errs}")
+    errs = verify_integral_data(data)
+    if errs:
+        raise ArithmeticError(f"integral data invariants failed: {errs}")
     return data
 
 
@@ -153,14 +153,6 @@ def verify_integral_data(data: IntegralData):
     return errs
 
 
-def delta_cointegral(data: IntegralData) -> TensorElement:
-    P = data.params
-    key = "delta_cointegral"
-    if key not in P.cache:
-        P.cache[key] = data.cointegral.coproduct()
-    return P.cache[key]
-
-
 def delta_cointegral_closed_form(data: IntegralData) -> TensorElement:
     """Independent closed form of Delta(Lambda): a five-fold sum whose
     K-powers appear as squares of the half-order generator, read as
@@ -193,8 +185,9 @@ def delta_cointegral_closed_form(data: IntegralData) -> TensorElement:
 
 def radford(data: IntegralData, beta: Functional) -> AlgebraElement:
     """phi(beta) = sum beta(Lambda') Lambda''."""
-    return delta_cointegral(data).apply_left(
-        lambda m: beta.values.get(m, data.params.ctx.zero))
+    P = data.params
+    return P.cached("delta_cointegral", data.cointegral.coproduct).apply_left(
+        lambda m: beta.values.get(m, P.ctx.zero))
 
 
 def _sector_weight(mono):
@@ -559,7 +552,6 @@ class RibbonData:
     v_unipotent: AlgebraElement       # v = v_semisimple * v_unipotent
     v_factor_plus: AlgebraElement     # unipotent factor from the plus sector
     v_factor_minus: AlgebraElement
-    eigenvalues: dict                  # irreducible label -> Cyclo
 
 
 # ----------------------------------------------------------------------
@@ -582,59 +574,42 @@ class Theory:
 
     @property
     def characters(self) -> CharacterSpace:
-        if "character_space" not in self.params.cache:
-            self.params.cache["character_space"] = CharacterSpace(self.params)
-        return self.params.cache["character_space"]
+        return self.params.cached("character_space", lambda: CharacterSpace(self.params))
 
     @property
     def center(self):
-        from .center import cached_canonical_basis
-        return cached_canonical_basis(self.params)
+        return self.params.cached("canonical_center", lambda: canonical_basis(self.params))
 
     @property
     def integral(self) -> IntegralData:
-        if "integral_data" not in self.params.cache:
-            self.params.cache["integral_data"] = build_integral_data(self.params)
-        return self.params.cache["integral_data"]
+        return self.params.cached("integral_data", lambda: build_integral_data(self.params))
 
     @property
     def m_matrix(self) -> MMatrix:
-        if "m_matrix" not in self.params.cache:
-            self.params.cache["m_matrix"] = MMatrix(self.params)
-        return self.params.cache["m_matrix"]
+        return self.params.cached("m_matrix", lambda: MMatrix(self.params))
 
     @property
     def gr_index(self) -> GrothendieckIndex:
-        if "gr_index" not in self.params.cache:
-            self.params.cache["gr_index"] = GrothendieckIndex(self.params)
-        return self.params.cache["gr_index"]
+        return self.params.cached("gr_index", lambda: GrothendieckIndex(self.params))
 
     # Radford and Drinfeld bases --------------------------------------------
 
     @property
     def radford_basis(self):
         """phi(gamma_i) for the ordered gamma basis."""
-        if "radford_basis" not in self.params.cache:
-            data = self.integral
-            out = [radford(data, f) for _, _, f in self.characters.entries]
-            self.params.cache["radford_basis"] = out
-        return self.params.cache["radford_basis"]
+        return self.params.cached("radford_basis", lambda: [
+            radford(self.integral, f) for f in self.characters.functionals()])
 
     @property
     def drinfeld_basis(self):
         """chi(gamma_i) for the ordered gamma basis."""
-        if "drinfeld_basis" not in self.params.cache:
-            mm = self.m_matrix
-            out = [mm.contract_functional(f) for _, _, f in self.characters.entries]
-            self.params.cache["drinfeld_basis"] = out
-        return self.params.cache["drinfeld_basis"]
+        return self.params.cached("drinfeld_basis", lambda: [
+            self.m_matrix.contract_functional(f) for f in self.characters.functionals()])
 
     @property
     def radford_solver(self) -> SpanSolver:
-        if "radford_solver" not in self.params.cache:
-            self.params.cache["radford_solver"] = SpanSolver(
-                [el.coeffs for el in self.radford_basis], self.params.ctx)
-        return self.params.cache["radford_solver"]
+        return self.params.cached("radford_solver", lambda: SpanSolver(
+            [el.coeffs for el in self.radford_basis], self.params.ctx))
 
     def radford_image(self, kind: str, label) -> AlgebraElement:
         """Radford basis element by (kind, label) name."""
@@ -748,14 +723,14 @@ class Theory:
         coordinates to coordinates over center.ordered() and back; column j
         of to_radford holds the Radford coordinates of the j-th canonical
         element."""
-        if "center_basis_change" not in self.params.cache:
-            cols = [self.central_coordinates(el) for el in self.center.elements()]
-            if any(co is None for co in cols):
-                raise ArithmeticError("canonical element outside the center span")
-            to_radford = [list(row) for row in zip(*cols)]
-            self.params.cache["center_basis_change"] = (
-                invert_dense(to_radford, self.params.ctx), to_radford)
-        return self.params.cache["center_basis_change"]
+        return self.params.cached("center_basis_change", self._build_center_basis_change)
+
+    def _build_center_basis_change(self):
+        cols = [self.central_coordinates(el) for el in self.center.elements()]
+        if any(co is None for co in cols):
+            raise ArithmeticError("canonical element outside the center span")
+        to_radford = [list(row) for row in zip(*cols)]
+        return invert_dense(to_radford, self.params.ctx), to_radford
 
     def _canonical_mult(self, z: AlgebraElement):
         """Matrix of multiplication by the central element z over
@@ -796,16 +771,12 @@ class Theory:
 
     @property
     def ribbon(self) -> RibbonData:
-        if "ribbon" not in self.params.cache:
-            self.params.cache["ribbon"] = self._build_ribbon()
-        return self.params.cache["ribbon"]
+        return self.params.cached("ribbon", self._build_ribbon)
 
     @property
     def modular_action(self):
         from .modular import ModularAction
-        if "modular_action" not in self.params.cache:
-            self.params.cache["modular_action"] = ModularAction(self)
-        return self.params.cache["modular_action"]
+        return self.params.cached("modular_action", lambda: ModularAction(self))
 
     def _build_ribbon(self) -> RibbonData:
         P = self.params
@@ -825,10 +796,4 @@ class Theory:
         if P.p_minus > 1:
             vminus = vminus + self.drinfeld_image("nwse", (1, 1)) * Fraction(1, P.p_minus)
         vstar = vplus * vminus
-        eigenvalues = {}
-        for lab in irreducible_labels(P):
-            if lab[0] > 0:
-                eigenvalues[lab] = zeta(conformal_weight_exponent(P, lab[1], lab[2]))
-            elif lab == (-1, P.p_plus, P.p_minus):
-                eigenvalues[lab] = zeta(conformal_weight_exponent(P, 0, P.p_minus))
-        return RibbonData(P, u, v, vbar, vstar, vplus, vminus, eigenvalues)
+        return RibbonData(P, u, v, vbar, vstar, vplus, vminus)

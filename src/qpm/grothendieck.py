@@ -19,20 +19,12 @@ from .algebra import AlgebraElement, Params
 
 __all__ = [
     "GrElement",
-    "gr_basis_labels",
     "gr_class",
     "gr_multiply",
     "chebyshev_U",
     "verify_presentation",
     "verify_casimir_identities",
 ]
-
-
-def gr_basis_labels(params: Params):
-    return [(alpha, r, s)
-            for alpha in (1, -1)
-            for r in range(1, params.p_plus + 1)
-            for s in range(1, params.p_minus + 1)]
 
 
 class GrElement:

@@ -12,7 +12,7 @@ from itertools import chain
 
 from .cyclotomic import Cyclo, CycloContext, sparse_sum
 
-__all__ = ["SparseMat", "nullspace", "solve_in_span", "rank", "closure_rank",
+__all__ = ["SparseMat", "nullspace", "closure_rank",
            "invert_dense", "mat_mul_dense", "mat_vec_dense"]
 
 
@@ -82,12 +82,6 @@ class SparseMat:
     def identity(n: int, ctx: CycloContext) -> "SparseMat":
         return SparseMat(n, n, {(i, i): ctx.one for i in range(n)})
 
-    @staticmethod
-    def diagonal(values) -> "SparseMat":
-        n = len(values)
-        return SparseMat(n, n, {(i, i): v for i, v in enumerate(values)
-                                if not v.is_zero()})
-
 
 def _sub_multiple(row, c, prow):
     """row -= c * prow in place, dropping the entries that cancel."""
@@ -155,10 +149,6 @@ def closure_rank(seeds, maps) -> int:
         frontier = [w for v in frontier for f in maps
                     for w in (f(v),) if _insert(echelon, w)]
     return len(echelon)
-
-
-def rank(rows, ncols: int) -> int:
-    return len(_eliminate(rows, ncols))
 
 
 def nullspace(rows, ncols: int, ctx: CycloContext):
@@ -244,10 +234,6 @@ class SpanSolver:
             self._key_echelon = [(pc, {j: v for j, v in prow.items() if j < n})
                                  for pc, prow in self._echelon if pc < n]
         return not _reduce(row, self._key_echelon)
-
-
-def solve_in_span(vectors, target: dict, ctx: CycloContext):
-    return SpanSolver(vectors, ctx).coordinates(target)
 
 
 def invert_dense(mat, ctx: CycloContext):

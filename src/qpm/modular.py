@@ -384,17 +384,7 @@ class ModularAction:
         ph = self.data.t_phase
         t_diag = True
         for lab, el in zip(irreducible_labels(P), span_elems):
-            alpha, r, s = lab
-            if alpha > 0:
-                key = (r, s)
-            elif (r, s) == (P.p_plus, P.p_minus):
-                key = (0, P.p_minus)
-            elif r == P.p_plus:
-                key = (P.p_plus, P.p_minus - s)
-            else:
-                # X^-_{r,s} lies in the block of the reflected first index
-                key = (P.p_plus - r, s)
-            ev = ph * zeta(conformal_weight_exponent(P, *key))
+            ev = ph * zeta(conformal_weight_exponent(P, *P.block_of(*lab)))
             if not (self.t_map(el) - el * ev).is_zero():
                 t_diag = False
         literal = True

@@ -46,7 +46,6 @@ __all__ = [
     "glue",
     "tensor_product",
     "direct_sum",
-    "act",
     "GrothendieckIndex",
     "irreducible_labels",
 ]
@@ -315,14 +314,14 @@ def projective_deck(params: Params, alpha: int, kind: str, r: int, s: int) -> Mo
     if kind == "+":
         if not (1 <= r <= P.p_plus - 1 and 1 <= s <= P.p_minus):
             raise ValueError("plus-type deck needs 1 <= r < p_+")
-        side = irreducible(P, -alpha, P.p_plus - r, s)
+        side = cached_irreducible(P, -alpha, P.p_plus - r, s)
     elif kind == "-":
         if not (1 <= r <= P.p_plus and 1 <= s <= P.p_minus - 1):
             raise ValueError("minus-type deck needs 1 <= s < p_-")
-        side = irreducible(P, -alpha, r, P.p_minus - s)
+        side = cached_irreducible(P, -alpha, r, P.p_minus - s)
     else:
         raise ValueError("kind must be '+' or '-'")
-    return glue(kind, irreducible(P, alpha, r, s), side, f"Deck{kind}({sign},{r},{s})")
+    return glue(kind, cached_irreducible(P, alpha, r, s), side, f"Deck{kind}({sign},{r},{s})")
 
 
 def projective(params: Params, alpha: int, r: int, s: int) -> ModuleRep:
@@ -386,10 +385,6 @@ def direct_sum(m1: ModuleRep, m2: ModuleRep) -> ModuleRep:
                      m1.kweights + m2.kweights)
 
 
-def act(x: AlgebraElement, module: ModuleRep) -> SparseMat:
-    return module.act(x)
-
-
 def _powers(mat: SparseMat, n: int, ctx) -> list:
     """[mat^0, mat^1, ..., mat^n] for n >= 1."""
     out = [SparseMat.identity(mat.nrows, ctx), mat]
@@ -399,17 +394,11 @@ def _powers(mat: SparseMat, n: int, ctx) -> list:
 
 
 def cached_irreducible(params: Params, alpha: int, r: int, s: int) -> ModuleRep:
-    key = ("irr", alpha, r, s)
-    if key not in params.cache:
-        params.cache[key] = irreducible(params, alpha, r, s)
-    return params.cache[key]
+    return params.cached(("irr", alpha, r, s), lambda: irreducible(params, alpha, r, s))
 
 
 def cached_projective(params: Params, alpha: int, r: int, s: int) -> ModuleRep:
-    key = ("proj", alpha, r, s)
-    if key not in params.cache:
-        params.cache[key] = projective(params, alpha, r, s)
-    return params.cache[key]
+    return params.cached(("proj", alpha, r, s), lambda: projective(params, alpha, r, s))
 
 
 class GrothendieckIndex:
@@ -440,7 +429,7 @@ class GrothendieckIndex:
     def __init__(self, params: Params):
         self.params = params
         self.labels = irreducible_labels(params)
-        self.irreducibles = {lab: irreducible(params, *lab) for lab in self.labels}
+        self.irreducibles = {lab: cached_irreducible(params, *lab) for lab in self.labels}
         self._cas = params.casimirs()
         vectors = [self._fingerprint_sparse(self.irreducibles[lab], lab)
                    for lab in self.labels]

@@ -409,18 +409,7 @@ def suite_qcharacters(theory: Theory):
 
     def block_of(kind, lab):
         if kind == "qtr":
-            alpha, r, s = lab
-            if (r, s) == (P.p_plus, P.p_minus):
-                return (r, s) if alpha > 0 else (0, P.p_minus)
-            if s == P.p_minus:        # column boundary
-                return (r, s) if alpha > 0 else (P.p_plus - r, s)
-            if r == P.p_plus:          # row boundary
-                return (r, s) if alpha > 0 else (r, P.p_minus - s)
-            if alpha > 0:
-                return (r, s) if (r, s) in interior \
-                    else (P.p_plus - r, P.p_minus - s)
-            cand = (P.p_plus - r, s)
-            return cand if cand in interior else (r, P.p_minus - s)
+            return P.block_of(*lab)
         r, s = lab
         if (r, s) in interior or r == P.p_plus or s == P.p_minus:
             return (r, s)
@@ -849,18 +838,7 @@ def suite_ribbon(theory: Theory):
     for lab in irreducible_labels(P):
         m = cached_irreducible(P, *lab)
         actv = m.act(rib.v)
-        alpha, r, s = lab
-        if alpha > 0:
-            key = (r, s)
-        elif (r, s) == (P.p_plus, P.p_minus):
-            key = (0, P.p_minus)
-        elif r == P.p_plus:
-            key = (P.p_plus, P.p_minus - s)
-        elif s == P.p_minus:
-            key = (P.p_plus - r, P.p_minus)
-        else:
-            key = (P.p_plus - r, s)
-        ev = zeta(conformal_weight_exponent(P, *key))
+        ev = zeta(conformal_weight_exponent(P, *P.block_of(*lab)))
         if not (actv - SparseMat.identity(m.dim, ctx).scale(ev)).is_zero():
             eig_ok = False
     checks.append(("eigenvalue exp(2 i pi Delta) on every irreducible",

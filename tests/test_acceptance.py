@@ -6,12 +6,14 @@ one pass/fail line (run pytest with -s to stream them).
 """
 
 import gc
+import sys
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 
-from qpm import verify
+from qpm import reps, verify
 from qpm.algebra import Params
 from qpm.center import center_brute_force, center_dimension
 from qpm.duality import Theory
@@ -150,6 +152,25 @@ def test_ledger_beyond_pinned_pairs(pair):
     ok, results = run_suites(*pair, report=None)
     assert len(results) == 84
     assert ok, [(suite, check) for suite, check, passed, *_ in results if not passed]
+
+
+def test_ledger_builds_each_projective_cover_once(monkeypatch):
+    # the center, the character space and the module suite share one
+    # cover per label through cached_projective
+    calls = Counter()
+    build = reps.projective
+
+    def counted(P, *label):
+        calls[label] += 1
+        return build(P, *label)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qpm") and getattr(module, "projective", None) is build:
+            monkeypatch.setattr(module, "projective", counted)
+    ok, _ = run_suites(2, 3, report=None)
+    assert ok
+    assert sorted(calls) == sorted(irreducible_labels(Params(2, 3)))
+    assert set(calls.values()) == {1}
 
 
 @pytest.mark.parametrize("selection", [set(), [], {"nope"}, {"hopf-axioms", "nope"}],

@@ -9,7 +9,8 @@ from qpm.algebra import Params
 from qpm.center import (center_brute_force, center_dimension,
                         decompose_central, is_central, weight_projectors)
 from qpm.duality import Theory
-from qpm.linalg import SpanSolver
+from qpm.linalg import SpanSolver, SparseMat
+from qpm.reps import cached_irreducible, irreducible_labels
 from qpm.verify import radical_table_holds
 
 
@@ -152,6 +153,24 @@ def test_steinberg_idempotent_action(P23, cb23):
             assert (mat - SparseMat.identity(m.dim, P.ctx)).is_zero()
         else:
             assert mat.is_zero()
+
+
+@pytest.mark.parametrize("theory", ["T12", "T23", "T32"])
+def test_block_of_names_the_idempotent_fixing_each_irreducible(theory, request):
+    # the idempotents come from the Casimir projections, apart from block_of
+    th = request.getfixturevalue(theory)
+    P, cb = th.params, th.center
+    sizes = {}
+    for lab in irreducible_labels(P):
+        blk = P.block_of(*lab)
+        sizes[blk] = sizes.get(blk, 0) + 1
+        m = cached_irreducible(P, *lab)
+        assert (m.act(cb.idempotents[blk]) - SparseMat.identity(m.dim, P.ctx)).is_zero(), lab
+    # four irreducibles per interior block, two per boundary block, one per
+    # Steinberg-type block
+    assert sizes == {blk: 4 if blk in P.set_I1() else
+                     1 if blk in ((P.p_plus, P.p_minus), (0, P.p_minus)) else 2
+                     for blk in P.set_I()}
 
 
 def test_brute_force_dimensions(P12, P13, P23):

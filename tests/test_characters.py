@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qpm.algebra import Params
 from qpm.characters import (Functional, PseudotraceSpec, counit_functional,
                             is_qcharacter, qcharacter_space,
                             sigma_endomorphism)
@@ -98,11 +99,19 @@ def test_alpha_down_gives_trace_combination(P23, cs23):
     assert is_qcharacter(gamma)
 
 
-def test_kac_sets(P23, cs23):
-    sets = cs23.sets
-    assert sets.I1 == ((1, 1),)
-    assert set(sets.I) == {(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (0, 3)}
-    assert len(sets.I_slash) == 2 and len(sets.I_bslash) == 3
+def test_kac_sets(P23):
+    assert P23.set_I1() == [(1, 1)]
+    assert set(P23.set_I()) == {(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (0, 3)}
+    assert len(P23.set_I_slash()) == 2 and len(P23.set_I_bslash()) == 3
+
+
+@pytest.mark.parametrize("pair", [(1, 1), (1, 4), (2, 3), (3, 2), (2, 5), (3, 4), (4, 7)])
+def test_kac_set_sizes(pair):
+    p, q = pair
+    P = Params(p, q)
+    assert 2 * len(P.set_I1()) == (p - 1) * (q - 1)
+    assert 2 * len(P.set_I()) == (p + 1) * (q + 1)
+    assert len(set(P.set_I())) == len(P.set_I())
 
 
 def test_convolution_closure(P23, cs23):

@@ -1,10 +1,35 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
+import pytest
+
 from qpm.cli import main
+
+# SHA-256 of each JSON table as written by --output; perfbench/expected.json
+# pins (1,2) and (2,3), these pin a one-sector pair and the sector swap of
+# (2,3)
+TABLE_DIGESTS = {
+    (1, 3): {
+        "center": "9de0ed61c5686d53b63770f250d37fea7afe6040cc208227502005df7a6932bf",
+        "fusion": "6fe2d0741f273de5665f787c61460eeaaf39ffb7f23cea78c78a762f77a35b2f",
+        "info": "d6aa4ad7b0bffcf23937064e0493076c6c7739438414460ec4b871a18b53da4f",
+        "ribbon": "083c2a85158846f2da18120ea3a14c0f2d21db75ac4a72c5a1cd4b49504200ed",
+        "smatrix": "c5a325b39787258f8e97d73588cdc1b2c346c065795534bafcd3642def5b757b",
+        "tmatrix": "f127d1c934ea67e09623997c77e3a8e358678eec130889b27a4bc7967f458d70",
+    },
+    (3, 2): {
+        "center": "8405c78e6e1807cacf86949e99d997bab1f670e1c3f4185ad0e78955ba1502b5",
+        "fusion": "cbd6733bd5536a1dc59045e667359953007d8b68ff809afb6de441c36397c551",
+        "info": "a8226a3c39881d5ec454f393a38ec6eac5bc1b627a9696d0b76cf82e0a2e276a",
+        "ribbon": "49645b3398f0ca8d123e7d7077b37ca3d0c761121d9be95c719c09986a12b60e",
+        "smatrix": "9a13919fe8453bb65240bb166401eabec0570902781af51d395fd2b9bef923c4",
+        "tmatrix": "f1f0ab487dbd43f614c1cee8172c30cad569a39b77b2e24a100f594323d74fd1",
+    },
+}
 
 
 def run_cli(args, capsys):
@@ -147,3 +172,12 @@ def test_output_to_file(tmp_path, capsys):
     code = main(["--p-plus", "1", "--p-minus", "2", "--output", str(target), "info"])
     assert code == 0
     assert json.loads(target.read_text())["algebra_dimension"] == 16
+
+
+@pytest.mark.parametrize("pair", sorted(TABLE_DIGESTS), ids=lambda pair: "%d-%d" % pair)
+def test_tables_match_recorded_digests(pair, tmp_path):
+    for cmd, want in TABLE_DIGESTS[pair].items():
+        path = tmp_path / f"{cmd}.json"
+        assert main(["--p-plus", str(pair[0]), "--p-minus", str(pair[1]),
+                     "--output", str(path), cmd]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want, cmd

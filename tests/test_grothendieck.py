@@ -1,9 +1,8 @@
 """Fusion ring: product formula, Chebyshev presentation, Casimir identities."""
 
-from qpm.grothendieck import (chebyshev_U, gr_basis_labels, gr_class,
-                              gr_multiply, verify_casimir_identities,
-                              verify_presentation)
-from qpm.reps import tensor_product
+from qpm.grothendieck import (chebyshev_U, gr_class, gr_multiply,
+                              verify_casimir_identities, verify_presentation)
+from qpm.reps import irreducible_labels, tensor_product
 
 
 def test_chebyshev_initial_and_recursion():
@@ -41,7 +40,7 @@ def test_chebyshev_eigenfunction_identity():
 
 def test_unit_class(P23):
     one = gr_class(P23, 1, 1, 1)
-    for lab in gr_basis_labels(P23):
+    for lab in irreducible_labels(P23):
         A = gr_class(P23, *lab)
         assert gr_multiply(one, A) == A
 
@@ -55,7 +54,7 @@ def test_specific_products(P23):
 
 def test_full_agreement_with_tensor_oracle(P23, T23):
     gi = T23.gr_index
-    labels = gr_basis_labels(P23)
+    labels = irreducible_labels(P23)
     for la in labels:
         for lb in labels:
             t = tensor_product(gi.irreducibles[la], gi.irreducibles[lb])
@@ -64,7 +63,7 @@ def test_full_agreement_with_tensor_oracle(P23, T23):
 
 
 def test_dimension_homomorphism(P23):
-    labels = gr_basis_labels(P23)
+    labels = irreducible_labels(P23)
     for la in labels[:4]:
         for lb in labels[:4]:
             prod = gr_multiply(gr_class(P23, *la), gr_class(P23, *lb))
@@ -72,7 +71,7 @@ def test_dimension_homomorphism(P23):
 
 
 def test_commutativity_associativity(P23):
-    labels = gr_basis_labels(P23)
+    labels = irreducible_labels(P23)
     a, b, c = (gr_class(P23, *labels[i]) for i in (3, 7, 10))
     assert gr_multiply(a, b) == gr_multiply(b, a)
     assert gr_multiply(gr_multiply(a, b), c) == gr_multiply(a, gr_multiply(b, c))

@@ -9,8 +9,9 @@ import pytest
 from qpm.algebra import AlgebraElement, Params
 from qpm.cyclotomic import sparse_sum
 from qpm.linalg import SparseMat
-from qpm.reps import (GrothendieckIndex, ModuleRep, cached_projective, direct_sum,
-                      glue, irreducible, irreducible_labels, projective,
+from qpm.characters import block_module
+from qpm.reps import (GrothendieckIndex, ModuleRep, cached_irreducible, cached_projective,
+                      direct_sum, glue, irreducible, irreducible_labels, projective,
                       projective_deck, tensor_product, verma)
 
 
@@ -24,6 +25,15 @@ def test_irreducible_dimensions_and_relations(P23, gi23):
         m = gi23.irreducibles[lab]
         assert m.dim == lab[1] * lab[2]
         assert not m.check_relations()
+
+
+def test_modules_are_shared(P23, gi23):
+    for lab in irreducible_labels(P23):
+        assert gi23.irreducibles[lab] is cached_irreducible(P23, *lab)
+    _, ranges = block_module(P23, 1, 1)
+    covers = {"u": (1, 1, 1), "r": (-1, 1, 1), "l": (-1, 1, 2), "d": (1, 1, 2)}
+    assert all(ranges[bullet][2] is cached_projective(P23, *lab)
+               for bullet, lab in covers.items())
 
 
 def test_trivial_module(P23, gi23):

@@ -54,7 +54,7 @@ from .cyclotomic import (
     sqrt_half_pp,
 )
 
-__all__ = ["Params", "AlgebraElement", "TensorElement", "Monomial"]
+__all__ = ["Params", "Sector", "AlgebraElement", "TensorElement", "Monomial"]
 
 # A PBW monomial is the tuple (a, b, c, d, j) for f_+^a e_+^b f_-^c e_-^d K^j.
 Monomial = tuple
@@ -88,9 +88,70 @@ def _kfree_pair_blocks(coeffs: dict) -> dict:
     return blocks
 
 
+class Sector:
+    """One of the two commuting sl(2)-type sectors: generators e, f (e_+,
+    f_+ for the plus sector, e_-, f_- for the minus one), tied to the other
+    sector by K, with q_sector = q^{2 p_other} = zeta^zq and bracket
+    parameter Q = q_sector^{p_other} = zeta^zQ.
+
+    A label (r, s) indexes the plus sector by r and the minus sector by s.
+    lab(a, b) is the label whose index is a in this sector and b in the
+    other; it is an involution, so `a, b = sec.lab(*label)` splits a label.
+    A formula that comes in a plus/minus pair is written once, as a loop
+    over Params.sectors.  pseudo names the sector's pseudotrace family in
+    the gamma basis: "nesw" (columns) for plus, "nwse" (rows) for minus."""
+
+    def __init__(self, ctx: CycloContext, sign: str, p: int, p_other: int):
+        self.ctx = ctx
+        self.sign = sign
+        self.p = p
+        self.p_other = p_other
+        self.zq = 12 * p_other
+        self.q = ctx.root_of_unity(self.zq)
+        self.zQ = 12 * p_other * p_other
+        self.Q = ctx.root_of_unity(self.zQ)
+        self.e, self.f = ("ep", "fp") if sign == "+" else ("em", "fm")
+        self.pseudo = "nesw" if sign == "+" else "nwse"
+        self._values = {}
+
+    def lab(self, a: int, b: int) -> tuple:
+        return (a, b) if self.sign == "+" else (b, a)
+
+    # -- q-integers at Q, each evaluated once --------------------------------
+
+    def _at_Q(self, poly, *args) -> Cyclo:
+        key = (poly, args)
+        hit = self._values.get(key)
+        if hit is None:
+            hit = self._values[key] = poly(*args).eval_cyclo(self.Q)
+        return hit
+
+    def qint(self, n: int) -> Cyclo:
+        return self._at_Q(q_int_poly, n)
+
+    def qfact(self, n: int) -> Cyclo:
+        return self._at_Q(q_factorial_poly, n)
+
+    def qbin(self, m: int, n: int) -> Cyclo:
+        return self._at_Q(q_binomial_poly, m, n)
+
+    def qdiff(self, k: int) -> Cyclo:
+        """Q^k - Q^-k."""
+        return self.ctx.root_of_unity(k * self.zQ) - self.ctx.root_of_unity(-k * self.zQ)
+
+    def qsum(self, k: int) -> Cyclo:
+        """Q^k + Q^-k."""
+        return self.ctx.root_of_unity(k * self.zQ) + self.ctx.root_of_unity(-k * self.zQ)
+
+    def casimir_eigenvalue(self, alpha: int, r: int, s: int) -> Cyclo:
+        """The eigenvalue of this sector's Casimir on X^alpha_{r,s}."""
+        a, b = self.lab(r, s)
+        return self.qsum(a) * (_intsign(alpha, self.p_other) * (-1) ** b)
+
+
 class Params:
-    """Parameter context: the cyclotomic field, straightening tables and
-    q-integer caches for a fixed coprime pair."""
+    """Parameter context: the cyclotomic field, the two sectors and the
+    straightening tables for a fixed coprime pair."""
 
     def __init__(self, p_plus: int, p_minus: int):
         if p_plus < 1 or p_minus < 1:
@@ -105,24 +166,14 @@ class Params:
         self.ctx = CycloContext(self.N)
         self.dim = 2 * p_plus ** 3 * p_minus ** 3
 
-        # zeta-exponents of the basic constants: q = zeta^6, q_pm = zeta^zqp/zqm
+        # q = zeta^zq; each sector holds its own q_sector and Q
         self.zq = 6
-        self.zqp = 12 * p_minus
-        self.zqm = 12 * p_plus
         self.q = self.ctx.root_of_unity(self.zq)
-        self.q_plus = self.ctx.root_of_unity(self.zqp)
-        self.q_minus = self.ctx.root_of_unity(self.zqm)
-
-        # specializations Q_pm = q_pm^{p_mp} = zeta^zQp/zQm used by all
-        # q-integer brackets
-        self.zQp = 12 * p_minus * p_minus
-        self.zQm = 12 * p_plus * p_plus
-        self.Q_plus = self.ctx.root_of_unity(self.zQp)
-        self.Q_minus = self.ctx.root_of_unity(self.zQm)
-
-        self._brackets = {}
-        self._sp = self._sector_table(p_plus, self.zQp)
-        self._sm = self._sector_table(p_minus, self.zQm)
+        self.plus = Sector(self.ctx, "+", p_plus, p_minus)
+        self.minus = Sector(self.ctx, "-", p_minus, p_plus)
+        self.sectors = (self.plus, self.minus)
+        self._sp = self._sector_table(self.plus)
+        self._sm = self._sector_table(self.minus)
 
         self._coproduct_cache = {}
         self._antipode_cache = {}
@@ -133,35 +184,6 @@ class Params:
 
         self.zero = AlgebraElement(self, {})
         self.one = AlgebraElement(self, {(0, 0, 0, 0, 0): self.ctx.one})
-
-    # -- q-integers at the two specializations ---------------------------
-
-    def _bracket(self, poly, sector: str, *args) -> Cyclo:
-        """poly(*args) at Q_plus (sector "+") or Q_minus, evaluated once."""
-        key = (poly, sector, args)
-        hit = self._brackets.get(key)
-        if hit is None:
-            Q = self.Q_plus if sector == "+" else self.Q_minus
-            hit = self._brackets[key] = poly(*args).eval_cyclo(Q)
-        return hit
-
-    def qint_p(self, n: int) -> Cyclo:
-        return self._bracket(q_int_poly, "+", n)
-
-    def qint_m(self, n: int) -> Cyclo:
-        return self._bracket(q_int_poly, "-", n)
-
-    def qfact_p(self, n: int) -> Cyclo:
-        return self._bracket(q_factorial_poly, "+", n)
-
-    def qfact_m(self, n: int) -> Cyclo:
-        return self._bracket(q_factorial_poly, "-", n)
-
-    def qbin_p(self, m: int, n: int) -> Cyclo:
-        return self._bracket(q_binomial_poly, "+", m, n)
-
-    def qbin_m(self, m: int, n: int) -> Cyclo:
-        return self._bracket(q_binomial_poly, "-", m, n)
 
     # -- distinguished constants ------------------------------------------
 
@@ -184,18 +206,15 @@ class Params:
         return [(r, s) for r in range(1, p) for s in range(1, q)
                 if q * r + p * s <= p * q]
 
-    def set_I_slash(self):
-        # I1 plus the column (r, p_minus)
-        return self.set_I1() + [(r, self.p_minus) for r in range(1, self.p_plus)]
-
-    def set_I_bslash(self):
-        # I1 plus the row (p_plus, r')
-        return self.set_I1() + [(self.p_plus, s) for s in range(1, self.p_minus)]
+    def set_I_diag(self, sec: Sector):
+        """I1 plus the sector's boundary: I_slash, with the column
+        (r, p_minus), for the plus sector; I_bslash, with the row
+        (p_plus, s), for the minus sector."""
+        return self.set_I1() + [sec.lab(a, sec.p_other) for a in range(1, sec.p)]
 
     def set_I(self):
         return (self.set_I1()
-                + [(r, self.p_minus) for r in range(1, self.p_plus)]
-                + [(self.p_plus, s) for s in range(1, self.p_minus)]
+                + [sec.lab(a, sec.p_other) for sec in self.sectors for a in range(1, sec.p)]
                 + [(self.p_plus, self.p_minus), (0, self.p_minus)])
 
     def block_of(self, alpha: int, r: int, s: int):
@@ -239,11 +258,11 @@ class Params:
 
     # -- single-sector straightening -----------------------------------------
 
-    def _sector_table(self, p: int, zQ: int):
+    def _sector_table(self, sec: Sector):
         """table[b][a] expands e^b f^a as {(x, y, z): coeff} meaning
-        f^x e^y Ksec^z, where Ksec is K^{p_mp} for that sector and
+        f^x e^y Ksec^z, where Ksec is K^{p_other} for the sector and
         Q = zeta^zQ its bracket parameter.  Powers of Q are zeta-shifts."""
-        ctx = self.ctx
+        ctx, p, zQ = self.ctx, sec.p, sec.zQ
         one = ctx.one
         if p == 1:
             return [[{(0, 0, 0): one}]]
@@ -301,8 +320,8 @@ class Params:
         a2, b2, c2, d2, _ = m2
         p, q, N = self.p_plus, self.p_minus, self.N
         # Ksec^z e^y = Q^{2 z y} e^y Ksec^z in each sector, as zeta-exponents
-        slope_p = 2 * self.zQp * b2
-        slope_m = 2 * self.zQm * d2
+        slope_p = 2 * self.plus.zQ * b2
+        slope_m = 2 * self.minus.zQ * d2
 
         def terms():
             for (xp, yp, zp), cp in self._sp[b1][a2].items():
@@ -397,24 +416,12 @@ class Params:
         return t
 
     def casimirs(self):
-        """The two central Casimir elements, one per sector."""
-        Qp, Qp_inv = self.Q_plus, self.zeta(-self.zQp)
-        Qm, Qm_inv = self.Q_minus, self.zeta(-self.zQm)
-        cp = (self.gen("K", -self.p_minus) * (-Qp)
-              + self.gen("K", self.p_minus) * (-Qp_inv)
-              + self.gen("ep") * self.gen("fp") * (-((Qp - Qp_inv) ** 2)))
-        cm = (self.gen("K", -self.p_plus) * (-Qm)
-              + self.gen("K", self.p_plus) * (-Qm_inv)
-              + self.gen("em") * self.gen("fm") * (-((Qm - Qm_inv) ** 2)))
-        return cp, cm
-
-    def casimir_eigenvalue_plus(self, alpha: int, r: int, s: int) -> Cyclo:
-        sign = _intsign(alpha, self.p_minus) * (-1) ** s
-        return (self.zeta(r * self.zQp) + self.zeta(-r * self.zQp)) * sign
-
-    def casimir_eigenvalue_minus(self, alpha: int, r: int, s: int) -> Cyclo:
-        sign = _intsign(alpha, self.p_plus) * (-1) ** r
-        return (self.zeta(s * self.zQm) + self.zeta(-s * self.zQm)) * sign
+        """The two central Casimir elements, one per sector:
+        -Q K^-p' - Q^-1 K^p' - (Q - Q^-1)^2 e f, with p' = p_other."""
+        return tuple(self.gen("K", -sec.p_other) * (-sec.Q)
+                     + self.gen("K", sec.p_other) * (-self.zeta(-sec.zQ))
+                     + self.gen(sec.e) * self.gen(sec.f) * (-(sec.qdiff(1) ** 2))
+                     for sec in self.sectors)
 
     def antipode_mono(self, mono) -> "AlgebraElement":
         """S(B K^j) = K^-j S(B): S(B) is built and memoised once per K-free

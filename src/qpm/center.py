@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraElement, Params
+from .algebra import AlgebraElement, Params, Sector
 from .cyclotomic import Cyclo, sparse_sum
 from .linalg import nullspace
 from .reps import cached_irreducible, cached_projective
@@ -39,6 +39,10 @@ __all__ = [
     "CenterDecomposition",
     "center_dimension",
 ]
+
+# sector sign -> the arrow of weight_projectors (and of the boundary
+# v elements) that reflects the sector's own index
+_REFLECTED = {"+": "right", "-": "left"}
 
 # w arrow -> the two v arrows of its block whose product is
 # RADICAL_PRODUCT_SCALE * w
@@ -82,15 +86,12 @@ def weight_projectors(params: Params, r: int, s: int):
 # Casimir minimal polynomials and sector projections
 # ----------------------------------------------------------------------
 
-def _psi_poly(params: Params, sector: str):
-    """psi_pm as a dense coefficient list over Cyclo (ascending)."""
-    P = params
-    ctx = P.ctx
-    zQ = P.zQp if sector == "+" else P.zQm
-    p = P.p_plus if sector == "+" else P.p_minus
+def _psi_poly(sec: Sector):
+    """The sector's psi as a dense coefficient list over Cyclo (ascending)."""
+    ctx = sec.ctx
     poly = [ctx.one]
-    for r in range(p):
-        beta = P.zeta(r * zQ) + P.zeta(-r * zQ)
+    for r in range(sec.p):
+        beta = sec.qsum(r)
         for root in (beta, -beta):
             # multiply by (x - root)
             new = [ctx.zero] * (len(poly) + 1)
@@ -125,11 +126,12 @@ def _poly_derivative(poly, ctx):
     return [c * i for i, c in enumerate(poly)][1:] or [ctx.zero]
 
 
-def _sector_projection(params: Params, sector: str, beta: Cyclo, powers):
-    """(e_sector, w_sector) for the Casimir root beta."""
+def _sector_projection(params: Params, sec: Sector, beta: Cyclo, powers):
+    """(e_sector, w_sector) for the Casimir root beta; powers are those of
+    the sector's Casimir."""
     P = params
     ctx = P.ctx
-    psi = _psi_poly(P, sector)
+    psi = _psi_poly(sec)
     two = ctx.integer(2)
     simple = beta == two or beta == -two
     red = _poly_div_linear(psi, beta, ctx)
@@ -253,50 +255,47 @@ def _read_probes(params: Params) -> dict:
             ("w", ("down", (r, s))): (p_dn, uu, dd),
         })
     u, d = ("u", 0, 0), ("d", 0, 0)
-    for r in range(1, P.p_plus):
-        s = P.p_minus
-        probes[("vb", ("up", (r, s)))] = (cached_projective(P, 1, r, s), u, d)
-        probes[("vb", ("right", (r, s)))] = (cached_projective(P, -1, P.p_plus - r, s), u, d)
-    for s in range(1, P.p_minus):
-        r = P.p_plus
-        probes[("vb", ("up", (r, s)))] = (cached_projective(P, 1, r, s), u, d)
-        probes[("vb", ("left", (r, s)))] = (cached_projective(P, -1, r, P.p_minus - s), u, d)
+    for sec in P.sectors:
+        for a in range(1, sec.p):
+            lab = sec.lab(a, sec.p_other)
+            refl = sec.lab(sec.p - a, sec.p_other)
+            probes[("vb", ("up", lab))] = (cached_projective(P, 1, *lab), u, d)
+            probes[("vb", (_REFLECTED[sec.sign], lab))] = (
+                cached_projective(P, -1, *refl), u, d)
     return probes
 
 
 def canonical_basis(params: Params) -> CanonicalCenterBasis:
     P = params
-    cplus, cminus = P.casimirs()
-    deg_p, deg_m = 2 * P.p_plus, 2 * P.p_minus
-    pow_p = [P.one]
-    for _ in range(deg_p):
-        pow_p.append(pow_p[-1] * cplus)
-    pow_m = [P.one]
-    for _ in range(deg_m):
-        pow_m.append(pow_m[-1] * cminus)
+    plus, minus = P.sectors
+    powers = {}
+    for sec, cas in zip(P.sectors, P.casimirs()):
+        powers[sec] = [P.one]
+        for _ in range(2 * sec.p):
+            powers[sec].append(powers[sec][-1] * cas)
 
     # (e, w) for each Casimir root: every block used below is in I, and
     # blocks sharing a root share its projection
     roots = dict.fromkeys(
-        root for (r, s) in P.set_I()
-        for root in (("+", P.casimir_eigenvalue_plus(1, r, s)),
-                     ("-", P.casimir_eigenvalue_minus(1, r, s))))
-    sector = {(sec, beta): _sector_projection(P, sec, beta, pow_p if sec == "+" else pow_m)
+        (sec, sec.casimir_eigenvalue(1, r, s))
+        for (r, s) in P.set_I() for sec in P.sectors)
+    sector = {(sec, beta): _sector_projection(P, sec, beta, powers[sec])
               for sec, beta in roots}
+
+    def projection(sec, r, s):
+        return sector[sec, sec.casimir_eigenvalue(1, r, s)]
 
     idempotents = {}
     for (r, s) in P.set_I():
-        ep, _ = sector["+", P.casimir_eigenvalue_plus(1, r, s)]
-        em, _ = sector["-", P.casimir_eigenvalue_minus(1, r, s)]
-        idempotents[(r, s)] = ep * em
+        idempotents[(r, s)] = projection(plus, r, s)[0] * projection(minus, r, s)[0]
 
     v_interior = {}
     w_interior = {}
     eighth = Fraction(1, CanonicalCenterBasis.RADICAL_PRODUCT_SCALE)
     for (r, s) in P.set_I1():
         proj = weight_projectors(P, r, s)
-        ep, wp = sector["+", P.casimir_eigenvalue_plus(1, r, s)]
-        em, wm = sector["-", P.casimir_eigenvalue_minus(1, r, s)]
+        ep, wp = projection(plus, r, s)
+        em, wm = projection(minus, r, s)
         v_interior[("ne", (r, s))] = ep * wm * (proj["up"] + proj["right"])
         v_interior[("sw", (r, s))] = ep * wm * (proj["left"] + proj["down"])
         v_interior[("nw", (r, s))] = wp * em * (proj["up"] + proj["left"])
@@ -307,21 +306,16 @@ def canonical_basis(params: Params) -> CanonicalCenterBasis:
         w_interior[("left", (r, s))] = wpm * proj["left"] * eighth
         w_interior[("down", (r, s))] = wpm * proj["down"] * eighth
 
+    # on the boundary of a sector, its nilpotent times the other sector's
+    # idempotent
     v_boundary = {}
-    for r in range(1, P.p_plus):
-        s = P.p_minus
-        proj = weight_projectors(P, r, s)
-        em, _ = sector["-", P.casimir_eigenvalue_minus(1, r, s)]
-        _, wp = sector["+", P.casimir_eigenvalue_plus(1, r, s)]
-        v_boundary[("up", (r, s))] = wp * em * proj["up"]
-        v_boundary[("right", (r, s))] = wp * em * proj["right"]
-    for s in range(1, P.p_minus):
-        r = P.p_plus
-        proj = weight_projectors(P, r, s)
-        ep, _ = sector["+", P.casimir_eigenvalue_plus(1, r, s)]
-        _, wm = sector["-", P.casimir_eigenvalue_minus(1, r, s)]
-        v_boundary[("up", (r, s))] = ep * wm * proj["up"]
-        v_boundary[("left", (r, s))] = ep * wm * proj["left"]
+    for sec, other in zip(P.sectors, P.sectors[::-1]):
+        for a in range(1, sec.p):
+            lab = sec.lab(a, sec.p_other)
+            proj = weight_projectors(P, *lab)
+            nil = projection(sec, *lab)[1] * projection(other, *lab)[0]
+            v_boundary[("up", lab)] = nil * proj["up"]
+            v_boundary[(_REFLECTED[sec.sign], lab)] = nil * proj[_REFLECTED[sec.sign]]
 
     families = {"v": v_interior, "w": w_interior, "vb": v_boundary}
     read_entries = {}

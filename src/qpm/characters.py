@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
 
-from .algebra import AlgebraElement, Params
+from .algebra import AlgebraElement, Params, Sector
 from .cyclotomic import Cyclo, sparse_sum
 from .linalg import SparseMat, SpanSolver, nullspace
 from .reps import ModuleRep, cached_irreducible, cached_projective, direct_sum
@@ -40,7 +40,8 @@ __all__ = [
     "Functional",
     "PseudotraceSpec",
     "CharacterSpace",
-    "qtrace_char",
+    "counit_functional",
+    "qtrace",
     "trace_functional",
     "is_qcharacter",
     "qcharacter_space",
@@ -143,9 +144,11 @@ def trace_functional(module: ModuleRep, sigma: SparseMat | None = None) -> Funct
     return Functional(P, values)
 
 
-def qtrace_char(module: ModuleRep) -> Functional:
-    """The balanced (quantum) trace x -> Tr(g^-1 x)."""
-    return trace_functional(module)
+def qtrace(params: Params, alpha: int, r: int, s: int) -> Functional:
+    """The balanced trace x -> Tr(g^-1 x) of the irreducible X^alpha_{r,s},
+    built once per pair."""
+    return params.cached(("qtrace", alpha, r, s), lambda: trace_functional(
+        cached_irreducible(params, alpha, r, s)))
 
 
 def _square_antipode_scalars(params: Params):
@@ -153,13 +156,11 @@ def _square_antipode_scalars(params: Params):
     balancing element)."""
     d = params.p_plus - params.p_minus
     zeta = params.zeta
-    return {
-        "ep": zeta(2 * d * params.zqp),
-        "fp": zeta(-2 * d * params.zqp),
-        "em": zeta(2 * d * params.zqm),
-        "fm": zeta(-2 * d * params.zqm),
-        "K": params.ctx.one,
-    }
+    out = {"K": params.ctx.one}
+    for sec in params.sectors:
+        out[sec.e] = zeta(2 * d * sec.zq)
+        out[sec.f] = zeta(-2 * d * sec.zq)
+    return out
 
 
 def is_qcharacter(beta: Functional, spot_checks: int = 0, rng=None) -> bool:
@@ -364,104 +365,82 @@ def boundary_sigma(params: Params, r: int, s: int, coeff: Cyclo) -> tuple:
 # the gamma basis
 # ----------------------------------------------------------------------
 
+# the sigma coefficients of a sector's pseudotrace: (letter, arrow), and
+# the bullets carrying the coefficient on an interior block's own label and
+# on its reflection (p_+ - r, p_- - s)
+_ARROW_SIGMA = {"+": ("alpha", "up", "ur", "dl"), "-": ("beta", "down", "ul", "dr")}
+
+
 class CharacterSpace:
     """Constructs and indexes the distinguished q-character basis."""
 
     def __init__(self, params: Params):
         P = self.params = params
-        ctx = P.ctx
         I1 = P.set_I1()
-        qtrace = self.qtrace
-
-        dQp = (P.zeta(P.zQp) - P.zeta(-P.zQp)) if P.p_plus > 1 else None
-        dQm = (P.zeta(P.zQm) - P.zeta(-P.zQm)) if P.p_minus > 1 else None
+        plus, minus = P.sectors
 
         entries = []  # (kind, label, functional)
-
-        def gamma_nesw(r, s):
-            # alpha-type pseudotrace, label set I_slash
-            c = P.qint_p(r) * dQp.inv()
-            if s == P.p_minus:
-                module, sigma = boundary_sigma(P, r, s, c)
-            elif (r, s) in I1:
-                spec = PseudotraceSpec((r, s), {
-                    ("alpha", "up", "u"): c, ("alpha", "up", "r"): c})
-                module, sigma = sigma_endomorphism(P, spec)
-            else:
-                rr, ss = P.p_plus - r, P.p_minus - s
-                assert (rr, ss) in I1
-                spec = PseudotraceSpec((rr, ss), {
-                    ("alpha", "up", "d"): c, ("alpha", "up", "l"): c})
-                module, sigma = sigma_endomorphism(P, spec)
-            return trace_functional(module, sigma)
-
-        def gamma_nwse(r, s):
-            # beta-down-type pseudotrace, label set I_bslash
-            c = P.qint_m(s) * dQm.inv()
-            if r == P.p_plus:
-                module, sigma = boundary_sigma(P, r, s, c)
-            elif (r, s) in I1:
-                spec = PseudotraceSpec((r, s), {
-                    ("beta", "down", "u"): c, ("beta", "down", "l"): c})
-                module, sigma = sigma_endomorphism(P, spec)
-            else:
-                rr, ss = P.p_plus - r, P.p_minus - s
-                assert (rr, ss) in I1
-                spec = PseudotraceSpec((rr, ss), {
-                    ("beta", "down", "d"): c, ("beta", "down", "r"): c})
-                module, sigma = sigma_endomorphism(P, spec)
-            return trace_functional(module, sigma)
-
-        def gamma_upup(r, s):
-            c = P.qint_p(r) * P.qint_m(s) * (dQp * dQm).inv()
-            spec = PseudotraceSpec((r, s), {("beta", "up", b): c for b in _BULLETS})
-            module, sigma = sigma_endomorphism(P, spec)
-            return trace_functional(module, sigma)
-
-        self.gamma_nesw = gamma_nesw
-        self.gamma_nwse = gamma_nwse
-        self.gamma_upup = gamma_upup
-
         # reading order of the distinguished basis
-        entries.append(("qtr", (1, P.p_plus, P.p_minus), qtrace(1, P.p_plus, P.p_minus)))
+        entries.append(("qtr", (1, P.p_plus, P.p_minus), qtrace(P, 1, P.p_plus, P.p_minus)))
         for r in range(1, P.p_plus):
-            entries.append(("nesw", (r, P.p_minus), gamma_nesw(r, P.p_minus)))
+            entries.append(("nesw", (r, P.p_minus), self.gamma_arrow(plus, r, P.p_minus)))
         for (r, s) in I1:
-            entries.append(("upup", (r, s), gamma_upup(r, s)))
+            entries.append(("upup", (r, s), self.gamma_upup(r, s)))
         for s in range(1, P.p_minus):
-            entries.append(("nwse", (P.p_plus, s), gamma_nwse(P.p_plus, s)))
-        entries.append(("qtr", (-1, P.p_plus, P.p_minus), qtrace(-1, P.p_plus, P.p_minus)))
+            entries.append(("nwse", (P.p_plus, s), self.gamma_arrow(minus, P.p_plus, s)))
+        entries.append(("qtr", (-1, P.p_plus, P.p_minus), qtrace(P, -1, P.p_plus, P.p_minus)))
         for r in range(1, P.p_plus):
-            entries.append(("qtr", (1, r, P.p_minus), qtrace(1, r, P.p_minus)))
+            entries.append(("qtr", (1, r, P.p_minus), qtrace(P, 1, r, P.p_minus)))
             entries.append(("qtr", (-1, P.p_plus - r, P.p_minus),
-                            qtrace(-1, P.p_plus - r, P.p_minus)))
+                            qtrace(P, -1, P.p_plus - r, P.p_minus)))
         for r in range(1, P.p_plus):
             for s in range(1, P.p_minus):
-                entries.append(("nesw", (r, s), gamma_nesw(r, s)))
-                entries.append(("nwse", (r, s), gamma_nwse(r, s)))
+                entries.append(("nesw", (r, s), self.gamma_arrow(plus, r, s)))
+                entries.append(("nwse", (r, s), self.gamma_arrow(minus, r, s)))
         for s in range(1, P.p_minus):
-            entries.append(("qtr", (1, P.p_plus, s), qtrace(1, P.p_plus, s)))
+            entries.append(("qtr", (1, P.p_plus, s), qtrace(P, 1, P.p_plus, s)))
             entries.append(("qtr", (-1, P.p_plus, P.p_minus - s),
-                            qtrace(-1, P.p_plus, P.p_minus - s)))
+                            qtrace(P, -1, P.p_plus, P.p_minus - s)))
         for (r, s) in I1:
-            entries.append(("qtr", (1, r, s), qtrace(1, r, s)))
-            entries.append(("qtr", (-1, P.p_plus - r, s), qtrace(-1, P.p_plus - r, s)))
-            entries.append(("qtr", (-1, r, P.p_minus - s), qtrace(-1, r, P.p_minus - s)))
+            entries.append(("qtr", (1, r, s), qtrace(P, 1, r, s)))
+            entries.append(("qtr", (-1, P.p_plus - r, s), qtrace(P, -1, P.p_plus - r, s)))
+            entries.append(("qtr", (-1, r, P.p_minus - s), qtrace(P, -1, r, P.p_minus - s)))
             entries.append(("qtr", (1, P.p_plus - r, P.p_minus - s),
-                            qtrace(1, P.p_plus - r, P.p_minus - s)))
+                            qtrace(P, 1, P.p_plus - r, P.p_minus - s)))
         self.entries = entries
         expected = ((3 * P.p_plus - 1) * (3 * P.p_minus - 1)) // 2
         if len(entries) != expected:
             raise RuntimeError(f"gamma basis has {len(entries)} entries, expected {expected}")
-        self.solver = SpanSolver([f.values for _, _, f in entries], ctx)
+        self.solver = SpanSolver([f.values for _, _, f in entries], P.ctx)
         if not self.solver.independent:
             raise RuntimeError("gamma basis is linearly dependent")
 
-    def qtrace(self, alpha, r, s) -> Functional:
-        """The balanced trace of the irreducible X^alpha_{r,s}."""
+    def gamma_arrow(self, sec: Sector, r: int, s: int) -> Functional:
+        """The one-sector pseudotrace of kind sec.pseudo at (r, s): the
+        alpha-up type on I_slash for the plus sector, the beta-down type on
+        I_bslash for the minus sector."""
         P = self.params
-        return P.cached(("qtrace", alpha, r, s),
-                        lambda: qtrace_char(cached_irreducible(P, alpha, r, s)))
+        a, b = sec.lab(r, s)
+        c = sec.qint(a) * sec.qdiff(1).inv()
+        if b == sec.p_other:
+            module, sigma = boundary_sigma(P, r, s, c)
+        else:
+            letter, arrow, own, reflected = _ARROW_SIGMA[sec.sign]
+            block, bullets = (r, s), own
+            if block not in P.set_I1():
+                block, bullets = (P.p_plus - r, P.p_minus - s), reflected
+                assert block in P.set_I1()
+            module, sigma = sigma_endomorphism(P, PseudotraceSpec(
+                block, {(letter, arrow, bullet): c for bullet in bullets}))
+        return trace_functional(module, sigma)
+
+    def gamma_upup(self, r: int, s: int) -> Functional:
+        """The two-sector (beta-up) pseudotrace of the interior label (r, s)."""
+        P = self.params
+        c = (P.plus.qint(r) * P.minus.qint(s)
+             * (P.plus.qdiff(1) * P.minus.qdiff(1)).inv())
+        spec = PseudotraceSpec((r, s), {("beta", "up", b): c for b in _BULLETS})
+        return trace_functional(*sigma_endomorphism(P, spec))
 
     @property
     def dimension(self):

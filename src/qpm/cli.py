@@ -117,9 +117,9 @@ def _block_labels(P, name):
     if name == "minimal" or name == "triplet":
         return P.set_I1()
     if name == "slash":
-        return P.set_I_slash()
+        return P.set_I_diag(P.plus)
     if name == "bslash":
-        return P.set_I_bslash()
+        return P.set_I_diag(P.minus)
     return P.set_I()
 
 

@@ -37,9 +37,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 
-from .algebra import AlgebraElement, Params, TensorElement
+from .algebra import AlgebraElement, Params, Sector, TensorElement
 from .center import canonical_basis
-from .characters import CharacterSpace, Functional
+from .characters import CharacterSpace, Functional, counit_functional, qtrace
 from .cyclotomic import Cyclo, nonzero_sums, sparse_sum
 from .linalg import SpanSolver, invert_dense, mat_mul_dense, mat_vec_dense
 from .reps import GrothendieckIndex
@@ -78,7 +78,7 @@ class IntegralData:
 
 def build_integral_data(params: Params) -> IntegralData:
     P = params
-    fact = (P.qfact_p(P.p_plus - 1) * P.qfact_m(P.p_minus - 1)) ** 2
+    fact = (P.plus.qfact(P.p_plus - 1) * P.minus.qfact(P.p_minus - 1)) ** 2
     zeta_norm = P.sqrt_half_pp() * fact.inv()
     top = (P.p_plus - 1, P.p_plus - 1, P.p_minus - 1, P.p_minus - 1)
     coeffs = {top + (n,): zeta_norm for n in range(P.korder)}
@@ -98,7 +98,7 @@ def build_integral_data(params: Params) -> IntegralData:
     c = word.coeffs.get(top)
     if c is None:
         raise RuntimeError("top monomial missing from the integral word")
-    value = (P.q_plus ** (2 * P.p_minus)) * (P.q_minus ** (2 * P.p_plus)) * zeta_norm.inv()
+    value = (P.plus.q ** (2 * P.p_minus)) * (P.minus.q ** (2 * P.p_plus)) * zeta_norm.inv()
     integral = Functional(P, {top: value * c.inv()})
 
     data = IntegralData(
@@ -241,15 +241,16 @@ class MMatrix:
     def __init__(self, params: Params):
         P = self.params = params
         ko = P.korder
-        dQp = P.zeta(-P.zQp) - P.zeta(P.zQp)   # q_+^{-p_-} - q_+^{p_-}
-        dQm = P.zeta(-P.zQm) - P.zeta(P.zQm)
+        dQp = -P.plus.qdiff(1)   # q_+^{-p_-} - q_+^{p_-}
+        dQm = -P.minus.qdiff(1)
         inv_ko = Fraction(1, ko)
 
         def terms():
             for m, n, mp, np in product(range(P.p_plus), range(P.p_plus),
                                         range(P.p_minus), range(P.p_minus)):
                 c = (dQp ** (m + n) * dQm ** (mp + np)
-                     * (P.qfact_p(m) * P.qfact_m(mp) * P.qfact_p(n) * P.qfact_m(np)).inv())
+                     * (P.plus.qfact(m) * P.minus.qfact(mp)
+                        * P.plus.qfact(n) * P.minus.qfact(np)).inv())
                 e0 = (6 * P.p_minus * P.p_minus * (m * (m + 1) - n * (n - 1))
                       + 6 * P.p_plus * P.p_plus * (mp * (mp + 1) - np * (np - 1)))
                 c = c.shift(e0) * inv_ko
@@ -293,9 +294,7 @@ class MMatrix:
 
     def counit_left(self) -> AlgebraElement:
         """(epsilon (x) id) of the matrix."""
-        P = self.params
-        eps = Functional(P, {(0, 0, 0, 0, j): P.ctx.one for j in range(P.korder)})
-        return self.contract_functional(eps)
+        return self.contract_functional(counit_functional(self.params))
 
     # -- exact tensor-square identity checks --------------------------------
 
@@ -386,37 +385,30 @@ class MMatrix:
 # closed-form Drinfeld images
 # ----------------------------------------------------------------------
 
-def cc_poly_coeffs(params: Params, sector: str, r: int, a: int, m: int):
+def cc_poly_coeffs(sec: Sector, r: int, a: int, m: int):
     """([x^0], [x^1]) of the degree-m product polynomial
     prod_{t<m} (x + [t - a + r][a - t]) at the sector's bracket."""
-    P = params
-    ctx = P.ctx
-    qint = P.qint_p if sector == "+" else P.qint_m
-    consts = [qint(t - a + r) * qint(a - t) for t in range(m)]
+    ctx = sec.ctx
+    consts = [sec.qint(t - a + r) * sec.qint(a - t) for t in range(m)]
     x0 = math.prod(consts, start=ctx.one)
     x1 = sum((math.prod(consts[:t] + consts[t + 1:], start=ctx.one) for t in range(m)),
              start=ctx.zero)
     return x0, x1
 
 
-def chi_sector(params: Params, sector: str, r: int) -> AlgebraElement:
+def chi_sector(params: Params, sec: Sector, r: int) -> AlgebraElement:
     """One-sector Drinfeld image of the irreducible trace."""
     P = params
-    if sector == "+":
-        zQ, qbin, psec = P.zQp, P.qbin_p, P.p_minus
-        e_name, f_name = "ep", "fp"
-    else:
-        zQ, qbin, psec = P.zQm, P.qbin_m, P.p_plus
-        e_name, f_name = "em", "fm"
-    dQ2 = (P.zeta(zQ) - P.zeta(-zQ)) ** 2
+    zQ = sec.zQ
+    dQ2 = sec.qdiff(1) ** 2
 
     def terms():
         for a in range(r):
             for m in range(a + 1):
                 c = (dQ2 ** m).shift(zQ * (m * (m + r - 2 * a) + (r - 1 - 2 * a)))
-                c = c * qbin(r - a + m - 1, m) * qbin(a, m)
-                word = (P.gen(e_name, m) * P.gen(f_name, m)
-                        * P.gen("K", -psec * (m + r - 1 - 2 * a)))
+                c = c * sec.qbin(r - a + m - 1, m) * sec.qbin(a, m)
+                word = (P.gen(sec.e, m) * P.gen(sec.f, m)
+                        * P.gen("K", -sec.p_other * (m + r - 1 - 2 * a)))
                 yield word, c
 
     out = P.linear_combination(terms())
@@ -425,30 +417,25 @@ def chi_sector(params: Params, sector: str, r: int) -> AlgebraElement:
     return out
 
 
-def theta_sector(params: Params, sector: str, r: int) -> AlgebraElement:
+def theta_sector(params: Params, sec: Sector, r: int) -> AlgebraElement:
     """One-sector nilpotent part entering the pseudotrace Drinfeld images."""
     P = params
-    if sector == "+":
-        zQ, qint, qfact, p_this, psec = P.zQp, P.qint_p, P.qfact_p, P.p_plus, P.p_minus
-        e_name, f_name = "ep", "fp"
-    else:
-        zQ, qint, qfact, p_this, psec = P.zQm, P.qint_m, P.qfact_m, P.p_minus, P.p_plus
-        e_name, f_name = "em", "fm"
-    dQ = P.zeta(zQ) - P.zeta(-zQ)
+    zQ = sec.zQ
+    dQ = sec.qdiff(1)
 
     def terms():
         for a in range(r):
-            for m in range(p_this):
-                _, x1 = cc_poly_coeffs(P, sector, r, a, m)
+            for m in range(sec.p):
+                _, x1 = cc_poly_coeffs(sec, r, a, m)
                 if x1.is_zero():
                     continue
-                c = (dQ ** (2 * m - 1)) * (qfact(m) ** 2).inv()
+                c = (dQ ** (2 * m - 1)) * (sec.qfact(m) ** 2).inv()
                 c = c.shift(zQ * (m * (m + r - 2 * a) + (r - 1 - 2 * a))) * x1
-                word = (P.gen(e_name, m) * P.gen(f_name, m)
-                        * P.gen("K", -psec * (m + r - 1 - 2 * a)))
+                word = (P.gen(sec.e, m) * P.gen(sec.f, m)
+                        * P.gen("K", -sec.p_other * (m + r - 1 - 2 * a)))
                 yield word, c
 
-    out = P.linear_combination(terms()) * qint(r)
+    out = P.linear_combination(terms()) * sec.qint(r)
     if r % 2:
         out = -out
     return out
@@ -456,18 +443,17 @@ def theta_sector(params: Params, sector: str, r: int) -> AlgebraElement:
 
 def drinfeld_irreducible_closed_form(params: Params, alpha: int, r: int, s: int) -> AlgebraElement:
     P = params
-    out = chi_sector(P, "+", r) * chi_sector(P, "-", s)
+    out = chi_sector(P, P.plus, r) * chi_sector(P, P.minus, s)
     if alpha < 0:
         out = out * P.gen("K", P.pp) * ((-1) ** (P.p_plus + P.p_minus))
     return out
 
 
-def theta_bracket(params: Params, sector: str, r: int) -> AlgebraElement:
+def theta_bracket(params: Params, sec: Sector, r: int) -> AlgebraElement:
     """theta(r) - (-1)^(p_+ + p_-) theta(p_sector - r) K^{p_+ p_-}."""
     P = params
-    p_this = P.p_plus if sector == "+" else P.p_minus
-    out = theta_sector(P, sector, r)
-    refl = theta_sector(P, sector, p_this - r)
+    out = theta_sector(P, sec, r)
+    refl = theta_sector(P, sec, sec.p - r)
     return out - refl * P.gen("K", P.pp) * ((-1) ** (P.p_plus + P.p_minus))
 
 
@@ -482,8 +468,8 @@ def canonical_element(params: Params) -> AlgebraElement:
     zeta = ctx.root_of_unity
     i_unit = zeta(P.N // 4)
     pref = (ctx.one + i_unit) * (P.sqrt_pp() * 2).inv()
-    dQp = P.zeta(P.zQp) - P.zeta(-P.zQp)
-    dQm = P.zeta(P.zQm) - P.zeta(-P.zQm)
+    dQp = P.plus.qdiff(1)
+    dQm = P.minus.qdiff(1)
     minus_i_pp = zeta((18 * P.pp * P.pp) % P.N)  # (-i)^{p_+ p_-}
 
     def terms():
@@ -491,7 +477,7 @@ def canonical_element(params: Params) -> AlgebraElement:
             for r in range(P.p_plus):
                 for n in range(P.p_minus):
                     for s in range(P.p_minus):
-                        c = (dQp ** m) * (dQm ** n) * (P.qfact_p(m) * P.qfact_m(n)).inv()
+                        c = (dQp ** m) * (dQm ** n) * (P.plus.qfact(m) * P.minus.qfact(n)).inv()
                         c = c.shift(6 * P.p_minus * P.p_minus * (m * (m + 3) - r * r)
                                     + 6 * P.p_plus * P.p_plus * (n * (n + 3) - s * s))
                         if (r * s) % 2:
@@ -514,30 +500,23 @@ def conformal_weight_exponent(params: Params, r: int, s: int) -> int:
     return (6 * num) % P.N
 
 
-def ribbon_factor_closed_form(params: Params, sector: str) -> AlgebraElement:
+def ribbon_factor_closed_form(params: Params, sec: Sector) -> AlgebraElement:
     """The unipotent ribbon factor of one sector as an explicit double sum."""
     P = params
-    if sector == "+":
-        zQ, qint, qbin, p_this, p_other = (P.zQp, P.qint_p, P.qbin_p,
-                                           P.p_plus, P.p_minus)
-        e_name, f_name = "ep", "fp"
-    else:
-        zQ, qint, qbin, p_this, p_other = (P.zQm, P.qint_m, P.qbin_m,
-                                           P.p_minus, P.p_plus)
-        e_name, f_name = "em", "fm"
-    dQ = P.zeta(zQ) - P.zeta(-zQ)
+    zQ, p = sec.zQ, sec.p
+    dQ = sec.qdiff(1)
 
     def terms():
         yield P.one, P.ctx.one
-        for m in range(1, p_this):
-            for a in range(m - 1, p_this):
-                c = (dQ ** (2 * m - 1)) * (qint(m) * p_this).inv()
+        for m in range(1, p):
+            for a in range(m - 1, p):
+                c = (dQ ** (2 * m - 1)) * (sec.qint(m) * p).inv()
                 c = c.shift(zQ * (m * (m - 1 - 2 * a) - 2 - 2 * a))
-                c = c * qbin(a, m - 1) ** 2
+                c = c * sec.qbin(a, m - 1) ** 2
                 if m % 2 == 0:
                     c = -c  # overall sign -(-1)^m
-                word = (P.gen(e_name, m) * P.gen(f_name, m)
-                        * P.gen("K", -p_other * (m - 2 - 2 * a)))
+                word = (P.gen(sec.e, m) * P.gen(sec.f, m)
+                        * P.gen("K", -sec.p_other * (m - 2 - 2 * a)))
                 yield word, c
 
     return P.linear_combination(terms())
@@ -611,21 +590,21 @@ class Theory:
         return self.params.cached("radford_solver", lambda: SpanSolver(
             [el.coeffs for el in self.radford_basis], self.params.ctx))
 
+    @property
+    def _basis_index(self):
+        """{(kind, label): position} over the ordered gamma basis."""
+        return self.params.cached("basis_index", lambda: {
+            key: i for i, key in enumerate(self.characters.labels())})
+
     def radford_image(self, kind: str, label) -> AlgebraElement:
         """Radford basis element by (kind, label) name."""
-        for (k, lab), el in zip(self.characters.labels(), self.radford_basis):
-            if k == kind and lab == label:
-                return el
-        raise KeyError((kind, label))
+        return self.radford_basis[self._basis_index[kind, label]]
 
     def drinfeld_image(self, kind: str, label) -> AlgebraElement:
-        for (k, lab), el in zip(self.characters.labels(), self.drinfeld_basis):
-            if k == kind and lab == label:
-                return el
-        raise KeyError((kind, label))
+        return self.drinfeld_basis[self._basis_index[kind, label]]
 
     def qtrace(self, alpha, r, s) -> Functional:
-        return self.characters.qtrace(alpha, r, s)
+        return qtrace(self.params, alpha, r, s)
 
     def phi_hat(self, alpha, r, s) -> AlgebraElement:
         return self.radford_image("qtr", (alpha, r, s))
@@ -656,59 +635,45 @@ class Theory:
                 - self.phi_hat(-1, r, P.p_minus - s) * ((P.p_plus - r) * s)
                 + self.phi_hat(1, P.p_plus - r, P.p_minus - s) * (r * s))
 
-    def rho_slash(self, r, s) -> AlgebraElement:
-        P = self.params
-        if s == P.p_minus:
-            return (self.phi_hat(1, r, s) * (P.p_plus - r)
-                    - self.phi_hat(-1, P.p_plus - r, s) * r)
-        return ((self.phi_hat(1, r, s) + self.phi_hat(-1, r, P.p_minus - s))
-                * (P.p_plus - r)
-                - (self.phi_hat(-1, P.p_plus - r, s)
-                   + self.phi_hat(1, P.p_plus - r, P.p_minus - s)) * r)
+    # The sector families.  With a, b = sec.lab(r, s), sec's index a and the
+    # other sector's b: rho_diag and varphi_diag are rho^/ and varphi^/ for
+    # the plus sector (labels I_slash) and rho^\ and varphi^\ for the minus
+    # sector (labels I_bslash); varphi_arrow is varphi^nesw or varphi^nwse.
 
-    def rho_bslash(self, r, s) -> AlgebraElement:
-        P = self.params
-        if r == P.p_plus:
-            return (self.phi_hat(1, r, s) * (P.p_minus - s)
-                    - self.phi_hat(-1, r, P.p_minus - s) * s)
-        return ((self.phi_hat(1, r, s) + self.phi_hat(-1, P.p_plus - r, s))
-                * (P.p_minus - s)
-                - (self.phi_hat(-1, r, P.p_minus - s)
-                   + self.phi_hat(1, P.p_plus - r, P.p_minus - s)) * s)
+    def rho_diag(self, sec: Sector, r, s) -> AlgebraElement:
+        a, b = sec.lab(r, s)
+        p, po = sec.p, sec.p_other
+        if b == po:
+            return (self.phi_hat(1, r, s) * (p - a)
+                    - self.phi_hat(-1, *sec.lab(p - a, b)) * a)
+        return ((self.phi_hat(1, r, s) + self.phi_hat(-1, *sec.lab(a, po - b)))
+                * (p - a)
+                - (self.phi_hat(-1, *sec.lab(p - a, b))
+                   + self.phi_hat(1, *sec.lab(p - a, po - b))) * a)
 
-    def varphi_slash(self, r, s) -> AlgebraElement:
+    def varphi_diag(self, sec: Sector, r, s) -> AlgebraElement:
         P = self.params
-        if s == P.p_minus:
-            return self.radford_image("nesw", (r, s)) * ((-1) ** P.p_minus)
-        return (self.radford_image("nesw", (r, s)) * ((-1) ** s)
-                - self.radford_image("nesw", (P.p_plus - r, P.p_minus - s))
-                * ((-1) ** (P.p_minus + s)))
+        _, b = sec.lab(r, s)
+        if b == sec.p_other:
+            return self.radford_image(sec.pseudo, (r, s)) * ((-1) ** b)
+        return (self.radford_image(sec.pseudo, (r, s)) * ((-1) ** b)
+                - self.radford_image(sec.pseudo, (P.p_plus - r, P.p_minus - s))
+                * ((-1) ** (sec.p_other + b)))
 
-    def varphi_bslash(self, r, s) -> AlgebraElement:
+    def varphi_arrow(self, sec: Sector, r, s) -> AlgebraElement:
         P = self.params
-        if r == P.p_plus:
-            return self.radford_image("nwse", (r, s)) * ((-1) ** P.p_plus)
-        return (self.radford_image("nwse", (r, s)) * ((-1) ** r)
-                - self.radford_image("nwse", (P.p_plus - r, P.p_minus - s))
-                * ((-1) ** (P.p_plus + r)))
-
-    def varphi_nwse(self, r, s) -> AlgebraElement:
-        P = self.params
-        return (self.radford_image("nwse", (r, s)) * ((-1) ** r * (P.p_plus - r))
-                + self.radford_image("nwse", (P.p_plus - r, P.p_minus - s))
-                * ((-1) ** (P.p_plus + r) * r))
-
-    def varphi_nesw(self, r, s) -> AlgebraElement:
-        P = self.params
-        return (self.radford_image("nesw", (r, s)) * ((-1) ** s * (P.p_minus - s))
-                + self.radford_image("nesw", (P.p_plus - r, P.p_minus - s))
-                * ((-1) ** (P.p_minus + s) * s))
+        _, b = sec.lab(r, s)
+        return (self.radford_image(sec.pseudo, (r, s)) * ((-1) ** b * (sec.p_other - b))
+                + self.radford_image(sec.pseudo, (P.p_plus - r, P.p_minus - s))
+                * ((-1) ** (sec.p_other + b) * b))
 
     def psi_hat(self, r, s) -> AlgebraElement:
-        return self.varphi_nesw(r, s) + self.varphi_nwse(r, s)
+        P = self.params
+        return self.varphi_arrow(P.plus, r, s) + self.varphi_arrow(P.minus, r, s)
 
     def varphi_cross(self, r, s) -> AlgebraElement:
-        return self.varphi_nesw(r, s) - self.varphi_nwse(r, s)
+        P = self.params
+        return self.varphi_arrow(P.plus, r, s) - self.varphi_arrow(P.minus, r, s)
 
     # central arithmetic -------------------------------------------------------
 
@@ -789,11 +754,8 @@ class Theory:
             (cb.idempotents[(r, s)], zeta(conformal_weight_exponent(P, r, s)))
             for (r, s) in P.set_I())
         # unipotent part from the Drinfeld pseudotrace images at (1,1)
-        vplus = P.one
-        if P.p_plus > 1:
-            vplus = vplus + self.drinfeld_image("nesw", (1, 1)) * Fraction(1, P.p_plus)
-        vminus = P.one
-        if P.p_minus > 1:
-            vminus = vminus + self.drinfeld_image("nwse", (1, 1)) * Fraction(1, P.p_minus)
-        vstar = vplus * vminus
-        return RibbonData(P, u, v, vbar, vstar, vplus, vminus)
+        vplus, vminus = (
+            P.one + self.drinfeld_image(sec.pseudo, (1, 1)) * Fraction(1, sec.p)
+            if sec.p > 1 else P.one
+            for sec in P.sectors)
+        return RibbonData(P, u, v, vbar, vplus * vminus, vplus, vminus)

@@ -69,30 +69,17 @@ def gr_class(params: Params, alpha: int, r: int, s: int) -> GrElement:
     return GrElement(params, {(alpha, r, s): 1})
 
 
-def _fold_plus(params: Params, alpha: int, r: int):
-    """Resolve an out-of-range first index into honest classes as
-    (alpha, r, multiplicity) triples; the reflection to index zero drops
-    out (U_0 = 0)."""
-    p = params.p_plus
+def _fold(p: int, alpha: int, r: int):
+    """Resolve an index r of a sector with parameter p, out of range up to
+    2p, into honest classes as (alpha, r, multiplicity) triples; the
+    reflection to index zero drops out (U_0 = 0)."""
     if 1 <= r <= p:
         return [(alpha, r, 1)]
     if not (p < r <= 2 * p):
-        raise ValueError(f"first index {r} outside the fold range")
+        raise ValueError(f"index {r} outside the fold range of p = {p}")
     out = [(-alpha, r - p, 2)]
     if 2 * p - r:
         out.append((alpha, 2 * p - r, 1))
-    return out
-
-
-def _fold_minus(params: Params, alpha: int, s: int):
-    q = params.p_minus
-    if 1 <= s <= q:
-        return [(alpha, s, 1)]
-    if not (q < s <= 2 * q):
-        raise ValueError(f"second index {s} outside the fold range")
-    out = [(-alpha, s - q, 2)]
-    if 2 * q - s:
-        out.append((alpha, 2 * q - s, 1))
     return out
 
 
@@ -108,8 +95,8 @@ def gr_multiply(A: GrElement, B: GrElement) -> GrElement:
                 for v in range(abs(s1 - s2) + 1, s1 + s2, 2):
                     # (Xt)^{ab}_{u,v}: fold both indices independently;
                     # a sign flip in either factor flips the class sign
-                    for (af, uf, cu) in _fold_plus(P, ab, u):
-                        for (aff, vf, cv) in _fold_minus(P, af, v):
+                    for (af, uf, cu) in _fold(P.p_plus, ab, u):
+                        for (aff, vf, cv) in _fold(P.p_minus, af, v):
                             key = (aff, uf, vf)
                             out[key] = out.get(key, 0) + m * cu * cv
     return GrElement(P, {k: v for k, v in out.items() if v})
@@ -158,6 +145,13 @@ def _eval_alg(coeffs, x: AlgebraElement) -> AlgebraElement:
                            lambda a, n: a * n)
 
 
+def _sub(a, b):
+    """The coefficient list a - b."""
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+            for i in range(n)]
+
+
 def _eval_2var(px, py, x: GrElement, y: GrElement) -> GrElement:
     return gr_multiply(_eval_gr(px, x), _eval_gr(py, y))
 
@@ -173,23 +167,15 @@ def verify_presentation(params: Params):
     p, q = P.p_plus, P.p_minus
     # x and y evaluate to the classes of the fold of X_{2,1} and X_{1,2};
     # for p_pm >= 2 these are the honest irreducible classes
-    X = GrElement(P, {(a, r, 1): c for (a, r, c) in _fold_plus(P, 1, 2)})
-    Y = GrElement(P, {(a, 1, s): c for (a, s, c) in _fold_minus(P, 1, 2)})
+    X = GrElement(P, {(a, r, 1): c for (a, r, c) in _fold(p, 1, 2)})
+    Y = GrElement(P, {(a, 1, s): c for (a, s, c) in _fold(q, 1, 2)})
     failures = []
-    report = {"generators": [], "classes": {}, "ok": True}
-
-    def up(s):
-        return chebyshev_U(s)
-
-    def sub(a, b):
-        n = max(len(a), len(b))
-        return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-                for i in range(n)]
-
+    report = {"generators": [], "ok": True}
+    up = chebyshev_U
     gens = {
-        "psi_plus": (sub(up(2 * p + 1), up(2 * p - 1)), None, -2),
-        "psi_minus": (None, sub(up(2 * q + 1), up(2 * q - 1)), -2),
-        "mixed": (sub(up(p + 1), up(p - 1)), sub(up(q + 1), up(q - 1)), 0),
+        "psi_plus": (_sub(up(2 * p + 1), up(2 * p - 1)), None, -2),
+        "psi_minus": (None, _sub(up(2 * q + 1), up(2 * q - 1)), -2),
+        "mixed": (_sub(up(p + 1), up(p - 1)), _sub(up(q + 1), up(q - 1)), 0),
     }
     one = gr_class(P, 1, 1, 1)
     for name, (px, py, const) in gens.items():
@@ -208,7 +194,6 @@ def verify_presentation(params: Params):
         for s in range(1, q + 1):
             plus = _eval_2var(up(r), up(s), X, Y)
             ok = plus == gr_class(P, 1, r, s)
-            report["classes"][f"P+({r},{s})"] = ok
             if not ok:
                 failures.append(f"P+({r},{s})")
             else:
@@ -216,15 +201,9 @@ def verify_presentation(params: Params):
             half = Fraction(1, 2)
             coeffs = [half * (a - b) for a, b in
                       zip(_pad(up(p + r), 2 * p + r), _pad(up(p - r) if p > r else [0], 2 * p + r))]
-            # evaluate (U_{p+r} - U_{p-r})/2 * U_s with rational halves:
-            # all coefficients are integers after the subtraction
-            int_coeffs = []
-            for c in coeffs:
-                assert c.denominator in (1, 2)
-                int_coeffs.append(c)
-            minus = _eval_2var_frac(int_coeffs, up(s), X, Y)
+            # evaluate (U_{p+r} - U_{p-r})/2 * U_s with rational halves
+            minus = _eval_2var_frac(coeffs, up(s), X, Y)
             ok = minus == gr_class(P, -1, r, s)
-            report["classes"][f"P-({r},{s})"] = ok
             if not ok:
                 failures.append(f"P-({r},{s})")
             else:
@@ -262,32 +241,19 @@ def _eval_2var_frac(px, py, x: GrElement, y: GrElement) -> GrElement:
 
 
 def verify_casimir_identities(params: Params):
-    """In the algebra: U_{p+1}(C_+) - U_{p-1}(C_+) = U_{q+1}(C_-) -
-    U_{q-1}(C_-) = (-1)^(p+q) 2 K^{p q}, and psi_pm(C_pm) = 0."""
+    """In the algebra, for each sector with parameter p and Casimir C:
+    U_{p+1}(C) - U_{p-1}(C) = (-1)^(p_+ + p_-) 2 K^{p_+ p_-} and
+    psi(C) = 0."""
     P = params
-    p, q = P.p_plus, P.p_minus
-    cp, cm = P.casimirs()
     report = {"ok": True, "failures": []}
-
-    def sub(a, b):
-        n = max(len(a), len(b))
-        return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-                for i in range(n)]
-
-    lhs_p = _eval_alg(sub(chebyshev_U(p + 1), chebyshev_U(p - 1)), cp)
-    lhs_m = _eval_alg(sub(chebyshev_U(q + 1), chebyshev_U(q - 1)), cm)
-    target = P.gen("K", P.pp) * (2 * (-1) ** (p + q))
-    if lhs_p != target:
-        report["failures"].append("U-identity (+ sector)")
-    if lhs_m != target:
-        report["failures"].append("U-identity (- sector)")
-    psi_p = sub(chebyshev_U(2 * p + 1), chebyshev_U(2 * p - 1))
-    psi_p[0] -= 2
-    psi_m = sub(chebyshev_U(2 * q + 1), chebyshev_U(2 * q - 1))
-    psi_m[0] -= 2
-    if not _eval_alg(psi_p, cp).is_zero():
-        report["failures"].append("psi_+(C_+) != 0")
-    if not _eval_alg(psi_m, cm).is_zero():
-        report["failures"].append("psi_-(C_-) != 0")
+    target = P.gen("K", P.pp) * (2 * (-1) ** (P.p_plus + P.p_minus))
+    for sec, cas in zip(P.sectors, P.casimirs()):
+        p = sec.p
+        if _eval_alg(_sub(chebyshev_U(p + 1), chebyshev_U(p - 1)), cas) != target:
+            report["failures"].append(f"U-identity ({sec.sign} sector)")
+        psi = _sub(chebyshev_U(2 * p + 1), chebyshev_U(2 * p - 1))
+        psi[0] -= 2
+        if not _eval_alg(psi, cas).is_zero():
+            report["failures"].append(f"psi_{sec.sign}(C_{sec.sign}) != 0")
     report["ok"] = not report["failures"]
     return report

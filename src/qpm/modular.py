@@ -181,16 +181,10 @@ class ModularAction:
             trip.append(th.psi_hat(r, s))
             trip.append(th.varphi_hat(r, s))
         out.append(("triplet", trip, 3 * ((P.p_plus - 1) * (P.p_minus - 1)) // 2))
-        slash = []
-        for (r, s) in P.set_I_slash():
-            slash.append(th.rho_slash(r, s))
-            slash.append(th.varphi_slash(r, s))
-        out.append(("slash", slash, (P.p_plus - 1) * (P.p_minus + 1)))
-        bslash = []
-        for (r, s) in P.set_I_bslash():
-            bslash.append(th.rho_bslash(r, s))
-            bslash.append(th.varphi_bslash(r, s))
-        out.append(("bslash", bslash, (P.p_plus + 1) * (P.p_minus - 1)))
+        for sec, name in zip(P.sectors, ("slash", "bslash")):
+            out.append((name, [el for (r, s) in P.set_I_diag(sec)
+                               for el in (th.rho_diag(sec, r, s), th.varphi_diag(sec, r, s))],
+                        (sec.p - 1) * (sec.p_other + 1)))
         out.append(("projective", [th.kappa_hat(r, s) for (r, s) in P.set_I()],
                     ((P.p_plus + 1) * (P.p_minus + 1)) // 2))
         return out
@@ -294,60 +288,37 @@ class ModularAction:
             if not (self.t_map(phi) - (phi + psi + rho) * tphase(r, s)).is_zero():
                 failures.append(("T phi", (r, s)))
 
-        # slash family (columns)
-        for (r, s) in P.set_I1():
-            phi_sl = (th.drinfeld_image("nesw", (r, s)) * (-((-1) ** s))
-                      + th.drinfeld_image("nesw", (P.p_plus - r, P.p_minus - s))
-                      * ((-1) ** (P.p_minus + s)))
-            rho_sl = ((th.chi_hat(-1, P.p_plus - r, s)
-                       + th.chi_hat(1, P.p_plus - r, P.p_minus - s)) * r
-                      - (th.chi_hat(1, r, s) + th.chi_hat(-1, r, P.p_minus - s))
-                      * (P.p_plus - r))
-            if not (rho_sl + self.s_map(th.rho_slash(r, s))).is_zero():
-                failures.append(("rho_sl = -S rho_hat", (r, s)))
-            if not (self.t_map(phi_sl) - (phi_sl + rho_sl) * tphase(r, s)).is_zero():
-                failures.append(("T phi_slash", (r, s)))
-            if not (self.t_map(rho_sl) - rho_sl * tphase(r, s)).is_zero():
-                failures.append(("T rho_slash", (r, s)))
-        for r in range(1, P.p_plus):
-            # boundary row labelled (r, 0); Delta_{r,0} = Delta_{p_+-r,p_-}
-            phi_sl = th.drinfeld_image("nesw", (P.p_plus - r, P.p_minus)) * ((-1) ** P.p_minus)
-            rho_sl = (th.chi_hat(1, P.p_plus - r, P.p_minus) * r
-                      - th.chi_hat(-1, r, P.p_minus) * (P.p_plus - r))
-            if not (rho_sl - self.s_map(th.rho_slash(P.p_plus - r, P.p_minus))).is_zero():
-                failures.append(("rho_sl bdry = S rho_hat", (r, 0)))
-            tp = ph * zeta(conformal_weight_exponent(P, P.p_plus - r, P.p_minus))
-            if not (self.t_map(phi_sl) - (phi_sl + rho_sl) * tp).is_zero():
-                failures.append(("T phi_slash bdry", (r, 0)))
-            if not (self.t_map(rho_sl) - rho_sl * tp).is_zero():
-                failures.append(("T rho_slash bdry", (r, 0)))
-
-        # bslash family (rows)
-        for (r, s) in P.set_I1():
-            phi_bs = (th.drinfeld_image("nwse", (r, s)) * (-((-1) ** r))
-                      + th.drinfeld_image("nwse", (P.p_plus - r, P.p_minus - s))
-                      * ((-1) ** (P.p_plus + r)))
-            rho_bs = ((th.chi_hat(-1, r, P.p_minus - s)
-                       + th.chi_hat(1, P.p_plus - r, P.p_minus - s)) * s
-                      - (th.chi_hat(1, r, s) + th.chi_hat(-1, P.p_plus - r, s))
-                      * (P.p_minus - s))
-            if not (rho_bs + self.s_map(th.rho_bslash(r, s))).is_zero():
-                failures.append(("rho_bs = -S rho_hat", (r, s)))
-            if not (self.t_map(phi_bs) - (phi_bs + rho_bs) * tphase(r, s)).is_zero():
-                failures.append(("T phi_bslash", (r, s)))
-            if not (self.t_map(rho_bs) - rho_bs * tphase(r, s)).is_zero():
-                failures.append(("T rho_bslash", (r, s)))
-        for s in range(1, P.p_minus):
-            phi_bs = th.drinfeld_image("nwse", (P.p_plus, P.p_minus - s)) * ((-1) ** P.p_plus)
-            rho_bs = (th.chi_hat(1, P.p_plus, P.p_minus - s) * s
-                      - th.chi_hat(-1, P.p_plus, s) * (P.p_minus - s))
-            if not (rho_bs - self.s_map(th.rho_bslash(P.p_plus, P.p_minus - s))).is_zero():
-                failures.append(("rho_bs bdry = S rho_hat", (0, s)))
-            tp = ph * zeta(conformal_weight_exponent(P, P.p_plus, P.p_minus - s))
-            if not (self.t_map(phi_bs) - (phi_bs + rho_bs) * tp).is_zero():
-                failures.append(("T phi_bslash bdry", (0, s)))
-            if not (self.t_map(rho_bs) - rho_bs * tp).is_zero():
-                failures.append(("T rho_bslash bdry", (0, s)))
+        # the slash (column, plus) and bslash (row, minus) families; a, b
+        # are the sector's own and the other sector's index of (r, s)
+        for sec, short, name in ((P.plus, "sl", "slash"), (P.minus, "bs", "bslash")):
+            p, po = sec.p, sec.p_other
+            for (r, s) in P.set_I1():
+                a, b = sec.lab(r, s)
+                phi = (th.drinfeld_image(sec.pseudo, (r, s)) * (-((-1) ** b))
+                       + th.drinfeld_image(sec.pseudo, (P.p_plus - r, P.p_minus - s))
+                       * ((-1) ** (po + b)))
+                rho = ((th.chi_hat(-1, *sec.lab(p - a, b))
+                        + th.chi_hat(1, P.p_plus - r, P.p_minus - s)) * a
+                       - (th.chi_hat(1, r, s) + th.chi_hat(-1, *sec.lab(a, po - b)))
+                       * (p - a))
+                if not (rho + self.s_map(th.rho_diag(sec, r, s))).is_zero():
+                    failures.append((f"rho_{short} = -S rho_hat", (r, s)))
+                if not (self.t_map(phi) - (phi + rho) * tphase(r, s)).is_zero():
+                    failures.append((f"T phi_{name}", (r, s)))
+                if not (self.t_map(rho) - rho * tphase(r, s)).is_zero():
+                    failures.append((f"T rho_{name}", (r, s)))
+            for a in range(1, p):
+                # boundary labelled lab(a, 0); Delta_{lab(a,0)} = Delta_{lab(p-a,po)}
+                top = sec.lab(p - a, po)
+                phi = th.drinfeld_image(sec.pseudo, top) * ((-1) ** po)
+                rho = (th.chi_hat(1, *top) * a - th.chi_hat(-1, *sec.lab(a, po)) * (p - a))
+                if not (rho - self.s_map(th.rho_diag(sec, *top))).is_zero():
+                    failures.append((f"rho_{short} bdry = S rho_hat", sec.lab(a, 0)))
+                tp = tphase(*top)
+                if not (self.t_map(phi) - (phi + rho) * tp).is_zero():
+                    failures.append((f"T phi_{name} bdry", sec.lab(a, 0)))
+                if not (self.t_map(rho) - rho * tp).is_zero():
+                    failures.append((f"T rho_{name} bdry", sec.lab(a, 0)))
         return {"ok": not failures, "failures": failures}
 
     def verify_grothendieck_subrep(self):
@@ -373,8 +344,8 @@ class ModularAction:
         chi_solver = SpanSolver([_sparse(co) for co in chi_coords], ctx)
         named = ([th.radford_image("upup", lab) for lab in P.set_I1()]
                  + [th.kappa_hat(r, s) for (r, s) in P.set_I()]
-                 + [th.varphi_slash(r, s) for (r, s) in P.set_I_slash()]
-                 + [th.varphi_bslash(r, s) for (r, s) in P.set_I_bslash()])
+                 + [th.varphi_diag(sec, r, s) for sec in P.sectors
+                    for (r, s) in P.set_I_diag(sec)])
         named_coords = [self.coords(el) for el in named]
         named_solver = SpanSolver([_sparse(co) for co in named_coords], ctx)
         same_span = (chi_solver.rank == named_solver.rank == 2 * P.pp

@@ -7,21 +7,21 @@ n'.  Verma modules are induced from the Borel-type subalgebra generated by
 e_+, e_-, K.  Every constructed module is validated against the full
 defining relation set as exact matrix identities.
 
-Projective covers come from one gluing rule.  glue(sector, top, side) lays
+Projective covers come from one gluing rule.  glue(sec, top, side) lays
 out four copies, the suits u, l, r, d: u and d are copies of `top`, l and r
 copies of `side`, and inside each copy the generators act by that module's
-own matrices.  The sector's e and f (e_+, f_+ for '+'; e_-, f_- for '-')
-add arrows between copies, all with coefficient 1, along the sector's
-string index (n for '+', n' for '-'):
+own matrices.  The sector's e and f (e_+, f_+ for P.plus; e_-, f_- for
+P.minus) add arrows between copies, all with coefficient 1, along the
+sector's string index (n for P.plus, n' for P.minus):
 
     f:  u -> r and l -> d, from the last index of the string to index 0;
     e:  u -> d, from index i to i - 1;
         u -> l and r -> d, from index 0 to the last index of the string.
 
-The boundary covers are decks, glue('+', X^alpha_{r,s}, X^-alpha_{p_+-r,s})
-and glue('-', X^alpha_{r,s}, X^-alpha_{r,p_--s}), with basis labels
+The boundary covers are decks, glue(P.plus, X^alpha_{r,s}, X^-alpha_{p_+-r,s})
+and glue(P.minus, X^alpha_{r,s}, X^-alpha_{r,p_--s}), with basis labels
 (suit, n, n'); the interior cover glues two plus decks in the minus sector,
-glue('-', deck+(alpha,r,s), deck+(-alpha,r,p_--s)), with labels
+glue(P.minus, deck+(alpha,r,s), deck+(-alpha,r,p_--s)), with labels
 (outer suit, inner suit, n, n').  Basis order is u, l, r, d at each level.
 
 All bases are K-diagonal; the integer K-weight w of a basis vector (with
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .algebra import AlgebraElement, Params
+from .algebra import AlgebraElement, Params, Sector, _intsign
 from .cyclotomic import sparse_sum
 from .linalg import SparseMat, SpanSolver, closure_rank
 
@@ -52,10 +52,6 @@ __all__ = [
 
 
 _SUITS = ("u", "l", "r", "d")
-
-
-def _sign_pow(alpha: int, n: int) -> int:
-    return -1 if alpha < 0 and n % 2 else 1
 
 
 def irreducible_labels(params: Params):
@@ -129,8 +125,6 @@ class ModuleRep:
         P = self.params
         ctx = P.ctx
         I = SparseMat.identity(self.dim, ctx)
-        E_p, F_p = self.mats["ep"], self.mats["fp"]
-        E_m, F_m = self.mats["em"], self.mats["fm"]
         K = self.kmat(1)
         fails = []
 
@@ -138,32 +132,25 @@ class ModuleRep:
             if not (lhs - rhs).is_zero():
                 fails.append(name)
 
-        req("ep^p+", self.gen_power("ep", P.p_plus), SparseMat(self.dim, self.dim, {}))
-        req("fp^p+", self.gen_power("fp", P.p_plus), SparseMat(self.dim, self.dim, {}))
-        req("em^p-", self.gen_power("em", P.p_minus), SparseMat(self.dim, self.dim, {}))
-        req("fm^p-", self.gen_power("fm", P.p_minus), SparseMat(self.dim, self.dim, {}))
+        zero = SparseMat(self.dim, self.dim, {})
+        for sec in P.sectors:
+            E, F = self.mats[sec.e], self.mats[sec.f]
+            req(f"{sec.e}^p{sec.sign}", self.gen_power(sec.e, sec.p), zero)
+            req(f"{sec.f}^p{sec.sign}", self.gen_power(sec.f, sec.p), zero)
+            req(f"K {sec.e}", K * E, (E * K).scale(P.zeta(2 * sec.zq)))
+            req(f"K {sec.f}", K * F, (F * K).scale(P.zeta(-2 * sec.zq)))
+            # for p = 1 the sector is trivial (e = f = 0) and the commutator
+            # relation degenerates to 0 = 0 since K^p' = K^-p'
+            rhs = zero
+            if sec.p > 1:
+                rhs = (self.kmat(sec.p_other) - self.kmat(-sec.p_other)).scale(
+                    sec.qdiff(1).inv())
+            req(f"[{sec.e},{sec.f}]", E * F - F * E, rhs)
         req("K order", self.kmat(P.korder), I)
-        req("K ep", K * E_p, (E_p * K).scale(P.zeta(2 * P.zqp)))
-        req("K fp", K * F_p, (F_p * K).scale(P.zeta(-2 * P.zqp)))
-        req("K em", K * E_m, (E_m * K).scale(P.zeta(2 * P.zqm)))
-        req("K fm", K * F_m, (F_m * K).scale(P.zeta(-2 * P.zqm)))
-        for n1, m1 in (("ep", E_p), ("fp", F_p)):
-            for n2, m2 in (("em", E_m), ("fm", F_m)):
+        for n1 in ("ep", "fp"):
+            for n2 in ("em", "fm"):
+                m1, m2 = self.mats[n1], self.mats[n2]
                 req(f"[{n1},{n2}]", m1 * m2, m2 * m1)
-        # for p_pm = 1 the sector is trivial (e = f = 0) and the commutator
-        # relation degenerates to 0 = 0 since K^{p_mp} = K^{-p_mp}
-        if P.p_plus > 1:
-            dQp = P.zeta(P.zQp) - P.zeta(-P.zQp)
-            req("[ep,fp]", E_p * F_p - F_p * E_p,
-                (self.kmat(P.p_minus) - self.kmat(-P.p_minus)).scale(dQp.inv()))
-        else:
-            req("[ep,fp]", E_p * F_p, F_p * E_p)
-        if P.p_minus > 1:
-            dQm = P.zeta(P.zQm) - P.zeta(-P.zQm)
-            req("[em,fm]", E_m * F_m - F_m * E_m,
-                (self.kmat(P.p_plus) - self.kmat(-P.p_plus)).scale(dQm.inv()))
-        else:
-            req("[em,fm]", E_m * F_m, F_m * E_m)
         # K matrix consistency with the stored weights
         zeta = ctx.root_of_unity
         for i, w in enumerate(self.kweights):
@@ -195,14 +182,15 @@ def irreducible(params: Params, alpha: int, r: int, s: int) -> ModuleRep:
     em = {}
     fp = {}
     fm = {}
-    sp = _sign_pow(alpha, P.p_minus) * (-1) ** (s - 1)
-    sm = _sign_pow(alpha, P.p_plus) * (-1) ** (r - 1)
+    plus, minus = P.sectors
+    sp = _intsign(alpha, P.p_minus) * (-1) ** (s - 1)
+    sm = _intsign(alpha, P.p_plus) * (-1) ** (r - 1)
     for (n, np) in basis:
         i = idx[(n, np)]
         if n >= 1:
-            ep[(idx[(n - 1, np)], i)] = P.qint_p(n) * P.qint_p(r - n) * sp
+            ep[(idx[(n - 1, np)], i)] = plus.qint(n) * plus.qint(r - n) * sp
         if np >= 1:
-            em[(idx[(n, np - 1)], i)] = P.qint_m(np) * P.qint_m(s - np) * sm
+            em[(idx[(n, np - 1)], i)] = minus.qint(np) * minus.qint(s - np) * sm
         if n + 1 < r:
             fp[(idx[(n + 1, np)], i)] = P.ctx.one
         if np + 1 < s:
@@ -252,19 +240,18 @@ def verma(params: Params, alpha: int, r: int, s: int) -> ModuleRep:
 # projective modules
 # ----------------------------------------------------------------------
 
-def glue(sector: str, top: ModuleRep, side: ModuleRep, label: str) -> ModuleRep:
-    """The four-suit module of the sector '+' or '-' over `top` and `side`
-    (the gluing rule of the module docstring).  Basis labels are
-    (suit,) + the copy's own label."""
-    if sector not in ("+", "-"):
-        raise ValueError("sector must be '+' or '-'")
-    e, f = ("ep", "fp") if sector == "+" else ("em", "fm")
-    k = -2 if sector == "+" else -1  # the sector's string index in a label
+def glue(sec: Sector, top: ModuleRep, side: ModuleRep, label: str) -> ModuleRep:
+    """The four-suit module of the sector sec over `top` and `side` (the
+    gluing rule of the module docstring).  Basis labels are (suit,) + the
+    copy's own label, whose last two entries are (n, n')."""
+    e, f = sec.e, sec.f
+
+    def index(lab):
+        """The sector's string index in a copy's label."""
+        return sec.lab(*lab[-2:])[0]
 
     def moved(lab, n):
-        lab = list(lab)
-        lab[k] = n
-        return tuple(lab)
+        return lab[:-2] + sec.lab(n, sec.lab(*lab[-2:])[1])
 
     copies = {"u": top, "l": side, "r": side, "d": top}
     offset = {}
@@ -272,19 +259,19 @@ def glue(sector: str, top: ModuleRep, side: ModuleRep, label: str) -> ModuleRep:
     for suit in _SUITS:
         offset[suit] = dim
         dim += copies[suit].dim
-    top_end = max(lab[k] for lab in top.basis)
-    side_end = max(lab[k] for lab in side.basis)
+    top_end = max(index(lab) for lab in top.basis)
+    side_end = max(index(lab) for lab in side.basis)
     arrows = {e: [], f: []}  # generator -> [(source suit, label, target suit, label)]
     for lab in top.basis:
-        n = lab[k]
+        n = index(lab)
         arrows[e].append(("u", lab, "d", moved(lab, n - 1)) if n
                          else ("u", lab, "l", moved(lab, side_end)))
         if n == top_end:
             arrows[f].append(("u", lab, "r", moved(lab, 0)))
     for lab in side.basis:
-        if lab[k] == 0:
+        if index(lab) == 0:
             arrows[e].append(("r", lab, "d", moved(lab, top_end)))
-        if lab[k] == side_end:
+        if index(lab) == side_end:
             arrows[f].append(("l", lab, "d", moved(lab, 0)))
 
     def entries(name):
@@ -304,47 +291,43 @@ def glue(sector: str, top: ModuleRep, side: ModuleRep, label: str) -> ModuleRep:
     return ModuleRep(top.params, label, basis, mats, kweights)
 
 
-def projective_deck(params: Params, alpha: int, kind: str, r: int, s: int) -> ModuleRep:
-    """The two-story four-suit module of the sector `kind` over
-    X^alpha_{r,s}: glued to X^-alpha_{p_+ - r, s} for '+', to
-    X^-alpha_{r, p_- - s} for '-'.  These are the boundary projective covers
-    when s = p_- (plus type) or r = p_+ (minus type)."""
+def projective_deck(params: Params, alpha: int, sec: Sector, r: int, s: int) -> ModuleRep:
+    """The two-story four-suit module of the sector sec over X^alpha_{r,s},
+    glued to the irreducible with sec's index reflected, a -> p - a, and the
+    opposite alpha: X^-alpha_{p_+ - r, s} for P.plus, X^-alpha_{r, p_- - s}
+    for P.minus.  These are the boundary projective covers when the other
+    sector's index is at its top, s = p_- for plus, r = p_+ for minus."""
     P = params
     sign = "+" if alpha > 0 else "-"
-    if kind == "+":
-        if not (1 <= r <= P.p_plus - 1 and 1 <= s <= P.p_minus):
-            raise ValueError("plus-type deck needs 1 <= r < p_+")
-        side = cached_irreducible(P, -alpha, P.p_plus - r, s)
-    elif kind == "-":
-        if not (1 <= r <= P.p_plus and 1 <= s <= P.p_minus - 1):
-            raise ValueError("minus-type deck needs 1 <= s < p_-")
-        side = cached_irreducible(P, -alpha, r, P.p_minus - s)
-    else:
-        raise ValueError("kind must be '+' or '-'")
-    return glue(kind, cached_irreducible(P, alpha, r, s), side, f"Deck{kind}({sign},{r},{s})")
+    a, b = sec.lab(r, s)
+    if not (1 <= a <= sec.p - 1 and 1 <= b <= sec.p_other):
+        raise ValueError(f"a deck of the {sec.sign} sector needs an index 1 <= a < {sec.p}")
+    side = cached_irreducible(P, -alpha, *sec.lab(sec.p - a, b))
+    return glue(sec, cached_irreducible(P, alpha, r, s), side,
+                f"Deck{sec.sign}({sign},{r},{s})")
 
 
 def projective(params: Params, alpha: int, r: int, s: int) -> ModuleRep:
     """Projective cover of X^alpha_{r,s}: the irreducible itself at
-    (p_+, p_-), a single deck on the boundary, and on the interior the
-    minus-sector gluing of the plus decks over (alpha, r, s) and
-    (-alpha, r, p_- - s)."""
+    (p_+, p_-), shared with cached_irreducible, a single deck on the
+    boundary, and on the interior the minus-sector gluing of the plus decks
+    over (alpha, r, s) and (-alpha, r, p_- - s)."""
     P = params
     if alpha not in (1, -1):
         raise ValueError("alpha must be +1 or -1")
     sign = "+" if alpha > 0 else "-"
     if not (1 <= r <= P.p_plus and 1 <= s <= P.p_minus):
         raise ValueError(f"projective label out of range: ({alpha}, {r}, {s})")
-    label = f"Proj({sign},{r},{s})"
     if r == P.p_plus and s == P.p_minus:
-        m = irreducible(P, alpha, r, s)
-    elif s == P.p_minus:
-        m = projective_deck(P, alpha, "+", r, s)
+        return cached_irreducible(P, alpha, r, s)
+    label = f"Proj({sign},{r},{s})"
+    if s == P.p_minus:
+        m = projective_deck(P, alpha, P.plus, r, s)
     elif r == P.p_plus:
-        m = projective_deck(P, alpha, "-", r, s)
+        m = projective_deck(P, alpha, P.minus, r, s)
     else:
-        return glue("-", projective_deck(P, alpha, "+", r, s),
-                    projective_deck(P, -alpha, "+", r, P.p_minus - s), label)
+        return glue(P.minus, projective_deck(P, alpha, P.plus, r, s),
+                    projective_deck(P, -alpha, P.plus, r, P.p_minus - s), label)
     m.label = label
     return m
 
@@ -444,8 +427,7 @@ class GrothendieckIndex:
         ko = P.korder
         weights = [w % ko for w in module.kweights]
         if label is not None:
-            cp = P.casimir_eigenvalue_plus(*label)
-            cm = P.casimir_eigenvalue_minus(*label)
+            cp, cm = (sec.casimir_eigenvalue(*label) for sec in P.sectors)
             counts = Counter(weights)
             return sparse_sum(((u, v, w), cp ** u * cm ** v * n)
                               for u in range(P.p_plus + 1)

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from .algebra import AlgebraElement, Params
-from .center import (CanonicalCenterBasis, center_brute_force,
+from .center import (_REFLECTED, CanonicalCenterBasis, center_brute_force,
                      center_dimension, decompose_central, is_central,
                      weight_projectors)
 from .characters import counit_functional, is_qcharacter, qcharacter_space
@@ -35,16 +35,6 @@ def _sqrt2pp32(P: Params) -> Cyclo:
     return P.sqrt2() * P.sqrt_pp() ** 3
 
 
-def _qdiff(P: Params, zQ: int, k: int) -> Cyclo:
-    """Q^k - Q^-k for Q = zeta^zQ, as two roots of unity."""
-    return P.zeta(k * zQ) - P.zeta(-k * zQ)
-
-
-def _qsum(P: Params, zQ: int, k: int) -> Cyclo:
-    """Q^k + Q^-k for Q = zeta^zQ."""
-    return P.zeta(k * zQ) + P.zeta(-k * zQ)
-
-
 def suite_hopf(theory: Theory):
     P = theory.params
     rng = random.Random(20060506)
@@ -52,17 +42,17 @@ def suite_hopf(theory: Theory):
     gens = {n: P.gen(n) for n in ("ep", "fp", "em", "fm", "K")}
     live = {n: g for n, g in gens.items() if not g.is_zero()}
     K = gens["K"]
-    ok = (K * live.get("ep", P.zero) == live.get("ep", P.zero) * K * P.q_plus ** 2
+    ok = (K * live.get("ep", P.zero) == live.get("ep", P.zero) * K * P.plus.q ** 2
           if "ep" in live else True)
     ok = ok and (P.gen("K", P.korder) == P.one)
     if P.p_plus > 1:
         lhs = gens["ep"] * gens["fp"] - gens["fp"] * gens["ep"]
-        rhs = (P.gen("K", P.p_minus) - P.gen("K", -P.p_minus)) * _qdiff(P, P.zQp, 1).inv()
+        rhs = (P.gen("K", P.p_minus) - P.gen("K", -P.p_minus)) * P.plus.qdiff(1).inv()
         ok = ok and lhs == rhs
         ok = ok and (gens["ep"] ** P.p_plus).is_zero()
     if P.p_minus > 1:
         lhs = gens["em"] * gens["fm"] - gens["fm"] * gens["em"]
-        rhs = (P.gen("K", P.p_plus) - P.gen("K", -P.p_plus)) * _qdiff(P, P.zQm, 1).inv()
+        rhs = (P.gen("K", P.p_plus) - P.gen("K", -P.p_plus)) * P.minus.qdiff(1).inv()
         ok = ok and lhs == rhs
         ok = ok and (gens["fm"] ** P.p_minus).is_zero()
     cross_ok = all((live[a] * live[b] - live[b] * live[a]).is_zero()
@@ -78,7 +68,7 @@ def suite_hopf(theory: Theory):
     for _ in range(100):
         x = AlgebraElement(P, {rng.choice(monos): P.q})
         y = AlgebraElement(P, {rng.choice(monos): P.ctx.one})
-        z = AlgebraElement(P, {rng.choice(monos): P.q_plus})
+        z = AlgebraElement(P, {rng.choice(monos): P.plus.q})
         if (x * y) * z != x * (y * z):
             assoc_ok = False
             break
@@ -102,7 +92,7 @@ def suite_hopf(theory: Theory):
     samples = [g for g in live.values()]
     for _ in range(20):
         samples.append(AlgebraElement(P, {rng.choice(monos): P.ctx.one})
-                       + AlgebraElement(P, {rng.choice(monos): P.q_minus}))
+                       + AlgebraElement(P, {rng.choice(monos): P.minus.q}))
     for x in samples:
         t = x.coproduct()
         lhs = t.apply_maps(lambda m: P.antipode_mono(m),
@@ -150,11 +140,9 @@ def suite_modules(theory: Theory):
             rel_ok = False
         if m.dim != lab[1] * lab[2]:
             dims_ok = False
-        acp = m.act(gi._cas[0])
-        acm = m.act(gi._cas[1])
-        Icp = SparseMat.identity(m.dim, P.ctx).scale(P.casimir_eigenvalue_plus(*lab))
-        Icm = SparseMat.identity(m.dim, P.ctx).scale(P.casimir_eigenvalue_minus(*lab))
-        if not (acp - Icp).is_zero() or not (acm - Icm).is_zero():
+        ident = SparseMat.identity(m.dim, P.ctx)
+        if not all((m.act(cas) - ident.scale(sec.casimir_eigenvalue(*lab))).is_zero()
+                   for sec, cas in zip(P.sectors, gi._cas)):
             cas_ok = False
         for i in range(m.dim):
             if m.submodule_generated([{i: P.ctx.one}]) != m.dim:
@@ -355,7 +343,7 @@ def suite_integral(theory: Theory):
     d2 = delta_cointegral_closed_form(data)
     checks.append(("Delta(Lambda) matches the independent closed form",
                    (d1 - d2).is_zero(), ""))
-    norm = data.zeta_norm * (P.qfact_p(P.p_plus - 1) * P.qfact_m(P.p_minus - 1)) ** 2
+    norm = data.zeta_norm * (P.plus.qfact(P.p_plus - 1) * P.minus.qfact(P.p_minus - 1)) ** 2
     checks.append(("normalization zeta ([p+-1]!+[p--1]!-)^2 = sqrt(p+p-/2)",
                    norm == P.sqrt_half_pp(), ""))
     from .duality import radford, radford_inverse
@@ -402,7 +390,7 @@ def suite_qcharacters(theory: Theory):
                    conv_ok, ""))
     eps = counit_functional(P)
     checks.append(("counit equals the trivial-module balanced trace",
-                   cs.qtrace(1, 1, 1) == eps, ""))
+                   theory.qtrace(1, 1, 1) == eps, ""))
 
     # per-block member counts: interior 9, boundary 3, Steinberg-type 1
     interior = set(P.set_I1())
@@ -524,7 +512,7 @@ def suite_radford_images(theory: Theory):
     inv_sqrt2pp = sqrt2pp.inv()
     shpp = P.sqrt_half_pp()
     pref = _sqrt2pp32(P)
-    zp, zm = P.zQp, P.zQm
+    plus, minus = P.sectors
 
     ok = True
     for (r, s) in P.set_I1():
@@ -534,15 +522,16 @@ def suite_radford_images(theory: Theory):
         ok = ok and th.phi_hat(1, P.p_plus - r, P.p_minus - s) == cb.w_interior[("down", (r, s))] * inv_sqrt2pp
     checks.append(("interior traces -> w-elements / sqrt(2p+p-)", ok, ""))
 
+    # a is the sector's own index, b the other sector's
     ok = True
-    for s in range(1, P.p_minus):
-        c = shpp * Fraction(P.p_plus, 2 * P.p_minus) * ((-1) ** (P.p_minus + s))
-        ok = ok and th.phi_hat(1, P.p_plus, s) == cb.v_boundary[("up", (P.p_plus, s))] * c
-        ok = ok and th.phi_hat(-1, P.p_plus, P.p_minus - s) == cb.v_boundary[("left", (P.p_plus, s))] * c
-    for r in range(1, P.p_plus):
-        c = shpp * Fraction(P.p_minus, 2 * P.p_plus) * ((-1) ** (P.p_plus + r))
-        ok = ok and th.phi_hat(1, r, P.p_minus) == cb.v_boundary[("up", (r, P.p_minus))] * c
-        ok = ok and th.phi_hat(-1, P.p_plus - r, P.p_minus) == cb.v_boundary[("right", (r, P.p_minus))] * c
+    for sec in P.sectors:
+        p, b = sec.p, sec.p_other
+        for a in range(1, p):
+            lab = sec.lab(a, b)
+            c = shpp * Fraction(b, 2 * p) * ((-1) ** (p + a))
+            ok = ok and th.phi_hat(1, *lab) == cb.v_boundary[("up", lab)] * c
+            ok = ok and (th.phi_hat(-1, *sec.lab(p - a, b))
+                         == cb.v_boundary[(_REFLECTED[sec.sign], lab)] * c)
     checks.append(("boundary traces -> v-elements, prefactor (p/2p')sqrt(pp/2)",
                    ok, ""))
 
@@ -551,53 +540,39 @@ def suite_radford_images(theory: Theory):
           == cb.idempotents[(0, P.p_minus)] * pref * ((-1) ** (P.p_plus + P.p_minus)))
     checks.append(("Steinberg traces -> sqrt2 (p+p-)^{3/2} idempotents", ok, ""))
 
-    ok = True
-    for r in range(1, P.p_plus):
-        for s in range(1, P.p_minus + 1):
-            lhs = th.radford_image("nesw", (r, s))
-            plus = _qsum(P, zp, r)
-            minus = _qdiff(P, zp, r).inv()
-            if s == P.p_minus:
-                rhs = (cb.idempotents[(r, s)] * (pref * minus * ((-1) ** (r + P.p_plus + 1)))
-                       + th.kappa_hat(r, s) * (plus * minus * ((-1) ** P.p_minus)))
-            else:
-                rhs = (th.phi_hat(1, r, s) + th.phi_hat(-1, P.p_plus - r, s)) \
-                    * (plus * minus * ((-1) ** s))
-                c = minus * shpp * Fraction(P.p_plus, 2 * P.p_minus)
-                if (r, s) in P.set_I1():
-                    rhs = rhs - cb.v_interior[("ne", (r, s))] * c
+    # the column (nesw) and row (nwse) pseudotrace images; the v arrows of a
+    # family are the two halves of its name
+    for sec, family in zip(P.sectors, ("column", "row")):
+        p, po = sec.p, sec.p_other
+        ok = True
+        for a in range(1, p):
+            for b in range(1, po + 1):
+                r, s = lab = sec.lab(a, b)
+                lhs = th.radford_image(sec.pseudo, lab)
+                qsum = sec.qsum(a)
+                inv = sec.qdiff(a).inv()
+                if b == po:
+                    rhs = (cb.idempotents[lab] * (pref * inv * ((-1) ** (a + p + 1)))
+                           + th.kappa_hat(r, s) * (qsum * inv * ((-1) ** po)))
                 else:
-                    rhs = rhs - cb.v_interior[("sw", (P.p_plus - r, P.p_minus - s))] * c
-            ok = ok and (lhs - rhs).is_zero()
-    checks.append(("column pseudotrace images decompose as stated", ok, ""))
-
-    ok = True
-    for s in range(1, P.p_minus):
-        for r in range(1, P.p_plus + 1):
-            lhs = th.radford_image("nwse", (r, s))
-            plus = _qsum(P, zm, s)
-            minus = _qdiff(P, zm, s).inv()
-            if r == P.p_plus:
-                rhs = (cb.idempotents[(r, s)] * (pref * minus * ((-1) ** (s + P.p_minus + 1)))
-                       + th.kappa_hat(r, s) * (plus * minus * ((-1) ** P.p_plus)))
-            else:
-                rhs = (th.phi_hat(1, r, s) + th.phi_hat(-1, r, P.p_minus - s)) \
-                    * (plus * minus * ((-1) ** r))
-                c = minus * shpp * Fraction(P.p_minus, 2 * P.p_plus)
-                if (r, s) in P.set_I1():
-                    rhs = rhs - cb.v_interior[("nw", (r, s))] * c
-                else:
-                    rhs = rhs - cb.v_interior[("se", (P.p_plus - r, P.p_minus - s))] * c
-            ok = ok and (lhs - rhs).is_zero()
-    checks.append(("row pseudotrace images decompose as stated", ok, ""))
+                    rhs = (th.phi_hat(1, r, s) + th.phi_hat(-1, *sec.lab(p - a, b))) \
+                        * (qsum * inv * ((-1) ** b))
+                    c = inv * shpp * Fraction(p, 2 * po)
+                    if lab in P.set_I1():
+                        rhs = rhs - cb.v_interior[(sec.pseudo[:2], lab)] * c
+                    else:
+                        rhs = rhs - cb.v_interior[
+                            (sec.pseudo[2:], (P.p_plus - r, P.p_minus - s))] * c
+                ok = ok and (lhs - rhs).is_zero()
+        checks.append((f"{family} pseudotrace images decompose as stated", ok, ""))
 
     ok = True
     for (r, s) in P.set_I1():
         lhs = th.radford_image("upup", (r, s))
-        dp = _qdiff(P, zp, r).inv()
-        dm = _qdiff(P, zm, s).inv()
-        sp = _qsum(P, zp, r)
-        sm = _qsum(P, zm, s)
+        dp = plus.qdiff(r).inv()
+        dm = minus.qdiff(s).inv()
+        sp = plus.qsum(r)
+        sm = minus.qsum(s)
         rhs = cb.idempotents[(r, s)] * (pref * dp * dm)
         rhs = rhs + (th.radford_image("nwse", (r, s))
                      - th.radford_image("nwse", (P.p_plus - r, P.p_minus - s))
@@ -648,24 +623,19 @@ def suite_drinfeld(theory: Theory):
                    factor_ok, ""))
     checks.append(("all Drinfeld images are central", central_ok, ""))
 
-    # pseudotrace closed forms
+    # pseudotrace closed forms: a is the sector's own index, b the other's
     from .duality import chi_sector, theta_bracket
     pt_ok = True
     pt_cases = 0
-    for r in range(1, P.p_plus):
-        for s in range(1, P.p_minus + 1):
-            closed = theta_bracket(P, "+", r) * chi_sector(P, "-", s) * ((-1) ** s)
-            pt_cases += 1
-            if not (th.drinfeld_image("nesw", (r, s)) - closed).is_zero():
-                pt_ok = False
-    for r in range(1, P.p_plus + 1):
-        for s in range(1, P.p_minus):
-            closed = chi_sector(P, "+", r) * theta_bracket(P, "-", s) * ((-1) ** r)
-            pt_cases += 1
-            if not (th.drinfeld_image("nwse", (r, s)) - closed).is_zero():
-                pt_ok = False
+    for sec, other in zip(P.sectors, P.sectors[::-1]):
+        for a in range(1, sec.p):
+            for b in range(1, sec.p_other + 1):
+                closed = theta_bracket(P, sec, a) * chi_sector(P, other, b) * ((-1) ** b)
+                pt_cases += 1
+                if not (th.drinfeld_image(sec.pseudo, sec.lab(a, b)) - closed).is_zero():
+                    pt_ok = False
     for (r, s) in P.set_I1():
-        closed = (theta_bracket(P, "+", r) * theta_bracket(P, "-", s)
+        closed = (theta_bracket(P, P.plus, r) * theta_bracket(P, P.minus, s)
                   * ((-1) ** (r + s)))
         pt_cases += 1
         if not (th.drinfeld_image("upup", (r, s)) - closed).is_zero():
@@ -695,7 +665,7 @@ def _msign(n: int) -> int:
 
 def _check_chi_decompose(th: Theory) -> bool:
     P = th.params
-    zp, zm = P.zQp, P.zQm
+    plus, minus = P.sectors
     pref = _sqrt2pp32(P).inv()
     I1 = P.set_I1()
     for beta in (0, 1):
@@ -705,30 +675,29 @@ def _check_chi_decompose(th: Theory) -> bool:
                 rhs = th.kappa_hat(P.p_plus, P.p_minus) * (pref * r * sP)
                 sgn = _msign(r * P.p_minus + sP * P.p_plus + beta * P.pp)
                 rhs = rhs + th.kappa_hat(0, P.p_minus) * (pref * r * sP * sgn)
-                for s in range(1, P.p_plus):
-                    sgn = _msign((r - 1) * P.p_minus + (beta * P.p_minus + sP) * (s + P.p_plus))
-                    rhs = rhs - th.radford_image("nesw", (s, P.p_minus)) * (
-                        pref * sP * sgn * _qdiff(P, zp, r * s))
-                    sgn = _msign(r * P.p_minus + (beta * P.p_minus - sP) * (P.p_plus - s))
-                    rhs = rhs + th.kappa_hat(s, P.p_minus) * (
-                        pref * r * sP * sgn * _qsum(P, zp, r * s))
-                for sp in range(1, P.p_minus):
-                    sgn = _msign((beta * P.p_plus + r) * (sp + P.p_minus) + (sP - 1) * P.p_plus)
-                    rhs = rhs - th.radford_image("nwse", (P.p_plus, sp)) * (
-                        pref * r * sgn * _qdiff(P, zm, sP * sp))
-                    sgn = _msign(sP * P.p_plus + (beta * P.p_plus - r) * (P.p_minus - sp))
-                    rhs = rhs + th.kappa_hat(P.p_plus, sp) * (
-                        pref * r * sP * sgn * _qsum(P, zm, sP * sp))
+                # each sector's boundary: a, b index (r, sP) in the sector
+                # and the other one, c runs over the sector's boundary
+                for sec in P.sectors:
+                    p, po = sec.p, sec.p_other
+                    a, b = sec.lab(r, sP)
+                    for c in range(1, p):
+                        bdry = sec.lab(c, po)
+                        sgn = _msign((a - 1) * po + (beta * po + b) * (c + p))
+                        rhs = rhs - th.radford_image(sec.pseudo, bdry) * (
+                            pref * b * sgn * sec.qdiff(a * c))
+                        sgn = _msign(a * po + (beta * po - b) * (p - c))
+                        rhs = rhs + th.kappa_hat(*bdry) * (
+                            pref * r * sP * sgn * sec.qsum(a * c))
                 for (s, sp) in I1:
-                    dQp_rs = _qdiff(P, zp, r * s)
-                    sQp_rs = _qsum(P, zp, r * s)
-                    dQm = _qdiff(P, zm, sP * sp)
-                    sQm = _qsum(P, zm, sP * sp)
+                    dQp_rs = plus.qdiff(r * s)
+                    sQp_rs = plus.qsum(r * s)
+                    dQm = minus.qdiff(sP * sp)
+                    sQm = minus.qsum(sP * sp)
                     sgn = _msign((beta * P.p_plus + r - 1) * sp + (beta * P.p_minus + sP - 1) * s)
                     rhs = rhs + th.radford_image("upup", (s, sp)) * (pref * sgn * dQp_rs * dQm)
                     sgn = _msign((beta * P.p_plus - r) * sp + (beta * P.p_minus - sP) * s)
-                    rhs = rhs - th.varphi_slash(s, sp) * (pref * sgn * sP * sQm * dQp_rs)
-                    rhs = rhs - th.varphi_bslash(s, sp) * (pref * sgn * r * sQp_rs * dQm)
+                    rhs = rhs - th.varphi_diag(plus, s, sp) * (pref * sgn * sP * sQm * dQp_rs)
+                    rhs = rhs - th.varphi_diag(minus, s, sp) * (pref * sgn * r * sQp_rs * dQm)
                     rhs = rhs + th.kappa_hat(s, sp) * (pref * sgn * r * sP * sQp_rs * sQm)
                 if not (th.chi_hat(alpha, r, sP) - rhs).is_zero():
                     return False
@@ -737,75 +706,44 @@ def _check_chi_decompose(th: Theory) -> bool:
 
 def _check_pseudo_decompose(th: Theory) -> bool:
     P = th.params
-    zp, zm = P.zQp, P.zQm
     sq = (P.sqrt2() * P.sqrt_pp()).inv()
     I1 = P.set_I1()
-    # column family
-    for r in range(1, P.p_plus):
-        for sP in range(1, P.p_minus):
-            lhs = th.drinfeld_image("nesw", (r, sP)) * ((-1) ** sP)
+    # the column (plus) and row (minus) families: a, b are the sector's own
+    # and the other sector's index of the image's label, c, d those of each
+    # summand's label
+    for sec, other in zip(P.sectors, P.sectors[::-1]):
+        p, po = sec.p, sec.p_other
+        for a in range(1, p):
+            for b in range(1, po):
+                lhs = th.drinfeld_image(sec.pseudo, sec.lab(a, b)) * ((-1) ** b)
+                rhs = P.zero
+                for c in range(1, p):
+                    sgn = _msign(b * (c + p) + po * a)
+                    rhs = rhs + th.rho_diag(sec, *sec.lab(c, po)) * (
+                        sq * Fraction(b, po) * sgn * sec.qdiff(a * c))
+                for lab in I1:
+                    c, d = sec.lab(*lab)
+                    sgn = _msign(a * d + b * c)
+                    dq = sec.qdiff(a * c)
+                    rhs = rhs + th.rho_diag(sec, *lab) * (
+                        sq * Fraction(b, po) * sgn * dq * other.qsum(b * d))
+                    rhs = rhs - th.varphi_arrow(other, *lab) * (
+                        sq * Fraction(1, po) * sgn * dq * other.qdiff(b * d))
+                if not (lhs - rhs).is_zero():
+                    return False
+        for a in range(1, p):
+            lhs = th.drinfeld_image(sec.pseudo, sec.lab(a, po)) * ((-1) ** po)
             rhs = P.zero
-            for s in range(1, P.p_plus):
-                sgn = _msign(sP * (s + P.p_plus) + P.p_minus * r)
-                rhs = rhs + th.rho_slash(s, P.p_minus) * (
-                    sq * Fraction(sP, P.p_minus) * sgn
-                    * _qdiff(P, zp, r * s))
-            for (s, sp) in I1:
-                sgn = _msign(r * sp + sP * s)
-                dQp_rs = _qdiff(P, zp, r * s)
-                rhs = rhs + th.rho_slash(s, sp) * (
-                    sq * Fraction(sP, P.p_minus) * sgn * dQp_rs
-                    * _qsum(P, zm, sP * sp))
-                rhs = rhs - th.varphi_nwse(s, sp) * (
-                    sq * Fraction(1, P.p_minus) * sgn * dQp_rs
-                    * _qdiff(P, zm, sP * sp))
+            for c in range(1, p):
+                sgn = _msign(po * (c + p + a))
+                rhs = rhs + th.rho_diag(sec, *sec.lab(c, po)) * (sq * sgn * sec.qint(a * c))
+            for lab in I1:
+                c, d = sec.lab(*lab)
+                sgn = _msign((a + p) * d + po * c)
+                rhs = rhs + th.rho_diag(sec, *lab) * (sq * sgn * 2 * sec.qint(a * c))
+            rhs = rhs * sec.qdiff(1)
             if not (lhs - rhs).is_zero():
                 return False
-    for r in range(1, P.p_plus):
-        lhs = th.drinfeld_image("nesw", (r, P.p_minus)) * ((-1) ** P.p_minus)
-        rhs = P.zero
-        for s in range(1, P.p_plus):
-            sgn = _msign(P.p_minus * (s + P.p_plus + r))
-            rhs = rhs + th.rho_slash(s, P.p_minus) * (sq * sgn * P.qint_p(r * s))
-        for (s, sp) in I1:
-            sgn = _msign((r + P.p_plus) * sp + P.p_minus * s)
-            rhs = rhs + th.rho_slash(s, sp) * (sq * sgn * 2 * P.qint_p(r * s))
-        rhs = rhs * _qdiff(P, zp, 1)
-        if not (lhs - rhs).is_zero():
-            return False
-    # row family
-    for sP in range(1, P.p_minus):
-        for r in range(1, P.p_plus):
-            lhs = th.drinfeld_image("nwse", (r, sP)) * ((-1) ** r)
-            rhs = P.zero
-            for sp in range(1, P.p_minus):
-                sgn = _msign(r * (sp + P.p_minus) + P.p_plus * sP)
-                rhs = rhs + th.rho_bslash(P.p_plus, sp) * (
-                    sq * Fraction(r, P.p_plus) * sgn
-                    * _qdiff(P, zm, sP * sp))
-            for (s, sp) in I1:
-                sgn = _msign(sP * s + r * sp)
-                dQm_ssp = _qdiff(P, zm, sP * sp)
-                rhs = rhs + th.rho_bslash(s, sp) * (
-                    sq * Fraction(r, P.p_plus) * sgn * dQm_ssp
-                    * _qsum(P, zp, r * s))
-                rhs = rhs - th.varphi_nesw(s, sp) * (
-                    sq * Fraction(1, P.p_plus) * sgn * dQm_ssp
-                    * _qdiff(P, zp, r * s))
-            if not (lhs - rhs).is_zero():
-                return False
-    for sP in range(1, P.p_minus):
-        lhs = th.drinfeld_image("nwse", (P.p_plus, sP)) * ((-1) ** P.p_plus)
-        rhs = P.zero
-        for sp in range(1, P.p_minus):
-            sgn = _msign(P.p_plus * (sp + P.p_minus + sP))
-            rhs = rhs + th.rho_bslash(P.p_plus, sp) * (sq * sgn * P.qint_m(sP * sp))
-        for (s, sp) in I1:
-            sgn = _msign((sP + P.p_minus) * s + P.p_plus * sp)
-            rhs = rhs + th.rho_bslash(s, sp) * (sq * sgn * 2 * P.qint_m(sP * sp))
-        rhs = rhs * _qdiff(P, zm, 1)
-        if not (lhs - rhs).is_zero():
-            return False
     # double family
     for (r, sP) in I1:
         lhs = th.drinfeld_image("upup", (r, sP)) * (_msign(r + sP))
@@ -813,8 +751,7 @@ def _check_pseudo_decompose(th: Theory) -> bool:
         for (s, sp) in I1:
             sgn = _msign(r * sp + sP * s)
             rhs = rhs + th.varphi_hat(s, sp) * (
-                sq * sgn * _qdiff(P, zp, r * s)
-                * _qdiff(P, zm, sP * sp))
+                sq * sgn * P.plus.qdiff(r * s) * P.minus.qdiff(sP * sp))
         if not (lhs - rhs).is_zero():
             return False
     return True
@@ -854,8 +791,8 @@ def suite_ribbon(theory: Theory):
     checks.append(("v* = (1 + chi_col(1,1)/p+)(1 + chi_row(1,1)/p-)",
                    (rib.v_unipotent - rib.v_factor_plus * rib.v_factor_minus).is_zero(),
                    ""))
-    cf_ok = ((ribbon_factor_closed_form(P, "+") - rib.v_factor_plus).is_zero()
-             and (ribbon_factor_closed_form(P, "-") - rib.v_factor_minus).is_zero())
+    cf_ok = all((ribbon_factor_closed_form(P, sec) - factor).is_zero()
+                for sec, factor in zip(P.sectors, (rib.v_factor_plus, rib.v_factor_minus)))
     checks.append(("unipotent factors match the explicit double sums", cf_ok, ""))
 
     vinv = th.central_inverse(rib.v)
@@ -873,30 +810,28 @@ def _check_ribbon_decompose(th: Theory) -> bool:
     zeta = ctx.root_of_unity
     cb = th.center
     rib = th.ribbon
-    zp, zm = P.zQp, P.zQm
+    plus, minus = P.sectors
     pref = _sqrt2pp32(P).inv()
     rhs = P.zero
     for (r, s) in P.set_I():
         rhs = rhs + cb.idempotents[(r, s)] * zeta(conformal_weight_exponent(P, r, s))
     for (r, s) in P.set_I1():
         ph = zeta(conformal_weight_exponent(P, r, s))
-        c = ph * _qdiff(P, zm, s) * Fraction(1, 4 * P.p_minus ** 2) * ((-1) ** r)
+        c = ph * minus.qdiff(s) * Fraction(1, 4 * P.p_minus ** 2) * ((-1) ** r)
         rhs = rhs + (cb.v_interior[("sw", (r, s))] * s
                      - cb.v_interior[("ne", (r, s))] * (P.p_minus - s)) * c
-        c = ph * _qdiff(P, zp, r) * Fraction(1, 4 * P.p_plus ** 2) * ((-1) ** s)
+        c = ph * plus.qdiff(r) * Fraction(1, 4 * P.p_plus ** 2) * ((-1) ** s)
         rhs = rhs + (cb.v_interior[("se", (r, s))] * r
                      - cb.v_interior[("nw", (r, s))] * (P.p_plus - r)) * c
-        c = (ph * _qdiff(P, zp, r) * _qdiff(P, zm, s)
+        c = (ph * plus.qdiff(r) * minus.qdiff(s)
              * pref * ((-1) ** (r + s)))
         rhs = rhs + th.varphi_hat(r, s) * c
-    for s in range(1, P.p_minus):
-        ph = zeta(conformal_weight_exponent(P, P.p_plus, s))
-        c = ph * _qdiff(P, zm, s) * pref * ((-1) ** (P.p_plus + P.p_minus + s))
-        rhs = rhs - th.rho_bslash(P.p_plus, s) * c
-    for r in range(1, P.p_plus):
-        ph = zeta(conformal_weight_exponent(P, r, P.p_minus))
-        c = ph * _qdiff(P, zp, r) * pref * ((-1) ** (P.p_plus + P.p_minus + r))
-        rhs = rhs - th.rho_slash(r, P.p_minus) * c
+    for sec in P.sectors:
+        for a in range(1, sec.p):
+            lab = sec.lab(a, sec.p_other)
+            ph = zeta(conformal_weight_exponent(P, *lab))
+            c = ph * sec.qdiff(a) * pref * ((-1) ** (P.p_plus + P.p_minus + a))
+            rhs = rhs - th.rho_diag(sec, *lab) * c
     if not (rib.v - rhs).is_zero():
         return False
     # and the coefficient-reading route reconstructs it

@@ -156,21 +156,56 @@ def test_ledger_beyond_pinned_pairs(pair):
 
 def test_ledger_builds_each_projective_cover_once(monkeypatch):
     # the center, the character space and the module suite share one
-    # cover per label through cached_projective
-    calls = Counter()
-    build = reps.projective
+    # cover per label through cached_projective, and one irreducible per
+    # label through cached_irreducible: the Steinberg-type covers are their
+    # irreducibles
+    calls = {"projective": Counter(), "irreducible": Counter()}
+    for kind, counter in calls.items():
+        build = getattr(reps, kind)
 
-    def counted(P, *label):
-        calls[label] += 1
-        return build(P, *label)
+        def counted(P, *label, build=build, counter=counter):
+            counter[label] += 1
+            return build(P, *label)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("qpm") and getattr(module, "projective", None) is build:
-            monkeypatch.setattr(module, "projective", counted)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qpm") and getattr(module, kind, None) is build:
+                monkeypatch.setattr(module, kind, counted)
     ok, _ = run_suites(2, 3, report=None)
     assert ok
-    assert sorted(calls) == sorted(irreducible_labels(Params(2, 3)))
-    assert set(calls.values()) == {1}
+    for counter in calls.values():
+        assert sorted(counter) == sorted(irreducible_labels(Params(2, 3)))
+        assert set(counter.values()) == {1}
+
+
+def _doubled(method, kind):
+    """method with the images of one gamma-basis kind doubled."""
+    def patched(self, k, label):
+        el = method(self, k, label)
+        return el * 2 if k == kind else el
+    return patched
+
+
+@pytest.mark.parametrize("kind, family, slash", [("nesw", "column", "slash"),
+                                                 ("nwse", "row", "bslash")],
+                         ids=["nesw", "nwse"])
+@pytest.mark.parametrize("th", ["T23", "T32"])
+def test_each_sector_pass_of_a_merged_family_is_checked(th, kind, family, slash,
+                                                        request, monkeypatch):
+    # The column and row (slash and bslash) families are one loop over the
+    # two sectors.  Doubling the images of one sector's pseudotraces must
+    # fail that sector's checks, so neither pass of the loop is idle.
+    th = request.getfixturevalue(th)
+    ma = th.modular_action  # built (with the ribbon) from the true images
+    monkeypatch.setattr(Theory, "drinfeld_image", _doubled(Theory.drinfeld_image, kind))
+    monkeypatch.setattr(Theory, "radford_image", _doubled(Theory.radford_image, kind))
+    other = {"column": "row", "row": "column"}[family]
+    passed = {check: ok for check, ok, _ in suite_radford_images(th) + suite_drinfeld(th)}
+    assert not passed[f"{family} pseudotrace images decompose as stated"]
+    assert passed[f"{other} pseudotrace images decompose as stated"]
+    assert not passed["pseudotrace Drinfeld images match closed forms"]
+    assert not passed["pseudotrace Drinfeld images decompose as stated"]
+    failed = {name for name, _ in ma.verify_transformations()["failures"]}
+    assert f"T phi_{slash}" in failed
 
 
 @pytest.mark.parametrize("selection", [set(), [], {"nope"}, {"hopf-axioms", "nope"}],

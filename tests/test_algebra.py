@@ -24,19 +24,19 @@ def test_context_validation():
 def test_k_commutation(P23, gens):
     P = P23
     K = gens["K"]
-    assert K * gens["ep"] == gens["ep"] * K * P.q_plus ** 2
-    assert K * gens["fp"] == gens["fp"] * K * P.q_plus ** (-2)
-    assert K * gens["em"] == gens["em"] * K * P.q_minus ** 2
-    assert K * gens["fm"] == gens["fm"] * K * P.q_minus ** (-2)
+    assert K * gens["ep"] == gens["ep"] * K * P.plus.q ** 2
+    assert K * gens["fp"] == gens["fp"] * K * P.plus.q ** (-2)
+    assert K * gens["em"] == gens["em"] * K * P.minus.q ** 2
+    assert K * gens["fm"] == gens["fm"] * K * P.minus.q ** (-2)
 
 
 def test_sector_commutators(P23, gens):
     P = P23
-    Qp = P.q_plus ** P.p_minus
+    Qp = P.plus.q ** P.p_minus
     lhs = gens["ep"] * gens["fp"] - gens["fp"] * gens["ep"]
     rhs = (P.gen("K", P.p_minus) - P.gen("K", -P.p_minus)) * (Qp - Qp.inv()).inv()
     assert lhs == rhs
-    Qm = P.q_minus ** P.p_plus
+    Qm = P.minus.q ** P.p_plus
     lhs = gens["em"] * gens["fm"] - gens["fm"] * gens["em"]
     rhs = (P.gen("K", P.p_plus) - P.gen("K", -P.p_plus)) * (Qm - Qm.inv()).inv()
     assert lhs == rhs
@@ -69,7 +69,7 @@ def test_associativity(m1, m2, m3):
     P = _P23()
     x = AlgebraElement(P, {m1: P.q})
     y = AlgebraElement(P, {m2: P.ctx.one})
-    z = AlgebraElement(P, {m3: P.q_minus})
+    z = AlgebraElement(P, {m3: P.minus.q})
     assert (x * y) * z == x * (y * z)
 
 
@@ -149,7 +149,7 @@ def test_coproduct_algebra_map(P23):
     monos = sorted(P.monomials())
     for _ in range(6):
         x = AlgebraElement(P, {rng.choice(monos): P.q})
-        y = AlgebraElement(P, {rng.choice(monos): P.ctx.one + P.q_plus})
+        y = AlgebraElement(P, {rng.choice(monos): P.ctx.one + P.plus.q})
         assert (x * y).coproduct() == x.coproduct() * y.coproduct()
 
 
@@ -213,7 +213,7 @@ def _stores_no_zero(coeffs):
 def test_exact_cancellation_stores_no_zero(P23, gens):
     P = P23
     x = gens["ep"] * gens["fp"] + gens["K"] * P.q + gens["fm"]
-    y = gens["em"] * gens["fm"] - gens["K"] * P.q_plus + P.one
+    y = gens["em"] * gens["fm"] - gens["K"] * P.plus.q + P.one
     xy = x * y
     assert (x - x).coeffs == {}
     assert (xy - x * y).coeffs == {}
@@ -254,3 +254,29 @@ def test_mono_mul_against_projective_modules(pair, n_pairs):
             lhs = module.act(AlgebraElement(P, P.mono_mul(m1, m2)))
             rhs = module.act_mono(m1) * module.act_mono(m2)
             assert (lhs - rhs).is_zero(), (module.label, m1, m2)
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (2, 3), (2, 5)], ids=["1-2", "2-3", "2-5"])
+def test_sector_swaps_with_the_pair(pair):
+    # Exchanging p+ and p- exchanges the sectors: the plus sector of (p, q)
+    # is the minus sector of (q, p), constants and brackets alike.  The
+    # brackets are checked against the Laurent polynomials evaluated at
+    # zeta^zQ, not through the sector's own cache.
+    from qpm.cyclotomic import q_binomial_poly, q_factorial_poly, q_int_poly
+
+    p, q = pair
+    P, Pswap = Params(p, q), Params(q, p)
+    for sec, twin in ((P.plus, Pswap.minus), (P.minus, Pswap.plus)):
+        assert (sec.p, sec.p_other, sec.zQ, sec.zq) == (twin.p, twin.p_other, twin.zQ, twin.zq)
+        Q = P.zeta(sec.zQ)
+        for n in range(2 * sec.p + 1):
+            assert sec.qint(n) == twin.qint(n) == q_int_poly(n).eval_cyclo(Q)
+            assert sec.qfact(n) == twin.qfact(n) == q_factorial_poly(n).eval_cyclo(Q)
+            for m in range(n + 1):
+                assert sec.qbin(n, m) == twin.qbin(n, m) == q_binomial_poly(n, m).eval_cyclo(Q)
+        for label in [(r, s) for r in range(P.p_plus + 1) for s in range(P.p_minus + 1)]:
+            a, b = sec.lab(*label)
+            assert sec.lab(a, b) == label
+            assert twin.lab(a, b) == label[::-1]
+    assert P.plus.lab(1, 2) == (1, 2) and P.minus.lab(1, 2) == (2, 1)
+    assert [sec.pseudo for sec in P.sectors] == ["nesw", "nwse"]

@@ -35,7 +35,7 @@ def test_casimir_eigenvalue_example(P23):
     P = P23
     cp, _ = P.casimirs()
     m = cached_irreducible(P, 1, 2, 3)
-    val = P.casimir_eigenvalue_plus(1, 2, 3)
+    val = P.plus.casimir_eigenvalue(1, 2, 3)
     assert (m.act(cp) - SparseMat.identity(m.dim, P.ctx).scale(val)).is_zero()
 
 
@@ -199,7 +199,7 @@ def test_decompose_central(P23, cb23):
     dec = decompose_central(P, e11, cb23)
     assert dec.a[(1, 1)] == P.ctx.one
     assert sum(1 for v in dec.a.values() if not v.is_zero()) == 1
-    z = (e11 * P.q + cb23.v_interior[("ne", (1, 1))] * P.q_plus
+    z = (e11 * P.q + cb23.v_interior[("ne", (1, 1))] * P.plus.q
          + cb23.w_interior[("down", (1, 1))] * 5
          + cb23.v_boundary[("up", (2, 1))] * 3)
     dec = decompose_central(P, z, cb23)
@@ -215,15 +215,15 @@ def test_psi_normalization_constants(P23):
     P = P23
     ctx = P.ctx
     for (r, s) in P.set_I1():
-        psi = _psi_poly(P, "+")
-        beta = P.casimir_eigenvalue_plus(1, r, s)
+        psi = _psi_poly(P.plus)
+        beta = P.plus.casimir_eigenvalue(1, r, s)
         red = _poly_div_linear(_poly_div_linear(psi, beta, ctx), beta, ctx)
         val = _poly_eval(red, beta, ctx)
         assert val == ctx.integer(4 * P.p_plus ** 2) * (
-            (P.Q_plus ** r - P.Q_plus ** (-r)) ** 2).inv()
+            (P.plus.Q ** r - P.plus.Q ** (-r)) ** 2).inv()
     two = ctx.integer(2)
-    beta = P.casimir_eigenvalue_plus(1, P.p_plus, P.p_minus)
+    beta = P.plus.casimir_eigenvalue(1, P.p_plus, P.p_minus)
     assert beta == two or beta == -two
-    red = _poly_div_linear(_psi_poly(P, "+"), beta, ctx)
+    red = _poly_div_linear(_psi_poly(P.plus), beta, ctx)
     sign = 1 if beta == two else -1
     assert _poly_eval(red, beta, ctx) == ctx.integer(sign * 4 * P.p_plus ** 2)

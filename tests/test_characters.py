@@ -6,8 +6,8 @@ import pytest
 
 from qpm.algebra import Params
 from qpm.characters import (Functional, PseudotraceSpec, counit_functional,
-                            is_qcharacter, qcharacter_space,
-                            sigma_endomorphism)
+                            is_qcharacter, qcharacter_space, qtrace,
+                            sigma_endomorphism, trace_functional)
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +28,7 @@ def test_counts(cs12, cs23):
 def test_counit_is_qcharacter(P23, cs23):
     eps = counit_functional(P23)
     assert is_qcharacter(eps)
-    assert cs23.qtrace(1, 1, 1) == eps
+    assert qtrace(P23, 1, 1, 1) == eps
 
 
 def test_coordinate_functional_not_qcharacter(P23):
@@ -44,11 +44,10 @@ def test_gamma_members_are_qcharacters(cs23):
 
 def test_trace_additivity(P23, cs23):
     from qpm.reps import direct_sum, cached_irreducible
-    from qpm.characters import qtrace_char
     a = cached_irreducible(P23, 1, 2, 1)
     b = cached_irreducible(P23, -1, 1, 3)
-    lhs = qtrace_char(direct_sum(a, b))
-    rhs = qtrace_char(a) + qtrace_char(b)
+    lhs = trace_functional(direct_sum(a, b))
+    rhs = trace_functional(a) + trace_functional(b)
     assert lhs == rhs
 
 
@@ -74,7 +73,6 @@ def test_pseudotrace_constraints(P23):
 
 
 def test_zero_sigma_gives_zero_functional(P23):
-    from qpm.characters import trace_functional
     spec = PseudotraceSpec((1, 1), {})
     module, sigma = sigma_endomorphism(P23, spec)
     assert sigma.is_zero()
@@ -85,15 +83,14 @@ def test_zero_sigma_gives_zero_functional(P23):
 def test_alpha_down_gives_trace_combination(P23, cs23):
     # only the diagonal-coefficient sigma: the functional is a combination
     # of irreducible balanced traces
-    from qpm.characters import trace_functional
     from qpm.linalg import SpanSolver
     P = P23
     c = P.ctx.one
     spec = PseudotraceSpec((1, 1), {("alpha", "down", b): c for b in "urld"})
     module, sigma = sigma_endomorphism(P, spec)
     gamma = trace_functional(module, sigma)
-    traces = [cs23.qtrace(1, 1, 1), cs23.qtrace(-1, 1, 1),
-              cs23.qtrace(-1, 1, 2), cs23.qtrace(1, 1, 2)]
+    traces = [qtrace(P, 1, 1, 1), qtrace(P, -1, 1, 1),
+              qtrace(P, -1, 1, 2), qtrace(P, 1, 1, 2)]
     ss = SpanSolver([t.values for t in traces], P.ctx)
     assert ss.contains(gamma.values)
     assert is_qcharacter(gamma)
@@ -102,7 +99,7 @@ def test_alpha_down_gives_trace_combination(P23, cs23):
 def test_kac_sets(P23):
     assert P23.set_I1() == [(1, 1)]
     assert set(P23.set_I()) == {(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (0, 3)}
-    assert len(P23.set_I_slash()) == 2 and len(P23.set_I_bslash()) == 3
+    assert len(P23.set_I_diag(P23.plus)) == 2 and len(P23.set_I_diag(P23.minus)) == 3
 
 
 @pytest.mark.parametrize("pair", [(1, 1), (1, 4), (2, 3), (3, 2), (2, 5), (3, 4), (4, 7)])

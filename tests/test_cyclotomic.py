@@ -235,8 +235,8 @@ def test_generic_specialization_agreement(P23):
             num = q_factorial_poly(m)
             den = q_factorial_poly(n) * q_factorial_poly(m - n)
             assert num == sym * den  # exact cancellation certificate
-            assert sym.eval_cyclo(P.Q_plus) == P.qbin_p(m, n)
-            assert sym.eval_cyclo(P.Q_minus) == P.qbin_m(m, n)
+            assert sym.eval_cyclo(P.plus.Q) == P.plus.qbin(m, n)
+            assert sym.eval_cyclo(P.minus.Q) == P.minus.qbin(m, n)
 
 
 def test_embedding():

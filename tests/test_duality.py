@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from qpm.algebra import AlgebraElement
+from qpm.algebra import AlgebraElement, Params
 from qpm.center import is_central
 from qpm.cyclotomic import sparse_sum
-from qpm.duality import (canonical_element, cc_poly_coeffs, chi_sector,
+from qpm.duality import (Theory, canonical_element, cc_poly_coeffs, chi_sector,
                          conformal_weight_exponent,
                          delta_cointegral_closed_form,
                          drinfeld_irreducible_closed_form, radford,
@@ -33,7 +33,7 @@ def test_integral_invariants(T12, T23):
 def test_zeta_normalization(T23):
     P = T23.params
     data = T23.integral
-    fact = (P.qfact_p(P.p_plus - 1) * P.qfact_m(P.p_minus - 1)) ** 2
+    fact = (P.plus.qfact(P.p_plus - 1) * P.minus.qfact(P.p_minus - 1)) ** 2
     assert data.zeta_norm * fact == P.sqrt_half_pp()
 
 
@@ -151,10 +151,10 @@ def test_drinfeld_pseudotrace_closed_forms(T23):
     P = T23.params
     for r in range(1, P.p_plus):
         for s in range(1, P.p_minus + 1):
-            closed = theta_bracket(P, "+", r) * chi_sector(P, "-", s) * ((-1) ** s)
+            closed = theta_bracket(P, P.plus, r) * chi_sector(P, P.minus, s) * ((-1) ** s)
             assert (T23.drinfeld_image("nesw", (r, s)) - closed).is_zero()
     for (r, s) in P.set_I1():
-        closed = (theta_bracket(P, "+", r) * theta_bracket(P, "-", s)
+        closed = (theta_bracket(P, P.plus, r) * theta_bracket(P, P.minus, s)
                   * ((-1) ** (r + s)))
         assert (T23.drinfeld_image("upup", (r, s)) - closed).is_zero()
 
@@ -179,20 +179,20 @@ def test_drinfeld_injective_on_ch(T23):
 def test_cc_polynomials(P23):
     P = P23
     # m = 0: empty product has [x^0] = 1, [x^1] = 0
-    x0, x1 = cc_poly_coeffs(P, "+", 2, 1, 0)
+    x0, x1 = cc_poly_coeffs(P.plus, 2, 1, 0)
     assert x0 == P.ctx.one and x1.is_zero()
     # [x^0] = ([m]!)^2 qbin(a, m) qbin(r - a + m - 1, m)
     for r in range(1, P.p_plus + 1):
         for a in range(r):
             for m in range(P.p_plus):
-                x0, _ = cc_poly_coeffs(P, "+", r, a, m)
-                want = (P.qfact_p(m) ** 2 * P.qbin_p(a, m)
-                        * P.qbin_p(r - a + m - 1, m))
+                x0, _ = cc_poly_coeffs(P.plus, r, a, m)
+                want = (P.plus.qfact(m) ** 2 * P.plus.qbin(a, m)
+                        * P.plus.qbin(r - a + m - 1, m))
                 assert x0 == want
     # [x^1] of C^m_{1,0} is (-1)^(m+1) [m]! [m-1]! for m >= 1
     for m in range(1, P.p_plus):
-        _, x1 = cc_poly_coeffs(P, "+", 1, 0, m)
-        want = P.qfact_p(m) * P.qfact_p(m - 1) * ((-1) ** (m + 1))
+        _, x1 = cc_poly_coeffs(P.plus, 1, 0, m)
+        want = P.plus.qfact(m) * P.plus.qfact(m - 1) * ((-1) ** (m + 1))
         assert x1 == want
 
 
@@ -237,8 +237,8 @@ def test_ribbon_jordan_factorization(T23):
     x = rib.v_unipotent - P.one
     assert (x * x * x).is_zero()
     assert (rib.v_unipotent - rib.v_factor_plus * rib.v_factor_minus).is_zero()
-    assert (ribbon_factor_closed_form(P, "+") - rib.v_factor_plus).is_zero()
-    assert (ribbon_factor_closed_form(P, "-") - rib.v_factor_minus).is_zero()
+    assert (ribbon_factor_closed_form(P, P.plus) - rib.v_factor_plus).is_zero()
+    assert (ribbon_factor_closed_form(P, P.minus) - rib.v_factor_minus).is_zero()
 
 
 def test_ribbon_tensor_identity_small(T12):
@@ -291,3 +291,14 @@ def test_tensor_square_checks_can_fail(request, theory):
     w = rib.v_unipotent
     failures = mm.ribbon_identity_failures(w, th.central_inverse(w))
     assert failures and failures[0] != "v v_inv != 1"
+
+
+def test_balanced_trace_needs_no_character_space():
+    # Theory.qtrace reads the cached balanced trace of one irreducible; it
+    # builds no pseudotrace and no CharacterSpace
+    from qpm.characters import trace_functional
+
+    P = Params(2, 3)
+    assert Theory(P).qtrace(1, 1, 1) == trace_functional(cached_irreducible(P, 1, 1, 1))
+    assert Theory(P).qtrace(-1, 2, 3) == trace_functional(cached_irreducible(P, -1, 2, 3))
+    assert "character_space" not in P.cache

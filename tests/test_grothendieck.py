@@ -132,14 +132,14 @@ def test_one_sector_fusion_rule(T23):
     P = T23.params
     for r in range(1, P.p_plus + 1):
         for s in range(1, P.p_plus + 1):
-            prod = chi_sector(P, "+", r) * chi_sector(P, "+", s)
+            prod = chi_sector(P, P.plus, r) * chi_sector(P, P.plus, s)
             expect = P.zero
             for u in range(abs(r - s) + 1, r + s, 2):
                 if u <= P.p_plus:
-                    expect = expect + chi_sector(P, "+", u)
+                    expect = expect + chi_sector(P, P.plus, u)
                 else:
-                    expect = expect + chi_sector(P, "+", 2 * P.p_plus - u)
-                    expect = expect + (chi_sector(P, "+", u - P.p_plus)
+                    expect = expect + chi_sector(P, P.plus, 2 * P.p_plus - u)
+                    expect = expect + (chi_sector(P, P.plus, u - P.p_plus)
                                        * P.gen("K", P.pp)
                                        * (2 * (-1) ** (P.p_plus + P.p_minus)))
             assert (prod - expect).is_zero(), (r, s)

@@ -36,7 +36,7 @@ def _mono(P, m1, m2):
     conjugation read off the defining relations."""
     a2, b2, c2, d2, _ = m2
     j1, j2 = m1[4], m2[4]
-    phase = (P.q_plus ** (2 * (b2 - a2)) * P.q_minus ** (2 * (d2 - c2))) ** j1
+    phase = (P.plus.q ** (2 * (b2 - a2)) * P.minus.q ** (2 * (d2 - c2))) ** j1
     free = P.mono_mul(m1[:4] + (0,), m2[:4] + (0,))
     return {(a, b, c, d, (j + j1 + j2) % P.korder): v * phase
             for (a, b, c, d, j), v in free.items()}

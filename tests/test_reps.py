@@ -30,6 +30,11 @@ def test_irreducible_dimensions_and_relations(P23, gi23):
 def test_modules_are_shared(P23, gi23):
     for lab in irreducible_labels(P23):
         assert gi23.irreducibles[lab] is cached_irreducible(P23, *lab)
+    for alpha in (1, -1):
+        # the Steinberg-type cover is its irreducible, label included
+        steinberg = cached_projective(P23, alpha, 2, 3)
+        assert steinberg is cached_irreducible(P23, alpha, 2, 3)
+        assert steinberg.label.startswith("Irr(")
     _, ranges = block_module(P23, 1, 1)
     covers = {"u": (1, 1, 1), "r": (-1, 1, 1), "l": (-1, 1, 2), "d": (1, 1, 2)}
     assert all(ranges[bullet][2] is cached_projective(P23, *lab)
@@ -49,7 +54,7 @@ def test_highest_weight_eigenvalue(P23):
     # K eigenvalue on the highest-weight vector is -q_+^{r-1} q_-^{s-1}
     top = m.index[(0, 0)]
     val = m.kmat(1).get(top, top, P.ctx.zero)
-    assert val == P.q_plus * (P.q_minus ** 2) * (-1)
+    assert val == P.plus.q * (P.minus.q ** 2) * (-1)
     assert m.dim == 6
 
 
@@ -146,7 +151,7 @@ def test_glue_lays_out_four_suits_with_unit_arrows(P23):
     P = P23
     top, side = irreducible(P, 1, 1, 3), irreducible(P, -1, 1, 3)
     suits = (("u", top), ("l", side), ("r", side), ("d", top))
-    m = glue("+", top, side, "deck")
+    m = glue(P.plus, top, side, "deck")
     assert m.basis == [(suit,) + lab for suit, mod in suits for lab in mod.basis]
     assert m.kweights == top.kweights + side.kweights * 2 + top.kweights
 
@@ -164,7 +169,7 @@ def test_glue_lays_out_four_suits_with_unit_arrows(P23):
                                 for suit, mod in suits
                                 for (i, j), v in mod.mats[name].data.items()}
     assert not m.check_relations()
-    assert m.mats == projective_deck(P, 1, "+", 1, 3).mats
+    assert m.mats == projective_deck(P, 1, P.plus, 1, 3).mats
 
 
 def test_projective_filtration_class(P23, gi23):
@@ -189,7 +194,7 @@ def test_casimir_scalars(P23, gi23):
     cp, cm = P.casimirs()
     m = gi23.irreducibles[(-1, 2, 2)]
     acp = m.act(cp)
-    want = SparseMat.identity(m.dim, P.ctx).scale(P.casimir_eigenvalue_plus(-1, 2, 2))
+    want = SparseMat.identity(m.dim, P.ctx).scale(P.plus.casimir_eigenvalue(-1, 2, 2))
     assert (acp - want).is_zero()
 
 
@@ -213,8 +218,8 @@ def test_k_character_properties(P23, gi23):
     P = P23
     fp = gi23._fingerprint_sparse
     triv = gi23.irreducibles[(1, 1, 1)]
-    cp = P.casimir_eigenvalue_plus(1, 1, 1)
-    cm = P.casimir_eigenvalue_minus(1, 1, 1)
+    cp = P.plus.casimir_eigenvalue(1, 1, 1)
+    cm = P.minus.casimir_eigenvalue(1, 1, 1)
     assert fp(triv) == sparse_sum(((u, v, 0), cp ** u * cm ** v)
                                   for u in range(P.p_plus + 1)
                                   for v in range(P.p_minus + 1))

@@ -611,40 +611,36 @@ class TensorElement:
             if not other:
                 return TensorElement(self.params, {})
             return TensorElement(self.params, {m: c * other for m, c in self.coeffs.items()})
-        return TensorElement(self.params, sparse_sum(
-            (k, s * ck) for k, s, ck in self.product_terms(other)))
-
-    __rmul__ = __mul__
-
-    def product_terms(self, other: "TensorElement"):
-        """The terms of self * other as (key, s, ck) triples, whose products
-        s * ck sum to the coefficient of key; __mul__ sums them with
-        sparse_sum, the exact tensor-square checks test the sums for zero
-        with nonzero_sums."""
         P = self.params
         mono_mul, kphase, ko, N = P.mono_mul, P.kphase, P.korder, P.N
         right = _kfree_pair_blocks(other.coeffs)
-        for (b1, b1r), u1 in _kfree_pair_blocks(self.coeffs).items():
-            for (b2, b2r), u2 in right.items():
-                first = mono_mul(b1, b2)
-                second = first and mono_mul(b1r, b2r)
-                if not second:
-                    continue
-                # the two-leg twisted cyclic convolution of the K-exponent
-                # pairs, as in AlgebraElement.__mul__
-                ks = [(((i1 + i2) % ko, (j1 + j2) % ko), c1 * c2)
-                      for (i1, j1), c in u1.items()
-                      for e in ((kphase(b2, i1) + kphase(b2r, j1)) % N,)
-                      for c1 in (c.shift(e) if e else c,)
-                      for (i2, j2), c2 in u2.items()]
-                if len(u1) > 1 and len(u2) > 1:
-                    ks = sparse_sum(ks).items()
-                for (a, b, c, d, i), sl in first.items():
-                    for (ar, br, cr, dr, j), sr in second.items():
-                        s = sl * sr
-                        for (ki, kj), ck in ks:
-                            yield ((a, b, c, d, (i + ki) % ko),
-                                   (ar, br, cr, dr, (j + kj) % ko)), s, ck
+
+        def terms():
+            for (b1, b1r), u1 in _kfree_pair_blocks(self.coeffs).items():
+                for (b2, b2r), u2 in right.items():
+                    first = mono_mul(b1, b2)
+                    second = first and mono_mul(b1r, b2r)
+                    if not second:
+                        continue
+                    # the two-leg twisted cyclic convolution of the K-exponent
+                    # pairs, as in AlgebraElement.__mul__
+                    ks = [(((i1 + i2) % ko, (j1 + j2) % ko), c1 * c2)
+                          for (i1, j1), c in u1.items()
+                          for e in ((kphase(b2, i1) + kphase(b2r, j1)) % N,)
+                          for c1 in (c.shift(e) if e else c,)
+                          for (i2, j2), c2 in u2.items()]
+                    if len(u1) > 1 and len(u2) > 1:
+                        ks = sparse_sum(ks).items()
+                    for (a, b, c, d, i), sl in first.items():
+                        for (ar, br, cr, dr, j), sr in second.items():
+                            s = sl * sr
+                            for (ki, kj), ck in ks:
+                                yield ((a, b, c, d, (i + ki) % ko),
+                                       (ar, br, cr, dr, (j + kj) % ko)), s * ck
+
+        return TensorElement(P, sparse_sum(terms()))
+
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         return isinstance(other, TensorElement) and self.coeffs == other.coeffs

@@ -11,18 +11,25 @@ center.  The Radford map phi(beta) = sum beta(Lambda') Lambda'' and its
 inverse phi^-1(x) = lambda(S(x) . ) exchange q-characters and central
 elements.
 
-The M-matrix is the paper's six-fold indexed sum, expanded once into its
-first-leg slices (delta_m (x) id)(M).  Its two K-power indices enter only
-through a root-of-unity phase with a bilinear cross term, which takes ko
-values (ko = 2 p_+ p_-), so each pair of K-free leg terms costs one
-product, ko root-of-unity shifts and ko^2 additions.  The Drinfeld map
-(beta (x) id)(M) is the linear combination of slices weighted by beta.
-Both tensor-square identities are checked exactly in the tensor square
-itself: M Delta(x) = Delta(x) M from the terms of both products for
-x = e_pm, f_pm and through the weights of M's keys for x = K, and
-M Delta(v) = v (x) v as (1 (x) v^-1) M = (v (x) 1) Delta(v^-1), one
-first-leg slice at a time.  Each side's terms are scalar products whose
-difference nonzero_sums tests for zero, so neither side is summed.
+The M-matrix is the paper's six-fold indexed sum, built once with its
+first leg on the weight idempotents of K,
+
+    1_w = (1/ko) sum_j zeta_ko^(-w j) K^j,   zeta_ko = zeta^12,  ko = 2 p_+ p_-,
+
+so that K^j 1_w = zeta_ko^(w j) 1_w and 1_w B = B 1_(w - weight(B)) for a
+K-free monomial B (weight as in Params.weight).  Its Cartan factor, a
+Gaussian kernel in the two K-power indices, is diagonal there: each pair of
+leg terms and each second-leg K power gives one term (B1 1_w) (x) m2.  The
+Drinfeld map (beta (x) id)(M) reads beta(B 1_w) off beta's values on the
+B K^j.  Both tensor-square identities are checked exactly in the tensor
+square itself.  M Delta(x) = Delta(x) M is checked in the weight form: for
+x = K through the weights of M's terms, for x = e_pm, f_pm from the terms
+of both products, where a product with B 1_w is one straightening and a
+phase.  M Delta(v) = v (x) v is checked as
+(1 (x) v^-1) M = (v (x) 1) Delta(v^-1) in the PBW basis, one first-leg slice
+(delta_m (x) id)(M) at a time, each slice derived from the weight form when
+it is read.  Each side's terms are scalar products whose difference
+nonzero_sums tests for zero, so neither side is summed.
 
 The canonical element u (whence the ribbon element v = u g^-1) is taken in
 closed form; its defining properties -- centrality, S(v) = v,
@@ -231,19 +238,20 @@ def radford_inverse(data: IntegralData, x: AlgebraElement) -> Functional:
 
 class MMatrix:
     """The M-matrix, the element of the tensor square that commutes with
-    the coproduct, kept as its first-leg slices:
+    the coproduct, kept with its first leg on the weight idempotents 1_w of
+    K:
 
-        slices[m1] = {m2: c, ...}  with  M = sum c m1 (x) m2,
+        weight_slices[B1] = {(w, m2): c, ...}  with  M = sum c (B1 1_w) (x) m2,
 
-    so slices[m1] is (delta_m1 (x) id)(M).  Contractions, the expanded
-    tensor element and both tensor-square checks all read this one form."""
+    B1 a K-free monomial (K exponent 0) and m2 a PBW monomial.  This is the
+    one stored form of M; contractions and the intertwining check read it,
+    and pbw_slices() derives the PBW first-leg slices from it."""
 
     def __init__(self, params: Params):
         P = self.params = params
         ko = P.korder
         dQp = -P.plus.qdiff(1)   # q_+^{-p_-} - q_+^{p_-}
         dQm = -P.minus.qdiff(1)
-        inv_ko = Fraction(1, ko)
 
         def terms():
             for m, n, mp, np in product(range(P.p_plus), range(P.p_plus),
@@ -253,7 +261,7 @@ class MMatrix:
                         * P.plus.qfact(n) * P.minus.qfact(np)).inv())
                 e0 = (6 * P.p_minus * P.p_minus * (m * (m + 1) - n * (n - 1))
                       + 6 * P.p_plus * P.p_plus * (mp * (mp + 1) - np * (np - 1)))
-                c = c.shift(e0) * inv_ko
+                c = c.shift(e0)
                 # first leg: fp^n ep^m em^np fm^mp
                 leg1 = P.gen("fp", n) * P.gen("ep", m) * P.gen("em", np) * P.gen("fm", mp)
                 # second leg: ep^n fp^m fm^np em^mp
@@ -261,36 +269,67 @@ class MMatrix:
                 alpha = P.p_minus * m - P.p_plus * mp  # phase slope
                 for (mono1, c1), (mono2, c2) in product(leg1.coeffs.items(),
                                                         leg2.coeffs.items()):
-                    # K^j (x) K^jp carries the phase zeta^(12 t) with
-                    # t = alpha (j - jp) + j jp, which matters only mod ko
-                    # because 12 ko = N
+                    # (1/ko) sum_{j, jp} zeta_ko^(alpha (j - jp) + j jp)
+                    # B1 K^(k1 + j) (x) B2 K^(k2 + jp): the sum over j is
+                    # ko zeta_ko^(w k1) B1 1_w with w = -(alpha + jp)
                     base = c * c1 * c2
-                    phased = [base.shift(12 * t) for t in range(ko)]
-                    for j, jp in product(range(ko), repeat=2):
-                        yield ((mono1[:4] + ((j + mono1[4]) % ko,),
-                                mono2[:4] + ((jp + mono2[4]) % ko,)),
-                               phased[(alpha * (j - jp) + j * jp) % ko])
+                    b1, k1 = mono1[:4] + (0,), mono1[4]
+                    for jp in range(ko):
+                        w = -(alpha + jp) % ko
+                        yield ((b1, w, mono2[:4] + ((mono2[4] + jp) % ko,)),
+                               base.shift(12 * ((w * k1 - alpha * jp) % ko)))
 
-        slices = {}
-        for (m1, m2), c in sparse_sum(terms()).items():
-            slices.setdefault(m1, {})[m2] = c
-        self.slices = slices
+        weight_slices = {}
+        for (b1, w, m2), c in sparse_sum(terms()).items():
+            weight_slices.setdefault(b1, {})[w, m2] = c
+        self.weight_slices = weight_slices
+
+    def pbw_slices(self):
+        """The PBW first-leg slices (delta_m1 (x) id)(M), as (m1, {m2: c})
+        pairs, one K-free first leg B1 at a time and m1 = B1 K^l in
+        increasing l; empty slices are skipped.  Each slice is derived when
+        it is reached, from
+
+            M(B1 K^l, m2) = (1/ko) sum_w zeta_ko^(-w l) M(B1 1_w, m2)."""
+        ko = self.params.korder
+        inv_ko = Fraction(1, ko)
+        for b1, row in self.weight_slices.items():
+            scaled = [(w, m2, c * inv_ko) for (w, m2), c in row.items()]
+            for l in range(ko):
+                sl = sparse_sum((m2, c.shift(-12 * t) if t else c)
+                                for w, m2, c in scaled for t in (w * l % ko,))
+                if sl:
+                    yield b1[:4] + (l,), sl
 
     # -- contractions ------------------------------------------------------
 
     def contract_functional(self, beta: Functional) -> AlgebraElement:
-        """(beta (x) id)(M), a linear combination of slices: the Drinfeld
-        image of beta."""
-        slices = self.slices
-        return AlgebraElement(self.params, sparse_sum(
-            (m2, v * c)
-            for m, v in beta.values.items()
-            for m2, c in slices.get(m, {}).items()))
+        """(beta (x) id)(M), the Drinfeld image of beta: the sum of
+        beta(B1 1_w) c m2, with
 
-    def as_tensor_element(self) -> TensorElement:
-        """M as one element of the tensor square."""
-        return TensorElement(self.params, {
-            (m1, m2): c for m1, row in self.slices.items() for m2, c in row.items()})
+            beta(B 1_w) = (1/ko) sum_j zeta_ko^(-w j) beta(B K^j)."""
+        P = self.params
+        ko, zero = P.korder, P.ctx.zero
+        inv_ko = Fraction(1, ko)
+        by_free = {}
+        for m, v in beta.values.items():
+            by_free.setdefault(m[:4] + (0,), []).append((m[4], v))
+
+        def terms():
+            for b1, row in self.weight_slices.items():
+                values = by_free.get(b1)
+                if values is None:
+                    continue
+                hat = {}
+                for (w, m2), c in row.items():
+                    h = hat.get(w)
+                    if h is None:
+                        h = hat[w] = sum((v.shift(-12 * (w * j % ko)) for j, v in values),
+                                         start=zero) * inv_ko
+                    if h:
+                        yield m2, h * c
+
+        return AlgebraElement(P, sparse_sum(terms()))
 
     def counit_left(self) -> AlgebraElement:
         """(epsilon (x) id) of the matrix."""
@@ -299,45 +338,82 @@ class MMatrix:
     # -- exact tensor-square identity checks --------------------------------
 
     def intertwining_failures(self):
-        """First-leg monomials where M fails to commute with the coproduct;
-        empty means M Delta(x) = Delta(x) M in the tensor square for every
-        generator x.
+        """First-leg keys (B, w), standing for B 1_w, where M fails to
+        commute with the coproduct; empty means M Delta(x) = Delta(x) M in
+        the tensor square for every generator x.
 
-        Delta(K) = K (x) K conjugates a term m1 (x) m2 of M by the phase
-        zeta^(12 (weight(m1) + weight(m2))), so M commutes with it exactly
-        when the two weights of every key add up to 0 mod ko: such keys'
-        first legs are reported.  For e_pm and f_pm the terms of M Delta(g)
-        and of -Delta(g) M come block by block from
-        TensorElement.product_terms, and the first legs of the keys where
-        they do not cancel (nonzero_sums) are reported."""
+        Delta(K) = K (x) K conjugates a term (B1 1_w) (x) m2 of M by the
+        phase zeta^(12 (weight(B1) + weight(m2))), so M commutes with it
+        exactly when the two weights of every term add up to 0 mod ko: the
+        first legs of the other terms are reported.  For e_pm and f_pm the
+        terms of M Delta(g) and of -Delta(g) M are formed in the weight
+        form, keyed by ((C, w), D) for (C 1_w) (x) D, with
+
+            (B1 1_w)(B K^a) = zeta_ko^(a w') [B1 B] 1_w',  w' = w - weight(B),
+            (B K^a)(B1 1_w) = zeta_ko^(a (weight(B1) + w)) [B B1] 1_w,
+
+        where each term C K^i of the straightened [..] is zeta_ko^(i w) C 1_w
+        (w the idempotent's index); the first legs of the keys where they do
+        not cancel (nonzero_sums) are reported."""
         P = self.params
-        ko = P.korder
-        failures = [m1 for m1, row in self.slices.items()
-                    if any((P.weight(m1) + P.weight(m2)) % ko for m2 in row)]
-        M = self.as_tensor_element()
+        ko, weight, mono_mul = P.korder, P.weight, P.mono_mul
+        failures = [(b1, w) for b1, row in self.weight_slices.items()
+                    for w in dict.fromkeys(w for w, m2 in row
+                                           if (weight(b1) + weight(m2)) % ko)]
         for name in ("ep", "fp", "em", "fm"):
             g = P.gen(name)
             if g.is_zero():
                 continue
-            dg = g.coproduct()
-            minus_dg = TensorElement(P, {k: -c for k, c in dg.coeffs.items()})
-            failures.extend(dict.fromkeys(k[0] for k in nonzero_sums(chain(
-                M.product_terms(dg), minus_dg.product_terms(M)))))
+            dg = [(g1[:4] + (0,), g1[4], weight(g1), g2, cg)
+                  for (g1, g2), cg in g.coproduct().coeffs.items()]
+
+            def terms():
+                for b1, row in self.weight_slices.items():
+                    wb1 = weight(b1)
+                    # per term of Delta(g): the straightened first legs of
+                    # both products, [B1 B] and [B B1], each term with the
+                    # coefficient of Delta(g) folded in (negated for -Delta(g) M)
+                    lefts = [(a, wb, g2,
+                              [(c1[:4] + (0,), c1[4], s * cg)
+                               for c1, s in mono_mul(b1, b).items()],
+                              [(c1[:4] + (0,), c1[4], -(s * cg))
+                               for c1, s in mono_mul(b, b1).items()])
+                             for b, a, wb, g2, cg in dg]
+                    for (w, m2), c in row.items():
+                        for a, wb, g2, right_of, left_of in lefts:
+                            w1 = (w - wb) % ko
+                            second = mono_mul(m2, g2).items()
+                            for cf, i, s in right_of:
+                                e = 12 * ((a + i) * w1 % ko)
+                                x = c.shift(e) if e else c
+                                for d2, t in second:
+                                    yield ((cf, w1), d2), x, s * t
+                            second = mono_mul(g2, m2).items()
+                            for cf, i, s in left_of:
+                                e = 12 * ((a * (wb1 + w) + i * w) % ko)
+                                x = c.shift(e) if e else c
+                                for d2, t in second:
+                                    yield ((cf, w), d2), x, s * t
+
+            failures.extend(dict.fromkeys(k[0] for k in nonzero_sums(terms())))
         return failures
 
     def ribbon_identity_failures(self, v: AlgebraElement, v_inv: AlgebraElement):
         """Failures of M Delta(v) = v (x) v: ["v v_inv != 1"] if v_inv is
-        not the inverse of v, else the monomials m where (delta_m (x) id)
-        of (1 (x) v^-1) M - (v (x) 1) Delta(v^-1) is nonzero; empty means
-        the identity holds exactly.
+        not the inverse of v, else the monomials m, in increasing order,
+        where (delta_m (x) id) of (1 (x) v^-1) M - (v (x) 1) Delta(v^-1) is
+        nonzero; empty means the identity holds exactly.
 
         Given v v^-1 = 1 the identity is equivalent to
-        (1 (x) v^-1) M = (v (x) 1) Delta(v^-1), compared here one first-leg
-        slice at a time: the terms of the left side and the negated terms
-        of the right side go to nonzero_sums together.  That form is
-        homogeneous in v^-1, so v v^-1 = 1 is checked first.  Only K-free
-        monomials B are multiplied by v and v^-1: x (B K^j) is x B with
-        every K exponent shifted by j."""
+        (1 (x) v^-1) M = (v (x) 1) Delta(v^-1), compared here one PBW
+        first-leg slice at a time, as pbw_slices() derives them: the terms
+        of the left side and the negated terms of the right side go to
+        nonzero_sums together, and monomials with no slice are checked
+        against the right side alone.  That form is homogeneous in v^-1, so
+        v v^-1 = 1 is checked first.  Only K-free monomials B are multiplied
+        by v and v^-1: x (B K^j) is x B with every K exponent shifted by
+        j.  Delta(v^-1) is sparse in the PBW basis, which is why this check
+        does not move to the weight form."""
         P = self.params
         if v * v_inv != P.one:
             return ["v v_inv != 1"]
@@ -352,14 +428,11 @@ class MMatrix:
 
         # (1 (x) v^-1) M at m sums c (v^-1 B) K^j over the slice's terms
         # c B K^j
-        second_legs = {}
-        for row in self.slices.values():
-            second_legs.update(dict.fromkeys(row))
-        v_inv_b = products(v_inv, second_legs)
+        v_inv_b = products(v_inv, {m2 for row in self.weight_slices.values() for _, m2 in row})
 
-        def lhs(m):
+        def lhs(row):
             return ((k + ((i + n[4]) % ko,), c, y)
-                    for n, c in self.slices.get(m, {}).items()
+                    for n, c in row.items()
                     for k, i, y in v_inv_b[n[:4] + (0,)])
 
         # -(v (x) 1) Delta(v^-1) at m = C K^l sums -y c n2 over the terms
@@ -377,8 +450,14 @@ class MMatrix:
                     for b, i, y in minus_v_b.get(m[:4], ())
                     for n2, c in by_first.get(b[:4] + ((m[4] - i) % ko,), ()))
 
-        return [m for m in P.monomials()
-                if nonzero_sums(chain(lhs(m), minus_rhs(m)))]
+        failures, seen = [], set()
+        for m, row in self.pbw_slices():
+            seen.add(m)
+            if nonzero_sums(chain(lhs(row), minus_rhs(m))):
+                failures.append(m)
+        failures.extend(m for m in P.monomials()
+                        if m not in seen and nonzero_sums(minus_rhs(m)))
+        return sorted(failures)
 
 
 # ----------------------------------------------------------------------

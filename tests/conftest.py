@@ -30,6 +30,11 @@ def T12(P12):
 
 
 @pytest.fixture(scope="session")
+def T13(P13):
+    return Theory(P13)
+
+
+@pytest.fixture(scope="session")
 def T23(P23):
     return Theory(P23)
 

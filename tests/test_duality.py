@@ -3,14 +3,15 @@
 import copy
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from qpm.algebra import AlgebraElement, Params
+from qpm.algebra import AlgebraElement, Params, TensorElement
 from qpm.center import is_central
 from qpm.cyclotomic import sparse_sum
-from qpm.duality import (Theory, canonical_element, cc_poly_coeffs, chi_sector,
-                         conformal_weight_exponent,
+from qpm.duality import (MMatrix, Theory, canonical_element, cc_poly_coeffs,
+                         chi_sector, conformal_weight_exponent,
                          delta_cointegral_closed_form,
                          drinfeld_irreducible_closed_form, radford,
                          radford_inverse, ribbon_factor_closed_form,
@@ -89,13 +90,81 @@ def test_m_matrix_counit_and_unit(T12, T23):
         assert th.chi_hat(1, 1, 1) == th.params.one
 
 
-def test_m_matrix_term_count(T12, T23):
-    # the expanded M has a fixed size: (first-leg slices, coefficients)
-    for th, slices, coefficients in ((T12, 16, 72), (T23, 432, 7776)):
+def test_m_matrix_term_count(T12, T23, T32):
+    # the weight form (B1 1_w) (x) m2 and the PBW slices derived from it
+    # have fixed sizes: (K-free first legs, weight-form terms, PBW slices,
+    # PBW coefficients)
+    for th, legs, terms, slices, coefficients in ((T12, 4, 18, 16, 72),
+                                                  (T23, 36, 864, 432, 7776),
+                                                  (T32, 36, 1080, 432, 7776)):
         M = th.m_matrix
-        assert len(M.slices) == slices
-        assert sum(len(row) for row in M.slices.values()) == coefficients
-        assert len(M.as_tensor_element().coeffs) == coefficients
+        assert len(M.weight_slices) == legs
+        assert sum(len(row) for row in M.weight_slices.values()) == terms
+        pbw = dict(M.pbw_slices())
+        assert len(pbw) == slices
+        assert sum(len(row) for row in pbw.values()) == coefficients
+    # the weight form at (2,5), against 81,000 PBW coefficients
+    M = MMatrix(Params(2, 5))
+    assert len(M.weight_slices) == 100
+    assert sum(len(row) for row in M.weight_slices.values()) == 5400
+
+
+def _pbw_m_matrix(P):
+    """The M-matrix's first-leg slices {m1: {m2: c}} expanded straight from
+    the six-fold sum in the PBW basis: every pair of K-free leg terms meets
+    every pair of K powers K^j (x) K^jp, with the phase
+    zeta^(12 (alpha (j - jp) + j jp)) / ko."""
+    ko = P.korder
+    dQp, dQm = -P.plus.qdiff(1), -P.minus.qdiff(1)
+
+    def terms():
+        for m, n, mp, np in product(range(P.p_plus), range(P.p_plus),
+                                    range(P.p_minus), range(P.p_minus)):
+            c = (dQp ** (m + n) * dQm ** (mp + np)
+                 * (P.plus.qfact(m) * P.minus.qfact(mp)
+                    * P.plus.qfact(n) * P.minus.qfact(np)).inv())
+            c = c.shift(6 * P.p_minus ** 2 * (m * (m + 1) - n * (n - 1))
+                        + 6 * P.p_plus ** 2 * (mp * (mp + 1) - np * (np - 1)))
+            c = c * Fraction(1, ko)
+            leg1 = P.gen("fp", n) * P.gen("ep", m) * P.gen("em", np) * P.gen("fm", mp)
+            leg2 = P.gen("ep", n) * P.gen("fp", m) * (P.gen("fm", np) * P.gen("em", mp))
+            alpha = P.p_minus * m - P.p_plus * mp
+            for (mono1, c1), (mono2, c2) in product(leg1.coeffs.items(),
+                                                    leg2.coeffs.items()):
+                base = c * c1 * c2
+                for j, jp in product(range(ko), repeat=2):
+                    yield ((mono1[:4] + ((j + mono1[4]) % ko,),
+                            mono2[:4] + ((jp + mono2[4]) % ko,)),
+                           base.shift(12 * ((alpha * (j - jp) + j * jp) % ko)))
+
+    slices = {}
+    for (m1, m2), c in sparse_sum(terms()).items():
+        slices.setdefault(m1, {})[m2] = c
+    return slices
+
+
+def _pbw_tensor(mm):
+    """M as one TensorElement, from its derived PBW slices."""
+    return TensorElement(mm.params, {(m1, m2): c for m1, row in mm.pbw_slices()
+                                     for m2, c in row.items()})
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (1, 3), (2, 3), (3, 2)])
+def test_m_matrix_against_pbw_expansion(pair, request):
+    """The slices derived from the weight form, and the Drinfeld basis
+    contracted from it, equal the PBW six-fold expansion and its
+    contractions in value and in key order."""
+    th = request.getfixturevalue("T%d%d" % pair)
+    P = th.params
+    want = _pbw_m_matrix(P)
+    got = list(th.m_matrix.pbw_slices())
+    assert [m1 for m1, _ in got] == list(want)
+    for m1, row in got:
+        assert list(row.items()) == list(want[m1].items()), m1
+    for f, chi in zip(th.characters.functionals(), th.drinfeld_basis):
+        expect = sparse_sum((m2, v * c) for m, v in f.values.items()
+                            for m2, c in want.get(m, {}).items())
+        assert list(chi.coeffs.items()) == list(expect.items())
 
 
 def test_m_matrix_intertwining(T12):
@@ -128,7 +197,7 @@ def test_m_matrix_acts_on_module_pairs(T12, T23):
              (T23, cached_irreducible(P23, 1, 2, 3), cached_irreducible(P23, 1, 1, 2))]
     for th, m1, m2 in cases:
         P = th.params
-        act_m = _pair_action(th.m_matrix.as_tensor_element().coeffs, m1, m2)
+        act_m = _pair_action(_pbw_tensor(th.m_matrix).coeffs, m1, m2)
         # M does not act as a scalar, so commuting with it is not automatic
         assert any(i != j for i, j in act_m.data)
         for name in ("ep", "fp", "em", "fm", "K"):
@@ -259,13 +328,13 @@ def test_canonical_element_belongs_to_algebra(T12):
 
 
 def _perturbed(mm, factor):
-    """A copy of the M-matrix with its last coefficient times factor (the
-    first one is the central 1 (x) 1 term)."""
+    """A copy of the M-matrix whose one stored form, the weight form, has
+    the last coefficient of its last first leg times factor."""
     broken = copy.copy(mm)
-    broken.slices = {m1: dict(row) for m1, row in mm.slices.items()}
-    row = broken.slices[next(reversed(broken.slices))]
-    m2 = next(reversed(row))
-    row[m2] = row[m2] * factor
+    broken.weight_slices = {b1: dict(row) for b1, row in mm.weight_slices.items()}
+    row = broken.weight_slices[next(reversed(broken.weight_slices))]
+    key = next(reversed(row))
+    row[key] = row[key] * factor
     return broken
 
 
@@ -280,9 +349,9 @@ def test_tensor_square_checks_can_fail(request, theory):
     # the compared form (1 (x) v^-1) M = (v (x) 1) Delta(v^-1) is
     # homogeneous in v^-1, so this case fails only through v v^-1 = 1
     assert mm.ribbon_identity_failures(rib.v, vinv * 2)
-    # one coefficient of M doubled, turned by zeta^12 (its phase alone) or
-    # halved (its denominator alone); with v v^-1 = 1 the ribbon identity
-    # fails slice by slice
+    # one coefficient of M's weight form doubled, turned by zeta^12 (its
+    # phase alone) or halved (its denominator alone); with v v^-1 = 1 the
+    # ribbon identity fails slice by slice
     for factor in (2, P.zeta(12), Fraction(1, 2)):
         broken = _perturbed(mm, factor)
         assert broken.intertwining_failures(), factor

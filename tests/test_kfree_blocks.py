@@ -177,7 +177,8 @@ def test_m_matrix_against_generator_coproducts(th):
     """M against Delta(e_+), with K on the first leg, and Delta(e_-), with
     K on the second."""
     P = th.params
-    M = th.m_matrix.as_tensor_element()
+    M = TensorElement(P, {(m1, m2): c for m1, row in th.m_matrix.pbw_slices()
+                          for m2, c in row.items()})
     deltas = _generator_coproducts(P)
     for name in ("ep", "em"):
         if P.gen(name).is_zero():

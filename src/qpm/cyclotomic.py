@@ -35,12 +35,19 @@ Fast paths, chosen from the operands' shape:
 * `inv` and `**` of a one-term element are (c/d)^n * zeta^(nk) for either
   sign of n, with no extended Euclid and no repeated squaring.
 
-`nonzero_sums` decides which keys of a family of sums of products
-sum_i a_i * b_i are nonzero, without building the products: each product
-goes into a raw integer map per key and denominator, and each key is
-brought to a common denominator and folded through the reduction rows
-once, at the end.  It gives decisions only, never values, so nothing it
-does reaches the canonical key order or the printed floats.
+`sum_products` is the one kernel for a family of sums of products
+sum_i a_i * b_i, one sum per key, that builds no Cyclo per product: each
+product goes into a raw integer map per key and denominator, and each key
+is brought to a common denominator and folded through the reduction rows
+once, at the end (the delayed reduction of Dumas, Giorgi and Pernet, ACM
+TOMS 2008).  `nonzero_sums` is its key list, an exact zero test.  The
+exponents of a sum keep the first touch of that one fold, not the order a
+chain of `+` would give.  Since `embed` sums in that order, the kernel
+is used only where the printed tables stay byte-identical (the recorded
+table digests check it): for zero tests, for `linalg.SpanSolver`, and for
+the traces of the Grothendieck fingerprint.  Dense matrix products keep
+their chains of `+`, because the kernel moves the float residues of the
+T-matrix at (1,3).
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ __all__ = [
     "CycloContext",
     "Cyclo",
     "sparse_sum",
+    "sum_products",
     "nonzero_sums",
     "LaurentZ",
     "euler_phi",
@@ -536,17 +544,18 @@ def sparse_sum(terms) -> dict:
     return {k: v for k, v in acc.items() if v}
 
 
-def nonzero_sums(triples) -> list:
-    """The keys whose sum of a*b over an iterable of (key, a, b) triples of
-    Cyclos is nonzero, in first-seen order: an exact zero test that builds
-    no Cyclo per product.
+def sum_products(triples) -> dict:
+    """Sum a*b per key over an iterable of (key, a, b) triples of Cyclos,
+    building no Cyclo per product: {key: sum} for the nonzero sums, keys in
+    first-seen order.
 
     Each product is accumulated as raw integers, exponent e1 + e2 to
     c1 * c2, in a map per key and denominator a.den * b.den.  At the end
     the maps of each key are brought to the lcm of its denominators and
     folded once through the reduction rows (so, as for _canonical, an
-    operand's exponents may be any integers); the key is reported when a
-    coefficient survives.  Only the decision is returned, not the sums."""
+    operand's exponents may be any integers).  A sum's exponents keep the
+    first touch of that one fold, which can differ from the order a chain
+    of Cyclo additions would give."""
     acc = {}
     ctx = None
     for key, a, b in triples:
@@ -574,16 +583,25 @@ def nonzero_sums(triples) -> list:
                 for e2, c2 in y.items():
                     e = e1 + e2
                     raw[e] = get(e, 0) + c1 * c2
-    out = []
+    out = {}
     for key, groups in acc.items():
         lcm = math.lcm(*groups)
         folded = {}
         total = None
         for d, raw in groups.items():
             total = ctx._canonical(raw, 1, s=lcm // d, acc=folded)
+        # a zero test ends here; a surviving sum is divided once
+        if total and lcm != 1:
+            total = ctx._canonical({}, lcm, acc=folded)
         if total:
-            out.append(key)
+            out[key] = total
     return out
+
+
+def nonzero_sums(triples) -> list:
+    """The keys of `sum_products(triples)`: the keys whose sum of a*b is
+    nonzero, in first-seen order."""
+    return list(sum_products(triples))
 
 
 # ----------------------------------------------------------------------

@@ -666,8 +666,13 @@ class Theory:
 
     @property
     def radford_solver(self) -> SpanSolver:
-        return self.params.cached("radford_solver", lambda: SpanSolver(
-            [el.coeffs for el in self.radford_basis], self.params.ctx))
+        return self.params.cached("radford_solver", self._build_radford_solver)
+
+    def _build_radford_solver(self) -> SpanSolver:
+        solver = SpanSolver([el.coeffs for el in self.radford_basis], self.params.ctx)
+        if not solver.independent:
+            raise RuntimeError("Radford images of the gamma basis are linearly dependent")
+        return solver
 
     @property
     def _basis_index(self):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .cyclotomic import Cyclo, CycloContext, sparse_sum
+from .cyclotomic import Cyclo, CycloContext, sparse_sum, sum_products
 
 __all__ = ["SparseMat", "nullspace", "closure_rank",
            "invert_dense", "mat_mul_dense", "mat_vec_dense"]
@@ -171,20 +171,38 @@ def nullspace(rows, ncols: int, ctx: CycloContext):
 
 class SpanSolver:
     """Precomputed echelon form of a fixed set of spanning vectors, for
-    repeated membership queries and coordinate extraction."""
+    repeated membership queries and coordinate extraction.
+
+    The augmented rows [v_i | e_i] are eliminated to an echelon form that
+    is fully reduced with unit pivots, so a pivot column is nonzero in its
+    own row only.  Reducing a target t against it therefore subtracts
+    t[pc] times the row of each pivot pc, the target's own entry, whatever
+    the order of the rows: every entry of the residual,
+
+        r_j = t_j - sum_pc t[pc] * row_pc[j],
+
+    is an independent sum of products, and all of them go into one
+    `sum_products` batch.  t lies in the span iff no entry of the key
+    block survives (the batch sums -r_j there, which is zero when r_j
+    is); its coordinates are then the negated entries of the coordinate
+    block, sum_pc t[pc] * row_pc[n + i].
+
+    `coordinates` needs a linearly independent spanning set: only then
+    are the coordinates unique and every pivot in the key block.  It
+    raises ValueError otherwise.  `contains` and `rank` hold for any set.
+    """
 
     def __init__(self, vectors, ctx: CycloContext):
         """vectors: list of sparse dicts {key: Cyclo} over arbitrary hashable
         coordinates."""
         self.ctx = ctx
-        self.vectors = vectors
+        self._minus_one = ctx.integer(-1)
         keys = set()
         for v in vectors:
             keys.update(v)
-        self.keys = sorted(keys)
-        self.key_index = {k: i for i, k in enumerate(self.keys)}
+        self.key_index = {k: i for i, k in enumerate(sorted(keys))}
         # augmented rows: [vector | e_i]
-        n = len(self.keys)
+        n = len(keys)
         self.n = n
         self.nvec = len(vectors)
         rows = []
@@ -192,14 +210,25 @@ class SpanSolver:
             row = {self.key_index[k]: c for k, c in v.items()}
             row[n + i] = ctx.one
             rows.append(row)
-        self._echelon = _eliminate(rows, n + len(vectors))
-        self._key_echelon = None
-        self.rank = sum(1 for pc, _ in self._echelon if pc < n)
+        echelon = _eliminate(rows, n + len(vectors))
+        # the rows with a key-block pivot, in pivot order and without their
+        # unit pivot: the key block alone, and the whole row
+        self._key_rows = {}
+        self._full_rows = {}
+        for pc, row in echelon:
+            if pc < n:
+                key_part = [(j, v) for j, v in row.items() if j < n and j != pc]
+                self._key_rows[pc] = key_part
+                self._full_rows[pc] = key_part + [(j, v) for j, v in row.items() if j >= n]
+        self.rank = len(self._key_rows)
         self.independent = self.rank == len(vectors)
 
-    def _row(self, target: dict):
-        """target as a row over the key indices; None if it has a nonzero
-        coefficient at a key outside the span's support."""
+    def _residual(self, target: dict, pivot_rows):
+        """The nonzero sums {column: Cyclo} of the batch over the blocks in
+        `pivot_rows`: -r_j at a key column j, the coordinate i at n + i;
+        None if target has a nonzero coefficient at a key outside the
+        span's support."""
+        minus_one = self._minus_one
         row = {}
         for k, c in target.items():
             if not c:
@@ -208,32 +237,27 @@ class SpanSolver:
             if idx is None:
                 return None
             row[idx] = c
-        return row
+        triples = [(j, c, minus_one) for j, c in row.items() if j not in pivot_rows]
+        triples += [(j, c, v) for pc, block in pivot_rows.items()
+                    for c in (row.get(pc),) if c is not None
+                    for j, v in block]
+        return sum_products(triples)
 
     def coordinates(self, target: dict):
         """Coefficients expressing target in the span, or None if outside.
-        Requires the spanning set to be linearly independent."""
-        row = self._row(target)
-        if row is None:
-            return None
-        _reduce(row, self._echelon)
-        if any(j < self.n for j in row):
-            return None  # residual in the coordinate block: not in span
+        Raises ValueError if the spanning set is linearly dependent."""
+        if not self.independent:
+            raise ValueError("coordinates need a linearly independent spanning set")
+        sums = self._residual(target, self._full_rows)
+        if sums is None or any(j < self.n for j in sums):
+            return None  # residual in the key block: not in span
         coeffs = [self.ctx.zero] * self.nvec
-        for j, v in row.items():
-            coeffs[j - self.n] = -v
+        for j, v in sums.items():
+            coeffs[j - self.n] = v
         return coeffs
 
     def contains(self, target: dict) -> bool:
-        row = self._row(target)
-        if row is None:
-            return False
-        if self._key_echelon is None:
-            # the echelon rows restricted to the key block, built on first use
-            n = self.n
-            self._key_echelon = [(pc, {j: v for j, v in prow.items() if j < n})
-                                 for pc, prow in self._echelon if pc < n]
-        return not _reduce(row, self._key_echelon)
+        return self._residual(target, self._key_rows) == {}
 
 
 def invert_dense(mat, ctx: CycloContext):

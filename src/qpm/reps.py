@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .algebra import AlgebraElement, Params, Sector, _intsign
-from .cyclotomic import sparse_sum
+from .cyclotomic import sparse_sum, sum_products
 from .linalg import SparseMat, SpanSolver, closure_rank
 
 __all__ = [
@@ -436,11 +436,11 @@ class GrothendieckIndex:
         cp_pows = _powers(module.act(self._cas[0]), P.p_plus, P.ctx)
         cm_pows = _powers(module.act(self._cas[1]), P.p_minus, P.ctx)
         # the diagonal of a b only: (a b)_ii = sum_k a_ik b_ki
-        return sparse_sum(((u, v, weights[i]), x * y)
-                          for u, a in enumerate(cp_pows)
-                          for v, b in enumerate(cm_pows)
-                          for (i, k), x in a.data.items()
-                          for y in (b.data.get((k, i)),) if y is not None)
+        return sum_products(((u, v, weights[i]), x, y)
+                            for u, a in enumerate(cp_pows)
+                            for v, b in enumerate(cm_pows)
+                            for (i, k), x in a.data.items()
+                            for y in (b.data.get((k, i)),) if y is not None)
 
     def decompose(self, module: ModuleRep):
         """Multiplicity vector over irreducible labels; raises if the class

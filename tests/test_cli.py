@@ -10,8 +10,8 @@ import pytest
 from qpm.cli import main
 
 # SHA-256 of each JSON table as written by --output; perfbench/expected.json
-# pins (1,2) and (2,3), these pin a one-sector pair and the sector swap of
-# (2,3)
+# pins (1,2) and (2,3), these pin two one-sector pairs and the sector swap
+# of (2,3)
 TABLE_DIGESTS = {
     (1, 3): {
         "center": "9de0ed61c5686d53b63770f250d37fea7afe6040cc208227502005df7a6932bf",
@@ -20,6 +20,14 @@ TABLE_DIGESTS = {
         "ribbon": "083c2a85158846f2da18120ea3a14c0f2d21db75ac4a72c5a1cd4b49504200ed",
         "smatrix": "c5a325b39787258f8e97d73588cdc1b2c346c065795534bafcd3642def5b757b",
         "tmatrix": "f127d1c934ea67e09623997c77e3a8e358678eec130889b27a4bc7967f458d70",
+    },
+    (1, 4): {
+        "center": "5fb8c2ff17e097116b09fabcd645d2de2119a4af3b5bc466510698f073844aca",
+        "fusion": "c9d2043c76ccaf3853cdcc4f392bdcab5901f762ed88a4b48001eb5c04cdfb15",
+        "info": "1773545c11060e25fd86432c872036f1c36e75219e8ac88fed1ba371126ba59d",
+        "ribbon": "b7d201df87373e596b550a0a4504cdefa8cdca6c3c7fc8de4c8ae217244a0c43",
+        "smatrix": "73a9b8c8755b0332d3c4cd55b20eecef05d8d26143ed9524da7c840331f15f8e",
+        "tmatrix": "8c1b3d69b869481b39a6cb2ca842d85e384090dc73d248e35210120bb54922ab",
     },
     (3, 2): {
         "center": "8405c78e6e1807cacf86949e99d997bab1f670e1c3f4185ad0e78955ba1502b5",

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from qpm.cyclotomic import (Cyclo, CycloContext, LaurentZ, cyclotomic_polynomial,
                             euler_phi, gauss_sqrt, nonzero_sums, q_binomial_poly,
                             q_factorial_poly, q_int_poly, sparse_sum, sqrt2,
-                            sqrt_half_pp)
+                            sqrt_half_pp, sum_products)
 
 CTX = CycloContext(144)
 
@@ -275,13 +275,12 @@ KERNEL_CONTEXTS = {order: CycloContext(order) for order in (48, 120, 144, 240)}
 
 
 def _sums_oracle(triples):
-    """The keys with a nonzero sum, from canonical products and sparse_sum;
-    raw operands are brought to canonical form first."""
+    """The nonzero sums {key: Cyclo}, from canonical products and
+    sparse_sum; raw operands are brought to canonical form first."""
     def canonical(x):
         return x.ctx.reduce(x.num, x.den)
 
-    return list(sparse_sum((key, canonical(a) * canonical(b))
-                           for key, a, b in triples))
+    return sparse_sum((key, canonical(a) * canonical(b)) for key, a, b in triples)
 
 
 def _operand(ctx, rng):
@@ -308,6 +307,7 @@ def test_nonzero_sums_against_canonical_sums(order):
     ctx = KERNEL_CONTEXTS[order]
     rng = random.Random(order)
     seen = {"zero": 0, "nonzero": 0}
+    dens = set()
     for _ in range(40):
         triples = []
         for _ in range(rng.randint(1, 24)):
@@ -321,12 +321,18 @@ def test_nonzero_sums_against_canonical_sums(order):
             elif r < 0.5:
                 triples.append((key, -b, a))
         rng.shuffle(triples)
+        want = _sums_oracle(triples)
         got = nonzero_sums(triples)
-        assert got == _sums_oracle(triples)
+        assert got == list(want)
+        # the values too, in the same key order
+        sums = sum_products(triples)
+        assert sums == want and list(sums) == got
+        dens.update(v.den for v in sums.values())
         keys = {key for key, _, _ in triples}
         seen["nonzero"] += len(got)
         seen["zero"] += len(keys) - len(got)
     assert seen["zero"] >= 10 and seen["nonzero"] >= 10, seen
+    assert len(dens) >= 5, dens
 
 
 @pytest.mark.parametrize("order", sorted(KERNEL_CONTEXTS))
@@ -351,8 +357,9 @@ def test_nonzero_sums_decides_after_fold_and_common_denominator(order):
         # zeta^phi - zeta^phi / 2 survives, but only through its denominators
         ("half", z(phi - 1), z(1)), ("half", -z(phi), frac(1, 2)),
     ]
-    assert nonzero_sums(triples) == _sums_oracle(triples) == ["half"]
-    assert nonzero_sums([]) == []
+    assert nonzero_sums(triples) == list(_sums_oracle(triples)) == ["half"]
+    assert sum_products(triples) == {"half": ctx.root_of_unity(phi) * Fraction(1, 2)}
+    assert nonzero_sums([]) == [] and sum_products([]) == {}
 
 
 def test_reduction_table_ignores_outside_files(tmp_path, monkeypatch):

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
-import json
 import math
+import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .algebra import Params
-from .cyclotomic import Cyclo
 from .duality import Theory, conformal_weight_exponent
 from .grothendieck import gr_class, gr_multiply
 from .modular import ModularAction
@@ -44,10 +43,6 @@ def _context(args) -> Params:
               "must be coprime", file=sys.stderr)
         raise SystemExit(2)
     return Params(args.p_plus, args.p_minus)
-
-
-def _cyclo_doc(x: Cyclo, precision: int):
-    return x.to_json(precision=precision)
 
 
 def _label(alpha, r, s):
@@ -124,11 +119,28 @@ def _block_labels(P, name):
 
 
 def _matrix_doc(mat, labels, precision):
+    """The basis, each entry at `precision` and the 53-bit float matrix.
+
+    An entry is embedded once: at precision 53 the float matrix reuses the
+    entry's own float."""
+    entries = [[v.to_json(precision) for v in row] for row in mat]
+    if precision == 53:
+        floats = [[e["float"] for e in row] for row in entries]
+    else:
+        floats = [[list(map(float, v.embed(53))) for v in row] for row in mat]
     return {
         "basis": [f"{kind}{lab}" for kind, lab in labels],
-        "entries": [[_cyclo_doc(v, precision) for v in row] for row in mat],
-        "float": [[list(map(float, v.embed(53))) for v in row] for row in mat],
+        "entries": entries,
+        "float": floats,
     }
+
+
+def _matrix_rows(doc):
+    """CSV rows (i, j, re, im) of the float matrix, produced lazily."""
+    yield ["i", "j", "re", "im"]
+    for i, row in enumerate(doc["float"]):
+        for j, (re, im) in enumerate(row):
+            yield [str(i), str(j), repr(re), repr(im)]
 
 
 def cmd_smatrix(args):
@@ -139,12 +151,7 @@ def cmd_smatrix(args):
     doc["blocks"] = {name: {"labels": [repr(l) for l in _block_labels(P, name)],
                             "dim": dim}
                      for name, _els, dim in ma.blocks()}
-    rows = [["i", "j", "re", "im"]]
-    for i, row in enumerate(ma.S):
-        for j, v in enumerate(row):
-            re, im = v.embed(53)
-            rows.append([str(i), str(j), repr(re), repr(im)])
-    _emit(args, doc, rows)
+    _emit(args, doc, _matrix_rows(doc))
     return 0
 
 
@@ -153,15 +160,10 @@ def cmd_tmatrix(args):
     th = Theory(P)
     ma = ModularAction(th)
     doc = _matrix_doc(ma.T, th.characters.labels(), args.precision)
-    doc["t_phase"] = _cyclo_doc(ma.data.t_phase, args.precision)
+    doc["t_phase"] = ma.data.t_phase.to_json(args.precision)
     doc["central_charge"] = [ma.data.central_charge.numerator,
                              ma.data.central_charge.denominator]
-    rows = [["i", "j", "re", "im"]]
-    for i, row in enumerate(ma.T):
-        for j, v in enumerate(row):
-            re, im = v.embed(53)
-            rows.append([str(i), str(j), repr(re), repr(im)])
-    _emit(args, doc, rows)
+    _emit(args, doc, _matrix_rows(doc))
     return 0
 
 
@@ -174,7 +176,7 @@ def cmd_ribbon(args):
     for lab in irreducible_labels(P):
         ev = zeta(conformal_weight_exponent(P, *P.block_of(*lab)))
         table.append({"module": _label(*lab),
-                      "eigenvalue": _cyclo_doc(ev, args.precision)})
+                      "eigenvalue": ev.to_json(args.precision)})
     data = th.integral
     doc = {
         "eigenvalues": table,
@@ -183,7 +185,7 @@ def cmd_ribbon(args):
         "unipotent_factor_minus_terms": len(rib.v_factor_minus.coeffs),
         "element": rib.v.to_records() if args.full else None,
         "cointegral": data.cointegral.to_records() if args.full else None,
-        "integral": [{"mono": list(m), "value": _cyclo_doc(v, args.precision)}
+        "integral": [{"mono": list(m), "value": v.to_json(args.precision)}
                      for m, v in sorted(data.integral.values.items())],
     }
     rows = [["module", "re", "im"]]
@@ -210,24 +212,84 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
-def _emit(args, doc, rows):
-    if args.format == "json":
-        text = json.dumps(doc, indent=2, sort_keys=True, default=str)
+_INT_ONLY = frozenset([int])
+# a scalar's text does not depend on indent or sort_keys
+_scalar_text = json.JSONEncoder(default=str).encode
+
+
+def _json_text(o, nl):
+    """The JSON text of o, or None if o holds a nonempty dict; nl is the
+    newline and indent of o's own line.  A list of plain ints is one join."""
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        if _INT_ONLY.issuperset(map(type, o)):
+            texts = map(int.__repr__, o)
+        else:
+            texts = []
+            for x in o:
+                text = _json_text(x, inner)
+                if text is None:
+                    return None
+                texts.append(text)
+        return "[" + inner + ("," + inner).join(texts) + nl + "]"
+    if isinstance(o, dict):
+        return None if o else "{}"
+    return _scalar_text(o)
+
+
+def _json_chunks(o, nl="\n"):
+    """The text of json.dumps(o, indent=2, sort_keys=True, default=str) for
+    a document whose keys are all str, in chunks: a value that holds no dict
+    is one chunk, and dicts and the lists that hold them are streamed item
+    by item, so the whole text is never joined.  (With an indent set,
+    json.dumps runs the standard library's pure-Python encoder, one
+    generator step per value.)  A key of another type raises TypeError."""
+    text = _json_text(o, nl)
+    if text is not None:
+        yield text
+        return
+    inner = nl + "  "
+    if isinstance(o, dict):
+        head, close = "{" + inner, "}"
+        items = ((encode_basestring_ascii(k) + ": ", v) for k, v in sorted(o.items()))
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(rows)
-        text = buf.getvalue()
+        head, close = "[" + inner, "]"
+        items = (("", v) for v in o)
+    for key, value in items:
+        text = _json_text(value, inner)
+        if text is None:
+            yield head + key
+            yield from _json_chunks(value, inner)
+        else:
+            yield head + key + text
+        head = "," + inner
+    yield nl + close
+
+
+def _emit(args, doc, rows):
+    """Write doc as JSON, or rows (an iterable, read only for CSV) as CSV,
+    to --output or stdout.  On stdout a CSV table ends in one more newline."""
+    def write(fh):
+        if args.format == "json":
+            fh.writelines(_json_chunks(doc))
+            fh.write("\n")
+        else:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+
     if args.output:
         try:
             with open(args.output, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
+                write(fh)
         except OSError as exc:
             print(f"error: cannot write {args.output}: {exc.strerror}",
                   file=sys.stderr)
             raise SystemExit(2)
     else:
-        print(text)
+        write(sys.stdout)
+        if args.format == "csv":
+            sys.stdout.write("\n")
 
 
 def build_parser():

@@ -22,9 +22,12 @@ exponents through the reduction rows, drops zeros and divides out the gcd
 (skipped when den == 1).  The keys of `num` keep the order in which that
 pass first touched them, walking the operands' terms in their own order;
 nothing sorts them.  `embed` sums in that order, so the floats printed by
-the CLI depend on it.  Two results have a fixed order instead: `inv`
-returns ascending exponents, and a one-term power has the order of the
-reduction row of its zeta-power.
+the CLI depend on it.  It reads cos and sin of each 2*pi*e/N from a table
+that its context fills once per precision, inside the same working
+precision, so a value read from the table equals the one computed in place
+and the terms are summed in the same order.  Two results have a fixed
+order instead: `inv` returns ascending exponents, and a one-term power has
+the order of the reduction row of its zeta-power.
 
 Fast paths, chosen from the operands' shape:
 
@@ -151,7 +154,9 @@ class CycloContext:
 
     The reduction table maps zeta^k for phi(N) <= k < N + phi(N) to its
     canonical sparse form; once built it is read-only, so a context can be
-    shared freely across threads.
+    shared freely across threads.  The cos/sin table of `Cyclo.embed` is
+    added on first use of each precision; a concurrent first use builds an
+    equal table.
     """
 
     def __init__(self, order: int):
@@ -183,6 +188,8 @@ class CycloContext:
         self.zero = Cyclo(self, {}, 1)
         self.one = Cyclo(self, {0: 1}, 1)
         self._root_cache = {}
+        # precision -> [(cos, sin) of 2*pi*e/N for e in [0, phi)], for embed
+        self._trig = {}
 
     def reduce(self, raw: dict, den: int) -> "Cyclo":
         """Canonicalize a sparse {exponent: integer} map (exponents may be
@@ -491,13 +498,18 @@ class Cyclo:
         if precision < 53:
             raise ValueError("precision must be at least 53 bits")
         with mpmath.workprec(precision + 10):
-            two_pi = 2 * mpmath.pi
+            trig = self.ctx._trig.get(precision)
+            if trig is None:
+                two_pi = 2 * mpmath.pi
+                trig = self.ctx._trig[precision] = [
+                    (mpmath.cos(ang), mpmath.sin(ang))
+                    for ang in (two_pi * e / self.order for e in range(self.ctx.phi))]
             re = mpmath.mpf(0)
             im = mpmath.mpf(0)
             for e, c in self.num.items():
-                ang = two_pi * e / self.order
-                re += c * mpmath.cos(ang)
-                im += c * mpmath.sin(ang)
+                cos, sin = trig[e]
+                re += c * cos
+                im += c * sin
             re /= self.den
             im /= self.den
             if precision <= 53:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import AlgebraElement, Params
 from .cyclotomic import Cyclo
@@ -74,9 +75,11 @@ class ModularAction:
     """S and T as exact matrices in the Radford basis.
 
     S is the inverse of C, whose columns are the Radford coordinates of the
-    Drinfeld images; T is S V S^-1 times the phase, where V, the matrix of
-    multiplication by the ribbon element, is built in canonical coordinates
-    (Theory.central_mult_matrix)."""
+    Drinfeld images; both are built with the action.  T is S V S^-1 times
+    the phase, where V, the matrix of multiplication by the ribbon element,
+    is built in canonical coordinates (Theory.central_mult_matrix).  T is
+    built on first use, so an action that only reads S builds no ribbon
+    element."""
 
     def __init__(self, theory: Theory):
         self.theory = theory
@@ -93,11 +96,16 @@ class ModularAction:
             cols.append(co)
         self.C = _columns(cols)
         self.S = invert_dense(self.C, ctx)
-        self.V = theory.central_mult_matrix(theory.ribbon.v)
-        SV = mat_mul_dense(self.S, self.V, ctx)
-        T0 = mat_mul_dense(SV, self.C, ctx)  # S V S^-1, since S^-1 = C
+
+    @cached_property
+    def T(self):
+        th = self.theory
+        ctx = self.params.ctx
+        V = th.central_mult_matrix(th.ribbon.v)
+        # S V S^-1, since S^-1 = C
+        T0 = mat_mul_dense(mat_mul_dense(self.S, V, ctx), self.C, ctx)
         ph = self.data.t_phase
-        self.T = [[v * ph for v in row] for row in T0]
+        return [[v * ph for v in row] for row in T0]
 
     # -- plumbing ------------------------------------------------------------
 

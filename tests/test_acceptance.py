@@ -208,6 +208,16 @@ def test_each_sector_pass_of_a_merged_family_is_checked(th, kind, family, slash,
     assert f"T phi_{slash}" in failed
 
 
+def test_dependent_radford_basis_fails_its_check():
+    # a dependent Radford basis is reported as a failed check, not raised
+    th = Theory(Params(1, 2))
+    basis = list(th.radford_basis)
+    basis[1] = basis[0] * 1
+    th.params.cache["radford_basis"] = basis
+    passed = {check: ok for check, ok, _ in suite_radford_images(th)}
+    assert passed["Radford basis is a basis of the center"] is False
+
+
 @pytest.mark.parametrize("selection", [set(), [], {"nope"}, {"hopf-axioms", "nope"}],
                          ids=["empty-set", "empty-list", "unknown", "known-and-unknown"])
 def test_run_suites_rejects_bad_selections(selection, monkeypatch):

@@ -6,12 +6,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qpm.cli import main
+from qpm import cli
+from qpm.cli import _json_chunks, main
 
 # SHA-256 of each JSON table as written by --output; perfbench/expected.json
-# pins (1,2) and (2,3), these pin two one-sector pairs and the sector swap
-# of (2,3)
+# pins (1,2) and (2,3), these pin three one-sector pairs, the Lee-Yang pair
+# (2,5) and the sector swap of (2,3)
 TABLE_DIGESTS = {
     (1, 3): {
         "center": "9de0ed61c5686d53b63770f250d37fea7afe6040cc208227502005df7a6932bf",
@@ -29,6 +31,14 @@ TABLE_DIGESTS = {
         "smatrix": "73a9b8c8755b0332d3c4cd55b20eecef05d8d26143ed9524da7c840331f15f8e",
         "tmatrix": "8c1b3d69b869481b39a6cb2ca842d85e384090dc73d248e35210120bb54922ab",
     },
+    (2, 5): {
+        "center": "72305a6179be86426d5cd8b966f5895e9415818db77d67b24bfa4779445d3aa7",
+        "fusion": "2d1d3e1897a2b657cf488db3922d3c859a263ff8d4fe36abe3349c05962fffeb",
+        "info": "395b251817d1d20feca04627bc07c8cb0e9114a94d9f590cbe47478bca3625bd",
+        "ribbon": "ed0f6a41abb2bd174f07dcf9488372e9a4a512742ee1559f6637dc7946c53dbd",
+        "smatrix": "d973e6b63681c27f4e4650d1a41999591de12e3474d4579e53521c7d5a5699ac",
+        "tmatrix": "69cf0db075bb7bc923313188a99368e6d314f7ace62a429de1fb04e251d3296b",
+    },
     (3, 2): {
         "center": "8405c78e6e1807cacf86949e99d997bab1f670e1c3f4185ad0e78955ba1502b5",
         "fusion": "cbd6733bd5536a1dc59045e667359953007d8b68ff809afb6de441c36397c551",
@@ -37,6 +47,21 @@ TABLE_DIGESTS = {
         "smatrix": "9a13919fe8453bb65240bb166401eabec0570902781af51d395fd2b9bef923c4",
         "tmatrix": "f1f0ab487dbd43f614c1cee8172c30cad569a39b77b2e24a100f594323d74fd1",
     },
+}
+
+# SHA-256 of the other output forms at (1,3), as written by --output
+OPTION_DIGESTS = {
+    ("--format", "csv", "info"): "6cfee3d10670de36fa7d8eff5b6499ace5eaf8613ced9b721670858db3e2ece1",
+    ("--format", "csv", "fusion"): "0710eada34f4f22d385bda28548bf6417b078dd5a2709c4812d712c242513509",
+    ("--format", "csv", "center"): "ea71e96d6cdd10bb9eded2d6f2e8bb76417181d4ba1d98375eec38dd83e81411",
+    ("--format", "csv", "smatrix"): "1119746d2a7598051164e01a36cf7b18cacb346f455c032618ec9026903ffc02",
+    ("--format", "csv", "tmatrix"): "3f0b80b161e2b52cb245078d46431c91c4902f1413c4202001ca7fb0018125ee",
+    ("--format", "csv", "ribbon"): "4f25356ba7289323794572df37e3d50a4614d4c8256bd8da935b329744920d0d",
+    ("center", "--full"): "6436edafc4319b356e6dee015e969529c7e3b145e2ae73e73b2004345afa5ea2",
+    ("ribbon", "--full"): "e323fcf566e8a6232e8ac030f937c34bbc5054e6d9ca2fe9b67f0a80a892f6f6",
+    ("--precision", "80", "smatrix"): "75177bddcf612ef3408578a12bdcf71a05e2bae28d7bb1c7c97ec37d379671dd",
+    ("--precision", "80", "tmatrix"): "0a0118f8e5d688c09aa09bcccfd2219f6bdf177f63f43f2074bb3feca64d9663",
+    ("--precision", "80", "ribbon"): "fbb24ea8092291e588efae3b6ba9018cb0248bb456f6412170e0266818f0e228",
 }
 
 
@@ -189,3 +214,54 @@ def test_tables_match_recorded_digests(pair, tmp_path):
         assert main(["--p-plus", str(pair[0]), "--p-minus", str(pair[1]),
                      "--output", str(path), cmd]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == want, cmd
+
+
+def test_other_output_forms_match_recorded_digests(tmp_path):
+    for flags, want in OPTION_DIGESTS.items():
+        path = tmp_path / "out"
+        assert main(["--p-plus", "1", "--p-minus", "3", "--output", str(path),
+                     *flags]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want, flags
+
+
+def test_stdout_table_matches_recorded_digest(capsys):
+    code, out = run_cli(["--p-plus", "1", "--p-minus", "3", "smatrix"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[1, 3]["smatrix"]
+
+
+# -- the JSON writer against json.dumps, its reference ----------------------
+
+def _reference(doc):
+    return json.dumps(doc, indent=2, sort_keys=True, default=str)
+
+
+_scalars = (st.text() | st.integers() | st.booleans() | st.none() | st.floats()
+            | st.sampled_from([-0.0, 1e-20, 1e300]) | st.fractions())
+_docs = st.recursive(
+    _scalars,
+    lambda kids: (st.lists(kids, max_size=4) | st.tuples(kids, kids)
+                  | st.dictionaries(st.text(), kids, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_docs)
+def test_json_writer_matches_json_dumps(doc):
+    assert "".join(_json_chunks(doc)) == _reference(doc)
+
+
+def test_json_writer_rejects_non_str_keys():
+    # json.dumps would print the key 1 as "1"; the writer takes str keys only
+    with pytest.raises(TypeError):
+        "".join(_json_chunks({"a": [{1: 2}]}))
+
+
+@pytest.mark.parametrize("command", [["info"], ["fusion"], ["center", "--full"],
+                                     ["smatrix"], ["tmatrix"], ["ribbon", "--full"]],
+                         ids=lambda command: command[0])
+def test_json_writer_matches_json_dumps_on_tables(command, monkeypatch):
+    docs = []
+    monkeypatch.setattr(cli, "_emit", lambda args, doc, rows: docs.append(doc))
+    assert main(["--p-plus", "1", "--p-minus", "2", *command]) == 0
+    assert "".join(_json_chunks(docs[0])) == _reference(docs[0])

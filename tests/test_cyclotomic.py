@@ -249,6 +249,34 @@ def test_embedding():
         CTX.one.embed(10)
 
 
+def _embed_in_place(x, precision):
+    """x.embed(precision) with cos and sin computed where each term is summed."""
+    with mpmath.workprec(precision + 10):
+        two_pi = 2 * mpmath.pi
+        re = im = mpmath.mpf(0)
+        for e, c in x.num.items():
+            ang = two_pi * e / x.order
+            re += c * mpmath.cos(ang)
+            im += c * mpmath.sin(ang)
+        re /= x.den
+        im /= x.den
+        return (float(re), float(im)) if precision <= 53 else (+re, +im)
+
+
+def test_embed_table_keeps_every_value():
+    # the first embed of a context at a precision fills its cos/sin table
+    # (cold), later ones read it (warm); both give the in-place values
+    # exactly, and the 53-bit table does not serve 80 bits
+    ctx = CycloContext(144)
+    elements = rand_elements(ctx, 17, 40)
+    for precision in (53, 80):
+        cold = [CycloContext(144).reduce(x.num, x.den).embed(precision) for x in elements]
+        warm = [x.embed(precision) for x in elements]
+        assert warm == cold == [_embed_in_place(x, precision) for x in elements]
+        assert all(type(v) is (float if precision == 53 else mpmath.mpf)
+                   for pair in warm for v in pair)
+
+
 def test_serialization_round_trip():
     for x in rand_elements(CTX, 5, 20):
         doc = x.to_json(precision=60)

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from qpm.algebra import AlgebraElement
+from qpm.algebra import AlgebraElement, Params
 from qpm.cyclotomic import sparse_sum
-from qpm.duality import conformal_weight_exponent
+from qpm.duality import Theory, conformal_weight_exponent
 from qpm.linalg import _eliminate, invert_dense, mat_mul_dense, mat_vec_dense
 from qpm.modular import ModularAction, ModularData
 from qpm.reps import irreducible_labels
@@ -36,6 +36,16 @@ def test_modular_data(P23, P12):
     for r in range(1, P.p_plus):
         assert conformal_weight_exponent(P, r, 0) == \
             conformal_weight_exponent(P, P.p_plus - r, P.p_minus)
+
+
+def test_s_builds_no_ribbon_element():
+    # T is built on first use; S alone needs no ribbon element
+    P = Params(2, 3)
+    ma = ModularAction(Theory(P))
+    assert len(ma.S) == 20
+    assert "ribbon" not in P.cache
+    assert ma.T is ma.T
+    assert "ribbon" in P.cache
 
 
 def test_sl2z_relations(ma12, ma23):

@@ -10,8 +10,10 @@ K-weight projectors:
 * boundary blocks carry two 'v' elements each;
 * Steinberg-type blocks are semisimple.
 
-Construction: the minimal polynomial of each Casimir factors with double
-roots away from +-2; dividing it by the root factor yields, after the usual
+Construction: the minimal polynomial psi_p of each Casimir factors with
+double roots away from +-2.  psi_p is defined once, as the LaurentZ
+`cyclotomic.psi_poly`, which the Chebyshev presentation of the Grothendieck
+ring reads too.  Dividing it by the root factor yields, after the usual
 Jordan-block correction, a sector idempotent e_pm and nilpotent w_pm per
 root.  Products of sector elements with the K-weight projectors then carve
 out the canonical elements.  Each nilpotent is normalized so that it acts
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, Params, Sector
-from .cyclotomic import Cyclo, sparse_sum
+from .cyclotomic import Cyclo, horner, psi_poly, sparse_sum
 from .linalg import nullspace
 from .reps import cached_irreducible, cached_projective
 
@@ -86,22 +88,6 @@ def weight_projectors(params: Params, r: int, s: int):
 # Casimir minimal polynomials and sector projections
 # ----------------------------------------------------------------------
 
-def _psi_poly(sec: Sector):
-    """The sector's psi as a dense coefficient list over Cyclo (ascending)."""
-    ctx = sec.ctx
-    poly = [ctx.one]
-    for r in range(sec.p):
-        beta = sec.qsum(r)
-        for root in (beta, -beta):
-            # multiply by (x - root)
-            new = [ctx.zero] * (len(poly) + 1)
-            for i, c in enumerate(poly):
-                new[i + 1] = new[i + 1] + c
-                new[i] = new[i] - c * root
-            poly = new
-    return poly
-
-
 def _poly_div_linear(poly, root, ctx):
     """Exact division of poly by (x - root); remainder must vanish."""
     n = len(poly) - 1
@@ -115,29 +101,19 @@ def _poly_div_linear(poly, root, ctx):
         raise ArithmeticError("nonzero remainder in linear division")
     return out
 
-def _poly_eval(poly, x: Cyclo, ctx):
-    acc = ctx.zero
-    for c in reversed(poly):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_derivative(poly, ctx):
-    return [c * i for i, c in enumerate(poly)][1:] or [ctx.zero]
-
 
 def _sector_projection(params: Params, sec: Sector, beta: Cyclo, powers):
     """(e_sector, w_sector) for the Casimir root beta; powers are those of
     the sector's Casimir."""
     P = params
     ctx = P.ctx
-    psi = _psi_poly(sec)
+    psi = [ctx.integer(c) for c in psi_poly(sec.p).coefficients()]
     two = ctx.integer(2)
     simple = beta == two or beta == -two
     red = _poly_div_linear(psi, beta, ctx)
     if not simple:
         red = _poly_div_linear(red, beta, ctx)
-    val = _poly_eval(red, beta, ctx)
+    val = horner(red, beta, ctx.zero)
     red_at_c = P.linear_combination(zip(powers, red))
     if simple:
         w = P.zero
@@ -146,7 +122,7 @@ def _sector_projection(params: Params, sec: Sector, beta: Cyclo, powers):
         # w = (C - beta) * red(C);  e = (red(C) - (red'(beta)/val) w) / val
         cas = powers[1]
         w = (cas - P.scalar(beta)) * red_at_c
-        dval = _poly_eval(_poly_derivative(red, ctx), beta, ctx)
+        dval = horner([c * i for i, c in enumerate(red)][1:], beta, ctx.zero)
         e = (red_at_c - w * (dval * val.inv())) * val.inv()
     return e, w
 

@@ -270,7 +270,7 @@ def _json_chunks(o, nl="\n"):
 
 def _emit(args, doc, rows):
     """Write doc as JSON, or rows (an iterable, read only for CSV) as CSV,
-    to --output or stdout.  On stdout a CSV table ends in one more newline."""
+    to --output or stdout."""
     def write(fh):
         if args.format == "json":
             fh.writelines(_json_chunks(doc))
@@ -288,8 +288,6 @@ def _emit(args, doc, rows):
             raise SystemExit(2)
     else:
         write(sys.stdout)
-        if args.format == "csv":
-            sys.stdout.write("\n")
 
 
 def build_parser():

@@ -72,81 +72,36 @@ __all__ = [
     "q_int_poly",
     "q_factorial_poly",
     "q_binomial_poly",
+    "chebyshev_U",
+    "chebyshev_diff",
+    "psi_poly",
+    "horner",
     "sqrt2",
     "gauss_sqrt",
     "sqrt_half_pp",
 ]
 
 
+def _prime_factors(n: int) -> list:
+    """The distinct primes dividing n, ascending."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def euler_phi(n: int) -> int:
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in _prime_factors(n):
+        result -= result // p
     return result
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _poly_divexact(a, b):
-    # exact division of integer polynomials, quotient returned
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c == 0:
-            continue
-        assert c % lead == 0
-        f = c // lead
-        q[i - db] = f
-        for j, bj in enumerate(b):
-            a[i - db + j] -= f * bj
-    assert all(c == 0 for c in a)
-    return q
-
-
-def cyclotomic_polynomial(n: int):
-    """Coefficient list (ascending) of Phi_n over the integers."""
-    num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    divisors = [d for d in range(1, n) if n % d == 0]
-    den = [1]
-    # Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d
-    cache = {}
-
-    def phi_poly(m):
-        if m == 1:
-            return [-1, 1]
-        if m in cache:
-            return cache[m]
-        nm = [-1] + [0] * (m - 1) + [1]
-        dd = [1]
-        for d in range(1, m):
-            if m % d == 0:
-                dd = _poly_mul(dd, phi_poly(d))
-        res = _poly_divexact(nm, dd)
-        cache[m] = res
-        return res
-
-    for d in divisors:
-        den = _poly_mul(den, phi_poly(d))
-    return _poly_divexact(num, den)
 
 
 class CycloContext:
@@ -164,7 +119,7 @@ class CycloContext:
             raise ValueError("order must be positive")
         self.order = order
         self.phi = euler_phi(order)
-        poly = cyclotomic_polynomial(order)
+        poly = cyclotomic_polynomial(order).coefficients()
         assert len(poly) == self.phi + 1 and poly[-1] == 1
         self._phi_poly = poly
         # rows[k - phi] = canonical sparse dict of zeta^k, for k in
@@ -617,8 +572,9 @@ def nonzero_sums(triples) -> list:
 
 
 # ----------------------------------------------------------------------
-# Laurent polynomials over Z, used to evaluate q-binomial coefficients at
-# roots of unity without ever dividing specialized values.
+# Laurent polynomials over Z: the one type of every integer polynomial,
+# Phi_N, the q-integers (evaluated at roots of unity without ever dividing
+# specialized values), the Chebyshev polynomials and psi_p.
 # ----------------------------------------------------------------------
 
 class LaurentZ:
@@ -691,8 +647,23 @@ class LaurentZ:
         shift = lo_s - lo_o
         return LaurentZ({e + shift: v for e, v in enumerate(q) if v})
 
+    def at_power(self, k: int) -> "LaurentZ":
+        """The substitution x -> x^k."""
+        return LaurentZ({e * k: v for e, v in self.c.items()})
+
+    def coefficients(self) -> list:
+        """Ascending coefficient list of a polynomial (no negative
+        exponents), the input of `horner`; [] for zero."""
+        if min(self.c, default=0) < 0:
+            raise ValueError("not a polynomial")
+        return [self.c.get(e, 0) for e in range(max(self.c, default=-1) + 1)]
+
     def eval_cyclo(self, q: Cyclo) -> Cyclo:
-        """Specialize x -> q for an invertible q."""
+        """Specialize x -> q for an invertible q.  The q-integers are
+        evaluated here, not by `horner`: the powers q^e are summed in the
+        order the exponents are stored, that order fixes the exponent
+        order of the result, and `embed` sums in it, so the printed floats
+        depend on it."""
         ctx = q.ctx
         qinv = q.inv() if min(self.c, default=0) < 0 else None
         pow_cache = {0: ctx.one}
@@ -735,6 +706,51 @@ def q_binomial_poly(m: int, n: int) -> LaurentZ:
     num = q_factorial_poly(m)
     den = q_factorial_poly(n) * q_factorial_poly(m - n)
     return num.divexact(den)
+
+
+def cyclotomic_polynomial(n: int) -> LaurentZ:
+    """Phi_n over the integers: from Phi_1 = x - 1, Phi_mp(x) =
+    Phi_m(x^p) / Phi_m(x) for each prime p of n (p not dividing m), then
+    Phi_n(x) = Phi_r(x^(n/r)) for the product r of the primes of n."""
+    phi, rad = LaurentZ({0: -1, 1: 1}), 1
+    for p in _prime_factors(n):
+        phi, rad = phi.at_power(p).divexact(phi), rad * p
+    return phi.at_power(n // rad)
+
+
+def chebyshev_U(s: int) -> LaurentZ:
+    """U_s of the second kind, normalized U_0 = 0, U_1 = 1, U_2 = x and
+    x U_s = U_{s-1} + U_{s+1}, so U_s(Q + Q^-1) = [s]_Q."""
+    if s < 0:
+        raise ValueError("index must be nonnegative")
+    x = LaurentZ({1: 1})
+    prev, cur = LaurentZ(), LaurentZ.one()
+    for _ in range(s):
+        prev, cur = cur, x * cur - prev
+    return prev
+
+
+def chebyshev_diff(n: int) -> LaurentZ:
+    """U_{n+1} - U_{n-1}, which takes Q + Q^-1 to Q^n + Q^-n."""
+    return chebyshev_U(n + 1) - chebyshev_U(n - 1)
+
+
+def psi_poly(p: int) -> LaurentZ:
+    """psi_p = U_{2p+1} - U_{2p-1} - 2, the minimal polynomial of the
+    Casimir of a sector with parameter p (roots +-2 simple, the other
+    Q^r + Q^-r double), and a relation of the Chebyshev presentation."""
+    return chebyshev_diff(2 * p) - LaurentZ({0: 2})
+
+
+def horner(coeffs, x, zero):
+    """sum_i coeffs[i] x^i for an ascending coefficient list, by Horner's
+    rule acc = acc * x + c starting from zero, in any ring whose elements
+    take `* x` and `+ c`: Cyclo, AlgebraElement, GrElement, with c in the
+    ring or an int."""
+    acc = zero
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 # ----------------------------------------------------------------------

@@ -8,20 +8,21 @@ by the reflection
 
 applied per sector.  The ring is commutative with unit [X^+_{1,1}],
 generated by [X^+_{2,1}] and [X^+_{1,2}], and is presented as a quotient of
-C[x, y] by three explicit Chebyshev-polynomial relations.
+C[x, y] by three explicit Chebyshev-polynomial relations.  The Chebyshev
+polynomials and psi_p are the LaurentZ of `cyclotomic`, where psi_p is
+defined once for this presentation and for the Casimir projections of the
+center, and every evaluation goes through `cyclotomic.horner`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .algebra import AlgebraElement, Params
+from .algebra import Params
+from .cyclotomic import chebyshev_diff, chebyshev_U, horner, psi_poly
 
 __all__ = [
     "GrElement",
     "gr_class",
     "gr_multiply",
-    "chebyshev_U",
     "verify_presentation",
     "verify_casimir_identities",
 ]
@@ -37,6 +38,9 @@ class GrElement:
         self.mult = {k: v for k, v in (mult or {}).items() if v}
 
     def __add__(self, other):
+        """Sum of classes; an int n stands for n times the unit class."""
+        if isinstance(other, int):
+            other = GrElement(self.params, {(1, 1, 1): other})
         out = dict(self.mult)
         for k, v in other.mult.items():
             w = out.get(k, 0) + v
@@ -48,6 +52,9 @@ class GrElement:
 
     def __sub__(self, other):
         return self + other.scale(-1)
+
+    def __mul__(self, other):
+        return gr_multiply(self, other)
 
     def scale(self, n: int):
         return GrElement(self.params, {k: v * n for k, v in self.mult.items()})
@@ -102,158 +109,67 @@ def gr_multiply(A: GrElement, B: GrElement) -> GrElement:
     return GrElement(P, {k: v for k, v in out.items() if v})
 
 
-# ----------------------------------------------------------------------
-# Chebyshev polynomials of the second kind (integer coefficients,
-# U_1 = 1, U_2 = x, x U_s = U_{s-1} + U_{s+1})
-# ----------------------------------------------------------------------
-
-def chebyshev_U(s: int):
-    """Coefficient list (ascending) of U_s; U_0 = 0 by the recursion."""
-    if s < 0:
-        raise ValueError("index must be nonnegative")
-    if s == 0:
-        return [0]
-    prev, cur = [0], [1]  # U_0, U_1
-    for _ in range(s - 1):
-        # next = x*cur - prev
-        nxt = [0] + cur
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        prev, cur = cur, nxt
-    return cur
-
-
-def _poly_eval_ring(coeffs, x, ring_zero, ring_one, mul, add, scale):
-    acc = ring_zero
-    for c in reversed(coeffs):
-        acc = mul(acc, x)
-        if c:
-            acc = add(acc, scale(ring_one, c))
-    return acc
-
-
-def _eval_gr(coeffs, x: GrElement) -> GrElement:
-    P = x.params
-    return _poly_eval_ring(coeffs, x, GrElement(P), gr_class(P, 1, 1, 1),
-                           gr_multiply, GrElement.__add__, GrElement.scale)
-
-
-def _eval_alg(coeffs, x: AlgebraElement) -> AlgebraElement:
-    P = x.params
-    return _poly_eval_ring(coeffs, x, P.zero, P.one,
-                           lambda a, b: a * b, lambda a, b: a + b,
-                           lambda a, n: a * n)
-
-
-def _sub(a, b):
-    """The coefficient list a - b."""
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-            for i in range(n)]
-
-
-def _eval_2var(px, py, x: GrElement, y: GrElement) -> GrElement:
-    return gr_multiply(_eval_gr(px, x), _eval_gr(py, y))
-
-
 def verify_presentation(params: Params):
     """Check the polynomial-quotient presentation of the ring.
 
     (i) the three ideal generators vanish under x -> [X^+_{2,1}],
     y -> [X^+_{1,2}]; (ii) the P^pm_{r,r'} polynomials evaluate to the
-    irreducible classes; (iii) evaluation is onto (all classes hit).
-    Returns a report dict with a boolean 'ok'."""
+    irreducible classes, P^+ = U_r(x) U_s(y) and
+    2 P^- = (U_{p+r} - U_{p-r})(x) U_s(y); (iii) evaluation is onto (all
+    classes hit).  Returns a report dict with a boolean 'ok'."""
     P = params
     p, q = P.p_plus, P.p_minus
     # x and y evaluate to the classes of the fold of X_{2,1} and X_{1,2};
     # for p_pm >= 2 these are the honest irreducible classes
     X = GrElement(P, {(a, r, 1): c for (a, r, c) in _fold(p, 1, 2)})
     Y = GrElement(P, {(a, 1, s): c for (a, s, c) in _fold(q, 1, 2)})
+    zero = GrElement(P)
+
+    def at(poly, v):
+        return horner(poly.coefficients(), v, zero)
+
     failures = []
     report = {"generators": [], "ok": True}
-    up = chebyshev_U
     gens = {
-        "psi_plus": (_sub(up(2 * p + 1), up(2 * p - 1)), None, -2),
-        "psi_minus": (None, _sub(up(2 * q + 1), up(2 * q - 1)), -2),
-        "mixed": (_sub(up(p + 1), up(p - 1)), _sub(up(q + 1), up(q - 1)), 0),
+        "psi_plus": at(psi_poly(p), X),
+        "psi_minus": at(psi_poly(q), Y),
+        "mixed": at(chebyshev_diff(p), X) - at(chebyshev_diff(q), Y),
     }
-    one = gr_class(P, 1, 1, 1)
-    for name, (px, py, const) in gens.items():
-        if name == "mixed":
-            val = _eval_gr(px, X) - _eval_gr(py, Y)
-        elif px is not None:
-            val = _eval_gr(px, X) + one.scale(const)
-        else:
-            val = _eval_gr(py, Y) + one.scale(const)
-        ok = val == GrElement(P)
+    for name, val in gens.items():
+        ok = val == zero
         report["generators"].append({"name": name, "vanishes": ok})
         if not ok:
             failures.append(name)
     hit = set()
     for r in range(1, p + 1):
         for s in range(1, q + 1):
-            plus = _eval_2var(up(r), up(s), X, Y)
-            ok = plus == gr_class(P, 1, r, s)
-            if not ok:
-                failures.append(f"P+({r},{s})")
-            else:
+            u_s = at(chebyshev_U(s), Y)
+            if at(chebyshev_U(r), X) * u_s == gr_class(P, 1, r, s):
                 hit.add((1, r, s))
-            half = Fraction(1, 2)
-            coeffs = [half * (a - b) for a, b in
-                      zip(_pad(up(p + r), 2 * p + r), _pad(up(p - r) if p > r else [0], 2 * p + r))]
-            # evaluate (U_{p+r} - U_{p-r})/2 * U_s with rational halves
-            minus = _eval_2var_frac(coeffs, up(s), X, Y)
-            ok = minus == gr_class(P, -1, r, s)
-            if not ok:
-                failures.append(f"P-({r},{s})")
             else:
+                failures.append(f"P+({r},{s})")
+            minus = at(chebyshev_U(p + r) - chebyshev_U(p - r), X) * u_s
+            if minus == gr_class(P, -1, r, s).scale(2):
                 hit.add((-1, r, s))
+            else:
+                failures.append(f"P-({r},{s})")
     report["surjective"] = len(hit) == 2 * p * q
     report["ok"] = not failures and report["surjective"]
     report["failures"] = failures
     return report
 
 
-def _pad(coeffs, n):
-    return list(coeffs) + [0] * (n + 1 - len(coeffs))
-
-
-def _eval_2var_frac(px, py, x: GrElement, y: GrElement) -> GrElement:
-    """Evaluate with Fraction coefficients in the first variable; the
-    result must have integer multiplicities."""
-    P = x.params
-    acc = {}
-    xpow = gr_class(P, 1, 1, 1)
-    ypart = _eval_gr(py, y)
-    for i, c in enumerate(px):
-        if i:
-            xpow = gr_multiply(xpow, x)
-        if c:
-            term = gr_multiply(xpow, ypart)
-            for k, v in term.mult.items():
-                acc[k] = acc.get(k, Fraction(0)) + c * v
-    out = {}
-    for k, v in acc.items():
-        if v:
-            assert v.denominator == 1, "non-integer class multiplicity"
-            out[k] = int(v)
-    return GrElement(P, out)
-
-
 def verify_casimir_identities(params: Params):
     """In the algebra, for each sector with parameter p and Casimir C:
     U_{p+1}(C) - U_{p-1}(C) = (-1)^(p_+ + p_-) 2 K^{p_+ p_-} and
-    psi(C) = 0."""
+    psi_p(C) = 0."""
     P = params
     report = {"ok": True, "failures": []}
     target = P.gen("K", P.pp) * (2 * (-1) ** (P.p_plus + P.p_minus))
     for sec, cas in zip(P.sectors, P.casimirs()):
-        p = sec.p
-        if _eval_alg(_sub(chebyshev_U(p + 1), chebyshev_U(p - 1)), cas) != target:
+        if horner(chebyshev_diff(sec.p).coefficients(), cas, P.zero) != target:
             report["failures"].append(f"U-identity ({sec.sign} sector)")
-        psi = _sub(chebyshev_U(2 * p + 1), chebyshev_U(2 * p - 1))
-        psi[0] -= 2
-        if not _eval_alg(psi, cas).is_zero():
+        if not horner(psi_poly(sec.p).coefficients(), cas, P.zero).is_zero():
             report["failures"].append(f"psi_{sec.sign}(C_{sec.sign}) != 0")
     report["ok"] = not report["failures"]
     return report

@@ -410,15 +410,14 @@ class ModularAction:
         return mat_mul_dense(th.central_mult_matrix(vstar), x0, ctx)
 
     def verify_factorization(self):
-        """S = S* Sbar through the unipotent ribbon factor, the stated
-        Radford combination for S(v*), S(v) = v^-1, and the three-factor
-        split into pairwise-commuting representations.
+        """The stated Radford combination for S(v*), S(v) = v^-1, and the
+        three-factor split into pairwise-commuting representations.
 
         S* = Xi^-1 and Sbar = Xi C with C = S^-1, so S* Sbar = C, and the
-        three-factor product telescopes to C the same way: given S^2 = id
-        (checked by sl2z_relations), the failures "S != S* Sbar" and
-        "three-factor product" cannot fire for any invertible Xi.  A wrong
-        Xi shows in the T-factor product and the pairwise commutators."""
+        three factors S- S+ S0 telescope to C the same way: given S^2 = id
+        (checked by sl2z_relations) both products equal S for any
+        invertible Xi, so they are not compared here.  A wrong Xi shows in
+        the T-factor product and the pairwise commutators."""
         P = self.params
         th = self.theory
         ctx = P.ctx
@@ -450,22 +449,13 @@ class ModularAction:
         if not (sv - expect).is_zero():
             report["failures"].append("S(v*) decomposition")
 
+        # S = S* Sbar with S* = Xi^-1 and Sbar = Xi S^-1, and S* split
+        # further through the minus-sector unipotent factor
         Xi = self._xi_matrix(rib.v_unipotent)
-        Xi_inv = invert_dense(Xi, ctx)
-        S_star = Xi_inv
-        S_bar = mm(Xi, self.C)  # Xi . S^-1
-        if not self._equal(mm(S_star, S_bar), self.S):
-            report["failures"].append("S != S* Sbar")
-        report["xi_invertible"] = True
-
-        # further split of S* through the minus-sector unipotent factor
         Xi2 = self._xi_matrix(rib.v_factor_minus)
-        Xi2_inv = invert_dense(Xi2, ctx)
-        S0 = S_bar
-        S_plus = mm(Xi2, Xi_inv)
-        S_minus = Xi2_inv
-        if not self._equal(mm(S_minus, mm(S_plus, S0)), self.S):
-            report["failures"].append("three-factor product")
+        S0 = mm(Xi, self.C)
+        S_plus = mm(Xi2, invert_dense(Xi, ctx))
+        S_minus = invert_dense(Xi2, ctx)
 
         V_bar = th.central_mult_matrix(rib.v_semisimple)
         V_plus = th.central_mult_matrix(rib.v_factor_plus)

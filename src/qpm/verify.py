@@ -42,19 +42,17 @@ def suite_hopf(theory: Theory):
     gens = {n: P.gen(n) for n in ("ep", "fp", "em", "fm", "K")}
     live = {n: g for n, g in gens.items() if not g.is_zero()}
     K = gens["K"]
-    ok = (K * live.get("ep", P.zero) == live.get("ep", P.zero) * K * P.plus.q ** 2
-          if "ep" in live else True)
-    ok = ok and (P.gen("K", P.korder) == P.one)
-    if P.p_plus > 1:
-        lhs = gens["ep"] * gens["fp"] - gens["fp"] * gens["ep"]
-        rhs = (P.gen("K", P.p_minus) - P.gen("K", -P.p_minus)) * P.plus.qdiff(1).inv()
-        ok = ok and lhs == rhs
-        ok = ok and (gens["ep"] ** P.p_plus).is_zero()
-    if P.p_minus > 1:
-        lhs = gens["em"] * gens["fm"] - gens["fm"] * gens["em"]
-        rhs = (P.gen("K", P.p_plus) - P.gen("K", -P.p_plus)) * P.minus.qdiff(1).inv()
-        ok = ok and lhs == rhs
-        ok = ok and (gens["fm"] ** P.p_minus).is_zero()
+    ok = P.gen("K", P.korder) == P.one
+    for sec in P.sectors:
+        e, f = gens[sec.e], gens[sec.f]
+        # for p = 1 the sector is trivial (e = f = 0) and the commutator
+        # relation degenerates to 0 = 0 since K^p' = K^-p'
+        rhs = P.zero
+        if sec.p > 1:
+            rhs = (P.gen("K", sec.p_other) - P.gen("K", -sec.p_other)) * sec.qdiff(1).inv()
+        ok = (ok and K * e == e * K * sec.q ** 2 and K * f == f * K * sec.q ** -2
+              and (e ** sec.p).is_zero() and (f ** sec.p).is_zero()
+              and e * f - f * e == rhs)
     cross_ok = all((live[a] * live[b] - live[b] * live[a]).is_zero()
                    for a in ("ep", "fp") if a in live
                    for b in ("em", "fm") if b in live)

@@ -208,6 +208,24 @@ def test_each_sector_pass_of_a_merged_family_is_checked(th, kind, family, slash,
     assert f"T phi_{slash}" in failed
 
 
+class _FmWeightFlipped(Params):
+    """Params whose conjugation weight gives f- the sign of e-, so that
+    K f- = q-^2 f- K instead of q-^-2 f- K."""
+
+    def weight(self, mono):
+        a, b, c, d, _ = mono
+        return (2 * self.p_minus * (b - a) + 2 * self.p_plus * (d + c)) % self.korder
+
+
+def test_presentation_relations_check_each_sector_relation():
+    # the check once tested K e = q^2 e K for e+ only, so a wrong K f-
+    # relation read True
+    passed = {check: ok for check, ok, _ in verify.suite_hopf(Theory(_FmWeightFlipped(2, 3)))}
+    assert passed["presentation relations"] is False
+    passed = {check: ok for check, ok, _ in verify.suite_hopf(Theory(Params(2, 3)))}
+    assert passed["presentation relations"] is True
+
+
 def test_dependent_radford_basis_fails_its_check():
     # a dependent Radford basis is reported as a failed check, not raised
     th = Theory(Params(1, 2))

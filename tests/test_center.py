@@ -211,19 +211,20 @@ def test_decompose_central(P23, cb23):
 
 def test_psi_normalization_constants(P23):
     # displayed closed forms for the projected minimal polynomial values
-    from qpm.center import _poly_div_linear, _poly_eval, _psi_poly
+    from qpm.center import _poly_div_linear
+    from qpm.cyclotomic import horner, psi_poly
     P = P23
     ctx = P.ctx
+    psi = [ctx.integer(c) for c in psi_poly(P.p_plus).coefficients()]
     for (r, s) in P.set_I1():
-        psi = _psi_poly(P.plus)
         beta = P.plus.casimir_eigenvalue(1, r, s)
         red = _poly_div_linear(_poly_div_linear(psi, beta, ctx), beta, ctx)
-        val = _poly_eval(red, beta, ctx)
+        val = horner(red, beta, ctx.zero)
         assert val == ctx.integer(4 * P.p_plus ** 2) * (
             (P.plus.Q ** r - P.plus.Q ** (-r)) ** 2).inv()
     two = ctx.integer(2)
     beta = P.plus.casimir_eigenvalue(1, P.p_plus, P.p_minus)
     assert beta == two or beta == -two
-    red = _poly_div_linear(_psi_poly(P.plus), beta, ctx)
+    red = _poly_div_linear(psi, beta, ctx)
     sign = 1 if beta == two else -1
-    assert _poly_eval(red, beta, ctx) == ctx.integer(sign * 4 * P.p_plus ** 2)
+    assert horner(red, beta, ctx.zero) == ctx.integer(sign * 4 * P.p_plus ** 2)

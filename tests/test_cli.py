@@ -224,6 +224,18 @@ def test_other_output_forms_match_recorded_digests(tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == want, flags
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_stdout_equals_output_file(fmt, tmp_path, capsys):
+    # a table on stdout has the bytes of the same table written by --output
+    for cmd in ("info", "fusion", "center", "smatrix", "tmatrix", "ribbon"):
+        args = ["--p-plus", "1", "--p-minus", "2", "--format", fmt]
+        code, out = run_cli(args + [cmd], capsys)
+        assert code == 0
+        path = tmp_path / f"{cmd}.{fmt}"
+        assert main(args + ["--output", str(path), cmd]) == 0
+        assert out.encode() == path.read_bytes(), cmd
+
+
 def test_stdout_table_matches_recorded_digest(capsys):
     code, out = run_cli(["--p-plus", "1", "--p-minus", "3", "smatrix"], capsys)
     assert code == 0

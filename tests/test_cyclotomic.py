@@ -8,8 +8,10 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpm.cyclotomic import (Cyclo, CycloContext, LaurentZ, cyclotomic_polynomial,
-                            euler_phi, gauss_sqrt, nonzero_sums, q_binomial_poly,
+from qpm.algebra import Sector
+from qpm.cyclotomic import (Cyclo, CycloContext, LaurentZ, chebyshev_U,
+                            cyclotomic_polynomial, euler_phi, gauss_sqrt, horner,
+                            nonzero_sums, psi_poly, q_binomial_poly,
                             q_factorial_poly, q_int_poly, sparse_sum, sqrt2,
                             sqrt_half_pp, sum_products)
 
@@ -109,10 +111,82 @@ def test_arithmetic_against_galois_embeddings(order, data):
 
 def test_phi_and_polynomial():
     assert euler_phi(144) == 48
-    poly = cyclotomic_polynomial(144)
-    # x^48 - x^24 + 1
-    assert poly[48] == 1 and poly[24] == -1 and poly[0] == 1
-    assert sum(1 for c in poly if c) == 3
+    assert cyclotomic_polynomial(144) == LaurentZ({48: 1, 24: -1, 0: 1})
+
+
+def _mobius(n):
+    mu, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            mu = -mu
+        d += 1
+    return -mu if n > 1 else mu
+
+
+def test_cyclotomic_polynomial_against_mobius_and_divisor_recursion():
+    # Phi_n = prod_{d | n} (x^d - 1)^mu(n/d), and
+    # Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d; the implementation
+    # substitutes x -> x^p prime by prime instead
+    by_recursion = {}
+    for n in range(1, 401):
+        phi = cyclotomic_polynomial(n)
+        coeffs = phi.coefficients()
+        assert len(coeffs) == euler_phi(n) + 1 and coeffs[-1] == 1
+        below = LaurentZ.one()
+        for d in range(1, n):
+            if n % d == 0:
+                below = below * by_recursion[d]
+        by_recursion[n] = LaurentZ({n: 1, 0: -1}).divexact(below)
+        assert phi == by_recursion[n], n
+        num = den = LaurentZ.one()
+        for d in range(1, n + 1):
+            if n % d == 0 and _mobius(n // d):
+                f = LaurentZ({d: 1, 0: -1})
+                if _mobius(n // d) > 0:
+                    num = num * f
+                else:
+                    den = den * f
+        assert phi == num.divexact(den), n
+
+
+def test_psi_is_the_product_over_the_casimir_roots():
+    # psi_p = prod_{r < p} (x - beta_r)(x + beta_r), beta_r = Q^r + Q^-r,
+    # expanded over Q(zeta_N) for a sector with either order of Q (2p for
+    # p_other = 1; p for odd p with p_other = 2, else 2p)
+    x = LaurentZ({1: 1})
+    for p in range(1, 9):
+        U = chebyshev_U(p)
+        assert psi_poly(p) == (x * x - LaurentZ({0: 4})) * U * U
+        coprime = next(k for k in range(2, p + 2) if math.gcd(k, p) == 1)
+        for p_other in (1, coprime):
+            ctx = CycloContext(24 * p * p_other)
+            sec = Sector(ctx, "+", p, p_other)
+            poly = [ctx.one]
+            for r in range(p):
+                beta = sec.qsum(r)
+                for root in (beta, -beta):
+                    new = [ctx.zero] * (len(poly) + 1)
+                    for i, c in enumerate(poly):
+                        new[i + 1] = new[i + 1] + c
+                        new[i] = new[i] - c * root
+                    poly = new
+            want = psi_poly(p).coefficients()
+            assert poly == [ctx.integer(c) for c in want], (p, p_other)
+            for got, c in zip(poly, want):
+                assert got.num == ({0: c} if c else {}) and got.den == 1
+
+
+def test_horner_on_cyclo():
+    x = CTX.root_of_unity(5) + CTX.integer(Fraction(1, 3))
+    coeffs = [CTX.root_of_unity(7), 0, -3, CTX.integer(Fraction(2, 5)), 1]
+    want = sum((c * x ** i for i, c in enumerate(coeffs)), start=CTX.zero)
+    assert horner(coeffs, x, CTX.zero) == want
+    assert horner([], x, CTX.zero) == CTX.zero
+    assert horner(chebyshev_U(4).coefficients(), x, CTX.zero) == \
+        x ** 3 - x * 2
 
 
 def test_roots_of_unity():

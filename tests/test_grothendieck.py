@@ -1,41 +1,34 @@
 """Fusion ring: product formula, Chebyshev presentation, Casimir identities."""
 
-from qpm.grothendieck import (chebyshev_U, gr_class, gr_multiply,
+from qpm.cyclotomic import LaurentZ, chebyshev_diff, chebyshev_U, horner
+from qpm.grothendieck import (GrElement, gr_class, gr_multiply,
                               verify_casimir_identities, verify_presentation)
 from qpm.reps import irreducible_labels, tensor_product
 
+X = LaurentZ({1: 1})
+
+
+def _derivative(poly: LaurentZ) -> LaurentZ:
+    return LaurentZ({e - 1: v * e for e, v in poly.c.items()})
+
 
 def test_chebyshev_initial_and_recursion():
-    assert chebyshev_U(1) == [1]
-    assert chebyshev_U(2) == [0, 1]
-    assert chebyshev_U(3) == [-1, 0, 1]
+    assert chebyshev_U(0) == LaurentZ()
+    assert chebyshev_U(1).coefficients() == [1]
+    assert chebyshev_U(2).coefficients() == [0, 1]
+    assert chebyshev_U(3).coefficients() == [-1, 0, 1]
     for s in range(2, 10):
-        a = [0] + chebyshev_U(s)
-        b, c = chebyshev_U(s - 1), chebyshev_U(s + 1)
-        n = max(len(a), len(b), len(c))
-        pad = lambda v: v + [0] * (n - len(v))
-        assert [x - y - z for x, y, z in zip(pad(a), pad(b), pad(c))] == [0] * n
+        assert X * chebyshev_U(s) - chebyshev_U(s - 1) - chebyshev_U(s + 1) == LaurentZ()
 
 
 def test_chebyshev_eigenfunction_identity():
     # (x^2 - 4) U'' + 3 x U' + U = s^2 U
     for s in range(1, 10):
         U = chebyshev_U(s)
-        d1 = [c * i for i, c in enumerate(U)][1:] or [0]
-        d2 = [c * i for i, c in enumerate(d1)][1:] or [0]
-        n = len(U) + 2
-        pad = lambda v: v + [0] * (n - len(v))
-        lhs = [0] * n
-        for i, c in enumerate(pad(d2)):
-            if i + 2 < n:
-                lhs[i + 2] += c
-            lhs[i] -= 4 * c
-        for i, c in enumerate(pad(d1)):
-            if i + 1 < n:
-                lhs[i + 1] += 3 * c
-        for i, c in enumerate(pad(U)):
-            lhs[i] += c
-        assert lhs == [s * s * c for c in pad(U)]
+        d1 = _derivative(U)
+        d2 = _derivative(d1)
+        lhs = (X * X - LaurentZ({0: 4})) * d2 + X * d1 * 3 + U
+        assert lhs == U * (s * s)
 
 
 def test_unit_class(P23):
@@ -92,15 +85,29 @@ def test_casimir_identities(P12, P23):
 
 def test_u_identity_value_at_1_2(P12):
     # both sides equal (-1)^(p+ + p-) 2 K^(p+ p-) = -2 K^2 at (1,2)
-    from qpm.grothendieck import _eval_alg, chebyshev_U
     P = P12
     cp, cm = P.casimirs()
-    def sub(a, b):
-        n = max(len(a), len(b))
-        return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-                for i in range(n)]
-    lhs = _eval_alg(sub(chebyshev_U(P.p_plus + 1), chebyshev_U(P.p_plus - 1)), cp)
+    diff = chebyshev_U(P.p_plus + 1) - chebyshev_U(P.p_plus - 1)
+    assert diff == chebyshev_diff(P.p_plus)
+    lhs = horner(diff.coefficients(), cp, P.zero)
     assert lhs == P.gen("K", P.pp) * (-2)
+
+
+def test_horner_on_algebra_and_grothendieck_elements(P23):
+    # Horner against sum_i c_i x^i with the powers taken one by one
+    coeffs = [3, 0, -2, 1, 0, 5]
+    cp, _ = P23.casimirs()
+    power, want = P23.one, P23.zero
+    for c in coeffs:
+        want, power = want + power * c, power * cp
+    assert horner(coeffs, cp, P23.zero) == want
+    x = gr_class(P23, 1, 2, 1) + gr_class(P23, -1, 1, 2)
+    power, want = gr_class(P23, 1, 1, 1), GrElement(P23)
+    for c in coeffs:
+        want, power = want + power.scale(c), gr_multiply(power, x)
+    assert horner(coeffs, x, GrElement(P23)) == want
+    assert x * x == gr_multiply(x, x)
+    assert x + 4 == x + gr_class(P23, 1, 1, 1).scale(4)
 
 
 def test_generation_by_two_classes(P23):

@@ -33,7 +33,10 @@ most (p_+ p_-)^4 of them) and derives every other product by a phase and
 a shift of the K exponents; coproduct_mono and antipode_mono do the same
 with K-free monomials.  The element products group both operands by
 K-free part: each pair of parts is straightened once, and its two
-K-exponent vectors meet in one twisted cyclic convolution.
+K-exponent vectors meet in one twisted cyclic convolution.  The checks
+that multiply central elements skip that convolution: Params.weight_form
+puts an element on the weight idempotents of K, where
+Params.weight_mul multiplies pointwise in the weight.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .cyclotomic import (
     sparse_sum,
     sqrt2,
     sqrt_half_pp,
+    sum_products,
 )
 
 __all__ = ["Params", "Sector", "AlgebraElement", "TensorElement", "Monomial"]
@@ -337,6 +341,45 @@ class Params:
                            coeff.shift(e) if e else coeff)
 
         return sparse_sum(terms())
+
+    # -- the weight form ------------------------------------------------------------
+
+    def weight_form(self, x: "AlgebraElement") -> dict:
+        """x on the weight idempotents of K, as {(B, w): c} with
+        x = sum c B 1_w, B K-free and
+
+            1_w = (1/ko) sum_j zeta_ko^(-w j) K^j,   zeta_ko = zeta^12,
+
+        so that B K^j = sum_w zeta_ko^(w j) B 1_w.  A linear bijection, so
+        an identity between elements holds iff it holds between their
+        weight forms."""
+        ko, root = self.korder, self.ctx.root_of_unity
+        return sum_products(((m[:4] + (0,), w), c, root(12 * (w * m[4] % ko)))
+                            for m, c in x.coeffs.items() for w in range(ko))
+
+    def weight_mul(self, x: dict, y: dict) -> dict:
+        """The product of two weight forms.  Since 1_w B = B 1_(w - weight(B))
+        and K^j 1_w = zeta_ko^(w j) 1_w,
+
+            (B1 1_w1)(B2 1_w2) = [w2 = w1 - weight(B2)] sum s zeta_ko^(j w2) C 1_w2
+
+        over the straightened B1 B2 = sum s C K^j: one straightening per
+        pair of terms that meet, no K convolution.  Summed in sum_products."""
+        ko, weight, mono_mul = self.korder, self.weight, self.mono_mul
+        # y's terms by the left index w1 = w2 + weight(B2) they meet
+        meets = {}
+        for (b2, w2), c2 in y.items():
+            meets.setdefault((w2 + weight(b2)) % ko, []).append((b2, w2, c2))
+
+        def triples():
+            for (b1, w1), c1 in x.items():
+                for b2, w2, c2 in meets.get(w1, ()):
+                    c = c1 * c2
+                    for m, s in mono_mul(b1, b2).items():
+                        e = 12 * (m[4] * w2 % ko)
+                        yield (m[:4] + (0,), w2), c, s.shift(e) if e else s
+
+        return sum_products(triples())
 
     # -- generators ---------------------------------------------------------------
 

@@ -197,6 +197,11 @@ def cmd_ribbon(args):
 
 
 def cmd_verify(args):
+    # the ledger is text on stdout; the table options have no meaning here
+    if args.output or args.format == "csv":
+        print("error: verify prints its ledger on stdout and takes neither"
+              " --output nor --format csv", file=sys.stderr)
+        return 2
     P = _context(args)
     if P.pp > 8 and not args.deep:
         print(f"error: p_plus*p_minus = {P.pp} > 8 requires --deep",

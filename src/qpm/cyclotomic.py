@@ -36,7 +36,10 @@ Fast paths, chosen from the operands' shape:
 * a one-term factor c*zeta^k/d makes the product a scaled shift of the
   other factor, with no raw product map;
 * `inv` and `**` of a one-term element are (c/d)^n * zeta^(nk) for either
-  sign of n, with no extended Euclid and no repeated squaring.
+  sign of n, with no extended Euclid and no repeated squaring;
+* `inv` of a two-term element is a closed form summed in one fold
+  (`Cyclo._inv_binomial`); only three or more terms take the Euclidean
+  path.
 
 `sum_products` is the one kernel for a family of sums of products
 sum_i a_i * b_i, one sum per key, that builds no Cyclo per product: each
@@ -47,10 +50,11 @@ TOMS 2008).  `nonzero_sums` is its key list, an exact zero test.  The
 exponents of a sum keep the first touch of that one fold, not the order a
 chain of `+` would give.  Since `embed` sums in that order, the kernel
 is used only where the printed tables stay byte-identical (the recorded
-table digests check it): for zero tests, for `linalg.SpanSolver`, and for
-the traces of the Grothendieck fingerprint.  Dense matrix products keep
-their chains of `+`, because the kernel moves the float residues of the
-T-matrix at (1,3).
+table digests check it): for zero tests, for `linalg.SpanSolver`, for
+the traces of the Grothendieck fingerprint, and for the identities the
+checks decide on weight forms and Radford coordinates.  The dense matrix
+products that build S and T keep their chains of `+`, because the kernel
+moves the float residues of the T-matrix at (1,3).
 """
 
 from __future__ import annotations
@@ -327,15 +331,55 @@ class Cyclo:
 
     def inv(self) -> "Cyclo":
         """Multiplicative inverse: (d/c)*zeta^-k for a one-term element
-        (c/d)*zeta^k, else the extended Euclidean algorithm in Q[x] against
-        Phi_N.  Both return the exponents in ascending order."""
+        (c/d)*zeta^k, the closed form of _inv_binomial for a two-term one,
+        else the extended Euclidean algorithm in Q[x] against Phi_N
+        (_inv_euclid).  All return the exponents in ascending order."""
         if not self.num:
             raise ZeroDivisionError("inverse of zero in Q(zeta_N)")
         ctx = self.ctx
+        if len(self.num) > 2:
+            return self._inv_euclid()
         if len(self.num) == 1:
             (k, c), = self.num.items()
             x = ctx._canonical({-k: self.den}, c)
-            return Cyclo(ctx, dict(sorted(x.num.items())), x.den)
+        else:
+            x = self._inv_binomial()
+        return Cyclo(ctx, dict(sorted(x.num.items())), x.den)
+
+    def _inv_binomial(self) -> "Cyclo":
+        """The inverse of x = (c1 zeta^i + c2 zeta^j)/d in one _canonical
+        fold.  With t = c2/c1 and z = zeta^(j - i), of order o,
+        x = (c1/d) zeta^i (1 + t z), and z^o = 1 gives
+
+            (1 + t z)^-1 = sum_{k<o} (-t z)^k / (1 - (-t)^o)   if (-t)^o != 1,
+            (1 - z)^-1 = -(1/o) sum_{k<o} k z^k,
+            (1 + z)^-1 = (1 - z) (1 - z^2)^-1                   for even o,
+
+        the last two for t = -1 and for t = 1 with o even, the only
+        rational t with (-t)^o = 1."""
+        ctx = self.ctx
+        (i, c1), (j, c2) = self.num.items()
+        d, step = self.den, j - i
+        o = ctx.order // math.gcd(ctx.order, step)
+        if c2 == -c1:
+            raw = {k * step - i: -d * k for k in range(o)}
+            den = c1 * o
+        elif c2 == c1 and o % 2 == 0:
+            # -(2/o) sum_{k<o/2} k (z^2k - z^(2k+1))
+            raw = {}
+            for k in range(o // 2):
+                raw[2 * k * step - i] = -2 * d * k
+                raw[(2 * k + 1) * step - i] = 2 * d * k
+            den = c1 * o
+        else:
+            raw = {k * step - i: d * (-c2) ** k * c1 ** (o - 1 - k) for k in range(o)}
+            den = c1 ** o - (-c2) ** o
+        return ctx._canonical(raw, den)
+
+    def _inv_euclid(self) -> "Cyclo":
+        """The inverse by the extended Euclidean algorithm in Q[x] against
+        Phi_N, exponents ascending."""
+        ctx = self.ctx
         phi = ctx.phi
         # dense Fraction polys:  r0 = Phi_N,  r1 = self
         r0 = [Fraction(c) for c in ctx._phi_poly]

@@ -410,12 +410,13 @@ class MMatrix:
         of the left side and the negated terms of the right side go to
         nonzero_sums together, and monomials with no slice are checked
         against the right side alone.  That form is homogeneous in v^-1, so
-        v v^-1 = 1 is checked first.  Only K-free monomials B are multiplied
-        by v and v^-1: x (B K^j) is x B with every K exponent shifted by
-        j.  Delta(v^-1) is sparse in the PBW basis, which is why this check
-        does not move to the weight form."""
+        v v^-1 = 1 is checked first, on the weight forms.  Only K-free
+        monomials B are multiplied by v and v^-1: x (B K^j) is x B with
+        every K exponent shifted by j.  Delta(v^-1) is sparse in the PBW
+        basis, which is why the tensor-square identity does not move to the
+        weight form."""
         P = self.params
-        if v * v_inv != P.one:
+        if P.weight_mul(P.weight_form(v), P.weight_form(v_inv)) != P.weight_form(P.one):
             return ["v v_inv != 1"]
         one, ko = P.ctx.one, P.korder
 

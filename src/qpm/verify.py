@@ -28,7 +28,7 @@ from .reps import (cached_irreducible, cached_projective,
                    irreducible_labels, tensor_product, verma)
 
 __all__ = ["run_suites", "SUITE_ORDER", "SuiteSelectionError", "available_suites",
-           "radical_table_holds"]
+           "idempotents_hold", "radical_table_holds", "radical_cube_vanishes"]
 
 
 def _sqrt2pp32(P: Params) -> Cyclo:
@@ -419,19 +419,52 @@ def radical_table_holds(cb: CanonicalCenterBasis) -> bool:
     """Prove the entries of cb.product_table() that involve a nilpotent:
     e(blk) n = n for every nilpotent n, and every product of two nilpotents
     of one block, squares included, equals its table entry (0 where there
-    is none), one algebra product each.  With the orthogonal idempotents
-    this proves the whole table: a product across blocks is
-    n m = n e(a) e(b) m = 0."""
+    is none), one product each.  With the orthogonal idempotents this
+    proves the whole table: a product across blocks is
+    n m = n e(a) e(b) m = 0.  The products are taken on the weight forms
+    (Params.weight_mul), each basis element transformed once."""
+    P = cb.params
     ordered = cb.ordered()
+    forms = [P.weight_form(x) for _, x in ordered]
     table = cb.product_table()
-    for i, (lab_i, x) in enumerate(ordered):
-        for j, (lab_j, y) in enumerate(ordered[i:], start=i):
+    for i, (lab_i, _) in enumerate(ordered):
+        for j, (lab_j, _) in enumerate(ordered[i:], start=i):
             if cb.block(lab_i) != cb.block(lab_j) or lab_i[0] == lab_j[0] == "e":
                 continue
             hit = table.get((i, j))
-            if x * y != (ordered[hit[0]][1] * hit[1] if hit else cb.params.zero):
+            want = {key: c * hit[1] for key, c in forms[hit[0]].items()} if hit else {}
+            if P.weight_mul(forms[i], forms[j]) != want:
                 return False
     return True
+
+
+def idempotents_hold(cb: CanonicalCenterBasis) -> bool:
+    """The idempotents are orthogonal and complete: e e = e, e e' = 0 for
+    e != e', and they sum to 1.  The products are taken on the weight
+    forms, each idempotent transformed once."""
+    P = cb.params
+    mul = P.weight_mul
+    forms = {lab: P.weight_form(e) for lab, e in cb.idempotents.items()}
+    for lab1, e1 in forms.items():
+        if mul(e1, e1) != e1:
+            return False
+        if any(mul(e1, e2) for lab2, e2 in forms.items() if lab1 < lab2):
+            return False
+    return P.linear_combination((e, P.ctx.one) for e in cb.idempotents.values()) == P.one
+
+
+def radical_cube_vanishes(cb: CanonicalCenterBasis) -> bool:
+    """A sample of products of three nilpotents vanishes: x y z for x, y, z
+    among the first three, and n m n for the first n and the last m.  The
+    products are taken on the weight forms."""
+    P = cb.params
+    mul = P.weight_mul
+    rad = (list(cb.v_interior.values()) + list(cb.w_interior.values())
+           + list(cb.v_boundary.values()))
+    sample = [P.weight_form(x) for x in rad[:3]]
+    if any(mul(mul(x, y), z) for x in sample for y in sample for z in sample):
+        return False
+    return len(rad) < 2 or not mul(mul(sample[0], P.weight_form(rad[-1])), sample[0])
 
 
 def suite_center(theory: Theory):
@@ -443,25 +476,10 @@ def suite_center(theory: Theory):
                    len(cb.ordered()) == expected, ""))
     central_ok = all(is_central(P, el) for _, el in cb.ordered())
     checks.append(("every canonical element is central", central_ok, ""))
-    tot = P.linear_combination((e, P.ctx.one) for e in cb.idempotents.values())
-    idem_ok = True
-    for lab1, e1 in cb.idempotents.items():
-        if e1 * e1 != e1:
-            idem_ok = False
-        for lab2, e2 in cb.idempotents.items():
-            if lab1 < lab2 and not (e1 * e2).is_zero():
-                idem_ok = False
-    checks.append(("idempotents: orthogonal, complete (sum = 1)",
-                   idem_ok and tot == P.one, ""))
+    checks.append(("idempotents: orthogonal, complete (sum = 1)", idempotents_hold(cb), ""))
     checks.append((f"radical product table (with the documented scale"
                    f" {cb.RADICAL_PRODUCT_SCALE})", radical_table_holds(cb), ""))
-    rad = (list(cb.v_interior.values()) + list(cb.w_interior.values())
-           + list(cb.v_boundary.values()))
-    cube_ok = all((x * y * z).is_zero()
-                  for x in rad[:3] for y in rad[:3] for z in rad[:3])
-    if len(rad) >= 2:
-        cube_ok = cube_ok and (rad[0] * rad[-1] * rad[0]).is_zero()
-    checks.append(("radical cube vanishes (sampled)", cube_ok, ""))
+    checks.append(("radical cube vanishes (sampled)", radical_cube_vanishes(cb), ""))
 
     bf = center_brute_force(P)
     checks.append((f"brute-force commutant dimension = {expected}",
@@ -782,14 +800,15 @@ def suite_ribbon(theory: Theory):
     d11 = conformal_weight_exponent(P, 1, 1)
     checks.append(("Delta_{1,1} = 0 exactly", d11 % P.N == 0, ""))
 
-    checks.append(("multiplicative Jordan split v = vbar v*",
-                   (rib.v - rib.v_semisimple * rib.v_unipotent).is_zero(), ""))
-    x = rib.v_unipotent - P.one
-    checks.append(("(v* - 1) is nilpotent (cube vanishes)",
-                   (x * x * x).is_zero(), ""))
+    # the central products of the Jordan split, on the weight forms
+    mul = P.weight_mul
+    v, vbar, vstar, vplus, vminus = map(P.weight_form, (
+        rib.v, rib.v_semisimple, rib.v_unipotent, rib.v_factor_plus, rib.v_factor_minus))
+    checks.append(("multiplicative Jordan split v = vbar v*", mul(vbar, vstar) == v, ""))
+    x = P.weight_form(rib.v_unipotent - P.one)
+    checks.append(("(v* - 1) is nilpotent (cube vanishes)", not mul(mul(x, x), x), ""))
     checks.append(("v* = (1 + chi_col(1,1)/p+)(1 + chi_row(1,1)/p-)",
-                   (rib.v_unipotent - rib.v_factor_plus * rib.v_factor_minus).is_zero(),
-                   ""))
+                   mul(vplus, vminus) == vstar, ""))
     cf_ok = all((ribbon_factor_closed_form(P, sec) - factor).is_zero()
                 for sec, factor in zip(P.sectors, (rib.v_factor_plus, rib.v_factor_minus)))
     checks.append(("unipotent factors match the explicit double sums", cf_ok, ""))

@@ -11,7 +11,7 @@ from qpm.center import (center_brute_force, center_dimension,
 from qpm.duality import Theory
 from qpm.linalg import SpanSolver, SparseMat
 from qpm.reps import cached_irreducible, irreducible_labels
-from qpm.verify import radical_table_holds
+from qpm.verify import idempotents_hold, radical_cube_vanishes, radical_table_holds
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +111,26 @@ def test_radical_table_check_can_fail(cb23):
     }
     for what, cb in broken.items():
         assert not radical_table_holds(cb), what
+
+
+def test_idempotent_and_cube_checks_can_fail(cb23):
+    assert idempotents_hold(cb23) and radical_cube_vanishes(cb23)
+    e, v, w = cb23.idempotents, cb23.v_interior, cb23.w_interior
+    doubled = replace(cb23, idempotents={**e, (1, 1): e[(1, 1)] * 2})
+    assert not idempotents_hold(doubled)
+    # the orthogonal-complete check is symmetric in the labels, so two
+    # swapped idempotents pass it; e(blk) n = n in the radical table
+    # catches the swap of an interior block's idempotent
+    swapped = replace(cb23, idempotents={**e, (1, 1): e[(1, 3)], (1, 3): e[(1, 1)]})
+    assert idempotents_hold(swapped) and not radical_table_holds(swapped)
+    # a v plus its block's idempotent is no longer nilpotent
+    ne = ("ne", (1, 1))
+    assert not radical_cube_vanishes(replace(cb23, v_interior={**v, ne: v[ne] + e[(1, 1)]}))
+    # an interior v added to a w stays in the radical, whose cube is 0, so
+    # no cube check can see it; the radical table does
+    up = ("up", (1, 1))
+    shifted = replace(cb23, w_interior={**w, up: w[up] + v[ne]})
+    assert radical_cube_vanishes(shifted) and not radical_table_holds(shifted)
 
 
 def test_rescaled_boundary_v_changes_no_table_entry():

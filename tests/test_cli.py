@@ -174,6 +174,24 @@ def test_verify_checks_without_suite(capsys):
     assert captured.out == ""
 
 
+def test_verify_rejects_output(tmp_path, capsys):
+    target = tmp_path / "ledger.txt"
+    code = main(["--p-plus", "1", "--p-minus", "2", "--output", str(target),
+                 "verify", "--checks", "hopf-axioms"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--output" in captured.err and captured.out == ""
+    assert not target.exists()
+
+
+def test_verify_rejects_csv(capsys):
+    code = main(["--p-plus", "1", "--p-minus", "2", "--format", "csv",
+                 "verify", "--checks", "hopf-axioms"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--format csv" in captured.err and captured.out == ""
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "qpm.cli", "--p-plus", "1",
                            "--p-minus", "2", "info"],

@@ -476,3 +476,40 @@ def test_reduction_table_ignores_outside_files(tmp_path, monkeypatch):
     ctx = CycloContext(48)
     assert ctx.root_of_unity(16) != ctx.one
     assert ctx.root_of_unity(24) == ctx.integer(-1)
+
+
+@pytest.mark.parametrize("order", (48, 72, 144, 240, 288))
+def test_two_term_inverse_matches_euclid(order):
+    # A two-term x = (c1 zeta^i + c2 zeta^j)/d has a closed-form inverse
+    # whose shape is the order o of zeta^(j-i) and the class of t = c2/c1:
+    # t = -1, t = 1 (o even and odd), or any other t.  Every exponent gap
+    # j - i and every class is inverted; for one gap per (o, class) the
+    # result must equal the Euclidean path's in value and key order.
+    import random
+    ctx = CycloContext(order)
+    rng = random.Random(order)
+    compared = set()
+    for step in range(1, ctx.phi):
+        o = order // math.gcd(order, step)
+        for cls in ("t=-1", "t=1", "other"):
+            c1 = rng.choice([1, -1, 2, -3, 5])
+            c2 = {"t=-1": -c1, "t=1": c1}.get(cls) or c1 * rng.choice([-2, 3]) + 1
+            i = rng.randrange(ctx.phi - step)
+            num = {i: c1, i + step: c2}
+            if rng.random() < 0.5:
+                num = dict(reversed(num.items()))
+            x = ctx.reduce(num, rng.choice([1, 2, 35]))
+            assert len(x.num) == 2
+            inv = x.inv()
+            assert x * inv == ctx.one and inv * x == ctx.one
+            assert list(inv.num) == sorted(inv.num)
+            shape = (o, cls, o % 2)
+            if shape not in compared:
+                compared.add(shape)
+                euclid = x._inv_euclid()
+                assert inv == euclid and list(inv.num) == list(euclid.num)
+    # both special cases were met, and t = 1 with odd o wherever a gap of
+    # odd order fits below phi (not at N = 48)
+    classes = {(cls, parity) for _, cls, parity in compared}
+    assert {("t=-1", 0), ("t=1", 0), ("other", 0)} <= classes
+    assert (("t=1", 1) in classes) == (order != 48)

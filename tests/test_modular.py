@@ -1,5 +1,6 @@
 """Modular action: S/T matrices, subrepresentation blocks, factorization."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -164,6 +165,29 @@ def test_factorization_reports_a_wrong_xi(T23, ma23, monkeypatch):
     failures = ma23.verify_factorization()["failures"]
     assert failures
     assert any(f.startswith("[") for f in failures)
+
+
+def _perturbed_entry(mat, i, j, delta):
+    out = [list(row) for row in mat]
+    out[i][j] = out[i][j] + delta
+    return out
+
+
+def test_coordinate_checks_can_fail(T23, ma23):
+    """The S and T checks decide on coordinate vectors; a single wrong
+    matrix entry must show.  T is perturbed on the diagonal at the Radford
+    image of the trivial module's trace, a coordinate that both the
+    transformation families and the kappa eigenvectors reach."""
+    one = ma23.params.ctx.one
+    k = T23._basis_index["qtr", (1, 1, 1)]
+    broken = copy.copy(ma23)
+    broken.T = _perturbed_entry(ma23.T, k, k, one)
+    assert not broken.verify_transformations()["ok"]
+    assert not broken.verify_subrepresentations()["ok"]
+    broken = copy.copy(ma23)
+    broken.S = _perturbed_entry(ma23.S, 0, 0, one)
+    assert not broken.sl2z_relations()["S2_identity"]
+    assert not broken.verify_s_exchanges_bases()
 
 
 def test_anomaly_scalar(ma12, ma23, T12, T23):

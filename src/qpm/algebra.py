@@ -103,7 +103,9 @@ class Sector:
     other; it is an involution, so `a, b = sec.lab(*label)` splits a label.
     A formula that comes in a plus/minus pair is written once, as a loop
     over Params.sectors.  pseudo names the sector's pseudotrace family in
-    the gamma basis: "nesw" (columns) for plus, "nwse" (rows) for minus."""
+    the gamma basis: "nesw" (columns) for plus, "nwse" (rows) for minus.
+    reflected is the arrow of Params.linked that reflects the sector's own
+    index, a -> p - a: "right" for plus, "left" for minus."""
 
     def __init__(self, ctx: CycloContext, sign: str, p: int, p_other: int):
         self.ctx = ctx
@@ -116,6 +118,7 @@ class Sector:
         self.Q = ctx.root_of_unity(self.zQ)
         self.e, self.f = ("ep", "fp") if sign == "+" else ("em", "fm")
         self.pseudo = "nesw" if sign == "+" else "nwse"
+        self.reflected = "right" if sign == "+" else "left"
         self._values = {}
 
     def lab(self, a: int, b: int) -> tuple:
@@ -221,19 +224,43 @@ class Params:
                 + [sec.lab(a, sec.p_other) for sec in self.sectors for a in range(1, sec.p)]
                 + [(self.p_plus, self.p_minus), (0, self.p_minus)])
 
+    # -- the linkage table ----------------------------------------------------
+
+    def linked(self, alpha: int, r: int, s: int) -> dict:
+        """The irreducibles linked to X^alpha_{r,s}, itself included, as
+        {arrow: (alpha', r', s')} in the order up, right, left, down:
+
+            up     (alpha, r, s)
+            right  (-alpha, p_+ - r, s)          when r < p_+
+            left   (-alpha, r, p_- - s)          when s < p_-
+            down   (alpha, p_+ - r, p_- - s)     when both hold
+
+        This is the one statement of the linkage rule: four members on the
+        interior, two on a boundary, one at (p_+, p_-)."""
+        p, q = self.p_plus, self.p_minus
+        out = {"up": (alpha, r, s)}
+        if r < p:
+            out["right"] = (-alpha, p - r, s)
+        if s < q:
+            out["left"] = (-alpha, r, q - s)
+        if r < p and s < q:
+            out["down"] = (alpha, p - r, q - s)
+        return out
+
+    def block_members(self, r: int, s: int) -> dict:
+        """The members of the linkage block (r, s) in set_I, keyed by arrow:
+        linked(1, r, s), and for the block (0, p_-) its single member
+        (-1, p_+, p_-)."""
+        if (r, s) == (0, self.p_minus):
+            return self.linked(-1, self.p_plus, self.p_minus)
+        return self.linked(1, r, s)
+
     def block_of(self, alpha: int, r: int, s: int):
         """The linkage block, a label in set_I, of the irreducible
-        X^alpha_{r,s}."""
-        p, q = self.p_plus, self.p_minus
-        if (r, s) == (p, q):
-            return (r, s) if alpha > 0 else (0, q)
-        if s == q:
-            return (r, s) if alpha > 0 else (p - r, s)
-        if r == p:
-            return (r, s) if alpha > 0 else (r, q - s)
-        if alpha < 0:
-            r = p - r  # X^-_{r,s} is linked to X^+_{p_+ - r, s}
-        return (r, s) if (r, s) in self.set_I1() else (p - r, q - s)
+        X^alpha_{r,s}: the inverse of block_members."""
+        return self.cached("block_of", lambda: {
+            lab: blk for blk in self.set_I()
+            for lab in self.block_members(*blk).values()})[alpha, r, s]
 
     # -- lazily built structures --------------------------------------------
 
@@ -587,9 +614,6 @@ class AlgebraElement:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def commutator(self, other) -> "AlgebraElement":
-        return self * other - other * self
 
     # -- Hopf operations ------------------------------------------------------
 

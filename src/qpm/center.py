@@ -10,6 +10,10 @@ K-weight projectors:
 * boundary blocks carry two 'v' elements each;
 * Steinberg-type blocks are semisimple.
 
+A block's members, and the arrows that key its 'w' and boundary 'v'
+elements and its read probes, are those of the linkage table,
+Params.linked / Params.block_members.
+
 Construction: the minimal polynomial psi_p of each Casimir factors with
 double roots away from +-2.  psi_p is defined once, as the LaurentZ
 `cyclotomic.psi_poly`, which the Chebyshev presentation of the Grothendieck
@@ -41,10 +45,6 @@ __all__ = [
     "CenterDecomposition",
     "center_dimension",
 ]
-
-# sector sign -> the arrow of weight_projectors (and of the boundary
-# v elements) that reflects the sector's own index
-_REFLECTED = {"+": "right", "-": "left"}
 
 # w arrow -> the two v arrows of its block whose product is
 # RADICAL_PRODUCT_SCALE * w
@@ -216,28 +216,21 @@ def _read_probes(params: Params) -> dict:
     uu, ud, du, dd = ("u", "u", 0, 0), ("u", "d", 0, 0), ("d", "u", 0, 0), ("d", "d", 0, 0)
     probes = {}
     for (r, s) in P.set_I1():
-        p_up = cached_projective(P, 1, r, s)
-        p_rt = cached_projective(P, -1, P.p_plus - r, s)
-        p_lf = cached_projective(P, -1, r, P.p_minus - s)
-        p_dn = cached_projective(P, 1, P.p_plus - r, P.p_minus - s)
+        cover = {arrow: cached_projective(P, *lab)
+                 for arrow, lab in P.linked(1, r, s).items()}
         probes.update({
-            ("v", ("ne", (r, s))): (p_up, uu, du),
-            ("v", ("nw", (r, s))): (p_lf, uu, ud),
-            ("v", ("sw", (r, s))): (p_dn, uu, du),
-            ("v", ("se", (r, s))): (p_rt, uu, ud),
-            ("w", ("up", (r, s))): (p_up, uu, dd),
-            ("w", ("right", (r, s))): (p_rt, uu, dd),
-            ("w", ("left", (r, s))): (p_lf, uu, dd),
-            ("w", ("down", (r, s))): (p_dn, uu, dd),
+            ("v", ("ne", (r, s))): (cover["up"], uu, du),
+            ("v", ("nw", (r, s))): (cover["left"], uu, ud),
+            ("v", ("sw", (r, s))): (cover["down"], uu, du),
+            ("v", ("se", (r, s))): (cover["right"], uu, ud),
         })
+        probes.update({("w", (arrow, (r, s))): (m, uu, dd) for arrow, m in cover.items()})
     u, d = ("u", 0, 0), ("d", 0, 0)
     for sec in P.sectors:
         for a in range(1, sec.p):
             lab = sec.lab(a, sec.p_other)
-            refl = sec.lab(sec.p - a, sec.p_other)
-            probes[("vb", ("up", lab))] = (cached_projective(P, 1, *lab), u, d)
-            probes[("vb", (_REFLECTED[sec.sign], lab))] = (
-                cached_projective(P, -1, *refl), u, d)
+            for arrow, member in P.linked(1, *lab).items():
+                probes[("vb", (arrow, lab))] = (cached_projective(P, *member), u, d)
     return probes
 
 
@@ -290,8 +283,8 @@ def canonical_basis(params: Params) -> CanonicalCenterBasis:
             lab = sec.lab(a, sec.p_other)
             proj = weight_projectors(P, *lab)
             nil = projection(sec, *lab)[1] * projection(other, *lab)[0]
-            v_boundary[("up", lab)] = nil * proj["up"]
-            v_boundary[(_REFLECTED[sec.sign], lab)] = nil * proj[_REFLECTED[sec.sign]]
+            for arrow in P.linked(1, *lab):
+                v_boundary[(arrow, lab)] = nil * proj[arrow]
 
     families = {"v": v_interior, "w": w_interior, "vb": v_boundary}
     read_entries = {}
@@ -376,13 +369,9 @@ def decompose_central(params: Params, z: AlgebraElement,
     if not is_central(P, z):
         raise ValueError("element is not central")
     a = {}
-    for (r, s) in P.set_I():
-        if (r, s) == (0, P.p_minus):
-            m = cached_irreducible(P, -1, P.p_plus, P.p_minus)
-        else:
-            m = cached_irreducible(P, 1, r, s)
-        mat = m.act(z)
-        a[(r, s)] = mat.get(0, 0, ctx.zero)
+    for blk in P.set_I():
+        m = cached_irreducible(P, *P.block_members(*blk)["up"])
+        a[blk] = m.act(z).get(0, 0, ctx.zero)
     coeffs = {"v": {}, "w": {}, "vb": {}}
     probes = _read_probes(P)
     acts = {m: m.act(z) for m in dict.fromkeys(m for m, _, _ in probes.values())}

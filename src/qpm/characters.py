@@ -7,18 +7,16 @@ irreducible modules together with pseudotraces
 x -> Tr(g^-1 x sigma) taken over direct sums of projective covers in a
 single linkage block, where sigma is a suitable non-module map.
 
-Block layout for an interior Kac label (r, r'): the four projective covers
-
-    'u' -> P^+_{r, r'}        'r' -> P^-_{p_+ - r, r'}
-    'l' -> P^-_{r, p_- - r'}  'd' -> P^+_{p_+ - r, p_- - r'}
-
-are summed; sigma kills every basis vector except the deepest ones
+The block module of a label (r, r') sums the projective covers of the
+irreducibles linked to X^+_{r,r'} (Params.linked), in the table's order,
+each under the initial of its arrow: 'u', 'r', 'l', 'd' on the interior.
+On an interior block sigma kills every basis vector except the deepest ones
 (outer suit 'd', inner suit 'd'), which it sends to a four-term combination with
 one free coefficient per (greek letter, arrow, component).  The constraint
 set that makes the trace a q-character couples the sixteen coefficients
 across components.
 
-Boundary blocks have two projective covers and a single deck; sigma there
+Boundary blocks have two projective covers, each a single deck; sigma there
 maps the bottom irreducible's basis vectors to the corresponding top ones.
 The defining references only pin the interior construction, so the boundary
 variant is validated behaviorally (q-character predicate plus the known
@@ -273,47 +271,27 @@ class PseudotraceSpec:
                 == g("beta", "up", "r", ctx) == g("beta", "up", "d", ctx))
 
 
-def _block(params: Params, label: str, comps) -> tuple:
-    """The (module, ranges) pair of a block: the shared projective covers
-    named by comps, (bullet, (alpha, r, s)) pairs, summed in order; ranges
-    maps a bullet to (lo, hi, cover)."""
-    covers = [(bullet, cached_projective(params, *lab)) for bullet, lab in comps]
-    ranges = {}
-    offset = 0
-    for bullet, m in covers:
-        ranges[bullet] = (offset, offset + m.dim, m)
-        offset += m.dim
-    module = reduce(direct_sum, (m for _, m in covers))
-    module.label = label
-    return module, ranges
-
-
 def block_module(params: Params, r: int, s: int) -> tuple:
-    """Direct sum of the projective covers in the linkage block of the
-    interior label (r, s); returns (module, component ranges) where ranges
-    maps a bullet to its basis-offset window."""
+    """Direct sum of the projective covers of the irreducibles linked to
+    X^+_{r,s}, in the order of Params.linked: four on the interior, two on
+    a boundary.  Returns (module, ranges), where ranges maps a bullet, the
+    initial of the cover's arrow, to (lo, hi, cover), its basis-offset
+    window."""
     P = params
-    return P.cached(("block", r, s), lambda: _block(P, f"Block({r},{s})", [
-        ("u", (1, r, s)),
-        ("r", (-1, P.p_plus - r, s)),
-        ("l", (-1, r, P.p_minus - s)),
-        ("d", (1, P.p_plus - r, P.p_minus - s)),
-    ]))
 
+    def build():
+        covers = [(arrow[0], cached_projective(P, *lab))
+                  for arrow, lab in P.linked(1, r, s).items()]
+        ranges = {}
+        offset = 0
+        for bullet, m in covers:
+            ranges[bullet] = (offset, offset + m.dim, m)
+            offset += m.dim
+        module = reduce(direct_sum, (m for _, m in covers))
+        module.label = f"Block({r},{s})"
+        return module, ranges
 
-def boundary_block_module(params: Params, r: int, s: int) -> tuple:
-    """Two-cover block for a boundary label: (r, p_-) with r < p_+ pairs
-    P^+_{r,p_-} with P^-_{p_+-r,p_-}; (p_+, s) with s < p_- pairs
-    P^+_{p_+,s} with P^-_{p_+,p_--s}."""
-    P = params
-    if s == P.p_minus:
-        other = ("r", (-1, P.p_plus - r, s))
-    elif r == P.p_plus:
-        other = ("l", (-1, r, P.p_minus - s))
-    else:
-        raise ValueError("not a boundary label")
-    return P.cached(("boundary_block", r, s), lambda: _block(
-        P, f"BlockBdry({r},{s})", [("u", (1, r, s)), other]))
+    return P.cached(("block", r, s), build)
 
 
 def sigma_endomorphism(params: Params, spec: PseudotraceSpec) -> tuple:
@@ -351,7 +329,7 @@ def sigma_endomorphism(params: Params, spec: PseudotraceSpec) -> tuple:
 def boundary_sigma(params: Params, r: int, s: int, coeff: Cyclo) -> tuple:
     """Bottom-to-top sigma on a boundary block, same coefficient on both
     components."""
-    module, ranges = boundary_block_module(params, r, s)
+    module, ranges = block_module(params, r, s)
     data = {}
     for bullet, (lo, _hi, comp) in ranges.items():
         for lab, i in comp.index.items():
@@ -380,33 +358,28 @@ class CharacterSpace:
         plus, minus = P.sectors
 
         entries = []  # (kind, label, functional)
+
+        def traces(*blocks):
+            """The balanced traces of the members of each block, in the
+            order of Params.block_members."""
+            for blk in blocks:
+                for lab in P.block_members(*blk).values():
+                    entries.append(("qtr", lab, qtrace(P, *lab)))
+
         # reading order of the distinguished basis
-        entries.append(("qtr", (1, P.p_plus, P.p_minus), qtrace(P, 1, P.p_plus, P.p_minus)))
+        traces((P.p_plus, P.p_minus))
         for r in range(1, P.p_plus):
             entries.append(("nesw", (r, P.p_minus), self.gamma_arrow(plus, r, P.p_minus)))
         for (r, s) in I1:
             entries.append(("upup", (r, s), self.gamma_upup(r, s)))
         for s in range(1, P.p_minus):
             entries.append(("nwse", (P.p_plus, s), self.gamma_arrow(minus, P.p_plus, s)))
-        entries.append(("qtr", (-1, P.p_plus, P.p_minus), qtrace(P, -1, P.p_plus, P.p_minus)))
-        for r in range(1, P.p_plus):
-            entries.append(("qtr", (1, r, P.p_minus), qtrace(P, 1, r, P.p_minus)))
-            entries.append(("qtr", (-1, P.p_plus - r, P.p_minus),
-                            qtrace(P, -1, P.p_plus - r, P.p_minus)))
+        traces((0, P.p_minus), *((r, P.p_minus) for r in range(1, P.p_plus)))
         for r in range(1, P.p_plus):
             for s in range(1, P.p_minus):
                 entries.append(("nesw", (r, s), self.gamma_arrow(plus, r, s)))
                 entries.append(("nwse", (r, s), self.gamma_arrow(minus, r, s)))
-        for s in range(1, P.p_minus):
-            entries.append(("qtr", (1, P.p_plus, s), qtrace(P, 1, P.p_plus, s)))
-            entries.append(("qtr", (-1, P.p_plus, P.p_minus - s),
-                            qtrace(P, -1, P.p_plus, P.p_minus - s)))
-        for (r, s) in I1:
-            entries.append(("qtr", (1, r, s), qtrace(P, 1, r, s)))
-            entries.append(("qtr", (-1, P.p_plus - r, s), qtrace(P, -1, P.p_plus - r, s)))
-            entries.append(("qtr", (-1, r, P.p_minus - s), qtrace(P, -1, r, P.p_minus - s)))
-            entries.append(("qtr", (1, P.p_plus - r, P.p_minus - s),
-                            qtrace(P, 1, P.p_plus - r, P.p_minus - s)))
+        traces(*((P.p_plus, s) for s in range(1, P.p_minus)), *I1)
         self.entries = entries
         expected = ((3 * P.p_plus - 1) * (3 * P.p_minus - 1)) // 2
         if len(entries) != expected:
@@ -426,10 +399,8 @@ class CharacterSpace:
             module, sigma = boundary_sigma(P, r, s, c)
         else:
             letter, arrow, own, reflected = _ARROW_SIGMA[sec.sign]
-            block, bullets = (r, s), own
-            if block not in P.set_I1():
-                block, bullets = (P.p_plus - r, P.p_minus - s), reflected
-                assert block in P.set_I1()
+            block = P.block_of(1, r, s)
+            bullets = own if block == (r, s) else reflected
             module, sigma = sigma_endomorphism(P, PseudotraceSpec(
                 block, {(letter, arrow, bullet): c for bullet in bullets}))
         return trace_functional(module, sigma)

@@ -108,16 +108,6 @@ def cmd_center(args):
     return 0
 
 
-def _block_labels(P, name):
-    if name == "minimal" or name == "triplet":
-        return P.set_I1()
-    if name == "slash":
-        return P.set_I_diag(P.plus)
-    if name == "bslash":
-        return P.set_I_diag(P.minus)
-    return P.set_I()
-
-
 def _matrix_doc(mat, labels, precision):
     """The basis, each entry at `precision` and the 53-bit float matrix.
 
@@ -148,9 +138,8 @@ def cmd_smatrix(args):
     th = Theory(P)
     ma = ModularAction(th)
     doc = _matrix_doc(ma.S, th.characters.labels(), args.precision)
-    doc["blocks"] = {name: {"labels": [repr(l) for l in _block_labels(P, name)],
-                            "dim": dim}
-                     for name, _els, dim in ma.blocks()}
+    doc["blocks"] = {name: {"labels": [repr(l) for l in labels], "dim": dim}
+                     for name, labels, _els, dim in ma.blocks()}
     _emit(args, doc, _matrix_rows(doc))
     return 0
 

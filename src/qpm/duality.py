@@ -700,25 +700,20 @@ class Theory:
     # named central combinations ---------------------------------------------
 
     def kappa_hat(self, r, s) -> AlgebraElement:
-        P = self.params
-        if (r, s) == (P.p_plus, P.p_minus):
-            return self.phi_hat(1, P.p_plus, P.p_minus)
-        if (r, s) == (0, P.p_minus):
-            return self.phi_hat(-1, P.p_plus, P.p_minus)
-        if s == P.p_minus:
-            return self.phi_hat(1, r, s) + self.phi_hat(-1, P.p_plus - r, s)
-        if r == P.p_plus:
-            return self.phi_hat(1, r, s) + self.phi_hat(-1, r, P.p_minus - s)
-        return (self.phi_hat(1, r, s) + self.phi_hat(-1, P.p_plus - r, s)
-                + self.phi_hat(-1, r, P.p_minus - s)
-                + self.phi_hat(1, P.p_plus - r, P.p_minus - s))
+        """The sum of phi_hat over the members of the block (r, s) in I."""
+        first, *rest = (self.phi_hat(*lab)
+                        for lab in self.params.block_members(r, s).values())
+        return sum(rest, first)
 
     def varphi_hat(self, r, s) -> AlgebraElement:
+        """The sum of alpha' (p_+ - r') (p_- - s') phi_hat(alpha', r', s')
+        over the four members of the interior block (r, s)."""
         P = self.params
-        return (self.phi_hat(1, r, s) * ((P.p_plus - r) * (P.p_minus - s))
-                - self.phi_hat(-1, P.p_plus - r, s) * (r * (P.p_minus - s))
-                - self.phi_hat(-1, r, P.p_minus - s) * ((P.p_plus - r) * s)
-                + self.phi_hat(1, P.p_plus - r, P.p_minus - s) * (r * s))
+        out = P.zero
+        for alpha, rr, ss in P.linked(1, r, s).values():
+            term = self.phi_hat(alpha, rr, ss) * ((P.p_plus - rr) * (P.p_minus - ss))
+            out = out + term if alpha > 0 else out - term
+        return out
 
     # The sector families.  With a, b = sec.lab(r, s), sec's index a and the
     # other sector's b: rho_diag and varphi_diag are rho^/ and varphi^/ for
@@ -726,15 +721,14 @@ class Theory:
     # sector (labels I_bslash); varphi_arrow is varphi^nesw or varphi^nwse.
 
     def rho_diag(self, sec: Sector, r, s) -> AlgebraElement:
-        a, b = sec.lab(r, s)
-        p, po = sec.p, sec.p_other
-        if b == po:
-            return (self.phi_hat(1, r, s) * (p - a)
-                    - self.phi_hat(-1, *sec.lab(p - a, b)) * a)
-        return ((self.phi_hat(1, r, s) + self.phi_hat(-1, *sec.lab(a, po - b)))
-                * (p - a)
-                - (self.phi_hat(-1, *sec.lab(p - a, b))
-                   + self.phi_hat(1, *sec.lab(p - a, po - b))) * a)
+        """(p - a) times the phi_hat sum over the block members that keep
+        sec's index a, minus a times the sum over those that reflect it
+        (the arrows sec.reflected and 'down')."""
+        a, _ = sec.lab(r, s)
+        keep, reflect = [], []
+        for arrow, lab in self.params.linked(1, r, s).items():
+            (reflect if arrow in (sec.reflected, "down") else keep).append(self.phi_hat(*lab))
+        return sum(keep[1:], keep[0]) * (sec.p - a) - sum(reflect[1:], reflect[0]) * a
 
     def varphi_diag(self, sec: Sector, r, s) -> AlgebraElement:
         P = self.params

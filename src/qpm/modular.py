@@ -49,15 +49,13 @@ class ModularData:
     params: Params
     central_charge: Fraction
     t_phase: Cyclo          # exp(-i pi c / 12)
-    delta_exponents: dict   # (r,s) in I -> zeta-exponent of exp(2 pi i Delta)
 
     @staticmethod
     def build(params: Params) -> "ModularData":
         P = params
         c = Fraction(13) - Fraction(6 * P.p_plus, P.p_minus) - Fraction(6 * P.p_minus, P.p_plus)
         phase_exp = -(13 * P.pp - 6 * P.p_plus ** 2 - 6 * P.p_minus ** 2)
-        deltas = {lab: conformal_weight_exponent(P, *lab) for lab in P.set_I()}
-        return ModularData(P, c, P.ctx.root_of_unity(phase_exp), deltas)
+        return ModularData(P, c, P.ctx.root_of_unity(phase_exp))
 
 
 def _sparse(co):
@@ -135,17 +133,8 @@ class ModularAction:
     def from_coords(self, co) -> AlgebraElement:
         return self.params.linear_combination(zip(self.theory.radford_basis, co))
 
-    def _apply(self, mat, z: AlgebraElement) -> AlgebraElement:
-        return self.from_coords(mat_vec_dense(mat, self.coords(z), self.params.ctx))
-
     def s_map(self, z: AlgebraElement) -> AlgebraElement:
-        return self._apply(self.S, z)
-
-    def s_inverse(self, z: AlgebraElement) -> AlgebraElement:
-        return self._apply(self.C, z)
-
-    def t_map(self, z: AlgebraElement) -> AlgebraElement:
-        return self._apply(self.T, z)
+        return self.from_coords(mat_vec_dense(self.S, self.coords(z), self.params.ctx))
 
     # -- the checks' coordinates ------------------------------------------------
     #
@@ -210,24 +199,27 @@ class ModularAction:
     # -- distinguished blocks ---------------------------------------------------
 
     def blocks(self):
-        """The five S,T-stable blocks as (name, [elements], expected_dim)."""
+        """The five S,T-stable blocks as (name, labels, [elements],
+        expected_dim), where labels are the Kac labels that index the
+        block's elements."""
         th = self.theory
         P = self.params
         I1 = P.set_I1()
         out = []
-        out.append(("minimal", [th.varphi_cross(r, s) for (r, s) in I1],
+        out.append(("minimal", I1, [th.varphi_cross(r, s) for (r, s) in I1],
                     ((P.p_plus - 1) * (P.p_minus - 1)) // 2))
         trip = []
         for (r, s) in I1:
             trip.append(th.radford_image("upup", (r, s)))
             trip.append(th.psi_hat(r, s))
             trip.append(th.varphi_hat(r, s))
-        out.append(("triplet", trip, 3 * ((P.p_plus - 1) * (P.p_minus - 1)) // 2))
+        out.append(("triplet", I1, trip, 3 * ((P.p_plus - 1) * (P.p_minus - 1)) // 2))
         for sec, name in zip(P.sectors, ("slash", "bslash")):
-            out.append((name, [el for (r, s) in P.set_I_diag(sec)
-                               for el in (th.rho_diag(sec, r, s), th.varphi_diag(sec, r, s))],
+            labels = P.set_I_diag(sec)
+            out.append((name, labels, [el for (r, s) in labels
+                                       for el in (th.rho_diag(sec, r, s), th.varphi_diag(sec, r, s))],
                         (sec.p - 1) * (sec.p_other + 1)))
-        out.append(("projective", [th.kappa_hat(r, s) for (r, s) in P.set_I()],
+        out.append(("projective", P.set_I(), [th.kappa_hat(r, s) for (r, s) in P.set_I()],
                     ((P.p_plus + 1) * (P.p_minus + 1)) // 2))
         return out
 
@@ -239,8 +231,10 @@ class ModularAction:
         ctx = P.ctx
         report = {"blocks": {}, "failures": []}
         vecs = {}
+        labels = {}
         total = 0
-        for name, elements, expected in self.blocks():
+        for name, block_labels, elements, expected in self.blocks():
+            labels[name] = block_labels
             vecs[name] = [self._vec(el) for el in elements]
             solver = SpanSolver(vecs[name], ctx)
             dim = solver.rank
@@ -264,9 +258,8 @@ class ModularAction:
         zeta = ctx.root_of_unity
         ph = self.data.t_phase
         eigen_checks = []
-        for kind, name, labels in (("kappa", "projective", P.set_I()),
-                                   ("cross", "minimal", P.set_I1())):
-            for (r, s), co in zip(labels, vecs[name]):
+        for kind, name in (("kappa", "projective"), ("cross", "minimal")):
+            for (r, s), co in zip(labels[name], vecs[name]):
                 x = _mat_vec(self.S, co)
                 ev = ph * zeta(conformal_weight_exponent(P, r, s))
                 eigen_checks.append(((kind, (r, s)), _mat_vec(self.T, x) == self._lin((x, ev))))
@@ -344,10 +337,10 @@ class ModularAction:
                 tp = tphase(r, s)
                 phi = lin((d(sec.pseudo, (r, s)), -((-1) ** b)),
                           (d(sec.pseudo, (P.p_plus - r, P.p_minus - s)), (-1) ** (po + b)))
-                rho = lin((chi_hat(-1, *sec.lab(p - a, b)), a),
-                          (chi_hat(1, P.p_plus - r, P.p_minus - s), a),
-                          (chi_hat(1, r, s), a - p),
-                          (chi_hat(-1, *sec.lab(a, po - b)), a - p))
+                # the block members that reflect sec's index weigh a, the
+                # others a - p
+                rho = lin(*((chi_hat(*lab), a if arrow in (sec.reflected, "down") else a - p)
+                            for arrow, lab in P.linked(1, r, s).items()))
                 if rho != lin((s_of(th.rho_diag(sec, r, s)), -1)):
                     failures.append((f"rho_{short} = -S rho_hat", (r, s)))
                 if t_of(phi) != lin((phi, tp), (rho, tp)):
@@ -359,7 +352,8 @@ class ModularAction:
                 top = sec.lab(p - a, po)
                 tp = tphase(*top)
                 phi = lin((d(sec.pseudo, top), (-1) ** po))
-                rho = lin((chi_hat(1, *top), a), (chi_hat(-1, *sec.lab(a, po)), a - p))
+                rho = lin((chi_hat(1, *top), a),
+                          (chi_hat(*P.linked(1, *top)[sec.reflected]), a - p))
                 if rho != s_of(th.rho_diag(sec, *top)):
                     failures.append((f"rho_{short} bdry = S rho_hat", sec.lab(a, 0)))
                 if t_of(phi) != lin((phi, tp), (rho, tp)):

@@ -18,11 +18,13 @@ sector's string index (n for P.plus, n' for P.minus):
     e:  u -> d, from index i to i - 1;
         u -> l and r -> d, from index 0 to the last index of the string.
 
-The boundary covers are decks, glue(P.plus, X^alpha_{r,s}, X^-alpha_{p_+-r,s})
-and glue(P.minus, X^alpha_{r,s}, X^-alpha_{r,p_--s}), with basis labels
-(suit, n, n'); the interior cover glues two plus decks in the minus sector,
-glue(P.minus, deck+(alpha,r,s), deck+(-alpha,r,p_--s)), with labels
-(outer suit, inner suit, n, n').  Basis order is u, l, r, d at each level.
+Which irreducibles meet in a cover is read from the linkage table,
+Params.linked.  A deck of the sector sec glues X^alpha_{r,s} to its member
+with sec's index reflected, linked(alpha, r, s)[sec.reflected]; the
+boundary covers are decks, with basis labels (suit, n, n').  The interior
+cover glues in the minus sector the plus decks over the label and over its
+'left' member, with labels (outer suit, inner suit, n, n').  Basis order is
+u, l, r, d at each level.
 
 All bases are K-diagonal; the integer K-weight w of a basis vector (with
 K-eigenvalue zeta^(12 w)) is stored alongside the matrices because several
@@ -293,16 +295,16 @@ def glue(sec: Sector, top: ModuleRep, side: ModuleRep, label: str) -> ModuleRep:
 
 def projective_deck(params: Params, alpha: int, sec: Sector, r: int, s: int) -> ModuleRep:
     """The two-story four-suit module of the sector sec over X^alpha_{r,s},
-    glued to the irreducible with sec's index reflected, a -> p - a, and the
-    opposite alpha: X^-alpha_{p_+ - r, s} for P.plus, X^-alpha_{r, p_- - s}
-    for P.minus.  These are the boundary projective covers when the other
-    sector's index is at its top, s = p_- for plus, r = p_+ for minus."""
+    glued to its linked irreducible with sec's index reflected, a -> p - a,
+    the arrow sec.reflected of Params.linked.  These are the boundary
+    projective covers when the other sector's index is at its top, s = p_-
+    for plus, r = p_+ for minus."""
     P = params
     sign = "+" if alpha > 0 else "-"
     a, b = sec.lab(r, s)
     if not (1 <= a <= sec.p - 1 and 1 <= b <= sec.p_other):
         raise ValueError(f"a deck of the {sec.sign} sector needs an index 1 <= a < {sec.p}")
-    side = cached_irreducible(P, -alpha, *sec.lab(sec.p - a, b))
+    side = cached_irreducible(P, *P.linked(alpha, r, s)[sec.reflected])
     return glue(sec, cached_irreducible(P, alpha, r, s), side,
                 f"Deck{sec.sign}({sign},{r},{s})")
 
@@ -311,7 +313,7 @@ def projective(params: Params, alpha: int, r: int, s: int) -> ModuleRep:
     """Projective cover of X^alpha_{r,s}: the irreducible itself at
     (p_+, p_-), shared with cached_irreducible, a single deck on the
     boundary, and on the interior the minus-sector gluing of the plus decks
-    over (alpha, r, s) and (-alpha, r, p_- - s)."""
+    over the label and over its member linked(alpha, r, s)['left']."""
     P = params
     if alpha not in (1, -1):
         raise ValueError("alpha must be +1 or -1")
@@ -326,8 +328,9 @@ def projective(params: Params, alpha: int, r: int, s: int) -> ModuleRep:
     elif r == P.p_plus:
         m = projective_deck(P, alpha, P.minus, r, s)
     else:
+        side_alpha, side_r, side_s = P.linked(alpha, r, s)[P.minus.reflected]
         return glue(P.minus, projective_deck(P, alpha, P.plus, r, s),
-                    projective_deck(P, -alpha, P.plus, r, P.p_minus - s), label)
+                    projective_deck(P, side_alpha, P.plus, side_r, side_s), label)
     m.label = label
     return m
 

@@ -10,10 +10,11 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from qpm import reps, verify
+from qpm import duality, reps, verify
 from qpm.algebra import Params
 from qpm.center import center_brute_force, center_dimension
 from qpm.duality import Theory
@@ -234,6 +235,36 @@ def test_dependent_radford_basis_fails_its_check():
     th.params.cache["radford_basis"] = basis
     passed = {check: ok for check, ok, _ in suite_radford_images(th)}
     assert passed["Radford basis is a basis of the center"] is False
+
+
+def _ledger_lines_with_center(monkeypatch, change, suite):
+    """The report lines of `suite` at (1,2) when the canonical basis is
+    change() of a copy of the true one."""
+    build = duality.canonical_basis
+    monkeypatch.setattr(duality, "canonical_basis", lambda P: change(build(P)))
+    lines = []
+    run_suites(1, 2, selection={suite}, report=lines.append)
+    return lines
+
+
+def test_bad_read_entry_fails_the_ribbon_decomposition(monkeypatch):
+    # decompose_central raises when the coefficients it reads do not
+    # reconstruct the element; the ledger reports that as a failed check
+    def change(cb):
+        key = ("vb", ("left", (1, 1)))
+        return replace(cb, read_entries={**cb.read_entries, key: cb.read_entries[key] * 2})
+
+    lines = _ledger_lines_with_center(monkeypatch, change, "ribbon-element")
+    assert "[FAIL] ribbon-element: ribbon decomposition in canonical elements" in lines
+
+
+def test_bad_idempotent_fails_the_decomposition_of_one(monkeypatch):
+    def change(cb):
+        lab = (1, 1)
+        return replace(cb, idempotents={**cb.idempotents, lab: cb.idempotents[lab] * 2})
+
+    lines = _ledger_lines_with_center(monkeypatch, change, "center-structure")
+    assert "[FAIL] center-structure: decompose(1) = sum of idempotents" in lines
 
 
 @pytest.mark.parametrize("selection", [set(), [], {"nope"}, {"hopf-axioms", "nope"}],

@@ -175,22 +175,32 @@ def test_steinberg_idempotent_action(P23, cb23):
             assert mat.is_zero()
 
 
-@pytest.mark.parametrize("theory", ["T12", "T23", "T32"])
+@pytest.fixture(scope="module")
+def T34():
+    return Theory(Params(3, 4))
+
+
+@pytest.mark.parametrize("theory", ["T12", "T23", "T32", "T14", "T34"])
 def test_block_of_names_the_idempotent_fixing_each_irreducible(theory, request):
-    # the idempotents come from the Casimir projections, apart from block_of
+    # the idempotents come from the Casimir projections, apart from the
+    # linkage table; (3,4) is the first pair with several interior blocks
     th = request.getfixturevalue(theory)
     P, cb = th.params, th.center
-    sizes = {}
+    fibres = {}
     for lab in irreducible_labels(P):
         blk = P.block_of(*lab)
-        sizes[blk] = sizes.get(blk, 0) + 1
+        fibres.setdefault(blk, set()).add(lab)
         m = cached_irreducible(P, *lab)
         assert (m.act(cb.idempotents[blk]) - SparseMat.identity(m.dim, P.ctx)).is_zero(), lab
+    # every irreducible's block is the set of its linked labels
+    for lab in irreducible_labels(P):
+        assert fibres[P.block_of(*lab)] == set(P.linked(*lab).values()), lab
     # four irreducibles per interior block, two per boundary block, one per
     # Steinberg-type block
-    assert sizes == {blk: 4 if blk in P.set_I1() else
-                     1 if blk in ((P.p_plus, P.p_minus), (0, P.p_minus)) else 2
-                     for blk in P.set_I()}
+    assert {blk: len(f) for blk, f in fibres.items()} == {
+        blk: 4 if blk in P.set_I1() else
+        1 if blk in ((P.p_plus, P.p_minus), (0, P.p_minus)) else 2
+        for blk in P.set_I()}
 
 
 def test_brute_force_dimensions(P12, P13, P23):

@@ -49,7 +49,8 @@ from .center import canonical_basis
 from .characters import CharacterSpace, Functional, counit_functional, qtrace
 from .cyclotomic import Cyclo, nonzero_sums, sparse_sum
 from .linalg import SpanSolver, invert_dense, mat_mul_dense, mat_vec_dense
-from .reps import GrothendieckIndex
+from .reps import (GrothendieckIndex, cached_irreducible, cached_projective,
+                   irreducible_labels)
 
 __all__ = [
     "IntegralData",
@@ -650,6 +651,18 @@ class Theory:
     @property
     def gr_index(self) -> GrothendieckIndex:
         return self.params.cached("gr_index", lambda: GrothendieckIndex(self.params))
+
+    @property
+    def irreducibles(self):
+        """{label: irreducible module} over irreducible_labels."""
+        P = self.params
+        return {lab: cached_irreducible(P, *lab) for lab in irreducible_labels(P)}
+
+    @property
+    def projective_covers(self):
+        """{label: projective cover of the irreducible} over irreducible_labels."""
+        P = self.params
+        return {lab: cached_projective(P, *lab) for lab in irreducible_labels(P)}
 
     # Radford and Drinfeld bases --------------------------------------------
 

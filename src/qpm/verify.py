@@ -7,7 +7,9 @@ deterministic.  All assertions are exact identities in Q(zeta_N).
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -24,8 +26,7 @@ from .duality import (Theory, conformal_weight_exponent,
 from .grothendieck import (gr_class, gr_multiply, verify_casimir_identities,
                            verify_presentation)
 from .linalg import SpanSolver, SparseMat
-from .reps import (cached_irreducible, cached_projective,
-                   irreducible_labels, tensor_product, verma)
+from .reps import cached_irreducible, irreducible_labels, tensor_product, verma
 
 __all__ = ["run_suites", "SUITE_ORDER", "SuiteSelectionError", "available_suites",
            "idempotents_hold", "radical_table_holds", "radical_cube_vanishes"]
@@ -165,13 +166,14 @@ def suite_modules(theory: Theory):
     checks.append(("Verma relations + dimension p+p-", verma_ok, ""))
     checks.append(("Verma composition factors", verma_cls_ok, ""))
 
+    covers = theory.projective_covers
     proj_ok = True
     proj_cls_ok = True
     filt_ok = True
     for alpha in (1, -1):
         for r in range(1, P.p_plus + 1):
             for s in range(1, P.p_minus + 1):
-                p = cached_projective(P, alpha, r, s)
+                p = covers[alpha, r, s]
                 # each linked irreducible as often as the block has members
                 linked = P.linked(alpha, r, s)
                 if p.dim != len(linked) * P.pp or p.check_relations():
@@ -187,7 +189,7 @@ def suite_modules(theory: Theory):
     # action is multiplicative (straightening oracle)
     rng = random.Random(271828)
     monos = sorted(P.monomials())
-    m = cached_projective(P, 1, 1, min(2, P.p_minus))
+    m = covers[1, 1, min(2, P.p_minus)]
     act_ok = True
     for _ in range(50):
         x = AlgebraElement(P, {rng.choice(monos): P.q})
@@ -749,8 +751,7 @@ def suite_ribbon(theory: Theory):
                    (rib.v.antipode() - rib.v).is_zero(), ""))
 
     eig_ok = True
-    for lab in irreducible_labels(P):
-        m = cached_irreducible(P, *lab)
+    for lab, m in theory.irreducibles.items():
         actv = m.act(rib.v)
         ev = zeta(conformal_weight_exponent(P, *P.block_of(*lab)))
         if not (actv - SparseMat.identity(m.dim, ctx).scale(ev)).is_zero():
@@ -873,6 +874,34 @@ SUITE_ORDER = [
     ("modular-action", suite_modular),
 ]
 
+# The lazily built Theory structures each suite reads, by attribute name.
+# A pooled run builds the listed structures of every selected suite in the
+# caller before it forks, so each is built once and the workers share it.
+# A structure that is not listed is built lazily in each worker that reads
+# it; nothing checks this table, and a stale one costs only speed.
+SUITE_READS = {
+    "hopf-axioms": (),
+    "module-relations": ("gr_index", "irreducibles", "projective_covers"),
+    "fusion-three-way": ("gr_index", "drinfeld_basis"),
+    "chebyshev-presentation": (),
+    "integral-suite": ("integral", "characters"),
+    "qcharacter-space": ("characters",),
+    "center-structure": ("center", "characters"),
+    "radford-images": ("center", "radford_basis"),
+    "drinfeld-images": ("m_matrix", "drinfeld_basis", "radford_basis"),
+    "ribbon-element": ("ribbon", "m_matrix", "center_basis_change", "radford_basis",
+                       "irreducibles"),
+    "modular-action": ("modular_action", "ribbon", "integral", "center_basis_change"),
+}
+
+# The order in which a pool takes the suites: longest check stage first, as
+# measured in forked workers at (2,5), where ribbon-element alone outlasts
+# the other ten together.
+HEAVIEST_FIRST = ("ribbon-element", "fusion-three-way", "modular-action",
+                  "drinfeld-images", "qcharacter-space", "integral-suite",
+                  "center-structure", "module-relations", "hopf-axioms",
+                  "radford-images", "chebyshev-presentation")
+
 
 def available_suites():
     return [name for name, _ in SUITE_ORDER]
@@ -882,6 +911,79 @@ class SuiteSelectionError(ValueError):
     """A suite selection that is empty or names an unknown suite."""
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _instrumented(suites) -> bool:
+    """A profiler or tracer counts in this process: a profile or trace hook
+    is set, or a suite is a wrapper (functools.wraps leaves __wrapped__).
+    What it counted in a forked worker would be lost when the worker ends,
+    so such a ledger runs in-process."""
+    return (sys.getprofile() is not None or sys.gettrace() is not None
+            or any(hasattr(fn, "__wrapped__") for fn in suites.values()))
+
+
+def _timed(fn, theory):
+    """(fn(theory), its wall time in seconds)."""
+    t0 = time.perf_counter()
+    checks = fn(theory)
+    return checks, time.perf_counter() - t0
+
+
+# Set only in a pool worker, by _enter_worker: the theory and the suites by
+# name, inherited from the caller at the fork.
+_WORKER = {}
+
+
+def _enter_worker(theory, suites):
+    _WORKER.update(theory=theory, suites=suites)
+
+
+def _run_in_worker(name):
+    return _timed(_WORKER["suites"][name], _WORKER["theory"])
+
+
+def _suite_pool(theory, suites):
+    """(pool, its worker processes): min(CPUs, suites) forked workers that
+    read the caller's structures copy-on-write, every structure the suites
+    read built first.  None, with nothing built, for fewer than two suites
+    or usable CPUs, where fork is not available, when the process runs
+    other threads (a fork copies only the calling one), or when it is
+    instrumented (_instrumented)."""
+    workers = min(_usable_cpus(), len(suites))
+    if workers < 2 or _instrumented(suites):
+        return None
+    import multiprocessing
+    import threading
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1):
+        return None
+    for name in suites:
+        for attr in SUITE_READS[name]:
+            getattr(theory, attr)
+    others = multiprocessing.active_children()
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, initializer=_enter_worker, initargs=(theory, suites))
+    return pool, [p for p in multiprocessing.active_children() if p not in others]
+
+
+def _worker_result(pending, workers):
+    """The value of the pool result `pending`.  A worker that ends before
+    the pool is terminated (killed by a signal, say) takes its suite with it
+    and the pool would wait for that suite forever, so this raises
+    ChildProcessError instead."""
+    while not pending.ready():
+        pending.wait(1.0)
+        if any(p.exitcode is not None for p in workers):
+            raise ChildProcessError("a ledger worker ended before its suite finished")
+    return pending.get()
+
+
 def run_suites(p_plus: int, p_minus: int, selection=None, report=print):
     """Run the selected verification suites; returns (all_passed, results).
 
@@ -889,6 +991,13 @@ def run_suites(p_plus: int, p_minus: int, selection=None, report=print):
     declaration order regardless of execution details.  selection is None
     for every suite, else a nonempty collection of suite names; anything
     else raises SuiteSelectionError, a ValueError, before any work.
+
+    With two or more suites and usable CPUs the suites run in a fork pool
+    (_suite_pool), heaviest first, unless a profiler or tracer counts in
+    this process; otherwise they run here, one after the other.  Either way results and report lines go out in declaration
+    order, each suite's as soon as every earlier one is done, seconds is the
+    suite's own wall time, and an exception a suite raises reaches the
+    caller after every worker has ended.
     """
     if selection is not None:
         selection = set(selection)
@@ -898,23 +1007,32 @@ def run_suites(p_plus: int, p_minus: int, selection=None, report=print):
             raise SuiteSelectionError(f"{what}; available: {available_suites()}")
     P = Params(p_plus, p_minus)
     theory = Theory(P)
-    results = []
-    all_ok = True
-    for name, fn in SUITE_ORDER:
-        if selection is not None and name not in selection:
-            continue
-        t0 = time.perf_counter()
-        checks = fn(theory)
-        dt = time.perf_counter() - t0
-        for check, passed, detail in checks:
-            results.append((name, check, passed, detail, dt))
-            all_ok = all_ok and passed
+    suites = {name: fn for name, fn in SUITE_ORDER
+              if selection is None or name in selection}
+    pooled = _suite_pool(theory, suites)
+    try:
+        if pooled:
+            pool, workers = pooled
+            pending = {name: pool.apply_async(_run_in_worker, (name,))
+                       for name in sorted(suites, key=HEAVIEST_FIRST.index)}
+        results = []
+        all_ok = True
+        for name, fn in suites.items():
+            checks, dt = (_worker_result(pending[name], workers) if pooled
+                          else _timed(fn, theory))
+            for check, passed, detail in checks:
+                results.append((name, check, passed, detail, dt))
+                all_ok = all_ok and passed
+                if report:
+                    status = "PASS" if passed else "FAIL"
+                    extra = f"  [{detail}]" if detail else ""
+                    report(f"[{status}] {name}: {check}{extra}")
             if report:
-                status = "PASS" if passed else "FAIL"
-                extra = f"  [{detail}]" if detail else ""
-                report(f"[{status}] {name}: {check}{extra}")
-        if report:
-            report(f"       ({name}: {dt:.1f}s)")
+                report(f"       ({name}: {dt:.1f}s)")
+    finally:
+        if pooled:
+            pool.terminate()
+            pool.join()
     # P never leaves this call, and its graph is cyclic (P.one.params is P;
     # the parts in P.cache point back to P).  Dropping its attributes lets
     # reference counting free the caches now, not at the cyclic collector's

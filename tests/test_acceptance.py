@@ -5,7 +5,14 @@ assertions are float embeddings of exact quantities.  Each criterion prints
 one pass/fail line (run pytest with -s to stream them).
 """
 
+import cProfile
+import functools
 import gc
+import multiprocessing
+import multiprocessing.pool
+import os
+import re
+import signal
 import sys
 import time
 import tracemalloc
@@ -324,3 +331,154 @@ def test_finished_ledger_frees_its_caches():
             gc.enable()
     assert ok
     assert retained < 1_000_000, retained
+
+
+def _pool_of(monkeypatch, cpus):
+    """Make run_suites see `cpus` usable CPUs; returns the list that
+    collects the pid of every process forked from now on.  Every pool made
+    is also kept alive until the test ends, so that no worker is ended by
+    the pool's finalizer when run_suites drops it."""
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+    pids = []
+    fork = os.fork
+
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    pools = []
+
+    class RecordedPool(multiprocessing.pool.Pool):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    monkeypatch.setattr(multiprocessing.pool, "Pool", RecordedPool)
+    return pids
+
+
+def _reaped(pid):
+    """pid is a child of this process that has been waited for."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _no_child_left(pids):
+    return (pids and all(map(_reaped, pids))
+            and multiprocessing.active_children() == [])
+
+
+_TIMING = re.compile(r"^ +\([\w-]+: [0-9.]+s\)$")
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (2, 3)], ids=lambda pair: "%d-%d" % pair)
+def test_pooled_ledger_equals_the_inline_one(pair, monkeypatch):
+    # the suites finish out of declaration order in the pool (the heaviest
+    # is submitted first), yet results and report lines keep that order
+    pids = _pool_of(monkeypatch, 2)
+    pooled_lines = []
+    ok, pooled = run_suites(*pair, report=pooled_lines.append)
+    assert ok and len(pids) == 2 and _no_child_left(pids)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    inline_lines = []
+    _, inline = run_suites(*pair, report=inline_lines.append)
+    assert len(pids) == 2
+    assert [r[:4] for r in pooled] == [r[:4] for r in inline]
+    assert ([line for line in pooled_lines if not _TIMING.match(line)]
+            == [line for line in inline_lines if not _TIMING.match(line)])
+    assert len(pooled_lines) == len(inline_lines)
+
+
+def test_a_raising_suite_ends_the_pooled_ledger(monkeypatch):
+    # chebyshev-presentation is declared fourth and submitted last: its
+    # error is raised only after the three suites declared before it are
+    # reported, and no line of a later suite, all of which finish first,
+    # goes out
+    def boom(theory):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "SUITE_ORDER", [
+        (name, boom if name == "chebyshev-presentation" else fn)
+        for name, fn in verify.SUITE_ORDER])
+    pids = _pool_of(monkeypatch, 2)
+    lines = []
+    with pytest.raises(RuntimeError, match="^boom$"):
+        run_suites(2, 3, report=lines.append)
+    assert _no_child_left(pids)
+    suites = [re.match(r"^(?:\[\w+\] | +\()([\w-]+):", line)[1] for line in lines]
+    assert list(dict.fromkeys(suites)) == ["hopf-axioms", "module-relations",
+                                           "fusion-three-way"]
+    assert _TIMING.match(lines[-1])
+
+
+def test_a_killed_worker_ends_the_pooled_ledger(monkeypatch):
+    # a worker killed by a signal (the out-of-memory killer, say) loses its
+    # suite; the pool would wait for it forever
+    caller = os.getpid()
+
+    def killed(theory):
+        if os.getpid() == caller:
+            raise AssertionError("the suite ran in the calling process")
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(verify, "SUITE_ORDER", [
+        (name, killed if name == "hopf-axioms" else fn)
+        for name, fn in verify.SUITE_ORDER])
+    pids = _pool_of(monkeypatch, 2)
+    lines = []
+    with pytest.raises(ChildProcessError, match="worker ended"):
+        run_suites(1, 2, report=lines.append)
+    assert lines == [] and _no_child_left(pids)
+
+
+def test_one_suite_or_one_cpu_starts_no_process(monkeypatch):
+    pids = _pool_of(monkeypatch, 2)
+    ok, _ = run_suites(1, 2, selection={"integral-suite"}, report=None)
+    assert ok and pids == []
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    ok, _ = run_suites(1, 2, report=None)
+    assert ok and pids == []
+
+
+def test_an_instrumented_ledger_starts_no_process(monkeypatch):
+    # a tracer that wraps the suites, or a profiler, counts in this process;
+    # what it counted in a worker would be lost when the worker ended
+    ran = []
+
+    def traced(fn):
+        @functools.wraps(fn)
+        def wrapper(theory):
+            ran.append(fn.__name__)
+            return fn(theory)
+        return wrapper
+
+    plain = verify.SUITE_ORDER
+    monkeypatch.setattr(verify, "SUITE_ORDER",
+                        [(name, traced(fn)) for name, fn in plain])
+    pids = _pool_of(monkeypatch, 2)
+    ok, _ = run_suites(1, 2, report=None)
+    assert ok and pids == [] and len(ran) == len(plain)
+    monkeypatch.setattr(verify, "SUITE_ORDER", plain)
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        ok, _ = run_suites(1, 2, report=None)
+    finally:
+        profile.disable()
+    assert ok and pids == []
+
+
+def test_every_suite_declares_its_reads_and_its_pool_turn():
+    names = verify.available_suites()
+    assert list(verify.SUITE_READS) == names
+    assert sorted(verify.HEAVIEST_FIRST) == sorted(names)
+    theory = Theory(Params(1, 2))
+    for reads in verify.SUITE_READS.values():
+        for attr in reads:
+            assert hasattr(theory, attr), attr

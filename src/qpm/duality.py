@@ -22,14 +22,16 @@ Gaussian kernel in the two K-power indices, is diagonal there: each pair of
 leg terms and each second-leg K power gives one term (B1 1_w) (x) m2.  The
 Drinfeld map (beta (x) id)(M) reads beta(B 1_w) off beta's values on the
 B K^j.  Both tensor-square identities are checked exactly in the tensor
-square itself.  M Delta(x) = Delta(x) M is checked in the weight form: for
-x = K through the weights of M's terms, for x = e_pm, f_pm from the terms
-of both products, where a product with B 1_w is one straightening and a
-phase.  M Delta(v) = v (x) v is checked as
-(1 (x) v^-1) M = (v (x) 1) Delta(v^-1) in the PBW basis, one first-leg slice
-(delta_m (x) id)(M) at a time, each slice derived from the weight form when
-it is read.  Each side's terms are scalar products whose difference
-nonzero_sums tests for zero, so neither side is summed.
+square itself, with the first leg in the weight form and the second in PBW.
+M Delta(x) = Delta(x) M is checked for x = K through the weights of M's
+terms, for x = e_pm, f_pm from the terms of both products, where a product
+with B 1_w is one straightening and a phase.  M Delta(v) = v (x) v is
+checked as Delta(v^-1) = (v^-1 (x) v^-1) M: Delta(v^-1)'s first leg B K^j
+is sum_w zeta_ko^(w j) B 1_w, and v^-1 (B1 1_w) is one weight_mul.  Each
+side's terms are scalar products whose difference nonzero_sums tests for
+zero, so neither side is summed; the ribbon check sums one batch per w and
+first-leg sector weight, which bounds its memory and, since a misplaced term
+only splits a sum, cannot hide a failure.
 
 The canonical element u (whence the ribbon element v = u g^-1) is taken in
 closed form; its defining properties -- centrality, S(v) = v,
@@ -245,8 +247,8 @@ class MMatrix:
         weight_slices[B1] = {(w, m2): c, ...}  with  M = sum c (B1 1_w) (x) m2,
 
     B1 a K-free monomial (K exponent 0) and m2 a PBW monomial.  This is the
-    one stored form of M; contractions and the intertwining check read it,
-    and pbw_slices() derives the PBW first-leg slices from it."""
+    one form of M: the contractions and both tensor-square checks read it,
+    and none expands it back into PBW first-leg slices."""
 
     def __init__(self, params: Params):
         P = self.params = params
@@ -284,23 +286,6 @@ class MMatrix:
         for (b1, w, m2), c in sparse_sum(terms()).items():
             weight_slices.setdefault(b1, {})[w, m2] = c
         self.weight_slices = weight_slices
-
-    def pbw_slices(self):
-        """The PBW first-leg slices (delta_m1 (x) id)(M), as (m1, {m2: c})
-        pairs, one K-free first leg B1 at a time and m1 = B1 K^l in
-        increasing l; empty slices are skipped.  Each slice is derived when
-        it is reached, from
-
-            M(B1 K^l, m2) = (1/ko) sum_w zeta_ko^(-w l) M(B1 1_w, m2)."""
-        ko = self.params.korder
-        inv_ko = Fraction(1, ko)
-        for b1, row in self.weight_slices.items():
-            scaled = [(w, m2, c * inv_ko) for (w, m2), c in row.items()]
-            for l in range(ko):
-                sl = sparse_sum((m2, c.shift(-12 * t) if t else c)
-                                for w, m2, c in scaled for t in (w * l % ko,))
-                if sl:
-                    yield b1[:4] + (l,), sl
 
     # -- contractions ------------------------------------------------------
 
@@ -401,65 +386,58 @@ class MMatrix:
 
     def ribbon_identity_failures(self, v: AlgebraElement, v_inv: AlgebraElement):
         """Failures of M Delta(v) = v (x) v: ["v v_inv != 1"] if v_inv is
-        not the inverse of v, else the monomials m, in increasing order,
-        where (delta_m (x) id) of (1 (x) v^-1) M - (v (x) 1) Delta(v^-1) is
-        nonzero; empty means the identity holds exactly.
+        not the inverse of v, else the first-leg keys (C, w), standing for
+        C 1_w, where Delta(v^-1) - (v^-1 (x) v^-1) M is nonzero; empty means
+        the identity holds exactly.
 
-        Given v v^-1 = 1 the identity is equivalent to
-        (1 (x) v^-1) M = (v (x) 1) Delta(v^-1), compared here one PBW
-        first-leg slice at a time, as pbw_slices() derives them: the terms
-        of the left side and the negated terms of the right side go to
-        nonzero_sums together, and monomials with no slice are checked
-        against the right side alone.  That form is homogeneous in v^-1, so
-        v v^-1 = 1 is checked first, on the weight forms.  Only K-free
-        monomials B are multiplied by v and v^-1: x (B K^j) is x B with
-        every K exponent shifted by j.  Delta(v^-1) is sparse in the PBW
-        basis, which is why the tensor-square identity does not move to the
-        weight form."""
+        Given v v^-1 = 1, checked first on the weight forms, the identity is
+        equivalent to Delta(v^-1) = (v^-1 (x) v^-1) M, decided with the
+        first legs on the idempotents 1_w and the second legs in PBW:
+        Delta(v^-1)'s first leg B K^j is sum_w zeta_ko^(w j) B 1_w, and a
+        term c (B1 1_w) (x) m2 of M becomes c v^-1 (B1 1_w) (x) v^-1 m2,
+        the first factor one weight_mul, the second v^-1 B with every K
+        exponent shifted by j for m2 = B K^j.  The terms of both sides go
+        to nonzero_sums keyed by ((C, w), m), one batch per w and sector
+        weight (ep - fp, em - fm) of the first leg: the monomials of a
+        central v^-1 have sector weight (0, 0), so C keeps B1's.  A term
+        batched apart from the rest of its key only splits that key's sum,
+        which can report a false failure but never hide a real one."""
         P = self.params
-        if P.weight_mul(P.weight_form(v), P.weight_form(v_inv)) != P.weight_form(P.one):
+        v_inv_w = P.weight_form(v_inv)
+        if P.weight_mul(P.weight_form(v), v_inv_w) != P.weight_form(P.one):
             return ["v v_inv != 1"]
-        one, ko = P.ctx.one, P.korder
+        one, ko, weight_mul = P.ctx.one, P.korder, P.weight_mul
+        roots = [P.ctx.root_of_unity(12 * t) for t in range(ko)]
 
-        def products(x, monos):
-            """{B: [((a, b, c, d), i, y)]}: the terms y f_+^a e_+^b f_-^c
-            e_-^d K^i of x B, for the K-free part B of each of `monos`."""
-            return {b: [(k[:4], k[4], y)
-                        for k, y in (x * AlgebraElement(P, {b: one})).coeffs.items()]
-                    for b in {m[:4] + (0,) for m in monos}}
+        # v^-1 B for the K-free part B of each second leg of M
+        v_inv_b = {b: [(k[:4], k[4], y)
+                       for k, y in (v_inv * AlgebraElement(P, {b: one})).coeffs.items()]
+                   for b in {m2[:4] + (0,) for row in self.weight_slices.values()
+                             for _, m2 in row}}
 
-        # (1 (x) v^-1) M at m sums c (v^-1 B) K^j over the slice's terms
-        # c B K^j
-        v_inv_b = products(v_inv, {m2 for row in self.weight_slices.values() for _, m2 in row})
-
-        def lhs(row):
-            return ((k + ((i + n[4]) % ko,), c, y)
-                    for n, c in row.items()
-                    for k, i, y in v_inv_b[n[:4] + (0,)])
-
-        # -(v (x) 1) Delta(v^-1) at m = C K^l sums -y c n2 over the terms
-        # c B K^j (x) n2 of Delta(v^-1) and y C K^i of v B with i + j = l
-        by_first = {}
+        # per sector weight: Delta(v^-1)'s terms negated, and M's terms by w
+        lhs, rhs = {}, {}
         for (n1, n2), c in v_inv.coproduct().coeffs.items():
-            by_first.setdefault(n1, []).append((n2, c))
-        minus_v_b = {}
-        for b, terms in products(v, by_first).items():
-            for k, i, y in terms:
-                minus_v_b.setdefault(k, []).append((b, i, -y))
+            lhs.setdefault(_sector_weight(n1), []).append((n1[:4] + (0,), n1[4], n2, -c))
+        for b1, row in self.weight_slices.items():
+            by_w = rhs.setdefault(_sector_weight(b1), {})
+            for (w, m2), c in row.items():
+                by_w.setdefault(w, {}).setdefault(b1, []).append((m2, c))
 
-        def minus_rhs(m):
-            return ((n2, y, c)
-                    for b, i, y in minus_v_b.get(m[:4], ())
-                    for n2, c in by_first.get(b[:4] + ((m[4] - i) % ko,), ()))
+        def terms(sw, w):
+            for b, j, n2, c in lhs.get(sw, ()):
+                yield ((b, w), n2), c, roots[w * j % ko]
+            for b1, row in rhs.get(sw, {}).get(w, {}).items():
+                left = weight_mul(v_inv_w, {(b1, w): one}).items()
+                for m2, c in row:
+                    j, right = m2[4], v_inv_b[m2[:4] + (0,)]
+                    for first, s in left:
+                        x = c * s
+                        for k, i, y in right:
+                            yield (first, k + ((i + j) % ko,)), x, y
 
-        failures, seen = [], set()
-        for m, row in self.pbw_slices():
-            seen.add(m)
-            if nonzero_sums(chain(lhs(row), minus_rhs(m))):
-                failures.append(m)
-        failures.extend(m for m in P.monomials()
-                        if m not in seen and nonzero_sums(minus_rhs(m)))
-        return sorted(failures)
+        return list(dict.fromkeys(k[0] for sw in dict.fromkeys(chain(lhs, rhs))
+                                  for w in range(ko) for k in nonzero_sums(terms(sw, w))))
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import settings
 
 from qpm.algebra import Params
+from qpm.cyclotomic import sparse_sum
 from qpm.duality import Theory
 
 # CI passes --hypothesis-profile=ci, so every run there draws the same
@@ -47,3 +50,19 @@ def T32():
 @pytest.fixture(scope="session")
 def T14():
     return Theory(Params(1, 4))
+
+
+def pbw_slices(P, weight_slices):
+    """The first-leg slices {m1: {m2: c}} of the tensor whose weight form is
+    weight_slices, {B1: {(w, m2): c}} as MMatrix keeps M, expanded into the
+    PBW basis with m1 = B1 K^l:
+
+        M(B1 K^l, m2) = (1/ko) sum_w zeta_ko^(-w l) M(B1 1_w, m2)."""
+    ko = P.korder
+    inv_ko = Fraction(1, ko)
+    slices = {}
+    for (m1, m2), c in sparse_sum(((b1[:4] + (l,), m2), c.shift(-12 * (w * l % ko)) * inv_ko)
+                                  for b1, row in weight_slices.items()
+                                  for (w, m2), c in row.items() for l in range(ko)).items():
+        slices.setdefault(m1, {})[m2] = c
+    return slices

@@ -19,6 +19,8 @@ from qpm.duality import (MMatrix, Theory, canonical_element, cc_poly_coeffs,
 from qpm.linalg import SparseMat, SpanSolver
 from qpm.reps import cached_irreducible, irreducible_labels
 
+from conftest import pbw_slices
+
 
 def test_integral_invariants(T12, T23):
     for th in (T12, T23):
@@ -91,16 +93,16 @@ def test_m_matrix_counit_and_unit(T12, T23):
 
 
 def test_m_matrix_term_count(T12, T23, T32):
-    # the weight form (B1 1_w) (x) m2 and the PBW slices derived from it
-    # have fixed sizes: (K-free first legs, weight-form terms, PBW slices,
-    # PBW coefficients)
+    # the weight form (B1 1_w) (x) m2 and its PBW expansion have fixed
+    # sizes: (K-free first legs, weight-form terms, PBW slices, PBW
+    # coefficients)
     for th, legs, terms, slices, coefficients in ((T12, 4, 18, 16, 72),
                                                   (T23, 36, 864, 432, 7776),
                                                   (T32, 36, 1080, 432, 7776)):
         M = th.m_matrix
         assert len(M.weight_slices) == legs
         assert sum(len(row) for row in M.weight_slices.values()) == terms
-        pbw = dict(M.pbw_slices())
+        pbw = pbw_slices(th.params, M.weight_slices)
         assert len(pbw) == slices
         assert sum(len(row) for row in pbw.values()) == coefficients
     # the weight form at (2,5), against 81,000 PBW coefficients
@@ -143,24 +145,25 @@ def _pbw_m_matrix(P):
     return slices
 
 
+def _tensor(P, slices):
+    """The TensorElement with first-leg slices {m1: {m2: c}}."""
+    return TensorElement(P, {(m1, m2): c for m1, row in slices.items() for m2, c in row.items()})
+
+
 def _pbw_tensor(mm):
-    """M as one TensorElement, from its derived PBW slices."""
-    return TensorElement(mm.params, {(m1, m2): c for m1, row in mm.pbw_slices()
-                                     for m2, c in row.items()})
+    """M as one TensorElement, expanded from its weight form."""
+    return _tensor(mm.params, pbw_slices(mm.params, mm.weight_slices))
 
 
 @pytest.mark.parametrize("pair", [(1, 2), (1, 3), (2, 3), (3, 2)])
 def test_m_matrix_against_pbw_expansion(pair, request):
-    """The slices derived from the weight form, and the Drinfeld basis
-    contracted from it, equal the PBW six-fold expansion and its
-    contractions in value and in key order."""
+    """The weight form expanded into PBW slices equals the PBW six-fold
+    expansion, and the Drinfeld basis contracted from the weight form equals
+    the expansion's contractions in value and in key order."""
     th = request.getfixturevalue("T%d%d" % pair)
     P = th.params
     want = _pbw_m_matrix(P)
-    got = list(th.m_matrix.pbw_slices())
-    assert [m1 for m1, _ in got] == list(want)
-    for m1, row in got:
-        assert list(row.items()) == list(want[m1].items()), m1
+    assert pbw_slices(P, th.m_matrix.weight_slices) == want
     for f, chi in zip(th.characters.functionals(), th.drinfeld_basis):
         expect = sparse_sum((m2, v * c) for m, v in f.values.items()
                             for m2, c in want.get(m, {}).items())
@@ -346,12 +349,12 @@ def test_tensor_square_checks_can_fail(request, theory):
     rib = th.ribbon
     vinv = th.central_inverse(rib.v)
     assert mm.ribbon_identity_failures(rib.v * 2, vinv)
-    # the compared form (1 (x) v^-1) M = (v (x) 1) Delta(v^-1) is
-    # homogeneous in v^-1, so this case fails only through v v^-1 = 1
+    # v v^-1 = 1 is checked before Delta(v^-1) = (v^-1 (x) v^-1) M, so
+    # this case fails there
     assert mm.ribbon_identity_failures(rib.v, vinv * 2)
     # one coefficient of M's weight form doubled, turned by zeta^12 (its
     # phase alone) or halved (its denominator alone); with v v^-1 = 1 the
-    # ribbon identity fails slice by slice
+    # tensor-square identity itself fails
     for factor in (2, P.zeta(12), Fraction(1, 2)):
         broken = _perturbed(mm, factor)
         assert broken.intertwining_failures(), factor
@@ -360,6 +363,57 @@ def test_tensor_square_checks_can_fail(request, theory):
     w = rib.v_unipotent
     failures = mm.ribbon_identity_failures(w, th.central_inverse(w))
     assert failures and failures[0] != "v v_inv != 1"
+
+
+def _batch(b, w):
+    """The ribbon check's batch of a first leg B 1_w: w and the sector
+    weight (ep - fp, em - fm) of B."""
+    return w, (b[1] - b[0], b[3] - b[2])
+
+
+@pytest.mark.parametrize("theory", ["T12", "T13", "T32"])
+def test_ribbon_identity_against_tensor_products(request, theory):
+    """Delta(v^-1) - (v^-1 (x) v^-1) M from plain TensorElement products,
+    with M the PBW six-fold expansion: no weight form, no weight_mul and no
+    batching.  It is zero for the ribbon element, nonzero for zeta^12 v and
+    for M with one weight-form coefficient doubled in each of two of the
+    check's batches, and the check's failures are empty exactly when it is
+    zero; the check reports both perturbed batches."""
+    th = request.getfixturevalue(theory)
+    P = th.params
+    mm = th.m_matrix
+    rib = th.ribbon
+    v_inv = th.central_inverse(rib.v)
+    unit = (0, 0, 0, 0, 0)
+    left = TensorElement(P, {(m, unit): c for m, c in v_inv.coeffs.items()})
+    right = TensorElement(P, {(unit, m): c for m, c in v_inv.coeffs.items()})
+    delta = v_inv.coproduct()
+    vvm = left * (right * _tensor(P, _pbw_m_matrix(P)))
+    assert (delta - vvm).is_zero()
+    assert not mm.ribbon_identity_failures(rib.v, v_inv)
+
+    # z v has the inverse z^-1 v^-1, so the two sides scale by z^-1 and
+    # z^-2
+    z = P.zeta(12)
+    z_inv = z.inv()
+    assert not (delta * z_inv - vvm * (z_inv * z_inv)).is_zero()
+    assert mm.ribbon_identity_failures(rib.v * z, v_inv * z_inv)
+
+    # doubling c adds c (B1 1_w) (x) m2 to M
+    terms = [(b1, w, m2) for b1, row in mm.weight_slices.items() for w, m2 in row]
+    first = terms[0]
+    second = next(t for t in reversed(terms) if _batch(t[0], t[1]) != _batch(first[0], first[1]))
+    added, broken = {}, copy.copy(mm)
+    broken.weight_slices = {b1: dict(row) for b1, row in mm.weight_slices.items()}
+    for b1, w, m2 in (first, second):
+        c = mm.weight_slices[b1][w, m2]
+        added.setdefault(b1, {})[w, m2] = c
+        broken.weight_slices[b1][w, m2] = c * 2
+    assert not (delta - vvm - left * (right * _tensor(P, pbw_slices(P, added)))).is_zero()
+    failures = broken.ribbon_identity_failures(rib.v, v_inv)
+    assert failures and failures[0] != "v v_inv != 1"
+    reported = {_batch(c, w) for c, w in failures}
+    assert _batch(first[0], first[1]) in reported and _batch(second[0], second[1]) in reported
 
 
 def test_balanced_trace_needs_no_character_space():

@@ -19,6 +19,8 @@ from qpm.cyclotomic import sparse_sum
 from qpm.duality import Theory
 from qpm.verify import radical_table_holds
 
+from conftest import pbw_slices
+
 PAIRS = [(1, 1), (1, 2), (2, 3), (3, 2), (1, 4)]
 
 
@@ -177,7 +179,8 @@ def test_m_matrix_against_generator_coproducts(th):
     """M against Delta(e_+), with K on the first leg, and Delta(e_-), with
     K on the second."""
     P = th.params
-    M = TensorElement(P, {(m1, m2): c for m1, row in th.m_matrix.pbw_slices()
+    M = TensorElement(P, {(m1, m2): c
+                          for m1, row in pbw_slices(P, th.m_matrix.weight_slices).items()
                           for m2, c in row.items()})
     deltas = _generator_coproducts(P)
     for name in ("ep", "em"):

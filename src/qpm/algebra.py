@@ -162,9 +162,11 @@ class Params:
 
     def __init__(self, p_plus: int, p_minus: int):
         if p_plus < 1 or p_minus < 1:
-            raise ValueError("p_plus and p_minus must be positive")
+            raise ValueError(f"p_plus={p_plus} and p_minus={p_minus} "
+                             "must be positive")
         if math.gcd(p_plus, p_minus) != 1:
-            raise ValueError("p_plus and p_minus must be coprime")
+            raise ValueError(f"p_plus={p_plus} and p_minus={p_minus} "
+                             "must be coprime")
         self.p_plus = p_plus
         self.p_minus = p_minus
         self.pp = p_plus * p_minus

@@ -30,6 +30,7 @@ from functools import reduce
 from itertools import chain
 
 from .algebra import AlgebraElement, Params, Sector
+from .center import center_dimension
 from .cyclotomic import Cyclo, sparse_sum
 from .linalg import SparseMat, SpanSolver, nullspace
 from .reps import ModuleRep, cached_irreducible, cached_projective, direct_sum
@@ -381,7 +382,7 @@ class CharacterSpace:
                 entries.append(("nwse", (r, s), self.gamma_arrow(minus, r, s)))
         traces(*((P.p_plus, s) for s in range(1, P.p_minus)), *I1)
         self.entries = entries
-        expected = ((3 * P.p_plus - 1) * (3 * P.p_minus - 1)) // 2
+        expected = center_dimension(P)
         if len(entries) != expected:
             raise RuntimeError(f"gamma basis has {len(entries)} entries, expected {expected}")
         self.solver = SpanSolver([f.values for _, _, f in entries], P.ctx)

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import json
 import sys
 from json.encoder import encode_basestring_ascii
 
 from .algebra import Params
+from .center import center_dimension
 from .duality import Theory, conformal_weight_exponent
 from .grothendieck import gr_class, gr_multiply
 from .modular import ModularAction
@@ -34,15 +34,11 @@ from .verify import SuiteSelectionError, available_suites, run_suites
 
 
 def _context(args) -> Params:
-    if args.p_plus < 1 or args.p_minus < 1:
-        print(f"error: p_plus={args.p_plus} and p_minus={args.p_minus} "
-              "must be positive", file=sys.stderr)
+    try:
+        return Params(args.p_plus, args.p_minus)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
-    if math.gcd(args.p_plus, args.p_minus) != 1:
-        print(f"error: p_plus={args.p_plus} and p_minus={args.p_minus} "
-              "must be coprime", file=sys.stderr)
-        raise SystemExit(2)
-    return Params(args.p_plus, args.p_minus)
 
 
 def _label(alpha, r, s):
@@ -58,7 +54,7 @@ def cmd_info(args):
         "field_degree": P.ctx.phi,
         "algebra_dimension": P.dim,
         "irreducible_count": 2 * P.pp,
-        "center_dimension": ((3 * P.p_plus - 1) * (3 * P.p_minus - 1)) // 2,
+        "center_dimension": center_dimension(P),
         "kac_sets": {
             "interior": sorted(P.set_I1()),
             "blocks": sorted(P.set_I()),

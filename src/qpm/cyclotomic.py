@@ -36,10 +36,11 @@ Fast paths, chosen from the operands' shape:
 * a one-term factor c*zeta^k/d makes the product a scaled shift of the
   other factor, with no raw product map;
 * `inv` and `**` of a one-term element are (c/d)^n * zeta^(nk) for either
-  sign of n, with no extended Euclid and no repeated squaring;
+  sign of n, with no repeated squaring (`inv` reads it from `**`);
 * `inv` of a two-term element is a closed form summed in one fold
-  (`Cyclo._inv_binomial`); only three or more terms take the Euclidean
-  path.
+  (`Cyclo._inv_binomial`); only three or more terms take the Galois norm
+  (`Cyclo._inv_norm`), a product of phi(N) - 1 conjugates in integer
+  arithmetic.
 
 `sum_products` is the one kernel for a family of sums of products
 sum_i a_i * b_i, one sum per key, that builds no Cyclo per product: each
@@ -125,7 +126,6 @@ class CycloContext:
         self.phi = euler_phi(order)
         poly = cyclotomic_polynomial(order).coefficients()
         assert len(poly) == self.phi + 1 and poly[-1] == 1
-        self._phi_poly = poly
         # rows[k - phi] = canonical sparse dict of zeta^k, for k in
         # [phi, order + phi): enough headroom for products of canonical
         # elements shifted by any zeta-power.
@@ -330,21 +330,19 @@ class Cyclo:
     # -- field structure -------------------------------------------------
 
     def inv(self) -> "Cyclo":
-        """Multiplicative inverse: (d/c)*zeta^-k for a one-term element
-        (c/d)*zeta^k, the closed form of _inv_binomial for a two-term one,
-        else the extended Euclidean algorithm in Q[x] against Phi_N
-        (_inv_euclid).  All return the exponents in ascending order."""
+        """Multiplicative inverse, in one of three shapes: `__pow__`'s
+        closed form (d/c)*zeta^-k for a one-term element (c/d)*zeta^k, the
+        closed form of _inv_binomial for a two-term one, else the Galois
+        norm (_inv_norm).  All return the exponents in ascending order."""
         if not self.num:
             raise ZeroDivisionError("inverse of zero in Q(zeta_N)")
-        ctx = self.ctx
-        if len(self.num) > 2:
-            return self._inv_euclid()
         if len(self.num) == 1:
-            (k, c), = self.num.items()
-            x = ctx._canonical({-k: self.den}, c)
-        else:
+            x = self ** -1
+        elif len(self.num) == 2:
             x = self._inv_binomial()
-        return Cyclo(ctx, dict(sorted(x.num.items())), x.den)
+        else:
+            x = self._inv_norm()
+        return Cyclo(self.ctx, dict(sorted(x.num.items())), x.den)
 
     def _inv_binomial(self) -> "Cyclo":
         """The inverse of x = (c1 zeta^i + c2 zeta^j)/d in one _canonical
@@ -376,61 +374,18 @@ class Cyclo:
             den = c1 ** o - (-c2) ** o
         return ctx._canonical(raw, den)
 
-    def _inv_euclid(self) -> "Cyclo":
-        """The inverse by the extended Euclidean algorithm in Q[x] against
-        Phi_N, exponents ascending."""
+    def _inv_norm(self) -> "Cyclo":
+        """The inverse of x = num/d through its Galois conjugates.  The
+        automorphisms of Q(zeta_N) are sigma_a: zeta -> zeta^a for a prime
+        to N, so r = prod_{a != 1} sigma_a(num) makes num * r the norm of
+        num, a nonzero integer n, and x^-1 = d * r / n."""
         ctx = self.ctx
-        phi = ctx.phi
-        # dense Fraction polys:  r0 = Phi_N,  r1 = self
-        r0 = [Fraction(c) for c in ctx._phi_poly]
-        r1 = [Fraction(0)] * phi
-        for e, c in self.num.items():
-            r1[e] = Fraction(c, self.den)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def deg(p):
-            for i in range(len(p) - 1, -1, -1):
-                if p[i]:
-                    return i
-            return -1
-
-        d1 = deg(r1)
-        while d1 > 0:
-            d0 = deg(r0)
-            q = [Fraction(0)] * (d0 - d1 + 1)
-            r0 = list(r0)
-            while d0 >= d1:
-                f = r0[d0] / r1[d1]
-                q[d0 - d1] = f
-                for j in range(d1 + 1):
-                    r0[d0 - d1 + j] -= f * r1[j]
-                d0 = deg(r0)
-            # s0 - q*s1
-            qs1 = [Fraction(0)] * (len(q) + len(s1) - 1)
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs1[i + j] += qi * sj
-            ns0 = [Fraction(0)] * max(len(s0), len(qs1))
-            for i, c in enumerate(s0):
-                ns0[i] += c
-            for i, c in enumerate(qs1):
-                ns0[i] -= c
-            r0, r1 = r1, r0
-            s0, s1 = s1, ns0
-            d1 = deg(r1)
-        if d1 < 0:
-            raise ZeroDivisionError("element is a zero divisor (not coprime to Phi_N)")
-        c = r1[0]  # nonzero constant
-        den = 1
-        for v in s1:
-            den = den * (v / c).denominator // math.gcd(den, (v / c).denominator)
-        num = {}
-        for e, v in enumerate(s1):
-            w = v / c
-            if w:
-                num[e] = w.numerator * (den // w.denominator)
-        return ctx._canonical(num, den)
+        num, order = self.num, ctx.order
+        r = ctx.one
+        for a in range(2, order):
+            if math.gcd(a, order) == 1:
+                r = r * ctx._canonical({a * e: c for e, c in num.items()}, 1)
+        return r * (self.den / (r * Cyclo(ctx, num, 1)).rational_value())
 
     def __truediv__(self, other):
         if not isinstance(other, Cyclo):

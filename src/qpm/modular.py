@@ -154,17 +154,6 @@ class ModularAction:
 
     # -- matrix helpers ---------------------------------------------------------
 
-    def _is_identity(self, mat) -> bool:
-        ctx = self.params.ctx
-        for i, row in enumerate(mat):
-            for j, v in enumerate(row):
-                if (i == j and v != ctx.one) or (i != j and not v.is_zero()):
-                    return False
-        return True
-
-    def _equal(self, a, b) -> bool:
-        return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
     def _scalar_of(self, mat):
         """If mat is a scalar multiple of the identity, return the scalar."""
         s = mat[0][0]
@@ -180,8 +169,8 @@ class ModularAction:
         ctx = self.params.ctx
         mm = lambda a, b: _mat_mul(a, b, ctx)
         S2 = mm(self.S, self.S)
-        report = {"S2_identity": self._is_identity(S2)}
-        report["S4_identity"] = self._is_identity(mm(S2, S2))
+        report = {"S2_identity": self._scalar_of(S2) == ctx.one}
+        report["S4_identity"] = self._scalar_of(mm(S2, S2)) == ctx.one
         ST = mm(self.S, self.T)
         ST3 = mm(mm(ST, ST), ST)
         # (ST)^3 S^-2 is (ST)^3 itself when S^2 = 1
@@ -189,7 +178,7 @@ class ModularAction:
         scal = self._scalar_of(ST3_Sm2)
         report["ST3_S-2_scalar"] = scal
         report["ST3_S-2_is_scalar"] = scal is not None
-        report["ST3_S-2_scalar_is_one"] = scal == ctx.one if scal is not None else False
+        report["ST3_S-2_scalar_is_one"] = scal == ctx.one
         # S^-1(1) = Lambda
         lam = self.theory.integral.cointegral
         report["S_inv_of_unit_is_cointegral"] = (
@@ -275,7 +264,8 @@ class ModularAction:
         normalization content of S^2 = id): in Radford coordinates, S C is
         the identity, since column i of C holds the coordinates of the i-th
         Drinfeld image."""
-        return self._is_identity(_mat_mul(self.S, self.C, self.params.ctx))
+        ctx = self.params.ctx
+        return self._scalar_of(_mat_mul(self.S, self.C, ctx)) == ctx.one
 
     def verify_transformations(self):
         """The displayed T-action formulas on the S-adapted families."""
@@ -495,7 +485,7 @@ class ModularAction:
         T0 = [[v * ph for v in row] for row in conj(V_bar)]
         T_plus = conj(V_plus)
         T_minus = conj(V_minus)
-        if not self._equal(mm(T_minus, mm(T_plus, T0)), self.T):
+        if mm(T_minus, mm(T_plus, T0)) != self.T:
             report["failures"].append("T-factor product")
         factors = {"0": (S0, T0), "+": (S_plus, T_plus), "-": (S_minus, T_minus)}
         for n1 in factors:
@@ -504,7 +494,7 @@ class ModularAction:
                     continue
                 for a_name, A in zip(("S", "T"), factors[n1]):
                     for b_name, B in zip(("S", "T"), factors[n2]):
-                        if not self._equal(mm(A, B), mm(B, A)):
+                        if mm(A, B) != mm(B, A):
                             report["failures"].append(
                                 f"[{a_name}{n1}, {b_name}{n2}] != 0")
         report["ok"] = not report["failures"]

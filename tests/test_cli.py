@@ -83,6 +83,7 @@ def test_info(capsys):
 def test_non_coprime_rejected(capsys):
     code = main(["--p-plus", "2", "--p-minus", "4", "info"])
     assert code == 2
+    assert "coprime" in capsys.readouterr().err
 
 
 def test_bad_precision(capsys):

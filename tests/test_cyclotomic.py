@@ -479,12 +479,12 @@ def test_reduction_table_ignores_outside_files(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("order", (48, 72, 144, 240, 288))
-def test_two_term_inverse_matches_euclid(order):
+def test_two_term_inverse_matches_norm(order):
     # A two-term x = (c1 zeta^i + c2 zeta^j)/d has a closed-form inverse
     # whose shape is the order o of zeta^(j-i) and the class of t = c2/c1:
     # t = -1, t = 1 (o even and odd), or any other t.  Every exponent gap
     # j - i and every class is inverted; for one gap per (o, class) the
-    # result must equal the Euclidean path's in value and key order.
+    # result must equal the Galois-norm path's in value.
     import random
     ctx = CycloContext(order)
     rng = random.Random(order)
@@ -506,10 +506,36 @@ def test_two_term_inverse_matches_euclid(order):
             shape = (o, cls, o % 2)
             if shape not in compared:
                 compared.add(shape)
-                euclid = x._inv_euclid()
-                assert inv == euclid and list(inv.num) == list(euclid.num)
+                assert inv == x._inv_norm()
     # both special cases were met, and t = 1 with odd o wherever a gap of
     # odd order fits below phi (not at N = 48)
     classes = {(cls, parity) for _, cls, parity in compared}
     assert {("t=-1", 0), ("t=1", 0), ("other", 0)} <= classes
     assert (("t=1", 1) in classes) == (order != 48)
+
+
+@pytest.mark.parametrize("order", (240, 288, 360))
+def test_multi_term_inverse_by_norm(order):
+    # Elements of three or more terms are inverted by the Galois norm: a
+    # dense element (phi(N) terms) and 3- to 6-term ones, each a two-sided
+    # inverse with ascending keys; every embedding of the dense element's
+    # inverse is 1/x at ORACLE_BITS.
+    import random
+    ctx, roots, units = _oracle(order)
+    rng = random.Random(order)
+    dense = ctx.reduce({e: rng.choice([-3, -1, 1, 2, 5]) for e in range(ctx.phi)}, 7)
+    assert len(dense.num) == ctx.phi
+    xs = [dense]
+    for terms in (3, 4, 5, 6):
+        exps = rng.sample(range(ctx.phi), terms)
+        xs.append(ctx.reduce({e: rng.choice([-4, -1, 1, 3]) for e in exps},
+                             rng.choice([1, 6])))
+        assert len(xs[-1].num) == terms
+    for x in xs:
+        inv = x.inv()
+        _assert_canonical(inv, ctx)
+        assert x * inv == ctx.one and inv * x == ctx.one
+        assert list(inv.num) == sorted(inv.num)
+    with mpmath.workprec(ORACLE_BITS):
+        for u, v in zip(_values(dense.inv(), roots, units), _values(dense, roots, units)):
+            assert abs(u - 1 / v) <= mpmath.mpf(2) ** -70 * abs(1 / v)

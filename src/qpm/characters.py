@@ -351,43 +351,75 @@ _ARROW_SIGMA = {"+": ("alpha", "up", "ur", "dl"), "-": ("beta", "down", "ul", "d
 
 
 class CharacterSpace:
-    """Constructs and indexes the distinguished q-character basis."""
+    """The distinguished q-character basis, in its reading order.
+
+    The (kind, label) names and their order are fixed when the space is
+    made; each q-character is built on its first request (functional) and
+    cached on Params, so a caller that reads a few of them pays for those
+    alone.  entries and functionals() are lists over that one builder.  The
+    independence guard, solver, is built and checked on its first read."""
 
     def __init__(self, params: Params):
         P = self.params = params
         I1 = P.set_I1()
         plus, minus = P.sectors
 
-        entries = []  # (kind, label, functional)
+        keys = []  # (kind, label)
 
         def traces(*blocks):
             """The balanced traces of the members of each block, in the
             order of Params.block_members."""
             for blk in blocks:
-                for lab in P.block_members(*blk).values():
-                    entries.append(("qtr", lab, qtrace(P, *lab)))
+                keys.extend(("qtr", lab) for lab in P.block_members(*blk).values())
 
         # reading order of the distinguished basis
         traces((P.p_plus, P.p_minus))
-        for r in range(1, P.p_plus):
-            entries.append(("nesw", (r, P.p_minus), self.gamma_arrow(plus, r, P.p_minus)))
-        for (r, s) in I1:
-            entries.append(("upup", (r, s), self.gamma_upup(r, s)))
-        for s in range(1, P.p_minus):
-            entries.append(("nwse", (P.p_plus, s), self.gamma_arrow(minus, P.p_plus, s)))
+        keys.extend((plus.pseudo, (r, P.p_minus)) for r in range(1, P.p_plus))
+        keys.extend(("upup", lab) for lab in I1)
+        keys.extend((minus.pseudo, (P.p_plus, s)) for s in range(1, P.p_minus))
         traces((0, P.p_minus), *((r, P.p_minus) for r in range(1, P.p_plus)))
         for r in range(1, P.p_plus):
             for s in range(1, P.p_minus):
-                entries.append(("nesw", (r, s), self.gamma_arrow(plus, r, s)))
-                entries.append(("nwse", (r, s), self.gamma_arrow(minus, r, s)))
+                keys.extend(((plus.pseudo, (r, s)), (minus.pseudo, (r, s))))
         traces(*((P.p_plus, s) for s in range(1, P.p_minus)), *I1)
-        self.entries = entries
         expected = center_dimension(P)
-        if len(entries) != expected:
-            raise RuntimeError(f"gamma basis has {len(entries)} entries, expected {expected}")
-        self.solver = SpanSolver([f.values for _, _, f in entries], P.ctx)
-        if not self.solver.independent:
+        if len(keys) != expected:
+            raise RuntimeError(f"gamma basis has {len(keys)} entries, expected {expected}")
+        self.index = {key: i for i, key in enumerate(keys)}
+
+    def functional(self, kind: str, label) -> Functional:
+        """The basis member named (kind, label), built once per pair; a name
+        outside the basis raises KeyError."""
+        P = self.params
+        if (kind, label) not in self.index:
+            raise KeyError((kind, label))
+        if kind == "qtr":
+            return qtrace(P, *label)
+
+        def build():
+            if kind == "upup":
+                return self.gamma_upup(*label)
+            sec = next(sec for sec in P.sectors if sec.pseudo == kind)
+            return self.gamma_arrow(sec, *label)
+
+        return P.cached(("qcharacter", kind, label), build)
+
+    @property
+    def entries(self):
+        """[(kind, label, functional)] in the reading order."""
+        return [(kind, lab, self.functional(kind, lab)) for kind, lab in self.index]
+
+    @property
+    def solver(self) -> SpanSolver:
+        """A SpanSolver over the basis; raises RuntimeError if the members
+        are linearly dependent."""
+        return self.params.cached("character_solver", self._build_solver)
+
+    def _build_solver(self) -> SpanSolver:
+        solver = SpanSolver([f.values for f in self.functionals()], self.params.ctx)
+        if not solver.independent:
             raise RuntimeError("gamma basis is linearly dependent")
+        return solver
 
     def gamma_arrow(self, sec: Sector, r: int, s: int) -> Functional:
         """The one-sector pseudotrace of kind sec.pseudo at (r, s): the
@@ -416,10 +448,10 @@ class CharacterSpace:
 
     @property
     def dimension(self):
-        return len(self.entries)
+        return len(self.index)
 
     def functionals(self):
-        return [f for _, _, f in self.entries]
+        return [self.functional(kind, lab) for kind, lab in self.index]
 
     def labels(self):
-        return [(kind, lab) for kind, lab, _ in self.entries]
+        return list(self.index)

@@ -28,7 +28,7 @@ from .algebra import Params
 from .center import center_dimension
 from .duality import Theory, conformal_weight_exponent
 from .grothendieck import gr_class, gr_multiply
-from .modular import ModularAction
+from .modular import ModularAction, block_layout
 from .reps import irreducible_labels
 from .verify import SuiteSelectionError, available_suites, run_suites
 
@@ -135,7 +135,7 @@ def cmd_smatrix(args):
     ma = ModularAction(th)
     doc = _matrix_doc(ma.S, th.characters.labels(), args.precision)
     doc["blocks"] = {name: {"labels": [repr(l) for l in labels], "dim": dim}
-                     for name, labels, _els, dim in ma.blocks()}
+                     for name, labels, dim in block_layout(P)}
     _emit(args, doc, _matrix_rows(doc))
     return 0
 
@@ -209,11 +209,16 @@ _scalar_text = json.JSONEncoder(default=str).encode
 
 def _json_text(o, nl):
     """The JSON text of o, or None if o holds a nonempty dict; nl is the
-    newline and indent of o's own line.  A list of plain ints is one join."""
+    newline and indent of o's own line.  A list of plain ints (not bools)
+    is one join, and a list of exactly two is one f-string."""
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
         inner = nl + "  "
+        if len(o) == 2 and type(o[0]) is int and type(o[1]) is int:
+            # a [num, den] pair of Cyclo.to_json, the commonest list
+            a, b = o
+            return f"[{inner}{a!r},{inner}{b!r}{nl}]"
         if _INT_ONLY.issuperset(map(type, o)):
             texts = map(int.__repr__, o)
         else:

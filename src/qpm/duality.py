@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, product
 
 from .algebra import AlgebraElement, Params, Sector, TensorElement
@@ -581,15 +582,35 @@ def ribbon_factor_closed_form(params: Params, sec: Sector) -> AlgebraElement:
     return P.linear_combination(terms())
 
 
-@dataclass
 class RibbonData:
-    params: Params
-    u: AlgebraElement
-    v: AlgebraElement
-    v_semisimple: AlgebraElement      # sum of exp(2 pi i Delta) e(r,s)
-    v_unipotent: AlgebraElement       # v = v_semisimple * v_unipotent
-    v_factor_plus: AlgebraElement     # unipotent factor from the plus sector
-    v_factor_minus: AlgebraElement
+    """The ribbon element v = u g^-1 and its Jordan split v = vbar v+ v-.
+
+    u, v and the unipotent factors v+ (v_factor_plus) and v- (v_factor_minus),
+    1 + chi(gamma)/p over the sector's pseudotrace at (1, 1), or 1 when
+    p = 1, are built with the data.  The semisimple part
+    v_semisimple = sum exp(2 pi i Delta_{r,s}) e(r,s) over the canonical
+    idempotents and v_unipotent = v+ v- are built on first read, so data
+    whose split is never read builds no canonical center."""
+
+    def __init__(self, theory: Theory, u, v, v_factor_plus, v_factor_minus):
+        self.theory = theory
+        self.params = theory.params
+        self.u = u
+        self.v = v
+        self.v_factor_plus = v_factor_plus
+        self.v_factor_minus = v_factor_minus
+
+    @cached_property
+    def v_semisimple(self) -> AlgebraElement:
+        P = self.params
+        idempotents = self.theory.center.idempotents
+        return P.linear_combination(
+            (idempotents[(r, s)], P.ctx.root_of_unity(conformal_weight_exponent(P, r, s)))
+            for (r, s) in P.set_I())
+
+    @cached_property
+    def v_unipotent(self) -> AlgebraElement:
+        return self.v_factor_plus * self.v_factor_minus
 
 
 # ----------------------------------------------------------------------
@@ -654,7 +675,7 @@ class Theory:
     def drinfeld_basis(self):
         """chi(gamma_i) for the ordered gamma basis."""
         return self.params.cached("drinfeld_basis", lambda: [
-            self.m_matrix.contract_functional(f) for f in self.characters.functionals()])
+            self.drinfeld_image(*key) for key in self.characters.labels()])
 
     @property
     def radford_solver(self) -> SpanSolver:
@@ -666,18 +687,15 @@ class Theory:
             raise RuntimeError("Radford images of the gamma basis are linearly dependent")
         return solver
 
-    @property
-    def _basis_index(self):
-        """{(kind, label): position} over the ordered gamma basis."""
-        return self.params.cached("basis_index", lambda: {
-            key: i for i, key in enumerate(self.characters.labels())})
-
     def radford_image(self, kind: str, label) -> AlgebraElement:
         """Radford basis element by (kind, label) name."""
-        return self.radford_basis[self._basis_index[kind, label]]
+        return self.radford_basis[self.characters.index[kind, label]]
 
     def drinfeld_image(self, kind: str, label) -> AlgebraElement:
-        return self.drinfeld_basis[self._basis_index[kind, label]]
+        """chi of the basis member named (kind, label), contracted once per
+        pair from that member alone."""
+        return self.params.cached(("drinfeld_image", kind, label), lambda: (
+            self.m_matrix.contract_functional(self.characters.functional(kind, label))))
 
     def qtrace(self, alpha, r, s) -> Functional:
         return qtrace(self.params, alpha, r, s)
@@ -815,17 +833,11 @@ class Theory:
 
     def _build_ribbon(self) -> RibbonData:
         P = self.params
-        ctx = P.ctx
-        zeta = ctx.root_of_unity
         u = canonical_element(P)
         v = u * P.gen("K", P.p_minus - P.p_plus)
-        cb = self.center
-        vbar = P.linear_combination(
-            (cb.idempotents[(r, s)], zeta(conformal_weight_exponent(P, r, s)))
-            for (r, s) in P.set_I())
-        # unipotent part from the Drinfeld pseudotrace images at (1,1)
+        # unipotent factors from the Drinfeld pseudotrace images at (1,1)
         vplus, vminus = (
             P.one + self.drinfeld_image(sec.pseudo, (1, 1)) * Fraction(1, sec.p)
             if sec.p > 1 else P.one
             for sec in P.sectors)
-        return RibbonData(P, u, v, vbar, vplus * vminus, vplus, vminus)
+        return RibbonData(self, u, v, vplus, vminus)

@@ -41,7 +41,7 @@ from .cyclotomic import Cyclo, sum_products
 from .duality import Theory, conformal_weight_exponent
 from .linalg import SpanSolver, closure_rank, invert_dense, mat_mul_dense, mat_vec_dense
 
-__all__ = ["ModularData", "ModularAction"]
+__all__ = ["ModularData", "ModularAction", "block_layout"]
 
 
 @dataclass
@@ -84,6 +84,21 @@ def _mat_mul(a, b, ctx):
 def _columns(cols):
     """The square matrix whose columns are the given coordinate lists."""
     return [list(row) for row in zip(*cols)]
+
+
+def block_layout(params: Params):
+    """The five S,T-stable blocks as (name, labels, expected_dim), where
+    labels are the Kac labels that index the block's elements: minimal and
+    triplet over I_1, slash and bslash over each sector's I_diag, projective
+    over I."""
+    P = params
+    I1 = P.set_I1()
+    interior = (P.p_plus - 1) * (P.p_minus - 1)
+    return [("minimal", I1, interior // 2),
+            ("triplet", I1, 3 * interior // 2),
+            *((name, P.set_I_diag(sec), (sec.p - 1) * (sec.p_other + 1))
+              for sec, name in zip(P.sectors, ("slash", "bslash"))),
+            ("projective", P.set_I(), ((P.p_plus + 1) * (P.p_minus + 1)) // 2)]
 
 
 class ModularAction:
@@ -189,28 +204,20 @@ class ModularAction:
 
     def blocks(self):
         """The five S,T-stable blocks as (name, labels, [elements],
-        expected_dim), where labels are the Kac labels that index the
-        block's elements."""
+        expected_dim), in the order and with the labels and dimensions of
+        block_layout; each label contributes its elements in turn."""
         th = self.theory
-        P = self.params
-        I1 = P.set_I1()
-        out = []
-        out.append(("minimal", I1, [th.varphi_cross(r, s) for (r, s) in I1],
-                    ((P.p_plus - 1) * (P.p_minus - 1)) // 2))
-        trip = []
-        for (r, s) in I1:
-            trip.append(th.radford_image("upup", (r, s)))
-            trip.append(th.psi_hat(r, s))
-            trip.append(th.varphi_hat(r, s))
-        out.append(("triplet", I1, trip, 3 * ((P.p_plus - 1) * (P.p_minus - 1)) // 2))
-        for sec, name in zip(P.sectors, ("slash", "bslash")):
-            labels = P.set_I_diag(sec)
-            out.append((name, labels, [el for (r, s) in labels
-                                       for el in (th.rho_diag(sec, r, s), th.varphi_diag(sec, r, s))],
-                        (sec.p - 1) * (sec.p_other + 1)))
-        out.append(("projective", P.set_I(), [th.kappa_hat(r, s) for (r, s) in P.set_I()],
-                    ((P.p_plus + 1) * (P.p_minus + 1)) // 2))
-        return out
+        plus, minus = self.params.sectors
+        per_label = {
+            "minimal": lambda r, s: (th.varphi_cross(r, s),),
+            "triplet": lambda r, s: (th.radford_image("upup", (r, s)),
+                                     th.psi_hat(r, s), th.varphi_hat(r, s)),
+            "slash": lambda r, s: (th.rho_diag(plus, r, s), th.varphi_diag(plus, r, s)),
+            "bslash": lambda r, s: (th.rho_diag(minus, r, s), th.varphi_diag(minus, r, s)),
+            "projective": lambda r, s: (th.kappa_hat(r, s),),
+        }
+        return [(name, labels, [el for lab in labels for el in per_label[name](*lab)], dim)
+                for name, labels, dim in block_layout(self.params)]
 
     def verify_subrepresentations(self):
         """Block suite: each block is S- and T-stable with the stated

@@ -12,6 +12,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from operator import attrgetter
 
 from .algebra import AlgebraElement, Params
 from .center import (CanonicalCenterBasis, center_brute_force,
@@ -874,24 +875,27 @@ SUITE_ORDER = [
     ("modular-action", suite_modular),
 ]
 
-# The lazily built Theory structures each suite reads, by attribute name.
-# A pooled run builds the listed structures of every selected suite in the
-# caller before it forks, so each is built once and the workers share it.
-# A structure that is not listed is built lazily in each worker that reads
-# it; nothing checks this table, and a stale one costs only speed.
+# The lazily built Theory structures each suite reads, by attribute path
+# (operator.attrgetter: "ribbon.v_semisimple" reads that attribute of
+# Theory.ribbon, which builds it).  A pooled run builds the listed structures
+# of every selected suite in the caller before it forks, so each is built
+# once and the workers share it.  A structure that is not listed is built
+# lazily in each worker that reads it; nothing checks this table, and a
+# stale one costs only speed.
 SUITE_READS = {
     "hopf-axioms": (),
     "module-relations": ("gr_index", "irreducibles", "projective_covers"),
     "fusion-three-way": ("gr_index", "drinfeld_basis"),
     "chebyshev-presentation": (),
-    "integral-suite": ("integral", "characters"),
-    "qcharacter-space": ("characters",),
+    "integral-suite": ("integral", "characters.entries"),
+    "qcharacter-space": ("characters.solver",),
     "center-structure": ("center", "characters"),
     "radford-images": ("center", "radford_basis"),
     "drinfeld-images": ("m_matrix", "drinfeld_basis", "radford_basis"),
-    "ribbon-element": ("ribbon", "m_matrix", "center_basis_change", "radford_basis",
-                       "irreducibles"),
-    "modular-action": ("modular_action", "ribbon", "integral", "center_basis_change"),
+    "ribbon-element": ("ribbon.v_semisimple", "ribbon.v_unipotent", "m_matrix",
+                       "center_basis_change", "radford_basis", "irreducibles"),
+    "modular-action": ("modular_action", "ribbon.v_semisimple", "ribbon.v_unipotent",
+                       "integral", "center_basis_change"),
 }
 
 # The order in which a pool takes the suites: longest check stage first, as
@@ -964,8 +968,8 @@ def _suite_pool(theory, suites):
             or threading.active_count() > 1):
         return None
     for name in suites:
-        for attr in SUITE_READS[name]:
-            getattr(theory, attr)
+        for path in SUITE_READS[name]:
+            attrgetter(path)(theory)
     others = multiprocessing.active_children()
     pool = multiprocessing.get_context("fork").Pool(
         workers, initializer=_enter_worker, initargs=(theory, suites))

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from qpm import characters
 from qpm.algebra import Params
-from qpm.characters import (Functional, PseudotraceSpec, counit_functional,
-                            is_qcharacter, qcharacter_space, qtrace,
-                            sigma_endomorphism, trace_functional)
+from qpm.characters import (CharacterSpace, Functional, PseudotraceSpec,
+                            counit_functional, is_qcharacter, qcharacter_space,
+                            qtrace, sigma_endomorphism, trace_functional)
+from qpm.linalg import SpanSolver
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +139,40 @@ def test_functional_cancellation_stores_no_zero(P12, cs12):
     assert rest == f
     assert all(not v.is_zero() for v in rest.values.values())
     assert all(not v.is_zero() for v in fg.values.values())
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (2, 3), (3, 2)])
+def test_functional_per_label_equals_basis_entry(pair, request):
+    # on a fresh pair, q-characters built one by one in reverse reading
+    # order equal the entries of the fully built basis, in value and key
+    # order
+    full = request.getfixturevalue("T%d%d" % pair).characters.entries
+    cs = CharacterSpace(Params(*pair))
+    assert cs.labels() == [(kind, lab) for kind, lab, _ in full]
+    for kind, lab, f in reversed(full):
+        assert list(cs.functional(kind, lab).values.items()) == list(f.values.items()), (kind, lab)
+
+
+def test_solver_is_built_on_first_read_and_guards_independence(monkeypatch):
+    built = []
+
+    def counting_solver(*args):
+        built.append(args)
+        return SpanSolver(*args)
+
+    monkeypatch.setattr(characters, "SpanSolver", counting_solver)
+    cs = CharacterSpace(Params(1, 2))
+    cs.entries, cs.functionals(), cs.labels()
+    assert not built
+    assert cs.solver.independent and cs.solver.rank == cs.dimension
+    assert len(built) == 1
+
+    # one functional replaced by a copy of another: the first read raises
+    cs = CharacterSpace(Params(1, 2))
+    first, second = cs.labels()[:2]
+    build = cs.functional
+    monkeypatch.setattr(cs, "functional", lambda kind, lab: (
+        Functional(cs.params, dict(build(*first).values)) if (kind, lab) == second
+        else build(kind, lab)))
+    with pytest.raises(RuntimeError, match="linearly dependent"):
+        cs.solver

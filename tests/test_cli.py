@@ -12,8 +12,9 @@ from qpm import cli
 from qpm.cli import _json_chunks, main
 
 # SHA-256 of each JSON table as written by --output; perfbench/expected.json
-# pins (1,2) and (2,3), these pin three one-sector pairs, the Lee-Yang pair
-# (2,5) and the sector swap of (2,3)
+# pins (1,2) and (2,3), these pin three one-sector pairs ((3,1) is the one
+# whose minus sector is trivial, so its ribbon table has v- = 1), the
+# Lee-Yang pair (2,5) and the sector swap of (2,3)
 TABLE_DIGESTS = {
     (1, 3): {
         "center": "9de0ed61c5686d53b63770f250d37fea7afe6040cc208227502005df7a6932bf",
@@ -46,6 +47,14 @@ TABLE_DIGESTS = {
         "ribbon": "49645b3398f0ca8d123e7d7077b37ca3d0c761121d9be95c719c09986a12b60e",
         "smatrix": "9a13919fe8453bb65240bb166401eabec0570902781af51d395fd2b9bef923c4",
         "tmatrix": "f1f0ab487dbd43f614c1cee8172c30cad569a39b77b2e24a100f594323d74fd1",
+    },
+    (3, 1): {
+        "center": "9f0642d0393aca1593e43ebcae0c747f3914fe37f35087ceb1b06cecfdbd3816",
+        "fusion": "41da5eb7b63082030694cff60efad922ac4b182074ab1350bf65cd846578e250",
+        "info": "1113eff1fd514d346b8e6726c059a27be2366c530f915c9ea6e59a680bf7f73e",
+        "ribbon": "39f634176cb6ac39f4726a3239a4a6a4229aa23ef43334c4d8534d12db861d31",
+        "smatrix": "dc1d86ef1e9bbc53892c2670f02580f180524e97f18c9b2be6c8210829f794ab",
+        "tmatrix": "809af00d8a855c0de457176ce4fae300f33ca51742eafcde18f83325cbf0a73d",
     },
 }
 

@@ -425,3 +425,53 @@ def test_balanced_trace_needs_no_character_space():
     assert Theory(P).qtrace(1, 1, 1) == trace_functional(cached_irreducible(P, 1, 1, 1))
     assert Theory(P).qtrace(-1, 2, 3) == trace_functional(cached_irreducible(P, -1, 2, 3))
     assert "character_space" not in P.cache
+
+
+def _drinfeld_image_keys(P):
+    return [key for key in P.cache if isinstance(key, tuple) and key[0] == "drinfeld_image"]
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (2, 3), (3, 2)])
+def test_ribbon_builds_neither_center_nor_drinfeld_basis(pair):
+    # the ribbon data contracts only the two pseudotrace images at (1,1);
+    # its semisimple part, the one reader of the canonical center, waits
+    # for its first read
+    P = Params(*pair)
+    Theory(P).ribbon
+    assert "canonical_center" not in P.cache
+    assert "drinfeld_basis" not in P.cache
+    assert len(_drinfeld_image_keys(P)) <= 2
+    Theory(P).ribbon.v_semisimple
+    assert "canonical_center" in P.cache
+
+
+def _terms(el):
+    return list(el.coeffs.items())
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (2, 3), (3, 2)])
+def test_lazy_ribbon_split_matches_one_built_after_the_bases(pair):
+    # a theory whose center and bases were built first gives the ribbon
+    # factors the same values with the same key order
+    eager = Theory(Params(*pair))
+    eager.center, eager.radford_basis, eager.drinfeld_basis
+    lazy = Theory(Params(*pair))
+    lazy_rib, eager_rib = lazy.ribbon, eager.ribbon
+    for name in ("u", "v", "v_factor_plus", "v_factor_minus", "v_semisimple", "v_unipotent"):
+        assert _terms(getattr(lazy_rib, name)) == _terms(getattr(eager_rib, name)), name
+    assert (lazy_rib.v - lazy_rib.v_semisimple * lazy_rib.v_unipotent).is_zero()
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (2, 3), (3, 2)])
+def test_drinfeld_image_per_label_equals_basis_entry(pair, request):
+    # on a fresh pair, images contracted one by one in reverse reading order
+    # equal the entries of the fully built basis, in value and key order
+    full = request.getfixturevalue("T%d%d" % pair)
+    basis = full.drinfeld_basis
+    th = Theory(Params(*pair))
+    labels = th.characters.labels()
+    for i in reversed(range(len(labels))):
+        assert _terms(th.drinfeld_image(*labels[i])) == _terms(basis[i]), labels[i]
+    assert "drinfeld_basis" not in th.params.cache
+    with pytest.raises(KeyError):
+        th.drinfeld_image("upup", (0, 0))

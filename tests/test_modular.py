@@ -179,7 +179,7 @@ def test_coordinate_checks_can_fail(T23, ma23):
     image of the trivial module's trace, a coordinate that both the
     transformation families and the kappa eigenvectors reach."""
     one = ma23.params.ctx.one
-    k = T23._basis_index["qtr", (1, 1, 1)]
+    k = T23.characters.index["qtr", (1, 1, 1)]
     broken = copy.copy(ma23)
     broken.T = _perturbed_entry(ma23.T, k, k, one)
     assert not broken.verify_transformations()["ok"]

@@ -273,6 +273,16 @@ class Params:
             self.cache[key] = build()
         return self.cache[key]
 
+    def release(self):
+        """Drop every structure of the pair and the field's tables, for an
+        owner that is done with this Params and keeps none of its values.
+        The graph is cyclic (P.one.params is P, the parts in P.cache point
+        back to P, ctx.one.ctx is ctx), so reference counting frees it now,
+        not the cyclic collector at its next pass."""
+        ctx = self.ctx
+        vars(self).clear()
+        vars(ctx).clear()
+
     # -- monomials ----------------------------------------------------------
 
     def monomials(self):
@@ -466,10 +476,22 @@ class Params:
             for ((a, b, c, d, i), (ar, br, cr, dr, k)), v in t.coeffs.items()})
 
     def _coproduct_kfree(self, mono) -> "TensorElement":
-        a, b, c, d, _ = mono
+        """Delta(fp^a ep^b fm^c em^d) as Delta(B') Delta(x), for x the last
+        generator of the word and B' the word without it, with Delta(B')
+        from the memo: one product per word, and every word's coproduct the
+        same left-to-right product of generator coproducts."""
+        if not any(mono):
+            return TensorElement(self, {((0, 0, 0, 0, 0), (0, 0, 0, 0, 0)): self.ctx.one})
+        last = max(i for i in range(4) if mono[i])
+        prefix = list(mono)
+        prefix[last] -= 1
+        return self.coproduct_mono(tuple(prefix)) * self.cached(
+            "generator_coproducts", self._generator_coproducts)[last]
+
+    def _generator_coproducts(self):
+        """Delta(fp), Delta(ep), Delta(fm), Delta(em)."""
         p, q, ko = self.p_plus, self.p_minus, self.korder
         one = self.ctx.one
-        t = TensorElement(self, {((0, 0, 0, 0, 0), (0, 0, 0, 0, 0)): one})
         d_fp = TensorElement(self, {
             ((1, 0, 0, 0, 0), (0, 0, 0, 0, (-q) % ko)): one,
             ((0, 0, 0, 0, 0), (1, 0, 0, 0, 0)): one})
@@ -482,10 +504,7 @@ class Params:
         d_em = TensorElement(self, {
             ((0, 0, 0, 1, 0), (0, 0, 0, 0, p % ko)): one,
             ((0, 0, 0, 0, 0), (0, 0, 0, 1, 0)): one})
-        for factor, power in ((d_fp, a), (d_ep, b), (d_fm, c), (d_em, d)):
-            for _ in range(power):
-                t = t * factor
-        return t
+        return d_fp, d_ep, d_fm, d_em
 
     def casimirs(self):
         """The two central Casimir elements, one per sector:
@@ -745,6 +764,3 @@ class TensorElement:
                         yield (mL, mR), cl * cR
 
         return TensorElement(self.params, sparse_sum(terms()))
-
-    def swap(self) -> "TensorElement":
-        return TensorElement(self.params, {(m2, m1): c for (m1, m2), c in self.coeffs.items()})

@@ -289,7 +289,7 @@ def canonical_basis(params: Params) -> CanonicalCenterBasis:
     families = {"v": v_interior, "w": w_interior, "vb": v_boundary}
     read_entries = {}
     for (fam, key), (module, src, tgt) in _read_probes(P).items():
-        lam = module.act(families[fam][key]).get(module.index[tgt], module.index[src], P.ctx.zero)
+        lam = module.act_entry(families[fam][key], module.index[tgt], module.index[src])
         if lam.is_zero():
             raise ArithmeticError(f"degenerate read entry for {fam}{key}")
         read_entries[(fam, key)] = lam
@@ -365,18 +365,13 @@ class CenterDecomposition:
 def decompose_central(params: Params, z: AlgebraElement,
                       basis: CanonicalCenterBasis) -> CenterDecomposition:
     P = params
-    ctx = P.ctx
     if not is_central(P, z):
         raise ValueError("element is not central")
-    a = {}
-    for blk in P.set_I():
-        m = cached_irreducible(P, *P.block_members(*blk)["up"])
-        a[blk] = m.act(z).get(0, 0, ctx.zero)
+    a = {blk: cached_irreducible(P, *P.block_members(*blk)["up"]).act_entry(z, 0, 0)
+         for blk in P.set_I()}
     coeffs = {"v": {}, "w": {}, "vb": {}}
-    probes = _read_probes(P)
-    acts = {m: m.act(z) for m in dict.fromkeys(m for m, _, _ in probes.values())}
-    for (fam, key), (module, src, tgt) in probes.items():
-        val = acts[module].get(module.index[tgt], module.index[src], ctx.zero)
+    for (fam, key), (module, src, tgt) in _read_probes(P).items():
+        val = module.act_entry(z, module.index[tgt], module.index[src])
         coeffs[fam][key] = val * basis.read_entries[(fam, key)].inv()
     dec = CenterDecomposition(P, a, coeffs["v"], coeffs["w"], coeffs["vb"])
     if not (dec.reconstruct(basis) - z).is_zero():

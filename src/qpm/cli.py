@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -41,12 +42,26 @@ def _context(args) -> Params:
         raise SystemExit(2)
 
 
+def _table(cmd):
+    """The table command cmd(args, P) on the pair's fresh Params P, which
+    never leaves the call and is released on return (Params.release), so a
+    process that prints many tables holds one pair's structures at a time."""
+    @functools.wraps(cmd)
+    def run(args):
+        P = _context(args)
+        try:
+            return cmd(args, P)
+        finally:
+            P.release()
+    return run
+
+
 def _label(alpha, r, s):
     return f"{'+' if alpha > 0 else '-'}{r},{s}"
 
 
-def cmd_info(args):
-    P = _context(args)
+@_table
+def cmd_info(args, P):
     doc = {
         "p_plus": P.p_plus,
         "p_minus": P.p_minus,
@@ -65,8 +80,8 @@ def cmd_info(args):
     return 0
 
 
-def cmd_fusion(args):
-    P = _context(args)
+@_table
+def cmd_fusion(args, P):
     labels = irreducible_labels(P)
     table = []
     for la in labels:
@@ -86,8 +101,8 @@ def cmd_fusion(args):
     return 0
 
 
-def cmd_center(args):
-    P = _context(args)
+@_table
+def cmd_center(args, P):
     cb = Theory(P).center
     entries = []
     for (family, key), el in cb.ordered():
@@ -129,8 +144,8 @@ def _matrix_rows(doc):
             yield [str(i), str(j), repr(re), repr(im)]
 
 
-def cmd_smatrix(args):
-    P = _context(args)
+@_table
+def cmd_smatrix(args, P):
     th = Theory(P)
     ma = ModularAction(th)
     doc = _matrix_doc(ma.S, th.characters.labels(), args.precision)
@@ -140,8 +155,8 @@ def cmd_smatrix(args):
     return 0
 
 
-def cmd_tmatrix(args):
-    P = _context(args)
+@_table
+def cmd_tmatrix(args, P):
     th = Theory(P)
     ma = ModularAction(th)
     doc = _matrix_doc(ma.T, th.characters.labels(), args.precision)
@@ -152,8 +167,8 @@ def cmd_tmatrix(args):
     return 0
 
 
-def cmd_ribbon(args):
-    P = _context(args)
+@_table
+def cmd_ribbon(args, P):
     th = Theory(P)
     rib = th.ribbon
     zeta = P.ctx.root_of_unity
@@ -207,10 +222,32 @@ _INT_ONLY = frozenset([int])
 _scalar_text = json.JSONEncoder(default=str).encode
 
 
+def _pair_texts(items, nl):
+    """The texts of items, each a list of two plain ints on a line with
+    newline and indent nl, or None if one is not.  Each distinct pair is
+    formatted once: a Cyclo.to_json coefficient list is phi such [num, den]
+    pairs, most of them [0, 1]."""
+    inner = nl + "  "
+    done = {}
+    texts = []
+    for x in items:
+        if type(x) is not list or len(x) != 2:
+            return None
+        a, b = x
+        if type(a) is not int or type(b) is not int:
+            return None
+        text = done.get((a, b))
+        if text is None:
+            text = done[a, b] = f"[{inner}{a!r},{inner}{b!r}{nl}]"
+        texts.append(text)
+    return texts
+
+
 def _json_text(o, nl):
     """The JSON text of o, or None if o holds a nonempty dict; nl is the
     newline and indent of o's own line.  A list of plain ints (not bools)
-    is one join, and a list of exactly two is one f-string."""
+    is one join, a list of exactly two is one f-string, and a list of such
+    pairs one join of _pair_texts."""
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
@@ -219,9 +256,9 @@ def _json_text(o, nl):
             # a [num, den] pair of Cyclo.to_json, the commonest list
             a, b = o
             return f"[{inner}{a!r},{inner}{b!r}{nl}]"
-        if _INT_ONLY.issuperset(map(type, o)):
-            texts = map(int.__repr__, o)
-        else:
+        texts = (map(int.__repr__, o) if _INT_ONLY.issuperset(map(type, o))
+                 else _pair_texts(o, inner))
+        if texts is None:
             texts = []
             for x in o:
                 text = _json_text(x, inner)

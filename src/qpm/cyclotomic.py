@@ -155,17 +155,12 @@ class CycloContext:
         any integers) with the given denominator."""
         return self._canonical(raw, den)
 
-    def _canonical(self, num: dict, den: int, k: int = 0, s: int = 1,
-                   acc: dict | None = None) -> "Cyclo":
-        """The one canonicalisation pass: (acc + s*zeta^k*num) / den.
-
-        `num` maps integer exponents (any integers) to integers, and `acc`,
-        if given, is a sparse map over [0, phi) that is updated in place.
-        Each exponent e + k is folded into [0, phi) through the reduction
-        rows and accumulated in first-touch order; zero sums are dropped,
-        the sign of `den` moved into the numerator and the gcd with `den`
-        divided out (not computed when den == 1).
-        """
+    def _fold(self, num: dict, k: int = 0, s: int = 1,
+              acc: dict | None = None) -> dict:
+        """acc + s*zeta^k*num as a sparse map over [0, phi), acc updated in
+        place: each exponent e + k of `num` (any integer) is folded into
+        [0, phi) through the reduction rows and accumulated in first-touch
+        order.  Zero sums stay in the map, at their first touch."""
         phi = self.phi
         rows = self._rows
         if acc is None:
@@ -183,6 +178,19 @@ class CycloContext:
                         acc[e2] = get(e2, 0) + c * c2
                     continue
             acc[e] = get(e, 0) + c
+        return acc
+
+    def _canonical(self, num: dict, den: int, k: int = 0, s: int = 1,
+                   acc: dict | None = None) -> "Cyclo":
+        """The one canonicalisation pass: (acc + s*zeta^k*num) / den.
+
+        `num` maps integer exponents (any integers) to integers, and `acc`,
+        if given, is a sparse map over [0, phi) that is updated in place.
+        The sum is folded by _fold; then zero sums are dropped, the sign of
+        `den` moved into the numerator and the gcd with `den` divided out
+        (not computed when den == 1).
+        """
+        acc = self._fold(num, k, s, acc)
         if 0 in acc.values():
             acc = {e: c for e, c in acc.items() if c}
         if not acc:
@@ -477,7 +485,10 @@ class Cyclo:
     # -- serialization ------------------------------------------------------
 
     def to_pairs(self):
-        """Dense list of reduced (num, den) pairs over the power basis."""
+        """Dense list of reduced (num, den) pairs over the power basis.  The
+        zero coefficients, most of the list, share one [0, 1] list, which
+        a reader must not change."""
+        zero = [0, 1]
         out = []
         for e in range(self.ctx.phi):
             c = self.num.get(e, 0)
@@ -485,7 +496,7 @@ class Cyclo:
                 g = math.gcd(c, self.den)
                 out.append([c // g, self.den // g])
             else:
-                out.append([0, 1])
+                out.append(zero)
         return out
 
     def to_json(self, precision: int | None = None):
@@ -518,10 +529,11 @@ def sum_products(triples) -> dict:
     Each product is accumulated as raw integers, exponent e1 + e2 to
     c1 * c2, in a map per key and denominator a.den * b.den.  At the end
     the maps of each key are brought to the lcm of its denominators and
-    folded once through the reduction rows (so, as for _canonical, an
-    operand's exponents may be any integers).  A sum's exponents keep the
-    first touch of that one fold, which can differ from the order a chain
-    of Cyclo additions would give."""
+    folded, one after the other, into one map through the reduction rows
+    (so, as for _canonical, an operand's exponents may be any integers);
+    then zeros are dropped, and the sign and gcd fixed, once per key.  A
+    sum's exponents keep the first touch of that fold, which can differ
+    from the order a chain of Cyclo additions would give."""
     acc = {}
     ctx = None
     for key, a, b in triples:
@@ -551,14 +563,13 @@ def sum_products(triples) -> dict:
                     raw[e] = get(e, 0) + c1 * c2
     out = {}
     for key, groups in acc.items():
+        if not groups:
+            continue
         lcm = math.lcm(*groups)
         folded = {}
-        total = None
         for d, raw in groups.items():
-            total = ctx._canonical(raw, 1, s=lcm // d, acc=folded)
-        # a zero test ends here; a surviving sum is divided once
-        if total and lcm != 1:
-            total = ctx._canonical({}, lcm, acc=folded)
+            ctx._fold(raw, s=lcm // d, acc=folded)
+        total = ctx._canonical({}, lcm, acc=folded)
         if total:
             out[key] = total
     return out

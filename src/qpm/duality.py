@@ -50,7 +50,7 @@ from itertools import chain, product
 from .algebra import AlgebraElement, Params, Sector, TensorElement
 from .center import canonical_basis
 from .characters import CharacterSpace, Functional, counit_functional, qtrace
-from .cyclotomic import Cyclo, nonzero_sums, sparse_sum
+from .cyclotomic import Cyclo, nonzero_sums, sparse_sum, sum_products
 from .linalg import SpanSolver, invert_dense, mat_mul_dense, mat_vec_dense
 from .reps import (GrothendieckIndex, cached_irreducible, cached_projective,
                    irreducible_labels)
@@ -139,18 +139,7 @@ def verify_integral_data(data: IntegralData):
         eps = g.counit()
         if not (g * Lam - Lam * eps).is_zero() or not (Lam * g - Lam * eps).is_zero():
             errs.append(f"cointegral invariance fails for {name}")
-    # (lambda (x) id) Delta(x) = lambda(x) 1 and (id (x) lambda) = lambda(x) a
-    for mono in P.monomials():
-        t = P.coproduct_mono(mono)
-        left = t.apply_left(lambda m: lam.values.get(m, P.ctx.zero))
-        lx = lam.values.get(mono, P.ctx.zero)
-        if left != P.scalar(lx):
-            errs.append(f"right-integral identity fails at {mono}")
-            break
-        right = t.swap().apply_left(lambda m: lam.values.get(m, P.ctx.zero))
-        if right != data.comodulus * lx:
-            errs.append(f"comodulus identity fails at {mono}")
-            break
+    errs += _integral_identity_failures(data)
     g = data.balancing
     if g * g != data.comodulus:
         errs.append("g^2 != comodulus")
@@ -162,6 +151,50 @@ def verify_integral_data(data: IntegralData):
         if x.antipode().antipode() != g * x * ginv:
             errs.append(f"S^2 != Ad_g on {name}")
     return errs
+
+
+def _integral_identity_failures(data: IntegralData) -> list:
+    """(lambda (x) id) Delta(x) = lambda(x) 1 and (id (x) lambda) Delta(x)
+    = lambda(x) a, the comodulus, for every PBW monomial x = B K^j; at most
+    one failure, the first in monomial order.
+
+    Delta(B K^j) is Delta(B) with the K exponents of both legs raised by
+    j, so each contraction reads Delta(B) once per K-free B: a term
+    c m1 (x) m2 with m1 = B1 K^i meets lambda's value v at B1 K^e only for
+    j = e - i, where it adds c v m2 K^j to the contraction at B K^j."""
+    P = data.params
+    ko, zero = P.korder, P.ctx.zero
+    lam = data.integral.values
+    by_free = {}
+    for m, v in lam.items():
+        by_free.setdefault(m[:4], []).append((m[4], v))
+
+    def contractions(terms):
+        """{j: {monomial: coefficient}} over (read leg, kept leg) terms."""
+        sums = sum_products(
+            ((j, kept[:4] + ((kept[4] + j) % ko,)), c, v)
+            for (read, kept), c in terms
+            for e, v in by_free.get(read[:4], ())
+            for j in ((e - read[4]) % ko,))
+        out = {}
+        for (j, m), s in sums.items():
+            out.setdefault(j, {})[m] = s
+        return out
+
+    for b in P.monomials():
+        if b[4]:
+            continue
+        coeffs = P.coproduct_mono(b).coeffs
+        left = contractions(coeffs.items())
+        right = contractions(((m2, m1), c) for (m1, m2), c in coeffs.items())
+        for j in range(ko):
+            mono = b[:4] + (j,)
+            lx = lam.get(mono, zero)
+            if left.get(j, {}) != P.scalar(lx).coeffs:
+                return [f"right-integral identity fails at {mono}"]
+            if right.get(j, {}) != (data.comodulus * lx).coeffs:
+                return [f"comodulus identity fails at {mono}"]
+    return []
 
 
 def delta_cointegral_closed_form(data: IntegralData) -> TensorElement:

@@ -54,6 +54,8 @@ __all__ = [
 
 
 _SUITS = ("u", "l", "r", "d")
+# the generators of a PBW monomial (a, b, c, d, j) = fp^a ep^b fm^c em^d K^j
+_PBW_ORDER = ("fp", "ep", "fm", "em")
 
 
 def irreducible_labels(params: Params):
@@ -105,7 +107,7 @@ class ModuleRep:
     def act_mono(self, mono) -> SparseMat:
         a, b, c, d, j = mono
         out = None
-        for name, n in (("fp", a), ("ep", b), ("fm", c), ("em", d)):
+        for name, n in zip(_PBW_ORDER, (a, b, c, d)):
             if n:
                 m = self.gen_power(name, n)
                 out = m if out is None else out * m
@@ -119,6 +121,37 @@ class ModuleRep:
             (key, v * coeff)
             for mono, coeff in x.coeffs.items()
             for key, v in self.act_mono(mono).data.items()))
+
+    def act_entry(self, x: AlgebraElement, tgt: int, src: int):
+        """The entry (tgt, src) of act(x), without the matrix.
+
+        (B K^j) e_src = zeta^(12 w_src j) B e_src, so each K-free part B of
+        x is applied to e_src once (_word_vector), and the entry is summed
+        per K exponent j, then over j with its phase: one sum_products
+        batch each."""
+        ctx = self.params.ctx
+        vectors = {(0, 0, 0, 0): {src: ctx.one}}
+        per_j = sum_products(
+            (mono[4], coeff, v)
+            for mono, coeff in x.coeffs.items()
+            for v in (self._word_vector(mono[:4], vectors).get(tgt),) if v is not None)
+        zeta, w = ctx.root_of_unity, self.kweights[src]
+        return sum_products(((), zeta(12 * w * j), s)
+                            for j, s in per_j.items()).get((), ctx.zero)
+
+    def _word_vector(self, word, vectors):
+        """B e_src as a sparse vector, for the K-free word B given by its
+        exponents (a, b, c, d): SparseMat.apply of the word's first
+        generator to the vector of the rest.  `vectors` memoises the words
+        met so far and starts with the empty word's e_src."""
+        vec = vectors.get(word)
+        if vec is None:
+            first = next(i for i in range(4) if word[i])
+            rest = list(word)
+            rest[first] -= 1
+            vec = vectors[word] = self.mats[_PBW_ORDER[first]].apply(
+                self._word_vector(tuple(rest), vectors))
+        return vec
 
     # -- structure checks ------------------------------------------------------
 

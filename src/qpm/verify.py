@@ -12,6 +12,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 from operator import attrgetter
 
 from .algebra import AlgebraElement, Params
@@ -30,7 +31,8 @@ from .linalg import SpanSolver, SparseMat
 from .reps import cached_irreducible, irreducible_labels, tensor_product, verma
 
 __all__ = ["run_suites", "SUITE_ORDER", "SuiteSelectionError", "available_suites",
-           "idempotents_hold", "radical_table_holds", "radical_cube_vanishes"]
+           "idempotents_hold", "radical_table_holds", "radical_cube_vanishes",
+           "weight_projectors_hold"]
 
 
 def _sqrt2pp32(P: Params) -> Cyclo:
@@ -423,6 +425,34 @@ def radical_cube_vanishes(cb: CanonicalCenterBasis) -> bool:
     return len(rad) < 2 or not mul(mul(sample[0], P.weight_form(rad[-1])), sample[0])
 
 
+def weight_projectors_hold(P: Params) -> bool:
+    """The four K-weight projectors of the first two interior labels and of
+    the boundary label (1, p_-) (when p_+ > 1) are idempotent and pairwise
+    orthogonal, and sum to (1 + sgn K^(p_+ p_-)) / 2; at (1, p_-), where
+    'left' and 'down' have no weights, 'up' + 'right' alone is that sum."""
+    boundary = [(1, P.p_minus)] * (P.p_plus > 1)
+    projectors = {lab: weight_projectors(P, *lab)
+                  for lab in list(P.set_I1())[:2] + boundary}
+
+    def half_sum(r, s):
+        sgn = (-1) ** (P.p_minus * (r - 1) + P.p_plus * (s - 1))
+        return (P.one + P.gen("K", P.pp) * sgn) * Fraction(1, 2)
+
+    for lab, proj in projectors.items():
+        if any(x * x != x for x in proj.values()):
+            return False
+        if any(not (proj[a] * proj[b]).is_zero() for a, b in combinations(proj, 2)):
+            return False
+        total = proj["up"] + proj["left"] + proj["right"] + proj["down"]
+        if total != half_sum(*lab):
+            return False
+    for lab in boundary:
+        proj = projectors[lab]
+        if proj["up"] + proj["right"] != half_sum(*lab):
+            return False
+    return True
+
+
 def _decomposition(P: Params, z: AlgebraElement, cb: CanonicalCenterBasis):
     """decompose_central(P, z, cb), or None when the coefficients it reads
     do not reconstruct z."""
@@ -456,21 +486,8 @@ def suite_center(theory: Theory):
              and all(span_cb.contains(z.coeffs) for z in bf))
     checks.append(("commutant span equals canonical span", agree, ""))
 
-    pi_ok = True
-    for (r, s) in list(P.set_I1())[:2] + [(1, P.p_minus)] * (P.p_plus > 1):
-        proj = weight_projectors(P, r, s)
-        for k1 in proj:
-            if proj[k1] * proj[k1] != proj[k1]:
-                pi_ok = False
-        sgn = (-1) ** (P.p_minus * (r - 1) + P.p_plus * (s - 1))
-        total = (proj["up"] + proj["left"] + proj["right"] + proj["down"])
-        if total != (P.one + P.gen("K", P.pp) * sgn) * Fraction(1, 2):
-            pi_ok = False
-    if P.p_plus > 1:
-        prj = weight_projectors(P, 1, P.p_minus)
-        pi_ok = pi_ok and prj["left"].is_zero() and prj["down"].is_zero()
     checks.append(("weight projectors: idempotent, orthogonal, sum rule,"
-                   " boundary vanishing", pi_ok, ""))
+                   " boundary vanishing", weight_projectors_hold(P), ""))
 
     dec = _decomposition(P, P.one, cb)
     one_ok = (dec is not None
@@ -1037,9 +1054,6 @@ def run_suites(p_plus: int, p_minus: int, selection=None, report=print):
         if pooled:
             pool.terminate()
             pool.join()
-    # P never leaves this call, and its graph is cyclic (P.one.params is P;
-    # the parts in P.cache point back to P).  Dropping its attributes lets
-    # reference counting free the caches now, not at the cyclic collector's
-    # next pass.
-    vars(P).clear()
+    # P never leaves this call
+    P.release()
     return all_ok, results

@@ -11,7 +11,10 @@ from qpm.center import (center_brute_force, center_dimension,
 from qpm.duality import Theory
 from qpm.linalg import SpanSolver, SparseMat
 from qpm.reps import cached_irreducible, irreducible_labels
-from qpm.verify import idempotents_hold, radical_cube_vanishes, radical_table_holds
+import qpm.verify
+from qpm.algebra import AlgebraElement
+from qpm.verify import (idempotents_hold, radical_cube_vanishes, radical_table_holds,
+                        weight_projectors_hold)
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +58,39 @@ def test_weight_projector_identities(P23):
     assert prj["left"].is_zero() and prj["down"].is_zero()
     prj = weight_projectors(P, P.p_plus, 1)
     assert prj["right"].is_zero() and prj["down"].is_zero()
+
+
+def _weight_shifted(x):
+    """The projector x = sum c_j K^j onto its weights shifted by one:
+    1_w goes to 1_(w+1), still an idempotent."""
+    P = x.params
+    return AlgebraElement(P, {m: c * P.zeta(-12 * m[4]) for m, c in x.coeffs.items()})
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2), (2, 5)])
+def test_weight_projector_check_can_fail(pair, monkeypatch):
+    """The ledger's weight-projector check holds, fails when one projector
+    is moved to shifted weights, and fails through its boundary clause
+    alone when, at (1, p-), 'right' is renamed 'left': every projector is
+    still idempotent and orthogonal to the others, and the four still sum
+    to (1 + sgn K^(p+ p-))/2."""
+    P = Params(*pair)
+    assert weight_projectors_hold(P)
+    build = qpm.verify.weight_projectors
+
+    def shifted(P, r, s):
+        proj = build(P, r, s)
+        return dict(proj, right=_weight_shifted(proj["right"]))
+
+    def renamed(P, r, s):
+        proj = build(P, r, s)
+        if (r, s) == (1, P.p_minus):
+            proj = dict(proj, left=proj["right"], right=proj["left"])
+        return proj
+
+    for broken in (shifted, renamed):
+        monkeypatch.setattr(qpm.verify, "weight_projectors", broken)
+        assert not weight_projectors_hold(P), broken.__name__
 
 
 def test_canonical_basis_size_and_centrality(P23, cb23):

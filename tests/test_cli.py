@@ -1,9 +1,11 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import gc
 import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -264,6 +266,27 @@ def test_stdout_equals_output_file(fmt, tmp_path, capsys):
         assert out.encode() == path.read_bytes(), cmd
 
 
+def test_table_command_frees_its_pair_on_return(tmp_path):
+    # With the cyclic collector off, a finished (2,3) T table must leave
+    # little allocated: its Params graph (about 2.3 MB when left to the
+    # collector) is freed on return.
+    args = ["--p-plus", "2", "--p-minus", "3", "--output", str(tmp_path / "t.json"), "tmatrix"]
+    assert main(args) == 0  # first-use imports and module state
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(args) == 0
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert retained < 1_000_000, retained
+
+
 def test_stdout_table_matches_recorded_digest(capsys):
     code, out = run_cli(["--p-plus", "1", "--p-minus", "3", "smatrix"], capsys)
     assert code == 0
@@ -289,6 +312,32 @@ _docs = st.recursive(
 @given(_docs)
 def test_json_writer_matches_json_dumps(doc):
     assert "".join(_json_chunks(doc)) == _reference(doc)
+
+
+_pairs = st.lists(st.integers(-3, 3), min_size=2, max_size=2)
+_pair_list_items = (_pairs | _pairs | st.just([True, 1]) | st.just([0, False])
+                    | st.tuples(st.integers(0, 2), st.integers(1, 2))
+                    | st.lists(_pairs, max_size=3) | st.just([]) | st.integers())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_pair_list_items, max_size=12), st.integers(0, 2))
+def test_json_writer_matches_json_dumps_on_pair_lists(items, depth):
+    """Lists of [num, den] pairs, most of them repeated, mixed with bools,
+    nested pair lists, tuples, empty lists and ints, at several indents."""
+    doc = items
+    for _ in range(depth):
+        doc = {"coeffs": doc, "float": [0.5, -1.0]}
+    assert "".join(_json_chunks(doc)) == _reference(doc)
+
+
+def test_json_writer_formats_pair_lists_like_json_dumps():
+    for doc in ([[0, 1], [0, 1], [-2, 3], [0, 1]],
+                [[0, 1], [True, 1], [0, 1]],
+                [[0, 1], [[0, 1], [2, 3]], [0, 1]],
+                [[0, 1], [], [0, 1]],
+                {"entries": [[{"coeffs": [[0, 1]] * 5 + [[7, 12]]}]]}):
+        assert "".join(_json_chunks(doc)) == _reference(doc)
 
 
 def test_json_writer_rejects_non_str_keys():

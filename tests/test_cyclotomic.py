@@ -437,6 +437,66 @@ def test_nonzero_sums_against_canonical_sums(order):
     assert len(dens) >= 5, dens
 
 
+def _sum_products_per_group(triples):
+    """sum_products with one canonical pass per denominator group of a key
+    and one more for the common denominator."""
+    acc = {}
+    ctx = None
+    for key, a, b in triples:
+        groups = acc.setdefault(key, {})
+        if not a.num or not b.num:
+            continue
+        ctx = a.ctx
+        raw = groups.setdefault(a.den * b.den, {})
+        x, y = a.num, b.num
+        if len(x) == 1:
+            x, y = y, x
+        for e1, c1 in x.items():
+            for e2, c2 in y.items():
+                raw[e1 + e2] = raw.get(e1 + e2, 0) + c1 * c2
+    out = {}
+    for key, groups in acc.items():
+        lcm = math.lcm(*groups)
+        folded = {}
+        total = None
+        for d, raw in groups.items():
+            total = ctx._canonical(raw, 1, s=lcm // d, acc=folded)
+        if total and lcm != 1:
+            total = ctx._canonical({}, lcm, acc=folded)
+        if total:
+            out[key] = total
+    return out
+
+
+@pytest.mark.parametrize("order", [48, 144])
+def test_sum_products_folds_like_one_pass_per_group(order):
+    """Folding every denominator group of a key into one map and fixing
+    the sign and gcd once gives the values, the key order and the exponent
+    order of each sum that one canonical pass per group gives."""
+    import random
+    ctx = KERNEL_CONTEXTS[order]
+    rng = random.Random(order + 1)
+    groups = 0
+    for _ in range(60):
+        triples = []
+        for _ in range(rng.randint(1, 30)):
+            key, a, b = rng.choice("abcd"), _operand(ctx, rng), _operand(ctx, rng)
+            triples.append((key, a, b))
+            r = rng.random()
+            if r < 0.3:
+                triples.append((key, a * b, ctx.integer(Fraction(-1, rng.randint(1, 4)))))
+            elif r < 0.5:
+                triples.append((key, -b, a))
+        rng.shuffle(triples)
+        want = _sum_products_per_group(triples)
+        got = sum_products(triples)
+        assert got == want and list(got) == list(want)
+        assert all(list(got[k].num) == list(want[k].num) for k in got)
+        groups += sum(len({a.den * b.den for k, a, b in triples if k == key and a and b}) > 1
+                      for key in got)
+    assert groups >= 20, groups
+
+
 @pytest.mark.parametrize("order", sorted(KERNEL_CONTEXTS))
 def test_nonzero_sums_decides_after_fold_and_common_denominator(order):
     ctx = KERNEL_CONTEXTS[order]

@@ -1,6 +1,7 @@
 """Integral data, Radford map, M-matrix, Drinfeld images, ribbon element."""
 
 import copy
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -15,7 +16,8 @@ from qpm.duality import (MMatrix, Theory, canonical_element, cc_poly_coeffs,
                          delta_cointegral_closed_form,
                          drinfeld_irreducible_closed_form, radford,
                          radford_inverse, ribbon_factor_closed_form,
-                         theta_bracket)
+                         theta_bracket, verify_integral_data)
+from qpm.characters import Functional
 from qpm.linalg import SparseMat, SpanSolver
 from qpm.reps import cached_irreducible, irreducible_labels
 
@@ -31,6 +33,76 @@ def test_integral_invariants(T12, T23):
         if not ep.is_zero():
             assert (ep * data.cointegral).is_zero()
         assert data.balancing * data.balancing == data.comodulus
+
+
+def _integral_check_per_monomial(data):
+    """The integral check with one coproduct per PBW monomial B K^j, each
+    contracted on both legs in full."""
+    P = data.params
+    errs = []
+    lam, Lam = data.integral, data.cointegral
+    if lam(Lam) != P.ctx.one:
+        errs.append("lambda(Lambda) != 1")
+    for name in ("ep", "fp", "em", "fm", "K"):
+        g = P.gen(name)
+        if g.is_zero():
+            continue
+        eps = g.counit()
+        if not (g * Lam - Lam * eps).is_zero() or not (Lam * g - Lam * eps).is_zero():
+            errs.append(f"cointegral invariance fails for {name}")
+    for mono in P.monomials():
+        t = P.coproduct_mono(mono)
+        left = t.apply_left(lambda m: lam.values.get(m, P.ctx.zero))
+        lx = lam.values.get(mono, P.ctx.zero)
+        if left != P.scalar(lx):
+            errs.append(f"right-integral identity fails at {mono}")
+            break
+        swapped = TensorElement(P, {(m2, m1): c for (m1, m2), c in t.coeffs.items()})
+        right = swapped.apply_left(lambda m: lam.values.get(m, P.ctx.zero))
+        if right != data.comodulus * lx:
+            errs.append(f"comodulus identity fails at {mono}")
+            break
+    g = data.balancing
+    if g * g != data.comodulus:
+        errs.append("g^2 != comodulus")
+    ginv = P.gen("K", P.p_minus - P.p_plus)
+    for name in ("ep", "fp", "em", "fm", "K"):
+        x = P.gen(name)
+        if x.is_zero():
+            continue
+        if x.antipode().antipode() != g * x * ginv:
+            errs.append(f"S^2 != Ad_g on {name}")
+    return errs
+
+
+@pytest.mark.parametrize("pair", [(1, 1), (1, 2), (2, 3), (3, 2)])
+def test_integral_check_passes_and_matches_the_per_monomial_loop(pair):
+    data = Theory(Params(*pair)).integral
+    assert verify_integral_data(data) == []
+    assert _integral_check_per_monomial(data) == []
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (2, 3), (3, 2)])
+def test_integral_check_fails_on_broken_data(pair):
+    """lambda moved to the next K exponent, the comodulus replaced by K^0
+    and one cointegral term doubled each fail the check, with the failures
+    of the per-monomial loop."""
+    data = Theory(Params(*pair)).integral
+    P = data.params
+    (top, value), = data.integral.values.items()
+    moved = top[:4] + ((top[4] + 1) % P.korder,)
+    first = next(iter(data.cointegral.coeffs))
+    broken = [
+        dataclasses.replace(data, integral=Functional(P, {moved: value})),
+        dataclasses.replace(data, comodulus=P.one),
+        dataclasses.replace(data, cointegral=AlgebraElement(P, {
+            m: c * 2 if m == first else c for m, c in data.cointegral.coeffs.items()})),
+    ]
+    for bad in broken:
+        errs = verify_integral_data(bad)
+        assert errs and errs == _integral_check_per_monomial(bad)
+    assert any("right-integral" in e for e in verify_integral_data(broken[0]))
+    assert any("comodulus identity" in e for e in verify_integral_data(broken[1]))
 
 
 def test_zeta_normalization(T23):
@@ -282,7 +354,7 @@ def test_ribbon_eigenvalues(T23):
     zeta = P.ctx.root_of_unity
     # trivial module: Delta_{1,1} = 0 gives eigenvalue 1
     triv = cached_irreducible(P, 1, 1, 1)
-    assert triv.act(rib.v).get(0, 0, P.ctx.zero) == P.ctx.one
+    assert triv.act_entry(rib.v, 0, 0) == P.ctx.one
     for lab in irreducible_labels(P):
         alpha, r, s = lab
         m = cached_irreducible(P, *lab)

@@ -647,6 +647,62 @@ class RibbonData:
 
 
 # ----------------------------------------------------------------------
+# the named central families
+# ----------------------------------------------------------------------
+#
+# The families of Feigin-Gainutdinov-Semikhatov-Tipunin (hep-th/0606196),
+# each stated once as an integer map {(kind, label): int} over
+# CharacterSpace.index: its Radford coordinates (Theory.radford_vector).
+# Its PBW element sums Theory.radford_terms; its Drinfeld-side coordinates
+# are C times the map (ModularAction.C).  With a, b = sec.lab(r, s):
+# rho_diag and varphi_diag are rho^/ and varphi^/ for the plus sector (labels
+# I_slash), rho^\ and varphi^\ for the minus one (I_bslash); varphi_arrow
+# is varphi^nesw or varphi^nwse.
+
+def kappa(P: Params, r, s) -> dict:
+    """The trace of each member of the block (r, s) in I, once."""
+    return {("qtr", lab): 1 for lab in P.block_members(r, s).values()}
+
+
+def varphi_hat(P: Params, r, s) -> dict:
+    """alpha' (p_+ - r') (p_- - s') on the trace of each of the four
+    members (alpha', r', s') of the interior block (r, s)."""
+    return {("qtr", (alpha, rr, ss)): alpha * (P.p_plus - rr) * (P.p_minus - ss)
+            for alpha, rr, ss in P.linked(1, r, s).values()}
+
+
+def rho_diag(P: Params, sec: Sector, r, s) -> dict:
+    """p - a on the traces of the block members that keep sec's index a,
+    -a on those that reflect it (the arrows sec.reflected and 'down')."""
+    a, _ = sec.lab(r, s)
+    return {("qtr", lab): -a if arrow in (sec.reflected, "down") else sec.p - a
+            for arrow, lab in P.linked(1, r, s).items()}
+
+
+def varphi_diag(P: Params, sec: Sector, r, s) -> dict:
+    _, b = sec.lab(r, s)
+    family = {(sec.pseudo, (r, s)): (-1) ** b}
+    if b < sec.p_other:
+        family[sec.pseudo, (P.p_plus - r, P.p_minus - s)] = -(-1) ** (sec.p_other + b)
+    return family
+
+
+def varphi_arrow(P: Params, sec: Sector, r, s) -> dict:
+    _, b = sec.lab(r, s)
+    return {(sec.pseudo, (r, s)): (-1) ** b * (sec.p_other - b),
+            (sec.pseudo, (P.p_plus - r, P.p_minus - s)): (-1) ** (sec.p_other + b) * b}
+
+
+def psi_hat(P: Params, r, s) -> dict:
+    return {**varphi_arrow(P, P.plus, r, s), **varphi_arrow(P, P.minus, r, s)}
+
+
+def varphi_cross(P: Params, r, s) -> dict:
+    return {**varphi_arrow(P, P.plus, r, s),
+            **{key: -n for key, n in varphi_arrow(P, P.minus, r, s).items()}}
+
+
+# ----------------------------------------------------------------------
 # the assembled theory for one parameter pair
 # ----------------------------------------------------------------------
 
@@ -720,9 +776,37 @@ class Theory:
             raise RuntimeError("Radford images of the gamma basis are linearly dependent")
         return solver
 
+    @property
+    def drinfeld_coordinates(self):
+        """The Radford coordinates of each Drinfeld-basis element, in the
+        gamma basis order: the columns of ModularAction.C, with None for an
+        image outside the center span."""
+        return self.params.cached("drinfeld_coordinates", lambda: [
+            self.radford_solver.coordinates(el.coeffs) for el in self.drinfeld_basis])
+
+    def drinfeld_vector(self, kind: str, label):
+        """The Drinfeld image named (kind, label) in sparse Radford
+        coordinates {index: Cyclo}, its column of ModularAction.C; None
+        outside the center span, so that no coordinate vector equals it."""
+        co = self.drinfeld_coordinates[self.characters.index[kind, label]]
+        return None if co is None else {i: c for i, c in enumerate(co) if c}
+
     def radford_image(self, kind: str, label) -> AlgebraElement:
         """Radford basis element by (kind, label) name."""
         return self.radford_basis[self.characters.index[kind, label]]
+
+    def radford_terms(self, family: dict, c=1):
+        """(Radford basis element, c n) for each entry n of a family map,
+        whose linear_combination is c times the family's PBW element."""
+        return ((self.radford_image(*key), c * n) for key, n in family.items())
+
+    def radford_vector(self, terms) -> dict:
+        """sum c * family over (family map, scalar c) pairs, in Radford
+        coordinates {index: Cyclo}, as one sum_products batch."""
+        index, integer = self.characters.index, self.params.ctx.integer
+        return sum_products(
+            (index[key], c if isinstance(c, Cyclo) else integer(c), integer(n))
+            for family, c in terms for key, n in family.items())
 
     def drinfeld_image(self, kind: str, label) -> AlgebraElement:
         """chi of the basis member named (kind, label), contracted once per
@@ -732,69 +816,6 @@ class Theory:
 
     def qtrace(self, alpha, r, s) -> Functional:
         return qtrace(self.params, alpha, r, s)
-
-    def phi_hat(self, alpha, r, s) -> AlgebraElement:
-        return self.radford_image("qtr", (alpha, r, s))
-
-    def chi_hat(self, alpha, r, s) -> AlgebraElement:
-        return self.drinfeld_image("qtr", (alpha, r, s))
-
-    # named central combinations ---------------------------------------------
-
-    def kappa_hat(self, r, s) -> AlgebraElement:
-        """The sum of phi_hat over the members of the block (r, s) in I."""
-        first, *rest = (self.phi_hat(*lab)
-                        for lab in self.params.block_members(r, s).values())
-        return sum(rest, first)
-
-    def varphi_hat(self, r, s) -> AlgebraElement:
-        """The sum of alpha' (p_+ - r') (p_- - s') phi_hat(alpha', r', s')
-        over the four members of the interior block (r, s)."""
-        P = self.params
-        out = P.zero
-        for alpha, rr, ss in P.linked(1, r, s).values():
-            term = self.phi_hat(alpha, rr, ss) * ((P.p_plus - rr) * (P.p_minus - ss))
-            out = out + term if alpha > 0 else out - term
-        return out
-
-    # The sector families.  With a, b = sec.lab(r, s), sec's index a and the
-    # other sector's b: rho_diag and varphi_diag are rho^/ and varphi^/ for
-    # the plus sector (labels I_slash) and rho^\ and varphi^\ for the minus
-    # sector (labels I_bslash); varphi_arrow is varphi^nesw or varphi^nwse.
-
-    def rho_diag(self, sec: Sector, r, s) -> AlgebraElement:
-        """(p - a) times the phi_hat sum over the block members that keep
-        sec's index a, minus a times the sum over those that reflect it
-        (the arrows sec.reflected and 'down')."""
-        a, _ = sec.lab(r, s)
-        keep, reflect = [], []
-        for arrow, lab in self.params.linked(1, r, s).items():
-            (reflect if arrow in (sec.reflected, "down") else keep).append(self.phi_hat(*lab))
-        return sum(keep[1:], keep[0]) * (sec.p - a) - sum(reflect[1:], reflect[0]) * a
-
-    def varphi_diag(self, sec: Sector, r, s) -> AlgebraElement:
-        P = self.params
-        _, b = sec.lab(r, s)
-        if b == sec.p_other:
-            return self.radford_image(sec.pseudo, (r, s)) * ((-1) ** b)
-        return (self.radford_image(sec.pseudo, (r, s)) * ((-1) ** b)
-                - self.radford_image(sec.pseudo, (P.p_plus - r, P.p_minus - s))
-                * ((-1) ** (sec.p_other + b)))
-
-    def varphi_arrow(self, sec: Sector, r, s) -> AlgebraElement:
-        P = self.params
-        _, b = sec.lab(r, s)
-        return (self.radford_image(sec.pseudo, (r, s)) * ((-1) ** b * (sec.p_other - b))
-                + self.radford_image(sec.pseudo, (P.p_plus - r, P.p_minus - s))
-                * ((-1) ** (sec.p_other + b) * b))
-
-    def psi_hat(self, r, s) -> AlgebraElement:
-        P = self.params
-        return self.varphi_arrow(P.plus, r, s) + self.varphi_arrow(P.minus, r, s)
-
-    def varphi_cross(self, r, s) -> AlgebraElement:
-        P = self.params
-        return self.varphi_arrow(P.plus, r, s) - self.varphi_arrow(P.minus, r, s)
 
     # central arithmetic -------------------------------------------------------
 

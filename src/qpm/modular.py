@@ -26,8 +26,9 @@ the contracted coproduct (see _xi_matrix).
 
 S, T and the matrices above are built with mat_mul_dense, whose exponent
 order the printed floats depend on.  The checks decide in Radford
-coordinates instead: each element is solved for once, S, T and C act on
-its coordinate vector through cyclotomic.sum_products, and every matrix
+coordinates instead: a named family (duality.kappa and the rest) is its
+integer map, any other element is solved for once, S, T and C act on a
+coordinate vector through cyclotomic.sum_products, and every matrix
 product that is only compared goes through the same kernel."""
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from functools import cached_property
 
 from .algebra import AlgebraElement, Params
 from .cyclotomic import Cyclo, sum_products
-from .duality import Theory, conformal_weight_exponent
+from .duality import (Theory, conformal_weight_exponent, kappa, psi_hat, rho_diag,
+                       varphi_cross, varphi_diag, varphi_hat)
 from .linalg import SpanSolver, closure_rank, invert_dense, mat_mul_dense, mat_vec_dense
 
 __all__ = ["ModularData", "ModularAction", "block_layout"]
@@ -105,11 +107,11 @@ class ModularAction:
     """S and T as exact matrices in the Radford basis.
 
     S is the inverse of C, whose columns are the Radford coordinates of the
-    Drinfeld images; both are built with the action.  T is S V S^-1 times
-    the phase, where V, the matrix of multiplication by the ribbon element,
-    is built in canonical coordinates (Theory.central_mult_matrix).  T is
-    built on first use, so an action that only reads S builds no ribbon
-    element."""
+    Drinfeld images (Theory.drinfeld_coordinates); both are built with the
+    action.  T is S V S^-1 times the phase, where V, the matrix of
+    multiplication by the ribbon element, is built in canonical coordinates
+    (Theory.central_mult_matrix).  T is built on first use, so an action
+    that only reads S builds no ribbon element."""
 
     def __init__(self, theory: Theory):
         self.theory = theory
@@ -117,13 +119,9 @@ class ModularAction:
         ctx = P.ctx
         self.data = ModularData.build(P)
         self.dim = len(theory.radford_basis)
-        solver = theory.radford_solver
-        cols = []
-        for el in theory.drinfeld_basis:
-            co = solver.coordinates(el.coeffs)
-            if co is None:
-                raise ArithmeticError("Drinfeld image outside the center span")
-            cols.append(co)
+        cols = theory.drinfeld_coordinates
+        if any(co is None for co in cols):
+            raise ArithmeticError("Drinfeld image outside the center span")
         self.C = _columns(cols)
         self.S = invert_dense(self.C, ctx)
 
@@ -145,17 +143,16 @@ class ModularAction:
             raise ValueError("element is not in the computed center span")
         return co
 
-    def from_coords(self, co) -> AlgebraElement:
-        return self.params.linear_combination(zip(self.theory.radford_basis, co))
-
     def s_map(self, z: AlgebraElement) -> AlgebraElement:
-        return self.from_coords(mat_vec_dense(self.S, self.coords(z), self.params.ctx))
+        co = mat_vec_dense(self.S, self.coords(z), self.params.ctx)
+        return self.params.linear_combination(zip(self.theory.radford_basis, co))
 
     # -- the checks' coordinates ------------------------------------------------
     #
     # The checks compare sparse Radford-coordinate vectors {index: Cyclo}:
-    # an element is solved for once (_vec), and S, T and C act by _mat_vec.
-    # No check turns a vector back into an algebra element.
+    # a family is read from its map (Theory.radford_vector), any other
+    # element solved for once (_vec); S, T and C act by _mat_vec.  No vector
+    # becomes an element.
 
     def _vec(self, z: AlgebraElement) -> dict:
         return _sparse(self.coords(z))
@@ -203,21 +200,21 @@ class ModularAction:
     # -- distinguished blocks ---------------------------------------------------
 
     def blocks(self):
-        """The five S,T-stable blocks as (name, labels, [elements],
+        """The five S,T-stable blocks as (name, labels, [family maps],
         expected_dim), in the order and with the labels and dimensions of
-        block_layout; each label contributes its elements in turn."""
-        th = self.theory
-        plus, minus = self.params.sectors
+        block_layout; each label contributes its families in turn."""
+        P = self.params
+        plus, minus = P.sectors
         per_label = {
-            "minimal": lambda r, s: (th.varphi_cross(r, s),),
-            "triplet": lambda r, s: (th.radford_image("upup", (r, s)),
-                                     th.psi_hat(r, s), th.varphi_hat(r, s)),
-            "slash": lambda r, s: (th.rho_diag(plus, r, s), th.varphi_diag(plus, r, s)),
-            "bslash": lambda r, s: (th.rho_diag(minus, r, s), th.varphi_diag(minus, r, s)),
-            "projective": lambda r, s: (th.kappa_hat(r, s),),
+            "minimal": lambda r, s: (varphi_cross(P, r, s),),
+            "triplet": lambda r, s: ({("upup", (r, s)): 1},
+                                     psi_hat(P, r, s), varphi_hat(P, r, s)),
+            "slash": lambda r, s: (rho_diag(P, plus, r, s), varphi_diag(P, plus, r, s)),
+            "bslash": lambda r, s: (rho_diag(P, minus, r, s), varphi_diag(P, minus, r, s)),
+            "projective": lambda r, s: (kappa(P, r, s),),
         }
-        return [(name, labels, [el for lab in labels for el in per_label[name](*lab)], dim)
-                for name, labels, dim in block_layout(self.params)]
+        return [(name, labels, [fam for lab in labels for fam in per_label[name](*lab)], dim)
+                for name, labels, dim in block_layout(P)]
 
     def verify_subrepresentations(self):
         """Block suite: each block is S- and T-stable with the stated
@@ -229,9 +226,9 @@ class ModularAction:
         vecs = {}
         labels = {}
         total = 0
-        for name, block_labels, elements, expected in self.blocks():
+        for name, block_labels, families, expected in self.blocks():
             labels[name] = block_labels
-            vecs[name] = [self._vec(el) for el in elements]
+            vecs[name] = [self.theory.radford_vector([(fam, 1)]) for fam in families]
             solver = SpanSolver(vecs[name], ctx)
             dim = solver.rank
             ok_dim = dim == expected
@@ -275,49 +272,38 @@ class ModularAction:
         return self._scalar_of(_mat_mul(self.S, self.C, ctx)) == ctx.one
 
     def verify_transformations(self):
-        """The displayed T-action formulas on the S-adapted families."""
+        """The displayed T-action formulas on the S-adapted families.  The
+        Drinfeld-side vectors are +-C times a family map, the others S
+        times one.  C c = S c (chi = S(cross), rho = -+S rho_hat) is not
+        checked: C = S^-1, so S^2 = id (sl2z_relations) implies it."""
         P = self.params
-        th = self.theory
         zeta = P.ctx.root_of_unity
         ph = self.data.t_phase
         lin = self._lin
+        radford = self.theory.radford_vector
         failures = []
-        drinfeld = {}
-
-        def d(kind, label):
-            """The coordinates of a Drinfeld image, solved for once."""
-            if (kind, label) not in drinfeld:
-                drinfeld[kind, label] = self._vec(th.drinfeld_image(kind, label))
-            return drinfeld[kind, label]
 
         def tphase(r, s):
             return ph * zeta(conformal_weight_exponent(P, r, s))
 
-        def s_of(z):
-            return _mat_vec(self.S, self._vec(z))
+        def drinfeld(family, c=1):
+            return _mat_vec(self.C, radford([(family, c)]))
+
+        def s_of(family):
+            return _mat_vec(self.S, radford([(family, 1)]))
 
         def t_of(x):
             return _mat_vec(self.T, x)
 
-        def chi_hat(alpha, r, s):
-            return d("qtr", (alpha, r, s))
-
         for (r, s) in P.set_I1():
-            # chi_{r,s} = S(varphi_cross): the minimal-model T-eigenvector,
-            # expanded over the Drinfeld images with reflected-label weights
-            rr, ss = P.p_plus - r, P.p_minus - s
+            # chi_{r,s} = C varphi_cross: the minimal-model T-eigenvector
             tp = tphase(r, s)
-            chi = lin((d("nesw", (r, s)), (-1) ** s * (P.p_minus - s)),
-                      (d("nesw", (rr, ss)), (-1) ** (P.p_minus + s) * s),
-                      (d("nwse", (r, s)), -((-1) ** r * (P.p_plus - r))),
-                      (d("nwse", (rr, ss)), -((-1) ** (P.p_plus + r) * r)))
-            if chi != s_of(th.varphi_cross(r, s)):
-                failures.append(("chi=S(cross)", (r, s)))
+            chi = drinfeld(varphi_cross(P, r, s))
             if t_of(chi) != lin((chi, tp)):
                 failures.append(("T chi", (r, s)))
-            rho = s_of(th.varphi_hat(r, s))
-            psi = s_of(th.psi_hat(r, s))
-            phi = lin((d("upup", (r, s)), (-1) ** (r + s)))
+            rho = s_of(varphi_hat(P, r, s))
+            psi = s_of(psi_hat(P, r, s))
+            phi = drinfeld({("upup", (r, s)): 1}, (-1) ** (r + s))
             if t_of(rho) != lin((rho, tp)):
                 failures.append(("T rho", (r, s)))
             if t_of(psi) != lin((psi, tp), (rho, tp * 2)):
@@ -325,34 +311,24 @@ class ModularAction:
             if t_of(phi) != lin((phi, tp), (psi, tp), (rho, tp)):
                 failures.append(("T phi", (r, s)))
 
-        # the slash (column, plus) and bslash (row, minus) families; a, b
-        # are the sector's own and the other sector's index of (r, s)
-        for sec, short, name in ((P.plus, "sl", "slash"), (P.minus, "bs", "bslash")):
+        # the slash (column, plus) and bslash (row, minus) families, at the
+        # interior labels and at the boundary labelled sec.lab(a, 0), where
+        # Delta_{lab(a,0)} = Delta_{lab(p-a,po)}
+        for sec, name in zip(P.sectors, ("slash", "bslash")):
             p, po = sec.p, sec.p_other
             for (r, s) in P.set_I1():
-                a, b = sec.lab(r, s)
                 tp = tphase(r, s)
-                phi = lin((d(sec.pseudo, (r, s)), -((-1) ** b)),
-                          (d(sec.pseudo, (P.p_plus - r, P.p_minus - s)), (-1) ** (po + b)))
-                # the block members that reflect sec's index weigh a, the
-                # others a - p
-                rho = lin(*((chi_hat(*lab), a if arrow in (sec.reflected, "down") else a - p)
-                            for arrow, lab in P.linked(1, r, s).items()))
-                if rho != lin((s_of(th.rho_diag(sec, r, s)), -1)):
-                    failures.append((f"rho_{short} = -S rho_hat", (r, s)))
+                phi = drinfeld(varphi_diag(P, sec, r, s), -1)
+                rho = drinfeld(rho_diag(P, sec, r, s), -1)
                 if t_of(phi) != lin((phi, tp), (rho, tp)):
                     failures.append((f"T phi_{name}", (r, s)))
                 if t_of(rho) != lin((rho, tp)):
                     failures.append((f"T rho_{name}", (r, s)))
             for a in range(1, p):
-                # boundary labelled lab(a, 0); Delta_{lab(a,0)} = Delta_{lab(p-a,po)}
                 top = sec.lab(p - a, po)
                 tp = tphase(*top)
-                phi = lin((d(sec.pseudo, top), (-1) ** po))
-                rho = lin((chi_hat(1, *top), a),
-                          (chi_hat(*P.linked(1, *top)[sec.reflected]), a - p))
-                if rho != s_of(th.rho_diag(sec, *top)):
-                    failures.append((f"rho_{short} bdry = S rho_hat", sec.lab(a, 0)))
+                phi = drinfeld(varphi_diag(P, sec, *top))
+                rho = drinfeld(rho_diag(P, sec, *top))
                 if t_of(phi) != lin((phi, tp), (rho, tp)):
                     failures.append((f"T phi_{name} bdry", sec.lab(a, 0)))
                 if t_of(rho) != lin((rho, tp)):
@@ -378,13 +354,13 @@ class ModularAction:
         zeta = ctx.root_of_unity
         from .reps import irreducible_labels
         labels = irreducible_labels(P)
-        chi_coords = [self._vec(th.chi_hat(*lab)) for lab in labels]
+        chi_coords = [th.drinfeld_vector("qtr", lab) for lab in labels]
         chi_solver = SpanSolver(chi_coords, ctx)
-        named = ([th.radford_image("upup", lab) for lab in P.set_I1()]
-                 + [th.kappa_hat(r, s) for (r, s) in P.set_I()]
-                 + [th.varphi_diag(sec, r, s) for sec in P.sectors
+        named = ([{("upup", lab): 1} for lab in P.set_I1()]
+                 + [kappa(P, r, s) for (r, s) in P.set_I()]
+                 + [varphi_diag(P, sec, r, s) for sec in P.sectors
                     for (r, s) in P.set_I_diag(sec)])
-        named_coords = [self._vec(el) for el in named]
+        named_coords = [th.radford_vector([(fam, 1)]) for fam in named]
         named_solver = SpanSolver(named_coords, ctx)
         same_span = (chi_solver.rank == named_solver.rank == 2 * P.pp
                      and all(chi_solver.contains(co) for co in named_coords))
@@ -436,7 +412,9 @@ class ModularAction:
 
     def verify_factorization(self):
         """The stated Radford combination for S(v*), S(v) = v^-1, and the
-        three-factor split into pairwise-commuting representations.
+        three-factor split into pairwise-commuting representations.  S(v)
+        = v^-1 is reported apart, as 's_of_ribbon'; 'failures' and 'ok'
+        cover the rest.
 
         S* = Xi^-1 and Sbar = Xi C with C = S^-1, so S* Sbar = C, and the
         three factors S- S+ S0 telescope to C the same way: given S^2 = id
@@ -447,7 +425,8 @@ class ModularAction:
         th = self.theory
         ctx = P.ctx
         rib = th.ribbon
-        report = {"failures": []}
+        report = {}
+        failures = []
         mm = lambda a, b: _mat_mul(a, b, ctx)
 
         # S(v) = v^-1 up to the anomaly scalar lambda(v^-1): contracting the
@@ -459,22 +438,20 @@ class ModularAction:
         report["anomaly_scalar"] = lam_vinv
         sv = _mat_vec(self.S, self._vec(rib.v))
         vinv_co = self._vec(vinv)
-        if self._lin((sv, lam_vinv)) != vinv_co:
-            report["failures"].append("S(v) != v^-1 / lambda(v^-1)")
+        report["s_of_ribbon"] = self._lin((sv, lam_vinv)) == vinv_co
         report["s_of_ribbon_literal"] = sv == vinv_co
 
         # S(v*) = Lambda + (1/p+p-) phi_upup(1,1) + (1/p+) phi_nesw(1,1)
-        #         + (1/p-) phi_nwse(1,1)
+        #         + (1/p-) phi_nwse(1,1), each term where its label exists
         sv = _mat_vec(self.S, self._vec(rib.v_unipotent))
-        expect = th.integral.cointegral
+        unipotent = [({(sec.pseudo, (1, 1)): 1}, Fraction(1, sec.p))
+                     for sec in P.sectors if sec.p > 1]
         if P.p_plus > 1 and P.p_minus > 1:
-            expect = expect + th.radford_image("upup", (1, 1)) * Fraction(1, P.pp)
-        if P.p_plus > 1:
-            expect = expect + th.radford_image("nesw", (1, 1)) * Fraction(1, P.p_plus)
-        if P.p_minus > 1:
-            expect = expect + th.radford_image("nwse", (1, 1)) * Fraction(1, P.p_minus)
-        if sv != self._vec(expect):
-            report["failures"].append("S(v*) decomposition")
+            unipotent.append(({("upup", (1, 1)): 1}, Fraction(1, P.pp)))
+        expect = self._lin((self._vec(th.integral.cointegral), 1),
+                           (th.radford_vector(unipotent), 1))
+        if sv != expect:
+            failures.append("S(v*) decomposition")
 
         # S = S* Sbar with S* = Xi^-1 and Sbar = Xi S^-1, and S* split
         # further through the minus-sector unipotent factor
@@ -493,7 +470,7 @@ class ModularAction:
         T_plus = conj(V_plus)
         T_minus = conj(V_minus)
         if mm(T_minus, mm(T_plus, T0)) != self.T:
-            report["failures"].append("T-factor product")
+            failures.append("T-factor product")
         factors = {"0": (S0, T0), "+": (S_plus, T_plus), "-": (S_minus, T_minus)}
         for n1 in factors:
             for n2 in factors:
@@ -502,7 +479,6 @@ class ModularAction:
                 for a_name, A in zip(("S", "T"), factors[n1]):
                     for b_name, B in zip(("S", "T"), factors[n2]):
                         if mm(A, B) != mm(B, A):
-                            report["failures"].append(
-                                f"[{a_name}{n1}, {b_name}{n2}] != 0")
-        report["ok"] = not report["failures"]
+                            failures.append(f"[{a_name}{n1}, {b_name}{n2}] != 0")
+        report.update(failures=failures, ok=not failures)
         return report

@@ -25,8 +25,9 @@ import pytest
 from qpm import duality, reps, verify
 from qpm.algebra import Params
 from qpm.center import center_brute_force, center_dimension
+from qpm.characters import CharacterSpace
 from qpm.duality import Theory
-from qpm.grothendieck import gr_class, gr_multiply
+from qpm.grothendieck import GrElement, gr_class, gr_multiply
 from qpm.linalg import SpanSolver
 from qpm.reps import irreducible_labels
 from qpm.verify import (SuiteSelectionError, run_suites, suite_drinfeld,
@@ -81,6 +82,25 @@ def test_criterion_3_fusion(T12, T23):
     spot = gr_multiply(gr_class(T23.params, 1, 2, 1), gr_class(T23.params, 1, 2, 1))
     ok = ok and spot.mult == {(1, 1, 1): 2, (-1, 1, 1): 2}
     _report(3, "three-way fusion agreement at (1,2) and (2,3)", ok)
+
+
+def test_a_wrong_product_formula_fails_both_all_pairs_checks(T23, monkeypatch):
+    # X+_{2,1} X+_{1,2} = X+_{2,2}; answering X-_{2,2}, of the same
+    # dimension, for that one pair must fail against the tensor products
+    # and against the Drinfeld-image products alike
+    P = T23.params
+
+    def wrong(A, B):
+        out = gr_multiply(A, B)
+        if (A.mult, B.mult) == ({(1, 2, 1): 1}, {(1, 1, 2): 1}):
+            assert out.mult == {(1, 2, 2): 1}
+            return GrElement(P, {(-1, 2, 2): 1})
+        return out
+
+    monkeypatch.setattr(verify, "gr_multiply", wrong)
+    failed = [check for check, ok, _ in suite_fusion(T23) if not ok]
+    assert failed == ["product formula == tensor-character oracle (all pairs)",
+                      "Drinfeld-image products follow the same formula (all pairs)"]
 
 
 def test_criterion_4_presentation(T12, T13, T23):
@@ -187,33 +207,33 @@ def test_ledger_builds_each_projective_cover_once(monkeypatch):
 
 
 def _doubled(method, kind):
-    """method with the images of one gamma-basis kind doubled."""
+    """method with the members of one gamma-basis kind doubled."""
     def patched(self, k, label):
-        el = method(self, k, label)
-        return el * 2 if k == kind else el
+        f = method(self, k, label)
+        return f * 2 if k == kind else f
     return patched
 
 
 @pytest.mark.parametrize("kind, family, slash", [("nesw", "column", "slash"),
                                                  ("nwse", "row", "bslash")],
                          ids=["nesw", "nwse"])
-@pytest.mark.parametrize("th", ["T23", "T32"])
-def test_each_sector_pass_of_a_merged_family_is_checked(th, kind, family, slash,
-                                                        request, monkeypatch):
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2)], ids=["T23", "T32"])
+def test_each_sector_pass_of_a_merged_family_is_checked(pair, kind, family, slash,
+                                                        monkeypatch):
     # The column and row (slash and bslash) families are one loop over the
-    # two sectors.  Doubling the images of one sector's pseudotraces must
-    # fail that sector's checks, so neither pass of the loop is idle.
-    th = request.getfixturevalue(th)
-    ma = th.modular_action  # built (with the ribbon) from the true images
-    monkeypatch.setattr(Theory, "drinfeld_image", _doubled(Theory.drinfeld_image, kind))
-    monkeypatch.setattr(Theory, "radford_image", _doubled(Theory.radford_image, kind))
+    # two sectors.  Doubling the q-characters of one sector's pseudotraces
+    # doubles their Radford and Drinfeld images, and with them the Radford
+    # basis and the columns of C that the checks read; that must fail the
+    # sector's checks, so neither pass of the loop is idle.
+    monkeypatch.setattr(CharacterSpace, "functional", _doubled(CharacterSpace.functional, kind))
+    th = Theory(Params(*pair))
     other = {"column": "row", "row": "column"}[family]
     passed = {check: ok for check, ok, _ in suite_radford_images(th) + suite_drinfeld(th)}
     assert not passed[f"{family} pseudotrace images decompose as stated"]
     assert passed[f"{other} pseudotrace images decompose as stated"]
     assert not passed["pseudotrace Drinfeld images match closed forms"]
     assert not passed["pseudotrace Drinfeld images decompose as stated"]
-    failed = {name for name, _ in ma.verify_transformations()["failures"]}
+    failed = {name for name, _ in th.modular_action.verify_transformations()["failures"]}
     assert f"T phi_{slash}" in failed
 
 

@@ -161,7 +161,7 @@ def test_radford_inverse_weight_filter_matches_full_sum(pair, request):
 def test_m_matrix_counit_and_unit(T12, T23):
     for th in (T12, T23):
         assert th.m_matrix.counit_left() == th.params.one
-        assert th.chi_hat(1, 1, 1) == th.params.one
+        assert th.drinfeld_image("qtr", (1, 1, 1)) == th.params.one
 
 
 def test_m_matrix_term_count(T12, T23, T32):
@@ -286,7 +286,7 @@ def test_m_matrix_acts_on_module_pairs(T12, T23):
 def test_drinfeld_closed_forms(T23):
     P = T23.params
     for lab in irreducible_labels(P):
-        viaM = T23.chi_hat(*lab)
+        viaM = T23.drinfeld_image("qtr", lab)
         assert (viaM - drinfeld_irreducible_closed_form(P, *lab)).is_zero()
         assert is_central(P, viaM)
 

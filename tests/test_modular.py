@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from qpm import verify
 from qpm.algebra import AlgebraElement, Params
 from qpm.cyclotomic import sparse_sum
-from qpm.duality import Theory, conformal_weight_exponent
+from qpm.duality import Theory, conformal_weight_exponent, kappa
 from qpm.linalg import _eliminate, invert_dense, mat_mul_dense, mat_vec_dense
 from qpm.modular import ModularAction, ModularData, _mat_vec
 from qpm.reps import irreducible_labels
@@ -91,7 +92,7 @@ def test_t_on_s_image_of_kappa(T23, ma23):
     zeta = P.ctx.root_of_unity
     ph = ma23.data.t_phase
     for (r, s) in P.set_I():
-        x = _mat_vec(ma23.S, ma23._vec(T23.kappa_hat(r, s)))
+        x = _mat_vec(ma23.S, T23.radford_vector([(kappa(P, r, s), 1)]))
         ev = ph * zeta(conformal_weight_exponent(P, r, s))
         assert x and _mat_vec(ma23.T, x) == {i: c * ev for i, c in x.items()}
 
@@ -111,7 +112,7 @@ def test_grothendieck_closure_rank_against_rounds(ma23):
     P, ctx = ma23.params, ma23.params.ctx
     d = ma23.dim
     th = ma23.theory
-    chi = [ma23.coords(th.chi_hat(*lab)) for lab in irreducible_labels(P)]
+    chi = [ma23.coords(th.drinfeld_image("qtr", lab)) for lab in irreducible_labels(P)]
 
     def sparse(co):
         return {i: c for i, c in enumerate(co) if c}
@@ -165,6 +166,17 @@ def test_factorization_reports_a_wrong_xi(T23, ma23, monkeypatch):
     failures = ma23.verify_factorization()["failures"]
     assert failures
     assert any(f.startswith("[") for f in failures)
+
+
+def test_a_wrong_ribbon_inverse_fails_only_the_s_of_v_check(T23, monkeypatch):
+    # S(v) = v^-1 / lambda(v^-1) has a check of its own; a wrong v^-1 must
+    # not fail the factorization check too
+    central_inverse = Theory.central_inverse
+    w = T23.center.w_interior["up", (1, 1)]
+    monkeypatch.setattr(Theory, "central_inverse",
+                        lambda self, z: central_inverse(self, z) + w)
+    failed = [check for check, ok, _ in verify.suite_modular(T23) if not ok]
+    assert failed == ["S(v) = v^-1 up to the anomaly scalar lambda(v^-1)"]
 
 
 def _perturbed_entry(mat, i, j, delta):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, Params, Sector
-from .cyclotomic import Cyclo, horner, psi_poly, sparse_sum
+from .cyclotomic import Cyclo, horner, nonzero_sums, psi_poly, sparse_sum
 from .linalg import nullspace
 from .reps import cached_irreducible, cached_projective
 
@@ -331,13 +331,33 @@ def center_brute_force(params: Params):
 
 
 def is_central(params: Params, z: AlgebraElement) -> bool:
-    for name in ("ep", "fp", "em", "fm", "K"):
-        g = params.gen(name)
-        if g.is_zero():
-            continue
-        if not (z * g - g * z).is_zero():
-            return False
-    return True
+    """z commutes with the five generators.
+
+    K m K^-1 = zeta^(12 weight(m)) m, so z commutes with K exactly when
+    every monomial of z has weight 0.  For g = e_pm, f_pm,
+    (B K^j) g = zeta^(kphase(g, j)) (B g) K^j and g (B K^j) = (g B) K^j, so
+    the terms of z g and -g z come from the straightened K-free products
+    B g and g B; they go to one nonzero_sums batch keyed by (g, monomial),
+    and z commutes with every g exactly when no sum is nonzero."""
+    P = params
+    if any(P.weight(m) for m in z.coeffs):
+        return False
+    ko, mono_mul = P.korder, P.mono_mul
+    gens = [(name, next(iter(g.coeffs))) for name in ("ep", "fp", "em", "fm")
+            for g in (P.gen(name),) if not g.is_zero()]
+    terms = [(m[:4] + (0,), m[4], c, -c) for m, c in z.coeffs.items()]
+
+    def triples():
+        for name, gm in gens:
+            for b, j, c, neg in terms:
+                e = P.kphase(gm, j)
+                x = c.shift(e) if e else c
+                for m, s in mono_mul(b, gm).items():
+                    yield (name, m[:4] + ((m[4] + j) % ko,)), x, s
+                for m, s in mono_mul(gm, b).items():
+                    yield (name, m[:4] + ((m[4] + j) % ko,)), neg, s
+
+    return not nonzero_sums(triples())
 
 
 # ----------------------------------------------------------------------

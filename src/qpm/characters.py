@@ -108,6 +108,14 @@ def trace_functional(module: ModuleRep, sigma: SparseMat | None = None) -> Funct
     The K-power part of each PBW monomial contributes a known phase per
     basis vector, so the trace over all 2 p_+ p_- K-powers of a fixed
     sector word costs one sparse product plus a Fourier sum.
+
+    Only the p_+ p_- K-free words of conjugation weight 0 (sector weight
+    (0, 0)) are multiplied out.  A word B of nonzero weight maps each
+    K-eigenspace of the module into another one, and K^j, g^-1 and sigma
+    (which commutes with K) keep every eigenspace, so each diagonal entry
+    of g^-1 B K^j sigma is zero and the trace vanishes on every B K^j.
+    Skipped words would add no key, so the values and their order are
+    those of the loop over all words.
     """
     P = module.params
     zeta = P.ctx.root_of_unity
@@ -122,6 +130,8 @@ def trace_functional(module: ModuleRep, sigma: SparseMat | None = None) -> Funct
         for b in range(P.p_plus):
             for c in range(P.p_minus):
                 for d in range(P.p_minus):
+                    if P.weight((a, b, c, d, 0)):
+                        continue
                     word = module.act_mono((a, b, c, d, 0))
                     # pairs (coeff, weight) entering Tr(g^-1 word K^j sigma)
                     pairs = []
@@ -166,9 +176,16 @@ def is_qcharacter(beta: Functional, spot_checks: int = 0, rng=None) -> bool:
     """beta(x y) = beta(S^2(y) x) checked for y over the five generators and
     x over the whole PBW basis; by multiplicativity of the condition in y
     this implies the full two-sided condition.  Optional random full-pair
-    spot checks guard the reduction itself."""
+    spot checks guard the reduction itself.
+
+    For x = B K^j both sides read beta on the terms of B g and g B, with
+    their K exponents shifted by j.  A pair (g, B) for which no such term
+    has its K-free part in beta's support gives 0 = 0 at every j and is
+    skipped; for a q-character, supported on the words of sector weight
+    (0, 0), that leaves the B of the sector weight opposite to g's."""
     P = beta.params
     ko, zero, values = P.korder, P.ctx.zero, beta.values
+    support = {m[:4] for m in values}
     scal = _square_antipode_scalars(P)
     gens = {n: P.gen(n) for n in ("ep", "fp", "em", "fm", "K")}
 
@@ -189,6 +206,8 @@ def is_qcharacter(beta: Functional, spot_checks: int = 0, rng=None) -> bool:
             # (B K^j) g = zeta^e (B g) K^j and g (B K^j) = (g B) K^j
             right = P.mono_mul(mono, gm).items()
             left = P.mono_mul(gm, mono).items()
+            if not any(m[:4] in support for m, _ in chain(right, left)):
+                continue
             for j in range(ko):
                 e = P.kphase(gm, j)
                 lhs = at(right, j)

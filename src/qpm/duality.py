@@ -11,8 +11,8 @@ center.  The Radford map phi(beta) = sum beta(Lambda') Lambda'' and its
 inverse phi^-1(x) = lambda(S(x) . ) exchange q-characters and central
 elements.
 
-The M-matrix is the paper's six-fold indexed sum, built once with its
-first leg on the weight idempotents of K,
+The M-matrix is the paper's six-fold indexed sum, kept with its first leg
+on the weight idempotents of K,
 
     1_w = (1/ko) sum_j zeta_ko^(-w j) K^j,   zeta_ko = zeta^12,  ko = 2 p_+ p_-,
 
@@ -21,8 +21,10 @@ K-free monomial B (weight as in Params.weight).  Its Cartan factor, a
 Gaussian kernel in the two K-power indices, is diagonal there: each pair of
 leg terms and each second-leg K power gives one term (B1 1_w) (x) m2.  The
 Drinfeld map (beta (x) id)(M) reads beta(B 1_w) off beta's values on the
-B K^j.  Both tensor-square identities are checked exactly in the tensor
-square itself, with the first leg in the weight form and the second in PBW.
+B K^j.  M is built one first-leg sector weight at a time, on request: the
+Drinfeld map of a q-character reads the weight (0, 0) alone.  Both
+tensor-square identities are checked exactly in the tensor square itself,
+with the first leg in the weight form and the second in PBW.
 M Delta(x) = Delta(x) M is checked for x = K through the weights of M's
 terms, for x = e_pm, f_pm from the terms of both products, where a product
 with B 1_w is one straightening and a phase.  M Delta(v) = v (x) v is
@@ -276,16 +278,44 @@ def radford_inverse(data: IntegralData, x: AlgebraElement) -> Functional:
 class MMatrix:
     """The M-matrix, the element of the tensor square that commutes with
     the coproduct, kept with its first leg on the weight idempotents 1_w of
-    K:
+    K and split by the sector weight (ep - fp, em - fm) of that first leg:
 
-        weight_slices[B1] = {(w, m2): c, ...}  with  M = sum c (B1 1_w) (x) m2,
+        weight_class(sw)[B1] = {(w, m2): c, ...}  with  M = sum c (B1 1_w) (x) m2,
 
-    B1 a K-free monomial (K exponent 0) and m2 a PBW monomial.  This is the
-    one form of M: the contractions and both tensor-square checks read it,
+    B1 a K-free monomial (K exponent 0) of sector weight sw and m2 a PBW
+    monomial.  The six-fold sum's term (m, n, m', n') has the first leg
+    fp^n ep^m em^n' fm^m', and straightening keeps a product's sector
+    weight, so the term lands in the class (m - n, n' - m') alone.  Each
+    class is built on its first request, once; weight_slices is their
+    union, the whole M.  This is the one form of M: the contractions read
+    the classes they need, both tensor-square checks read weight_slices,
     and none expands it back into PBW first-leg slices."""
 
     def __init__(self, params: Params):
-        P = self.params = params
+        self.params = params
+        self.classes = {}
+
+    def weight_class(self, sw) -> dict:
+        """{B1: {(w, m2): c}} over the first legs B1 of sector weight sw,
+        with its keys in the order in which the six-fold sum meets them."""
+        cls = self.classes.get(sw)
+        if cls is None:
+            cls = self.classes[sw] = self._build_class(sw)
+        return cls
+
+    @cached_property
+    def weight_slices(self) -> dict:
+        """{B1: {(w, m2): c}} over every first leg: each class in turn."""
+        P = self.params
+        return {b1: row
+                for sw in dict.fromkeys((m - n, np - mp) for m, n, mp, np in product(
+                    range(P.p_plus), range(P.p_plus), range(P.p_minus), range(P.p_minus)))
+                for b1, row in self.weight_class(sw).items()}
+
+    def _build_class(self, sw) -> dict:
+        """The terms (m, n, m', n') of the six-fold sum with
+        (m - n, n' - m') = sw, summed in the weight form."""
+        P = self.params
         ko = P.korder
         dQp = -P.plus.qdiff(1)   # q_+^{-p_-} - q_+^{p_-}
         dQm = -P.minus.qdiff(1)
@@ -293,6 +323,8 @@ class MMatrix:
         def terms():
             for m, n, mp, np in product(range(P.p_plus), range(P.p_plus),
                                         range(P.p_minus), range(P.p_minus)):
+                if (m - n, np - mp) != sw:
+                    continue
                 c = (dQp ** (m + n) * dQm ** (mp + np)
                      * (P.plus.qfact(m) * P.minus.qfact(mp)
                         * P.plus.qfact(n) * P.minus.qfact(np)).inv())
@@ -316,10 +348,10 @@ class MMatrix:
                         yield ((b1, w, mono2[:4] + ((mono2[4] + jp) % ko,)),
                                base.shift(12 * ((w * k1 - alpha * jp) % ko)))
 
-        weight_slices = {}
+        cls = {}
         for (b1, w, m2), c in sparse_sum(terms()).items():
-            weight_slices.setdefault(b1, {})[w, m2] = c
-        self.weight_slices = weight_slices
+            cls.setdefault(b1, {})[w, m2] = c
+        return cls
 
     # -- contractions ------------------------------------------------------
 
@@ -327,7 +359,13 @@ class MMatrix:
         """(beta (x) id)(M), the Drinfeld image of beta: the sum of
         beta(B1 1_w) c m2, with
 
-            beta(B 1_w) = (1/ko) sum_j zeta_ko^(-w j) beta(B K^j)."""
+            beta(B 1_w) = (1/ko) sum_j zeta_ko^(-w j) beta(B K^j).
+
+        Only the first legs B1 in beta's K-free support take part, so only
+        their classes are built.  A q-character vanishes off the words of
+        sector weight (0, 0) (trace_functional), so its contraction builds
+        class (0, 0) alone, and its image keeps the key order of the
+        contraction over the whole M."""
         P = self.params
         ko, zero = P.korder, P.ctx.zero
         inv_ko = Fraction(1, ko)
@@ -336,18 +374,19 @@ class MMatrix:
             by_free.setdefault(m[:4] + (0,), []).append((m[4], v))
 
         def terms():
-            for b1, row in self.weight_slices.items():
-                values = by_free.get(b1)
-                if values is None:
-                    continue
-                hat = {}
-                for (w, m2), c in row.items():
-                    h = hat.get(w)
-                    if h is None:
-                        h = hat[w] = sum((v.shift(-12 * (w * j % ko)) for j, v in values),
-                                         start=zero) * inv_ko
-                    if h:
-                        yield m2, h * c
+            for sw in dict.fromkeys(map(_sector_weight, by_free)):
+                for b1, row in self.weight_class(sw).items():
+                    values = by_free.get(b1)
+                    if values is None:
+                        continue
+                    hat = {}
+                    for (w, m2), c in row.items():
+                        h = hat.get(w)
+                        if h is None:
+                            h = hat[w] = sum((v.shift(-12 * (w * j % ko)) for j, v in values),
+                                             start=zero) * inv_ko
+                        if h:
+                            yield m2, h * c
 
         return AlgebraElement(P, sparse_sum(terms()))
 

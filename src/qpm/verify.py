@@ -907,8 +907,8 @@ SUITE_READS = {
     "qcharacter-space": ("characters.solver",),
     "center-structure": ("center", "characters"),
     "radford-images": ("center", "radford_basis"),
-    "drinfeld-images": ("m_matrix", "drinfeld_basis", "drinfeld_coordinates"),
-    "ribbon-element": ("ribbon.v_semisimple", "ribbon.v_unipotent", "m_matrix",
+    "drinfeld-images": ("m_matrix.weight_slices", "drinfeld_basis", "drinfeld_coordinates"),
+    "ribbon-element": ("ribbon.v_semisimple", "ribbon.v_unipotent", "m_matrix.weight_slices",
                        "center_basis_change", "radford_basis", "irreducibles"),
     "modular-action": ("modular_action", "ribbon.v_semisimple", "ribbon.v_unipotent",
                        "integral", "center_basis_change"),

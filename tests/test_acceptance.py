@@ -206,6 +206,25 @@ def test_ledger_builds_each_projective_cover_once(monkeypatch):
         assert set(counter.values()) == {1}
 
 
+def test_ledger_builds_each_weight_class_of_m_once(monkeypatch):
+    # the Drinfeld images read the class (0, 0) of M, the tensor-square
+    # checks every class; each is built once
+    built = Counter()
+    build = duality.MMatrix._build_class
+
+    def counted(self, sw):
+        built[sw] += 1
+        return build(self, sw)
+
+    monkeypatch.setattr(duality.MMatrix, "_build_class", counted)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    ok, _ = run_suites(2, 3, report=None)
+    assert ok
+    grid = {(m - n, np - mp) for m in range(2) for n in range(2)
+            for mp in range(3) for np in range(3)}
+    assert set(built) == grid and set(built.values()) == {1}
+
+
 def _doubled(method, kind):
     """method with the members of one gamma-basis kind doubled."""
     def patched(self, k, label):
@@ -235,6 +254,26 @@ def test_each_sector_pass_of_a_merged_family_is_checked(pair, kind, family, slas
     assert not passed["pseudotrace Drinfeld images decompose as stated"]
     failed = {name for name, _ in th.modular_action.verify_transformations()["failures"]}
     assert f"T phi_{slash}" in failed
+
+
+def test_double_pseudotrace_check_sees_the_sign_of_its_minus_term(monkeypatch):
+    # the minus-sector varphi_diag term has the sign (-1)^(r+s); at p+ = 2
+    # the term vanishes (its factor plus.qsum(1) is 0) and at (3,2) the one
+    # I1 label is (1,1), but (3,4) has I1 labels with r + s odd, so there
+    # dropping the sign fails this check and no other
+    th = Theory(Params(3, 4))
+    assert _suite_ok(suite_radford_images(th))
+    P = th.params
+    plain = verify.varphi_diag
+
+    def unsigned(P, sec, r, s):
+        family = plain(P, sec, r, s)
+        return {key: n * (-1) ** (r + s) for key, n in family.items()} if sec is P.minus else family
+
+    monkeypatch.setattr(verify, "varphi_diag", unsigned)
+    failed = [check for check, ok, _ in suite_radford_images(th) if not ok]
+    assert failed == ["double pseudotrace images decompose as stated"]
+    assert any((r + s) % 2 for r, s in P.set_I1())
 
 
 class _FmWeightFlipped(Params):

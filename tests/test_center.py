@@ -99,6 +99,29 @@ def test_canonical_basis_size_and_centrality(P23, cb23):
         assert is_central(P23, el), lab
 
 
+def _commutes_with_generators(P, z):
+    """Centrality from the full products z g - g z."""
+    return all((z * g - g * z).is_zero()
+               for g in map(P.gen, ("ep", "fp", "em", "fm", "K")) if not g.is_zero())
+
+
+@pytest.mark.parametrize("theory", ["T12", "T23", "T32"])
+def test_is_central_agrees_with_the_products(theory, request):
+    # on the canonical basis, with a weight-shifting monomial added, and
+    # with fp ep added, which has weight 0 but is not central
+    th = request.getfixturevalue(theory)
+    P = th.params
+    shift = P.gen("ep") if P.p_plus > 1 else P.gen("em")
+    f, e = ("fp", "ep") if P.p_plus > 1 else ("fm", "em")
+    weight_zero = P.gen(f) * P.gen(e)
+    assert P.weight(next(iter(weight_zero.coeffs))) == 0
+    for lab, z in th.center.ordered():
+        for x in (z, z + shift, z + weight_zero):
+            assert is_central(P, x) == _commutes_with_generators(P, x), lab
+        assert is_central(P, z)
+        assert not is_central(P, z + shift) and not is_central(P, z + weight_zero)
+
+
 def test_idempotent_relations(P23, cb23):
     tot = P23.zero
     for lab1, e1 in cb23.idempotents.items():

@@ -1,6 +1,7 @@
 """q-characters: predicate, brute-force space, pseudotrace construction."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -9,6 +10,7 @@ from qpm.algebra import Params
 from qpm.characters import (CharacterSpace, Functional, PseudotraceSpec,
                             counit_functional, is_qcharacter, qcharacter_space,
                             qtrace, sigma_endomorphism, trace_functional)
+from qpm.cyclotomic import sparse_sum
 from qpm.linalg import SpanSolver
 
 
@@ -176,3 +178,64 @@ def test_solver_is_built_on_first_read_and_guards_independence(monkeypatch):
         else build(kind, lab)))
     with pytest.raises(RuntimeError, match="linearly dependent"):
         cs.solver
+
+
+def _trace_over_all_words(module, sigma=None):
+    """trace_functional with every K-free word multiplied out, the weight
+    shifting ones included."""
+    P = module.params
+    zeta = P.ctx.root_of_unity
+    gw = P.p_minus - P.p_plus
+    sigma_by_col = {}
+    if sigma is not None:
+        for (k, i), v in sigma.data.items():
+            sigma_by_col.setdefault(i, []).append((k, v))
+    values = {}
+    for a, b, c, d in product(range(P.p_plus), range(P.p_plus),
+                              range(P.p_minus), range(P.p_minus)):
+        word = module.act_mono((a, b, c, d, 0))
+        if sigma is None:
+            pairs = [(zeta(12 * module.kweights[i] * gw) * v, module.kweights[i])
+                     for (i, k), v in word.data.items() if i == k]
+        else:
+            pairs = [(zeta(12 * module.kweights[i] * gw) * v * sv, module.kweights[k])
+                     for (i, k), v in word.data.items()
+                     for tgt, sv in sigma_by_col.get(i, ()) if tgt == k]
+        values.update(sparse_sum(((a, b, c, d, j), coeff * zeta(12 * w * j))
+                                 for j in range(P.korder) for coeff, w in pairs))
+    return Functional(P, values)
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (2, 3), (3, 2), (1, 4)])
+def test_trace_functional_equals_the_trace_over_all_words(pair, monkeypatch):
+    # every gamma functional, pseudotraces included, in value and key order
+    built = []
+
+    def compared(module, sigma=None):
+        got = trace_functional(module, sigma)
+        want = _trace_over_all_words(module, sigma)
+        assert list(got.values.items()) == list(want.values.items())
+        built.append(sigma is not None)
+        return got
+
+    monkeypatch.setattr(characters, "trace_functional", compared)
+    cs = CharacterSpace(Params(*pair))
+    cs.functionals()
+    assert len(built) == cs.dimension and any(built)
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (3, 2)])
+def test_is_qcharacter_sees_a_value_off_or_on_the_support(pair):
+    # a value added at a weight-shifting monomial, outside the support, or
+    # one value doubled: each breaks the q-character condition
+    P = Params(*pair)
+    shifting = (0, 1, 0, 0, 0)
+    assert P.weight(shifting)
+    for kind, lab, f in CharacterSpace(P).entries:
+        assert shifting not in f.values
+        assert is_qcharacter(f), (kind, lab)
+        off = Functional(P, {**f.values, shifting: P.ctx.one})
+        assert not is_qcharacter(off), (kind, lab)
+        m, v = next(iter(f.values.items()))
+        doubled = Functional(P, {**f.values, m: v * 2})
+        assert not is_qcharacter(doubled), (kind, lab)

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -244,6 +245,17 @@ def test_tables_match_recorded_digests(pair, tmp_path):
         assert main(["--p-plus", str(pair[0]), "--p-minus", str(pair[1]),
                      "--output", str(path), cmd]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == want, cmd
+
+
+def test_tables_at_3_4_match_the_sweep_digests(tmp_path):
+    # the S and ribbon tables of a pair with p+ >= 3, pinned with the rest
+    # of CI's sweep in tests/sweep_table_digests.json
+    with open(Path(__file__).with_name("sweep_table_digests.json")) as fh:
+        want = json.load(fh)["3,4"]
+    for cmd in ("smatrix", "ribbon"):
+        path = tmp_path / f"{cmd}.json"
+        assert main(["--p-plus", "3", "--p-minus", "4", "--output", str(path), cmd]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want[cmd], cmd
 
 
 def test_other_output_forms_match_recorded_digests(tmp_path):

@@ -18,6 +18,7 @@ from qpm.duality import (MMatrix, Theory, canonical_element, cc_poly_coeffs,
                          radford_inverse, ribbon_factor_closed_form,
                          theta_bracket, verify_integral_data)
 from qpm.characters import Functional
+from qpm.cli import main
 from qpm.linalg import SparseMat, SpanSolver
 from qpm.reps import cached_irreducible, irreducible_labels
 
@@ -181,6 +182,85 @@ def test_m_matrix_term_count(T12, T23, T32):
     M = MMatrix(Params(2, 5))
     assert len(M.weight_slices) == 100
     assert sum(len(row) for row in M.weight_slices.values()) == 5400
+
+
+def _sector_weight(mono):
+    return mono[1] - mono[0], mono[3] - mono[2]
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (2, 3), (3, 2), (1, 4)])
+def test_m_matrix_is_the_union_of_its_weight_classes(pair):
+    # each class holds the first legs of one sector weight, is built once,
+    # and the whole weight form is every class of the six-fold sum's grid
+    P = Params(*pair)
+    mm = MMatrix(P)
+    assert mm.classes == {}
+    grid = {(m - n, np - mp) for m, n, mp, np in product(
+        range(P.p_plus), range(P.p_plus), range(P.p_minus), range(P.p_minus))}
+    union = {}
+    for sw in grid:
+        cls = mm.weight_class(sw)
+        assert mm.weight_class(sw) is cls
+        assert all(_sector_weight(b1) == sw for b1 in cls)
+        union.update(cls)
+    assert mm.weight_slices == union
+    assert set(mm.classes) == grid
+
+
+def _contract_over(weight_slices, beta):
+    """(beta (x) id)(M), read over every first leg of a whole weight form."""
+    P = beta.params
+    ko = P.korder
+    by_free = {}
+    for m, v in beta.values.items():
+        by_free.setdefault(m[:4] + (0,), []).append((m[4], v))
+    return AlgebraElement(P, sparse_sum(
+        (m2, sum((v.shift(-12 * (w * j % ko)) for j, v in by_free[b1]), start=P.ctx.zero)
+         * Fraction(1, ko) * c)
+        for b1, row in weight_slices.items() if b1 in by_free
+        for (w, m2), c in row.items()))
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (2, 3), (3, 2), (1, 4)])
+def test_contraction_builds_only_the_classes_it_reads(pair, request):
+    # on a fresh M the Drinfeld image of every gamma functional equals the
+    # contraction over the whole M in value and key order, and builds the
+    # class (0, 0) alone; a functional on several sector weights builds
+    # theirs and equals it in value
+    th = request.getfixturevalue("T%d%d" % pair)
+    P = th.params
+    full = th.m_matrix.weight_slices
+    fresh = MMatrix(P)
+    for kind, lab, f in th.characters.entries:
+        got = fresh.contract_functional(f)
+        assert list(got.coeffs.items()) == list(_contract_over(full, f).coeffs.items()), lab
+    assert list(fresh.classes) == [(0, 0)]
+    # one monomial of every weight-shifting sector weight
+    picks = {}
+    for m in P.monomials():
+        if P.weight(m):
+            picks.setdefault(_sector_weight(m), m)
+    mixed = th.characters.entries[-1][2] + Functional(
+        P, {m: P.zeta(12 * i) * (i + 1) for i, m in enumerate(picks.values())})
+    assert fresh.contract_functional(mixed) == _contract_over(full, mixed)
+    assert fresh.contract_functional(mixed) != fresh.contract_functional(
+        th.characters.entries[-1][2])
+    assert set(fresh.classes) == {(0, 0)} | {_sector_weight(m) for m in mixed.values}
+
+
+@pytest.mark.parametrize("command", ["smatrix", "tmatrix", "ribbon"])
+def test_table_builds_only_the_weight_zero_class_of_m(command, tmp_path, monkeypatch):
+    built = []
+    build = MMatrix._build_class
+
+    def counted(self, sw):
+        built.append(sw)
+        return build(self, sw)
+
+    monkeypatch.setattr(MMatrix, "_build_class", counted)
+    assert main(["--p-plus", "2", "--p-minus", "3", "--output", str(tmp_path / "t.json"),
+                 command]) == 0
+    assert built == [(0, 0)]
 
 
 def _pbw_m_matrix(P):

@@ -64,10 +64,6 @@ __all__ = ["Params", "Sector", "AlgebraElement", "TensorElement", "Monomial"]
 Monomial = tuple
 
 
-def _intsign(alpha: int, n: int) -> int:
-    return -1 if alpha < 0 and n % 2 else 1
-
-
 def _kfree_blocks(coeffs: dict) -> dict:
     """Group a coefficient map by K-free part: {(a, b, c, d, 0): {j: c}}."""
     blocks = {}
@@ -150,10 +146,15 @@ class Sector:
         """Q^k + Q^-k."""
         return self.ctx.root_of_unity(k * self.zQ) + self.ctx.root_of_unity(-k * self.zQ)
 
+    def alpha_sign(self, alpha: int) -> int:
+        """The alpha-dependent sign of this sector's e action and Casimir
+        eigenvalue on X^alpha: -1 when alpha = -1 and p_other is odd, else 1."""
+        return -1 if alpha < 0 and self.p_other % 2 else 1
+
     def casimir_eigenvalue(self, alpha: int, r: int, s: int) -> Cyclo:
         """The eigenvalue of this sector's Casimir on X^alpha_{r,s}."""
         a, b = self.lab(r, s)
-        return self.qsum(a) * (_intsign(alpha, self.p_other) * (-1) ** b)
+        return self.qsum(a) * (self.alpha_sign(alpha) * (-1) ** b)
 
 
 class Params:

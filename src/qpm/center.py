@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, Params, Sector
-from .cyclotomic import Cyclo, horner, nonzero_sums, psi_poly, sparse_sum
+from .cyclotomic import Cyclo, horner, psi_poly, sparse_sum, sum_products
 from .linalg import nullspace
 from .reps import cached_irreducible, cached_projective
 
@@ -337,7 +337,7 @@ def is_central(params: Params, z: AlgebraElement) -> bool:
     every monomial of z has weight 0.  For g = e_pm, f_pm,
     (B K^j) g = zeta^(kphase(g, j)) (B g) K^j and g (B K^j) = (g B) K^j, so
     the terms of z g and -g z come from the straightened K-free products
-    B g and g B; they go to one nonzero_sums batch keyed by (g, monomial),
+    B g and g B; they go to one sum_products batch keyed by (g, monomial),
     and z commutes with every g exactly when no sum is nonzero."""
     P = params
     if any(P.weight(m) for m in z.coeffs):
@@ -357,7 +357,7 @@ def is_central(params: Params, z: AlgebraElement) -> bool:
                 for m, s in mono_mul(gm, b).items():
                     yield (name, m[:4] + ((m[4] + j) % ko,)), neg, s
 
-    return not nonzero_sums(triples())
+    return not sum_products(triples())
 
 
 # ----------------------------------------------------------------------

@@ -47,15 +47,15 @@ sum_i a_i * b_i, one sum per key, that builds no Cyclo per product: each
 product goes into a raw integer map per key and denominator, and each key
 is brought to a common denominator and folded through the reduction rows
 once, at the end (the delayed reduction of Dumas, Giorgi and Pernet, ACM
-TOMS 2008).  `nonzero_sums` is its key list, an exact zero test.  The
-exponents of a sum keep the first touch of that one fold, not the order a
-chain of `+` would give.  Since `embed` sums in that order, the kernel
-is used only where the printed tables stay byte-identical (the recorded
-table digests check it): for zero tests, for `linalg.SpanSolver`, for
-the traces of the Grothendieck fingerprint, and for the identities the
-checks decide on weight forms and Radford coordinates.  The dense matrix
-products that build S and T keep their chains of `+`, because the kernel
-moves the float residues of the T-matrix at (1,3).
+TOMS 2008).  Its keys are an exact zero test: a key is present exactly
+when its sum is nonzero.  The exponents of a sum keep the first touch of
+that one fold, not the order a chain of `+` would give.  Since `embed`
+sums in that order, the kernel is used only where the printed tables stay
+byte-identical (the recorded table digests check it): for zero tests, for
+`linalg.SpanSolver`, for the traces of the Grothendieck fingerprint, and
+for the identities the checks decide on weight forms and Radford
+coordinates.  Which matrix and coordinate-vector products of the center
+keep their chains of `+` is stated in `qpm.linalg`.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ __all__ = [
     "Cyclo",
     "sparse_sum",
     "sum_products",
-    "nonzero_sums",
     "LaurentZ",
     "euler_phi",
     "cyclotomic_polynomial",
@@ -221,17 +220,6 @@ class CycloContext:
         if isinstance(n, Fraction):
             return self._canonical({0: n.numerator}, n.denominator)
         return Cyclo(self, {0: n} if n else {}, 1)
-
-    def from_pairs(self, pairs) -> "Cyclo":
-        """Element from a dense list of (num, den) pairs over the power basis."""
-        den = 1
-        for _, d in pairs:
-            den = den * d // math.gcd(den, d)
-        num = {}
-        for e, (n, d) in enumerate(pairs):
-            if n:
-                num[e] = n * (den // d)
-        return self._canonical(num, den)
 
 
 class Cyclo:
@@ -573,12 +561,6 @@ def sum_products(triples) -> dict:
         if total:
             out[key] = total
     return out
-
-
-def nonzero_sums(triples) -> list:
-    """The keys of `sum_products(triples)`: the keys whose sum of a*b is
-    nonzero, in first-seen order."""
-    return list(sum_products(triples))
 
 
 # ----------------------------------------------------------------------

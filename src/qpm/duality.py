@@ -30,10 +30,11 @@ terms, for x = e_pm, f_pm from the terms of both products, where a product
 with B 1_w is one straightening and a phase.  M Delta(v) = v (x) v is
 checked as Delta(v^-1) = (v^-1 (x) v^-1) M: Delta(v^-1)'s first leg B K^j
 is sum_w zeta_ko^(w j) B 1_w, and v^-1 (B1 1_w) is one weight_mul.  Each
-side's terms are scalar products whose difference nonzero_sums tests for
-zero, so neither side is summed; the ribbon check sums one batch per w and
-first-leg sector weight, which bounds its memory and, since a misplaced term
-only splits a sum, cannot hide a failure.
+side's terms are scalar products whose difference is tested for zero by
+the keys of one sum_products batch, so neither side is summed; the ribbon
+check sums one batch per w and first-leg sector weight, which bounds its
+memory and, since a misplaced term only splits a sum, cannot hide a
+failure.
 
 The canonical element u (whence the ribbon element v = u g^-1) is taken in
 closed form; its defining properties -- centrality, S(v) = v,
@@ -52,8 +53,9 @@ from itertools import chain, product
 from .algebra import AlgebraElement, Params, Sector, TensorElement
 from .center import canonical_basis
 from .characters import CharacterSpace, Functional, counit_functional, qtrace
-from .cyclotomic import Cyclo, nonzero_sums, sparse_sum, sum_products
-from .linalg import SpanSolver, invert_dense, mat_mul_dense, mat_vec_dense
+from .cyclotomic import Cyclo, sparse_sum, sum_products
+from .linalg import (SpanSolver, columns, invert_dense, mat_mul_dense, mat_vec_dense,
+                     sparse_vector)
 from .reps import (GrothendieckIndex, cached_irreducible, cached_projective,
                    irreducible_labels)
 
@@ -413,7 +415,7 @@ class MMatrix:
 
         where each term C K^i of the straightened [..] is zeta_ko^(i w) C 1_w
         (w the idempotent's index); the first legs of the keys where they do
-        not cancel (nonzero_sums) are reported."""
+        not cancel (the keys of sum_products) are reported."""
         P = self.params
         ko, weight, mono_mul = P.korder, P.weight, P.mono_mul
         failures = [(b1, w) for b1, row in self.weight_slices.items()
@@ -454,7 +456,7 @@ class MMatrix:
                                 for d2, t in second:
                                     yield ((cf, w), d2), x, s * t
 
-            failures.extend(dict.fromkeys(k[0] for k in nonzero_sums(terms())))
+            failures.extend(dict.fromkeys(k[0] for k in sum_products(terms())))
         return failures
 
     def ribbon_identity_failures(self, v: AlgebraElement, v_inv: AlgebraElement):
@@ -470,7 +472,7 @@ class MMatrix:
         term c (B1 1_w) (x) m2 of M becomes c v^-1 (B1 1_w) (x) v^-1 m2,
         the first factor one weight_mul, the second v^-1 B with every K
         exponent shifted by j for m2 = B K^j.  The terms of both sides go
-        to nonzero_sums keyed by ((C, w), m), one batch per w and sector
+        to sum_products keyed by ((C, w), m), one batch per w and sector
         weight (ep - fp, em - fm) of the first leg: the monomials of a
         central v^-1 have sector weight (0, 0), so C keeps B1's.  A term
         batched apart from the rest of its key only splits that key's sum,
@@ -510,7 +512,7 @@ class MMatrix:
                             yield (first, k + ((i + j) % ko,)), x, y
 
         return list(dict.fromkeys(k[0] for sw in dict.fromkeys(chain(lhs, rhs))
-                                  for w in range(ko) for k in nonzero_sums(terms(sw, w))))
+                                  for w in range(ko) for k in sum_products(terms(sw, w))))
 
 
 # ----------------------------------------------------------------------
@@ -828,7 +830,7 @@ class Theory:
         coordinates {index: Cyclo}, its column of ModularAction.C; None
         outside the center span, so that no coordinate vector equals it."""
         co = self.drinfeld_coordinates[self.characters.index[kind, label]]
-        return None if co is None else {i: c for i, c in enumerate(co) if c}
+        return None if co is None else sparse_vector(co)
 
     def radford_image(self, kind: str, label) -> AlgebraElement:
         """Radford basis element by (kind, label) name."""
@@ -863,6 +865,14 @@ class Theory:
         if z lies outside the center span."""
         return self.radford_solver.coordinates(z.coeffs)
 
+    def radford_coordinates(self, z: AlgebraElement):
+        """Coordinates of a central element in the Radford basis; raises
+        ValueError if z lies outside the center span."""
+        co = self.central_coordinates(z)
+        if co is None:
+            raise ValueError("element is not in the computed center span")
+        return co
+
     @property
     def center_basis_change(self):
         """(to_canonical, to_radford): the d x d matrices taking Radford
@@ -872,20 +882,14 @@ class Theory:
         return self.params.cached("center_basis_change", self._build_center_basis_change)
 
     def _build_center_basis_change(self):
-        cols = [self.central_coordinates(el) for el in self.center.elements()]
-        if any(co is None for co in cols):
-            raise ArithmeticError("canonical element outside the center span")
-        to_radford = [list(row) for row in zip(*cols)]
+        to_radford = columns([self.radford_coordinates(el) for el in self.center.elements()])
         return invert_dense(to_radford, self.params.ctx), to_radford
 
     def _canonical_mult(self, z: AlgebraElement):
         """Matrix of multiplication by the central element z over
         center.ordered(), read off the product table."""
-        co = self.central_coordinates(z)
-        if co is None:
-            raise ArithmeticError("element outside the center span")
         ctx = self.params.ctx
-        x = mat_vec_dense(self.center_basis_change[0], co, ctx)
+        x = mat_vec_dense(self.center_basis_change[0], self.radford_coordinates(z), ctx)
         out = [[ctx.zero] * len(x) for _ in x]
         for (i, j), (k, c) in self.center.product_table().items():
             out[k][j] = out[k][j] + x[i] * c
@@ -902,10 +906,12 @@ class Theory:
     def central_inverse(self, z: AlgebraElement) -> AlgebraElement:
         """Inverse of an invertible central element: the inverse of its
         canonical multiplication matrix applied to the unit, the sum of the
-        idempotents.  Raises ArithmeticError when z is not invertible."""
+        idempotents.  Raises ArithmeticError when z is not invertible, and
+        ValueError when z lies outside the center span."""
         cb = self.center
+        mult = self._canonical_mult(z)
         try:
-            inv = invert_dense(self._canonical_mult(z), self.params.ctx)
+            inv = invert_dense(mult, self.params.ctx)
         except ValueError:
             raise ArithmeticError("central element is not invertible") from None
         unit = [k for k, (lab, _) in enumerate(cb.ordered()) if lab[0] == "e"]

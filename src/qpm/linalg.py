@@ -1,9 +1,29 @@
-"""Exact sparse linear algebra over Q(zeta_N).
+"""Exact sparse linear algebra over Q(zeta_N), and the coordinate
+arithmetic of the center.
 
 Everything here is plain Gaussian elimination with one field inversion per
 pivot (pivot rows are normalized to a unit pivot, elimination itself is
 multiply-subtract).  Matrices are small in this project -- at most a few
 hundred rows -- so no fraction-free bookkeeping is needed.
+
+The center's matrices are dense lists of rows of Cyclo over Radford or
+canonical coordinates; its coordinate vectors are dense lists or sparse
+dicts {index: Cyclo} (sparse_vector).  Their products come in two kernels,
+and which one a product takes is decided here, once:
+
+* chains of `+` (invert_dense, mat_mul_dense, mat_vec_dense) for every
+  matrix a table prints or is built from: S, its inverse C (the columns of
+  Drinfeld coordinates), T = S V C times the phase with V the matrix of
+  multiplication by the ribbon element, and what V is built from, the
+  canonical change of basis (Theory.center_basis_change) and
+  Theory._canonical_mult.  Cyclo.embed sums in key order, so the exponent
+  order a chain of `+` leaves is what the printed floats depend on.  These
+  constructions (Theory.central_mult_matrix, ModularAction.s_map) keep
+  that order when a check reads them too;
+* cyclotomic.sum_products (mat_vec, mat_mul, combine) for every other
+  product, which is only compared: its sums are exact and equal to the
+  chained ones, but their exponents keep the order of the kernel's one
+  fold.
 """
 
 from __future__ import annotations
@@ -13,7 +33,8 @@ from itertools import chain
 from .cyclotomic import Cyclo, CycloContext, sparse_sum, sum_products
 
 __all__ = ["SparseMat", "nullspace", "closure_rank",
-           "invert_dense", "mat_mul_dense", "mat_vec_dense"]
+           "invert_dense", "mat_mul_dense", "mat_vec_dense",
+           "columns", "sparse_vector", "mat_vec", "mat_mul", "scalar_of", "combine"]
 
 
 class SparseMat:
@@ -307,3 +328,48 @@ def mat_vec_dense(mat, vec, ctx: CycloContext):
     """Dense matrix times dense column vector (lists of Cyclo)."""
     live = [(j, x) for j, x in enumerate(vec) if x]
     return [sum((row[j] * x for j, x in live), start=ctx.zero) for row in mat]
+
+
+def columns(cols):
+    """The square matrix whose columns are the given coordinate lists."""
+    return [list(row) for row in zip(*cols)]
+
+
+def sparse_vector(co):
+    """A coordinate list as a sparse vector {index: Cyclo}."""
+    return {i: c for i, c in enumerate(co) if c}
+
+
+def mat_vec(mat, vec) -> dict:
+    """mat times the sparse vector vec, as a sparse vector: one
+    sum_products batch."""
+    return sum_products((i, row[j], x) for i, row in enumerate(mat)
+                        for j, x in vec.items() if row[j])
+
+
+def mat_mul(a, b, ctx: CycloContext):
+    """The dense product a b with every entry from one sum_products batch,
+    for matrices that are only compared."""
+    sums = sum_products(((i, j), x, y) for i, row in enumerate(a)
+                        for k, x in enumerate(row) if x
+                        for j, y in enumerate(b[k]) if y)
+    return [[sums.get((i, j), ctx.zero) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def scalar_of(mat):
+    """If mat is a scalar multiple of the identity, return the scalar."""
+    s = mat[0][0]
+    for i, row in enumerate(mat):
+        for j, v in enumerate(row):
+            if (i == j and v != s) or (i != j and not v.is_zero()):
+                return None
+    return s
+
+
+def combine(pairs, ctx: CycloContext) -> dict:
+    """sum c * vec over (vec, c) pairs of sparse vectors and scalars (int or
+    Cyclo), as one sum_products batch."""
+    integer = ctx.integer
+    return sum_products((i, x, c if isinstance(c, Cyclo) else integer(c))
+                        for vec, c in pairs for i, x in vec.items())

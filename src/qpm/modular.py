@@ -24,12 +24,10 @@ basis between canonical and Radford coordinates.  The Xi matrices of the
 factorization are products of such matrices with the Radford coordinates of
 the contracted coproduct (see _xi_matrix).
 
-S, T and the matrices above are built with mat_mul_dense, whose exponent
-order the printed floats depend on.  The checks decide in Radford
-coordinates instead: a named family (duality.kappa and the rest) is its
-integer map, any other element is solved for once, S, T and C act on a
-coordinate vector through cyclotomic.sum_products, and every matrix
-product that is only compared goes through the same kernel."""
+The checks decide in Radford coordinates: a named family (duality.kappa
+and the rest) is its integer map, any other element is solved for once
+(Theory.radford_coordinates).  Which products keep the chain-of-`+` order
+and which go through cyclotomic.sum_products is stated in qpm.linalg."""
 
 from __future__ import annotations
 
@@ -38,10 +36,11 @@ from fractions import Fraction
 from functools import cached_property
 
 from .algebra import AlgebraElement, Params
-from .cyclotomic import Cyclo, sum_products
+from .cyclotomic import Cyclo
 from .duality import (Theory, conformal_weight_exponent, kappa, psi_hat, rho_diag,
                        varphi_cross, varphi_diag, varphi_hat)
-from .linalg import SpanSolver, closure_rank, invert_dense, mat_mul_dense, mat_vec_dense
+from .linalg import (SpanSolver, closure_rank, columns, combine, invert_dense, mat_mul,
+                     mat_mul_dense, mat_vec, mat_vec_dense, scalar_of, sparse_vector)
 
 __all__ = ["ModularData", "ModularAction", "block_layout"]
 
@@ -58,34 +57,6 @@ class ModularData:
         c = Fraction(13) - Fraction(6 * P.p_plus, P.p_minus) - Fraction(6 * P.p_minus, P.p_plus)
         phase_exp = -(13 * P.pp - 6 * P.p_plus ** 2 - 6 * P.p_minus ** 2)
         return ModularData(P, c, P.ctx.root_of_unity(phase_exp))
-
-
-def _sparse(co):
-    """A coordinate list as a sparse row {index: Cyclo}."""
-    return {i: c for i, c in enumerate(co) if c}
-
-
-def _mat_vec(mat, vec) -> dict:
-    """mat times the sparse vector vec, as a sparse vector: one
-    sum_products batch."""
-    return sum_products((i, row[j], x) for i, row in enumerate(mat)
-                        for j, x in vec.items() if row[j])
-
-
-def _mat_mul(a, b, ctx):
-    """The dense product a b with every entry from one sum_products batch.
-    For matrices that are only compared: the kernel's exponent order is not
-    mat_mul_dense's, on which the printed floats depend."""
-    sums = sum_products(((i, j), x, y) for i, row in enumerate(a)
-                        for k, x in enumerate(row) if x
-                        for j, y in enumerate(b[k]) if y)
-    return [[sums.get((i, j), ctx.zero) for j in range(len(b[0]))]
-            for i in range(len(a))]
-
-
-def _columns(cols):
-    """The square matrix whose columns are the given coordinate lists."""
-    return [list(row) for row in zip(*cols)]
 
 
 def block_layout(params: Params):
@@ -122,7 +93,7 @@ class ModularAction:
         cols = theory.drinfeld_coordinates
         if any(co is None for co in cols):
             raise ArithmeticError("Drinfeld image outside the center span")
-        self.C = _columns(cols)
+        self.C = columns(cols)
         self.S = invert_dense(self.C, ctx)
 
     @cached_property
@@ -135,66 +106,31 @@ class ModularAction:
         ph = self.data.t_phase
         return [[v * ph for v in row] for row in T0]
 
-    # -- plumbing ------------------------------------------------------------
-
-    def coords(self, z: AlgebraElement):
-        co = self.theory.radford_solver.coordinates(z.coeffs)
-        if co is None:
-            raise ValueError("element is not in the computed center span")
-        return co
-
     def s_map(self, z: AlgebraElement) -> AlgebraElement:
-        co = mat_vec_dense(self.S, self.coords(z), self.params.ctx)
+        co = mat_vec_dense(self.S, self.theory.radford_coordinates(z), self.params.ctx)
         return self.params.linear_combination(zip(self.theory.radford_basis, co))
-
-    # -- the checks' coordinates ------------------------------------------------
-    #
-    # The checks compare sparse Radford-coordinate vectors {index: Cyclo}:
-    # a family is read from its map (Theory.radford_vector), any other
-    # element solved for once (_vec); S, T and C act by _mat_vec.  No vector
-    # becomes an element.
-
-    def _vec(self, z: AlgebraElement) -> dict:
-        return _sparse(self.coords(z))
-
-    def _lin(self, *pairs) -> dict:
-        """sum c * vec over (vec, c) pairs of sparse vectors and scalars
-        (int or Cyclo), as one sum_products batch."""
-        integer = self.params.ctx.integer
-        return sum_products((i, x, c if isinstance(c, Cyclo) else integer(c))
-                            for vec, c in pairs for i, x in vec.items())
-
-    # -- matrix helpers ---------------------------------------------------------
-
-    def _scalar_of(self, mat):
-        """If mat is a scalar multiple of the identity, return the scalar."""
-        s = mat[0][0]
-        for i, row in enumerate(mat):
-            for j, v in enumerate(row):
-                if (i == j and v != s) or (i != j and not v.is_zero()):
-                    return None
-        return s
 
     # -- the relation suite -------------------------------------------------------
 
     def sl2z_relations(self):
         ctx = self.params.ctx
-        mm = lambda a, b: _mat_mul(a, b, ctx)
+        mm = lambda a, b: mat_mul(a, b, ctx)
         S2 = mm(self.S, self.S)
-        report = {"S2_identity": self._scalar_of(S2) == ctx.one}
-        report["S4_identity"] = self._scalar_of(mm(S2, S2)) == ctx.one
+        report = {"S2_identity": scalar_of(S2) == ctx.one}
+        report["S4_identity"] = scalar_of(mm(S2, S2)) == ctx.one
         ST = mm(self.S, self.T)
         ST3 = mm(mm(ST, ST), ST)
         # (ST)^3 S^-2 is (ST)^3 itself when S^2 = 1
         ST3_Sm2 = ST3 if report["S2_identity"] else mm(ST3, invert_dense(S2, ctx))
-        scal = self._scalar_of(ST3_Sm2)
+        scal = scalar_of(ST3_Sm2)
         report["ST3_S-2_scalar"] = scal
         report["ST3_S-2_is_scalar"] = scal is not None
         report["ST3_S-2_scalar_is_one"] = scal == ctx.one
         # S^-1(1) = Lambda
-        lam = self.theory.integral.cointegral
-        report["S_inv_of_unit_is_cointegral"] = (
-            _mat_vec(self.C, self._vec(self.params.one)) == self._vec(lam))
+        th = self.theory
+        unit, lam = (sparse_vector(th.radford_coordinates(z))
+                     for z in (self.params.one, th.integral.cointegral))
+        report["S_inv_of_unit_is_cointegral"] = mat_vec(self.C, unit) == lam
         return report
 
     # -- distinguished blocks ---------------------------------------------------
@@ -232,8 +168,8 @@ class ModularAction:
             solver = SpanSolver(vecs[name], ctx)
             dim = solver.rank
             ok_dim = dim == expected
-            closed_S = all(solver.contains(_mat_vec(self.S, co)) for co in vecs[name])
-            closed_T = all(solver.contains(_mat_vec(self.T, co)) for co in vecs[name])
+            closed_S = all(solver.contains(mat_vec(self.S, co)) for co in vecs[name])
+            closed_T = all(solver.contains(mat_vec(self.T, co)) for co in vecs[name])
             report["blocks"][name] = {"dim": dim, "expected": expected,
                                       "S_closed": closed_S, "T_closed": closed_T}
             if not (ok_dim and closed_S and closed_T):
@@ -253,9 +189,10 @@ class ModularAction:
         eigen_checks = []
         for kind, name in (("kappa", "projective"), ("cross", "minimal")):
             for (r, s), co in zip(labels[name], vecs[name]):
-                x = _mat_vec(self.S, co)
+                x = mat_vec(self.S, co)
                 ev = ph * zeta(conformal_weight_exponent(P, r, s))
-                eigen_checks.append(((kind, (r, s)), _mat_vec(self.T, x) == self._lin((x, ev))))
+                eigen_checks.append(((kind, (r, s)),
+                                     mat_vec(self.T, x) == combine([(x, ev)], ctx)))
         report["t_eigenvectors_ok"] = all(ok for _, ok in eigen_checks)
         if not report["t_eigenvectors_ok"]:
             report["failures"].extend(
@@ -269,7 +206,7 @@ class ModularAction:
         the identity, since column i of C holds the coordinates of the i-th
         Drinfeld image."""
         ctx = self.params.ctx
-        return self._scalar_of(_mat_mul(self.S, self.C, ctx)) == ctx.one
+        return scalar_of(mat_mul(self.S, self.C, ctx)) == ctx.one
 
     def verify_transformations(self):
         """The displayed T-action formulas on the S-adapted families.  The
@@ -279,7 +216,7 @@ class ModularAction:
         P = self.params
         zeta = P.ctx.root_of_unity
         ph = self.data.t_phase
-        lin = self._lin
+        lin = lambda *pairs: combine(pairs, P.ctx)
         radford = self.theory.radford_vector
         failures = []
 
@@ -287,13 +224,13 @@ class ModularAction:
             return ph * zeta(conformal_weight_exponent(P, r, s))
 
         def drinfeld(family, c=1):
-            return _mat_vec(self.C, radford([(family, c)]))
+            return mat_vec(self.C, radford([(family, c)]))
 
         def s_of(family):
-            return _mat_vec(self.S, radford([(family, 1)]))
+            return mat_vec(self.S, radford([(family, 1)]))
 
         def t_of(x):
-            return _mat_vec(self.T, x)
+            return mat_vec(self.T, x)
 
         for (r, s) in P.set_I1():
             # chi_{r,s} = C varphi_cross: the minimal-model T-eigenvector
@@ -369,11 +306,11 @@ class ModularAction:
         t_diag = True
         for lab, co in zip(labels, chi_coords):
             ev = ph * zeta(conformal_weight_exponent(P, *P.block_of(*lab)))
-            if _mat_vec(self.T, co) != self._lin((co, ev)):
+            if mat_vec(self.T, co) != combine([(co, ev)], ctx):
                 t_diag = False
-        literal = all(chi_solver.contains(_mat_vec(self.S, co)) for co in chi_coords)
+        literal = all(chi_solver.contains(mat_vec(self.S, co)) for co in chi_coords)
         # the S,T-generated closure of the image
-        maps = [lambda co, mat=mat: _mat_vec(mat, co) for mat in (self.S, self.T)]
+        maps = [lambda co, mat=mat: mat_vec(mat, co) for mat in (self.S, self.T)]
         closure = closure_rank(chi_coords, maps)
         return {"ok": same_span and t_diag,
                 "same_span": same_span, "t_diagonal": t_diag,
@@ -399,16 +336,10 @@ class ModularAction:
         th = self.theory
         ctx = self.params.ctx
         dsv = self.s_map(vstar).coproduct()
-        cols = []
-        for _, _, f in th.characters.entries:
-            co = th.central_coordinates(
-                dsv.apply_left(lambda m: f.values.get(m, ctx.zero)))
-            if co is None:
-                raise ArithmeticError("xi image left the center span")
-            cols.append(co)
-        x0 = mat_mul_dense(_columns(cols),
-                           th.central_mult_matrix(vstar.antipode()), ctx)
-        return mat_mul_dense(th.central_mult_matrix(vstar), x0, ctx)
+        cols = [th.radford_coordinates(dsv.apply_left(lambda m: f.values.get(m, ctx.zero)))
+                for _, _, f in th.characters.entries]
+        x0 = mat_mul(columns(cols), th.central_mult_matrix(vstar.antipode()), ctx)
+        return mat_mul(th.central_mult_matrix(vstar), x0, ctx)
 
     def verify_factorization(self):
         """The stated Radford combination for S(v*), S(v) = v^-1, and the
@@ -427,7 +358,8 @@ class ModularAction:
         rib = th.ribbon
         report = {}
         failures = []
-        mm = lambda a, b: _mat_mul(a, b, ctx)
+        mm = lambda a, b: mat_mul(a, b, ctx)
+        vec = lambda z: sparse_vector(th.radford_coordinates(z))
 
         # S(v) = v^-1 up to the anomaly scalar lambda(v^-1): contracting the
         # identity M = (v (x) v) Delta(v^-1) with lambda(v^-1 . ) gives
@@ -436,20 +368,20 @@ class ModularAction:
         vinv = th.central_inverse(rib.v)
         lam_vinv = th.integral.integral(vinv)
         report["anomaly_scalar"] = lam_vinv
-        sv = _mat_vec(self.S, self._vec(rib.v))
-        vinv_co = self._vec(vinv)
-        report["s_of_ribbon"] = self._lin((sv, lam_vinv)) == vinv_co
+        sv = mat_vec(self.S, vec(rib.v))
+        vinv_co = vec(vinv)
+        report["s_of_ribbon"] = combine([(sv, lam_vinv)], ctx) == vinv_co
         report["s_of_ribbon_literal"] = sv == vinv_co
 
         # S(v*) = Lambda + (1/p+p-) phi_upup(1,1) + (1/p+) phi_nesw(1,1)
         #         + (1/p-) phi_nwse(1,1), each term where its label exists
-        sv = _mat_vec(self.S, self._vec(rib.v_unipotent))
+        sv = mat_vec(self.S, vec(rib.v_unipotent))
         unipotent = [({(sec.pseudo, (1, 1)): 1}, Fraction(1, sec.p))
                      for sec in P.sectors if sec.p > 1]
         if P.p_plus > 1 and P.p_minus > 1:
             unipotent.append(({("upup", (1, 1)): 1}, Fraction(1, P.pp)))
-        expect = self._lin((self._vec(th.integral.cointegral), 1),
-                           (th.radford_vector(unipotent), 1))
+        expect = combine([(vec(th.integral.cointegral), 1),
+                          (th.radford_vector(unipotent), 1)], ctx)
         if sv != expect:
             failures.append("S(v*) decomposition")
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .algebra import AlgebraElement, Params, Sector, _intsign
+from .algebra import AlgebraElement, Params, Sector
 from .cyclotomic import sparse_sum, sum_products
 from .linalg import SparseMat, SpanSolver, closure_rank
 
@@ -218,8 +218,8 @@ def irreducible(params: Params, alpha: int, r: int, s: int) -> ModuleRep:
     fp = {}
     fm = {}
     plus, minus = P.sectors
-    sp = _intsign(alpha, P.p_minus) * (-1) ** (s - 1)
-    sm = _intsign(alpha, P.p_plus) * (-1) ** (r - 1)
+    sp = plus.alpha_sign(alpha) * (-1) ** (s - 1)
+    sm = minus.alpha_sign(alpha) * (-1) ** (r - 1)
     for (n, np) in basis:
         i = idx[(n, np)]
         if n >= 1:

@@ -28,8 +28,7 @@ from .duality import (Theory, conformal_weight_exponent,
                       varphi_hat, verify_integral_data)
 from .grothendieck import (gr_class, gr_multiply, verify_casimir_identities,
                            verify_presentation)
-from .linalg import SpanSolver, SparseMat
-from .modular import _mat_vec
+from .linalg import SpanSolver, SparseMat, combine, mat_vec
 from .reps import cached_irreducible, irreducible_labels, tensor_product, verma
 
 __all__ = ["run_suites", "SUITE_ORDER", "SuiteSelectionError", "available_suites",
@@ -269,7 +268,7 @@ def suite_fusion(theory: Theory):
 
     to_canonical = theory.center_basis_change[0]
     table = theory.center.product_table()
-    chi = {lab: _mat_vec(to_canonical, vec) for lab in labels
+    chi = {lab: mat_vec(to_canonical, vec) for lab in labels
            if (vec := theory.drinfeld_vector("qtr", lab)) is not None}
 
     def product(x, y):
@@ -277,9 +276,8 @@ def suite_fusion(theory: Theory):
                             if i in x and j in y)
 
     drinfeld_ok = len(chi) == len(labels) and all(
-        product(chi[la], chi[lb]) == sum_products(
-            (k, ctx.integer(mult), z) for lc, mult in formula.mult.items()
-            for k, z in chi[lc].items())
+        product(chi[la], chi[lb]) == combine(
+            ((chi[lc], mult) for lc, mult in formula.mult.items()), ctx)
         for (la, lb), formula in formulas.items())
     checks.append(("Drinfeld-image products follow the same formula (all pairs)",
                    drinfeld_ok, ""))

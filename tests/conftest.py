@@ -52,6 +52,13 @@ def T14():
     return Theory(Params(1, 4))
 
 
+def cyclo_from_pairs(ctx, pairs):
+    """The element whose dense list of (num, den) pairs over the power basis
+    is `pairs`, as Cyclo.to_pairs writes it."""
+    return sum((ctx.root_of_unity(e) * Fraction(n, d) for e, (n, d) in enumerate(pairs) if n),
+               start=ctx.zero)
+
+
 def pbw_slices(P, weight_slices):
     """The first-leg slices {m1: {m2: c}} of the tensor whose weight form is
     weight_slices, {B1: {(w, m2): c}} as MMatrix keeps M, expanded into the

@@ -5,6 +5,7 @@ assertions are float embeddings of exact quantities.  Each criterion prints
 one pass/fail line (run pytest with -s to stream them).
 """
 
+import ast
 import cProfile
 import functools
 import gc
@@ -542,3 +543,21 @@ def test_every_suite_declares_its_reads_and_its_pool_turn():
     for reads in verify.SUITE_READS.values():
         for path in reads:
             attrgetter(path)(theory)
+
+
+def test_no_module_imports_another_modules_private_name():
+    """A qpm module uses another's helpers through their public names, so
+    a private copy of a shared kernel has nowhere to be imported from."""
+    src = os.path.dirname(duality.__file__)
+    private = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "qpm"):
+                private += [(name, node.lineno, alias.name) for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []

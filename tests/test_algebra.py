@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpm.algebra import AlgebraElement, Params, TensorElement
+from conftest import cyclo_from_pairs
 
 
 @pytest.fixture(scope="module")
@@ -202,7 +203,7 @@ def test_element_serialization(P23):
     x = (AlgebraElement(P, {rng.choice(monos): P.q})
          + AlgebraElement(P, {rng.choice(monos): P.ctx.integer(3)}))
     recs = x.to_records()
-    assert P.element({tuple(rec["mono"]): P.ctx.from_pairs(rec["coeff"]["coeffs"])
+    assert P.element({tuple(rec["mono"]): cyclo_from_pairs(P.ctx, rec["coeff"]["coeffs"])
                       for rec in recs}) == x
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from qpm.duality import (kappa, psi_hat, rho_diag, varphi_arrow, varphi_cross,
                          varphi_diag, varphi_hat)
-from qpm.modular import _mat_vec
+from qpm.linalg import combine, mat_vec, sparse_vector
 
 PAIRS = ["T12", "T23", "T32", "T14"]
 
@@ -104,10 +104,12 @@ def _restated_lists(th, ma):
     Drinfeld image solved for and every coefficient written out again:
     {(name, label): vector}."""
     P = th.params
-    lin = ma._lin
+
+    def lin(*pairs):
+        return combine(pairs, P.ctx)
 
     def d(kind, label):
-        return ma._vec(th.drinfeld_image(kind, label))
+        return sparse_vector(th.radford_coordinates(th.drinfeld_image(kind, label)))
 
     out = {}
     for (r, s) in P.set_I1():
@@ -141,7 +143,7 @@ def _c_times_families(th, ma):
     P = th.params
 
     def drinfeld(family, c=1):
-        return _mat_vec(ma.C, th.radford_vector([(family, c)]))
+        return mat_vec(ma.C, th.radford_vector([(family, c)]))
 
     out = {}
     for (r, s) in P.set_I1():

@@ -10,8 +10,8 @@ from qpm import verify
 from qpm.algebra import AlgebraElement, Params
 from qpm.cyclotomic import sparse_sum
 from qpm.duality import Theory, conformal_weight_exponent, kappa
-from qpm.linalg import _eliminate, invert_dense, mat_mul_dense, mat_vec_dense
-from qpm.modular import ModularAction, ModularData, _mat_vec
+from qpm.linalg import _eliminate, invert_dense, mat_mul_dense, mat_vec, mat_vec_dense
+from qpm.modular import ModularAction, ModularData
 from qpm.reps import irreducible_labels
 
 
@@ -92,9 +92,9 @@ def test_t_on_s_image_of_kappa(T23, ma23):
     zeta = P.ctx.root_of_unity
     ph = ma23.data.t_phase
     for (r, s) in P.set_I():
-        x = _mat_vec(ma23.S, T23.radford_vector([(kappa(P, r, s), 1)]))
+        x = mat_vec(ma23.S, T23.radford_vector([(kappa(P, r, s), 1)]))
         ev = ph * zeta(conformal_weight_exponent(P, r, s))
-        assert x and _mat_vec(ma23.T, x) == {i: c * ev for i, c in x.items()}
+        assert x and mat_vec(ma23.T, x) == {i: c * ev for i, c in x.items()}
 
 
 def test_grothendieck_image(ma23):
@@ -112,7 +112,9 @@ def test_grothendieck_closure_rank_against_rounds(ma23):
     P, ctx = ma23.params, ma23.params.ctx
     d = ma23.dim
     th = ma23.theory
-    chi = [ma23.coords(th.drinfeld_image("qtr", lab)) for lab in irreducible_labels(P)]
+    chi = [th.central_coordinates(th.drinfeld_image("qtr", lab))
+           for lab in irreducible_labels(P)]
+    assert all(co is not None for co in chi)
 
     def sparse(co):
         return {i: c for i, c in enumerate(co) if c}

@@ -114,8 +114,8 @@ def trace_functional(module: ModuleRep, sigma: SparseMat | None = None) -> Funct
     K-eigenspace of the module into another one, and K^j, g^-1 and sigma
     (which commutes with K) keep every eigenspace, so each diagonal entry
     of g^-1 B K^j sigma is zero and the trace vanishes on every B K^j.
-    Skipped words would add no key, so the values and their order are
-    those of the loop over all words.
+    Skipped words would add no key, so the values are those of the loop
+    over all words.
     """
     P = module.params
     zeta = P.ctx.root_of_unity

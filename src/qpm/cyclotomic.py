@@ -19,15 +19,12 @@ cheap.
 
 Every operation ends in one pass, `CycloContext._canonical`, which folds
 exponents through the reduction rows, drops zeros and divides out the gcd
-(skipped when den == 1).  The keys of `num` keep the order in which that
-pass first touched them, walking the operands' terms in their own order;
-nothing sorts them.  `embed` sums in that order, so the floats printed by
-the CLI depend on it.  It reads cos and sin of each 2*pi*e/N from a table
-that its context fills once per precision, inside the same working
-precision, so a value read from the table equals the one computed in place
-and the terms are summed in the same order.  Two results have a fixed
-order instead: `inv` returns ascending exponents, and a one-term power has
-the order of the reduction row of its zeta-power.
+(skipped when den == 1).  `embed` rounds each component whose exact value
+is nonzero correctly, so a printed float depends only on the exact value;
+an exact zero prints as the residue of the terms summed in ascending
+exponent order.  It reads cos and sin of each 2*pi*e/N from a table that
+its context fills once per precision, inside the same working precision,
+so a value read from the table equals the one computed in place.
 
 Fast paths, chosen from the operands' shape:
 
@@ -48,14 +45,7 @@ product goes into a raw integer map per key and denominator, and each key
 is brought to a common denominator and folded through the reduction rows
 once, at the end (the delayed reduction of Dumas, Giorgi and Pernet, ACM
 TOMS 2008).  Its keys are an exact zero test: a key is present exactly
-when its sum is nonzero.  The exponents of a sum keep the first touch of
-that one fold, not the order a chain of `+` would give.  Since `embed`
-sums in that order, the kernel is used only where the printed tables stay
-byte-identical (the recorded table digests check it): for zero tests, for
-`linalg.SpanSolver`, for the traces of the Grothendieck fingerprint, and
-for the identities the checks decide on weight forms and Radford
-coordinates.  Which matrix and coordinate-vector products of the center
-keep their chains of `+` is stated in `qpm.linalg`.
+when its sum is nonzero.
 """
 
 from __future__ import annotations
@@ -64,6 +54,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import from_man_exp, mpf_add, mpf_sub
 
 __all__ = [
     "CycloContext",
@@ -329,16 +320,14 @@ class Cyclo:
         """Multiplicative inverse, in one of three shapes: `__pow__`'s
         closed form (d/c)*zeta^-k for a one-term element (c/d)*zeta^k, the
         closed form of _inv_binomial for a two-term one, else the Galois
-        norm (_inv_norm).  All return the exponents in ascending order."""
+        norm (_inv_norm)."""
         if not self.num:
             raise ZeroDivisionError("inverse of zero in Q(zeta_N)")
         if len(self.num) == 1:
-            x = self ** -1
-        elif len(self.num) == 2:
-            x = self._inv_binomial()
-        else:
-            x = self._inv_norm()
-        return Cyclo(self.ctx, dict(sorted(x.num.items())), x.den)
+            return self ** -1
+        if len(self.num) == 2:
+            return self._inv_binomial()
+        return self._inv_norm()
 
     def _inv_binomial(self) -> "Cyclo":
         """The inverse of x = (c1 zeta^i + c2 zeta^j)/d in one _canonical
@@ -442,29 +431,74 @@ class Cyclo:
     def embed(self, precision: int = 53):
         """Numerical value under zeta_N -> exp(2*pi*i/N) as an (re, im) pair.
 
-        Computed with `precision` working bits; for precision <= 53 the pair
-        is returned as Python floats, otherwise as mpmath floats.
+        A component whose exact value is nonzero is that value correctly
+        rounded to `precision` bits: the terms are summed in ascending
+        exponent order with 10 guard bits, and again with twice the bits
+        (Ziv's loop) while the sum's error bound straddles a rounding
+        boundary.  A rational component, which could be a midpoint, is
+        rounded from its Fraction.  An exactly zero component is the
+        residue of the first sum.  For precision <= 53 the pair is returned
+        as Python floats, otherwise as mpmath floats.
         """
         if precision < 53:
             raise ValueError("precision must be at least 53 bits")
-        with mpmath.workprec(precision + 10):
-            trig = self.ctx._trig.get(precision)
+        out = []
+        for comp, x in enumerate(self._embed_sums(precision)):
+            value = self._rounded(x, precision, precision)
+            if value is None:
+                value = self._settle(comp, x, precision)
+            out.append(float(value) if precision <= 53 else value)
+        return tuple(out)
+
+    def _settle(self, comp, x, precision):
+        """Component `comp` (0 real, 1 imaginary) of `embed` when its first
+        sum x cannot be rounded: x itself if the component is exactly zero,
+        the rounded Fraction if it is rational, else Ziv's loop."""
+        c = self.conj()
+        if c == (-self if comp == 0 else self):
+            return x
+        # 2 Re x = x + conj(x) and 2 Im x = (x - conj(x)) / i
+        twice = self + c if comp == 0 else (self - c) * self.ctx.root_of_unity(-self.order // 4)
+        if twice.is_rational():
+            r = twice.rational_value()
+            return mpmath.fdiv(r.numerator, 2 * r.denominator, prec=precision)
+        bits, value = precision, None
+        while value is None:
+            bits *= 2
+            value = self._rounded(self._embed_sums(bits)[comp], bits, precision)
+        return value
+
+    def _embed_sums(self, bits):
+        """(re, im) summed in ascending exponent order with bits + 10
+        working bits, reading cos and sin of each 2*pi*e/N from the table
+        that the context fills once per `bits`."""
+        with mpmath.workprec(bits + 10):
+            trig = self.ctx._trig.get(bits)
             if trig is None:
                 two_pi = 2 * mpmath.pi
-                trig = self.ctx._trig[precision] = [
+                trig = self.ctx._trig[bits] = [
                     (mpmath.cos(ang), mpmath.sin(ang))
                     for ang in (two_pi * e / self.order for e in range(self.ctx.phi))]
             re = mpmath.mpf(0)
             im = mpmath.mpf(0)
-            for e, c in self.num.items():
+            for e, c in sorted(self.num.items()):
                 cos, sin = trig[e]
                 re += c * cos
                 im += c * sin
-            re /= self.den
-            im /= self.den
-            if precision <= 53:
-                return (float(re), float(im))
-            return (+re, +im)
+            return re / self.den, im / self.den
+
+    def _rounded(self, x, bits, precision):
+        """x, a sum of `_embed_sums(bits)`, rounded to `precision` bits, or
+        None if the sum's error bound allows two roundings.  With n terms
+        of absolute sum A over den at w = bits + 10 working bits, each
+        table entry is off by at most 32 * 2^-w (the angle's three
+        roundings and the cos), each product and partial sum by one
+        rounding, so x is off by at most (n + 40) * A * 2^-w / den, here
+        rounded up to a whole multiple of 2^-w."""
+        weight = (len(self.num) + 40) * sum(map(abs, self.num.values()))
+        bound = from_man_exp(-(-weight // self.den), -bits - 10)
+        lo = mpf_sub(x._mpf_, bound, precision, "n")
+        return mpmath.mp.make_mpf(lo) if lo == mpf_add(x._mpf_, bound, precision, "n") else None
 
     @property
     def order(self):
@@ -519,9 +553,7 @@ def sum_products(triples) -> dict:
     the maps of each key are brought to the lcm of its denominators and
     folded, one after the other, into one map through the reduction rows
     (so, as for _canonical, an operand's exponents may be any integers);
-    then zeros are dropped, and the sign and gcd fixed, once per key.  A
-    sum's exponents keep the first touch of that fold, which can differ
-    from the order a chain of Cyclo additions would give."""
+    then zeros are dropped, and the sign and gcd fixed, once per key."""
     acc = {}
     ctx = None
     for key, a, b in triples:
@@ -651,23 +683,10 @@ class LaurentZ:
         return [self.c.get(e, 0) for e in range(max(self.c, default=-1) + 1)]
 
     def eval_cyclo(self, q: Cyclo) -> Cyclo:
-        """Specialize x -> q for an invertible q.  The q-integers are
-        evaluated here, not by `horner`: the powers q^e are summed in the
-        order the exponents are stored, that order fixes the exponent
-        order of the result, and `embed` sums in it, so the printed floats
-        depend on it."""
-        ctx = q.ctx
-        qinv = q.inv() if min(self.c, default=0) < 0 else None
-        pow_cache = {0: ctx.one}
-
-        def qpow(e):
-            if e in pow_cache:
-                return pow_cache[e]
-            v = q ** e if e > 0 else qinv ** (-e)
-            pow_cache[e] = v
-            return v
-
-        return sum((qpow(e) * v for e, v in self.c.items()), start=ctx.zero)
+        """Specialize x -> q for an invertible q: q^lo times `horner` of the
+        coefficients from the least exponent lo up."""
+        lo, hi = min(self.c, default=0), max(self.c, default=-1)
+        return horner([self.c.get(e, 0) for e in range(lo, hi + 1)], q, q.ctx.zero) * q ** lo
 
     def __eq__(self, other):
         return isinstance(other, LaurentZ) and self.c == other.c

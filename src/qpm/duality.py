@@ -54,7 +54,7 @@ from .algebra import AlgebraElement, Params, Sector, TensorElement
 from .center import canonical_basis
 from .characters import CharacterSpace, Functional, counit_functional, qtrace
 from .cyclotomic import Cyclo, sparse_sum, sum_products
-from .linalg import (SpanSolver, columns, invert_dense, mat_mul_dense, mat_vec_dense,
+from .linalg import (SpanSolver, columns, invert_dense, mat_mul_dense, mat_vec,
                      sparse_vector)
 from .reps import (GrothendieckIndex, cached_irreducible, cached_projective,
                    irreducible_labels)
@@ -366,8 +366,7 @@ class MMatrix:
         Only the first legs B1 in beta's K-free support take part, so only
         their classes are built.  A q-character vanishes off the words of
         sector weight (0, 0) (trace_functional), so its contraction builds
-        class (0, 0) alone, and its image keeps the key order of the
-        contraction over the whole M."""
+        class (0, 0) alone."""
         P = self.params
         ko, zero = P.korder, P.ctx.zero
         inv_ko = Fraction(1, ko)
@@ -887,13 +886,16 @@ class Theory:
 
     def _canonical_mult(self, z: AlgebraElement):
         """Matrix of multiplication by the central element z over
-        center.ordered(), read off the product table."""
+        center.ordered(), read off the product table as one sum_products
+        batch."""
         ctx = self.params.ctx
-        x = mat_vec_dense(self.center_basis_change[0], self.radford_coordinates(z), ctx)
-        out = [[ctx.zero] * len(x) for _ in x]
-        for (i, j), (k, c) in self.center.product_table().items():
-            out[k][j] = out[k][j] + x[i] * c
-        return out
+        to_canonical = self.center_basis_change[0]
+        x = mat_vec(to_canonical, sparse_vector(self.radford_coordinates(z)))
+        sums = sum_products(((k, j), x[i], ctx.integer(c))
+                            for (i, j), (k, c) in self.center.product_table().items()
+                            if i in x)
+        d = len(to_canonical)
+        return [[sums.get((k, j), ctx.zero) for j in range(d)] for k in range(d)]
 
     def central_mult_matrix(self, z: AlgebraElement):
         """Matrix of multiplication by the central element z in the Radford

@@ -8,22 +8,9 @@ hundred rows -- so no fraction-free bookkeeping is needed.
 
 The center's matrices are dense lists of rows of Cyclo over Radford or
 canonical coordinates; its coordinate vectors are dense lists or sparse
-dicts {index: Cyclo} (sparse_vector).  Their products come in two kernels,
-and which one a product takes is decided here, once:
-
-* chains of `+` (invert_dense, mat_mul_dense, mat_vec_dense) for every
-  matrix a table prints or is built from: S, its inverse C (the columns of
-  Drinfeld coordinates), T = S V C times the phase with V the matrix of
-  multiplication by the ribbon element, and what V is built from, the
-  canonical change of basis (Theory.center_basis_change) and
-  Theory._canonical_mult.  Cyclo.embed sums in key order, so the exponent
-  order a chain of `+` leaves is what the printed floats depend on.  These
-  constructions (Theory.central_mult_matrix, ModularAction.s_map) keep
-  that order when a check reads them too;
-* cyclotomic.sum_products (mat_vec, mat_mul, combine) for every other
-  product, which is only compared: its sums are exact and equal to the
-  chained ones, but their exponents keep the order of the kernel's one
-  fold.
+dicts {index: Cyclo} (sparse_vector).  Every product of them (mat_mul_dense,
+mat_vec, combine) is one cyclotomic.sum_products batch, and invert_dense is
+the one inverse.
 """
 
 from __future__ import annotations
@@ -33,8 +20,8 @@ from itertools import chain
 from .cyclotomic import Cyclo, CycloContext, sparse_sum, sum_products
 
 __all__ = ["SparseMat", "nullspace", "closure_rank",
-           "invert_dense", "mat_mul_dense", "mat_vec_dense",
-           "columns", "sparse_vector", "mat_vec", "mat_mul", "scalar_of", "combine"]
+           "invert_dense", "mat_mul_dense", "columns", "sparse_vector", "mat_vec",
+           "scalar_of", "combine"]
 
 
 class SparseMat:
@@ -307,29 +294,6 @@ def invert_dense(mat, ctx: CycloContext):
     return [row[n:] for row in aug]
 
 
-def mat_mul_dense(a, b, ctx: CycloContext):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[ctx.zero] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c.is_zero():
-                continue
-            bt = b[t]
-            for j in range(m):
-                if not bt[j].is_zero():
-                    oi[j] = oi[j] + c * bt[j]
-    return out
-
-
-def mat_vec_dense(mat, vec, ctx: CycloContext):
-    """Dense matrix times dense column vector (lists of Cyclo)."""
-    live = [(j, x) for j, x in enumerate(vec) if x]
-    return [sum((row[j] * x for j, x in live), start=ctx.zero) for row in mat]
-
-
 def columns(cols):
     """The square matrix whose columns are the given coordinate lists."""
     return [list(row) for row in zip(*cols)]
@@ -347,9 +311,8 @@ def mat_vec(mat, vec) -> dict:
                         for j, x in vec.items() if row[j])
 
 
-def mat_mul(a, b, ctx: CycloContext):
-    """The dense product a b with every entry from one sum_products batch,
-    for matrices that are only compared."""
+def mat_mul_dense(a, b, ctx: CycloContext):
+    """The dense product a b, every entry from one sum_products batch."""
     sums = sum_products(((i, j), x, y) for i, row in enumerate(a)
                         for k, x in enumerate(row) if x
                         for j, y in enumerate(b[k]) if y)

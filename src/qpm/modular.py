@@ -26,8 +26,7 @@ the contracted coproduct (see _xi_matrix).
 
 The checks decide in Radford coordinates: a named family (duality.kappa
 and the rest) is its integer map, any other element is solved for once
-(Theory.radford_coordinates).  Which products keep the chain-of-`+` order
-and which go through cyclotomic.sum_products is stated in qpm.linalg."""
+(Theory.radford_coordinates)."""
 
 from __future__ import annotations
 
@@ -39,8 +38,8 @@ from .algebra import AlgebraElement, Params
 from .cyclotomic import Cyclo
 from .duality import (Theory, conformal_weight_exponent, kappa, psi_hat, rho_diag,
                        varphi_cross, varphi_diag, varphi_hat)
-from .linalg import (SpanSolver, closure_rank, columns, combine, invert_dense, mat_mul,
-                     mat_mul_dense, mat_vec, mat_vec_dense, scalar_of, sparse_vector)
+from .linalg import (SpanSolver, closure_rank, columns, combine, invert_dense,
+                     mat_mul_dense, mat_vec, scalar_of, sparse_vector)
 
 __all__ = ["ModularData", "ModularAction", "block_layout"]
 
@@ -107,14 +106,15 @@ class ModularAction:
         return [[v * ph for v in row] for row in T0]
 
     def s_map(self, z: AlgebraElement) -> AlgebraElement:
-        co = mat_vec_dense(self.S, self.theory.radford_coordinates(z), self.params.ctx)
-        return self.params.linear_combination(zip(self.theory.radford_basis, co))
+        co = mat_vec(self.S, sparse_vector(self.theory.radford_coordinates(z)))
+        basis = self.theory.radford_basis
+        return self.params.linear_combination((basis[i], c) for i, c in co.items())
 
     # -- the relation suite -------------------------------------------------------
 
     def sl2z_relations(self):
         ctx = self.params.ctx
-        mm = lambda a, b: mat_mul(a, b, ctx)
+        mm = lambda a, b: mat_mul_dense(a, b, ctx)
         S2 = mm(self.S, self.S)
         report = {"S2_identity": scalar_of(S2) == ctx.one}
         report["S4_identity"] = scalar_of(mm(S2, S2)) == ctx.one
@@ -206,7 +206,7 @@ class ModularAction:
         the identity, since column i of C holds the coordinates of the i-th
         Drinfeld image."""
         ctx = self.params.ctx
-        return scalar_of(mat_mul(self.S, self.C, ctx)) == ctx.one
+        return scalar_of(mat_mul_dense(self.S, self.C, ctx)) == ctx.one
 
     def verify_transformations(self):
         """The displayed T-action formulas on the S-adapted families.  The
@@ -338,8 +338,8 @@ class ModularAction:
         dsv = self.s_map(vstar).coproduct()
         cols = [th.radford_coordinates(dsv.apply_left(lambda m: f.values.get(m, ctx.zero)))
                 for _, _, f in th.characters.entries]
-        x0 = mat_mul(columns(cols), th.central_mult_matrix(vstar.antipode()), ctx)
-        return mat_mul(th.central_mult_matrix(vstar), x0, ctx)
+        x0 = mat_mul_dense(columns(cols), th.central_mult_matrix(vstar.antipode()), ctx)
+        return mat_mul_dense(th.central_mult_matrix(vstar), x0, ctx)
 
     def verify_factorization(self):
         """The stated Radford combination for S(v*), S(v) = v^-1, and the
@@ -358,7 +358,7 @@ class ModularAction:
         rib = th.ribbon
         report = {}
         failures = []
-        mm = lambda a, b: mat_mul(a, b, ctx)
+        mm = lambda a, b: mat_mul_dense(a, b, ctx)
         vec = lambda z: sparse_vector(th.radford_coordinates(z))
 
         # S(v) = v^-1 up to the anomaly scalar lambda(v^-1): contracting the

@@ -73,3 +73,25 @@ def pbw_slices(P, weight_slices):
                                   for (w, m2), c in row.items() for l in range(ko)).items():
         slices.setdefault(m1, {})[m2] = c
     return slices
+
+
+def chain_mat_mul(a, b, ctx):
+    """The dense product a b as chains of Cyclo `+`, one entry at a time: an
+    oracle for linalg.mat_mul_dense that shares none of its kernel."""
+    n, k, m = len(a), len(b), len(b[0])
+    out = [[ctx.zero] * m for _ in range(n)]
+    for i in range(n):
+        for t in range(k):
+            c = a[i][t]
+            if c:
+                for j in range(m):
+                    if b[t][j]:
+                        out[i][j] = out[i][j] + c * b[t][j]
+    return out
+
+
+def chain_mat_vec(mat, vec, ctx):
+    """Dense matrix times dense column vector (lists of Cyclo) as chains of
+    Cyclo `+`: an oracle for linalg.mat_vec."""
+    live = [(j, x) for j, x in enumerate(vec) if x]
+    return [sum((row[j] * x for j, x in live), start=ctx.zero) for row in mat]

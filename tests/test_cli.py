@@ -6,75 +6,25 @@ import json
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpm import cli
 from qpm.cli import _json_chunks, main
+from qpm.cyclotomic import CycloContext
+from conftest import cyclo_from_pairs
+from record_digests import load as load_digests, table_digest
 
-# SHA-256 of each JSON table as written by --output; perfbench/expected.json
-# pins (1,2) and (2,3), these pin three one-sector pairs ((3,1) is the one
-# whose minus sector is trivial, so its ribbon table has v- = 1), the
-# Lee-Yang pair (2,5) and the sector swap of (2,3)
-TABLE_DIGESTS = {
-    (1, 3): {
-        "center": "9de0ed61c5686d53b63770f250d37fea7afe6040cc208227502005df7a6932bf",
-        "fusion": "6fe2d0741f273de5665f787c61460eeaaf39ffb7f23cea78c78a762f77a35b2f",
-        "info": "d6aa4ad7b0bffcf23937064e0493076c6c7739438414460ec4b871a18b53da4f",
-        "ribbon": "083c2a85158846f2da18120ea3a14c0f2d21db75ac4a72c5a1cd4b49504200ed",
-        "smatrix": "c5a325b39787258f8e97d73588cdc1b2c346c065795534bafcd3642def5b757b",
-        "tmatrix": "f127d1c934ea67e09623997c77e3a8e358678eec130889b27a4bc7967f458d70",
-    },
-    (1, 4): {
-        "center": "5fb8c2ff17e097116b09fabcd645d2de2119a4af3b5bc466510698f073844aca",
-        "fusion": "c9d2043c76ccaf3853cdcc4f392bdcab5901f762ed88a4b48001eb5c04cdfb15",
-        "info": "1773545c11060e25fd86432c872036f1c36e75219e8ac88fed1ba371126ba59d",
-        "ribbon": "b7d201df87373e596b550a0a4504cdefa8cdca6c3c7fc8de4c8ae217244a0c43",
-        "smatrix": "73a9b8c8755b0332d3c4cd55b20eecef05d8d26143ed9524da7c840331f15f8e",
-        "tmatrix": "8c1b3d69b869481b39a6cb2ca842d85e384090dc73d248e35210120bb54922ab",
-    },
-    (2, 5): {
-        "center": "72305a6179be86426d5cd8b966f5895e9415818db77d67b24bfa4779445d3aa7",
-        "fusion": "2d1d3e1897a2b657cf488db3922d3c859a263ff8d4fe36abe3349c05962fffeb",
-        "info": "395b251817d1d20feca04627bc07c8cb0e9114a94d9f590cbe47478bca3625bd",
-        "ribbon": "ed0f6a41abb2bd174f07dcf9488372e9a4a512742ee1559f6637dc7946c53dbd",
-        "smatrix": "d973e6b63681c27f4e4650d1a41999591de12e3474d4579e53521c7d5a5699ac",
-        "tmatrix": "69cf0db075bb7bc923313188a99368e6d314f7ace62a429de1fb04e251d3296b",
-    },
-    (3, 2): {
-        "center": "8405c78e6e1807cacf86949e99d997bab1f670e1c3f4185ad0e78955ba1502b5",
-        "fusion": "cbd6733bd5536a1dc59045e667359953007d8b68ff809afb6de441c36397c551",
-        "info": "a8226a3c39881d5ec454f393a38ec6eac5bc1b627a9696d0b76cf82e0a2e276a",
-        "ribbon": "49645b3398f0ca8d123e7d7077b37ca3d0c761121d9be95c719c09986a12b60e",
-        "smatrix": "9a13919fe8453bb65240bb166401eabec0570902781af51d395fd2b9bef923c4",
-        "tmatrix": "f1f0ab487dbd43f614c1cee8172c30cad569a39b77b2e24a100f594323d74fd1",
-    },
-    (3, 1): {
-        "center": "9f0642d0393aca1593e43ebcae0c747f3914fe37f35087ceb1b06cecfdbd3816",
-        "fusion": "41da5eb7b63082030694cff60efad922ac4b182074ab1350bf65cd846578e250",
-        "info": "1113eff1fd514d346b8e6726c059a27be2366c530f915c9ea6e59a680bf7f73e",
-        "ribbon": "39f634176cb6ac39f4726a3239a4a6a4229aa23ef43334c4d8534d12db861d31",
-        "smatrix": "dc1d86ef1e9bbc53892c2670f02580f180524e97f18c9b2be6c8210829f794ab",
-        "tmatrix": "809af00d8a855c0de457176ce4fae300f33ca51742eafcde18f83325cbf0a73d",
-    },
-}
-
-# SHA-256 of the other output forms at (1,3), as written by --output
-OPTION_DIGESTS = {
-    ("--format", "csv", "info"): "6cfee3d10670de36fa7d8eff5b6499ace5eaf8613ced9b721670858db3e2ece1",
-    ("--format", "csv", "fusion"): "0710eada34f4f22d385bda28548bf6417b078dd5a2709c4812d712c242513509",
-    ("--format", "csv", "center"): "ea71e96d6cdd10bb9eded2d6f2e8bb76417181d4ba1d98375eec38dd83e81411",
-    ("--format", "csv", "smatrix"): "1119746d2a7598051164e01a36cf7b18cacb346f455c032618ec9026903ffc02",
-    ("--format", "csv", "tmatrix"): "3f0b80b161e2b52cb245078d46431c91c4902f1413c4202001ca7fb0018125ee",
-    ("--format", "csv", "ribbon"): "4f25356ba7289323794572df37e3d50a4614d4c8256bd8da935b329744920d0d",
-    ("center", "--full"): "6436edafc4319b356e6dee015e969529c7e3b145e2ae73e73b2004345afa5ea2",
-    ("ribbon", "--full"): "e323fcf566e8a6232e8ac030f937c34bbc5054e6d9ca2fe9b67f0a80a892f6f6",
-    ("--precision", "80", "smatrix"): "75177bddcf612ef3408578a12bdcf71a05e2bae28d7bb1c7c97ec37d379671dd",
-    ("--precision", "80", "tmatrix"): "0a0118f8e5d688c09aa09bcccfd2219f6bdf177f63f43f2074bb3feca64d9663",
-    ("--precision", "80", "ribbon"): "fbb24ea8092291e588efae3b6ba9018cb0248bb456f6412170e0266818f0e228",
-}
+# SHA-256 of each table as written by --output, recorded by
+# tests/record_digests.py; perfbench/expected.json pins (1,2) and (2,3), the
+# "tier1" section pins three one-sector pairs ((3,1) is the one whose minus
+# sector is trivial, so its ribbon table has v- = 1), the Lee-Yang pair (2,5)
+# and the sector swap of (2,3), and the other output forms at (1,3)
+DIGESTS = load_digests()
+TABLE_DIGESTS = {tuple(map(int, pair.split(","))): tables
+                 for pair, tables in DIGESTS["tier1"].items()}
 
 
 def run_cli(args, capsys):
@@ -240,30 +190,24 @@ def test_output_to_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("pair", sorted(TABLE_DIGESTS), ids=lambda pair: "%d-%d" % pair)
 def test_tables_match_recorded_digests(pair, tmp_path):
-    for cmd, want in TABLE_DIGESTS[pair].items():
-        path = tmp_path / f"{cmd}.json"
-        assert main(["--p-plus", str(pair[0]), "--p-minus", str(pair[1]),
-                     "--output", str(path), cmd]) == 0
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == want, cmd
+    key = "%d,%d" % pair
+    for cmd in ("info", "fusion", "center", "smatrix", "tmatrix", "ribbon"):
+        assert table_digest(key, cmd, tmp_path) == TABLE_DIGESTS[pair][cmd], cmd
 
 
 def test_tables_at_3_4_match_the_sweep_digests(tmp_path):
     # the S and ribbon tables of a pair with p+ >= 3, pinned with the rest
-    # of CI's sweep in tests/sweep_table_digests.json
-    with open(Path(__file__).with_name("sweep_table_digests.json")) as fh:
-        want = json.load(fh)["3,4"]
+    # of CI's sweep
+    want = DIGESTS["sweep"]["3,4"]
     for cmd in ("smatrix", "ribbon"):
-        path = tmp_path / f"{cmd}.json"
-        assert main(["--p-plus", "3", "--p-minus", "4", "--output", str(path), cmd]) == 0
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == want[cmd], cmd
+        assert table_digest("3,4", cmd, tmp_path) == want[cmd], cmd
 
 
 def test_other_output_forms_match_recorded_digests(tmp_path):
-    for flags, want in OPTION_DIGESTS.items():
-        path = tmp_path / "out"
-        assert main(["--p-plus", "1", "--p-minus", "3", "--output", str(path),
-                     *flags]) == 0
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == want, flags
+    forms = {cmd: want for cmd, want in TABLE_DIGESTS[1, 3].items() if " " in cmd}
+    assert len(forms) == 11
+    for cmd, want in forms.items():
+        assert table_digest("1,3", cmd, tmp_path) == want, cmd
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -303,6 +247,69 @@ def test_stdout_table_matches_recorded_digest(capsys):
     code, out = run_cli(["--p-plus", "1", "--p-minus", "3", "smatrix"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[1, 3]["smatrix"]
+
+
+# -- the printed floats against a reference that sums in no kernel's order ------
+
+REFERENCE_BITS = 300
+
+
+def _printed_values(doc, precision):
+    """(value, [re, im], bits) for each float pair of a table: every
+    Cyclo.to_json value with its own float at `precision` bits, and every
+    cell of a matrix's float grid, which is at 53 bits, with its entry."""
+    if isinstance(doc, list):
+        for x in doc:
+            yield from _printed_values(x, precision)
+    elif isinstance(doc, dict):
+        if "coeffs" in doc:
+            yield doc, doc["float"], precision
+            return
+        if "entries" in doc:
+            for entries, floats in zip(doc["entries"], doc["float"]):
+                for entry, pair in zip(entries, floats):
+                    yield entry, pair, 53
+        for key, x in doc.items():
+            if not (key == "float" and "entries" in doc):
+                yield from _printed_values(x, precision)
+
+
+@pytest.mark.parametrize("pair,precision", [
+    pytest.param(pair, precision, id=f"{pair[0]}-{pair[1]}@{precision}")
+    for pair, precision in [((1, 2), 53), ((2, 3), 53), ((3, 2), 53), ((1, 3), 53),
+                            ((1, 4), 53), ((3, 1), 53), ((1, 5), 53), ((1, 3), 80)]])
+def test_printed_floats_are_the_rounded_reference(pair, precision, tmp_path):
+    # A component whose exact value is nonzero prints as its REFERENCE_BITS
+    # value rounded to the float's precision, then to a double; an exact
+    # zero (decided in the field: Re x = 0 iff x + conj(x) = 0) prints as a
+    # residue below 2^-60.  The center table prints exact values only, and
+    # is walked in case that changes.
+    p, q = map(str, pair)
+    ctx = CycloContext(24 * pair[0] * pair[1])
+    with mpmath.workprec(REFERENCE_BITS):
+        trig = [(mpmath.cos(2 * mpmath.pi * e / ctx.order),
+                 mpmath.sin(2 * mpmath.pi * e / ctx.order)) for e in range(ctx.phi)]
+    counts = {"zero": 0, "nonzero": 0}
+    for cmd in ("center", "smatrix", "tmatrix", "ribbon"):
+        path = tmp_path / f"{cmd}.json"
+        assert main(["--p-plus", p, "--p-minus", q, "--precision", str(precision),
+                     "--output", str(path), cmd]) == 0
+        for value, floats, bits in _printed_values(json.loads(path.read_text()), precision):
+            assert value["order"] == ctx.order
+            x = cyclo_from_pairs(ctx, value["coeffs"])
+            with mpmath.workprec(REFERENCE_BITS):
+                ref = [mpmath.fsum(mpmath.mpf(n) / d * t[comp]
+                                   for (n, d), t in zip(value["coeffs"], trig) if n)
+                       for comp in (0, 1)]
+            for comp, zero_test in enumerate((x + x.conj(), x - x.conj())):
+                if zero_test.is_zero():
+                    counts["zero"] += 1
+                    assert abs(floats[comp]) < 2.0 ** -60, (cmd, value)
+                else:
+                    counts["nonzero"] += 1
+                    with mpmath.workprec(bits):
+                        assert floats[comp] == float(+ref[comp]), (cmd, comp, value)
+    assert counts["zero"] and counts["nonzero"], counts
 
 
 # -- the JSON writer against json.dumps, its reference ----------------------

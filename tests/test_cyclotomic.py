@@ -324,32 +324,72 @@ def test_embedding():
         CTX.one.embed(10)
 
 
-def _embed_in_place(x, precision):
-    """x.embed(precision) with cos and sin computed where each term is summed."""
-    with mpmath.workprec(precision + 10):
-        two_pi = 2 * mpmath.pi
-        re = im = mpmath.mpf(0)
-        for e, c in x.num.items():
-            ang = two_pi * e / x.order
-            re += c * mpmath.cos(ang)
-            im += c * mpmath.sin(ang)
-        re /= x.den
-        im /= x.den
-        return (float(re), float(im)) if precision <= 53 else (+re, +im)
+def _embed_reference(x, precision):
+    """x.embed(precision) by its contract: a component whose exact value is
+    nonzero is a 300-bit sum rounded to `precision` bits; an exact zero is
+    the residue of the ascending-order sum with 10 guard bits, cos and sin
+    computed where each term is summed."""
+    def rounded(v):
+        with mpmath.workprec(precision):
+            v = +v
+        return float(v) if precision <= 53 else v
+
+    c = x.conj()
+    out = []
+    for comp, twice in enumerate((x + c, (x - c) * x.ctx.root_of_unity(-x.order // 4))):
+        bits = precision + 10 if twice.is_zero() else 300
+        with mpmath.workprec(bits):
+            two_pi = 2 * mpmath.pi
+            acc = mpmath.mpf(0)
+            for e, k in sorted(x.num.items()):
+                ang = two_pi * e / x.order
+                acc += k * (mpmath.cos(ang), mpmath.sin(ang))[comp]
+            acc /= x.den
+        out.append(rounded(acc) if bits == 300 else float(acc) if precision <= 53 else acc)
+    return tuple(out)
 
 
 def test_embed_table_keeps_every_value():
     # the first embed of a context at a precision fills its cos/sin table
-    # (cold), later ones read it (warm); both give the in-place values
-    # exactly, and the 53-bit table does not serve 80 bits
+    # (cold), later ones read it (warm); both give the reference values
+    # exactly, and the 53-bit table does not serve 80 bits.  The elements
+    # have generic, exactly zero (x - conj(x), x + conj(x)) and rational
+    # components, and rationals that are rounding midpoints at 53 or 80
+    # bits, on which a loop that only refines the sum would not end.
     ctx = CycloContext(144)
-    elements = rand_elements(ctx, 17, 40)
+    i = ctx.root_of_unity(36)
+    elements = []
+    for x in rand_elements(ctx, 17, 40):
+        elements += [x, x - x.conj(), x + x.conj()]
+    elements += [i * Fraction(k, 3) + Fraction(1, 7) for k in (1, -2)]
+    elements += [ctx.integer(2 ** 53 + 1), i * (2 ** 53 + 3), ctx.integer(2 ** 81 + 1)]
     for precision in (53, 80):
         cold = [CycloContext(144).reduce(x.num, x.den).embed(precision) for x in elements]
         warm = [x.embed(precision) for x in elements]
-        assert warm == cold == [_embed_in_place(x, precision) for x in elements]
+        assert warm == cold == [_embed_reference(x, precision) for x in elements]
         assert all(type(v) is (float if precision == 53 else mpmath.mpf)
                    for pair in warm for v in pair)
+
+
+def test_embed_depends_only_on_the_value():
+    # one value stored with its exponents in two dict orders embeds to the
+    # same floats; the pure-imaginary x - conj(x) has an exact zero real
+    # part, whose printed residue an order-dependent sum would move
+    import random
+    ctx = CycloContext(144)
+    rng = random.Random(144)
+    elements = []
+    for x in rand_elements(ctx, 31, 20):
+        y = ctx.reduce({rng.randrange(ctx.phi): rng.randint(-9, 9) for _ in range(12)}, 3)
+        elements += [x + y, y - y.conj()]
+    for x in elements:
+        items = list(x.num.items())
+        rng.shuffle(items)
+        for order in (items, items[::-1]):
+            y = Cyclo(ctx, dict(order), x.den)
+            assert y == x
+            for precision in (53, 80):
+                assert y.embed(precision) == x.embed(precision)
 
 
 def test_serialization_round_trip():
@@ -563,7 +603,6 @@ def test_two_term_inverse_matches_norm(order):
             assert len(x.num) == 2
             inv = x.inv()
             assert x * inv == ctx.one and inv * x == ctx.one
-            assert list(inv.num) == sorted(inv.num)
             shape = (o, cls, o % 2)
             if shape not in compared:
                 compared.add(shape)
@@ -579,8 +618,8 @@ def test_two_term_inverse_matches_norm(order):
 def test_multi_term_inverse_by_norm(order):
     # Elements of three or more terms are inverted by the Galois norm: a
     # dense element (phi(N) terms) and 3- to 6-term ones, each a two-sided
-    # inverse with ascending keys; every embedding of the dense element's
-    # inverse is 1/x at ORACLE_BITS.
+    # inverse; every embedding of the dense element's inverse is 1/x at
+    # ORACLE_BITS.
     import random
     ctx, roots, units = _oracle(order)
     rng = random.Random(order)
@@ -596,7 +635,6 @@ def test_multi_term_inverse_by_norm(order):
         inv = x.inv()
         _assert_canonical(inv, ctx)
         assert x * inv == ctx.one and inv * x == ctx.one
-        assert list(inv.num) == sorted(inv.num)
     with mpmath.workprec(ORACLE_BITS):
         for u, v in zip(_values(dense.inv(), roots, units), _values(dense, roots, units)):
             assert abs(u - 1 / v) <= mpmath.mpf(2) ** -70 * abs(1 / v)

@@ -20,8 +20,8 @@ from fractions import Fraction
 import pytest
 
 from qpm.cyclotomic import CycloContext, sparse_sum
-from qpm.linalg import (SpanSolver, mat_mul, mat_mul_dense, mat_vec, mat_vec_dense,
-                        scalar_of, sparse_vector)
+from qpm.linalg import SpanSolver, mat_mul_dense, mat_vec, scalar_of, sparse_vector
+from conftest import chain_mat_mul, chain_mat_vec
 
 CONTEXTS = {order: CycloContext(order) for order in (48, 144)}
 NVEC = 6
@@ -188,16 +188,16 @@ def test_contains_agrees_with_coordinates(order):
 
 @pytest.mark.parametrize("theory", ["T13", "T23"])
 def test_compared_products_equal_the_chain_order_ones(request, theory):
-    """mat_mul and mat_vec (one sum_products batch) give the values of
-    mat_mul_dense and mat_vec_dense (chains of +) on the modular matrices."""
+    """mat_mul_dense and mat_vec (one sum_products batch) give the values of
+    the chain-of-+ products on the modular matrices."""
     ma = request.getfixturevalue(theory).modular_action
     ctx = ma.params.ctx
     for a, b in ((ma.S, ma.C), (ma.S, ma.S)):
-        assert mat_mul(a, b, ctx) == mat_mul_dense(a, b, ctx)
+        assert mat_mul_dense(a, b, ctx) == chain_mat_mul(a, b, ctx)
     vectors = ma.theory.drinfeld_coordinates
     assert len(vectors) == ma.dim and any(len(sparse_vector(co)) > 1 for co in vectors)
     for co in vectors:
-        assert mat_vec(ma.T, sparse_vector(co)) == sparse_vector(mat_vec_dense(ma.T, co, ctx))
+        assert mat_vec(ma.T, sparse_vector(co)) == sparse_vector(chain_mat_vec(ma.T, co, ctx))
 
 
 def test_scalar_of_reads_only_scalar_matrices():

@@ -10,9 +10,10 @@ from qpm import verify
 from qpm.algebra import AlgebraElement, Params
 from qpm.cyclotomic import sparse_sum
 from qpm.duality import Theory, conformal_weight_exponent, kappa
-from qpm.linalg import _eliminate, invert_dense, mat_mul_dense, mat_vec, mat_vec_dense
+from qpm.linalg import _eliminate, invert_dense, mat_mul_dense, mat_vec
 from qpm.modular import ModularAction, ModularData
 from qpm.reps import irreducible_labels
+from conftest import chain_mat_vec
 
 
 @pytest.fixture(scope="module")
@@ -124,10 +125,10 @@ def test_grothendieck_closure_rank_against_rounds(ma23):
                 for _, row in _eliminate([sparse(co) for co in vectors], d)]
 
     def images(vectors):
-        return [mat_vec_dense(m, co, ctx) for m in (ma23.S, ma23.T) for co in vectors]
+        return [chain_mat_vec(m, co, ctx) for m in (ma23.S, ma23.T) for co in vectors]
 
     basis = echelon(chi)
-    with_s = len(echelon(chi + [mat_vec_dense(ma23.S, co, ctx) for co in chi]))
+    with_s = len(echelon(chi + [chain_mat_vec(ma23.S, co, ctx) for co in chi]))
     while True:
         grown = echelon(basis + images(basis))
         if len(grown) == len(basis):
@@ -266,7 +267,7 @@ def test_central_arithmetic_against_dense_products(request, theory):
     for name, el in (("v", rib.v), ("random", z)):
         inv = th.central_inverse(el)
         assert inv * el == P.one
-        assert th.central_coordinates(inv) == mat_vec_dense(
+        assert th.central_coordinates(inv) == chain_mat_vec(
             invert_dense(dense[name], ctx), unit, ctx)
     for lab, el in th.center.ordered():
         if lab[0] != "e":

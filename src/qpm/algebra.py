@@ -598,14 +598,20 @@ class AlgebraElement:
                         continue
                     # (B1 u1)(B2 u2) = B1 B2 times the twisted cyclic
                     # convolution of the K-exponent vectors u1 and u2;
-                    # its terms can only collide if both have two or more
-                    ks = [((j1 + j2) % ko, c1 * c2)
-                          for j1, c in u1.items()
-                          for e in (kphase(b2, j1),)
-                          for c1 in (c.shift(e) if e else c,)
-                          for j2, c2 in u2.items()]
+                    # its terms can only collide if both have two or more,
+                    # and then it is one sum_products batch
                     if len(u1) > 1 and len(u2) > 1:
-                        ks = sparse_sum(ks).items()
+                        ks = sum_products(((j1 + j2) % ko, c1, c2)
+                                          for j1, c in u1.items()
+                                          for e in (kphase(b2, j1),)
+                                          for c1 in (c.shift(e) if e else c,)
+                                          for j2, c2 in u2.items()).items()
+                    else:
+                        ks = [((j1 + j2) % ko, c1 * c2)
+                              for j1, c in u1.items()
+                              for e in (kphase(b2, j1),)
+                              for c1 in (c.shift(e) if e else c,)
+                              for j2, c2 in u2.items()]
                     for (a, b, c, d, j), s in free.items():
                         for k, ck in ks:
                             yield (a, b, c, d, (j + k) % ko), s * ck

@@ -31,7 +31,7 @@ from itertools import chain
 
 from .algebra import AlgebraElement, Params, Sector
 from .center import center_dimension
-from .cyclotomic import Cyclo, sparse_sum
+from .cyclotomic import Cyclo, sparse_sum, sum_products
 from .linalg import SparseMat, SpanSolver, nullspace
 from .reps import ModuleRep, cached_irreducible, cached_projective, direct_sum
 
@@ -64,8 +64,8 @@ class Functional:
         zero, get = self.params.ctx.zero, self.values.get
         if isinstance(x, tuple):
             return get(x, zero)
-        return sum((c * v for m, c in x.coeffs.items()
-                    for v in (get(m),) if v is not None), start=zero)
+        return sum_products((0, c, v) for m, c in x.coeffs.items()
+                            for v in (get(m),) if v is not None).get(0, zero)
 
     def __add__(self, other):
         return Functional(self.params, sparse_sum(
@@ -184,16 +184,18 @@ def is_qcharacter(beta: Functional, spot_checks: int = 0, rng=None) -> bool:
     skipped; for a q-character, supported on the words of sector weight
     (0, 0), that leaves the B of the sector weight opposite to g's."""
     P = beta.params
-    ko, zero, values = P.korder, P.ctx.zero, beta.values
+    ko, values = P.korder, beta.values
     support = {m[:4] for m in values}
     scal = _square_antipode_scalars(P)
     gens = {n: P.gen(n) for n in ("ep", "fp", "em", "fm", "K")}
 
-    def at(terms, j):
-        """beta of the product `terms` with its K exponents shifted by j."""
-        return sum((c * v for (a, b, cc, d, i), c in terms
-                    for v in (values.get((a, b, cc, d, (i + j) % ko)),) if v is not None),
-                   start=zero)
+    def at(terms, j, e):
+        """(zeta^e c, v) for each term c m of the product `terms` whose
+        monomial, its K exponent shifted by j, has the value v under beta."""
+        for (a, b, cc, d, i), c in terms:
+            v = values.get((a, b, cc, d, (i + j) % ko))
+            if v is not None:
+                yield c.shift(e) if e else c, v
 
     for name, g in gens.items():
         if g.is_zero():
@@ -208,11 +210,13 @@ def is_qcharacter(beta: Functional, spot_checks: int = 0, rng=None) -> bool:
             left = P.mono_mul(gm, mono).items()
             if not any(m[:4] in support for m, _ in chain(right, left)):
                 continue
-            for j in range(ko):
-                e = P.kphase(gm, j)
-                lhs = at(right, j)
-                if (lhs.shift(e) if e else lhs) != at(left, j) * s:
-                    return False
+            # zeta^e beta((B g) K^j) - s beta((g B) K^j) for every j, one
+            # batch keyed by j whose nonzero keys are the failures
+            left = [(m, -(c * s)) for m, c in left]
+            if sum_products((j, c, v) for j in range(ko)
+                            for terms, e in ((right, P.kphase(gm, j)), (left, 0))
+                            for c, v in at(terms, j, e)):
+                return False
     if spot_checks and rng is not None:
         monos = list(P.monomials())
         for _ in range(spot_checks):

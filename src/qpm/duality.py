@@ -366,10 +366,16 @@ class MMatrix:
         Only the first legs B1 in beta's K-free support take part, so only
         their classes are built.  A q-character vanishes off the words of
         sector weight (0, 0) (trace_functional), so its contraction builds
-        class (0, 0) alone."""
+        class (0, 0) alone.
+
+        Both sums are sum_products batches: per first leg, the Fourier sums
+        ko beta(B1 1_w) for every w its row meets, keyed by w; then the
+        products of the nonzero ones with the row coefficients, keyed by
+        m2, over every first leg at once.  The factor 1/ko is applied once
+        per output coefficient."""
         P = self.params
-        ko, zero = P.korder, P.ctx.zero
-        inv_ko = Fraction(1, ko)
+        ko = P.korder
+        roots = [P.ctx.root_of_unity(-12 * k) for k in range(ko)]
         by_free = {}
         for m, v in beta.values.items():
             by_free.setdefault(m[:4] + (0,), []).append((m[4], v))
@@ -380,16 +386,16 @@ class MMatrix:
                     values = by_free.get(b1)
                     if values is None:
                         continue
-                    hat = {}
+                    hat = sum_products((w, v, roots[w * j % ko])
+                                       for w in dict.fromkeys(w for w, _ in row)
+                                       for j, v in values)
                     for (w, m2), c in row.items():
                         h = hat.get(w)
-                        if h is None:
-                            h = hat[w] = sum((v.shift(-12 * (w * j % ko)) for j, v in values),
-                                             start=zero) * inv_ko
-                        if h:
-                            yield m2, h * c
+                        if h is not None:
+                            yield m2, h, c
 
-        return AlgebraElement(P, sparse_sum(terms()))
+        inv_ko = Fraction(1, ko)
+        return AlgebraElement(P, {m2: s * inv_ko for m2, s in sum_products(terms()).items()})
 
     def counit_left(self) -> AlgebraElement:
         """(epsilon (x) id) of the matrix."""

@@ -10,7 +10,8 @@ The center's matrices are dense lists of rows of Cyclo over Radford or
 canonical coordinates; its coordinate vectors are dense lists or sparse
 dicts {index: Cyclo} (sparse_vector).  Every product of them (mat_mul_dense,
 mat_vec, combine) is one cyclotomic.sum_products batch, and invert_dense is
-the one inverse.
+the one inverse, read off the same elimination (_eliminate) on the sparse
+rows [M | 1].
 """
 
 from __future__ import annotations
@@ -269,29 +270,17 @@ class SpanSolver:
 
 
 def invert_dense(mat, ctx: CycloContext):
-    """Inverse of a dense square matrix (list of list of Cyclo)."""
+    """Inverse of a dense square matrix (list of lists of Cyclo): the
+    coordinate block of _eliminate run on the sparse rows [mat | 1].  The
+    rows are independent, so there are n echelon rows; mat is invertible
+    iff every pivot lies in its own block, and ValueError is raised when
+    one falls in the identity block."""
     n = len(mat)
-    aug = [list(row) + [ctx.one if i == j else ctx.zero for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not aug[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inv()
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            c = aug[r][col]
-            if c.is_zero():
-                continue
-            aug[r] = [vr - c * vc for vr, vc in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    echelon = _eliminate([{**sparse_vector(row), n + i: ctx.one} for i, row in enumerate(mat)],
+                         2 * n)
+    if any(pc >= n for pc, _ in echelon):
+        raise ValueError("matrix is singular")
+    return [[row.get(n + j, ctx.zero) for j in range(n)] for _, row in echelon]
 
 
 def columns(cols):

@@ -545,19 +545,38 @@ def test_every_suite_declares_its_reads_and_its_pool_turn():
             attrgetter(path)(theory)
 
 
-def test_no_module_imports_another_modules_private_name():
-    """A qpm module uses another's helpers through their public names, so
-    a private copy of a shared kernel has nowhere to be imported from."""
+def _qpm_nodes():
+    """(file name, node) for every AST node of every module of qpm."""
     src = os.path.dirname(duality.__file__)
-    private = []
     for name in sorted(os.listdir(src)):
         if not name.endswith(".py"):
             continue
         with open(os.path.join(src, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), filename=name)
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and (
-                    node.level or (node.module or "").split(".")[0] == "qpm"):
-                private += [(name, node.lineno, alias.name) for alias in node.names
-                            if alias.name.startswith("_")]
+            yield name, node
+
+
+def test_no_module_imports_another_modules_private_name():
+    """A qpm module uses another's helpers through their public names, so
+    a private copy of a shared kernel has nowhere to be imported from."""
+    private = []
+    for name, node in _qpm_nodes():
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "qpm"):
+            private += [(name, node.lineno, alias.name) for alias in node.names
+                        if alias.name.startswith("_")]
     assert private == []
+
+
+def test_no_builtin_sum_of_products_with_a_start():
+    """A sum of products of field elements is one cyclotomic.sum_products
+    batch: a builtin sum(..., start=...) over a * product is a chain of
+    Cyclo + beside it.  A sum of integers needs no start and is left."""
+    chains = [(name, node.lineno) for name, node in _qpm_nodes()
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "sum" and any(k.arg == "start" for k in node.keywords)
+              and node.args and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp))
+              and isinstance(node.args[0].elt, ast.BinOp)
+              and isinstance(node.args[0].elt.op, ast.Mult)]
+    assert chains == []

@@ -20,7 +20,8 @@ from fractions import Fraction
 import pytest
 
 from qpm.cyclotomic import CycloContext, sparse_sum
-from qpm.linalg import SpanSolver, mat_mul_dense, mat_vec, scalar_of, sparse_vector
+from qpm.linalg import (SpanSolver, columns, invert_dense, mat_mul_dense, mat_vec, scalar_of,
+                        sparse_vector)
 from conftest import chain_mat_mul, chain_mat_vec
 
 CONTEXTS = {order: CycloContext(order) for order in (48, 144)}
@@ -213,3 +214,51 @@ def test_scalar_of_reads_only_scalar_matrices():
     perturbed = scalar(two)
     perturbed[1][2] = ctx.root_of_unity(1)
     assert scalar_of(perturbed) is None
+
+
+# -- the one inverse -------------------------------------------------------------
+
+def _identity(n, ctx):
+    return [[ctx.one if i == j else ctx.zero for j in range(n)] for i in range(n)]
+
+
+def _assert_two_sided_inverse(mat, ctx):
+    inv = invert_dense(mat, ctx)
+    one = _identity(len(mat), ctx)
+    assert mat_mul_dense(mat, inv, ctx) == one
+    assert mat_mul_dense(inv, mat, ctx) == one
+
+
+@pytest.mark.parametrize("theory", ["T23", "T32", "T13", "T14"])
+def test_inverse_of_the_drinfeld_coordinates(request, theory):
+    """invert_dense(C), the S-matrix, is a two-sided inverse of C."""
+    th = request.getfixturevalue(theory)
+    _assert_two_sided_inverse(columns(th.drinfeld_coordinates), th.params.ctx)
+
+
+def test_inverse_needs_a_row_exchange():
+    ctx = CONTEXTS[48]
+    z = ctx.root_of_unity
+    mat = [[ctx.zero, ctx.one, ctx.integer(2)],
+           [ctx.one, z(1), ctx.zero],
+           [ctx.integer(3), ctx.zero, z(5) + z(7) * 2]]
+    _assert_two_sided_inverse(mat, ctx)
+
+
+def test_inverse_refuses_a_singular_matrix():
+    ctx = CONTEXTS[48]
+    z = ctx.root_of_unity
+    row = [z(1), ctx.integer(3), z(2) + z(9)]
+    with pytest.raises(ValueError):
+        invert_dense([row, [ctx.one, ctx.zero, z(4)], list(row)], ctx)
+
+
+def test_central_inverse_refuses_a_nilpotent_element(T23):
+    """v* - 1, v* the unipotent factor of the ribbon element, is a nonzero
+    central element whose cube vanishes."""
+    P = T23.params
+    x = T23.ribbon.v_unipotent - P.one
+    assert not x.is_zero()
+    assert (x * x * x).is_zero()
+    with pytest.raises(ArithmeticError):
+        T23.central_inverse(x)

@@ -69,3 +69,31 @@ def test_transform_is_invertible(P):
         form = P.weight_form(x)
         assert bool(form) == (not x.is_zero())
         assert _from_weight_form(P, form) == x
+
+
+def _k_parts(x):
+    """The number of K exponents under each K-free part of x."""
+    counts = {}
+    for m in x.coeffs:
+        counts[m[:4]] = counts.get(m[:4], 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("theory", ["T23", "T13"])
+def test_central_products_with_multi_term_k_parts(request, theory):
+    """Products of central elements whose K-free blocks carry several K
+    exponents (the K convolution of AlgebraElement.__mul__) equal the
+    product read back from weight_mul of their weight forms."""
+    th = request.getfixturevalue(theory)
+    P = th.params
+    v = th.ribbon.v
+    idem = [el for lab, el in th.center.ordered() if lab[0] == "e"]
+    pairs = [(v, th.central_inverse(v)), (idem[0], idem[1]), (idem[1], idem[1]),
+             (v, idem[0])]
+    products = []
+    for x, y in pairs:
+        assert max(_k_parts(x).values()) > 1 and max(_k_parts(y).values()) > 1
+        products.append(x * y)
+        assert products[-1] == _from_weight_form(
+            P, P.weight_mul(P.weight_form(x), P.weight_form(y)))
+    assert products[0] == P.one

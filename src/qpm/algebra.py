@@ -182,6 +182,13 @@ class Params:
         self.plus = Sector(self.ctx, "+", p_plus, p_minus)
         self.minus = Sector(self.ctx, "-", p_minus, p_plus)
         self.sectors = (self.plus, self.minus)
+        # e and f of each sector with p > 1 (for p = 1 both are 0), by name
+        # with their PBW monomials, in the order ep, fp, em, fm
+        self.live_generators = {}
+        if p_plus > 1:
+            self.live_generators.update(ep=(0, 1, 0, 0, 0), fp=(1, 0, 0, 0, 0))
+        if p_minus > 1:
+            self.live_generators.update(em=(0, 0, 0, 1, 0), fm=(0, 0, 1, 0, 0))
         self._sp = self._sector_table(self.plus)
         self._sm = self._sector_table(self.minus)
 
@@ -355,7 +362,7 @@ class Params:
             return free
         e = self.kphase(m2, j1)
         ko = self.korder
-        return {(a, b, c, d, (j + j1 + j2) % ko): v.shift(e) if e else v
+        return {(a, b, c, d, (j + j1 + j2) % ko): v.shift(e)
                 for (a, b, c, d, j), v in free.items()}
 
     def _straighten(self, m1, m2):
@@ -376,9 +383,7 @@ class Params:
                         continue
                     j = (q * zp + p * zm) % self.korder
                     e = (slope_p * zp + slope_m * zm) % N
-                    coeff = cp * cm
-                    yield ((a1 + xp, yp + b2, c1 + xm, ym + d2, j),
-                           coeff.shift(e) if e else coeff)
+                    yield (a1 + xp, yp + b2, c1 + xm, ym + d2, j), (cp * cm).shift(e)
 
         return sparse_sum(terms())
 
@@ -417,7 +422,7 @@ class Params:
                     c = c1 * c2
                     for m, s in mono_mul(b1, b2).items():
                         e = 12 * (m[4] * w2 % ko)
-                        yield (m[:4] + (0,), w2), c, s.shift(e) if e else s
+                        yield (m[:4] + (0,), w2), c, s.shift(e)
 
         return sum_products(triples())
 
@@ -528,7 +533,7 @@ class Params:
             return out
         e, ko = self.kphase(free, -j), self.korder
         return AlgebraElement(self, {
-            (a, b, c, d, (i - j) % ko): v.shift(e) if e else v
+            (a, b, c, d, (i - j) % ko): v.shift(e)
             for (a, b, c, d, i), v in out.coeffs.items()})
 
     def _antipode_kfree(self, mono) -> "AlgebraElement":
@@ -603,14 +608,12 @@ class AlgebraElement:
                     if len(u1) > 1 and len(u2) > 1:
                         ks = sum_products(((j1 + j2) % ko, c1, c2)
                                           for j1, c in u1.items()
-                                          for e in (kphase(b2, j1),)
-                                          for c1 in (c.shift(e) if e else c,)
+                                          for c1 in (c.shift(kphase(b2, j1)),)
                                           for j2, c2 in u2.items()).items()
                     else:
                         ks = [((j1 + j2) % ko, c1 * c2)
                               for j1, c in u1.items()
-                              for e in (kphase(b2, j1),)
-                              for c1 in (c.shift(e) if e else c,)
+                              for c1 in (c.shift(kphase(b2, j1)),)
                               for j2, c2 in u2.items()]
                     for (a, b, c, d, j), s in free.items():
                         for k, ck in ks:
@@ -707,7 +710,7 @@ class TensorElement:
                 return TensorElement(self.params, {})
             return TensorElement(self.params, {m: c * other for m, c in self.coeffs.items()})
         P = self.params
-        mono_mul, kphase, ko, N = P.mono_mul, P.kphase, P.korder, P.N
+        mono_mul, kphase, ko = P.mono_mul, P.kphase, P.korder
         right = _kfree_pair_blocks(other.coeffs)
 
         def terms():
@@ -719,13 +722,16 @@ class TensorElement:
                         continue
                     # the two-leg twisted cyclic convolution of the K-exponent
                     # pairs, as in AlgebraElement.__mul__
-                    ks = [(((i1 + i2) % ko, (j1 + j2) % ko), c1 * c2)
-                          for (i1, j1), c in u1.items()
-                          for e in ((kphase(b2, i1) + kphase(b2r, j1)) % N,)
-                          for c1 in (c.shift(e) if e else c,)
-                          for (i2, j2), c2 in u2.items()]
                     if len(u1) > 1 and len(u2) > 1:
-                        ks = sparse_sum(ks).items()
+                        ks = sum_products((((i1 + i2) % ko, (j1 + j2) % ko), c1, c2)
+                                          for (i1, j1), c in u1.items()
+                                          for c1 in (c.shift(kphase(b2, i1) + kphase(b2r, j1)),)
+                                          for (i2, j2), c2 in u2.items()).items()
+                    else:
+                        ks = [(((i1 + i2) % ko, (j1 + j2) % ko), c1 * c2)
+                              for (i1, j1), c in u1.items()
+                              for c1 in (c.shift(kphase(b2, i1) + kphase(b2r, j1)),)
+                              for (i2, j2), c2 in u2.items()]
                     for (a, b, c, d, i), sl in first.items():
                         for (ar, br, cr, dr, j), sr in second.items():
                             s = sl * sr

@@ -23,7 +23,8 @@ root.  Products of sector elements with the K-weight projectors then carve
 out the canonical elements.  Each nilpotent is normalized so that it acts
 as the unit shift on the distinguished basis entries of the projective
 covers; the decomposition of an arbitrary central element reads its
-coefficients directly off those same entries.
+coefficients directly off those same entries, and those of the
+idempotents off the irreducibles, where each acts as 1.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "CanonicalCenterBasis",
     "center_brute_force",
     "decompose_central",
-    "CenterDecomposition",
     "center_dimension",
 ]
 
@@ -131,6 +131,24 @@ def _sector_projection(params: Params, sec: Sector, beta: Cyclo, powers):
 class CanonicalCenterBasis:
     """Idempotents and canonical nilpotents, with their product table.
 
+    elements maps each label (family, key) to its element, in the one order
+    every coordinate over the center uses (the center table,
+    Theory.center_basis_change, product_table()): the families in turn,
+    each sorted by key,
+
+    * 'e', key (r,s) in I: the primitive idempotents;
+    * 'v', key (arrow, (r,s)), arrows 'ne','nw','sw','se', (r,s) in I1;
+    * 'w', key (arrow, (r,s)), arrows 'up','right','left','down', (r,s) in I1;
+    * 'vb', key ('up'|'right', (r, p_-)) or ('up'|'left', (p_+, s)): the
+      boundary nilpotents.
+
+    probes maps the same labels to (module, tgt, src, read): the matrix
+    entry (tgt, src) of the module off which decompose_central reads the
+    label's coefficient, and read, the element's own value there.  A
+    nilpotent's probe is the entry of a projective cover on which it acts
+    as the unit shift; an idempotent's is the (0, 0) entry of its block's
+    'up' irreducible, where it acts as 1, so its read is 1.
+
     Every element belongs to one block (r,s) in I: e(r,s) to its own, each
     nilpotent to the (r,s) in its key.  In this basis the product of the
     center is the fixed table of product_table():
@@ -159,79 +177,66 @@ class CanonicalCenterBasis:
     """
 
     params: Params
-    idempotents: dict      # (r,s) in I -> AlgebraElement
-    v_interior: dict       # (arrow, (r,s)) arrows 'ne','nw','sw','se', (r,s) in I1
-    w_interior: dict       # (arrow, (r,s)) arrows 'up','right','left','down'
-    v_boundary: dict       # ('up'|'right', (r, p_-)) and ('up'|'left', (p_+, s))
-    read_entries: dict     # label -> distinguished matrix-entry value of the element
+    elements: dict     # (family, key) -> AlgebraElement, in the canonical order
+    probes: dict       # (family, key) -> (module, tgt, src, read)
 
     RADICAL_PRODUCT_SCALE = 8
 
-    def ordered(self):
-        """Deterministic (label, element) list."""
-        out = []
-        for lab in sorted(self.idempotents):
-            out.append((("e", lab), self.idempotents[lab]))
-        for key in sorted(self.v_interior):
-            out.append((("v", key), self.v_interior[key]))
-        for key in sorted(self.w_interior):
-            out.append((("w", key), self.w_interior[key]))
-        for key in sorted(self.v_boundary):
-            out.append((("vb", key), self.v_boundary[key]))
-        return out
-
-    def elements(self):
-        return [el for _, el in self.ordered()]
-
     @staticmethod
     def block(label):
-        """The block (r,s) in I of an ordered() label."""
+        """The block (r,s) in I of a label."""
         family, key = label
         return key if family == "e" else key[1]
 
     def product_table(self):
-        """The nonzero products of basis elements as {(i, j): (k, c)}:
-        ordered()[i] * ordered()[j] = c * ordered()[k] with an integer c."""
-        labels = [lab for lab, _ in self.ordered()]
-        index = {lab: i for i, lab in enumerate(labels)}
+        """The nonzero products of basis elements as {(i, j): (k, c)}: the
+        i-th element times the j-th is c times the k-th, with an integer c."""
+        index = {lab: i for i, lab in enumerate(self.elements)}
         table = {}
-        for i, lab in enumerate(labels):
-            e = index[("e", self.block(lab))]
+        for lab, i in index.items():
+            e = index["e", self.block(lab)]
             table[(i, e)] = table[(e, i)] = (i, 1)
-        for arrow, blk in self.w_interior:
-            a, b = _W_FACTORS[arrow]
-            i, j = index[("v", (a, blk))], index[("v", (b, blk))]
-            table[(i, j)] = table[(j, i)] = (index[("w", (arrow, blk))],
-                                             self.RADICAL_PRODUCT_SCALE)
+        for (family, key), k in index.items():
+            if family == "w":
+                arrow, blk = key
+                a, b = _W_FACTORS[arrow]
+                i, j = index["v", (a, blk)], index["v", (b, blk)]
+                table[(i, j)] = table[(j, i)] = (k, self.RADICAL_PRODUCT_SCALE)
         return table
 
 
-def _read_probes(params: Params) -> dict:
-    """(family, key) -> (cover, source label, target label) for each
-    canonical nilpotent: the entry of the projective cover on which it acts
-    as the unit shift, and off which decompose_central reads the
-    nilpotent's coefficient.  Families: 'v' and 'w' interior, 'vb'
-    boundary."""
+# the families of the canonical basis, in the order of its elements
+FAMILIES = ("e", "v", "w", "vb")
+
+
+def _probe_entries(params: Params) -> dict:
+    """(family, key) -> (module, tgt, src) for each canonical element: the
+    matrix entry that CanonicalCenterBasis.probes reads."""
     P = params
+    entries = {("e", blk): (cached_irreducible(P, *P.block_members(*blk)["up"]), 0, 0)
+              for blk in P.set_I()}
+
+    def entry(module, src, tgt):
+        return module, module.index[tgt], module.index[src]
+
     uu, ud, du, dd = ("u", "u", 0, 0), ("u", "d", 0, 0), ("d", "u", 0, 0), ("d", "d", 0, 0)
-    probes = {}
     for (r, s) in P.set_I1():
         cover = {arrow: cached_projective(P, *lab)
                  for arrow, lab in P.linked(1, r, s).items()}
-        probes.update({
-            ("v", ("ne", (r, s))): (cover["up"], uu, du),
-            ("v", ("nw", (r, s))): (cover["left"], uu, ud),
-            ("v", ("sw", (r, s))): (cover["down"], uu, du),
-            ("v", ("se", (r, s))): (cover["right"], uu, ud),
+        entries.update({
+            ("v", ("ne", (r, s))): entry(cover["up"], uu, du),
+            ("v", ("nw", (r, s))): entry(cover["left"], uu, ud),
+            ("v", ("sw", (r, s))): entry(cover["down"], uu, du),
+            ("v", ("se", (r, s))): entry(cover["right"], uu, ud),
         })
-        probes.update({("w", (arrow, (r, s))): (m, uu, dd) for arrow, m in cover.items()})
+        entries.update({("w", (arrow, (r, s))): entry(m, uu, dd) for arrow, m in cover.items()})
     u, d = ("u", 0, 0), ("d", 0, 0)
     for sec in P.sectors:
         for a in range(1, sec.p):
             lab = sec.lab(a, sec.p_other)
             for arrow, member in P.linked(1, *lab).items():
-                probes[("vb", (arrow, lab))] = (cached_projective(P, *member), u, d)
-    return probes
+                entries["vb", (arrow, lab)] = entry(cached_projective(P, *member), u, d)
+    return entries
 
 
 def canonical_basis(params: Params) -> CanonicalCenterBasis:
@@ -254,47 +259,43 @@ def canonical_basis(params: Params) -> CanonicalCenterBasis:
     def projection(sec, r, s):
         return sector[sec, sec.casimir_eigenvalue(1, r, s)]
 
-    idempotents = {}
-    for (r, s) in P.set_I():
-        idempotents[(r, s)] = projection(plus, r, s)[0] * projection(minus, r, s)[0]
+    elements = {("e", (r, s)): projection(plus, r, s)[0] * projection(minus, r, s)[0]
+                for (r, s) in P.set_I()}
 
-    v_interior = {}
-    w_interior = {}
     eighth = Fraction(1, CanonicalCenterBasis.RADICAL_PRODUCT_SCALE)
     for (r, s) in P.set_I1():
         proj = weight_projectors(P, r, s)
         ep, wp = projection(plus, r, s)
         em, wm = projection(minus, r, s)
-        v_interior[("ne", (r, s))] = ep * wm * (proj["up"] + proj["right"])
-        v_interior[("sw", (r, s))] = ep * wm * (proj["left"] + proj["down"])
-        v_interior[("nw", (r, s))] = wp * em * (proj["up"] + proj["left"])
-        v_interior[("se", (r, s))] = wp * em * (proj["right"] + proj["down"])
+        elements["v", ("ne", (r, s))] = ep * wm * (proj["up"] + proj["right"])
+        elements["v", ("sw", (r, s))] = ep * wm * (proj["left"] + proj["down"])
+        elements["v", ("nw", (r, s))] = wp * em * (proj["up"] + proj["left"])
+        elements["v", ("se", (r, s))] = wp * em * (proj["right"] + proj["down"])
         wpm = wp * wm
-        w_interior[("up", (r, s))] = wpm * proj["up"] * eighth
-        w_interior[("right", (r, s))] = wpm * proj["right"] * eighth
-        w_interior[("left", (r, s))] = wpm * proj["left"] * eighth
-        w_interior[("down", (r, s))] = wpm * proj["down"] * eighth
+        for arrow in _W_FACTORS:
+            elements["w", (arrow, (r, s))] = wpm * proj[arrow] * eighth
 
     # on the boundary of a sector, its nilpotent times the other sector's
     # idempotent
-    v_boundary = {}
     for sec, other in zip(P.sectors, P.sectors[::-1]):
         for a in range(1, sec.p):
             lab = sec.lab(a, sec.p_other)
             proj = weight_projectors(P, *lab)
             nil = projection(sec, *lab)[1] * projection(other, *lab)[0]
             for arrow in P.linked(1, *lab):
-                v_boundary[(arrow, lab)] = nil * proj[arrow]
+                elements["vb", (arrow, lab)] = nil * proj[arrow]
 
-    families = {"v": v_interior, "w": w_interior, "vb": v_boundary}
-    read_entries = {}
-    for (fam, key), (module, src, tgt) in _read_probes(P).items():
-        lam = module.act_entry(families[fam][key], module.index[tgt], module.index[src])
-        if lam.is_zero():
-            raise ArithmeticError(f"degenerate read entry for {fam}{key}")
-        read_entries[(fam, key)] = lam
-    return CanonicalCenterBasis(P, idempotents, v_interior, w_interior,
-                                v_boundary, read_entries)
+    elements = {lab: elements[lab] for lab in sorted(
+        elements, key=lambda lab: (FAMILIES.index(lab[0]), lab[1]))}
+    entries = _probe_entries(P)
+    probes = {}
+    for lab, el in elements.items():
+        module, tgt, src = entries[lab]
+        read = module.act_entry(el, tgt, src)
+        if read.is_zero():
+            raise ArithmeticError(f"degenerate read entry for {lab}")
+        probes[lab] = (module, tgt, src, read)
+    return CanonicalCenterBasis(P, elements, probes)
 
 
 # ----------------------------------------------------------------------
@@ -307,14 +308,9 @@ def center_brute_force(params: Params):
     P = params
     unknowns = [m for m in P.monomials() if P.weight(m) == 0]
     index = {m: i for i, m in enumerate(unknowns)}
-    gen_monos = []
-    if P.p_plus > 1:
-        gen_monos += [(0, 1, 0, 0, 0), (1, 0, 0, 0, 0)]
-    if P.p_minus > 1:
-        gen_monos += [(0, 0, 0, 1, 0), (0, 0, 1, 0, 0)]
     # one row per (generator, target monomial) of [m, gm] = m gm - gm m
     terms_by_target = {}
-    for gm in gen_monos:
+    for gm in P.live_generators.values():
         for m in unknowns:
             i = index[m]
             for mm, c in P.mono_mul(m, gm).items():
@@ -343,15 +339,12 @@ def is_central(params: Params, z: AlgebraElement) -> bool:
     if any(P.weight(m) for m in z.coeffs):
         return False
     ko, mono_mul = P.korder, P.mono_mul
-    gens = [(name, next(iter(g.coeffs))) for name in ("ep", "fp", "em", "fm")
-            for g in (P.gen(name),) if not g.is_zero()]
     terms = [(m[:4] + (0,), m[4], c, -c) for m, c in z.coeffs.items()]
 
     def triples():
-        for name, gm in gens:
+        for name, gm in P.live_generators.items():
             for b, j, c, neg in terms:
-                e = P.kphase(gm, j)
-                x = c.shift(e) if e else c
+                x = c.shift(P.kphase(gm, j))
                 for m, s in mono_mul(b, gm).items():
                     yield (name, m[:4] + ((m[4] + j) % ko,)), x, s
                 for m, s in mono_mul(gm, b).items():
@@ -364,36 +357,18 @@ def is_central(params: Params, z: AlgebraElement) -> bool:
 # decomposition in the canonical basis
 # ----------------------------------------------------------------------
 
-@dataclass
-class CenterDecomposition:
-    params: Params
-    a: dict        # (r,s) in I -> Cyclo (block eigenvalue)
-    cv: dict       # (arrow, (r,s)) -> Cyclo, interior v coefficients
-    cw: dict       # (arrow, (r,s)) -> Cyclo, interior w coefficients
-    cb: dict       # boundary v coefficients
-
-    def reconstruct(self, basis: CanonicalCenterBasis) -> AlgebraElement:
-        return self.params.linear_combination(
-            (family[key], c)
-            for family, coeffs in ((basis.idempotents, self.a),
-                                   (basis.v_interior, self.cv),
-                                   (basis.w_interior, self.cw),
-                                   (basis.v_boundary, self.cb))
-            for key, c in coeffs.items())
-
-
 def decompose_central(params: Params, z: AlgebraElement,
-                      basis: CanonicalCenterBasis) -> CenterDecomposition:
+                      basis: CanonicalCenterBasis) -> dict:
+    """The coefficients of the central element z over the canonical basis,
+    {label: coefficient} in the order of basis.elements, each read off the
+    label's probe.  Raises ValueError when z is not central and
+    ArithmeticError when the coefficients do not reconstruct z."""
     P = params
     if not is_central(P, z):
         raise ValueError("element is not central")
-    a = {blk: cached_irreducible(P, *P.block_members(*blk)["up"]).act_entry(z, 0, 0)
-         for blk in P.set_I()}
-    coeffs = {"v": {}, "w": {}, "vb": {}}
-    for (fam, key), (module, src, tgt) in _read_probes(P).items():
-        val = module.act_entry(z, module.index[tgt], module.index[src])
-        coeffs[fam][key] = val * basis.read_entries[(fam, key)].inv()
-    dec = CenterDecomposition(P, a, coeffs["v"], coeffs["w"], coeffs["vb"])
-    if not (dec.reconstruct(basis) - z).is_zero():
+    coeffs = {lab: module.act_entry(z, tgt, src) * read.inv()
+              for lab, (module, tgt, src, read) in basis.probes.items()}
+    if not (P.linear_combination((basis.elements[lab], c) for lab, c in coeffs.items())
+            - z).is_zero():
         raise ArithmeticError("decomposition does not reconstruct the element")
-    return dec
+    return coeffs

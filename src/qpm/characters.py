@@ -187,7 +187,6 @@ def is_qcharacter(beta: Functional, spot_checks: int = 0, rng=None) -> bool:
     ko, values = P.korder, beta.values
     support = {m[:4] for m in values}
     scal = _square_antipode_scalars(P)
-    gens = {n: P.gen(n) for n in ("ep", "fp", "em", "fm", "K")}
 
     def at(terms, j, e):
         """(zeta^e c, v) for each term c m of the product `terms` whose
@@ -195,13 +194,10 @@ def is_qcharacter(beta: Functional, spot_checks: int = 0, rng=None) -> bool:
         for (a, b, cc, d, i), c in terms:
             v = values.get((a, b, cc, d, (i + j) % ko))
             if v is not None:
-                yield c.shift(e) if e else c, v
+                yield c.shift(e), v
 
-    for name, g in gens.items():
-        if g.is_zero():
-            continue  # degenerate sector at p_pm = 1
+    for name, gm in (*P.live_generators.items(), ("K", (0, 0, 0, 0, 1))):
         s = scal[name]
-        gm = next(iter(g.coeffs))
         for mono in P.monomials():
             if mono[4]:
                 continue
@@ -240,13 +236,8 @@ def qcharacter_space(params: Params):
     unknowns = [m for m in P.monomials() if P.weight(m) == 0]
     index = {m: i for i, m in enumerate(unknowns)}
     scal = _square_antipode_scalars(P)
-    gen_monos = {}
-    if P.p_plus > 1:
-        gen_monos.update({"ep": (0, 1, 0, 0, 0), "fp": (1, 0, 0, 0, 0)})
-    if P.p_minus > 1:
-        gen_monos.update({"em": (0, 0, 0, 1, 0), "fm": (0, 0, 1, 0, 0)})
     rows = []
-    for name, gm in gen_monos.items():
+    for name, gm in P.live_generators.items():
         gw = P.weight(gm)
         s = scal[name]
         for mono in P.monomials():

@@ -105,7 +105,7 @@ def cmd_fusion(args, P):
 def cmd_center(args, P):
     cb = Theory(P).center
     entries = []
-    for (family, key), el in cb.ordered():
+    for (family, key), el in cb.elements.items():
         entries.append({
             "family": family,
             "label": repr(key),

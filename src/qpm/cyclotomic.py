@@ -291,7 +291,9 @@ class Cyclo:
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "Cyclo":
-        """Multiplication by zeta^k (fast path)."""
+        """Multiplication by zeta^k (fast path); self itself when zeta^k = 1."""
+        if not k % self.ctx.order:
+            return self
         return self.ctx._canonical(self.num, self.den, k)
 
     def __pow__(self, n: int):

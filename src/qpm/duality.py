@@ -136,10 +136,8 @@ def verify_integral_data(data: IntegralData):
     lam, Lam = data.integral, data.cointegral
     if lam(Lam) != P.ctx.one:
         errs.append("lambda(Lambda) != 1")
-    for name in ("ep", "fp", "em", "fm", "K"):
+    for name in (*P.live_generators, "K"):
         g = P.gen(name)
-        if g.is_zero():
-            continue
         eps = g.counit()
         if not (g * Lam - Lam * eps).is_zero() or not (Lam * g - Lam * eps).is_zero():
             errs.append(f"cointegral invariance fails for {name}")
@@ -148,10 +146,8 @@ def verify_integral_data(data: IntegralData):
     if g * g != data.comodulus:
         errs.append("g^2 != comodulus")
     ginv = P.gen("K", P.p_minus - P.p_plus)
-    for name in ("ep", "fp", "em", "fm", "K"):
+    for name in (*P.live_generators, "K"):
         x = P.gen(name)
-        if x.is_zero():
-            continue
         if x.antipode().antipode() != g * x * ginv:
             errs.append(f"S^2 != Ad_g on {name}")
     return errs
@@ -426,12 +422,9 @@ class MMatrix:
         failures = [(b1, w) for b1, row in self.weight_slices.items()
                     for w in dict.fromkeys(w for w, m2 in row
                                            if (weight(b1) + weight(m2)) % ko)]
-        for name in ("ep", "fp", "em", "fm"):
-            g = P.gen(name)
-            if g.is_zero():
-                continue
+        for gm in P.live_generators.values():
             dg = [(g1[:4] + (0,), g1[4], weight(g1), g2, cg)
-                  for (g1, g2), cg in g.coproduct().coeffs.items()]
+                  for (g1, g2), cg in P.coproduct_mono(gm).coeffs.items()]
 
             def terms():
                 for b1, row in self.weight_slices.items():
@@ -450,14 +443,12 @@ class MMatrix:
                             w1 = (w - wb) % ko
                             second = mono_mul(m2, g2).items()
                             for cf, i, s in right_of:
-                                e = 12 * ((a + i) * w1 % ko)
-                                x = c.shift(e) if e else c
+                                x = c.shift(12 * ((a + i) * w1 % ko))
                                 for d2, t in second:
                                     yield ((cf, w1), d2), x, s * t
                             second = mono_mul(g2, m2).items()
                             for cf, i, s in left_of:
-                                e = 12 * ((a * (wb1 + w) + i * w) % ko)
-                                x = c.shift(e) if e else c
+                                x = c.shift(12 * ((a * (wb1 + w) + i * w) % ko))
                                 for d2, t in second:
                                     yield ((cf, w), d2), x, s * t
 
@@ -682,9 +673,9 @@ class RibbonData:
     @cached_property
     def v_semisimple(self) -> AlgebraElement:
         P = self.params
-        idempotents = self.theory.center.idempotents
+        elements = self.theory.center.elements
         return P.linear_combination(
-            (idempotents[(r, s)], P.ctx.root_of_unity(conformal_weight_exponent(P, r, s)))
+            (elements["e", (r, s)], P.ctx.root_of_unity(conformal_weight_exponent(P, r, s)))
             for (r, s) in P.set_I())
 
     @cached_property
@@ -881,18 +872,19 @@ class Theory:
     @property
     def center_basis_change(self):
         """(to_canonical, to_radford): the d x d matrices taking Radford
-        coordinates to coordinates over center.ordered() and back; column j
+        coordinates to coordinates over center.elements and back; column j
         of to_radford holds the Radford coordinates of the j-th canonical
         element."""
         return self.params.cached("center_basis_change", self._build_center_basis_change)
 
     def _build_center_basis_change(self):
-        to_radford = columns([self.radford_coordinates(el) for el in self.center.elements()])
+        to_radford = columns([self.radford_coordinates(el)
+                              for el in self.center.elements.values()])
         return invert_dense(to_radford, self.params.ctx), to_radford
 
     def _canonical_mult(self, z: AlgebraElement):
         """Matrix of multiplication by the central element z over
-        center.ordered(), read off the product table as one sum_products
+        center.elements, read off the product table as one sum_products
         batch."""
         ctx = self.params.ctx
         to_canonical = self.center_basis_change[0]
@@ -922,10 +914,10 @@ class Theory:
             inv = invert_dense(mult, self.params.ctx)
         except ValueError:
             raise ArithmeticError("central element is not invertible") from None
-        unit = [k for k, (lab, _) in enumerate(cb.ordered()) if lab[0] == "e"]
+        unit = [k for k, (family, _) in enumerate(cb.elements) if family == "e"]
         return self.params.linear_combination(
             (el, sum((row[k] for k in unit), start=self.params.ctx.zero))
-            for el, row in zip(cb.elements(), inv))
+            for el, row in zip(cb.elements.values(), inv))
 
     # ribbon -------------------------------------------------------------------
 

@@ -59,11 +59,11 @@ def test_criterion_1_center_dimension(T12, T23, T13):
         bf = center_brute_force(P)
         ok = ok and len(bf) == want
         cb = th.center
-        ok = ok and len(cb.ordered()) == want
+        ok = ok and len(cb.elements) == want
         span_bf = SpanSolver([z.coeffs for z in bf], P.ctx)
-        span_cb = SpanSolver([el.coeffs for _, el in cb.ordered()], P.ctx)
+        span_cb = SpanSolver([el.coeffs for el in cb.elements.values()], P.ctx)
         ok = ok and span_cb.independent
-        ok = ok and all(span_bf.contains(el.coeffs) for _, el in cb.ordered())
+        ok = ok and all(span_bf.contains(el.coeffs) for el in cb.elements.values())
         ok = ok and all(span_cb.contains(z.coeffs) for z in bf)
     _report(1, "center dimension (1,2)->5 (1,3)->8 (2,3)->20, both routes agree", ok)
 
@@ -320,7 +320,8 @@ def test_bad_read_entry_fails_the_ribbon_decomposition(monkeypatch):
     # reconstruct the element; the ledger reports that as a failed check
     def change(cb):
         key = ("vb", ("left", (1, 1)))
-        return replace(cb, read_entries={**cb.read_entries, key: cb.read_entries[key] * 2})
+        module, tgt, src, read = cb.probes[key]
+        return replace(cb, probes={**cb.probes, key: (module, tgt, src, read * 2)})
 
     lines = _ledger_lines_with_center(monkeypatch, change, "ribbon-element")
     assert "[FAIL] ribbon-element: ribbon decomposition in canonical elements" in lines
@@ -328,8 +329,8 @@ def test_bad_read_entry_fails_the_ribbon_decomposition(monkeypatch):
 
 def test_bad_idempotent_fails_the_decomposition_of_one(monkeypatch):
     def change(cb):
-        lab = (1, 1)
-        return replace(cb, idempotents={**cb.idempotents, lab: cb.idempotents[lab] * 2})
+        lab = ("e", (1, 1))
+        return replace(cb, elements={**cb.elements, lab: cb.elements[lab] * 2})
 
     lines = _ledger_lines_with_center(monkeypatch, change, "center-structure")
     assert "[FAIL] center-structure: decompose(1) = sum of idempotents" in lines

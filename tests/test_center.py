@@ -1,5 +1,6 @@
 """Center: Casimirs, weight projectors, canonical basis, commutant."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -94,8 +95,8 @@ def test_weight_projector_check_can_fail(pair, monkeypatch):
 
 
 def test_canonical_basis_size_and_centrality(P23, cb23):
-    assert len(cb23.ordered()) == center_dimension(P23) == 20
-    for lab, el in cb23.ordered():
+    assert len(cb23.elements) == center_dimension(P23) == 20
+    for lab, el in cb23.elements.items():
         assert is_central(P23, el), lab
 
 
@@ -115,7 +116,7 @@ def test_is_central_agrees_with_the_products(theory, request):
     f, e = ("fp", "ep") if P.p_plus > 1 else ("fm", "em")
     weight_zero = P.gen(f) * P.gen(e)
     assert P.weight(next(iter(weight_zero.coeffs))) == 0
-    for lab, z in th.center.ordered():
+    for lab, z in th.center.elements.items():
         for x in (z, z + shift, z + weight_zero):
             assert is_central(P, x) == _commutes_with_generators(P, x), lab
         assert is_central(P, z)
@@ -124,10 +125,11 @@ def test_is_central_agrees_with_the_products(theory, request):
 
 def test_idempotent_relations(P23, cb23):
     tot = P23.zero
-    for lab1, e1 in cb23.idempotents.items():
+    idempotents = {key: e for (family, key), e in cb23.elements.items() if family == "e"}
+    for lab1, e1 in idempotents.items():
         assert e1 * e1 == e1
         tot = tot + e1
-        for lab2, e2 in cb23.idempotents.items():
+        for lab2, e2 in idempotents.items():
             if lab1 < lab2:
                 assert (e1 * e2).is_zero()
     assert tot == P23.one
@@ -135,38 +137,37 @@ def test_idempotent_relations(P23, cb23):
 
 def test_radical_products(P23, cb23):
     S = cb23.RADICAL_PRODUCT_SCALE
+    el = cb23.elements
     for (r, s) in P23.set_I1():
-        vne = cb23.v_interior[("ne", (r, s))]
-        vnw = cb23.v_interior[("nw", (r, s))]
-        vsw = cb23.v_interior[("sw", (r, s))]
-        vse = cb23.v_interior[("se", (r, s))]
-        assert vne * vnw == cb23.w_interior[("up", (r, s))] * S
-        assert vne * vse == cb23.w_interior[("right", (r, s))] * S
-        assert vsw * vnw == cb23.w_interior[("left", (r, s))] * S
-        assert vsw * vse == cb23.w_interior[("down", (r, s))] * S
+        vne, vnw, vsw, vse = (el["v", (arrow, (r, s))] for arrow in ("ne", "nw", "sw", "se"))
+        assert vne * vnw == el["w", ("up", (r, s))] * S
+        assert vne * vse == el["w", ("right", (r, s))] * S
+        assert vsw * vnw == el["w", ("left", (r, s))] * S
+        assert vsw * vse == el["w", ("down", (r, s))] * S
         assert (vne * vsw).is_zero()
         assert (vnw * vse).is_zero()
-        e = cb23.idempotents[(r, s)]
+        e = el["e", (r, s)]
         for v in (vne, vnw, vsw, vse):
             assert e * v == v
-    for (key, lab), v in cb23.v_boundary.items():
-        assert cb23.idempotents[lab] * v == v
-        assert (v * v).is_zero()
+    for (family, (key, lab)), v in el.items():
+        if family == "vb":
+            assert el["e", lab] * v == v
+            assert (v * v).is_zero()
 
 
 def test_radical_table_check_can_fail(cb23):
     assert radical_table_holds(cb23)
-    v, w, vb = cb23.v_interior, cb23.w_interior, cb23.v_boundary
-    ne, up, right = ("ne", (1, 1)), ("up", (1, 1)), ("right", (1, 1))
-    col, row = ("up", (1, 3)), ("up", (2, 1))   # boundary v of two blocks
+    el = cb23.elements
+    ne, up, right = ("v", ("ne", (1, 1))), ("w", ("up", (1, 1))), ("w", ("right", (1, 1)))
+    col, row = ("vb", ("up", (1, 3))), ("vb", ("up", (2, 1)))   # boundary v of two blocks
     broken = {
-        "interior v scaled by 2": replace(cb23, v_interior={**v, ne: v[ne] * 2}),
+        "interior v scaled by 2": replace(cb23, elements={**el, ne: el[ne] * 2}),
         "two interior w swapped": replace(
-            cb23, w_interior={**w, up: w[right], right: w[up]}),
+            cb23, elements={**el, up: el[right], right: el[up]}),
         "boundary v of two blocks swapped": replace(
-            cb23, v_boundary={**vb, col: vb[row], row: vb[col]}),
+            cb23, elements={**el, col: el[row], row: el[col]}),
         "boundary v plus its idempotent": replace(
-            cb23, v_boundary={**vb, col: vb[col] + cb23.idempotents[(1, 3)]}),
+            cb23, elements={**el, col: el[col] + el["e", (1, 3)]}),
     }
     for what, cb in broken.items():
         assert not radical_table_holds(cb), what
@@ -174,22 +175,35 @@ def test_radical_table_check_can_fail(cb23):
 
 def test_idempotent_and_cube_checks_can_fail(cb23):
     assert idempotents_hold(cb23) and radical_cube_vanishes(cb23)
-    e, v, w = cb23.idempotents, cb23.v_interior, cb23.w_interior
-    doubled = replace(cb23, idempotents={**e, (1, 1): e[(1, 1)] * 2})
+    el = cb23.elements
+    e11, e13 = ("e", (1, 1)), ("e", (1, 3))
+    doubled = replace(cb23, elements={**el, e11: el[e11] * 2})
     assert not idempotents_hold(doubled)
     # the orthogonal-complete check is symmetric in the labels, so two
     # swapped idempotents pass it; e(blk) n = n in the radical table
     # catches the swap of an interior block's idempotent
-    swapped = replace(cb23, idempotents={**e, (1, 1): e[(1, 3)], (1, 3): e[(1, 1)]})
+    swapped = replace(cb23, elements={**el, e11: el[e13], e13: el[e11]})
     assert idempotents_hold(swapped) and not radical_table_holds(swapped)
     # a v plus its block's idempotent is no longer nilpotent
-    ne = ("ne", (1, 1))
-    assert not radical_cube_vanishes(replace(cb23, v_interior={**v, ne: v[ne] + e[(1, 1)]}))
+    ne = ("v", ("ne", (1, 1)))
+    assert not radical_cube_vanishes(replace(cb23, elements={**el, ne: el[ne] + el[e11]}))
     # an interior v added to a w stays in the radical, whose cube is 0, so
     # no cube check can see it; the radical table does
-    up = ("up", (1, 1))
-    shifted = replace(cb23, w_interior={**w, up: w[up] + v[ne]})
+    up = ("w", ("up", (1, 1)))
+    shifted = replace(cb23, elements={**el, up: el[up] + el[ne]})
     assert radical_cube_vanishes(shifted) and not radical_table_holds(shifted)
+
+
+@pytest.mark.parametrize("pq", [(2, 3), (3, 4)])
+def test_cube_sample_holds_a_product_inside_one_block(pq):
+    # v_sw plus its idempotent breaks only triples that hold v_sw and a
+    # nonzero pair of its block, here v_ne v_nw = 8 w_up: a sample of the
+    # v_ne of several blocks, or one without v_sw, passes it
+    cb = Theory(Params(*pq)).center
+    el = cb.elements
+    sw = ("v", ("sw", (1, 1)))
+    assert radical_cube_vanishes(cb)
+    assert not radical_cube_vanishes(replace(cb, elements={**el, sw: el[sw] + el["e", (1, 1)]}))
 
 
 def test_rescaled_boundary_v_changes_no_table_entry():
@@ -201,8 +215,8 @@ def test_rescaled_boundary_v_changes_no_table_entry():
     want = th.central_mult_matrix(th.ribbon.v)
     to_radford = th.center_basis_change[1]
     cb = th.center
-    key = next(iter(cb.v_boundary))
-    scaled = replace(cb, v_boundary={**cb.v_boundary, key: cb.v_boundary[key] * 2})
+    key = next(lab for lab in cb.elements if lab[0] == "vb")
+    scaled = replace(cb, elements={**cb.elements, key: cb.elements[key] * 2})
     assert radical_table_holds(scaled)
     P.cache["canonical_center"] = scaled
     del P.cache["center_basis_change"]
@@ -211,11 +225,10 @@ def test_rescaled_boundary_v_changes_no_table_entry():
 
 
 def test_radical_cube(P23, cb23):
-    rad = (list(cb23.v_interior.values()) + list(cb23.w_interior.values())
-           + list(cb23.v_boundary.values()))
-    for x in rad[:4]:
-        for y in rad[:4]:
-            for z in rad[:4]:
+    rad = [cb23.elements["v", (arrow, (1, 1))] for arrow in ("ne", "sw", "nw", "se")]
+    for x in rad:
+        for y in rad:
+            for z in rad:
                 assert (x * y * z).is_zero()
 
 
@@ -224,7 +237,7 @@ def test_steinberg_idempotent_action(P23, cb23):
     from qpm.reps import cached_irreducible, irreducible_labels
     from qpm.linalg import SparseMat
     P = P23
-    e = cb23.idempotents[(P.p_plus, P.p_minus)]
+    e = cb23.elements["e", (P.p_plus, P.p_minus)]
     for lab in irreducible_labels(P):
         m = cached_irreducible(P, *lab)
         mat = m.act(e)
@@ -250,7 +263,7 @@ def test_block_of_names_the_idempotent_fixing_each_irreducible(theory, request):
         blk = P.block_of(*lab)
         fibres.setdefault(blk, set()).add(lab)
         m = cached_irreducible(P, *lab)
-        assert (m.act(cb.idempotents[blk]) - SparseMat.identity(m.dim, P.ctx)).is_zero(), lab
+        assert (m.act(cb.elements["e", blk]) - SparseMat.identity(m.dim, P.ctx)).is_zero(), lab
     # every irreducible's block is the set of its linked labels
     for lab in irreducible_labels(P):
         assert fibres[P.block_of(*lab)] == set(P.linked(*lab).values()), lab
@@ -271,9 +284,9 @@ def test_brute_force_dimensions(P12, P13, P23):
 def test_spans_agree(P23, cb23):
     bf = center_brute_force(P23)
     span_bf = SpanSolver([z.coeffs for z in bf], P23.ctx)
-    span_cb = SpanSolver([el.coeffs for _, el in cb23.ordered()], P23.ctx)
+    span_cb = SpanSolver([el.coeffs for el in cb23.elements.values()], P23.ctx)
     assert span_cb.independent
-    for _, el in cb23.ordered():
+    for el in cb23.elements.values():
         assert span_bf.contains(el.coeffs)
     for z in bf:
         assert span_cb.contains(z.coeffs)
@@ -281,21 +294,35 @@ def test_spans_agree(P23, cb23):
 
 def test_decompose_central(P23, cb23):
     P = P23
+    el = cb23.elements
     dec = decompose_central(P, P.one, cb23)
-    assert all(v == P.ctx.one for v in dec.a.values())
-    assert all(v.is_zero() for v in dec.cv.values())
-    e11 = cb23.idempotents[(1, 1)]
+    assert all(c == P.ctx.one for (family, _), c in dec.items() if family == "e")
+    assert all(c.is_zero() for (family, _), c in dec.items() if family == "v")
+    e11 = el["e", (1, 1)]
     dec = decompose_central(P, e11, cb23)
-    assert dec.a[(1, 1)] == P.ctx.one
-    assert sum(1 for v in dec.a.values() if not v.is_zero()) == 1
-    z = (e11 * P.q + cb23.v_interior[("ne", (1, 1))] * P.plus.q
-         + cb23.w_interior[("down", (1, 1))] * 5
-         + cb23.v_boundary[("up", (2, 1))] * 3)
+    assert dec["e", (1, 1)] == P.ctx.one
+    assert sum(1 for (family, _), c in dec.items() if family == "e" and not c.is_zero()) == 1
+    z = (e11 * P.q + el["v", ("ne", (1, 1))] * P.plus.q
+         + el["w", ("down", (1, 1))] * 5
+         + el["vb", ("up", (2, 1))] * 3)
     dec = decompose_central(P, z, cb23)
-    assert dec.reconstruct(cb23) == z
-    assert dec.cw[("down", (1, 1))] == P.ctx.integer(5)
+    assert list(dec) == list(el)
+    assert P.linear_combination((el[lab], c) for lab, c in dec.items()) == z
+    assert dec["w", ("down", (1, 1))] == P.ctx.integer(5)
     with pytest.raises(ValueError):
         decompose_central(P, P.gen("ep"), cb23)
+
+
+@pytest.mark.parametrize("theory", ["T32", "T14"])
+def test_decompose_central_returns_the_coefficients_it_was_given(theory, request):
+    # a random integer combination of every basis element comes back with
+    # exactly its coefficients, zero ones included
+    cb = request.getfixturevalue(theory).center
+    P = cb.params
+    rng = random.Random(20060506)
+    want = {lab: P.ctx.integer(rng.randint(-4, 4)) for lab in cb.elements}
+    z = P.linear_combination((cb.elements[lab], c) for lab, c in want.items())
+    assert decompose_central(P, z, cb) == want
 
 
 def test_psi_normalization_constants(P23):

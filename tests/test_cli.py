@@ -20,8 +20,10 @@ from record_digests import load as load_digests, table_digest
 # SHA-256 of each table as written by --output, recorded by
 # tests/record_digests.py; perfbench/expected.json pins (1,2) and (2,3), the
 # "tier1" section pins three one-sector pairs ((3,1) is the one whose minus
-# sector is trivial, so its ribbon table has v- = 1), the Lee-Yang pair (2,5)
-# and the sector swap of (2,3), and the other output forms at (1,3)
+# sector is trivial, so its ribbon table has v- = 1), the Lee-Yang pair (2,5),
+# (2,3) and its sector swap, the other output forms at (1,3), and the
+# element records of `center --full` at (2,3) and (3,2), which have interior
+# blocks
 DIGESTS = load_digests()
 TABLE_DIGESTS = {tuple(map(int, pair.split(","))): tables
                  for pair, tables in DIGESTS["tier1"].items()}
@@ -193,6 +195,14 @@ def test_tables_match_recorded_digests(pair, tmp_path):
     key = "%d,%d" % pair
     for cmd in ("info", "fusion", "center", "smatrix", "tmatrix", "ribbon"):
         assert table_digest(key, cmd, tmp_path) == TABLE_DIGESTS[pair][cmd], cmd
+
+
+@pytest.mark.parametrize("pair", ["2,3", "3,2"])
+def test_full_center_tables_match_recorded_digests(pair, tmp_path):
+    # every canonical element's PBW records, in the basis order, with the
+    # interior v and w that (1,3) does not have
+    want = DIGESTS["tier1"][pair]["center --full"]
+    assert table_digest(pair, "center --full", tmp_path) == want
 
 
 def test_tables_at_3_4_match_the_sweep_digests(tmp_path):

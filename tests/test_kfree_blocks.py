@@ -125,9 +125,9 @@ def _random_tensor(P, rng, n_blocks, n_k):
 def _central_operands(th):
     """v, v^-1, v* and the first and last idempotents."""
     rib = th.ribbon
-    idempotents = list(th.center.idempotents.values())
+    blocks = th.params.set_I()
     return [rib.v, th.central_inverse(rib.v), rib.v_unipotent,
-            idempotents[0], idempotents[-1]]
+            *(th.center.elements["e", blk] for blk in (blocks[0], blocks[-1]))]
 
 
 # -- element and tensor products -------------------------------------------

@@ -175,7 +175,7 @@ def test_a_wrong_ribbon_inverse_fails_only_the_s_of_v_check(T23, monkeypatch):
     # S(v) = v^-1 / lambda(v^-1) has a check of its own; a wrong v^-1 must
     # not fail the factorization check too
     central_inverse = Theory.central_inverse
-    w = T23.center.w_interior["up", (1, 1)]
+    w = T23.center.elements["w", ("up", (1, 1))]
     monkeypatch.setattr(Theory, "central_inverse",
                         lambda self, z: central_inverse(self, z) + w)
     failed = [check for check, ok, _ in verify.suite_modular(T23) if not ok]
@@ -254,7 +254,7 @@ def test_central_arithmetic_against_dense_products(request, theory):
     rng = random.Random(20060606)
     z = P.linear_combination(
         (el, rng.randint(1, 5) if lab[0] == "e" else rng.randint(-3, 3))
-        for lab, el in th.center.ordered())
+        for lab, el in th.center.elements.items())
     dense = {}
     for name, el in (("v", rib.v), ("vbar", rib.v_semisimple),
                      ("v+", rib.v_factor_plus), ("v-", rib.v_factor_minus),
@@ -269,7 +269,7 @@ def test_central_arithmetic_against_dense_products(request, theory):
         assert inv * el == P.one
         assert th.central_coordinates(inv) == chain_mat_vec(
             invert_dense(dense[name], ctx), unit, ctx)
-    for lab, el in th.center.ordered():
+    for lab, el in th.center.elements.items():
         if lab[0] != "e":
             with pytest.raises(ArithmeticError):
                 th.central_inverse(el)

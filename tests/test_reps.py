@@ -9,7 +9,6 @@ import pytest
 from qpm.algebra import AlgebraElement, Params
 from qpm.cyclotomic import sparse_sum
 from qpm.linalg import SparseMat
-from qpm.center import _read_probes
 from qpm.characters import block_module
 from qpm.duality import Theory
 from qpm.reps import (GrothendieckIndex, ModuleRep, cached_irreducible, cached_projective,
@@ -337,13 +336,13 @@ def test_act_entry_equals_the_entry_of_act(pair):
     monos = list(P.monomials())
     mixed = AlgebraElement(P, {m: P.zeta(rng.randrange(P.N)) * rng.choice((-2, 1, 3))
                                for m in rng.sample(monos, min(40, len(monos)))})
-    elements = Theory(P).center.elements() + [mixed]
-    probes = _read_probes(P).values()
-    acts = {m: [m.act(x) for x in elements] for m in dict.fromkeys(m for m, _, _ in probes)}
+    cb = Theory(P).center
+    elements = [*cb.elements.values(), mixed]
+    probes = cb.probes.values()
+    acts = {m: [m.act(x) for x in elements] for m in dict.fromkeys(m for m, _, _, _ in probes)}
     zero = P.ctx.zero
     seen = Counter()
-    for module, src, tgt in probes:
-        i, j = module.index[tgt], module.index[src]
+    for module, i, j, _ in probes:
         for x, full in zip(elements, acts[module]):
             for a, b in ((i, j), (j, i)):
                 want = full.get(a, b, zero)

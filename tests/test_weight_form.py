@@ -87,7 +87,7 @@ def test_central_products_with_multi_term_k_parts(request, theory):
     th = request.getfixturevalue(theory)
     P = th.params
     v = th.ribbon.v
-    idem = [el for lab, el in th.center.ordered() if lab[0] == "e"]
+    idem = [el for lab, el in th.center.elements.items() if lab[0] == "e"]
     pairs = [(v, th.central_inverse(v)), (idem[0], idem[1]), (idem[1], idem[1]),
              (v, idem[0])]
     products = []

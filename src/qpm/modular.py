@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
 from .algebra import AlgebraElement, Params
 from .cyclotomic import Cyclo
@@ -136,9 +137,10 @@ class ModularAction:
     # -- distinguished blocks ---------------------------------------------------
 
     def blocks(self):
-        """The five S,T-stable blocks as (name, labels, [family maps],
-        expected_dim), in the order and with the labels and dimensions of
-        block_layout; each label contributes its families in turn."""
+        """The five S,T-stable blocks as (name, [family maps],
+        expected_dim), in the order and with the dimensions of
+        block_layout; each Kac label of the block contributes its families
+        in turn."""
         P = self.params
         plus, minus = P.sectors
         per_label = {
@@ -149,21 +151,22 @@ class ModularAction:
             "bslash": lambda r, s: (rho_diag(P, minus, r, s), varphi_diag(P, minus, r, s)),
             "projective": lambda r, s: (kappa(P, r, s),),
         }
-        return [(name, labels, [fam for lab in labels for fam in per_label[name](*lab)], dim)
+        return [(name, [fam for lab in labels for fam in per_label[name](*lab)], dim)
                 for name, labels, dim in block_layout(P)]
 
     def verify_subrepresentations(self):
         """Block suite: each block is S- and T-stable with the stated
-        dimension, the blocks sum directly to the center, and T acts on the
-        S-images of the ribbon eigenvectors by the stated scalars."""
-        P = self.params
-        ctx = P.ctx
+        dimension, and the blocks sum directly to the center.  T acts on
+        the S-images of the cross and kappa families by the stated scalars,
+        but that is not checked here: S^2 = id makes those images C times
+        the family, the "T chi" formula of verify_transformations and the
+        T-diagonal action of verify_grothendieck_subrep summed over a
+        block's members."""
+        ctx = self.params.ctx
         report = {"blocks": {}, "failures": []}
         vecs = {}
-        labels = {}
         total = 0
-        for name, block_labels, families, expected in self.blocks():
-            labels[name] = block_labels
+        for name, families, expected in self.blocks():
             vecs[name] = [self.theory.radford_vector([(fam, 1)]) for fam in families]
             solver = SpanSolver(vecs[name], ctx)
             dim = solver.rank
@@ -180,31 +183,15 @@ class ModularAction:
         report["exhausts_center"] = joint.rank == self.dim == total
         if not report["exhausts_center"]:
             report["failures"].append("direct sum")
-
-        # T eigen-action on the S-images of the ribbon eigenvectors, the
-        # kappa elements (the projective block, over set_I) and the cross
-        # elements (the minimal block, over set_I1)
-        zeta = ctx.root_of_unity
-        ph = self.data.t_phase
-        eigen_checks = []
-        for kind, name in (("kappa", "projective"), ("cross", "minimal")):
-            for (r, s), co in zip(labels[name], vecs[name]):
-                x = mat_vec(self.S, co)
-                ev = ph * zeta(conformal_weight_exponent(P, r, s))
-                eigen_checks.append(((kind, (r, s)),
-                                     mat_vec(self.T, x) == combine([(x, ev)], ctx)))
-        report["t_eigenvectors_ok"] = all(ok for _, ok in eigen_checks)
-        if not report["t_eigenvectors_ok"]:
-            report["failures"].extend(
-                [lab for lab, ok in eigen_checks if not ok])
         report["ok"] = not report["failures"]
         return report
 
     def verify_s_exchanges_bases(self):
-        """S sends each Drinfeld-basis element to its Radford partner (the
-        normalization content of S^2 = id): in Radford coordinates, S C is
-        the identity, since column i of C holds the coordinates of the i-th
-        Drinfeld image."""
+        """S sends each Drinfeld-basis element to its Radford partner: in
+        Radford coordinates, S C is the identity, since column i of C holds
+        the coordinates of the i-th Drinfeld image.  S is built as the
+        inverse of C, so this holds by construction and fails only with a
+        wrong invert_dense."""
         ctx = self.params.ctx
         return scalar_of(mat_mul_dense(self.S, self.C, ctx)) == ctx.one
 
@@ -350,8 +337,13 @@ class ModularAction:
         S* = Xi^-1 and Sbar = Xi C with C = S^-1, so S* Sbar = C, and the
         three factors S- S+ S0 telescope to C the same way: given S^2 = id
         (checked by sl2z_relations) both products equal S for any
-        invertible Xi, so they are not compared here.  A wrong Xi shows in
-        the T-factor product and the pairwise commutators."""
+        invertible Xi, so they are not compared here.  Each T factor is
+        S V_x C (T0 times the phase) for the multiplication matrix V_x of a
+        central element, and C S = 1, so T- T+ T0 = T is v- v+ vbar = v,
+        which ribbon-element proves (v = vbar v*, v* = v+ v-), and
+        [T_a, T_b] = S [V_a, V_b] C vanishes on the commutative product
+        table that center-structure proves; neither is compared here.  A
+        wrong Xi shows in the S-S and S-T commutators."""
         P = self.params
         th = self.theory
         ctx = P.ctx
@@ -401,16 +393,12 @@ class ModularAction:
         T0 = [[v * ph for v in row] for row in conj(V_bar)]
         T_plus = conj(V_plus)
         T_minus = conj(V_minus)
-        if mm(T_minus, mm(T_plus, T0)) != self.T:
-            failures.append("T-factor product")
         factors = {"0": (S0, T0), "+": (S_plus, T_plus), "-": (S_minus, T_minus)}
-        for n1 in factors:
-            for n2 in factors:
-                if n1 >= n2:
-                    continue
-                for a_name, A in zip(("S", "T"), factors[n1]):
-                    for b_name, B in zip(("S", "T"), factors[n2]):
-                        if mm(A, B) != mm(B, A):
-                            failures.append(f"[{a_name}{n1}, {b_name}{n2}] != 0")
+        for n1, n2 in combinations(sorted(factors), 2):
+            (Sa, Ta), (Sb, Tb) = factors[n1], factors[n2]
+            for name, A, B in ((f"[S{n1}, S{n2}]", Sa, Sb), (f"[S{n1}, T{n2}]", Sa, Tb),
+                               (f"[T{n1}, S{n2}]", Ta, Sb)):
+                if mm(A, B) != mm(B, A):
+                    failures.append(f"{name} != 0")
         report.update(failures=failures, ok=not failures)
         return report

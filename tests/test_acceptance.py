@@ -305,6 +305,26 @@ def test_dependent_radford_basis_fails_its_check():
     assert passed["Radford basis is a basis of the center"] is False
 
 
+def test_an_untwisted_minus_image_fails_the_twist_check():
+    # the twist is decided on the M-matrix images; the closed forms are
+    # twisted by construction
+    th = Theory(Params(1, 2))
+    th.params.cache["drinfeld_image", "qtr", (-1, 1, 1)] = th.drinfeld_image("qtr", (1, 1, 1))
+    passed = {check: ok for check, ok, _ in suite_drinfeld(th)}
+    assert passed["minus images are K^{p+p-}-twists of plus images"] is False
+
+
+@pytest.mark.parametrize("column", ["repeated", "outside"])
+def test_drinfeld_injectivity_reads_the_stored_coordinates(column):
+    # a repeated column of C, or an image outside the center span
+    th = Theory(Params(1, 2))
+    cols = list(th.drinfeld_coordinates)
+    cols[1] = cols[0] if column == "repeated" else None
+    th.params.cache["drinfeld_coordinates"] = cols
+    passed = {check: ok for check, ok, _ in suite_drinfeld(th)}
+    assert passed["Drinfeld map is injective on Ch (basis of Z)"] is False
+
+
 def _ledger_lines_with_center(monkeypatch, change, suite):
     """The report lines of `suite` at (1,2) when the canonical basis is
     change() of a copy of the true one."""

@@ -171,6 +171,17 @@ def test_factorization_reports_a_wrong_xi(T23, ma23, monkeypatch):
     assert any(f.startswith("[") for f in failures)
 
 
+def test_a_wrong_semisimple_part_fails_the_jordan_split(T23, monkeypatch):
+    """The factorization check does not compare T- T+ T0 with T: with
+    T_x = S V_x C that is v- v+ vbar = v, which ribbon-element decides.  A
+    vbar with one idempotent too many fails there."""
+    rib = T23.ribbon
+    e = T23.center.elements["e", (1, 1)]
+    monkeypatch.setattr(rib, "v_semisimple", rib.v_semisimple + e)
+    failed = [check for check, ok, _ in verify.suite_ribbon(T23) if not ok]
+    assert failed == ["multiplicative Jordan split v = vbar v*"]
+
+
 def test_a_wrong_ribbon_inverse_fails_only_the_s_of_v_check(T23, monkeypatch):
     # S(v) = v^-1 / lambda(v^-1) has a check of its own; a wrong v^-1 must
     # not fail the factorization check too
@@ -191,17 +202,21 @@ def _perturbed_entry(mat, i, j, delta):
 def test_coordinate_checks_can_fail(T23, ma23):
     """The S and T checks decide on coordinate vectors; a single wrong
     matrix entry must show.  T is perturbed on the diagonal at the Radford
-    image of the trivial module's trace, a coordinate that both the
-    transformation families and the kappa eigenvectors reach."""
+    image of the trivial module's trace, a coordinate that the
+    transformation families, the Grothendieck chi images (T-diagonal) and
+    the projective block's T-closure reach."""
     one = ma23.params.ctx.one
     k = T23.characters.index["qtr", (1, 1, 1)]
     broken = copy.copy(ma23)
     broken.T = _perturbed_entry(ma23.T, k, k, one)
     assert not broken.verify_transformations()["ok"]
     assert not broken.verify_subrepresentations()["ok"]
+    assert not broken.verify_grothendieck_subrep()["ok"]
     broken = copy.copy(ma23)
     broken.S = _perturbed_entry(ma23.S, 0, 0, one)
-    assert not broken.sl2z_relations()["S2_identity"]
+    rel = broken.sl2z_relations()
+    assert not rel["S2_identity"]
+    assert not rel["S4_identity"]
     assert not broken.verify_s_exchanges_bases()
 
 

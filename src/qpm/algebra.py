@@ -451,9 +451,6 @@ class Params:
             return self.zero
         return AlgebraElement(self, {(a, b, c, d, 0): self.ctx.one})
 
-    def element(self, coeffs: dict) -> "AlgebraElement":
-        return AlgebraElement(self, {m: c for m, c in coeffs.items() if not c.is_zero()})
-
     def scalar(self, value) -> "AlgebraElement":
         c = value if isinstance(value, Cyclo) else self.ctx.integer(value)
         return AlgebraElement(self, {(0, 0, 0, 0, 0): c} if not c.is_zero() else {})

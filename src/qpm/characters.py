@@ -9,15 +9,21 @@ single linkage block, where sigma is a suitable non-module map.
 
 The block module of a label (r, r') sums the projective covers of the
 irreducibles linked to X^+_{r,r'} (Params.linked), in the table's order,
-each under the initial of its arrow: 'u', 'r', 'l', 'd' on the interior.
-On an interior block sigma kills every basis vector except the deepest ones
-(outer suit 'd', inner suit 'd'), which it sends to a four-term combination with
-one free coefficient per (greek letter, arrow, component).  The constraint
-set that makes the trace a q-character couples the sixteen coefficients
-across components.
+each under the initial of its arrow: 'u', 'r', 'l', 'd' on the interior,
+two of them on a boundary.  Every sigma is one rule (block_sigma): in the
+named components it sends each basis vector whose suits are all 'd' to c
+times the vector with those suits replaced by a target, and kills the rest.
+The target has one suit on a boundary deck and two (outer, inner) on an
+interior block, and the gamma basis uses three shapes:
 
-Boundary blocks have two projective covers, each a single deck; sigma there
-maps the bottom irreducible's basis vectors to the corresponding top ones.
+- boundary pseudotrace: ('u',) on both components;
+- sector pseudotrace: ('d', 'u') on 'u', 'r' (own block) or 'd', 'l'
+  (reflected) for plus, ('u', 'd') on 'u', 'l' or 'd', 'r' for minus;
+- double pseudotrace: ('u', 'u') on all four components.
+
+Which components may carry a shape is a coupling across them: ('d', 'u')
+on 'u' alone gives no q-character, on 'u' and 'r' it does.  is_qcharacter
+decides that coupling on the trace, so no constraint set is kept.
 The defining references only pin the interior construction, so the boundary
 variant is validated behaviorally (q-character predicate plus the known
 central decompositions of the resulting Radford images).
@@ -25,7 +31,6 @@ central decompositions of the resulting Radford images).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
 
@@ -37,18 +42,15 @@ from .reps import ModuleRep, cached_irreducible, cached_projective, direct_sum
 
 __all__ = [
     "Functional",
-    "PseudotraceSpec",
     "CharacterSpace",
     "counit_functional",
     "qtrace",
     "trace_functional",
     "is_qcharacter",
     "qcharacter_space",
-    "sigma_endomorphism",
     "block_module",
+    "block_sigma",
 ]
-
-_BULLETS = ("u", "r", "l", "d")  # component arrows: up, right, left, down
 
 
 class Functional:
@@ -62,8 +64,6 @@ class Functional:
 
     def __call__(self, x):
         zero, get = self.params.ctx.zero, self.values.get
-        if isinstance(x, tuple):
-            return get(x, zero)
         return sum_products((0, c, v) for m, c in x.coeffs.items()
                             for v in (get(m),) if v is not None).get(0, zero)
 
@@ -103,7 +103,8 @@ def counit_functional(params: Params) -> Functional:
 
 
 def trace_functional(module: ModuleRep, sigma: SparseMat | None = None) -> Functional:
-    """x -> Tr(g^-1 x sigma) over the given module, g = K^(p_+ - p_-).
+    """x -> Tr(g^-1 x sigma) over the given module, g = K^(p_+ - p_-); an
+    absent sigma is the identity (the balanced trace).
 
     The K-power part of each PBW monomial contributes a known phase per
     basis vector, so the trace over all 2 p_+ p_- K-powers of a fixed
@@ -120,12 +121,10 @@ def trace_functional(module: ModuleRep, sigma: SparseMat | None = None) -> Funct
     P = module.params
     zeta = P.ctx.root_of_unity
     gw = P.p_minus - P.p_plus  # g^-1 = K^{p_- - p_+}
+    if sigma is None:
+        sigma = SparseMat.identity(module.dim, P.ctx)
+    sigma_at = sigma.data.get
     values = {}
-    sigma_by_col = None
-    if sigma is not None:
-        sigma_by_col = {}
-        for (k, i), v in sigma.data.items():
-            sigma_by_col.setdefault(i, []).append((k, v))
     for a in range(P.p_plus):
         for b in range(P.p_plus):
             for c in range(P.p_minus):
@@ -134,19 +133,10 @@ def trace_functional(module: ModuleRep, sigma: SparseMat | None = None) -> Funct
                         continue
                     word = module.act_mono((a, b, c, d, 0))
                     # pairs (coeff, weight) entering Tr(g^-1 word K^j sigma)
-                    pairs = []
-                    if sigma is None:
-                        for (i, k), v in word.data.items():
-                            if i == k:
-                                pairs.append((zeta(12 * module.kweights[i] * gw) * v,
-                                              module.kweights[i]))
-                    else:
-                        for (i, k), v in word.data.items():
-                            for (tgt, sv) in sigma_by_col.get(i, ()):
-                                if tgt == k:
-                                    pairs.append(
-                                        (zeta(12 * module.kweights[i] * gw) * v * sv,
-                                         module.kweights[k]))
+                    pairs = [(zeta(12 * module.kweights[i] * gw) * v * sv,
+                              module.kweights[k])
+                             for (i, k), v in word.data.items()
+                             for sv in (sigma_at((k, i)),) if sv is not None]
                     values.update(sparse_sum(
                         ((a, b, c, d, j), coeff * zeta(12 * w * j))
                         for j in range(P.korder) for coeff, w in pairs))
@@ -261,31 +251,6 @@ def qcharacter_space(params: Params):
 # pseudotraces
 # ----------------------------------------------------------------------
 
-@dataclass
-class PseudotraceSpec:
-    """Coefficients of the sigma map on one linkage block.
-
-    coeffs maps (letter, arrow, bullet) -> Cyclo with letter in
-    {'alpha', 'beta'}, arrow in {'up', 'down'}, bullet one of 'u', 'r',
-    'l', 'd' naming the component module.  Missing entries are zero.
-    """
-
-    block: tuple
-    coeffs: dict = field(default_factory=dict)
-
-    def get(self, letter, arrow, bullet, ctx):
-        return self.coeffs.get((letter, arrow, bullet), ctx.zero)
-
-    def check_constraints(self, ctx) -> bool:
-        g = self.get
-        return (g("alpha", "up", "u", ctx) == g("alpha", "up", "r", ctx)
-                and g("alpha", "up", "d", ctx) == g("alpha", "up", "l", ctx)
-                and g("beta", "down", "u", ctx) == g("beta", "down", "l", ctx)
-                and g("beta", "down", "d", ctx) == g("beta", "down", "r", ctx)
-                and g("beta", "up", "u", ctx) == g("beta", "up", "l", ctx)
-                == g("beta", "up", "r", ctx) == g("beta", "up", "d", ctx))
-
-
 def block_module(params: Params, r: int, s: int) -> tuple:
     """Direct sum of the projective covers of the irreducibles linked to
     X^+_{r,s}, in the order of Params.linked: four on the interior, two on
@@ -309,48 +274,21 @@ def block_module(params: Params, r: int, s: int) -> tuple:
     return P.cached(("block", r, s), build)
 
 
-def sigma_endomorphism(params: Params, spec: PseudotraceSpec) -> tuple:
-    """The sigma map of the given spec as a sparse matrix on the block
-    module.  Returns (module, sigma)."""
-    P = params
-    ctx = P.ctx
-    if not spec.check_constraints(ctx):
-        raise ValueError("pseudotrace coefficients violate the constraint relations")
-    module, ranges = block_module(P, *spec.block)
-    targets = {
-        ("alpha", "up"): ("d", "u"),
-        ("alpha", "down"): ("d", "d"),
-        ("beta", "up"): ("u", "u"),
-        ("beta", "down"): ("u", "d"),
-    }
-
-    def terms():
-        for bullet, (lo, _hi, comp) in ranges.items():
-            for (letter, arrow), (outer, inner) in targets.items():
-                c = spec.get(letter, arrow, bullet, ctx)
-                if c.is_zero():
-                    continue
-                for lab, i in comp.index.items():
-                    if lab[:2] == ("d", "d"):
-                        tgt = (outer, inner) + lab[2:]
-                        j = comp.index.get(tgt)
-                        if j is None:
-                            raise RuntimeError(f"missing sigma target {tgt}")
-                        yield (lo + j, lo + i), c
-
-    return module, SparseMat(module.dim, module.dim, sparse_sum(terms()))
-
-
-def boundary_sigma(params: Params, r: int, s: int, coeff: Cyclo) -> tuple:
-    """Bottom-to-top sigma on a boundary block, same coefficient on both
-    components."""
+def block_sigma(params: Params, r: int, s: int, target: tuple, bullets: str,
+                c: Cyclo) -> tuple:
+    """The sigma map on the block module of (r, s): in each component named
+    in `bullets`, every basis vector whose suits are all 'd', to the depth
+    len(target) (one suit on a boundary deck, two on an interior block),
+    goes to c times the vector with those suits replaced by `target`; every
+    other vector goes to 0.  Returns (module, sigma)."""
     module, ranges = block_module(params, r, s)
+    depth = len(target)
     data = {}
     for bullet, (lo, _hi, comp) in ranges.items():
-        for lab, i in comp.index.items():
-            if lab[0] == "d":  # single-deck module: (suit, n, n')
-                j = comp.index[("u",) + lab[1:]]
-                data[(lo + j, lo + i)] = coeff
+        if bullet in bullets:
+            for lab, i in comp.index.items():
+                if lab[:depth] == ("d",) * depth:
+                    data[(lo + comp.index[target + lab[depth:]], lo + i)] = c
     return module, SparseMat(module.dim, module.dim, data)
 
 
@@ -358,10 +296,10 @@ def boundary_sigma(params: Params, r: int, s: int, coeff: Cyclo) -> tuple:
 # the gamma basis
 # ----------------------------------------------------------------------
 
-# the sigma coefficients of a sector's pseudotrace: (letter, arrow), and
-# the bullets carrying the coefficient on an interior block's own label and
-# on its reflection (p_+ - r, p_- - s)
-_ARROW_SIGMA = {"+": ("alpha", "up", "ur", "dl"), "-": ("beta", "down", "ul", "dr")}
+# the sigma target of a sector's pseudotrace on an interior block, and the
+# bullets carrying it on the block's own label and on its reflection
+# (p_+ - r, p_- - s)
+_ARROW_SIGMA = {"+": (("d", "u"), "ur", "dl"), "-": (("u", "d"), "ul", "dr")}
 
 
 class CharacterSpace:
@@ -436,29 +374,27 @@ class CharacterSpace:
         return solver
 
     def gamma_arrow(self, sec: Sector, r: int, s: int) -> Functional:
-        """The one-sector pseudotrace of kind sec.pseudo at (r, s): the
-        alpha-up type on I_slash for the plus sector, the beta-down type on
-        I_bslash for the minus sector."""
+        """The one-sector pseudotrace of kind sec.pseudo at (r, s): bottom to
+        top on a boundary deck, target ('d', 'u') on I_slash for the plus
+        sector and ('u', 'd') on I_bslash for the minus sector."""
         P = self.params
         a, b = sec.lab(r, s)
         c = sec.qint(a) * sec.qdiff(1).inv()
         if b == sec.p_other:
-            module, sigma = boundary_sigma(P, r, s, c)
+            block, target, bullets = (r, s), ("u",), "urld"
         else:
-            letter, arrow, own, reflected = _ARROW_SIGMA[sec.sign]
+            target, own, reflected = _ARROW_SIGMA[sec.sign]
             block = P.block_of(1, r, s)
             bullets = own if block == (r, s) else reflected
-            module, sigma = sigma_endomorphism(P, PseudotraceSpec(
-                block, {(letter, arrow, bullet): c for bullet in bullets}))
-        return trace_functional(module, sigma)
+        return trace_functional(*block_sigma(P, *block, target, bullets, c))
 
     def gamma_upup(self, r: int, s: int) -> Functional:
-        """The two-sector (beta-up) pseudotrace of the interior label (r, s)."""
+        """The two-sector pseudotrace of the interior label (r, s): target
+        ('u', 'u') on all four components."""
         P = self.params
         c = (P.plus.qint(r) * P.minus.qint(s)
              * (P.plus.qdiff(1) * P.minus.qdiff(1)).inv())
-        spec = PseudotraceSpec((r, s), {("beta", "up", b): c for b in _BULLETS})
-        return trace_functional(*sigma_endomorphism(P, spec))
+        return trace_functional(*block_sigma(P, r, s, ("u", "u"), "urld", c))
 
     @property
     def dimension(self):

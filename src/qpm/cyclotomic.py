@@ -374,13 +374,6 @@ class Cyclo:
                 r = r * ctx._canonical({a * e: c for e, c in num.items()}, 1)
         return r * (self.den / (r * Cyclo(ctx, num, 1)).rational_value())
 
-    def __truediv__(self, other):
-        if not isinstance(other, Cyclo):
-            if isinstance(other, Fraction):
-                return self * Fraction(other.denominator, other.numerator)
-            return self * Fraction(1, other)
-        return self * other.inv()
-
     # -- involutions and predicates ---------------------------------------
 
     def conj(self) -> "Cyclo":

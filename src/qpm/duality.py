@@ -52,7 +52,7 @@ from itertools import chain, product
 
 from .algebra import AlgebraElement, Params, Sector, TensorElement
 from .center import canonical_basis
-from .characters import CharacterSpace, Functional, counit_functional, qtrace
+from .characters import CharacterSpace, Functional, counit_functional
 from .cyclotomic import Cyclo, sparse_sum, sum_products
 from .linalg import (SpanSolver, columns, invert_dense, mat_mul_dense, mat_vec,
                      sparse_vector)
@@ -850,9 +850,6 @@ class Theory:
         pair from that member alone."""
         return self.params.cached(("drinfeld_image", kind, label), lambda: (
             self.m_matrix.contract_functional(self.characters.functional(kind, label))))
-
-    def qtrace(self, alpha, r, s) -> Functional:
-        return qtrace(self.params, alpha, r, s)
 
     # central arithmetic -------------------------------------------------------
 

@@ -77,9 +77,6 @@ class SparseMat:
                 out[(i1 * n2 + i2, j1 * m2 + j2)] = v1 * v2
         return SparseMat(self.nrows * n2, self.ncols * m2, out)
 
-    def trace(self, ctx: CycloContext) -> Cyclo:
-        return sum((v for (i, j), v in self.data.items() if i == j), start=ctx.zero)
-
     def apply(self, vec: dict) -> dict:
         """Matrix times sparse column vector {index: Cyclo}."""
         cols = {}

@@ -19,7 +19,7 @@ from .algebra import AlgebraElement, Params
 from .center import (FAMILIES, CanonicalCenterBasis, center_brute_force,
                      center_dimension, decompose_central, is_central,
                      weight_projectors)
-from .characters import counit_functional, is_qcharacter, qcharacter_space
+from .characters import counit_functional, is_qcharacter, qcharacter_space, qtrace
 from .cyclotomic import Cyclo, sparse_sum, sum_products
 from .duality import (Theory, conformal_weight_exponent,
                       delta_cointegral_closed_form,
@@ -365,7 +365,7 @@ def suite_qcharacters(theory: Theory):
                    conv_ok, ""))
     eps = counit_functional(P)
     checks.append(("counit equals the trivial-module balanced trace",
-                   theory.qtrace(1, 1, 1) == eps, ""))
+                   qtrace(P, 1, 1, 1) == eps, ""))
 
     # per-block member counts: interior 9, boundary 3, Steinberg-type 1; a
     # pseudotrace's block is that of X^+ at its label

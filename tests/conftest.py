@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from qpm.algebra import Params
+from qpm.algebra import AlgebraElement, Params
 from qpm.cyclotomic import sparse_sum
 from qpm.duality import Theory
 
@@ -50,6 +50,16 @@ def T32():
 @pytest.fixture(scope="session")
 def T14():
     return Theory(Params(1, 4))
+
+
+def element(P, coeffs):
+    """The algebra element sum c m over the nonzero entries of {m: c}."""
+    return AlgebraElement(P, {m: c for m, c in coeffs.items() if not c.is_zero()})
+
+
+def mat_trace(mat, ctx):
+    """The sum of the diagonal entries of a SparseMat."""
+    return sum((v for (i, j), v in mat.data.items() if i == j), start=ctx.zero)
 
 
 def cyclo_from_pairs(ctx, pairs):

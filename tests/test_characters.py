@@ -7,9 +7,9 @@ import pytest
 
 from qpm import characters
 from qpm.algebra import Params
-from qpm.characters import (CharacterSpace, Functional, PseudotraceSpec,
+from qpm.characters import (CharacterSpace, Functional, block_sigma,
                             counit_functional, is_qcharacter, qcharacter_space,
-                            qtrace, sigma_endomorphism, trace_functional)
+                            qtrace, trace_functional)
 from qpm.cyclotomic import sparse_sum
 from qpm.linalg import SpanSolver
 
@@ -66,19 +66,19 @@ def test_brute_force_space(P12, cs12):
         assert cs12.solver.contains(b.values)
 
 
-def test_pseudotrace_constraints(P23):
-    c = P23.ctx.one
-    bad = PseudotraceSpec((1, 1), {("alpha", "up", "u"): c})  # missing partner
-    with pytest.raises(ValueError):
-        sigma_endomorphism(P23, bad)
-    good = PseudotraceSpec((1, 1), {("alpha", "up", "u"): c, ("alpha", "up", "r"): c})
-    module, sigma = sigma_endomorphism(P23, good)
+@pytest.mark.parametrize("target, bullets, ok", [
+    ("du", "u", False), ("du", "ul", False), ("uu", "ur", False),
+    ("du", "ur", True), ("ud", "ul", True), ("uu", "urld", True), ("dd", "urld", True)])
+def test_is_qcharacter_decides_the_sigma_coupling(P23, target, bullets, ok):
+    # a target (outer, inner suit) on some components of the (1,1) block and
+    # not on their partners gives no q-character
+    module, sigma = block_sigma(P23, 1, 1, tuple(target), bullets, P23.ctx.one)
     assert module.dim == 4 * 4 * P23.pp
+    assert is_qcharacter(trace_functional(module, sigma)) == ok
 
 
 def test_zero_sigma_gives_zero_functional(P23):
-    spec = PseudotraceSpec((1, 1), {})
-    module, sigma = sigma_endomorphism(P23, spec)
+    module, sigma = block_sigma(P23, 1, 1, ("u", "u"), "", P23.ctx.one)
     assert sigma.is_zero()
     gamma = trace_functional(module, sigma)
     assert gamma.is_zero()
@@ -89,9 +89,7 @@ def test_alpha_down_gives_trace_combination(P23, cs23):
     # of irreducible balanced traces
     from qpm.linalg import SpanSolver
     P = P23
-    c = P.ctx.one
-    spec = PseudotraceSpec((1, 1), {("alpha", "down", b): c for b in "urld"})
-    module, sigma = sigma_endomorphism(P, spec)
+    module, sigma = block_sigma(P, 1, 1, ("d", "d"), "urld", P.ctx.one)
     gamma = trace_functional(module, sigma)
     traces = [qtrace(P, 1, 1, 1), qtrace(P, -1, 1, 1),
               qtrace(P, -1, 1, 2), qtrace(P, 1, 1, 2)]

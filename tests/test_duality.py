@@ -17,7 +17,7 @@ from qpm.duality import (MMatrix, Theory, canonical_element, cc_poly_coeffs,
                          drinfeld_irreducible_closed_form, radford,
                          radford_inverse, ribbon_factor_closed_form,
                          theta_bracket, verify_integral_data)
-from qpm.characters import Functional
+from qpm.characters import Functional, qtrace
 from qpm.cli import main
 from qpm.linalg import SparseMat, SpanSolver
 from qpm.reps import cached_irreducible, irreducible_labels
@@ -121,7 +121,7 @@ def test_delta_cointegral_cross_check(T12, T23):
 
 
 def test_radford_of_trivial_char_is_cointegral(T23):
-    assert radford(T23.integral, T23.qtrace(1, 1, 1)) == T23.integral.cointegral
+    assert radford(T23.integral, qtrace(T23.params, 1, 1, 1)) == T23.integral.cointegral
 
 
 def test_radford_inverse_pair(T23):
@@ -569,13 +569,13 @@ def test_ribbon_identity_against_tensor_products(request, theory):
 
 
 def test_balanced_trace_needs_no_character_space():
-    # Theory.qtrace reads the cached balanced trace of one irreducible; it
+    # qtrace reads the cached balanced trace of one irreducible; it
     # builds no pseudotrace and no CharacterSpace
     from qpm.characters import trace_functional
 
     P = Params(2, 3)
-    assert Theory(P).qtrace(1, 1, 1) == trace_functional(cached_irreducible(P, 1, 1, 1))
-    assert Theory(P).qtrace(-1, 2, 3) == trace_functional(cached_irreducible(P, -1, 2, 3))
+    assert qtrace(P, 1, 1, 1) == trace_functional(cached_irreducible(P, 1, 1, 1))
+    assert qtrace(P, -1, 2, 3) == trace_functional(cached_irreducible(P, -1, 2, 3))
     assert "character_space" not in P.cache
 
 

@@ -139,15 +139,6 @@ def test_grothendieck_closure_rank_against_rounds(ma23):
     assert rep["closure_rank"] == len(basis)
 
 
-@pytest.mark.xfail(strict=True, reason="the Drinfeld image of the "
-                   "Grothendieck ring is not literally S-stable: its S-image "
-                   "is the span of the Radford images of irreducible traces, "
-                   "which excludes the unit")
-def test_grothendieck_image_literal_s_closure(ma23):
-    rep = ma23.verify_grothendieck_subrep()
-    assert rep["literal_st_closed"]
-
-
 def test_factorization(ma12, ma23):
     for ma in (ma12, ma23):
         rep = ma.verify_factorization()

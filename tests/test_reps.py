@@ -14,6 +14,7 @@ from qpm.duality import Theory
 from qpm.reps import (GrothendieckIndex, ModuleRep, cached_irreducible, cached_projective,
                       direct_sum, glue, irreducible, irreducible_labels, projective,
                       projective_deck, tensor_product, verma)
+from conftest import mat_trace
 
 
 @pytest.fixture(scope="module")
@@ -271,7 +272,7 @@ def test_fingerprint_is_fourier_dual_of_k_twisted_traces(pair):
             cpm = cp_u
             for v in range(P.p_minus + 1):
                 for j in range(P.korder):
-                    lhs = (cpm * m.act(P.gen("K", j))).trace(P.ctx)
+                    lhs = mat_trace(cpm * m.act(P.gen("K", j)), P.ctx)
                     rhs = P.ctx.zero
                     for (gu, gv, w), val in g.items():
                         if (gu, gv) == (u, v):

@@ -16,6 +16,7 @@ import pytest
 
 from qpm.algebra import AlgebraElement, Params
 from qpm.cyclotomic import sparse_sum
+from conftest import element
 
 PAIRS = [(1, 2), (1, 3), (2, 3), (3, 2)]
 
@@ -31,9 +32,9 @@ def _of_weight(P, rng, w, n_terms):
     """A random element whose K-free parts all have conjugation weight w
     (zero if no K-free monomial has it)."""
     free = [m for m in P.monomials() if not m[4] and P.weight(m) == w]
-    return P.element({rng.choice(free)[:4] + (rng.randrange(P.korder),):
-                      P.zeta(rng.randrange(P.N)) * rng.choice((-2, 1, 3))
-                      for _ in range(n_terms if free else 0)})
+    return element(P, {rng.choice(free)[:4] + (rng.randrange(P.korder),):
+                       P.zeta(rng.randrange(P.N)) * rng.choice((-2, 1, 3))
+                       for _ in range(n_terms if free else 0)})
 
 
 def _from_weight_form(P, form):

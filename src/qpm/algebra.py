@@ -58,13 +58,13 @@ from .cyclotomic import (
     sum_products,
 )
 
-__all__ = ["Params", "Sector", "AlgebraElement", "TensorElement", "Monomial"]
+__all__ = ["Params", "Sector", "AlgebraElement", "TensorElement", "Monomial", "kfree_blocks"]
 
 # A PBW monomial is the tuple (a, b, c, d, j) for f_+^a e_+^b f_-^c e_-^d K^j.
 Monomial = tuple
 
 
-def _kfree_blocks(coeffs: dict) -> dict:
+def kfree_blocks(coeffs: dict) -> dict:
     """Group a coefficient map by K-free part: {(a, b, c, d, 0): {j: c}}."""
     blocks = {}
     for m, c in coeffs.items():
@@ -590,10 +590,10 @@ class AlgebraElement:
             raise ValueError("parameter context mismatch")
         P = self.params
         mono_mul, kphase, ko = P.mono_mul, P.kphase, P.korder
-        right = _kfree_blocks(other.coeffs)
+        right = kfree_blocks(other.coeffs)
 
         def terms():
-            for b1, u1 in _kfree_blocks(self.coeffs).items():
+            for b1, u1 in kfree_blocks(self.coeffs).items():
                 for b2, u2 in right.items():
                     free = mono_mul(b1, b2)
                     if not free:

@@ -11,8 +11,8 @@ K-weight projectors:
 * Steinberg-type blocks are semisimple.
 
 A block's members, and the arrows that key its 'w' and boundary 'v'
-elements and its read probes, are those of the linkage table,
-Params.linked / Params.block_members.
+elements, are those of the linkage table, Params.linked /
+Params.block_members.
 
 Construction: the minimal polynomial psi_p of each Casimir factors with
 double roots away from +-2.  psi_p is defined once, as the LaurentZ
@@ -20,11 +20,14 @@ double roots away from +-2.  psi_p is defined once, as the LaurentZ
 ring reads too.  Dividing it by the root factor yields, after the usual
 Jordan-block correction, a sector idempotent e_pm and nilpotent w_pm per
 root.  Products of sector elements with the K-weight projectors then carve
-out the canonical elements.  Each nilpotent is normalized so that it acts
-as the unit shift on the distinguished basis entries of the projective
-covers; the decomposition of an arbitrary central element reads its
-coefficients directly off those same entries, and those of the
-idempotents off the irreducibles, where each acts as 1.
+out the canonical elements, with no further normalization:
+
+* e(r,s) = e_+ e_-;
+* v_ne, v_sw = e_+ w_- and v_nw, v_se = w_+ e_-, each times the sum of the
+  two corner projectors of its arrow;
+* w(arrow) = w_+ w_- times the arrow's corner projector, times 1/8;
+* a boundary v is its sector's w times the other sector's e, times the
+  projector of its arrow.
 """
 
 from __future__ import annotations
@@ -35,14 +38,12 @@ from fractions import Fraction
 from .algebra import AlgebraElement, Params, Sector
 from .cyclotomic import Cyclo, horner, psi_poly, sparse_sum, sum_products
 from .linalg import nullspace
-from .reps import cached_irreducible, cached_projective
 
 __all__ = [
     "weight_projectors",
     "canonical_basis",
     "CanonicalCenterBasis",
     "center_brute_force",
-    "decompose_central",
     "center_dimension",
 ]
 
@@ -142,13 +143,6 @@ class CanonicalCenterBasis:
     * 'vb', key ('up'|'right', (r, p_-)) or ('up'|'left', (p_+, s)): the
       boundary nilpotents.
 
-    probes maps the same labels to (module, tgt, src, read): the matrix
-    entry (tgt, src) of the module off which decompose_central reads the
-    label's coefficient, and read, the element's own value there.  A
-    nilpotent's probe is the entry of a projective cover on which it acts
-    as the unit shift; an idempotent's is the (0, 0) entry of its block's
-    'up' irreducible, where it acts as 1, so its read is 1.
-
     Every element belongs to one block (r,s) in I: e(r,s) to its own, each
     nilpotent to the (r,s) in its key.  In this basis the product of the
     center is the fixed table of product_table():
@@ -178,7 +172,6 @@ class CanonicalCenterBasis:
 
     params: Params
     elements: dict     # (family, key) -> AlgebraElement, in the canonical order
-    probes: dict       # (family, key) -> (module, tgt, src, read)
 
     RADICAL_PRODUCT_SCALE = 8
 
@@ -207,36 +200,6 @@ class CanonicalCenterBasis:
 
 # the families of the canonical basis, in the order of its elements
 FAMILIES = ("e", "v", "w", "vb")
-
-
-def _probe_entries(params: Params) -> dict:
-    """(family, key) -> (module, tgt, src) for each canonical element: the
-    matrix entry that CanonicalCenterBasis.probes reads."""
-    P = params
-    entries = {("e", blk): (cached_irreducible(P, *P.block_members(*blk)["up"]), 0, 0)
-              for blk in P.set_I()}
-
-    def entry(module, src, tgt):
-        return module, module.index[tgt], module.index[src]
-
-    uu, ud, du, dd = ("u", "u", 0, 0), ("u", "d", 0, 0), ("d", "u", 0, 0), ("d", "d", 0, 0)
-    for (r, s) in P.set_I1():
-        cover = {arrow: cached_projective(P, *lab)
-                 for arrow, lab in P.linked(1, r, s).items()}
-        entries.update({
-            ("v", ("ne", (r, s))): entry(cover["up"], uu, du),
-            ("v", ("nw", (r, s))): entry(cover["left"], uu, ud),
-            ("v", ("sw", (r, s))): entry(cover["down"], uu, du),
-            ("v", ("se", (r, s))): entry(cover["right"], uu, ud),
-        })
-        entries.update({("w", (arrow, (r, s))): entry(m, uu, dd) for arrow, m in cover.items()})
-    u, d = ("u", 0, 0), ("d", 0, 0)
-    for sec in P.sectors:
-        for a in range(1, sec.p):
-            lab = sec.lab(a, sec.p_other)
-            for arrow, member in P.linked(1, *lab).items():
-                entries["vb", (arrow, lab)] = entry(cached_projective(P, *member), u, d)
-    return entries
 
 
 def canonical_basis(params: Params) -> CanonicalCenterBasis:
@@ -285,17 +248,8 @@ def canonical_basis(params: Params) -> CanonicalCenterBasis:
             for arrow in P.linked(1, *lab):
                 elements["vb", (arrow, lab)] = nil * proj[arrow]
 
-    elements = {lab: elements[lab] for lab in sorted(
-        elements, key=lambda lab: (FAMILIES.index(lab[0]), lab[1]))}
-    entries = _probe_entries(P)
-    probes = {}
-    for lab, el in elements.items():
-        module, tgt, src = entries[lab]
-        read = module.act_entry(el, tgt, src)
-        if read.is_zero():
-            raise ArithmeticError(f"degenerate read entry for {lab}")
-        probes[lab] = (module, tgt, src, read)
-    return CanonicalCenterBasis(P, elements, probes)
+    return CanonicalCenterBasis(P, {lab: elements[lab] for lab in sorted(
+        elements, key=lambda lab: (FAMILIES.index(lab[0]), lab[1]))})
 
 
 # ----------------------------------------------------------------------
@@ -351,24 +305,3 @@ def is_central(params: Params, z: AlgebraElement) -> bool:
                     yield (name, m[:4] + ((m[4] + j) % ko,)), neg, s
 
     return not sum_products(triples())
-
-
-# ----------------------------------------------------------------------
-# decomposition in the canonical basis
-# ----------------------------------------------------------------------
-
-def decompose_central(params: Params, z: AlgebraElement,
-                      basis: CanonicalCenterBasis) -> dict:
-    """The coefficients of the central element z over the canonical basis,
-    {label: coefficient} in the order of basis.elements, each read off the
-    label's probe.  Raises ValueError when z is not central and
-    ArithmeticError when the coefficients do not reconstruct z."""
-    P = params
-    if not is_central(P, z):
-        raise ValueError("element is not central")
-    coeffs = {lab: module.act_entry(z, tgt, src) * read.inv()
-              for lab, (module, tgt, src, read) in basis.probes.items()}
-    if not (P.linear_combination((basis.elements[lab], c) for lab, c in coeffs.items())
-            - z).is_zero():
-        raise ArithmeticError("decomposition does not reconstruct the element")
-    return coeffs

@@ -50,7 +50,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
 
-from .algebra import AlgebraElement, Params, Sector, TensorElement
+from .algebra import AlgebraElement, Params, Sector, TensorElement, kfree_blocks
 from .center import canonical_basis
 from .characters import CharacterSpace, Functional, counit_functional
 from .cyclotomic import Cyclo, sparse_sum, sum_products
@@ -165,16 +165,14 @@ def _integral_identity_failures(data: IntegralData) -> list:
     P = data.params
     ko, zero = P.korder, P.ctx.zero
     lam = data.integral.values
-    by_free = {}
-    for m, v in lam.items():
-        by_free.setdefault(m[:4], []).append((m[4], v))
+    by_free = kfree_blocks(lam)
 
     def contractions(terms):
         """{j: {monomial: coefficient}} over (read leg, kept leg) terms."""
         sums = sum_products(
             ((j, kept[:4] + ((kept[4] + j) % ko,)), c, v)
             for (read, kept), c in terms
-            for e, v in by_free.get(read[:4], ())
+            for e, v in by_free.get(read[:4] + (0,), {}).items()
             for j in ((e - read[4]) % ko,))
         out = {}
         for (j, m), s in sums.items():
@@ -253,9 +251,7 @@ def radford_inverse(data: IntegralData, x: AlgebraElement) -> Functional:
     by_weight = {}
     for m, c in x.antipode().coeffs.items():
         by_weight.setdefault(_sector_weight(m), {})[m] = c
-    lam = {}
-    for m, v in data.integral.values.items():
-        lam.setdefault(m[:4] + (0,), []).append((m[4], v))
+    lam = kfree_blocks(data.integral.values)
     lam_weights = {_sector_weight(m) for m in lam}
     values = sparse_sum(
         (b[:4] + ((jl - i) % ko,), c * v)
@@ -265,7 +261,7 @@ def radford_inverse(data: IntegralData, x: AlgebraElement) -> Functional:
         for part in (by_weight.get((la - wa, lc - wc)),) if part
         for (ma, mb, mc, md, i), c in (AlgebraElement(P, part)
                                        * AlgebraElement(P, {b: one})).coeffs.items()
-        for jl, v in lam.get((ma, mb, mc, md, 0), ()))
+        for jl, v in lam.get((ma, mb, mc, md, 0), {}).items())
     return Functional(P, dict(sorted(values.items())))
 
 
@@ -372,9 +368,7 @@ class MMatrix:
         P = self.params
         ko = P.korder
         roots = [P.ctx.root_of_unity(-12 * k) for k in range(ko)]
-        by_free = {}
-        for m, v in beta.values.items():
-            by_free.setdefault(m[:4] + (0,), []).append((m[4], v))
+        by_free = kfree_blocks(beta.values)
 
         def terms():
             for sw in dict.fromkeys(map(_sector_weight, by_free)):
@@ -384,7 +378,7 @@ class MMatrix:
                         continue
                     hat = sum_products((w, v, roots[w * j % ko])
                                        for w in dict.fromkeys(w for w, _ in row)
-                                       for j, v in values)
+                                       for j, v in values.items())
                     for (w, m2), c in row.items():
                         h = hat.get(w)
                         if h is not None:
@@ -655,17 +649,16 @@ def ribbon_factor_closed_form(params: Params, sec: Sector) -> AlgebraElement:
 class RibbonData:
     """The ribbon element v = u g^-1 and its Jordan split v = vbar v+ v-.
 
-    u, v and the unipotent factors v+ (v_factor_plus) and v- (v_factor_minus),
+    v and the unipotent factors v+ (v_factor_plus) and v- (v_factor_minus),
     1 + chi(gamma)/p over the sector's pseudotrace at (1, 1), or 1 when
     p = 1, are built with the data.  The semisimple part
     v_semisimple = sum exp(2 pi i Delta_{r,s}) e(r,s) over the canonical
     idempotents and v_unipotent = v+ v- are built on first read, so data
     whose split is never read builds no canonical center."""
 
-    def __init__(self, theory: Theory, u, v, v_factor_plus, v_factor_minus):
+    def __init__(self, theory: Theory, v, v_factor_plus, v_factor_minus):
         self.theory = theory
         self.params = theory.params
-        self.u = u
         self.v = v
         self.v_factor_plus = v_factor_plus
         self.v_factor_minus = v_factor_minus
@@ -929,11 +922,10 @@ class Theory:
 
     def _build_ribbon(self) -> RibbonData:
         P = self.params
-        u = canonical_element(P)
-        v = u * P.gen("K", P.p_minus - P.p_plus)
+        v = canonical_element(P) * P.gen("K", P.p_minus - P.p_plus)
         # unipotent factors from the Drinfeld pseudotrace images at (1,1)
         vplus, vminus = (
             P.one + self.drinfeld_image(sec.pseudo, (1, 1)) * Fraction(1, sec.p)
             if sec.p > 1 else P.one
             for sec in P.sectors)
-        return RibbonData(self, u, v, vplus, vminus)
+        return RibbonData(self, v, vplus, vminus)

@@ -133,7 +133,7 @@ def _insert(echelon, row) -> bool:
     return True
 
 
-def _eliminate(rows, ncols):
+def _eliminate(rows):
     """Forward elimination on a list of sparse rows (dicts {col: Cyclo}).
     Returns the echelon rows as (pivot_col, row_dict), sorted by pivot,
     normalized to unit pivots and fully reduced above and below."""
@@ -160,7 +160,7 @@ def closure_rank(seeds, maps) -> int:
 def nullspace(rows, ncols: int, ctx: CycloContext):
     """Nullspace basis of the linear map given by sparse rows over ncols
     unknowns; returns a list of dense coefficient lists."""
-    echelon = _eliminate(rows, ncols)
+    echelon = _eliminate(rows)
     pivots = {pc for pc, _ in echelon}
     free = [j for j in range(ncols) if j not in pivots]
     basis = []
@@ -216,7 +216,7 @@ class SpanSolver:
             row = {self.key_index[k]: c for k, c in v.items()}
             row[n + i] = ctx.one
             rows.append(row)
-        echelon = _eliminate(rows, n + len(vectors))
+        echelon = _eliminate(rows)
         # the rows with a key-block pivot, in pivot order and without their
         # unit pivot: the key block alone, and the whole row
         self._key_rows = {}
@@ -273,8 +273,7 @@ def invert_dense(mat, ctx: CycloContext):
     iff every pivot lies in its own block, and ValueError is raised when
     one falls in the identity block."""
     n = len(mat)
-    echelon = _eliminate([{**sparse_vector(row), n + i: ctx.one} for i, row in enumerate(mat)],
-                         2 * n)
+    echelon = _eliminate([{**sparse_vector(row), n + i: ctx.one} for i, row in enumerate(mat)])
     if any(pc >= n for pc, _ in echelon):
         raise ValueError("matrix is singular")
     return [[row.get(n + j, ctx.zero) for j in range(n)] for _, row in echelon]

@@ -41,6 +41,7 @@ from .duality import (Theory, conformal_weight_exponent, kappa, psi_hat, rho_dia
                        varphi_cross, varphi_diag, varphi_hat)
 from .linalg import (SpanSolver, closure_rank, columns, combine, invert_dense,
                      mat_mul_dense, mat_vec, scalar_of, sparse_vector)
+from .reps import irreducible_labels
 
 __all__ = ["ModularData", "ModularAction", "block_layout"]
 
@@ -276,7 +277,6 @@ class ModularAction:
         th = self.theory
         ctx = P.ctx
         zeta = ctx.root_of_unity
-        from .reps import irreducible_labels
         labels = irreducible_labels(P)
         chi_coords = [th.drinfeld_vector("qtr", lab) for lab in labels]
         chi_solver = SpanSolver(chi_coords, ctx)

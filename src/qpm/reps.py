@@ -122,37 +122,6 @@ class ModuleRep:
             for mono, coeff in x.coeffs.items()
             for key, v in self.act_mono(mono).data.items()))
 
-    def act_entry(self, x: AlgebraElement, tgt: int, src: int):
-        """The entry (tgt, src) of act(x), without the matrix.
-
-        (B K^j) e_src = zeta^(12 w_src j) B e_src, so each K-free part B of
-        x is applied to e_src once (_word_vector), and the entry is summed
-        per K exponent j, then over j with its phase: one sum_products
-        batch each."""
-        ctx = self.params.ctx
-        vectors = {(0, 0, 0, 0): {src: ctx.one}}
-        per_j = sum_products(
-            (mono[4], coeff, v)
-            for mono, coeff in x.coeffs.items()
-            for v in (self._word_vector(mono[:4], vectors).get(tgt),) if v is not None)
-        zeta, w = ctx.root_of_unity, self.kweights[src]
-        return sum_products(((), zeta(12 * w * j), s)
-                            for j, s in per_j.items()).get((), ctx.zero)
-
-    def _word_vector(self, word, vectors):
-        """B e_src as a sparse vector, for the K-free word B given by its
-        exponents (a, b, c, d): SparseMat.apply of the word's first
-        generator to the vector of the rest.  `vectors` memoises the words
-        met so far and starts with the empty word's e_src."""
-        vec = vectors.get(word)
-        if vec is None:
-            first = next(i for i in range(4) if word[i])
-            rest = list(word)
-            rest[first] -= 1
-            vec = vectors[word] = self.mats[_PBW_ORDER[first]].apply(
-                self._word_vector(tuple(rest), vectors))
-        return vec
-
     # -- structure checks ------------------------------------------------------
 
     def check_relations(self):
@@ -449,7 +418,7 @@ class GrothendieckIndex:
         self.params = params
         self.labels = irreducible_labels(params)
         self.irreducibles = {lab: cached_irreducible(params, *lab) for lab in self.labels}
-        self._cas = params.casimirs()
+        self.casimirs = params.casimirs()
         vectors = [self._fingerprint_sparse(self.irreducibles[lab], lab)
                    for lab in self.labels]
         self.solver = SpanSolver(vectors, params.ctx)
@@ -469,8 +438,8 @@ class GrothendieckIndex:
                               for u in range(P.p_plus + 1)
                               for v in range(P.p_minus + 1)
                               for w, n in counts.items())
-        cp_pows = _powers(module.act(self._cas[0]), P.p_plus, P.ctx)
-        cm_pows = _powers(module.act(self._cas[1]), P.p_minus, P.ctx)
+        cp_pows = _powers(module.act(self.casimirs[0]), P.p_plus, P.ctx)
+        cm_pows = _powers(module.act(self.casimirs[1]), P.p_minus, P.ctx)
         # the diagonal of a b only: (a b)_ii = sum_k a_ik b_ki
         return sum_products(((u, v, weights[i]), x, y)
                             for u, a in enumerate(cp_pows)

@@ -325,34 +325,34 @@ def test_drinfeld_injectivity_reads_the_stored_coordinates(column):
     assert passed["Drinfeld map is injective on Ch (basis of Z)"] is False
 
 
-def _ledger_lines_with_center(monkeypatch, change, suite):
-    """The report lines of `suite` at (1,2) when the canonical basis is
+def _ledger_lines_with_center(monkeypatch, change, suite, pair=(1, 2)):
+    """The report lines of `suite` at `pair` when the canonical basis is
     change() of a copy of the true one."""
     build = duality.canonical_basis
     monkeypatch.setattr(duality, "canonical_basis", lambda P: change(build(P)))
     lines = []
-    run_suites(1, 2, selection={suite}, report=lines.append)
+    run_suites(*pair, selection={suite}, report=lines.append)
     return lines
 
 
-def test_bad_read_entry_fails_the_ribbon_decomposition(monkeypatch):
-    # decompose_central raises when the coefficients it reads do not
-    # reconstruct the element; the ledger reports that as a failed check
+def test_doubled_nilpotent_fails_the_ribbon_decomposition(monkeypatch):
     def change(cb):
-        key = ("vb", ("left", (1, 1)))
-        module, tgt, src, read = cb.probes[key]
-        return replace(cb, probes={**cb.probes, key: (module, tgt, src, read * 2)})
+        lab = ("v", ("ne", (1, 1)))
+        return replace(cb, elements={**cb.elements, lab: cb.elements[lab] * 2})
 
-    lines = _ledger_lines_with_center(monkeypatch, change, "ribbon-element")
+    lines = _ledger_lines_with_center(monkeypatch, change, "ribbon-element", (2, 3))
     assert "[FAIL] ribbon-element: ribbon decomposition in canonical elements" in lines
 
 
-def test_bad_idempotent_fails_the_decomposition_of_one(monkeypatch):
+@pytest.mark.parametrize("pair, new", [
+    ((1, 2), lambda el: el["e", (1, 1)] * 2),
+    ((2, 3), lambda el: el["e", (1, 1)] + el["v", ("ne", (1, 1))]),
+], ids=["idempotent-doubled", "idempotent-plus-nilpotent"])
+def test_bad_idempotent_fails_the_decomposition_of_one(monkeypatch, pair, new):
     def change(cb):
-        lab = ("e", (1, 1))
-        return replace(cb, elements={**cb.elements, lab: cb.elements[lab] * 2})
+        return replace(cb, elements={**cb.elements, ("e", (1, 1)): new(cb.elements)})
 
-    lines = _ledger_lines_with_center(monkeypatch, change, "center-structure")
+    lines = _ledger_lines_with_center(monkeypatch, change, "center-structure", pair)
     assert "[FAIL] center-structure: decompose(1) = sum of idempotents" in lines
 
 
@@ -588,6 +588,32 @@ def test_no_module_imports_another_modules_private_name():
             private += [(name, node.lineno, alias.name) for alias in node.names
                         if alias.name.startswith("_")]
     assert private == []
+
+
+def test_no_module_reads_another_modules_private_attribute():
+    """An attribute read obj._name, on anything but self or cls, names a
+    private attribute of its own module: one defined (a def, a class or an
+    assignment) in that module, or in no qpm module at all (mpmath's
+    _mpf_, say)."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    defined, reads = {}, []
+    for name, node in _qpm_nodes():
+        own = defined.setdefault(name, set())
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            own.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            own.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            own.add(node.attr)
+        elif (isinstance(node, ast.Attribute) and private(node.attr)
+              and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))):
+            reads.append((name, node.lineno, node.attr))
+    foreign = [(name, line, attr) for name, line, attr in reads
+               if attr not in defined[name]
+               and any(attr in own for other, own in defined.items() if other != name)]
+    assert foreign == []
 
 
 def test_no_builtin_sum_of_products_with_a_start():

@@ -1,14 +1,12 @@
 """Center: Casimirs, weight projectors, canonical basis, commutant."""
 
-import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from qpm.algebra import Params
-from qpm.center import (center_brute_force, center_dimension,
-                        decompose_central, is_central, weight_projectors)
+from qpm.center import center_brute_force, center_dimension, is_central, weight_projectors
 from qpm.duality import Theory
 from qpm.linalg import SpanSolver, SparseMat
 from qpm.reps import cached_irreducible, irreducible_labels
@@ -290,39 +288,6 @@ def test_spans_agree(P23, cb23):
         assert span_bf.contains(el.coeffs)
     for z in bf:
         assert span_cb.contains(z.coeffs)
-
-
-def test_decompose_central(P23, cb23):
-    P = P23
-    el = cb23.elements
-    dec = decompose_central(P, P.one, cb23)
-    assert all(c == P.ctx.one for (family, _), c in dec.items() if family == "e")
-    assert all(c.is_zero() for (family, _), c in dec.items() if family == "v")
-    e11 = el["e", (1, 1)]
-    dec = decompose_central(P, e11, cb23)
-    assert dec["e", (1, 1)] == P.ctx.one
-    assert sum(1 for (family, _), c in dec.items() if family == "e" and not c.is_zero()) == 1
-    z = (e11 * P.q + el["v", ("ne", (1, 1))] * P.plus.q
-         + el["w", ("down", (1, 1))] * 5
-         + el["vb", ("up", (2, 1))] * 3)
-    dec = decompose_central(P, z, cb23)
-    assert list(dec) == list(el)
-    assert P.linear_combination((el[lab], c) for lab, c in dec.items()) == z
-    assert dec["w", ("down", (1, 1))] == P.ctx.integer(5)
-    with pytest.raises(ValueError):
-        decompose_central(P, P.gen("ep"), cb23)
-
-
-@pytest.mark.parametrize("theory", ["T32", "T14"])
-def test_decompose_central_returns_the_coefficients_it_was_given(theory, request):
-    # a random integer combination of every basis element comes back with
-    # exactly its coefficients, zero ones included
-    cb = request.getfixturevalue(theory).center
-    P = cb.params
-    rng = random.Random(20060506)
-    want = {lab: P.ctx.integer(rng.randint(-4, 4)) for lab in cb.elements}
-    z = P.linear_combination((cb.elements[lab], c) for lab, c in want.items())
-    assert decompose_central(P, z, cb) == want
 
 
 def test_psi_normalization_constants(P23):

@@ -434,7 +434,7 @@ def test_ribbon_eigenvalues(T23):
     zeta = P.ctx.root_of_unity
     # trivial module: Delta_{1,1} = 0 gives eigenvalue 1
     triv = cached_irreducible(P, 1, 1, 1)
-    assert triv.act_entry(rib.v, 0, 0) == P.ctx.one
+    assert triv.act(rib.v).get(0, 0, P.ctx.zero) == P.ctx.one
     for lab in irreducible_labels(P):
         alpha, r, s = lab
         m = cached_irreducible(P, *lab)
@@ -609,7 +609,7 @@ def test_lazy_ribbon_split_matches_one_built_after_the_bases(pair):
     eager.center, eager.radford_basis, eager.drinfeld_basis
     lazy = Theory(Params(*pair))
     lazy_rib, eager_rib = lazy.ribbon, eager.ribbon
-    for name in ("u", "v", "v_factor_plus", "v_factor_minus", "v_semisimple", "v_unipotent"):
+    for name in ("v", "v_factor_plus", "v_factor_minus", "v_semisimple", "v_unipotent"):
         assert _terms(getattr(lazy_rib, name)) == _terms(getattr(eager_rib, name)), name
     assert (lazy_rib.v - lazy_rib.v_semisimple * lazy_rib.v_unipotent).is_zero()
 

@@ -122,7 +122,7 @@ def test_grothendieck_closure_rank_against_rounds(ma23):
 
     def echelon(vectors):
         return [[row.get(i, ctx.zero) for i in range(d)]
-                for _, row in _eliminate([sparse(co) for co in vectors], d)]
+                for _, row in _eliminate([sparse(co) for co in vectors])]
 
     def images(vectors):
         return [chain_mat_vec(m, co, ctx) for m in (ma23.S, ma23.T) for co in vectors]

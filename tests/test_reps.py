@@ -10,7 +10,6 @@ from qpm.algebra import AlgebraElement, Params
 from qpm.cyclotomic import sparse_sum
 from qpm.linalg import SparseMat
 from qpm.characters import block_module
-from qpm.duality import Theory
 from qpm.reps import (GrothendieckIndex, ModuleRep, cached_irreducible, cached_projective,
                       direct_sum, glue, irreducible, irreducible_labels, projective,
                       projective_deck, tensor_product, verma)
@@ -324,29 +323,3 @@ def test_sparse_matrix_cancellation_stores_no_zero(P23, gi23):
         assert all(not v.is_zero() for v in m.data.values())
     vec = {i: P23.ctx.one for i in range(ab.ncols)}
     assert all(not v.is_zero() for v in ab.apply(vec).values())
-
-
-@pytest.mark.parametrize("pair", [(1, 2), (2, 3), (3, 2), (1, 4)])
-def test_act_entry_equals_the_entry_of_act(pair):
-    """act_entry(x, tgt, src) equals act(x).get(tgt, src) in value, zero
-    entries included: at every read probe of the canonical center and at its
-    transpose, for every canonical basis element and for a random element
-    with every K exponent."""
-    P = Params(*pair)
-    rng = random.Random(7)
-    monos = list(P.monomials())
-    mixed = AlgebraElement(P, {m: P.zeta(rng.randrange(P.N)) * rng.choice((-2, 1, 3))
-                               for m in rng.sample(monos, min(40, len(monos)))})
-    cb = Theory(P).center
-    elements = [*cb.elements.values(), mixed]
-    probes = cb.probes.values()
-    acts = {m: [m.act(x) for x in elements] for m in dict.fromkeys(m for m, _, _, _ in probes)}
-    zero = P.ctx.zero
-    seen = Counter()
-    for module, i, j, _ in probes:
-        for x, full in zip(elements, acts[module]):
-            for a, b in ((i, j), (j, i)):
-                want = full.get(a, b, zero)
-                assert module.act_entry(x, a, b) == want
-                seen[bool(want)] += 1
-    assert seen[True] and seen[False]
